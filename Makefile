@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke metrics-smoke rank-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-parallel bench-throughput bench-check bench-recovery bench-churn bench-cluster-obs
+.PHONY: test smoke e2e-smoke metrics-smoke rank-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-parallel bench-throughput bench-check bench-recovery bench-churn bench-cluster-obs
 
 # Tier-1 verification: the full fast suite (torture scans stay opt-in).
 test:
@@ -12,6 +12,11 @@ test:
 # pool vs serial candidate-set identity).
 smoke: test
 	$(PYTHON) -m pytest -q -m perf tests/core/test_parallel.py tests/core/test_perf_smoke.py
+
+# End-to-end benchmark smoke: every workload of benchmarks/e2e/run.py
+# on tiny corpora, traced and untraced, answers checked (~50 s).
+e2e-smoke:
+	$(PYTHON) -m pytest -q benchmarks/e2e/test_smoke.py
 
 # Observability smoke: metrics/tracing/log unit tests, the narrowed
 # exception-handler regressions, the cache epoch-race interleavings, and

@@ -12,12 +12,12 @@ transformed by a square-root function before normalization.  Both appear
 here as :class:`EMDParams` knobs so downstream users can ablate them.
 
 Beyond the pairwise :func:`emd`, this module carries the batched ranking
-machinery: :func:`emd_to_many` evaluates one query against many
-candidates from a single packed cost computation, and
-:func:`emd_lower_bound_centroid` / :func:`emd_lower_bound_rowcol` give
-cheap provable lower bounds on the (improved) EMD that the ranking
-cascade uses to skip most transportation solves entirely (see
-docs/PERFORMANCE.md, "Ranking cascade").
+machinery: :func:`packed_costs` evaluates one query against many
+candidates in a single packed cost computation, and
+:func:`emd_lower_bounds_centroid` / :func:`emd_lower_bounds_rowcol` give
+cheap provable lower bounds on the (improved) EMD, for all candidates
+in one pass, that the ranking cascade uses to skip most transportation
+solves entirely (see docs/PERFORMANCE.md, "Ranking cascade").
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ __all__ = [
     "emd_to_many",
     "emd_lower_bound_centroid",
     "emd_lower_bound_rowcol",
+    "emd_lower_bounds_centroid",
+    "emd_lower_bounds_rowcol",
+    "packed_costs",
     "pairwise_segment_distances",
     "EMDDistance",
 ]
@@ -90,25 +93,28 @@ def _require_finite_costs(
     )
 
 
-def _l1_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(m, n)`` l1 distances via one broadcast kernel, blocked over ``b``.
+def _l1_cost_matrix(
+    a: np.ndarray, b: np.ndarray, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``(m, n)`` (weighted) l1 distances via one broadcast kernel,
+    blocked over ``b``.
 
-    Per-cell values are bit-identical to the historical per-row
-    ``l1_to_many`` loop (same element order, same pairwise reduction over
-    the feature axis), so every consumer — including the exact ranking
-    path — sees unchanged distances.
+    Each cell is its own reduction over the feature axis — multiply by
+    the per-dimension ``weights``, then sum — so a cell's value does not
+    depend on which other rows share the call: packing many candidates
+    into ``b`` gives bit-for-bit the matrices a per-candidate call gives.
+    (A BLAS ``diff.dot(weights)`` does not have that property.)
     """
     m, d = a.shape
     n = b.shape[0]
     block = max(1, _L1_BLOCK_BYTES // max(1, m * d * 8))
-    if n <= block:
-        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
     out = np.empty((m, n), dtype=np.float64)
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        out[:, start:stop] = np.abs(
-            a[:, None, :] - b[None, start:stop, :]
-        ).sum(axis=2)
+        diff = a[:, None, :] - b[None, start:start + block, :]
+        np.abs(diff, out=diff)
+        if weights is not None:
+            diff *= weights
+        out[:, start:start + block] = diff.sum(axis=2)
     return out
 
 
@@ -117,12 +123,14 @@ def pairwise_segment_distances(
     features_b: np.ndarray,
     ground: Optional[GroundDistanceMatrix] = None,
     object_id: Optional[int] = None,
+    dim_weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``(m, n)`` matrix of ground distances between two segment sets.
 
     ``ground`` maps ``(query_matrix, db_matrix) -> distance matrix``; the
-    default is l1, matching the paper's image and audio systems, computed
-    by one vectorized broadcast kernel.  Non-finite distances (NaN/inf
+    default is l1 — weighted per dimension by ``dim_weights`` when given
+    — matching the paper's image and audio systems, computed by one
+    vectorized broadcast kernel.  Non-finite distances (NaN/inf
     feature rows, or a ground function returning them) raise
     :class:`NonFiniteDistanceError` — the transportation simplex must
     never pivot on garbage costs.  ``object_id`` tags the error with the
@@ -139,7 +147,7 @@ def pairwise_segment_distances(
             )
         _require_finite_costs(out, object_id)
         return out
-    out = _l1_cost_matrix(a, b)
+    out = _l1_cost_matrix(a, b, dim_weights)
     _require_finite_costs(out, object_id)
     return out
 
@@ -159,11 +167,33 @@ class EMDParams:
         re-normalization; the CIKM'04 improvement uses ``sqrt``.
     ground:
         Ground (segment) distance as a matrix function; default l1.
+    dim_weights:
+        Non-negative per-dimension weights of the built-in l1 ground
+        (``sum_d w_d |x_d - y_d|``).  Unlike a ``ground`` callable this
+        keeps the packed kernel and the centroid bound available, so it
+        is the way to express a weighted-l1 segment distance.
     """
 
     threshold: Optional[float] = None
     weight_transform: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ground: Optional[GroundDistanceMatrix] = None
+    dim_weights: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.dim_weights is None:
+            return
+        if self.ground is not None:
+            raise ValueError(
+                "dim_weights weight the built-in l1 ground; "
+                "they cannot be combined with a custom ground"
+            )
+        w = np.array(self.dim_weights, dtype=np.float64)
+        if w.ndim != 1 or not np.isfinite(w).all() or np.any(w < 0):
+            raise ValueError(
+                "dim_weights must be a 1-D array of finite non-negative weights"
+            )
+        w.setflags(write=False)
+        object.__setattr__(self, "dim_weights", w)
 
     def effective_weights(self, weights: np.ndarray) -> np.ndarray:
         if self.weight_transform is None:
@@ -179,6 +209,20 @@ class EMDParams:
             raise ValueError("EMD threshold must be positive")
         return np.minimum(costs, self.threshold)
 
+    def segment_costs(
+        self,
+        features_a: np.ndarray,
+        features_b: np.ndarray,
+        object_id: Optional[int] = None,
+    ) -> np.ndarray:
+        """The thresholded ``(m, n)`` cost matrix the EMD is solved over."""
+        return self.apply_threshold(
+            pairwise_segment_distances(
+                features_a, features_b, self.ground,
+                object_id=object_id, dim_weights=self.dim_weights,
+            )
+        )
+
 
 def emd(
     obj_a: ObjectSignature,
@@ -191,89 +235,87 @@ def emd(
     (transportation simplex), not an approximation.
     """
     params = params or EMDParams()
-    costs = pairwise_segment_distances(
-        obj_a.features, obj_b.features, params.ground,
-        object_id=obj_b.object_id,
+    costs = params.segment_costs(
+        obj_a.features, obj_b.features, object_id=obj_b.object_id
     )
-    costs = params.apply_threshold(costs)
     supply = params.effective_weights(obj_a.weights)
     demand = params.effective_weights(obj_b.weights)
     result = solve_transport(supply, demand, costs)
     return result.cost
 
 
+def packed_costs(
+    query: ObjectSignature,
+    candidates: Sequence[ObjectSignature],
+    params: EMDParams,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Thresholded costs of one query against many candidates, packed.
+
+    Returns the ``(m, sum n_i)`` cost array and the ``(len + 1,)`` column
+    offsets: candidate ``i`` owns columns ``offsets[i]:offsets[i + 1]``,
+    bit-identical to the matrix :func:`emd` builds for that pair.
+    ``candidates`` must not be empty.
+
+    For the built-in (weighted) l1 ground, every candidate's segments go
+    through one broadcast kernel.  A custom ``ground`` is called once per
+    candidate with exactly the candidate's own feature matrix — an
+    arbitrary callable is only guaranteed bit-stable on the inputs the
+    exact path gives it.
+    """
+    offsets = np.zeros(len(candidates) + 1, dtype=np.intp)
+    np.cumsum([c.num_segments for c in candidates], out=offsets[1:])
+    if params.ground is not None:
+        costs = np.concatenate(
+            [
+                params.segment_costs(query.features, c.features, c.object_id)
+                for c in candidates
+            ],
+            axis=1,
+        )
+        return costs, offsets
+    q = np.atleast_2d(np.asarray(query.features, dtype=np.float64))
+    packed = np.concatenate([c.features for c in candidates], axis=0)
+    costs = _l1_cost_matrix(q, packed, params.dim_weights)
+    finite_cols = np.isfinite(costs).all(axis=0)
+    if not finite_cols.all():
+        # Name the first poisoned candidate, as the per-pair path would.
+        pos = int(np.searchsorted(offsets, finite_cols.argmin(), side="right")) - 1
+        _require_finite_costs(
+            costs[:, offsets[pos]:offsets[pos + 1]], candidates[pos].object_id
+        )
+    return params.apply_threshold(costs), offsets
+
+
 def packed_cost_matrices(
     query: ObjectSignature,
     candidates: Sequence[ObjectSignature],
     params: Optional[EMDParams] = None,
-    dedup: bool = True,
 ) -> List[np.ndarray]:
     """Thresholded ``(m, n_i)`` cost matrices for one query against many
-    candidates, each bit-identical to what :func:`emd` computes.
-
-    For the default l1 ground distance, every candidate's segments are
-    packed into one matrix and a single broadcast kernel produces all
-    cost matrices at once; with ``dedup``, segment rows repeated across
-    candidates (bitwise-equal feature vectors) are evaluated once and
-    gathered back.  A custom ``ground`` is called once per candidate with
-    exactly the candidate's own feature matrix — an arbitrary callable is
-    only guaranteed bit-stable on the inputs the exact path gives it.
-    """
-    params = params or EMDParams()
+    candidates — :func:`packed_costs` split per candidate (views)."""
     if not candidates:
         return []
-    if params.ground is not None:
-        return [
-            params.apply_threshold(
-                pairwise_segment_distances(
-                    query.features, cand.features, params.ground,
-                    object_id=cand.object_id,
-                )
-            )
-            for cand in candidates
-        ]
-    q = np.atleast_2d(np.asarray(query.features, dtype=np.float64))
-    packed = np.concatenate(
-        [np.atleast_2d(np.asarray(c.features, dtype=np.float64))
-         for c in candidates],
-        axis=0,
-    )
-    if dedup and packed.shape[0] > 1:
-        unique, inverse = np.unique(packed, axis=0, return_inverse=True)
-        if unique.shape[0] < packed.shape[0]:
-            all_costs = _l1_cost_matrix(q, unique)[:, inverse.ravel()]
-        else:
-            all_costs = _l1_cost_matrix(q, packed)
-    else:
-        all_costs = _l1_cost_matrix(q, packed)
-    all_costs = params.apply_threshold(all_costs)
-    matrices: List[np.ndarray] = []
-    offset = 0
-    for cand in candidates:
-        n = cand.num_segments
-        costs = all_costs[:, offset:offset + n]
-        offset += n
-        _require_finite_costs(costs, object_id=cand.object_id)
-        matrices.append(costs)
-    return matrices
+    costs, offsets = packed_costs(query, candidates, params or EMDParams())
+    return [
+        costs[:, offsets[i]:offsets[i + 1]] for i in range(len(candidates))
+    ]
 
 
 def emd_to_many(
     query: ObjectSignature,
     candidates: Sequence[ObjectSignature],
     params: Optional[EMDParams] = None,
-    dedup: bool = True,
 ) -> np.ndarray:
     """Exact EMD from ``query`` to every candidate, batched.
 
     Equivalent to ``[emd(query, c, params) for c in candidates]`` —
     same costs, same solver, bit-identical distances — but all ground
     distances come from one packed computation per batch
-    (:func:`packed_cost_matrices`) instead of one small kernel dispatch
-    per candidate.
+    (:func:`packed_costs`) instead of one small kernel dispatch per
+    candidate.
     """
     params = params or EMDParams()
-    matrices = packed_cost_matrices(query, candidates, params, dedup=dedup)
+    matrices = packed_cost_matrices(query, candidates, params)
     supply = params.effective_weights(query.weights)
     return np.array(
         [
@@ -286,49 +328,37 @@ def emd_to_many(
     )
 
 
-def _shave(bound: float) -> float:
+def _shave(bounds: np.ndarray) -> np.ndarray:
     """Apply the float-safety margin; bounds never go negative."""
-    return max(0.0, bound * (1.0 - _BOUND_SAFETY_REL) - _BOUND_SAFETY_ABS)
+    return np.maximum(
+        0.0, bounds * (1.0 - _BOUND_SAFETY_REL) - _BOUND_SAFETY_ABS
+    )
 
 
-def emd_lower_bound_centroid(
-    query: ObjectSignature,
-    candidate: ObjectSignature,
-    params: Optional[EMDParams] = None,
-) -> float:
-    """Weighted-l1-of-centroids lower bound on ``emd(query, candidate)``.
-
-    For a norm-induced ground distance, any feasible flow satisfies
-    ``sum f_ij ||x_i - y_j|| >= ||sum_i s_i x_i - sum_j d_j y_j||``
-    (Jensen on the norm), so the l1 distance between the effective-weight
-    centroids lower-bounds the plain EMD.  The bound is only valid for
-    the built-in l1 ground (a custom ``ground`` need not be a norm) and
-    only without thresholding — clipping costs at ``t`` can push the
-    optimal flow cost *below* the centroid distance — so those
-    configurations return the trivial bound 0.0.  ``weight_transform`` is
-    respected by using the same effective weights the EMD uses.
-    """
-    params = params or EMDParams()
-    if params.ground is not None or params.threshold is not None:
-        return 0.0
-    supply = params.effective_weights(query.weights)
-    demand = params.effective_weights(candidate.weights)
-    total_s = float(supply.sum())
-    total_d = float(demand.sum())
-    if total_s <= 0.0 or total_d <= 0.0:
-        return 0.0
-    # solve_transport rescales demand to balance the problem exactly;
-    # the bound must compare centroids of the same rescaled masses.
-    demand = demand * (total_s / total_d)
-    q_centroid = supply @ np.atleast_2d(query.features)
-    c_centroid = demand @ np.atleast_2d(candidate.features)
-    return _shave(float(np.abs(q_centroid - c_centroid).sum()))
+def _balanced_demands(
+    supply: np.ndarray,
+    demands: Sequence[np.ndarray],
+    starts: np.ndarray,
+    widths: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenated candidate masses rescaled to the query's total — the
+    balancing :func:`solve_transport` applies — plus the mask of
+    candidates that carry mass at all (the others get the zero bound)."""
+    demand = np.concatenate(demands)
+    totals = np.add.reduceat(demand, starts)
+    has_mass = totals > 0.0
+    scale = float(supply.sum()) / np.where(has_mass, totals, 1.0)
+    return demand * np.repeat(scale, widths), has_mass
 
 
-def rowcol_bound_from_costs(
-    costs: np.ndarray, supply: np.ndarray, demand: np.ndarray
-) -> float:
-    """Row/column-minima lower bound given an already-built cost matrix.
+def emd_lower_bounds_rowcol(
+    costs: np.ndarray,
+    offsets: np.ndarray,
+    supply: np.ndarray,
+    demands: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Row/column-minima lower bounds for every candidate of a packed
+    cost array (:func:`packed_costs`), in one pass.
 
     Every feasible flow ships ``supply_i`` out of row ``i`` at per-unit
     cost at least ``min_j costs[i, j]`` (and symmetrically for columns),
@@ -337,15 +367,77 @@ def rowcol_bound_from_costs(
     (thresholded) costs, it is valid for every :class:`EMDParams`
     configuration, including custom grounds.
     """
-    supply = np.asarray(supply, dtype=np.float64)
-    demand = np.asarray(demand, dtype=np.float64)
-    total_s = float(supply.sum())
-    total_d = float(demand.sum())
-    if total_s <= 0.0 or total_d <= 0.0 or costs.size == 0:
-        return 0.0
-    row_bound = float(supply @ costs.min(axis=1))
-    col_bound = float(demand @ costs.min(axis=0)) * (total_s / total_d)
-    return _shave(max(row_bound, col_bound))
+    bounds = np.zeros(len(demands), dtype=np.float64)
+    # reduceat needs non-empty segments; a candidate without segments
+    # owns no columns, so dropping its start leaves the others' intact.
+    live = np.flatnonzero(offsets[1:] > offsets[:-1])
+    if float(supply.sum()) <= 0.0 or live.size == 0:
+        return bounds
+    starts = offsets[:-1][live]
+    demand, has_mass = _balanced_demands(
+        supply, [demands[i] for i in live], starts, np.diff(offsets)[live]
+    )
+    row_bounds = supply @ np.minimum.reduceat(costs, starts, axis=1)
+    col_bounds = np.add.reduceat(demand * costs.min(axis=0), starts)
+    bounds[live] = np.where(
+        has_mass, _shave(np.maximum(row_bounds, col_bounds)), 0.0
+    )
+    return bounds
+
+
+def emd_lower_bounds_centroid(
+    query: ObjectSignature,
+    candidates: Sequence[ObjectSignature],
+    params: Optional[EMDParams] = None,
+) -> np.ndarray:
+    """Weighted-l1-of-centroids lower bounds on ``emd(query, c)`` for
+    every candidate ``c``, in one pass.
+
+    For a norm-induced ground distance, any feasible flow satisfies
+    ``sum f_ij ||x_i - y_j|| >= ||sum_i s_i x_i - sum_j d_j y_j||``
+    (Jensen on the norm), so the distance between the effective-weight
+    centroids lower-bounds the plain EMD.  The bound is only valid for
+    the built-in l1 ground, ``dim_weights`` included (a custom ``ground``
+    need not be a norm) and only without thresholding — clipping costs
+    at ``t`` can push the optimal flow cost *below* the centroid
+    distance — so those configurations return the trivial bound 0.0.
+    ``weight_transform`` is respected by using the same effective
+    weights the EMD uses.
+    """
+    params = params or EMDParams()
+    bounds = np.zeros(len(candidates), dtype=np.float64)
+    if params.ground is not None or params.threshold is not None:
+        return bounds
+    supply = params.effective_weights(query.weights)
+    live = [i for i, c in enumerate(candidates) if c.num_segments]
+    if float(supply.sum()) <= 0.0 or not live:
+        return bounds
+    widths = np.array([candidates[i].num_segments for i in live])
+    starts = np.cumsum(widths) - widths
+    demand, has_mass = _balanced_demands(
+        supply,
+        [params.effective_weights(candidates[i].weights) for i in live],
+        starts,
+        widths,
+    )
+    packed = np.concatenate([candidates[i].features for i in live], axis=0)
+    gaps = np.abs(
+        np.add.reduceat(packed * demand[:, None], starts, axis=0)
+        - supply @ np.atleast_2d(query.features)
+    )
+    if params.dim_weights is not None:
+        gaps *= params.dim_weights
+    bounds[live] = np.where(has_mass, _shave(gaps.sum(axis=1)), 0.0)
+    return bounds
+
+
+def emd_lower_bound_centroid(
+    query: ObjectSignature,
+    candidate: ObjectSignature,
+    params: Optional[EMDParams] = None,
+) -> float:
+    """:func:`emd_lower_bounds_centroid` for a single candidate."""
+    return float(emd_lower_bounds_centroid(query, [candidate], params)[0])
 
 
 def emd_lower_bound_rowcol(
@@ -354,24 +446,23 @@ def emd_lower_bound_rowcol(
     params: Optional[EMDParams] = None,
     costs: Optional[np.ndarray] = None,
 ) -> float:
-    """Thresholded row/column-minima lower bound on ``emd(query, candidate)``.
+    """:func:`emd_lower_bounds_rowcol` for a single candidate.
 
-    ``costs`` may carry a precomputed thresholded cost matrix (the
-    ranking cascade reuses the matrices it already built); otherwise the
-    matrix is computed here exactly as :func:`emd` would.
+    ``costs`` may carry a precomputed thresholded cost matrix; otherwise
+    the matrix is computed here exactly as :func:`emd` would.
     """
     params = params or EMDParams()
     if costs is None:
-        costs = params.apply_threshold(
-            pairwise_segment_distances(
-                query.features, candidate.features, params.ground,
-                object_id=candidate.object_id,
-            )
+        costs = params.segment_costs(
+            query.features, candidate.features, object_id=candidate.object_id
         )
-    return rowcol_bound_from_costs(
-        costs,
-        params.effective_weights(query.weights),
-        params.effective_weights(candidate.weights),
+    return float(
+        emd_lower_bounds_rowcol(
+            costs,
+            np.array([0, costs.shape[1]]),
+            params.effective_weights(query.weights),
+            [params.effective_weights(candidate.weights)],
+        )[0]
     )
 
 

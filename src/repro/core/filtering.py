@@ -698,11 +698,6 @@ class ArenaCompactor:
                 _M_ARENA_COMPACT_ERRORS.inc()
 
 
-# Cap on the composite-key scratch of `select_k_smallest`'s integer fast
-# path; a handful of rows at a time keeps the key block cache-resident.
-_SELECT_BLOCK_BYTES = 4 << 20
-
-
 def select_k_smallest(
     dists: np.ndarray, k: int, ids: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -725,50 +720,22 @@ def select_k_smallest(
     n_rows, total = dists.shape
     if k >= total:
         return np.broadcast_to(np.arange(total, dtype=np.int64), dists.shape)
-    if ids is None:
-        id_mat = np.arange(total, dtype=np.uint64)[None, :]
-        max_id = total - 1
-    else:
-        # (total,) shared across rows, or (n_rows, total) per-row ids —
-        # the sharded merge passes per-row global row numbers.
-        id_mat = np.atleast_2d(np.asarray(ids, dtype=np.uint64))
-        max_id = int(id_mat.max(initial=0))
-    shift = max(1, int(max_id).bit_length())
-    if np.issubdtype(dists.dtype, np.integer):
-        max_d = int(dists.max(initial=0))
-        if max_d < (1 << (64 - shift)):
-            # Composite (distance, id) key in one uint64: argpartition on
-            # it is a deterministic smallest-id tie-break in a single
-            # vectorized pass — the hot path for Hamming scans.  The key
-            # matrix is built a few rows at a time into one reused
-            # scratch block: at fused-batch shapes (~100 queries x 100k+
-            # columns) a whole-matrix key temp is ~100 MB and selection
-            # turns memory-bound, costing ~3x the partition itself.
-            out = np.empty((n_rows, k), dtype=np.int64)
-            block = max(1, _SELECT_BLOCK_BYTES // max(1, total * 8))
-            scratch = np.empty((min(block, n_rows), total), dtype=np.uint64)
-            sh = np.uint64(shift)
-            shared_ids = id_mat.shape[0] == 1
-            for start in range(0, n_rows, block):
-                stop = min(start + block, n_rows)
-                kb = scratch[: stop - start]
-                kb[...] = dists[start:stop]
-                kb <<= sh
-                kb |= id_mat[0] if shared_ids else id_mat[start:stop]
-                out[start:stop] = np.argpartition(kb, k - 1, axis=1)[:, :k]
-            return out
-    # Float distances (direct filtering) or key overflow: two-pass per row.
+    # (total,) shared across rows, or (n_rows, total) per-row ids — the
+    # sharded merge passes per-row global row numbers.
+    id_mat = None if ids is None else np.atleast_2d(np.asarray(ids))
     out = np.empty((n_rows, k), dtype=np.int64)
     for r in range(n_rows):
         row = dists[r]
-        id_row = id_mat[0] if id_mat.shape[0] == 1 else id_mat[r]
         part = np.argpartition(row, k - 1)[:k]
         cutoff = row[part].max()
         strict = np.nonzero(row < cutoff)[0]
         ties = np.nonzero(row == cutoff)[0]
         need = k - strict.size
         if ties.size > need:
-            ties = ties[np.argsort(id_row[ties], kind="stable")[:need]]
+            if id_mat is not None:  # column order is already id order
+                id_row = id_mat[0] if id_mat.shape[0] == 1 else id_mat[r]
+                ties = ties[np.argsort(id_row[ties], kind="stable")]
+            ties = ties[:need]
         out[r, : strict.size] = strict
         out[r, strict.size :] = ties
     return out

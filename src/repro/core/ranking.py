@@ -34,11 +34,13 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from .emd import (
     EMDDistance,
-    emd_lower_bound_centroid,
-    packed_cost_matrices,
-    rowcol_bound_from_costs,
+    emd_lower_bounds_centroid,
+    emd_lower_bounds_rowcol,
+    packed_costs,
 )
 from .transport import solve_transport
 from .types import ObjectSignature
@@ -84,19 +86,14 @@ class RankParams:
         Use the thresholded row/column-minima lower bound (valid for
         every EMD configuration; computed from the already-built cost
         matrix, so it is nearly free).
-    dedup_segments:
-        Deduplicate bitwise-equal segment rows across candidates before
-        the packed ground-distance kernel.
     """
 
     cascade: bool = True
     centroid_bound: bool = True
     rowcol_bound: bool = True
-    dedup_segments: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("cascade", "centroid_bound", "rowcol_bound",
-                     "dedup_segments"):
+        for name in ("cascade", "centroid_bound", "rowcol_bound"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"RankParams.{name} must be a bool")
 
@@ -105,7 +102,6 @@ class RankParams:
             "cascade": self.cascade,
             "centroid_bound": self.centroid_bound,
             "rowcol_bound": self.rowcol_bound,
-            "dedup_segments": self.dedup_segments,
         }
 
     @classmethod
@@ -116,9 +112,8 @@ class RankParams:
             raise ValueError(f"unknown RankParams fields: {sorted(unknown)}")
         return cls(**dict(payload))
 
-    def cache_key(self) -> Tuple[bool, bool, bool, bool]:
-        return (self.cascade, self.centroid_bound, self.rowcol_bound,
-                self.dedup_segments)
+    def cache_key(self) -> Tuple[bool, bool, bool]:
+        return (self.cascade, self.centroid_bound, self.rowcol_bound)
 
     def with_updates(self, **changes: bool) -> "RankParams":
         return replace(self, **changes)
@@ -261,44 +256,38 @@ def rank_candidates_many(
 
     emd_params = obj_distance.params
     bound_started = time.perf_counter()
-    matrices = packed_cost_matrices(
-        query, sigs, emd_params, dedup=params.dedup_segments
-    )
+    costs, offsets = packed_costs(query, sigs, emd_params)
     supply = emd_params.effective_weights(query.weights)
     demands = [emd_params.effective_weights(c.weights) for c in sigs]
 
-    order: List[Tuple[float, int]] = []  # (lower_bound, position)
-    for pos, candidate in enumerate(sigs):
-        lb = 0.0
-        if params.centroid_bound:
-            lb = emd_lower_bound_centroid(query, candidate, emd_params)
-        if params.rowcol_bound:
-            lb = max(
-                lb,
-                rowcol_bound_from_costs(
-                    matrices[pos], supply, demands[pos]
-                ),
-            )
-        order.append((lb, pos))
+    bounds = np.zeros(len(sigs), dtype=np.float64)
+    if params.centroid_bound:
+        bounds = emd_lower_bounds_centroid(query, sigs, emd_params)
+    if params.rowcol_bound:
+        bounds = np.maximum(
+            bounds, emd_lower_bounds_rowcol(costs, offsets, supply, demands)
+        )
     # Ascending (bound, object_id): cheap-looking candidates first so the
     # k-th distance tightens fast; id tie-break keeps the visit order —
     # and therefore the float state of the run — deterministic.
-    order.sort(key=lambda item: (item[0], ids[item[1]]))
+    order = np.lexsort((ids, bounds))
     stats.bound_seconds = time.perf_counter() - bound_started
 
     solve_started = time.perf_counter()
     # Max-heap of the k best via (-distance, -object_id): heap[0] is the
     # current k-th (worst kept) result under (distance, id) ordering.
     heap: List[Tuple[float, int]] = []
-    for lb, pos in order:
+    for pos in order.tolist():
         if len(heap) >= top_k:
             kth_dist = -heap[0][0]
             # Strict '>' only: a candidate whose bound ties the k-th
             # distance could still replace it via a smaller object id.
-            if lb > kth_dist:
+            if bounds[pos] > kth_dist:
                 break
         distance = float(
-            solve_transport(supply, demands[pos], matrices[pos]).cost
+            solve_transport(
+                supply, demands[pos], costs[:, offsets[pos]:offsets[pos + 1]]
+            ).cost
         )
         stats.exact_evals += 1
         entry = (-distance, -ids[pos])

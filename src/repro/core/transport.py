@@ -18,9 +18,26 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-__all__ = ["TransportResult", "solve_transport"]
+__all__ = ["TransportResult", "TransportPivotLimitError", "solve_transport"]
 
 _MAX_PIVOTS_FACTOR = 50  # pivot cap: factor * (m + n), guards non-termination
+
+
+class TransportPivotLimitError(RuntimeError):
+    """The simplex hit its pivot cap with an improving cell still open.
+
+    The flow at that point is feasible but not proven optimal, so its
+    cost must not be handed out as an exact distance.
+    """
+
+    def __init__(self, m: int, n: int, pivots: int) -> None:
+        super().__init__(
+            f"transportation simplex not optimal after {pivots} pivots "
+            f"on a {m}x{n} problem"
+        )
+        self.m = m
+        self.n = n
+        self.pivots = pivots
 
 
 @dataclass(frozen=True)
@@ -43,6 +60,8 @@ def solve_transport(
     ``supply`` and ``demand`` must be non-negative and have equal totals
     (within a small relative tolerance; they are rescaled to match
     exactly).  Zero-weight rows/columns are allowed and receive no flow.
+    Raises :class:`TransportPivotLimitError` rather than return a flow
+    that the pivot cap stopped short of optimality.
     """
     supply = np.asarray(supply, dtype=np.float64).copy()
     demand = np.asarray(demand, dtype=np.float64).copy()
@@ -66,11 +85,13 @@ def solve_transport(
 
     iterations = 0
     max_pivots = _MAX_PIVOTS_FACTOR * (m + n)
-    while iterations < max_pivots:
+    while True:
         u, v = _compute_potentials(basis, costs, m, n)
         entering = _find_entering(costs, u, v, basis, tolerance)
         if entering is None:
             break
+        if iterations >= max_pivots:
+            raise TransportPivotLimitError(m, n, iterations)
         cycle = _find_cycle(basis, entering, m, n)
         _pivot(flow, basis, cycle)
         iterations += 1
@@ -82,7 +103,15 @@ def _vogel_initial_solution(
     supply: np.ndarray, demand: np.ndarray, costs: np.ndarray
 ) -> Tuple[np.ndarray, Set[Tuple[int, int]]]:
     """Vogel's approximation: repeatedly satisfy the row/column with the
-    largest penalty (difference between its two cheapest open cells)."""
+    largest penalty (difference between its two cheapest open cells).
+
+    Every step works on whole matrices: closed rows and columns of
+    ``work`` are masked to ``inf``, so one ``np.partition`` per axis
+    yields every open line's two cheapest open cells.  Ties resolve to
+    the first row, then the first column, then the first cheapest cell
+    in that line — the step sequence of the per-line loop this replaces
+    (kept as the reference in ``tests/core/test_transport.py``).
+    """
     m, n = costs.shape
     s = supply.copy()
     d = demand.copy()
@@ -93,51 +122,63 @@ def _vogel_initial_solution(
     # Zero rows/columns never receive flow but still need basis coverage;
     # _ensure_spanning_basis attaches them afterwards.
     work = costs.copy()
+    work[~row_open, :] = np.inf
+    work[:, ~col_open] = np.inf
+    rows_left = int(row_open.sum())
+    cols_left = int(col_open.sum())
+    # Penalties of closed lines stay -inf so argmax never picks them
+    # (and no inf - inf is ever evaluated).
+    penalties = np.full(m + n, -np.inf)
+    row_pen, col_pen = penalties[:m], penalties[m:]
+    rows_stale = cols_stale = True
 
-    while row_open.any() and col_open.any():
-        best_cell: Optional[Tuple[int, int]] = None
-        best_penalty = -1.0
-        open_cols = np.where(col_open)[0]
-        open_rows = np.where(row_open)[0]
-        for i in open_rows:
-            row = work[i, open_cols]
-            penalty, j_local = _penalty_and_argmin(row)
-            if penalty > best_penalty:
-                best_penalty = penalty
-                best_cell = (int(i), int(open_cols[j_local]))
-        for j in open_cols:
-            col = work[open_rows, j]
-            penalty, i_local = _penalty_and_argmin(col)
-            if penalty > best_penalty:
-                best_penalty = penalty
-                best_cell = (int(open_rows[i_local]), int(j))
-        assert best_cell is not None
-        i, j = best_cell
+    while rows_left and cols_left:
+        # Closing a column changes every row's penalty and vice versa;
+        # the other side's penalties are still exact.
+        if rows_stale:
+            _line_penalties(work, cols_left, row_open, row_pen)
+        if cols_stale:
+            _line_penalties(work.T, rows_left, col_open, col_pen)
+        line = int(penalties.argmax())
+        if line < m:
+            i, j = line, int(work[line].argmin())
+        else:
+            j = line - m
+            i = int(work[:, j].argmin())
         amount = min(s[i], d[j])
         flow[i, j] = amount
         basis.add((i, j))
         s[i] -= amount
         d[j] -= amount
-        # Close exactly one side on ties to preserve m+n-1 basic cells.
-        if s[i] <= 1e-15 and row_open.sum() > 1:
+        # Close exactly one side on ties to preserve m+n-1 basic cells:
+        # the row, unless it is the last open one and the column is
+        # spent as well (one of the two always is).
+        if s[i] <= 1e-15 and (rows_left > 1 or d[j] > 1e-15):
             row_open[i] = False
-            s[i] = 0.0
-        elif d[j] <= 1e-15:
-            col_open[j] = False
-            d[j] = 0.0
+            work[i, :] = np.inf
+            row_pen[i] = -np.inf
+            rows_left -= 1
+            rows_stale, cols_stale = False, True
         else:
-            row_open[i] = s[i] > 1e-15
+            col_open[j] = False
+            work[:, j] = np.inf
+            col_pen[j] = -np.inf
+            cols_left -= 1
+            rows_stale, cols_stale = True, False
     return flow, basis
 
 
-def _penalty_and_argmin(values: np.ndarray) -> Tuple[float, int]:
-    """Vogel penalty (2nd-smallest minus smallest) and argmin of ``values``."""
-    j = int(np.argmin(values))
-    if values.shape[0] == 1:
-        return float(values[0]), j
-    smallest = values[j]
-    rest = np.delete(values, j)
-    return float(rest.min() - smallest), j
+def _line_penalties(
+    work: np.ndarray, cross_left: int, line_open: np.ndarray, out: np.ndarray
+) -> None:
+    """Vogel penalties of the open rows of ``work`` into ``out``: second
+    cheapest minus cheapest open cell, or the cost itself when a single
+    crossing line is still open."""
+    if cross_left == 1:
+        np.copyto(out, work.min(axis=1), where=line_open)
+    else:
+        two = np.partition(work, 1, axis=1)
+        np.subtract(two[:, 1], two[:, 0], out=out, where=line_open)
 
 
 def _ensure_spanning_basis(

@@ -209,13 +209,21 @@ class Dataset:
     """
 
     objects: Dict[int, ObjectSignature] = field(default_factory=dict)
+    # One past the largest id ever added: the next auto-assigned id,
+    # kept running so ``add`` never scans the dict for its maximum.
+    _next_id: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.objects:
+            self._next_id = max(self.objects) + 1
 
     def add(self, obj: ObjectSignature) -> int:
         if obj.object_id is None:
-            obj.object_id = (max(self.objects) + 1) if self.objects else 0
+            obj.object_id = self._next_id
         if obj.object_id in self.objects:
             raise KeyError(f"duplicate object id {obj.object_id}")
         self.objects[obj.object_id] = obj
+        self._next_id = max(self._next_id, obj.object_id + 1)
         return obj.object_id
 
     def __len__(self) -> int:

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from ...core.distance import weighted_l1_to_many
 from ...core.emd import EMDParams
 from ...core.plugin import DataTypePlugin
 from ...core.types import FeatureMeta, ObjectSignature
@@ -53,15 +52,10 @@ def make_image_plugin(
     def seg_distance(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.abs(a - b).dot(dim_weights))
 
-    def ground(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [weighted_l1_to_many(q, database, dim_weights) for q in queries]
-        )
-
     params = EMDParams(
         threshold=emd_threshold,
         weight_transform=np.sqrt if sqrt_weighting else None,
-        ground=ground,
+        dim_weights=dim_weights,
     )
 
     def seg_extract(filename: str) -> ObjectSignature:

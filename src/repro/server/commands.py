@@ -55,8 +55,7 @@ number of results to return, filter parameters, and attributes"):
   the registry master switch, ``profile on|off`` for the sampling
   profiler, ``slow_query_ms <ms>`` for the slow-query log threshold,
   and ``rank_cascade`` / ``rank_centroid_bound`` / ``rank_rowcol_bound``
-  / ``rank_dedup`` ``on|off`` for the batched ranking cascade's
-  lower-bound pruning — see docs/PERFORMANCE.md, "Ranking cascade").
+  ``on|off`` for the batched ranking cascade's lower-bound pruning — see docs/PERFORMANCE.md, "Ranking cascade").
 - ``health`` — server health report: overall status, uptime, and
   per-component degradation details (see docs/ROBUSTNESS.md).
 - ``metrics [-p|-s] [prefix]`` — dump the process metrics registry
@@ -846,7 +845,6 @@ class CommandProcessor:
             return [f"profile={flag}"]
         elif name in (
             "rank_cascade", "rank_centroid_bound", "rank_rowcol_bound",
-            "rank_dedup",
         ):
             flag = raw.lower()
             if flag not in ("on", "off"):
@@ -855,7 +853,6 @@ class CommandProcessor:
                 "rank_cascade": "cascade",
                 "rank_centroid_bound": "centroid_bound",
                 "rank_rowcol_bound": "rowcol_bound",
-                "rank_dedup": "dedup_segments",
             }[name]
             self.engine.rank_params = self.engine.rank_params.with_updates(
                 **{field: flag == "on"}

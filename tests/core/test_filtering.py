@@ -15,7 +15,7 @@ from repro.core import (
     sketch_filter_reference,
 )
 from repro.core.distance import l1_to_many
-from repro.core.filtering import default_threshold_fn
+from repro.core.filtering import default_threshold_fn, select_k_smallest
 
 
 def _setup(num_objects=30, segs=3, dim=6, n_bits=256, seed=0):
@@ -262,3 +262,58 @@ class TestSketchFilter:
             sk.n_bits,
         )
         assert {0, 1, 2, 3, 4} <= candidates
+
+
+def _reference_select(row, k, id_row):
+    """The contract, spelled out: the k smallest under (value, id)."""
+    return set(np.lexsort((id_row, row))[:k].tolist())
+
+
+class TestSelectKSmallest:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.float64])
+    @pytest.mark.parametrize("id_shape", ["none", "shared", "per_row"])
+    def test_tie_heavy_rows_select_the_contract_set(self, dtype, id_shape):
+        # Three distinct values over 400 columns: the k-th value ties
+        # dozens of times, so the id rule decides most of the boundary.
+        rng = np.random.default_rng(3)
+        n_rows, total, k = 5, 400, 37
+        dists = rng.integers(0, 3, size=(n_rows, total)).astype(dtype)
+        if id_shape == "none":
+            ids, id_rows = None, [np.arange(total)] * n_rows
+        elif id_shape == "shared":
+            ids = rng.permutation(total) + 1000
+            id_rows = [ids] * n_rows
+        else:
+            ids = np.stack([rng.permutation(total) * 7 for _ in range(n_rows)])
+            id_rows = list(ids)
+        got = select_k_smallest(dists, k, ids=ids)
+        assert got.shape == (n_rows, k)
+        for r in range(n_rows):
+            assert set(got[r].tolist()) == _reference_select(
+                dists[r], k, id_rows[r]
+            )
+
+    def test_integer_and_float_inputs_agree(self):
+        rng = np.random.default_rng(4)
+        hamming = rng.binomial(64, 0.5, size=(4, 3000)).astype(np.uint32)
+        ids = np.stack([rng.permutation(3000) for _ in range(4)])
+        for id_arg in (None, ids[0], ids):
+            as_int = select_k_smallest(hamming, 32, ids=id_arg)
+            as_float = select_k_smallest(
+                hamming.astype(np.float64), 32, ids=id_arg
+            )
+            assert [set(r) for r in as_int.tolist()] == [
+                set(r) for r in as_float.tolist()
+            ]
+
+    def test_masked_rows_at_dtype_max_lose_to_live_rows(self):
+        # Tombstoned segments are masked to the dtype's maximum before
+        # selection; they may only fill slots no live row can.
+        dists = np.full((1, 50), np.iinfo(np.uint32).max, dtype=np.uint32)
+        dists[0, [7, 11, 30]] = [5, 5, 2]
+        assert set(select_k_smallest(dists, 3)[0].tolist()) == {7, 11, 30}
+        assert set(select_k_smallest(dists, 5)[0].tolist()) == {0, 1, 7, 11, 30}
+
+    def test_k_at_least_total_returns_every_column(self):
+        dists = np.arange(6, dtype=np.uint32).reshape(2, 3)
+        assert select_k_smallest(dists, 3).tolist() == [[0, 1, 2], [0, 1, 2]]

@@ -35,6 +35,12 @@ from repro.core import (
     rank_candidates_many,
 )
 from repro.core.distance import weighted_l1_to_many
+from repro.core.emd import (
+    emd_lower_bounds_centroid,
+    emd_lower_bounds_rowcol,
+    packed_cost_matrices,
+    packed_costs,
+)
 from repro.observability import metrics as obs_metrics
 
 # One ulp-scale tolerance: the bounds carry their own float-safety
@@ -66,14 +72,19 @@ def _param_configs(dim=5):
         EMDParams(weight_transform=np.sqrt),
         EMDParams(threshold=0.8, weight_transform=np.sqrt),
         _custom_ground_params(dim=dim),
+        EMDParams(dim_weights=np.linspace(0.5, 1.5, dim)),
+        EMDParams(threshold=1.0, dim_weights=np.linspace(0.0, 2.0, dim)),
     ]
+
+
+NUM_CONFIGS = len(_param_configs())
 
 
 class TestLowerBounds:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        config=st.integers(0, 4),
+        config=st.integers(0, NUM_CONFIGS - 1),
         m=st.integers(1, 6),
         n=st.integers(1, 6),
     )
@@ -98,6 +109,9 @@ class TestLowerBounds:
         assert emd_lower_bound_centroid(q, c, EMDParams(threshold=0.5)) == 0.0
         assert emd_lower_bound_centroid(q, c, _custom_ground_params()) == 0.0
         assert emd_lower_bound_centroid(q, c, EMDParams()) > 0.0
+        # A weighted l1 is still a norm: the bound stays on.
+        weighted = EMDParams(dim_weights=np.linspace(0.5, 1.5, 5))
+        assert emd_lower_bound_centroid(q, c, weighted) > 0.0
 
     def test_bounds_tight_on_identical_objects(self):
         rng = np.random.default_rng(3)
@@ -110,8 +124,74 @@ class TestLowerBounds:
             assert emd_lower_bound_rowcol(q, dup, params) <= exact + TOL
 
 
+class TestBatchedBounds:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), config=st.integers(0, NUM_CONFIGS - 1))
+    def test_one_pass_equals_per_candidate_and_stays_below_exact(
+        self, seed, config
+    ):
+        rng = np.random.default_rng(seed)
+        params = _param_configs()[config]
+        query = _sig(rng, 99, int(rng.integers(1, 7)))
+        candidates = [_sig(rng, i, int(rng.integers(1, 7))) for i in range(12)]
+        # A candidate without mass gets the trivial bound, not a NaN.
+        candidates.append(
+            ObjectSignature(
+                rng.normal(size=(2, 5)), np.zeros(2), object_id=12,
+                normalize=False,
+            )
+        )
+        costs, offsets = packed_costs(query, candidates, params)
+        supply = params.effective_weights(query.weights)
+        demands = [
+            params.effective_weights(c.weights) for c in candidates[:-1]
+        ] + [np.zeros(2)]
+        rowcol = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
+        centroid = emd_lower_bounds_centroid(query, candidates[:-1], params)
+        assert rowcol[-1] == 0.0
+        for pos, cand in enumerate(candidates[:-1]):
+            exact = emd(query, cand, params)
+            assert 0.0 <= rowcol[pos] <= exact + TOL
+            assert 0.0 <= centroid[pos] <= exact + TOL
+            assert rowcol[pos] == pytest.approx(
+                emd_lower_bound_rowcol(query, cand, params), rel=1e-12
+            )
+            assert centroid[pos] == pytest.approx(
+                emd_lower_bound_centroid(query, cand, params), rel=1e-12
+            )
+
+
+class TestEMDParamsDimWeights:
+    def test_rejects_ground_and_dim_weights_together(self):
+        with pytest.raises(ValueError, match="custom ground"):
+            EMDParams(ground=lambda a, b: np.zeros((len(a), len(b))),
+                      dim_weights=np.ones(3))
+
+    @pytest.mark.parametrize(
+        "weights", [[-1.0, 1.0], [np.nan, 1.0], [[1.0, 2.0]]]
+    )
+    def test_rejects_invalid_weights(self, weights):
+        with pytest.raises(ValueError, match="dim_weights"):
+            EMDParams(dim_weights=weights)
+
+    def test_weights_are_copied_and_frozen(self):
+        raw = np.ones(3)
+        params = EMDParams(dim_weights=raw)
+        raw[0] = 5.0
+        assert params.dim_weights[0] == 1.0
+        with pytest.raises(ValueError):
+            params.dim_weights[0] = 2.0
+
+    def test_weighted_l1_matches_the_definition(self):
+        rng = np.random.default_rng(5)
+        w = np.linspace(0.5, 1.5, 5)
+        a, b = _sig(rng, 1, 1), _sig(rng, 2, 1)
+        expected = float((np.abs(a.features[0] - b.features[0]) * w).sum())
+        assert emd(a, b, EMDParams(dim_weights=w)) == pytest.approx(expected)
+
+
 class TestEmdToMany:
-    @pytest.mark.parametrize("config", range(5))
+    @pytest.mark.parametrize("config", range(NUM_CONFIGS))
     def test_bitwise_identical_to_sequential(self, config):
         rng = np.random.default_rng(config)
         params = _param_configs()[config]
@@ -137,11 +217,9 @@ class TestEmdToMany:
         ]
         params = EMDParams(threshold=1.2)
         query = _sig(rng, 99, 5)
-        batched = emd_to_many(query, candidates, params, dedup=True)
-        plain = emd_to_many(query, candidates, params, dedup=False)
+        batched = emd_to_many(query, candidates, params)
         sequential = np.array([emd(query, c, params) for c in candidates])
         assert (batched == sequential).all()
-        assert (plain == sequential).all()
 
     def test_empty_candidates(self):
         rng = np.random.default_rng(8)
@@ -152,7 +230,7 @@ class TestCascadeEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        config=st.integers(0, 4),
+        config=st.integers(0, NUM_CONFIGS - 1),
         top_k=st.integers(1, 30),
         exclude_self=st.booleans(),
     )
@@ -206,6 +284,26 @@ class TestCascadeEquivalence:
         )
         assert got == expected
         assert [r.object_id for r in got] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("params", [EMDParams(), EMDParams(threshold=1.0)])
+    def test_zero_segment_candidates(self, params):
+        # A candidate without segments owns no column of the packed cost
+        # array (the last one not even a start offset); its distance is
+        # 0.0 on both paths and its bounds must be the trivial ones.
+        rng = np.random.default_rng(15)
+        objects = {i: _sig(rng, i, 3) for i in range(10)}
+        for empty in (4, 9):
+            objects[empty] = ObjectSignature(
+                np.zeros((0, 5)), np.zeros(0), object_id=empty, normalize=False
+            )
+        dist = EMDDistance(params)
+        query = _sig(rng, 99, 4)
+        expected = rank_candidates(query, list(objects), objects, dist, top_k=3)
+        got, _stats = rank_candidates_many(
+            query, list(objects), objects, dist, top_k=3
+        )
+        assert got == expected
+        assert [r.object_id for r in got[:2]] == [4, 9]
 
     def test_cascade_off_falls_back(self):
         rng = np.random.default_rng(13)
@@ -304,6 +402,79 @@ class TestNonFiniteValidation:
                 query, top_k=3, method=SearchMethod.BRUTE_FORCE_ORIGINAL
             )
         assert excinfo.value.object_id == poisoned_id
+
+
+class TestImagePluginPackedKernel:
+    """The image plug-in's weighted-l1 ground runs through the packed
+    kernel; every cell must be the value the per-pair path computes."""
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        from repro.datatypes.bulk import bulk_image_dataset
+        from repro.datatypes.image import make_image_plugin
+
+        plugin = make_image_plugin()
+        objects = {o.object_id: o for o in bulk_image_dataset(80, seed=3)}
+        return plugin, objects
+
+    def test_plugin_uses_the_packed_branch(self, image):
+        plugin, _ = image
+        assert plugin.emd_params.ground is None
+        assert plugin.emd_params.dim_weights is not None
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 33, 79])
+    def test_packed_matrices_bit_identical_to_per_pair(self, image, count):
+        # Regression: packing a BLAS ``diff.dot(weights)`` ground changed
+        # ~3% of cells versus the per-candidate call, because dot's
+        # summation order depends on how many rows share the call.
+        plugin, objects = image
+        params = plugin.emd_params
+        rng = np.random.default_rng(count)
+        query = objects[0]
+        for _ in range(3):
+            picked = [
+                objects[int(i)]
+                for i in rng.choice(np.arange(1, 80), size=count, replace=False)
+            ]
+            matrices = packed_cost_matrices(query, picked, params)
+            assert len(matrices) == count
+            for cand, packed in zip(picked, matrices):
+                per_pair = params.segment_costs(
+                    query.features, cand.features, cand.object_id
+                )
+                assert packed.shape == per_pair.shape
+                assert (packed == per_pair).all()
+
+    def test_emd_to_many_bit_identical_in_any_order(self, image):
+        plugin, objects = image
+        params = plugin.emd_params
+        query = objects[5]
+        cands = [objects[i] for i in range(6, 40)]
+        sequential = {c.object_id: emd(query, c, params) for c in cands}
+        for order in (cands, cands[::-1], cands[::3]):
+            batched = emd_to_many(query, order, params)
+            assert batched.tolist() == [sequential[c.object_id] for c in order]
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("top_k", [1, 10, 40])
+    def test_rank_many_equals_rank_candidates(self, image, exclude_self, top_k):
+        plugin, objects = image
+        query = objects[2]
+        # Missing ids (removed between filter and rank) and an object
+        # listed twice both have to come out exactly as the serial
+        # path ranks them.
+        candidate_ids = list(range(60)) + [7, 7, 31, 5000, 5001]
+        expected = rank_candidates(
+            query, candidate_ids, objects, plugin.obj_distance,
+            top_k=top_k, exclude_self=exclude_self,
+        )
+        got, stats = rank_candidates_many(
+            query, candidate_ids, objects, plugin.obj_distance,
+            top_k=top_k, exclude_self=exclude_self,
+        )
+        assert got == expected
+        assert stats.considered == 63 - exclude_self
+        assert stats.exact_evals + stats.lower_bound_prunes == stats.considered
 
 
 class TestEngineIntegration:

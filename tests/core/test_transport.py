@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.core.transport import solve_transport
+from repro.core import transport
+from repro.core.transport import (
+    TransportPivotLimitError,
+    _vogel_initial_solution,
+    solve_transport,
+)
 
 
 def scipy_transport_cost(supply, demand, costs):
@@ -131,3 +136,182 @@ class TestOptimality:
         result = solve_transport(supply, demand, costs)
         expected = scipy_transport_cost(supply, demand, costs)
         assert result.cost == pytest.approx(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_corpus_shaped_matches_scipy(self, seed, thresholded):
+        # The image workload's shape: ~11 x 11 weighted-l1 costs between
+        # clustered 14-dim segments, clipped at the EMD threshold (which
+        # makes most cells tie), gamma-distributed masses.
+        rng = np.random.default_rng(seed)
+        m, n = np.maximum(1, rng.poisson(10.8, size=2))
+        prototypes = rng.random((8, 14))
+        a = prototypes[rng.integers(0, 8, m)] + rng.normal(0, 0.08, (m, 14))
+        b = prototypes[rng.integers(0, 8, n)] + rng.normal(0, 0.08, (n, 14))
+        costs = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+        if thresholded:
+            costs = np.minimum(costs, 1.2)
+        supply = rng.gamma(2.0, 1.0, m)
+        demand = rng.gamma(2.0, 1.0, n)
+        supply /= supply.sum()
+        demand /= demand.sum()
+        result = solve_transport(supply, demand, costs)
+        expected = scipy_transport_cost(supply, demand, costs)
+        assert result.cost == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert np.allclose(result.flow.sum(axis=1), supply)
+
+
+class TestPivotCap:
+    def test_raises_instead_of_returning_a_non_optimal_flow(self, monkeypatch):
+        # Vogel's start is not optimal here (the simplex needs a pivot),
+        # so a cap of zero pivots must raise, not hand back Vogel's cost.
+        costs = np.array([
+            [0.5, 0.5, 0.5, 0.3, 0.9],
+            [0.7, 0.0, 0.7, 0.9, 0.9],
+            [0.7, 0.4, 0.1, 0.0, 0.5],
+            [0.1, 0.9, 0.2, 0.1, 0.3],
+        ])
+        supply = np.array([0.4, 0.3, 0.2, 0.1])
+        demand = np.array([0.2, 0.3, 0.1, 0.1, 0.3])
+        assert solve_transport(supply, demand, costs).iterations >= 1
+        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
+        with pytest.raises(TransportPivotLimitError) as excinfo:
+            solve_transport(supply, demand, costs)
+        assert isinstance(excinfo.value, RuntimeError)
+        assert (excinfo.value.m, excinfo.value.n) == (4, 5)
+        assert excinfo.value.pivots == 0
+
+    def test_cap_not_hit_when_start_is_optimal(self, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
+        result = solve_transport(np.ones(2), np.ones(2), np.ones((2, 2)) - np.eye(2))
+        assert result.cost == 0.0 and result.iterations == 0
+
+
+# --- Vogel's start: the per-line loop the vectorised version replaced,
+# --- kept verbatim as the reference it must reproduce step for step.
+
+def _reference_vogel(supply, demand, costs):
+    m, n = costs.shape
+    s = supply.copy()
+    d = demand.copy()
+    flow = np.zeros((m, n), dtype=np.float64)
+    basis = set()
+    row_open = s > 0
+    col_open = d > 0
+    work = costs.copy()
+
+    while row_open.any() and col_open.any():
+        best_cell = None
+        best_penalty = -1.0
+        open_cols = np.where(col_open)[0]
+        open_rows = np.where(row_open)[0]
+        for i in open_rows:
+            row = work[i, open_cols]
+            penalty, j_local = _reference_penalty_and_argmin(row)
+            if penalty > best_penalty:
+                best_penalty = penalty
+                best_cell = (int(i), int(open_cols[j_local]))
+        for j in open_cols:
+            col = work[open_rows, j]
+            penalty, i_local = _reference_penalty_and_argmin(col)
+            if penalty > best_penalty:
+                best_penalty = penalty
+                best_cell = (int(open_rows[i_local]), int(j))
+        assert best_cell is not None
+        i, j = best_cell
+        amount = min(s[i], d[j])
+        flow[i, j] = amount
+        basis.add((i, j))
+        s[i] -= amount
+        d[j] -= amount
+        # Close exactly one side on ties to preserve m+n-1 basic cells.
+        if s[i] <= 1e-15 and row_open.sum() > 1:
+            row_open[i] = False
+            s[i] = 0.0
+        elif d[j] <= 1e-15:
+            col_open[j] = False
+            d[j] = 0.0
+        else:
+            row_open[i] = s[i] > 1e-15
+    return flow, basis
+
+
+def _reference_penalty_and_argmin(values):
+    """Vogel penalty (2nd-smallest minus smallest) and argmin of ``values``."""
+    j = int(np.argmin(values))
+    if values.shape[0] == 1:
+        return float(values[0]), j
+    smallest = values[j]
+    rest = np.delete(values, j)
+    return float(rest.min() - smallest), j
+
+
+def _assert_same_start(supply, demand, costs):
+    flow, basis = _vogel_initial_solution(supply, demand, costs)
+    ref_flow, ref_basis = _reference_vogel(supply, demand, costs)
+    assert np.array_equal(flow, ref_flow)
+    assert basis == ref_basis
+
+
+@st.composite
+def vogel_problems(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost_kind = draw(st.sampled_from(["float", "few_levels", "clipped", "flat"]))
+    if cost_kind == "float":
+        costs = rng.random((m, n))
+    elif cost_kind == "few_levels":  # ties within and across lines
+        costs = rng.integers(0, 3, size=(m, n)).astype(np.float64)
+    elif cost_kind == "clipped":  # thresholded EMD: most cells at the cap
+        costs = np.minimum(rng.random((m, n)) * 3.0, 1.2)
+    else:
+        costs = np.zeros((m, n))
+    mass_kind = draw(st.sampled_from(["float", "uniform", "paired"]))
+    if mass_kind == "float":
+        supply, demand = rng.random(m) + 0.01, rng.random(n) + 0.01
+    elif mass_kind == "uniform":  # every step closes a row and a column
+        supply, demand = np.ones(m), np.ones(n)
+    else:  # equal supply/demand pairs: both sides empty at once
+        supply, demand = rng.random(m) + 0.01, rng.random(n) + 0.01
+        k = min(m, n)
+        demand[:k] = supply[:k]
+    if draw(st.booleans()) and m > 1:  # zero-weight rows ...
+        supply[rng.integers(m)] = 0.0
+    if draw(st.booleans()) and n > 1:  # ... and columns
+        demand[rng.integers(n)] = 0.0
+    supply = supply / supply.sum()
+    demand = demand / demand.sum()
+    return supply, demand, costs
+
+
+class TestVogelStart:
+    @settings(max_examples=300, deadline=None)
+    @given(vogel_problems())
+    def test_identical_flow_and_basis(self, problem):
+        _assert_same_start(*problem)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 6), (6, 1), (2, 2)])
+    def test_thin_problems(self, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        supply = rng.random(m) + 0.1
+        demand = rng.random(n) + 0.1
+        demand *= supply.sum() / demand.sum()
+        _assert_same_start(supply, demand, rng.random((m, n)))
+
+    def test_single_open_cell(self):
+        # All mass in one row and one column: the only open cell's
+        # penalty is its own cost.
+        supply = np.array([0.0, 1.0, 0.0])
+        demand = np.array([0.0, 0.0, 1.0, 0.0])
+        costs = np.arange(12, dtype=np.float64).reshape(3, 4)
+        _assert_same_start(supply, demand, costs)
+        flow, basis = _vogel_initial_solution(supply, demand, costs)
+        assert basis == {(1, 2)} and flow[1, 2] == 1.0
+
+    def test_no_warnings_from_closed_lines(self):
+        rng = np.random.default_rng(0)
+        supply = np.full(6, 1 / 6)
+        demand = np.full(6, 1 / 6)
+        with np.errstate(all="raise"):
+            _vogel_initial_solution(supply, demand, rng.random((6, 6)))

@@ -133,6 +133,32 @@ class TestDataset:
         with pytest.raises(KeyError):
             ds.add(ObjectSignature(np.ones((1, 2)), [1.0], object_id=7))
 
+    def test_auto_ids_continue_past_explicit_ids(self):
+        ds = Dataset()
+        sig = lambda oid=None: ObjectSignature(np.ones((1, 2)), [1.0], object_id=oid)
+        assert ds.add(sig()) == 0
+        assert ds.add(sig(10)) == 10
+        assert ds.add(sig()) == 11
+        assert ds.add(sig(4)) == 4  # below the high-water mark: no effect
+        assert ds.add(sig()) == 12
+        preloaded = Dataset({3: sig(3), 8: sig(8)})
+        assert preloaded.add(sig()) == 9
+
+    def test_many_adds_do_not_rescan_the_dict(self):
+        # add() used to take max() over every stored id: 50k adds were
+        # 1.25e9 comparisons (~50 s); with a running next id they are
+        # well under a second, so a generous bound still catches O(n^2).
+        import time
+
+        ds = Dataset()
+        features, weights = np.ones((1, 2)), np.ones(1)
+        started = time.perf_counter()
+        for _ in range(50_000):
+            ds.add(ObjectSignature(features, weights, normalize=False))
+        elapsed = time.perf_counter() - started
+        assert list(ds.objects) == list(range(50_000))
+        assert elapsed < 10.0
+
     def test_avg_segments(self):
         ds = Dataset()
         ds.add(ObjectSignature(np.ones((2, 2)), [1, 1]))

@@ -174,11 +174,9 @@ class TestSetParam:
     def test_rank_bound_toggles(self, processor):
         run(processor, "setparam rank_centroid_bound off")
         run(processor, "setparam rank_rowcol_bound off")
-        run(processor, "setparam rank_dedup off")
         params = processor.engine.rank_params
         assert params.centroid_bound is False
         assert params.rowcol_bound is False
-        assert params.dedup_segments is False
         assert params.cascade is True  # untouched knob keeps its value
 
     def test_rank_toggle_rejects_non_flag(self, processor):
