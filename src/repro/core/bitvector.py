@@ -128,30 +128,38 @@ def hamming_to_many(query: np.ndarray, database: np.ndarray) -> np.ndarray:
 # slice cache-friendly while amortizing the per-block dispatch.
 _BLOCK_BYTES = 16 << 20
 
-# Per-thread scratch for the blocked scan: the popcount accumulator and
-# the XOR intermediate are reused across blocks (and across calls) rather
-# than allocated per block — at the default block size that removes two
-# multi-MiB allocations per block from the scan's steady state.  Thread-
-# local because concurrent scans (query_many's ranking pool, the server's
+# Per-thread scratch for the blocked scan: the XOR intermediate and its
+# per-word popcounts are reused across blocks (and across calls) rather
+# than allocated per word pass.  Thread-local because concurrent scans
+# (the thread pool's shards, query_many's ranking pool, the server's
 # connection threads) must not share buffers.
 _scratch = threading.local()
 
 
 def _scratch_views(n_queries: int, block_cols: int):
-    """``(acc, xor)`` reusable views; ``acc`` comes back zeroed."""
-    acc = getattr(_scratch, "acc", None)
+    """``(xor, counts)`` reusable views; both hold garbage on return."""
+    xor = getattr(_scratch, "xor", None)
     if (
-        acc is None
-        or acc.shape[0] < n_queries
-        or acc.shape[1] < block_cols
+        xor is None
+        or xor.shape[0] < n_queries
+        or xor.shape[1] < block_cols
     ):
-        rows = max(n_queries, 0 if acc is None else acc.shape[0])
-        cols = max(block_cols, 0 if acc is None else acc.shape[1])
-        _scratch.acc = acc = np.empty((rows, cols), dtype=np.uint32)
-        _scratch.xor = np.empty((rows, cols), dtype=np.uint64)
-    acc_view = acc[:n_queries, :block_cols]
-    acc_view[...] = 0
-    return acc_view, _scratch.xor[:n_queries, :block_cols]
+        rows = max(n_queries, 0 if xor is None else xor.shape[0])
+        cols = max(block_cols, 0 if xor is None else xor.shape[1])
+        _scratch.xor = xor = np.empty((rows, cols), dtype=np.uint64)
+        _scratch.counts = np.empty((rows, cols), dtype=np.uint8)
+    return (
+        xor[:n_queries, :block_cols],
+        _scratch.counts[:n_queries, :block_cols],
+    )
+
+
+def _popcount_into(words: np.ndarray, out: np.ndarray) -> None:
+    """Per-element popcount of ``words`` written into ``out``."""
+    if _HAS_BITWISE_COUNT:
+        np.bitwise_count(words, out=out)
+    else:
+        out[...] = _popcount64_lut(words)
 
 
 def hamming_many_to_many(
@@ -165,13 +173,20 @@ def hamming_many_to_many(
     ``(n_rows, n_words)``.  Returns ``(n_queries, n_rows)`` ``uint32``.
     The scan is blocked over database rows and accumulated one sketch
     word at a time: each step XORs a ``(n_queries, block_rows)`` slice
-    and adds its popcount into a running total, so the largest
+    and adds its popcount straight into the output block, so the largest
     intermediate is 2-D regardless of word count and stays bounded
     (about ``_BLOCK_BYTES`` across a block's word passes) no matter how
     large the sketch database is; ``block_rows`` overrides the automatic
     block size.  One fused pass replaces ``n_queries`` separate
     :func:`hamming_to_many` scans, with the XOR working set kept small
     enough to live in cache while every query visits a database block.
+
+    Each word pass streams one *word row* of the block, so the kernel
+    reads ``database`` word-major.  The segment store and the thread
+    pool keep their arenas in that layout and hand out the transposed
+    ``(n_rows, n_words)`` view, which is scanned in place; any other
+    array (row-major, every-other-row, ...) is copied word-major one
+    block at a time.  The result does not depend on the layout.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint64))
     database = np.atleast_2d(np.asarray(database, dtype=np.uint64))
@@ -182,23 +197,25 @@ def hamming_many_to_many(
         )
     n_queries, n_words = queries.shape
     n_rows = database.shape[0]
-    out = np.empty((n_queries, n_rows), dtype=np.uint32)
+    # The first word pass overwrites its output block, so no zero-fill.
+    out = (np.empty if n_words else np.zeros)((n_queries, n_rows), dtype=np.uint32)
     if block_rows is None:
         block_rows = max(1, _BLOCK_BYTES // max(1, n_queries * n_words * 8))
     elif block_rows <= 0:
         raise ValueError("block_rows must be positive")
     for start in range(0, n_rows, block_rows):
-        # Word-major copy of the block: each per-word pass then reads a
-        # contiguous row instead of a strided column of the row-major
-        # database, which is the difference between streaming and
-        # gathering on wide sketches.
-        block = np.ascontiguousarray(database[start : start + block_rows].T)
-        acc, xored = _scratch_views(n_queries, block.shape[1])
+        block = database[start : start + block_rows].T
+        if block.shape[1] > 1 and block.strides[1] != block.itemsize:
+            # Foreign layout: a strided word row would turn each pass
+            # from streaming into gathering on wide sketches.
+            block = np.ascontiguousarray(block)
+        total = out[:, start : start + block.shape[1]]
+        xored, counts = _scratch_views(n_queries, block.shape[1])
         for word in range(n_words):
             np.bitwise_xor(queries[:, word, None], block[word][None, :], out=xored)
-            if _HAS_BITWISE_COUNT:
-                acc += np.bitwise_count(xored)
+            if word == 0:
+                _popcount_into(xored, total)
             else:
-                acc += _popcount64_lut(xored)
-        out[:, start : start + block.shape[1]] = acc
+                _popcount_into(xored, counts)
+                np.add(total, counts, out=total)
     return out

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Collection,
     Dict,
     List,
     Mapping,
@@ -866,6 +867,22 @@ class SimilaritySearchEngine:
         self._note_rank(trace, time.perf_counter() - rank_started, stats)
         return results
 
+    def _universe(
+        self, restrict_to: Optional[Sequence[int]]
+    ) -> Collection[int]:
+        """Ids a query may return, as a container for ``in`` / ``len``.
+
+        Unrestricted, that is the live object map itself: the filter
+        hands over at most ``r * k`` candidates, so testing each against
+        the map is O(candidates), where copying the id set is O(objects)
+        per query (1 ms at 100k).  A path that *iterates* the universe
+        must snapshot it first (``tuple(universe)``) — inserts and
+        removes run concurrently with queries.
+        """
+        if restrict_to is None:
+            return self._objects
+        return {i for i in restrict_to if i in self._objects}
+
     def _query_one(
         self,
         query: ObjectSignature,
@@ -877,13 +894,11 @@ class SimilaritySearchEngine:
         trace: Optional[QueryTrace],
     ) -> List[SearchResult]:
         """Dispatch one validated query to its search-method pipeline."""
-        universe = (
-            set(self._objects)
-            if restrict_to is None
-            else {i for i in restrict_to if i in self._objects}
-        )
+        universe = self._universe(restrict_to)
         if method is SearchMethod.BRUTE_FORCE_ORIGINAL:
-            return self._rank(query, universe, top_k, exclude_self, trace)
+            return self._rank(
+                query, tuple(universe), top_k, exclude_self, trace
+            )
         sketch_started = time.perf_counter()
         query_sketches = self.sketcher.sketch_many(query.features)
         if trace is not None:
@@ -908,7 +923,7 @@ class SimilaritySearchEngine:
             )[0]
             filter_seconds = time.perf_counter() - filter_started
             _M_FILTER_SECONDS.observe(filter_seconds)
-            candidates &= universe
+            candidates = {i for i in candidates if i in universe}
             _M_CANDIDATES.observe(len(candidates))
             if trace is not None:
                 trace.add_stage("filter", filter_seconds)
@@ -937,7 +952,7 @@ class SimilaritySearchEngine:
                 raise LSHIndexError(
                     f"LSH candidate lookup failed: {exc}"
                 ) from exc
-            candidates &= universe
+            candidates = {i for i in candidates if i in universe}
             _M_CANDIDATES.observe(len(candidates))
             if trace is not None:
                 trace.add_stage(
@@ -991,11 +1006,7 @@ class SimilaritySearchEngine:
                         queries,
                     )
                 )
-        universe = (
-            set(self._objects)
-            if restrict_to is None
-            else {i for i in restrict_to if i in self._objects}
-        )
+        universe = self._universe(restrict_to)
         started = time.perf_counter()
         trace = self.tracer.begin(method.value, len(queries))
         # One concatenated sketching pass for the whole batch, then one
@@ -1025,7 +1036,7 @@ class SimilaritySearchEngine:
 
         def _finish(index: int) -> List[SearchResult]:
             query = queries[index]
-            candidates = candidate_sets[index] & universe
+            candidates = {i for i in candidate_sets[index] if i in universe}
             _M_CANDIDATES.observe(len(candidates))
             if cascade is not None and cascade > 0 and len(candidates) > cascade:
                 candidates = self._cascade_prune(
@@ -1071,7 +1082,7 @@ class SimilaritySearchEngine:
         self,
         query: ObjectSignature,
         query_sketches: np.ndarray,
-        universe: set,
+        universe: Collection[int],
         top_k: int,
         exclude_self: bool,
     ) -> List[SearchResult]:
@@ -1139,7 +1150,9 @@ class SimilaritySearchEngine:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, np.empty((n_queries, 0), dtype=np.uint32)
         order = alive[np.argsort(owners[alive], kind="stable")]
-        dists = hamming_many_to_many(query_sketches, sketch_matrix[order])
+        # Gather columns of the word-major arena, not rows of its view:
+        # the copy then already has the layout the kernel scans in place.
+        dists = hamming_many_to_many(query_sketches, sketch_matrix.T[:, order].T)
         group_owners, starts = np.unique(owners[order], return_index=True)
         return group_owners, starts, dists
 

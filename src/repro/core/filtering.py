@@ -241,8 +241,15 @@ class SegmentStore:
 
     Keeps parallel capacity-grown arrays: packed sketch words, optional
     raw feature vectors, and the owning object id of each segment.
-    Inserts seal an immutable chunk by writing rows past the logical end
-    (``_n``) — amortized O(rows added), never a full-matrix copy — and
+    Sketches are stored *word-major* — ``(n_words, capacity)``, a segment
+    per column — because that is the order the Hamming kernel reads them
+    in (:func:`~repro.core.bitvector.hamming_many_to_many` streams one
+    word of every row per pass).  The transpose is paid once, by the
+    append that writes the columns; every accessor hands out the
+    ``(n_rows, n_words)`` transposed *view*, so consumers index rows as
+    if the array were row-major and scans run on it without a copy.
+    Inserts seal an immutable chunk by writing columns past the logical
+    end (``_n``) — amortized O(rows added), never a full-matrix copy — and
     deletes tombstone in place (owner -1).  Every mutation is journaled
     (chunk marks for appends, row-index lists for removals) so
     :meth:`delta_since` can hand consumers exactly the rows that changed
@@ -256,7 +263,7 @@ class SegmentStore:
         self.keep_features = keep_features
         self._cap = 0
         self._n = 0
-        self._sketches = np.empty((0, n_words), dtype=np.uint64)
+        self._sketches = np.empty((n_words, 0), dtype=np.uint64)
         self._features = np.empty((0, dim), dtype=np.float64)
         self._owners = np.empty(0, dtype=np.int64)
         self._dead = 0
@@ -288,8 +295,8 @@ class SegmentStore:
         # allocations are left intact: snapshot views handed out earlier
         # keep reading the (immutable) rows they were cut from.
         new_cap = max(min_cap, max(64, self._cap * 2))
-        sk = np.empty((new_cap, self.n_words), dtype=np.uint64)
-        sk[: self._n] = self._sketches[: self._n]
+        sk = np.empty((self.n_words, new_cap), dtype=np.uint64)
+        sk[:, : self._n] = self._sketches[:, : self._n]
         self._sketches = sk
         ow = np.full(new_cap, -1, dtype=np.int64)
         ow[: self._n] = self._owners[: self._n]
@@ -333,7 +340,7 @@ class SegmentStore:
             end = start + count
             if end > self._cap:
                 self._grow(end)
-            self._sketches[start:end] = sketches
+            self._sketches[:, start:end] = sketches.T
             self._owners[start:end] = object_id
             if self.keep_features:
                 self._features[start:end] = feats
@@ -345,10 +352,14 @@ class SegmentStore:
             _M_ARENA_ROWS.set(float(end))
             _M_ARENA_CHUNKS.set(float(len(self._marks)))
 
+    def _sketch_rows(self) -> np.ndarray:
+        # Caller holds the lock.  Row view of the word-major arena.
+        return self._sketches[:, : self._n].T
+
     @property
     def sketches(self) -> np.ndarray:
         with self._lock:
-            return self._sketches[: self._n]
+            return self._sketch_rows()
 
     @property
     def features(self) -> np.ndarray:
@@ -380,10 +391,10 @@ class SegmentStore:
                     raise RuntimeError("this store was built without raw features")
                 return (
                     self._owners[: self._n],
-                    self._sketches[: self._n],
+                    self._sketch_rows(),
                     self._features[: self._n],
                 )
-            return self._owners[: self._n], self._sketches[: self._n]
+            return self._owners[: self._n], self._sketch_rows()
 
     @property
     def epoch(self) -> int:
@@ -400,7 +411,7 @@ class SegmentStore:
         :attr:`epoch`.
         """
         with self._lock:
-            return self._epoch, self._owners[: self._n], self._sketches[: self._n]
+            return self._epoch, self._owners[: self._n], self._sketch_rows()
 
     def _rows_at(self, epoch: int) -> Optional[int]:
         """Row count of the arena as of ``epoch`` (from the chunk marks)."""
@@ -423,7 +434,7 @@ class SegmentStore:
             if base is None:
                 return None
             new_owners = self._owners[base : self._n].copy()
-            new_sketches = self._sketches[base : self._n].copy()
+            new_sketches = self._sketches[:, base : self._n].copy().T
             dead: List[np.ndarray] = []
             for e, rows in self._removals:
                 if e > from_epoch:
@@ -502,9 +513,10 @@ class SegmentStore:
         features: Optional[np.ndarray],
         dead: int,
     ) -> None:
-        # Caller holds the lock.  Installs a rewritten arena and resets
-        # the delta journal: row positions moved, so every outstanding
-        # delta consumer must full-reload (floor = new epoch).
+        # Caller holds the lock.  Installs a rewritten arena (``sketches``
+        # word-major, a column per owner) and resets the delta journal:
+        # row positions moved, so every outstanding delta consumer must
+        # full-reload (floor = new epoch).
         n = int(owners.shape[0])
         self._sketches = np.ascontiguousarray(sketches, dtype=np.uint64)
         self._owners = np.ascontiguousarray(owners, dtype=np.int64)
@@ -535,7 +547,7 @@ class SegmentStore:
             n = self._n
             alive = self._owners[:n] >= 0
             self._install_compacted(
-                self._sketches[:n][alive],
+                self._sketches[:, :n][:, alive],
                 self._owners[:n][alive],
                 self._features[:n][alive] if self.keep_features else None,
                 dead=0,
@@ -565,13 +577,14 @@ class SegmentStore:
             sk_ref = self._sketches
             ft_ref = self._features if self.keep_features else None
         # Phase 2 — outside the lock.  Rows [0:n0] of the captured
-        # arrays are immutable (appends write past n0 or into a freshly
-        # grown allocation; tombstones touch only the owners array,
-        # which was copied), so the gather reads a stable prefix.
+        # arrays (columns, for the word-major sketches) are immutable
+        # (appends write past n0 or into a freshly grown allocation;
+        # tombstones touch only the owners array, which was copied), so
+        # the gather reads a stable prefix.
         t0 = time.perf_counter()
         alive = owners0 >= 0
         pos_map = np.cumsum(alive, dtype=np.int64) - 1
-        new_sk = sk_ref[:n0][alive]
+        new_sk = sk_ref[:, :n0][:, alive]
         new_ow = owners0[alive]
         new_ft = ft_ref[:n0][alive] if ft_ref is not None else None
         with self._lock:
@@ -593,7 +606,9 @@ class SegmentStore:
                 tail_ow = self._owners[tail].copy()
                 dead_after += int((tail_ow < 0).sum())
                 new_ow = np.concatenate([new_ow, tail_ow])
-                new_sk = np.concatenate([new_sk, self._sketches[tail]])
+                new_sk = np.concatenate(
+                    [new_sk, self._sketches[:, tail]], axis=1
+                )
                 if new_ft is not None:
                     new_ft = np.concatenate([new_ft, self._features[tail]])
             self._install_compacted(new_sk, new_ow, new_ft, dead=dead_after)

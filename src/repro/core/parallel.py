@@ -1214,7 +1214,10 @@ class ThreadFilterPool:
     compacts and tombstones its internal arrays in place, and the pool's
     epoch tag is only meaningful if the arena content is frozen at load
     time (this also keeps thread results bit-identical to the process
-    pool, whose shared-memory copy freezes the same way).
+    pool, whose shared-memory copy freezes the same way).  The frozen
+    sketches keep the store's word-major ``(n_words, capacity)`` layout
+    and shards are transposed column slices of it, so every shard scan
+    reads the arena in place.
 
     Teardown under load is safe: :meth:`close` drains in-flight scans
     (they only read the frozen arrays) and subsequent calls raise
@@ -1278,16 +1281,12 @@ class ThreadFilterPool:
             raise ValueError("owners and sketches must be parallel arrays")
         n_rows = sketches.shape[0]
         cap_rows = _arena_capacity(n_rows)
-        sketch_arr = np.empty((cap_rows, sketches.shape[1]), dtype=np.uint64)
-        sketch_arr[:n_rows] = sketches
+        sketch_arr = np.empty((sketches.shape[1], cap_rows), dtype=np.uint64)
+        sketch_arr[:, :n_rows] = sketches.T
         owner_arr = np.full(cap_rows, -1, dtype=np.int64)
         owner_arr[:n_rows] = owners
         bounds = shard_bounds(n_rows, self.num_workers, self.shard_rows)
-        per_worker = [
-            [(start, owner_arr[start:stop], sketch_arr[start:stop])
-             for start, stop in ranges]
-            for ranges in bounds
-        ]
+        per_worker = self._cut_shards(bounds, owner_arr, sketch_arr)
         with self._lock:
             if self._closed:
                 raise ParallelScanError("pool is closed", kind="closed")
@@ -1305,6 +1304,16 @@ class ThreadFilterPool:
             self._loaded = True
             _M_POOL_LOADS.inc()
             _M_POOL_ROWS.set(n_rows)
+
+    @staticmethod
+    def _cut_shards(bounds, owner_arr: np.ndarray, sketch_arr: np.ndarray):
+        """Per-worker ``(start, owners, sketches)`` views of the arena;
+        ``sketches`` is the row view of a word-major column slice."""
+        return [
+            [(start, owner_arr[start:stop], sketch_arr[:, start:stop].T)
+             for start, stop in ranges]
+            for ranges in bounds
+        ]
 
     def load_delta(
         self,
@@ -1327,7 +1336,7 @@ class ThreadFilterPool:
         back to a full :meth:`load`.
         """
         new_owners = np.ascontiguousarray(new_owners, dtype=np.int64)
-        new_sketches = np.ascontiguousarray(new_sketches, dtype=np.uint64)
+        new_sketches = np.asarray(new_sketches, dtype=np.uint64)
         if new_sketches.ndim != 2 or new_owners.shape[0] != new_sketches.shape[0]:
             raise ValueError("owners and sketches must be parallel arrays")
         n_new = new_owners.shape[0]
@@ -1344,7 +1353,7 @@ class ThreadFilterPool:
                 return False
             if base_rows is not None and base_rows != self._n_rows:
                 return False
-            if n_new and new_sketches.shape[1] != self._sketch_arr.shape[1]:
+            if n_new and new_sketches.shape[1] != self._sketch_arr.shape[0]:
                 return False
             n0 = self._n_rows
             new_n = n0 + n_new
@@ -1361,7 +1370,7 @@ class ThreadFilterPool:
                 # Rows past n0 are invisible to in-flight scans (their
                 # shard views stop at the old bounds), so writing them
                 # into the shared sketch/owner arrays is safe.
-                self._sketch_arr[n0:new_n] = new_sketches
+                self._sketch_arr[:, n0:new_n] = new_sketches.T
                 self._owner_arr[n0:new_n] = new_owners
             owner_arr = self._owner_arr
             if dead.size:
@@ -1373,11 +1382,7 @@ class ThreadFilterPool:
             if new_n:
                 self._ensure_executor()
             bounds = shard_bounds(new_n, self.num_workers, self.shard_rows)
-            self._shards = [
-                [(start, owner_arr[start:stop], self._sketch_arr[start:stop])
-                 for start, stop in ranges]
-                for ranges in bounds
-            ]
+            self._shards = self._cut_shards(bounds, owner_arr, self._sketch_arr)
             self._owners = owner_arr[:new_n]
             self._n_rows = new_n
             self._n_alive += int((new_owners >= 0).sum()) - int(dead.size)

@@ -39,12 +39,12 @@ def _add(store, oid, rng, segs=3, n_words=2, keep_features=False):
 class TestAppendArena:
     def test_append_does_not_reallocate_under_capacity(self):
         store, rng = _store(1)
-        buf_before = store._sketches
+        before = store.sketches
         # Capacity doubling leaves plenty of headroom after the first
         # grow; the next small append must write in place.
-        assert store._cap > store._n
+        assert store.arena_info()["capacity"] > store.arena_info()["rows"]
         _add(store, 1, rng)
-        assert store._sketches is buf_before
+        assert np.shares_memory(store.sketches, before)
 
     def test_snapshot_views_are_stable_across_appends(self):
         store, rng = _store(4)

@@ -206,3 +206,42 @@ class TestHammingManyToMany:
         rowwise = np.stack([hamming_to_many(q, database) for q in queries])
         assert np.array_equal(batched, rowwise)
         assert np.array_equal(batched, self._naive(q_bits, d_bits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 9),
+        st.integers(1, 14),
+        st.integers(0, 300),
+        st.sampled_from([None, 1, 7]),
+    )
+    def test_property_layout_independent(
+        self, seed, n_queries, n_words, n_rows, block_rows
+    ):
+        """Same uint32 matrix whatever memory layout the rows arrive in:
+        row-major, the row view of a word-major arena, a column slice of
+        a larger word-major arena (a pool shard), every other row."""
+        rng = np.random.default_rng(seed)
+        queries = rng.integers(0, 2**64, (n_queries, n_words), dtype=np.uint64)
+        row_major = rng.integers(0, 2**64, (n_rows, n_words), dtype=np.uint64)
+        expected = np.empty((n_queries, n_rows), dtype=np.uint32)
+        for i, q in enumerate(queries):
+            expected[i] = hamming_to_many(q, row_major)
+
+        word_major = np.ascontiguousarray(row_major.T)
+        arena = rng.integers(0, 2**64, (n_words, n_rows + 11), dtype=np.uint64)
+        arena[:, 5 : 5 + n_rows] = word_major
+        interleaved = rng.integers(
+            0, 2**64, (2 * n_rows, n_words), dtype=np.uint64
+        )
+        interleaved[::2] = row_major
+        layouts = {
+            "row-major": row_major,
+            "word-major view": word_major.T,
+            "shard of a word-major arena": arena[:, 5 : 5 + n_rows].T,
+            "every other row": interleaved[::2],
+        }
+        for name, database in layouts.items():
+            got = hamming_many_to_many(queries, database, block_rows=block_rows)
+            assert got.dtype == np.uint32, name
+            assert np.array_equal(got, expected), name

@@ -155,6 +155,70 @@ class TestQuery:
         assert results[0].object_id == 1
 
 
+class TestUnrestrictedUniverse:
+    """Without ``restrict_to`` a query tests candidates against the live
+    object map instead of a per-query copy of its id set; the answers
+    are those of ``restrict_to=<every id>``."""
+
+    METHODS = [
+        SearchMethod.FILTERING,
+        SearchMethod.BRUTE_FORCE_ORIGINAL,
+        SearchMethod.BRUTE_FORCE_SKETCH,
+    ]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_query_equals_restrict_to_everything(self, engine, method):
+        _fill(engine, 60)
+        engine.remove(7)
+        everything = list(engine.objects)
+        for qid in (0, 13, 59):
+            query = engine.get_object(qid)
+            got = engine.query(query, top_k=8, method=method)
+            assert got and got == engine.query(
+                query, top_k=8, method=method, restrict_to=everything
+            )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_query_many_equals_restrict_to_everything(self, engine, method):
+        _fill(engine, 60)
+        engine.remove(7)
+        queries = [engine.get_object(qid) for qid in (0, 13, 59)]
+        got = engine.query_many(queries, top_k=8, method=method)
+        assert all(got) and got == engine.query_many(
+            queries, top_k=8, method=method,
+            restrict_to=list(engine.objects),
+        )
+        assert got == [
+            engine.query(q, top_k=8, method=method) for q in queries
+        ]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_candidate_removed_between_scan_and_rank_is_dropped(
+        self, engine, monkeypatch, batched
+    ):
+        _fill(engine, 40)
+        query = engine.get_object(3)
+
+        def ask(top_k):
+            if batched:
+                return engine.query_many([query], top_k=top_k)[0]
+            return engine.query(query, top_k=top_k)
+
+        before = ask(6)
+        victim = before[1].object_id
+        scan = engine._filter_candidates
+
+        def scan_then_remove(*args, **kwargs):
+            candidate_sets = scan(*args, **kwargs)
+            assert victim in candidate_sets[0]
+            engine.remove(victim)
+            return candidate_sets
+
+        monkeypatch.setattr(engine, "_filter_candidates", scan_then_remove)
+        after = ask(5)
+        assert after == [r for r in before if r.object_id != victim]
+
+
 class TestStats:
     def test_counts(self, engine):
         _fill(engine, 10, segs=4)

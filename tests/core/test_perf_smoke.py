@@ -8,9 +8,12 @@ kernel: any change to ``sketch_filter`` / ``sketch_filter_many`` /
 tombstone handling both paths share — fails here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import filtering
 from repro.core import (
     FeatureMeta,
     FilterParams,
@@ -18,6 +21,8 @@ from repro.core import (
     SegmentStore,
     SketchConstructor,
     SketchParams,
+    ThreadFilterPool,
+    parallel_sketch_filter,
     sketch_filter,
     sketch_filter_many,
     sketch_filter_reference,
@@ -74,3 +79,114 @@ def test_multi_query_filter_identical_to_reference(params):
     batched = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
     for q, qs, got in zip(queries, sketches, batched):
         assert got == sketch_filter_reference(q, qs, store, params, sk.n_bits)
+
+
+# ----------------------------------------------------------------------
+# Arena layout guards: the scan must read the stored sketches in place.
+# ----------------------------------------------------------------------
+_N_WORDS = 13  # the shape workload's 800-bit sketches
+
+
+def _shape_like_store(n_rows=20_000, n_bits=800, dim=16, seed=11):
+    """Single-segment objects, like the shape corpus: a row per object."""
+    meta = FeatureMeta(dim, np.zeros(dim), np.ones(dim))
+    sk = SketchConstructor(SketchParams(n_bits, meta, seed=seed))
+    assert sk.n_words == _N_WORDS
+    store = SegmentStore(sk.n_words, dim, keep_features=False)
+    feats = np.random.default_rng(seed).random((n_rows, dim))
+    for oid, row in enumerate(sk.sketch_many(feats)):
+        store.add_object(oid, row)
+    query = ObjectSignature(feats[:1], np.ones(1), object_id=0)
+    return sk, store, query
+
+
+def _peak_bytes(fn):
+    fn()  # warm: thread-local scratch, executor threads
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_allocates_less_than_half_the_arena():
+    sk, store, query = _shape_like_store()
+    params = FilterParams(num_query_segments=1, candidates_per_segment=64)
+    owners, sketches = store.snapshot()
+    arena_bytes = sketches.shape[0] * sketches.shape[1] * 8
+    qs = sk.sketch_many(query.features)
+
+    serial = _peak_bytes(
+        lambda: sketch_filter(query, qs, store, params, sk.n_bits)
+    )
+    assert serial < arena_bytes / 2, (serial, arena_bytes)
+
+    with ThreadFilterPool(num_workers=2) as pool:
+        pool.load(owners, sketches, epoch=store.epoch)
+        pooled = _peak_bytes(lambda: pool.scan_topk(qs, 64))
+    assert pooled < arena_bytes / 2, (pooled, arena_bytes)
+
+
+def _assert_word_major(store):
+    words = store.snapshot()[1].T
+    assert words.shape[0] == store.n_words
+    assert words.shape[1] < 2 or words.strides[1] == words.itemsize
+
+
+def test_arena_stays_word_major_through_every_rewrite(monkeypatch):
+    sk, store, query = _shape_like_store(n_rows=300)
+    rng = np.random.default_rng(5)
+    params = FilterParams(num_query_segments=1, candidates_per_segment=16)
+    qs = sk.sketch_many(query.features)
+
+    def new_row():
+        return rng.integers(0, 2**64, (1, _N_WORDS), dtype=np.uint64)
+
+    _assert_word_major(store)  # 300 appends grew the arena several times
+    for oid in range(5, 40):
+        store.remove_object(oid)  # tombstones, below the inline threshold
+    _assert_word_major(store)
+    store.compact()
+    _assert_word_major(store)
+
+    # Background compaction with a row appended during the unlocked
+    # gather, whose first statement reads the clock.
+    for oid in range(40, 60):
+        store.remove_object(oid)
+    real_clock, fired = filtering.time.perf_counter, []
+
+    def clock():
+        if not fired:
+            fired.append(True)
+            store.add_object(1000, new_row())
+        return real_clock()
+
+    monkeypatch.setattr(filtering.time, "perf_counter", clock)
+    assert store.maintenance_compact()
+    monkeypatch.undo()
+    assert fired and store.owners[-1] == 1000
+    assert store.arena_info()["dead_rows"] == 0
+    _assert_word_major(store)
+
+    # Delta round trip: the pool freezes the same layout, extends it in
+    # place, and answers what the serial scan answers.
+    with ThreadFilterPool(num_workers=2) as pool:
+        epoch, owners, sketches = store.versioned_snapshot()
+        pool.load(owners, sketches, epoch=epoch)
+        for oid in range(1001, 1011):
+            store.add_object(oid, new_row())
+        store.remove_object(100)
+        delta = store.delta_since(epoch)
+        assert delta.new_sketches.shape == (10, _N_WORDS)
+        assert pool.load_delta(
+            delta.new_owners, delta.new_sketches, delta.from_epoch,
+            delta.to_epoch, dead_rows=delta.dead_rows,
+            base_rows=delta.base_rows,
+        )
+        _assert_word_major(store)
+        assert parallel_sketch_filter(
+            query, qs, params, sk.n_bits, pool
+        ) == sketch_filter(query, qs, store, params, sk.n_bits)
