@@ -10,7 +10,7 @@ one transaction, so a crash can never leave an object half-ingested.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,26 @@ _T_SKETCHES = "sketches"
 _T_ATTRIBUTES = "attributes"
 _T_FILES = "files"
 _T_SYSTEM = "system"
+
+
+_SCAN_PAGE = 1024  # rows per paged table scan
+
+
+def _merge_lookup(
+    rows: Iterator[Tuple[bytes, bytes]],
+) -> Callable[[bytes], Optional[bytes]]:
+    """Merge join over key-ordered ``rows``: the returned ``get(key)``
+    gives the value under ``key`` (or None) for keys asked in ascending
+    order."""
+    row = next(rows, None)
+
+    def get(key: bytes) -> Optional[bytes]:
+        nonlocal row
+        while row is not None and row[0] < key:
+            row = next(rows, None)
+        return row[1] if row is not None and row[0] == key else None
+
+    return get
 
 
 class MetadataManager:
@@ -121,17 +141,31 @@ class MetadataManager:
         self,
     ) -> Iterator[Tuple[int, ObjectSignature, np.ndarray, Dict[str, str]]]:
         """Yield ``(object_id, signature, sketches, attributes)`` for all
-        objects, in object-id order.  This is the engine's reload path."""
-        for key, raw in self.store.items(_T_OBJECTS):
+        objects, in object-id order.  This is the engine's reload path:
+        one ordered, paged scan per table, merged by key (an object
+        missing a sketch or attribute row gets an empty matrix or ``{}``)."""
+        sketch_of = _merge_lookup(self._scan(_T_SKETCHES))
+        attributes_of = _merge_lookup(self._scan(_T_ATTRIBUTES))
+        for key, raw in self._scan(_T_OBJECTS):
             object_id = parse_object_key(key)
-            sk_raw = self.store.get(_T_SKETCHES, key)
-            at_raw = self.store.get(_T_ATTRIBUTES, key)
+            sk_raw = sketch_of(key)
+            at_raw = attributes_of(key)
             yield (
                 object_id,
                 decode_object(raw, object_id),
                 decode_sketches(sk_raw) if sk_raw is not None else np.empty((0, 0), np.uint64),
                 decode_attributes(at_raw) if at_raw is not None else {},
             )
+
+    def _scan(self, table: str) -> Iterator[Tuple[bytes, bytes]]:
+        """All rows of ``table`` in key order, ``_SCAN_PAGE`` at a time."""
+        start = None
+        while True:
+            rows = self.store.items(table, start=start, limit=_SCAN_PAGE)
+            yield from rows
+            if len(rows) < _SCAN_PAGE:
+                return
+            start = rows[-1][0] + b"\0"  # the smallest key after the last
 
     def iter_attributes(self) -> Iterator[Tuple[int, Dict[str, str]]]:
         for key, raw in self.store.items(_T_ATTRIBUTES):

@@ -7,6 +7,12 @@ page chains.  All structural updates follow the shadow-paging discipline:
 a node touched for the first time in a checkpoint epoch is copied to a
 freshly allocated page, so the durable tree of the previous checkpoint
 stays intact until the next meta flip.
+
+Nodes are serialized at checkpoint, not per put: between checkpoints
+the in-memory :class:`_Node` is the only copy of a node, staged with the
+pager, which produces its page bytes once at flush (or first read).
+Each node also caches its serialized size, kept current by the entry
+edits, so the split and underflow checks never recount a node.
 """
 
 from __future__ import annotations
@@ -29,9 +35,13 @@ _OVERFLOW_VALUE_FLAG = 1
 
 
 class _Node:
-    """In-memory B-tree node; ``epoch`` tracks COW freshness."""
+    """In-memory B-tree node; ``epoch`` tracks COW freshness.
 
-    __slots__ = ("page_id", "is_leaf", "keys", "values", "children", "epoch")
+    ``size`` is the serialized size in bytes, or -1 when it must be
+    recounted (after a split, merge or borrow rebuilt the entry lists).
+    """
+
+    __slots__ = ("page_id", "is_leaf", "keys", "values", "children", "epoch", "size")
 
     def __init__(
         self,
@@ -41,6 +51,7 @@ class _Node:
         values: Optional[List[bytes]] = None,
         children: Optional[List[int]] = None,
         epoch: int = -1,
+        size: int = -1,
     ) -> None:
         self.page_id = page_id
         self.is_leaf = is_leaf
@@ -48,6 +59,7 @@ class _Node:
         self.values = values if values is not None else []  # leaf payloads
         self.children = children if children is not None else []
         self.epoch = epoch
+        self.size = size
 
 
 class BTree:
@@ -80,13 +92,16 @@ class BTree:
         return node
 
     def _store(self, node: _Node) -> None:
-        self.pager.write_page(node.page_id, self._serialize(node))
+        self.pager.stage(node.page_id, self._serialize, node)
         self._nodes[node.page_id] = node
 
     def _shadow(self, node: _Node) -> _Node:
         """Ensure ``node`` is writable in the current epoch (COW)."""
         if node.epoch == self.epoch:
             return node
+        # An epoch that began without a checkpoint can leave the old page
+        # staged with this very node: fix its bytes before the node moves.
+        self.pager.materialize(node.page_id)
         new_id = self.pager.allocate()
         self.pager.free(node.page_id)
         self._nodes.pop(node.page_id, None)
@@ -94,10 +109,6 @@ class BTree:
         node.epoch = self.epoch
         self._nodes[new_id] = node
         return node
-
-    def dirty_pages(self) -> List[int]:
-        """Page ids written in the current epoch (for checkpoint flushing)."""
-        return [n.page_id for n in self._nodes.values() if n.epoch == self.epoch]
 
     def begin_epoch(self, epoch: int) -> None:
         self.epoch = epoch
@@ -138,7 +149,7 @@ class BTree:
                     end = offset + 1 + 16  # flag + head page + total length
                 values.append(payload[offset:end])
                 offset = end
-            return _Node(page_id, True, keys, values, epoch=-1)
+            return _Node(page_id, True, keys, values, epoch=-1, size=len(payload))
         if kind == _INTERNAL:
             for _ in range(nkeys):
                 (klen,) = struct.unpack_from("<H", payload, offset)
@@ -146,7 +157,9 @@ class BTree:
                 keys.append(payload[offset : offset + klen])
                 offset += klen
             children = list(struct.unpack_from(f"<{nkeys + 1}q", payload, offset))
-            return _Node(page_id, False, keys, children=children, epoch=-1)
+            return _Node(
+                page_id, False, keys, children=children, epoch=-1, size=len(payload)
+            )
         raise CorruptionError(f"page {page_id}: bad node type {kind}")
 
     # -- value encoding (inline vs overflow chain) ---------------------
@@ -272,11 +285,14 @@ class BTree:
         if node.is_leaf:
             idx = self._bisect(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
-                self._free_value(node.values[idx])
+                old = node.values[idx]
+                self._free_value(old)
                 node.values[idx] = encoded
+                self._resize(node, len(encoded) - len(old))
             else:
                 node.keys.insert(idx, key)
                 node.values.insert(idx, encoded)
+                self._resize(node, 2 + len(key) + len(encoded))
             return self._finalize(node)
         idx = self._bisect(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
@@ -288,6 +304,7 @@ class BTree:
             sep, right_id = split
             node.keys.insert(idx, sep)
             node.children.insert(idx + 1, right_id)
+            self._resize(node, 2 + len(sep) + 8)
         return self._finalize(node)
 
     def _finalize(self, node: _Node) -> Optional[Tuple[bytes, int]]:
@@ -309,19 +326,27 @@ class BTree:
             right.children = node.children[mid + 1 :]
             node.keys = node.keys[:mid]
             node.children = node.children[: mid + 1]
+        node.size = -1
         self._store(node)
         self._store(right)
         return sep, right.page_id
 
-    def _node_size(self, node: _Node) -> int:
-        size = 3
-        for key in node.keys:
-            size += 2 + len(key)
-        if node.is_leaf:
-            size += sum(len(v) for v in node.values)
-        else:
-            size += 8 * len(node.children)
-        return size
+    @staticmethod
+    def _resize(node: _Node, delta: int) -> None:
+        """Apply an entry edit of ``delta`` bytes to the cached size."""
+        if node.size >= 0:
+            node.size += delta
+
+    @staticmethod
+    def _node_size(node: _Node) -> int:
+        if node.size < 0:
+            size = 3 + sum(len(key) for key in node.keys) + 2 * len(node.keys)
+            if node.is_leaf:
+                size += sum(len(v) for v in node.values)
+            else:
+                size += 8 * len(node.children)
+            node.size = size
+        return node.size
 
     # ------------------------------------------------------------------
     # Delete
@@ -351,6 +376,7 @@ class BTree:
             idx = self._bisect(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 self._free_value(node.values[idx])
+                self._resize(node, -(2 + len(key) + len(node.values[idx])))
                 del node.keys[idx]
                 del node.values[idx]
                 self._store(node)
@@ -396,6 +422,7 @@ class BTree:
                     del parent.keys[sep_pos]
                     del parent.children[sep_pos + 1]
                     parent.children[sep_pos] = left.page_id
+                    left.size = parent.size = -1
                     self._store(left)
                     return
         # Borrowing: move one entry from a richer sibling.
@@ -428,6 +455,7 @@ class BTree:
                     child_s.children.append(sibling.children.pop(0))
             parent.children[idx] = child_s.page_id
             parent.children[sibling_idx] = sibling.page_id
+            sibling.size = child_s.size = parent.size = -1
             self._store(sibling)
             self._store(child_s)
             return

@@ -14,6 +14,11 @@ Layout::
 
 Meta blocks are ``META_SIZE`` bytes each; pages are ``page_size`` bytes.
 Page ids index the page area (page 0 starts at ``2 * META_SIZE``).
+
+B-tree nodes are serialized at checkpoint, not per put: the tree hands
+the pager a live node with :meth:`Pager.stage`, and the node becomes
+page bytes once, when the page is flushed or first read back.  Overflow
+and free-list pages are written eagerly with :meth:`Pager.write_page`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import CorruptionError, StorageError
 from .fs import OS_FS, FileSystem
@@ -99,6 +104,8 @@ class Pager:
         self._file = self.fs.open(path, "r+b" if not create else "w+b")
         self.page_size = page_size
         self._cache: Dict[int, bytes] = {}
+        # Staged nodes not yet turned into bytes: page id -> (serialize, node).
+        self._pending: Dict[int, Tuple[Callable[[Any], bytes], Any]] = {}
         self.staged: Set[int] = set()  # written since last flush
         self.pending_free: List[int] = []
         self._freelist_chain: List[int] = []
@@ -146,21 +153,48 @@ class Pager:
         """Release a page; reusable only after the next durable checkpoint."""
         self.pending_free.append(page_id)
 
-    def write_page(self, page_id: int, payload: bytes) -> None:
-        """Stage a page payload; it reaches disk at the next flush."""
-        if len(payload) > self.page_size - _PAGE_HEADER_SIZE:
+    def _check_capacity(self, payload: bytes) -> None:
+        if len(payload) > self.max_payload:
             raise StorageError(
                 f"payload of {len(payload)} bytes exceeds page capacity "
-                f"{self.page_size - _PAGE_HEADER_SIZE}"
+                f"{self.max_payload}"
             )
+
+    def write_page(self, page_id: int, payload: bytes) -> None:
+        """Stage a page payload; it reaches disk at the next flush."""
+        self._check_capacity(payload)
+        self._pending.pop(page_id, None)
         self._cache[page_id] = payload
         self.staged.add(page_id)
+
+    def stage(self, page_id: int, serialize: Callable[[Any], bytes], node: Any) -> None:
+        """Stage a live ``node`` for ``page_id``; ``serialize(node)`` runs
+        once, when the page is flushed or first read back."""
+        self._pending[page_id] = (serialize, node)
+        self._cache.pop(page_id, None)
+        self.staged.add(page_id)
+
+    def materialize(self, page_id: int) -> Optional[bytes]:
+        """Turn a pending staged node into the page's bytes now (None if
+        nothing is pending for ``page_id``)."""
+        pending = self._pending.get(page_id)
+        if pending is None:
+            return None
+        serialize, node = pending
+        payload = serialize(node)
+        self._check_capacity(payload)
+        del self._pending[page_id]
+        self._cache[page_id] = payload
+        return payload
 
     def read_page(self, page_id: int) -> bytes:
         """Return a page payload, from cache or disk (CRC-verified)."""
         cached = self._cache.get(page_id)
         if cached is not None:
             return cached
+        staged = self.materialize(page_id)
+        if staged is not None:
+            return staged
         self._file.seek(self._offset(page_id))
         raw = self._file.read(self.page_size)
         if len(raw) < _PAGE_HEADER_SIZE:
@@ -179,7 +213,7 @@ class Pager:
     def flush_pages(self, page_ids: Set[int]) -> None:
         """Write the given staged pages to disk (no meta flip, no fsync)."""
         for page_id in sorted(page_ids):
-            payload = self._cache[page_id]
+            payload = self.materialize(page_id) or self._cache[page_id]
             header = struct.pack(_PAGE_HEADER_FMT, zlib.crc32(payload), len(payload))
             block = (header + payload).ljust(self.page_size, b"\0")
             self._file.seek(self._offset(page_id))

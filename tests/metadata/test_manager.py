@@ -74,6 +74,43 @@ class TestObjectStorage:
         (_oid, _sig, _sk, attrs), = list(manager.iter_objects())
         assert attrs == {"k": "v"}
 
+    @pytest.mark.parametrize("page", [2, 1024])
+    def test_iter_objects_missing_and_orphan_rows(self, manager, monkeypatch, page):
+        """Rows missing from the sketch or attribute table yield an empty
+        matrix or ``{}``; rows with no object row are skipped; the paged
+        scans give the same rows across page boundaries."""
+        from repro.metadata import manager as manager_module
+        from repro.metadata.serialization import (
+            encode_attributes,
+            encode_sketches,
+            object_key,
+        )
+
+        monkeypatch.setattr(manager_module, "_SCAN_PAGE", page)
+
+        for oid in (2, 4, 6, 8):
+            manager.put_object(oid, _obj(oid), _sketches(oid), {"id": str(oid)})
+        manager.store.delete("sketches", object_key(4))
+        manager.store.delete("attributes", object_key(6))
+        manager.store.delete("sketches", object_key(8))
+        manager.store.delete("attributes", object_key(8))
+        for orphan in (1, 5, 9):  # before, between and after the objects
+            key = object_key(orphan)
+            manager.store.put("sketches", key, encode_sketches(_sketches()))
+            manager.store.put("attributes", key, encode_attributes({"orphan": "1"}))
+        rows = list(manager.iter_objects())
+        assert [oid for oid, *_ in rows] == [2, 4, 6, 8]
+        for oid, sig, sketches, attrs in rows:
+            assert np.array_equal(sig.weights, manager.get_object(oid).weights)
+            expected = manager.get_sketches(oid)
+            if expected is None:
+                assert sketches.shape == (0, 0) and sketches.dtype == np.uint64
+            else:
+                assert np.array_equal(sketches, expected)
+            assert attrs == manager.get_attributes(oid)
+        assert [attrs for *_, attrs in rows] == [{"id": "2"}, {"id": "4"}, {}, {}]
+        assert [sk.size > 0 for _o, _s, sk, _a in rows] == [True, False, True, False]
+
     def test_num_objects(self, manager):
         for oid in range(7):
             manager.put_object(oid, _obj(oid), _sketches(oid))

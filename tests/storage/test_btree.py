@@ -118,6 +118,25 @@ class TestManyKeys:
         assert tree.get(b"again") == b"v"
 
 
+    def test_cached_sizes_through_splits_and_merges(self, tmp_path):
+        """Seeded churn on small pages, deep enough to split, borrow and
+        merge internal nodes: every cached node size stays exact."""
+        pager = Pager(str(tmp_path / "d.db"), page_size=512)
+        tree = BTree(pager)
+        tree.begin_epoch(1)
+        rng = random.Random(5)
+        for step in range(3000):
+            n = rng.randrange(900)
+            # Uneven key lengths make siblings uneven enough to borrow.
+            key = f"{n:05d}".encode() + b"." * (n * 7919 % 150)
+            if rng.random() < (0.3 if step < 2000 else 0.8):
+                tree.delete(key)
+            else:
+                tree.put(key, bytes(rng.randrange(60)))
+            _assert_sizes_cached(tree)
+        pager.close()
+
+
 class TestRangeScans:
     def _fill(self, tree):
         for i in range(100):
@@ -197,6 +216,114 @@ class TestPersistence:
             assert tree2.get(f"{i:04d}".encode()) == b"old"
         pager2.close()
 
+    def test_shadow_after_uncheckpointed_epoch_keeps_old_page(self, tmp_path):
+        """A node staged in one epoch and shadowed in the next, with no
+        checkpoint between: its old page keeps the old contents."""
+        path = str(tmp_path / "d.db")
+        pager = Pager(path)
+        tree = BTree(pager)
+        tree.begin_epoch(1)
+        tree.put(b"a", b"1")
+        old_root = tree.root
+        tree.begin_epoch(2)  # no checkpoint
+        tree.put(b"b", b"2")
+        assert tree.root != old_root
+        old = tree._deserialize(old_root, pager.read_page(old_root))
+        assert old.keys == [b"a"]
+        new = tree._deserialize(tree.root, pager.read_page(tree.root))
+        assert new.keys == [b"a", b"b"]
+        pager.flush_pages(set(pager.staged))
+        pager.close()
+
+        pager2 = Pager(path)  # no meta flip: read the flushed pages raw
+        tree2 = BTree(pager2)
+        assert tree2._deserialize(old_root, pager2.read_page(old_root)).keys == [b"a"]
+        pager2.close()
+
+
+class TestSerializationCount:
+    def test_puts_serialize_nothing_until_checkpoint(self, tmp_path, monkeypatch):
+        """Puts stage live nodes; the checkpoint serializes each staged
+        page once (the eager path serialized ~4 nodes per put)."""
+        from repro.storage import KVStore
+
+        store = KVStore(str(tmp_path / "s"), auto_checkpoint_ops=0)
+        for i in range(200):
+            store.put("t", f"{i:05d}".encode(), b"seed")
+        store.checkpoint()
+        serialized = []
+        original = BTree._serialize
+
+        def counting(self, node):
+            serialized.append(node.page_id)
+            return original(self, node)
+
+        flushed = set()
+        original_flush = Pager.flush_pages
+
+        def recording_flush(self, page_ids):
+            flushed.update(page_ids)
+            return original_flush(self, page_ids)
+
+        monkeypatch.setattr(BTree, "_serialize", counting)
+        monkeypatch.setattr(Pager, "flush_pages", recording_flush)
+        rng = random.Random(3)
+        for _ in range(1000):
+            value = b"v" * rng.randrange(80)
+            store.put("t", f"{rng.randrange(5000):05d}".encode(), value)
+        assert serialized == []
+        store.checkpoint()
+        assert serialized
+        assert len(serialized) == len(set(serialized))  # once per page
+        assert set(serialized) <= flushed
+        store.close()
+
+
+def _assert_sizes_cached(tree):
+    """Every in-memory node's cached size is its true serialized size
+    (or -1, a recount the next size check performs)."""
+    for node in tree._nodes.values():
+        assert node.size in (-1, len(tree._serialize(node)))
+
+
+def _checkpoint(pager, tree):
+    pager.commit_checkpoint(catalog_root=tree.root, wal_seq=0)
+    tree.begin_epoch(pager.meta.checkpoint_id + 1)
+
+
+def _assert_reopens_to(path, model):
+    """Checkpoint state on disk, read back by a fresh pager and tree."""
+    pager = Pager(path)
+    tree = BTree(pager, root=pager.meta.catalog_root)
+    assert dict(tree.items()) == model
+    _assert_sizes_cached(tree)
+    pager.close()
+
+
+def _run_against_model(tmp, ops, checkpoints):
+    """Apply ``ops`` to a tree and a dict, committing a checkpoint before
+    each op index in ``checkpoints``; the two must always agree."""
+    path = str(tmp / "d.db")
+    pager = Pager(path)
+    tree = BTree(pager)
+    tree.begin_epoch(1)
+    model = {}
+    for i, (op, key, value) in enumerate(ops):
+        if i in checkpoints:
+            _checkpoint(pager, tree)
+        if op == "put":
+            tree.put(key, value)
+            model[key] = value
+        else:
+            assert tree.delete(key) == (key in model)
+            model.pop(key, None)
+        _assert_sizes_cached(tree)
+    assert dict(tree.items()) == model
+    assert [k for k, _ in tree.items()] == sorted(model)
+    _checkpoint(pager, tree)
+    pager.close()
+    _assert_reopens_to(path, model)
+
 
 @settings(
     max_examples=25,
@@ -211,26 +338,14 @@ class TestPersistence:
             st.binary(min_size=0, max_size=400),
         ),
         max_size=250,
-    )
+    ),
+    checkpoints=st.sets(st.integers(0, 249), max_size=4),
 )
-def test_property_btree_matches_dict(tmp_path_factory, ops):
-    """Random op sequences: the tree must behave exactly like a dict."""
-    tmp = tmp_path_factory.mktemp("btree-prop")
-    pager = Pager(str(tmp / "d.db"))
-    tree = BTree(pager)
-    tree.begin_epoch(1)
-    model = {}
-    for op, key_num, value in ops:
-        key = f"{key_num:05d}".encode()
-        if op == "put":
-            tree.put(key, value)
-            model[key] = value
-        else:
-            assert tree.delete(key) == (key in model)
-            model.pop(key, None)
-    assert dict(tree.items()) == model
-    assert [k for k, _ in tree.items()] == sorted(model)
-    pager.close()
+def test_property_btree_matches_dict(tmp_path_factory, ops, checkpoints):
+    """Random op sequences: the tree must behave exactly like a dict,
+    before and after checkpoints and across a reopen from disk."""
+    ops = [(op, f"{n:05d}".encode(), value) for op, n, value in ops]
+    _run_against_model(tmp_path_factory.mktemp("btree-prop"), ops, checkpoints)
 
 
 @settings(
@@ -246,23 +361,10 @@ def test_property_btree_matches_dict(tmp_path_factory, ops):
             st.binary(min_size=0, max_size=600),
         ),
         max_size=150,
-    )
+    ),
+    checkpoints=st.sets(st.integers(0, 149), max_size=4),
 )
-def test_property_btree_binary_keys(tmp_path_factory, ops):
+def test_property_btree_binary_keys(tmp_path_factory, ops, checkpoints):
     """Raw binary keys (embedded NULs, 0xFF runs, non-UTF8): the tree
     must still behave exactly like a dict with bytewise ordering."""
-    tmp = tmp_path_factory.mktemp("btree-bin")
-    pager = Pager(str(tmp / "d.db"))
-    tree = BTree(pager)
-    tree.begin_epoch(1)
-    model = {}
-    for op, key, value in ops:
-        if op == "put":
-            tree.put(key, value)
-            model[key] = value
-        else:
-            assert tree.delete(key) == (key in model)
-            model.pop(key, None)
-    assert dict(tree.items()) == model
-    assert [k for k, _ in tree.items()] == sorted(model)
-    pager.close()
+    _run_against_model(tmp_path_factory.mktemp("btree-bin"), ops, checkpoints)

@@ -248,3 +248,57 @@ class TestFailedStoreClose:
         synced_before = len(ffs.fsync_log)
         s.close()
         assert len(ffs.fsync_log) == synced_before  # teardown made nothing durable
+
+
+class TestOnDiskFormat:
+    # Pinned digests of the files a fixed workload leaves behind.  They
+    # change only with a deliberate change to the page, node, free-list
+    # or WAL format (or to when pages are allocated and written); an
+    # optimisation of the write path must leave every byte as it is.
+    DATA_SHA256 = "75a48cbf91206c9b65c4f071fea959ee81165ef5400320cd66680d276208c75f"
+    WAL_SHA256 = "61c9e49faa2743d1acde2f6e4d05e49f93e0a7359c508c4b705b398b4a1cbad2"
+
+    def test_seeded_workload_bytes_are_pinned(self, tmp_path):
+        import hashlib
+
+        path = str(tmp_path / "s")
+        rng = random.Random(26)
+        model = {name: {} for name in ("a", "b", "c")}
+        s = KVStore(path, auto_checkpoint_ops=700)
+        for _ in range(2400):
+            name = rng.choice("abc")
+            key = f"{rng.randrange(400):05d}".encode()
+            if rng.random() < 0.25 and model[name]:
+                victim = rng.choice(sorted(model[name]))
+                s.delete(name, victim)
+                del model[name][victim]
+                continue
+            if rng.random() < 0.1:  # past the inline limit: overflow chain
+                value = bytes([rng.randrange(256)]) * rng.randrange(600, 9000)
+            else:
+                value = bytes(rng.randrange(256) for _ in range(rng.randrange(300)))
+            if rng.random() < 0.2:  # a multi-tree transaction
+                other = rng.choice("abc")
+                with s.begin() as txn:
+                    txn.put(name, key, value)
+                    txn.put(other, key, value[::-1])
+                model[name][key] = value
+                model[other][key] = value[::-1]  # the later put wins
+            else:
+                s.put(name, key, value)
+                model[name][key] = value
+        assert s.checkpoint_id >= 3
+        wal_name = f"wal.{s.wal_seq:08d}"
+        s.close(checkpoint=False)
+
+        def digest(name):
+            with open(f"{path}/{name}", "rb") as fh:
+                return hashlib.sha256(fh.read()).hexdigest()
+
+        assert (digest("data.db"), digest(wal_name)) == (
+            self.DATA_SHA256,
+            self.WAL_SHA256,
+        )
+        with KVStore(path) as reopened:
+            for name, expected in model.items():
+                assert dict(reopened.items(name)) == expected
