@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke e2e-smoke metrics-smoke rank-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-parallel bench-throughput bench-check bench-recovery bench-churn bench-cluster-obs
+.PHONY: test smoke e2e-smoke metrics-smoke rank-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-throughput bench-check bench-recovery bench-churn bench-cluster-obs
 
 # Tier-1 verification: the full fast suite (torture scans stay opt-in).
 test:
@@ -9,7 +9,7 @@ test:
 
 # CI smoke: tier-1 plus an explicit 2-worker parallel-scan correctness
 # check (the perf-marked equivalence gates, which include the sharded
-# pool vs serial candidate-set identity).
+# thread pool vs serial candidate-set identity).
 smoke: test
 	$(PYTHON) -m pytest -q -m perf tests/core/test_parallel.py tests/core/test_perf_smoke.py
 
@@ -66,13 +66,6 @@ perf:
 
 torture:
 	$(PYTHON) -m pytest -q -m torture
-
-# Parallel-scan gate: run the backend bench, then assert identical
-# candidate sets, the one-round-trip dispatch bound, and the >=2x
-# speedup floor (or an explicit skip reason on hosts without cores).
-bench-parallel:
-	cd benchmarks && $(PYTHON) bench_parallel_scan.py
-	$(PYTHON) benchmarks/check_regression.py --parallel BENCH_parallel_scan.json
 
 # Index-churn gate: run the insert/delete churn bench, then assert
 # every insert batch became visible through a delta load (never a full

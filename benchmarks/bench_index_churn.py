@@ -102,7 +102,7 @@ def _measure_refresh(n_base: int, seed: int) -> dict:
             for _ in range(BATCH_SIZE):
                 engine.insert(_signature(rng))
             t0 = time.perf_counter()
-            engine._ensure_pool(BACKEND)
+            engine._ensure_pool()
             t1 = time.perf_counter()
             engine.query(probe, top_k=5)
             refresh_s.append(t1 - t0)

@@ -26,13 +26,6 @@ baseline.
 the absolute floors in ``RECOVERY_FLOOR_KEYS`` — no baseline, because
 the WAL-replay rate is asserted outright, not relative to a prior run.
 
-``--parallel`` gates a single ``BENCH_parallel_scan.json``: candidate
-sets must be identical across backends, the batched dispatch must cost
-at most one round trip per shard, and either the >= 2x speedup floor
-holds (gate armed: >= 4 effective cores, >= 100k segments) or the run
-carries an explicit ``speedup_gate_skipped_reason`` — a host that
-cannot measure parallelism must say so, never silently disarm.
-
 ``--churn`` gates a single ``BENCH_index_churn.json`` (from
 ``bench_index_churn.py``): every measured insert batch must have become
 visible through the delta path (``delta_loads >= batches`` and
@@ -145,49 +138,6 @@ def check_recovery(current: dict) -> list:
         elif cur < floor:
             failures.append(
                 f"{key}: {cur:.0f} is below the absolute floor {floor:.0f}"
-            )
-    return failures
-
-
-def check_parallel(current: dict) -> list:
-    """Gate a BENCH_parallel_scan.json payload (no baseline)."""
-    failures = []
-    if current.get("identical_candidate_sets") is not True:
-        failures.append(
-            "identical_candidate_sets is not true: a parallel backend "
-            "changed the scan's answer"
-        )
-    trips = _lookup(current, "dispatch_round_trips_per_batch")
-    shards = _lookup(current, "shards")
-    if trips is None or shards is None:
-        failures.append(
-            "missing dispatch_round_trips_per_batch/shards: cannot "
-            "verify the one-round-trip dispatch claim"
-        )
-    elif not 0 < trips <= shards:
-        failures.append(
-            f"dispatch_round_trips_per_batch {trips:.1f} outside "
-            f"(0, shards={shards:.0f}]: batched dispatch regressed "
-            "to per-shard messaging"
-        )
-    target = _lookup(current, "speedup_target") or 2.0
-    if current.get("speedup_gate_armed"):
-        best = _lookup(current, "best_speedup")
-        if best is None:
-            failures.append("gate armed but best_speedup is missing")
-        elif best < target:
-            failures.append(
-                f"best_speedup {best:.2f}x is below the {target:.1f}x "
-                f"floor on {_lookup(current, 'effective_cores'):.0f} "
-                "effective cores"
-            )
-    else:
-        reason = current.get("speedup_gate_skipped_reason")
-        if not isinstance(reason, str) or not reason.strip():
-            failures.append(
-                "speedup gate disarmed without a "
-                "speedup_gate_skipped_reason — silent disarming is "
-                "exactly what this gate forbids"
             )
     return failures
 
@@ -312,12 +262,6 @@ def main(argv=None) -> int:
         "crash-recovery floors instead of comparing throughput runs",
     )
     parser.add_argument(
-        "--parallel", action="store_true",
-        help="gate a BENCH_parallel_scan.json: identical candidate "
-        "sets, batched dispatch bound, and the speedup floor (or an "
-        "explicit skip reason)",
-    )
-    parser.add_argument(
         "--churn", action="store_true",
         help="gate a BENCH_index_churn.json: inserts become visible "
         "through delta loads only, and per-batch refresh cost must not "
@@ -332,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cluster_obs:
-        if args.churn or args.parallel or args.recovery or args.current is not None:
+        if args.churn or args.recovery or args.current is not None:
             print(
                 "error: --cluster-obs takes a single BENCH_cluster_obs.json",
                 file=sys.stderr,
@@ -370,7 +314,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.churn:
-        if args.parallel or args.recovery or args.current is not None:
+        if args.recovery or args.current is not None:
             print(
                 "error: --churn takes a single BENCH_index_churn.json",
                 file=sys.stderr,
@@ -404,44 +348,6 @@ def main(argv=None) -> int:
             print(
                 "ok  scaling gate skipped: "
                 f"{current.get('scaling_gate_skipped_reason')}"
-            )
-        return 0
-
-    if args.parallel:
-        if args.recovery or args.current is not None:
-            print(
-                "error: --parallel takes a single BENCH_parallel_scan.json",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                current = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        failures = check_parallel(current)
-        if failures:
-            print("PARALLEL SCAN REGRESSION:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        best = _lookup(current, "best_speedup")
-        trips = _lookup(current, "dispatch_round_trips_per_batch")
-        shards = _lookup(current, "shards")
-        print(
-            f"ok  dispatch_round_trips_per_batch: {trips:.0f} "
-            f"(<= {shards:.0f} shards)"
-        )
-        if current.get("speedup_gate_armed"):
-            print(
-                f"ok  best_speedup: {best:.2f}x "
-                f"(floor {_lookup(current, 'speedup_target'):.1f}x)"
-            )
-        else:
-            print(
-                "ok  speedup gate skipped: "
-                f"{current.get('speedup_gate_skipped_reason')}"
             )
         return 0
 

@@ -2,9 +2,10 @@
 
 Sketches in Ferret are bit vectors compared with Hamming distance "easily
 computed by XOR operations" (section 4.1.1).  We pack bits into
-``uint64`` words and count differing bits with a vectorized popcount so
-that streaming over an entire sketch database (the filtering step) is a
-handful of numpy operations rather than a Python loop.
+``uint64`` words and count differing bits with numpy's native popcount
+(``np.bitwise_count``, numpy >= 2.0) so that streaming over an entire
+sketch database (the filtering step) is a handful of numpy operations
+rather than a Python loop.
 """
 
 from __future__ import annotations
@@ -25,37 +26,15 @@ __all__ = [
 
 _WORD_BITS = 64
 
-# 16-bit popcount lookup table: popcount of a uint64 = sum of popcounts of
-# its four 16-bit halves.  256 KiB would be needed for 16-bit keys as
-# uint8 -> we use a 65536-entry uint8 table (64 KiB), built once at import.
-_POPCOUNT16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
-
-# numpy >= 2.0 exposes the hardware popcount instruction as a ufunc; one
-# pass over the XOR words instead of a 4-way uint16 table gather.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-def _popcount64_lut(words: np.ndarray) -> np.ndarray:
-    """Table-lookup popcount — the portable fallback for numpy < 2.0."""
-    w = np.ascontiguousarray(words, dtype=np.uint64)
-    # View each uint64 as four uint16 halves and sum table lookups.
-    halves = w.view(np.uint16).reshape(w.shape + (4,))
-    return _POPCOUNT16[halves].sum(axis=-1, dtype=np.uint32)
-
-
-def _popcount64_native(words: np.ndarray) -> np.ndarray:
-    """Native-instruction popcount via ``np.bitwise_count`` (numpy >= 2.0)."""
-    w = np.asarray(words, dtype=np.uint64)
-    return np.bitwise_count(w).astype(np.uint32)
-
 
 def popcount64(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a ``uint64`` array (any shape)."""
-    if _HAS_BITWISE_COUNT:
-        return _popcount64_native(words)
-    return _popcount64_lut(words)
+    """Per-element popcount of a ``uint64`` array (any shape).
+
+    ``np.bitwise_count`` (numpy >= 2.0) maps to the hardware popcount
+    instruction and releases the GIL, which is what lets the thread
+    pool's shard scans overlap.
+    """
+    return np.bitwise_count(np.asarray(words, dtype=np.uint64)).astype(np.uint32)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -154,14 +133,6 @@ def _scratch_views(n_queries: int, block_cols: int):
     )
 
 
-def _popcount_into(words: np.ndarray, out: np.ndarray) -> None:
-    """Per-element popcount of ``words`` written into ``out``."""
-    if _HAS_BITWISE_COUNT:
-        np.bitwise_count(words, out=out)
-    else:
-        out[...] = _popcount64_lut(words)
-
-
 def hamming_many_to_many(
     queries: np.ndarray,
     database: np.ndarray,
@@ -214,8 +185,8 @@ def hamming_many_to_many(
         for word in range(n_words):
             np.bitwise_xor(queries[:, word, None], block[word][None, :], out=xored)
             if word == 0:
-                _popcount_into(xored, total)
+                np.bitwise_count(xored, out=total)
             else:
-                _popcount_into(xored, counts)
+                np.bitwise_count(xored, out=counts)
                 np.add(total, counts, out=total)
     return out

@@ -42,17 +42,14 @@ from .filtering import (
     SegmentStore,
     sketch_filter_many,
 )
-from .lshindex import LSHIndex, LSHParams
 from .parallel import (
     BACKEND_GAUGE_VALUES,
     BACKENDS,
-    FilterPool,
     ParallelConfig,
-    ParallelFilterPool,
     ParallelScanError,
     QueryResultCache,
+    ThreadFilterPool,
     choose_backend,
-    make_pool,
     parallel_filter_candidates,
 )
 from .plugin import DataTypePlugin
@@ -67,7 +64,6 @@ from .transport import solve_transport
 from .types import ObjectSignature
 
 __all__ = [
-    "LSHIndexError",
     "SearchMethod",
     "EngineStats",
     "SimilaritySearchEngine",
@@ -97,29 +93,12 @@ _M_RANK_SOLVE_SECONDS = _metrics.histogram("rank.solve_seconds")
 _M_POOL_FALLBACKS = _metrics.counter("engine.pool_fallbacks")
 _M_CACHE_RACE_SKIPS = _metrics.counter("query_cache.stale_store_skips")
 _M_ERR_POOL_SCAN = _metrics.counter("errors_absorbed.engine.pool_scan")
-_M_ERR_POOL_CLOSE = _metrics.counter("errors_absorbed.engine.pool_close")
 _M_ERR_BATCH_ROLLBACK = _metrics.counter(
     "errors_absorbed.engine.batch_rollback"
 )
-# A worker process dying mid-batch is worth its own series on top of the
-# generic pool_scan absorption: crashes point at OOM kills / segfaults,
-# timeouts and protocol errors at overload or version skew.
-_M_ERR_WORKER_CRASH = _metrics.counter(
-    "errors_absorbed.parallel_worker_crash"
-)
 # Resolved scan backend of the most recent filtering batch
-# (0 = serial, 1 = thread, 2 = process; see BACKEND_GAUGE_VALUES).
+# (0 = serial, 1 = thread; see BACKEND_GAUGE_VALUES).
 _M_PARALLEL_BACKEND = _metrics.gauge("parallel.backend")
-
-
-class LSHIndexError(ValueError):
-    """The LSH search path failed: index absent or its lookup raised.
-
-    The LSH index is an in-memory acceleration structure, so this error
-    is the one failure the server's command layer may answer by falling
-    back to the exhaustive filtering path.  Subclasses ``ValueError``
-    because the index-absent case historically raised that.
-    """
 
 
 class SearchMethod(enum.Enum):
@@ -128,10 +107,6 @@ class SearchMethod(enum.Enum):
     BRUTE_FORCE_ORIGINAL = "brute_force_original"
     BRUTE_FORCE_SKETCH = "brute_force_sketch"
     FILTERING = "filtering"
-    # Extension beyond the paper's three policies: LSH *indexing* over
-    # the segment sketches (the paper's stated future work), available
-    # when the engine was built with lsh_params.
-    LSH = "lsh"
 
     @classmethod
     def parse(cls, text: str) -> "SearchMethod":
@@ -187,7 +162,7 @@ class SimilaritySearchEngine:
     parallel:
         Parallel filtering-scan knobs
         (:class:`~repro.core.parallel.ParallelConfig`).  The sharded
-        multi-process scan auto-enables once the store exceeds
+        multi-thread scan auto-enables once the store exceeds
         ``parallel.min_segments`` live segments on a multi-core host; it
         also carries the query-result cache capacity.  ``None`` means
         defaults (auto-enable at 50k segments, one worker per CPU).
@@ -203,7 +178,6 @@ class SimilaritySearchEngine:
         sketch_params: Optional[SketchParams] = None,
         filter_params: Optional[FilterParams] = None,
         metadata: Optional["object"] = None,
-        lsh_params: Optional[LSHParams] = None,
         parallel: Optional[ParallelConfig] = None,
         rank_params: Optional[RankParams] = None,
     ) -> None:
@@ -223,15 +197,10 @@ class SimilaritySearchEngine:
         self._store = SegmentStore(
             n_words=self.sketcher.n_words, dim=plugin.meta.dim
         )
-        self.lsh_index = (
-            LSHIndex(self.sketcher.n_bits, lsh_params)
-            if lsh_params is not None
-            else None
-        )
         self._next_id = 0
         self._compactor: Optional[ArenaCompactor] = None
         self._parallel_cfg = parallel if parallel is not None else ParallelConfig()
-        self._pool: Optional[FilterPool] = None
+        self._pool: Optional[ThreadFilterPool] = None
         self._pool_broken = False
         self._filter_cache = QueryResultCache(self._parallel_cfg.cache_entries)
         # Per-engine tracing state: opt-in stage traces plus the always
@@ -286,11 +255,7 @@ class SimilaritySearchEngine:
             raise
         self._objects[object_id] = signature
         self._object_sketches[object_id] = sketches
-        lsh_added = False
         try:
-            if self.lsh_index is not None:
-                self.lsh_index.add(object_id, sketches)
-                lsh_added = True
             if self.metadata is not None:
                 self.metadata.put_object(
                     object_id, signature, sketches, dict(attributes or {}),
@@ -306,8 +271,6 @@ class SimilaritySearchEngine:
             del self._objects[object_id]
             del self._object_sketches[object_id]
             self._store.remove_object(object_id)
-            if lsh_added:
-                self.lsh_index.remove(object_id, sketches)
             self._next_id = prev_next_id
             signature.object_id = prev_signature_id
             raise
@@ -402,32 +365,25 @@ class SimilaritySearchEngine:
         """Remove an object from the engine (and the metadata backend).
 
         The segment store tombstones the object's sketch rows and
-        compacts lazily; the LSH index, when present, drops its bucket
-        entries.
+        compacts lazily.
 
         Exception-safe, mirroring :meth:`insert`'s rollback: the
         in-memory structures are only committed once the metadata
         backend acknowledged the delete.  If it fails, the store rows
-        and LSH entries are restored (the sketch rows re-append at the
-        arena tail — positions move, contents don't) and the object
-        stays fully searchable.
+        are restored (the sketch rows re-append at the arena tail —
+        positions move, contents don't) and the object stays fully
+        searchable.
         """
         if object_id not in self._objects:
             raise KeyError(f"unknown object {object_id}")
         signature = self._objects[object_id]
         sketches = self._object_sketches[object_id]
         self._store.remove_object(object_id)
-        lsh_removed = False
         try:
-            if self.lsh_index is not None:
-                self.lsh_index.remove(object_id, sketches)
-                lsh_removed = True
             if self.metadata is not None:
                 self.metadata.delete_object(object_id)
         except Exception:
             self._store.add_object(object_id, sketches, signature.features)
-            if lsh_removed:
-                self.lsh_index.add(object_id, sketches)
             raise
         del self._objects[object_id]
         del self._object_sketches[object_id]
@@ -449,8 +405,6 @@ class SimilaritySearchEngine:
             self._objects[object_id] = signature
             self._object_sketches[object_id] = sketches
             self._store.add_object(object_id, sketches, signature.features)
-            if self.lsh_index is not None:
-                self.lsh_index.add(object_id, sketches)
             self._next_id = max(self._next_id, object_id + 1)
             count += 1
         return count
@@ -458,24 +412,22 @@ class SimilaritySearchEngine:
     # ------------------------------------------------------------------
     # Parallel scan + result cache
     # ------------------------------------------------------------------
-    def _choose_backend(self, batch_rows: int = 1) -> str:
+    def _choose_backend(self) -> str:
         """Resolve the scan backend for the next filtering batch.
 
         Wraps :func:`~repro.core.parallel.choose_backend` (the ``auto``
-        cost model over arena rows, batch size, and available cores)
-        with the engine's own vetoes: a broken pool or a resolved worker
-        count of 1 always means serial, whatever the configured backend.
+        cost model over arena rows and available cores) with the
+        engine's own vetoes: a broken pool or a resolved worker count of
+        1 always means serial, whatever the configured backend.
         """
         cfg = self._parallel_cfg
         if self._pool_broken or cfg.effective_workers() < 2:
             return "serial"
-        return choose_backend(cfg, len(self._store), batch_rows)
+        return choose_backend(cfg, len(self._store))
 
-    def _ensure_pool(self, backend: str) -> FilterPool:
-        """Spin up the pool for ``backend`` / refresh it to the store's
-        current epoch.  A live pool of a different backend (the cost
-        model changed its mind, or the operator forced a backend) is
-        torn down and replaced.
+    def _ensure_pool(self) -> ThreadFilterPool:
+        """Spin up the thread pool / refresh it to the store's current
+        epoch.
 
         A stale pool is refreshed through the cheapest path that
         applies: the arena's :meth:`~SegmentStore.delta_since` journal
@@ -485,18 +437,10 @@ class SimilaritySearchEngine:
         snapshot reload (``parallel.arena_loads``).
         """
         cfg = self._parallel_cfg
-        if self._pool is not None and self._pool.backend != backend:
-            pool, self._pool = self._pool, None
-            try:
-                pool.close()
-            except OSError:
-                _M_ERR_POOL_CLOSE.inc()
         if self._pool is None:
-            self._pool = make_pool(
-                backend,
+            self._pool = ThreadFilterPool(
                 num_workers=cfg.effective_workers(),
                 shard_rows=cfg.shard_rows,
-                start_method=cfg.start_method,
                 response_timeout=cfg.response_timeout,
             )
         pool = self._pool
@@ -526,12 +470,7 @@ class SimilaritySearchEngine:
         _M_PARALLEL_BACKEND.set(BACKEND_GAUGE_VALUES["serial"])
         pool, self._pool = self._pool, None
         if pool is not None:
-            try:
-                pool.close()
-            except OSError:
-                # Tearing down an already-broken pool may fail again at
-                # the OS level; the serial fallback must still proceed.
-                _M_ERR_POOL_CLOSE.inc()
+            pool.close()
         if self.on_parallel_fallback is not None:
             # Deliberately unguarded: the callback is wired by the
             # embedding process (the server's HealthState), and a broken
@@ -557,10 +496,9 @@ class SimilaritySearchEngine:
 
         Accepts any of :data:`~repro.core.parallel.BACKENDS` — ``auto``
         hands the choice back to the cost model, ``serial`` pins the
-        in-process scan, ``thread``/``process`` pin a pool
-        implementation.  Clears the broken flag (an operator override is
-        an explicit re-arm) and tears down any live pool so the next
-        scan rebuilds under the new policy.
+        in-process scan, ``thread`` pins the pool.  Clears the broken
+        flag (an operator override is an explicit re-arm) and tears down
+        any live pool so the next scan rebuilds under the new policy.
         """
         if backend not in BACKENDS:
             raise ValueError(
@@ -628,30 +566,11 @@ class SimilaritySearchEngine:
             "broken": self._pool_broken,
             "active": pool is not None,
             "backend": cfg.backend,
-            "backend_active": pool.backend if pool is not None else "serial",
+            "backend_active": "thread" if pool is not None else "serial",
             "workers": cfg.effective_workers(),
             "min_segments": cfg.min_segments,
             "cache": self._filter_cache.stats(),
         }
-
-    def collect_worker_metrics(self) -> int:
-        """Pull pending registry deltas from live scan workers into the
-        parent registry (``worker.<i>.*`` / ``workers.*`` series).
-
-        Scans piggyback their own deltas, so this only matters for
-        activity between scans; ``metrics``/``stat`` call it right
-        before rendering.  Returns workers polled (0 with no pool).  A
-        broken pool must not fail a metrics dump: pool errors abandon
-        the pool exactly like a failed scan would and report 0.
-        """
-        pool = self._pool
-        if pool is None:
-            return 0
-        try:
-            return pool.fetch_worker_metrics()
-        except ParallelScanError as exc:
-            self._abandon_pool(f"metrics pull failed: {exc}")
-            return 0
 
     def _query_cache_key(
         self, query: ObjectSignature, query_sketches: np.ndarray, params_key
@@ -677,7 +596,7 @@ class SimilaritySearchEngine:
         """Filtering-phase candidate sets for a batch of queries.
 
         Order of attack: the epoch-invalidated LRU cache, then the
-        sharded multi-process scan (when enabled and the store is big
+        sharded thread-pool scan (when enabled and the store is big
         enough), then the serial fused scan — which is also the graceful
         fallback when the pool fails mid-flight.  All paths return
         identical candidate sets, so the choice is invisible to callers.
@@ -710,13 +629,11 @@ class SimilaritySearchEngine:
         computed: Optional[List[Set[int]]] = None
         computed_epoch: Optional[object] = None
         scan_path = "serial"
-        backend = self._choose_backend(
-            batch_rows=len(miss_queries) * params.num_query_segments
-        )
+        backend = self._choose_backend()
         _M_PARALLEL_BACKEND.set(BACKEND_GAUGE_VALUES.get(backend, 0))
         if backend != "serial":
             try:
-                pool = self._ensure_pool(backend)
+                pool = self._ensure_pool()
                 computed_epoch = pool.loaded_epoch
                 scan_started = time.perf_counter()
                 computed = parallel_filter_candidates(
@@ -729,17 +646,12 @@ class SimilaritySearchEngine:
                     trace.add_stage(
                         "parallel_scan", time.perf_counter() - scan_started
                     )
-            except (ParallelScanError, OSError) as exc:
-                # Only pool-infrastructure failures (dead workers,
-                # timeouts, shared-memory exhaustion) may trigger the
-                # silent serial fallback; any other exception is a bug
-                # in the scan itself and propagates to the caller.
+            except ParallelScanError as exc:
+                # Only pool failures (timeouts, a closed pool) may
+                # trigger the silent serial fallback; any other
+                # exception is a bug in the scan itself and propagates
+                # to the caller.
                 _M_ERR_POOL_SCAN.inc()
-                if (
-                    isinstance(exc, ParallelScanError)
-                    and exc.kind == "crash"
-                ):
-                    _M_ERR_WORKER_CRASH.inc()
                 self._abandon_pool(f"{type(exc).__name__}: {exc}")
                 computed = None
                 scan_path = "parallel_fallback"
@@ -853,7 +765,7 @@ class SimilaritySearchEngine:
         """Run the ranking cascade over one candidate set and record it.
 
         All query paths funnel through here so the cascade (and its
-        telemetry) covers FILTERING, LSH, the full-universe brute-force
+        telemetry) covers FILTERING, the full-universe brute-force
         path, and the post-``_cascade_prune`` survivors alike.  A
         :class:`~repro.core.emd.NonFiniteDistanceError` raised by a
         poisoned candidate propagates to the caller carrying the
@@ -938,27 +850,6 @@ class SimilaritySearchEngine:
                         "cascade", time.perf_counter() - cascade_started
                     )
                     trace.add_count("cascade_survivors", len(candidates))
-            return self._rank(query, candidates, top_k, exclude_self, trace)
-        if method is SearchMethod.LSH:
-            if self.lsh_index is None:
-                raise LSHIndexError(
-                    "engine was built without lsh_params; LSH search is "
-                    "unavailable"
-                )
-            filter_started = time.perf_counter()
-            try:
-                candidates = self.lsh_index.candidates(query_sketches)
-            except Exception as exc:
-                raise LSHIndexError(
-                    f"LSH candidate lookup failed: {exc}"
-                ) from exc
-            candidates = {i for i in candidates if i in universe}
-            _M_CANDIDATES.observe(len(candidates))
-            if trace is not None:
-                trace.add_stage(
-                    "lsh_lookup", time.perf_counter() - filter_started
-                )
-                trace.add_count("candidates", len(candidates))
             return self._rank(query, candidates, top_k, exclude_self, trace)
         raise ValueError(f"unsupported method {method!r}")
 

@@ -65,9 +65,9 @@ def constant_threshold_fn(weight: float) -> float:
 
 
 # Named threshold functions.  ``FilterParams`` defaults to a *name* so the
-# params travel across process boundaries (the parallel scan pool, the
-# wire protocol's setparam) without pickling code objects; custom
-# callables still work in-process but cannot be dispatched to workers.
+# params travel across process boundaries (the wire protocol's
+# setparam) without pickling code objects; custom callables still work
+# in-process but cannot be serialized.
 _THRESHOLD_FNS: Dict[str, Callable[[float], float]] = {}
 
 

@@ -13,17 +13,14 @@ Layout: table ``segment_sketches``, key ``object_key || segment index``
 is deterministic), value = packed sketch words.  The key embeds the
 owner, so the scan needs no side lookup.
 
-A filter pool — either backend,
-:class:`~repro.core.parallel.ParallelFilterPool` (worker processes over
-a shared-memory arena) or
-:class:`~repro.core.parallel.ThreadFilterPool` (worker threads over an
-in-process copy) — can be attached to the sketch store: the table is
-streamed once into the pool's arena (in scan order, so global row
-number == scan position) and subsequent scans fan out across the
-pool's workers as one fused batch message per worker.  Per-query
-thresholds are pushed into the workers — masked before selection — so
-the parallel scan keeps this module's threshold-then-top-k semantics,
-and the deterministic tie rule (smallest scan position wins at the kth
+A :class:`~repro.core.parallel.ThreadFilterPool` (worker threads over
+an in-process copy of the sketches) can be attached to the sketch
+store: the table is streamed once into the pool's arena (in scan order,
+so global row number == scan position) and subsequent scans fan out
+across the pool's shards as one stacked batch.  Per-query thresholds
+are pushed into the shard scans — masked before selection — so the
+parallel scan keeps this module's threshold-then-top-k semantics, and
+the deterministic tie rule (smallest scan position wins at the kth
 distance) makes its results identical to the serial blocked scan.
 Attaching trades the out-of-core memory bound for scan speed: the arena
 snapshot is memory-resident.
@@ -40,7 +37,7 @@ import numpy as np
 
 from ..core.bitvector import hamming_many_to_many
 from ..core.filtering import FilterParams
-from ..core.parallel import _SENTINEL, FilterPool, ParallelScanError
+from ..core.parallel import _SENTINEL, ParallelScanError, ThreadFilterPool
 from ..core.ranking import SearchResult, rank_candidates
 from ..core.types import ObjectSignature
 from ..observability import metrics as _metrics
@@ -78,7 +75,7 @@ class OutOfCoreSketchStore:
         # arena (tagged with the epoch it was loaded from) can be
         # detected as stale and reloaded before the next scan.
         self._epoch = 0
-        self._pool: Optional[FilterPool] = None
+        self._pool: Optional[ThreadFilterPool] = None
         # Append log for delta pool syncs: (epoch-after-insert, owners,
         # sketches) per insert, covering exactly (_log_floor, _epoch].
         # Delta rows land at the arena tail, which matches a fresh
@@ -176,18 +173,18 @@ class OutOfCoreSketchStore:
             self._last_key = scanned_to
 
     # -- parallel scan attachment ---------------------------------------
-    def attach_pool(self, pool: FilterPool) -> None:
+    def attach_pool(self, pool: ThreadFilterPool) -> None:
         """Serve scans from ``pool``'s worker shards instead of in-process.
 
-        The table is streamed into the pool's shared-memory arena on the
-        next scan (and re-streamed whenever the store's epoch moves past
-        the arena's).  The store does not own the pool: detaching or a
-        scan failure never closes it.
+        The table is streamed into the pool's arena on the next scan
+        (and re-streamed whenever the store's epoch moves past the
+        arena's).  The store does not own the pool: detaching or a scan
+        failure never closes it.
         """
         self._pool = pool
         self._sync_pool()
 
-    def detach_pool(self) -> Optional[FilterPool]:
+    def detach_pool(self) -> Optional[ThreadFilterPool]:
         """Stop using the attached pool and return it (not closed)."""
         pool, self._pool = self._pool, None
         return pool
@@ -275,12 +272,7 @@ class OutOfCoreSketchStore:
                 [np.inf if t is None else float(t) for t in thresholds],
                 dtype=np.float64,
             )
-        # origin="outofcore" makes the workers book this request under
-        # their own outofcore.* series (surfaced parent-side as
-        # workers.outofcore.scans after aggregation).
-        dists, rows = self._pool.scan_topk(
-            queries, k, thresholds=th, origin="outofcore", trace=trace
-        )
+        dists, rows = self._pool.scan_topk(queries, k, thresholds=th, trace=trace)
         out: List[List[Tuple[int, int]]] = []
         for qi in range(queries.shape[0]):
             keep = dists[qi] < _SENTINEL

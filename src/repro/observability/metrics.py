@@ -5,7 +5,7 @@ sizes, cache and pool behavior, WAL fsync cost, server command rates)
 all flows through one :class:`MetricsRegistry`.  Design constraints:
 
 - **No dependencies** — stdlib only, so the metrics layer is available
-  everywhere the engine is (including fork/spawn scan workers).
+  everywhere the engine is (including cluster backend processes).
 - **Thread-safe** — the engine runs as one concurrent program
   (section 3): server threads, acquisition threads, and the query
   pipeline all update metrics concurrently.  Every mutation happens
@@ -25,12 +25,12 @@ UI's ``/metrics`` page both emit it verbatim.
 registry in the Prometheus text exposition format for scrapers
 (``metrics -p`` / the web UI's ``/metrics.txt``).
 
-Cross-process aggregation: scan workers export their registries as
-plain-data **snapshots** (:meth:`MetricsRegistry.snapshot`), ship only
-the change since the last export (:func:`delta_snapshots`), and the
-parent folds deltas into namespaced series with
+Cross-process aggregation: cluster backends export their registries as
+plain-data **snapshots** (:meth:`MetricsRegistry.snapshot`), the
+coordinator takes only the change since the last pull
+(:func:`delta_snapshots`) and folds it into namespaced series with
 :meth:`MetricsRegistry.merge_snapshot`.  Counter and histogram merges
-are associative and commutative over deltas, so per-worker and rolled-up
+are associative and commutative over deltas, so per-node and rolled-up
 series stay consistent no matter the arrival order.
 """
 
@@ -329,7 +329,7 @@ def delta_snapshots(
 
     Counters and histograms become differences (metrics absent from
     ``prev`` count from zero); gauges pass through their current value
-    when it changed.  Unchanged metrics are omitted, so a worker that
+    when it changed.  Unchanged metrics are omitted, so a node that
     did nothing ships an empty dict.  Deltas compose: applying the delta
     of ``a -> b`` then ``b -> c`` equals applying the delta ``a -> c``.
     """
@@ -545,8 +545,8 @@ class MetricsRegistry:
         """Fold a (delta) snapshot into this registry under ``prefix``.
 
         Counters and histograms *accumulate* — folding the deltas of
-        several workers (in any order, any grouping) yields the same
-        totals, which is what makes the ``workers.*`` roll-up well
+        several nodes (in any order, any grouping) yields the same
+        totals, which is what makes a roll-up across nodes well
         defined.  Gauges take the incoming value (last writer wins).
         Metrics are created on first sight; a type or bucket-bounds
         conflict with an existing metric raises ``ValueError``.

@@ -43,9 +43,9 @@ class QueryTrace:
     integer.  ``note`` records which scan path answered the filter stage
     (``serial``, ``parallel``, ``cache``, ``parallel_fallback``).
     ``spans`` holds named child spans — one per scan worker when the
-    parallel pool answered, each splitting the worker's round trip into
-    queue wait, compute, and reply serialization — so a trace shows
-    *where* shard time went instead of one opaque parent-side wait.
+    parallel pool answered, with the time until that worker's shards
+    were done — so a trace shows *where* shard time went instead of one
+    opaque wait.
     Traces are built single-threaded inside one query call; only the
     completed, immutable result is shared.
     """
@@ -78,8 +78,8 @@ class QueryTrace:
     def add_span(self, name: str, **seconds: float) -> None:
         """Attach a named child span with per-phase timings (seconds).
 
-        E.g. ``trace.add_span("worker.0", queue_wait=..., compute=...,
-        reply=...)`` for one scan worker's share of a pooled filter.
+        E.g. ``trace.add_span("rank", bound=..., solve=...)`` for the
+        ranking cascade's bound/solve split.
         """
         span: Dict[str, object] = {"name": name}
         for key, value in seconds.items():

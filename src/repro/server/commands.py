@@ -58,11 +58,11 @@ number of results to return, filter parameters, and attributes"):
   ``on|off`` for the batched ranking cascade's lower-bound pruning — see docs/PERFORMANCE.md, "Ranking cascade").
 - ``health`` — server health report: overall status, uptime, and
   per-component degradation details (see docs/ROBUSTNESS.md).
-- ``metrics [-p|-s] [prefix]`` — dump the process metrics registry
-  (worker deltas folded in first) in its stable ``name value`` line
-  format, with ``-p`` in the Prometheus text exposition format, or with
-  ``-s`` as one line of JSON snapshot (the federation wire format the
-  cluster coordinator pulls; see docs/OBSERVABILITY.md).
+- ``metrics [-p|-s] [prefix]`` — dump the process metrics registry in
+  its stable ``name value`` line format, with ``-p`` in the Prometheus
+  text exposition format, or with ``-s`` as one line of JSON snapshot
+  (the federation wire format the cluster coordinator pulls; see
+  docs/OBSERVABILITY.md).
 - ``trace [--tree]`` — the last query's stage breakdown (needs
   ``setparam trace on`` or a propagated ``trace=`` context), flat or as
   an indented span tree; ``trace get <id> [--tree]`` fetches a stored
@@ -80,9 +80,9 @@ line ``TRACE <id> <payload>`` carrying the command's span tree, so a
 cluster coordinator collects per-node subtrees in the same round trip.
 
 Graceful degradation: storage failures answer ``ERR DEGRADED <reason>``
-(a structured error clients can tell apart from bad requests), and an
-LSH-index failure on a query falls back to the exhaustive filtering
-path instead of failing the command.
+(a structured error clients can tell apart from bad requests), and a
+scan-pool failure on a query is answered by the serial scan instead of
+failing the command.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ from typing import Dict, List, Optional
 
 from ..attrsearch.index import InvertedIndex, MemoryIndex
 from ..attrsearch.query import AttributeSearcher, QueryError
-from ..core.engine import LSHIndexError, SearchMethod, SimilaritySearchEngine
+from ..core.engine import SearchMethod, SimilaritySearchEngine
 from ..core.filtering import FilterParams, get_threshold_fn
 from ..metadata.serialization import decode_object, encode_object
 from ..observability import context as _trace_context
@@ -129,8 +129,7 @@ class CommandProcessor:
         self.attributes: Dict[int, Dict[str, str]] = dict(attributes or {})
         self.health = health if health is not None else HealthState()
         # A pool failure mid-query degrades throughput, not correctness
-        # (the engine re-answers serially); surface it in `health` the
-        # same way an LSH-index fallback is.
+        # (the engine re-answers serially); surface it in `health`.
         self.engine.on_parallel_fallback = lambda reason: (
             self.health.record_fallback("parallel_scan", reason)
         )
@@ -230,27 +229,14 @@ class CommandProcessor:
         payload = _trace_context.encode_trace(tree)
         return f"{_trace_context.TRACE_LINE_PREFIX}{context.trace_id} {payload}"
 
-    # -- degraded-mode query fallback -------------------------------------
-    def _run_query(self, method: SearchMethod, run):
-        """Run ``run(method)``; on LSH-index failure retry via filtering.
-
-        The LSH index is an in-memory acceleration structure — losing it
-        degrades speed, not correctness — so a failure *in the LSH path*
-        (the engine raises :class:`LSHIndexError` for exactly that site)
-        answers the query through the exhaustive filtering pipeline and
-        records the fallback.  Any other exception propagates: a bug
-        elsewhere in the query pipeline must surface, not be masked by a
-        silent re-run.
-        """
-        if method is not SearchMethod.LSH:
-            return run(method)
+    @staticmethod
+    def _method(command: Command) -> SearchMethod:
+        """The ``method=`` keyword (default ``filtering``); an unknown
+        name is a bad request, not a server fault."""
         try:
-            return run(method)
-        except LSHIndexError as exc:
-            self.health.record_fallback(
-                "lsh_index", f"{type(exc).__name__}: {exc}"
-            )
-            return run(SearchMethod.FILTERING)
+            return SearchMethod.parse(command.get("method", "filtering"))
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
 
     # -- handlers ----------------------------------------------------------
     def _cmd_ping(self, command: Command) -> List[str]:
@@ -282,7 +268,6 @@ class CommandProcessor:
         return float(gauge.value) if gauge is not None else 0.0
 
     def _cmd_stat(self, command: Command) -> List[str]:
-        self.engine.collect_worker_metrics()
         stats = self.engine.stats()
         par = self.engine.parallel_info()
         cache = par["cache"]
@@ -301,8 +286,6 @@ class CommandProcessor:
             f"parallel_backend {par['backend']}",
             f"parallel_backend_active {par['backend_active']}",
             f"parallel_workers {par['workers']}",
-            f"parallel_dispatch_round_trips "
-            f"{self._rank_counter('parallel.dispatch_round_trips')}",
             f"arena_chunks {arena['chunks']}",
             f"arena_rows {arena['rows']}",
             f"arena_dead_rows {arena['dead_rows']}",
@@ -331,9 +314,6 @@ class CommandProcessor:
         filtered to one name prefix, rendered in Prometheus text format
         (``-p``), or as one line of JSON snapshot (``-s`` — the
         federation wire format; see docs/OBSERVABILITY.md).
-
-        Pulls pending worker deltas first so the dump includes the
-        ``worker.<i>.*`` / ``workers.*`` series of the scan pool.
         """
         prometheus = False
         snapshot = False
@@ -349,7 +329,6 @@ class CommandProcessor:
                 raise ProtocolError("usage: metrics [-p|-s] [prefix]")
         if prometheus and snapshot:
             raise ProtocolError("usage: metrics [-p|-s] [prefix]")
-        self.engine.collect_worker_metrics()
         registry = _metrics.get_registry()
         if snapshot:
             state = registry.snapshot()
@@ -462,7 +441,7 @@ class CommandProcessor:
         if object_id not in self.engine:
             raise ProtocolError(f"unknown object {object_id}")
         top_k = int(command.get("top", "10"))
-        method = SearchMethod.parse(command.get("method", "filtering"))
+        method = self._method(command)
         restrict = None
         attr_expr = command.get("attr")
         if attr_expr:
@@ -490,26 +469,20 @@ class CommandProcessor:
                 )
             except ValueError as exc:
                 raise ProtocolError(f"bad weights: {exc}") from exc
-            results = self._run_query(
-                method,
-                lambda m: self.engine.query(
-                    query,
-                    top_k=top_k,
-                    method=m,
-                    exclude_self=command.get("self", "no") != "yes",
-                    restrict_to=restrict,
-                ),
+            results = self.engine.query(
+                query,
+                top_k=top_k,
+                method=method,
+                exclude_self=command.get("self", "no") != "yes",
+                restrict_to=restrict,
             )
         else:
-            results = self._run_query(
-                method,
-                lambda m: self.engine.query_by_id(
-                    object_id,
-                    top_k=top_k,
-                    method=m,
-                    exclude_self=command.get("self", "no") != "yes",
-                    restrict_to=restrict,
-                ),
+            results = self.engine.query_by_id(
+                object_id,
+                top_k=top_k,
+                method=method,
+                exclude_self=command.get("self", "no") != "yes",
+                restrict_to=restrict,
             )
         return [f"{r.object_id} {r.distance:.6f}" for r in results]
 
@@ -528,7 +501,7 @@ class CommandProcessor:
             if object_id not in self.engine:
                 raise ProtocolError(f"unknown object {object_id}")
         top_k = int(command.get("top", "10"))
-        method = SearchMethod.parse(command.get("method", "filtering"))
+        method = self._method(command)
         restrict = None
         attr_expr = command.get("attr")
         if attr_expr:
@@ -536,15 +509,12 @@ class CommandProcessor:
                 restrict = sorted(self.searcher.search(attr_expr))
             except QueryError as exc:
                 raise ProtocolError(f"bad attribute query: {exc}") from exc
-        batches = self._run_query(
-            method,
-            lambda m: self.engine.query_many(
-                [self.engine.get_object(object_id) for object_id in object_ids],
-                top_k=top_k,
-                method=m,
-                exclude_self=command.get("self", "no") != "yes",
-                restrict_to=restrict,
-            ),
+        batches = self.engine.query_many(
+            [self.engine.get_object(object_id) for object_id in object_ids],
+            top_k=top_k,
+            method=method,
+            exclude_self=command.get("self", "no") != "yes",
+            restrict_to=restrict,
         )
         return [
             f"{query_id} {r.object_id} {r.distance:.6f}"
@@ -622,17 +592,14 @@ class CommandProcessor:
             raise ProtocolError(f"bad exclude id {exclude!r}") from None
         signature = self._decode_signature(command.args[0], exclude_id)
         top_k = int(command.get("top", "10"))
-        method = SearchMethod.parse(command.get("method", "filtering"))
+        method = self._method(command)
         restrict = self._restrict_from(command)
-        results = self._run_query(
-            method,
-            lambda m: self.engine.query(
-                signature,
-                top_k=top_k,
-                method=m,
-                exclude_self=exclude_id is not None,
-                restrict_to=restrict,
-            ),
+        results = self.engine.query(
+            signature,
+            top_k=top_k,
+            method=method,
+            exclude_self=exclude_id is not None,
+            restrict_to=restrict,
         )
         return [f"{r.object_id} {r.distance:.6f}" for r in results]
 
@@ -662,20 +629,17 @@ class CommandProcessor:
             for blob, excl in zip(blobs, excludes)
         ]
         top_k = int(command.get("top", "10"))
-        method = SearchMethod.parse(command.get("method", "filtering"))
+        method = self._method(command)
         restrict = self._restrict_from(command)
         # exclude_self applies per-query via each signature's object_id;
         # queries without an exclude id carry object_id=None, which the
         # ranking path never matches.
-        batches = self._run_query(
-            method,
-            lambda m: self.engine.query_many(
-                signatures,
-                top_k=top_k,
-                method=m,
-                exclude_self=True,
-                restrict_to=restrict,
-            ),
+        batches = self.engine.query_many(
+            signatures,
+            top_k=top_k,
+            method=method,
+            exclude_self=True,
+            restrict_to=restrict,
         )
         return [
             f"{index} {r.object_id} {r.distance:.6f}"
@@ -740,7 +704,7 @@ class CommandProcessor:
         if len(command.args) != 1:
             raise ProtocolError("usage: queryfile <path> [top=] [method=] [attr=]")
         top_k = int(command.get("top", "10"))
-        method = SearchMethod.parse(command.get("method", "filtering"))
+        method = self._method(command)
         restrict = None
         attr_expr = command.get("attr")
         if attr_expr:
@@ -749,11 +713,8 @@ class CommandProcessor:
             except QueryError as exc:
                 raise ProtocolError(f"bad attribute query: {exc}") from exc
         try:
-            results = self._run_query(
-                method,
-                lambda m: self.engine.query_file(
-                    command.args[0], top_k=top_k, method=m, restrict_to=restrict
-                ),
+            results = self.engine.query_file(
+                command.args[0], top_k=top_k, method=method, restrict_to=restrict
             )
         except (OSError, NotImplementedError, ValueError) as exc:
             raise ProtocolError(f"query failed: {exc}") from exc

@@ -52,7 +52,7 @@ _M_DEGRADED_COMPONENTS = _metrics.gauge("health.degraded_components")
 class HealthState:
     """Thread-safe degradation ledger for a running search system.
 
-    Components (``storage``, ``lsh_index``, ``engine``, ...) are marked
+    Components (``storage``, ``engine``, ...) are marked
     degraded when they raise and healthy again when they recover; the
     query interface reports this through the ``health`` protocol command
     and prefixes failures caused by degraded components with

@@ -12,8 +12,8 @@ Routes: ``/`` (home + forms), ``/query?id=&top=&method=&attr=``,
 ``/queryfile?path=&top=&method=``, ``/attrquery?q=``, ``/metrics``
 (the metrics registry as plain text, same line format as the server's
 ``metrics`` command), ``/metrics.txt`` (the Prometheus text exposition
-format, served through ``metrics -p`` so worker-side series are folded
-in — point a scraper here), and ``/events`` (the event journal as an
+format, served through ``metrics -p`` so remote mode scrapes the
+engine-owning process — point a scraper here), and ``/events`` (the event journal as an
 HTML timeline, served through the ``events`` command).
 """
 
@@ -108,8 +108,8 @@ class WebApp:
                 return 200, "\n".join(_metrics.get_registry().render()) + "\n"
             if parsed.path == "/metrics.txt":
                 # Scrape endpoint: go through the `metrics -p` command so
-                # worker deltas are folded in and remote mode scrapes the
-                # engine-owning process, not this frontend.
+                # remote mode scrapes the engine-owning process, not this
+                # frontend.
                 return 200, "\n".join(self.backend.send("metrics -p")) + "\n"
             if parsed.path == "/events":
                 return 200, self._events(params)

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bitvector import (
-    _HAS_BITWISE_COUNT,
-    _popcount64_lut,
     hamming_distance,
     hamming_many_to_many,
     hamming_to_many,
@@ -117,26 +115,29 @@ class TestHammingToMany:
         assert hamming_to_many(row, row[None, :]).tolist() == [0]
 
 
-class TestPopcountPaths:
-    """The LUT fallback and the np.bitwise_count fast path must agree."""
+class TestPopcountOracle:
+    """``popcount64`` against an independent per-word reference."""
 
-    def test_lut_known_values(self):
-        words = np.array([0, 1, 3, 0xFF, 2**64 - 1], dtype=np.uint64)
-        assert _popcount64_lut(words).tolist() == [0, 1, 2, 8, 64]
+    EDGE_WORDS = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555]
+
+    @staticmethod
+    def _bin_counts(words):
+        return [bin(int(w)).count("1") for w in np.ravel(words)]
 
     @settings(max_examples=30)
-    @given(st.integers(0, 2**32), st.integers(1, 64))
-    def test_lut_matches_dispatch(self, seed, size):
+    @given(st.integers(0, 2**32), st.sampled_from([(64,), (7, 9), (1, 1)]))
+    def test_matches_bin_count_per_word(self, seed, shape):
         rng = np.random.default_rng(seed)
-        words = rng.integers(0, 2**63, size=size, dtype=np.uint64)
-        # popcount64 dispatches to bitwise_count on numpy >= 2.0; both
-        # implementations must agree bit-for-bit with the LUT fallback.
-        assert np.array_equal(popcount64(words), _popcount64_lut(words))
-
-    def test_native_path_selected_on_modern_numpy(self):
-        if not hasattr(np, "bitwise_count"):
-            pytest.skip("numpy < 2.0: no native popcount")
-        assert _HAS_BITWISE_COUNT
+        size = int(np.prod(shape))
+        words = rng.integers(0, 2**64, size=size, dtype=np.uint64, endpoint=False)
+        # Edge words replace the first draws: zero, one, the high bit alone,
+        # all ones, alternating bits.
+        edges = np.array(self.EDGE_WORDS[:size], dtype=np.uint64)
+        words[: edges.size] = edges
+        words = words.reshape(shape)
+        counts = popcount64(words)
+        assert counts.shape == shape
+        assert counts.ravel().tolist() == self._bin_counts(words)
 
 
 class TestHammingManyToMany:

@@ -1,12 +1,10 @@
-"""Churn equivalence: serial == thread == process, bit for bit.
+"""Churn equivalence: serial == thread, bit for bit.
 
-The delta-shipping pool refresh (PR: online index maintenance) must be
-invisible to queries: after any interleaving of insert / remove /
-compact, an engine whose pool was refreshed incrementally answers
-queries identically to a serial engine and to a pool loaded fresh from
-scratch.  Hypothesis drives the interleavings; fixed-seed tests cover
-the process backend (spawning real workers is too slow for example
-search).
+The delta-shipping pool refresh must be invisible to queries: after any
+interleaving of insert / remove / compact, an engine whose pool was
+refreshed incrementally answers queries identically to a serial engine
+and to a pool loaded fresh from scratch.  Hypothesis drives the
+interleavings.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from hypothesis import strategies as st
 from repro.core import (
     DataTypePlugin,
     FeatureMeta,
-    LSHParams,
     ObjectSignature,
     ParallelConfig,
     SimilaritySearchEngine,
@@ -29,7 +26,7 @@ from repro.core import (
 DIM = 6
 
 
-def _make_engine(backend, lsh=False, cache_entries=0):
+def _make_engine(backend, cache_entries=0):
     meta = FeatureMeta(DIM, np.zeros(DIM), np.ones(DIM))
     if backend == "serial":
         parallel = ParallelConfig(enabled=False, cache_entries=cache_entries)
@@ -44,9 +41,6 @@ def _make_engine(backend, lsh=False, cache_entries=0):
         DataTypePlugin("test", meta),
         sketch_params=SketchParams(64, meta, seed=1),
         parallel=parallel,
-        lsh_params=LSHParams(num_tables=4, bits_per_key=8, seed=2)
-        if lsh
-        else None,
     )
 
 
@@ -130,59 +124,8 @@ class TestChurnInterleavings:
             serial.close()
             threaded.close()
 
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(ops=st.lists(_OP, min_size=1, max_size=8), seed=st.integers(0, 2**16))
-    def test_lsh_stays_consistent_under_churn(self, ops, seed):
-        engine = _make_engine("serial", lsh=True)
-        try:
-            next_id = 0
-            for _ in range(3):
-                next_id = _apply([engine], ("insert", 2), seed + next_id, next_id)
-            for i, op in enumerate(ops):
-                next_id = _apply([engine], op, seed + 1000 + i, next_id)
-                assert engine.lsh_index.verify_consistency() == []
-        finally:
-            engine.close()
 
-
-class TestProcessBackendChurn:
-    """Fixed-seed process-pool churn (worker spawn is too slow for
-    hypothesis search, but the Pipe-protocol delta path must be covered
-    end to end)."""
-
-    def test_process_matches_serial_under_churn(self):
-        serial = _make_engine("serial")
-        procs = _make_engine("process")
-        try:
-            engines = [serial, procs]
-            rng = np.random.default_rng(42)
-            next_id = 0
-            for _ in range(6):
-                next_id = _apply(engines, ("insert", 3), 42 + next_id, next_id)
-            probes = [_signature(rng, 3) for _ in range(2)]
-            script = [
-                ("insert", 2),
-                ("insert", 4),
-                ("remove", 1),
-                ("insert", 1),
-                ("compact", 0),
-                ("insert", 3),
-                ("remove", 0),
-                ("insert", 2),
-            ]
-            assert _results(serial, probes) == _results(procs, probes)
-            for i, op in enumerate(script):
-                next_id = _apply(engines, op, 7000 + i, next_id)
-                assert _results(serial, probes) == _results(procs, probes)
-            assert not procs.parallel_info()["broken"]
-        finally:
-            serial.close()
-            procs.close()
-
+class TestPoolDeltaRefresh:
     def test_delta_loads_actually_happen(self):
         """The equivalence above must come from the delta path, not from
         silent full reloads."""

@@ -1,4 +1,4 @@
-"""Tests for object removal: engine, segment store, LSH, metadata."""
+"""Tests for object removal: engine, segment store, metadata."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core import (
     DataTypePlugin,
     FeatureMeta,
     FilterParams,
-    LSHParams,
     ObjectSignature,
     SearchMethod,
     SimilaritySearchEngine,
@@ -17,13 +16,12 @@ from repro.core.filtering import SegmentStore
 from repro.metadata import MetadataManager
 
 
-def _engine(meta, metadata=None, lsh=True):
+def _engine(meta, metadata=None):
     return SimilaritySearchEngine(
         DataTypePlugin("t", meta),
         SketchParams(128, meta, seed=1),
         FilterParams(num_query_segments=2, candidates_per_segment=20),
         metadata=metadata,
-        lsh_params=LSHParams(6, 10, seed=2) if lsh else None,
     )
 
 
@@ -90,7 +88,7 @@ class TestEngineRemoval:
         assert results[0].object_id == 7
 
     def test_remove_many_triggers_compaction(self, unit_meta):
-        engine = _engine(unit_meta, lsh=False)
+        engine = _engine(unit_meta)
         rng = np.random.default_rng(1)
         for _ in range(40):
             engine.insert(ObjectSignature(rng.random((2, 8)), [1, 1]))
@@ -102,17 +100,9 @@ class TestEngineRemoval:
         results = engine.query_by_id(25, top_k=5, method=SearchMethod.FILTERING)
         assert results[0].object_id == 25
 
-    def test_lsh_buckets_cleaned(self, filled):
-        before = filled.lsh_index.num_segments
-        filled.remove(4)
-        assert filled.lsh_index.num_segments == before - 3
-        query = filled.get_object(0)
-        sketches = filled.sketcher.sketch_many(query.features)
-        assert 4 not in filled.lsh_index.candidates(sketches)
-
     def test_metadata_deleted_too(self, unit_meta, tmp_path):
         with MetadataManager(str(tmp_path / "m")) as manager:
-            engine = _engine(unit_meta, metadata=manager, lsh=False)
+            engine = _engine(unit_meta, metadata=manager)
             rng = np.random.default_rng(2)
             for _ in range(5):
                 engine.insert(ObjectSignature(rng.random((2, 8)), [1, 1]))
@@ -120,13 +110,13 @@ class TestEngineRemoval:
             assert manager.get_object(2) is None
         # reload skips the removed object
         with MetadataManager(str(tmp_path / "m")) as manager:
-            engine2 = _engine(unit_meta, metadata=manager, lsh=False)
+            engine2 = _engine(unit_meta, metadata=manager)
             assert engine2.load() == 4
             assert 2 not in engine2
 
     def test_quality_unaffected_by_unrelated_removal(self, unit_meta):
         """Removing distractors must not disturb ranking of the rest."""
-        engine = _engine(unit_meta, lsh=False)
+        engine = _engine(unit_meta)
         rng = np.random.default_rng(3)
         base = rng.random((3, 8))
         engine.insert(ObjectSignature(base, [1, 1, 1]))  # 0

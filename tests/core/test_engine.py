@@ -7,7 +7,6 @@ from repro.core import (
     DataTypePlugin,
     FeatureMeta,
     FilterParams,
-    LSHParams,
     ObjectSignature,
     SearchMethod,
     SimilaritySearchEngine,
@@ -22,7 +21,6 @@ def engine(unit_meta):
         plugin,
         SketchParams(256, unit_meta, seed=1),
         FilterParams(num_query_segments=3, candidates_per_segment=20),
-        lsh_params=LSHParams(num_tables=8, bits_per_key=10, seed=2),
     )
 
 
@@ -41,6 +39,11 @@ class TestSearchMethod:
     def test_parse_unknown(self):
         with pytest.raises(ValueError):
             SearchMethod.parse("nope")
+
+    def test_only_the_papers_three_policies(self):
+        assert len(SearchMethod) == 3
+        with pytest.raises(ValueError, match="unknown search method"):
+            SearchMethod.parse("lsh")
 
 
 class TestInsert:

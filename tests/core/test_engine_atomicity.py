@@ -1,7 +1,7 @@
 """Mutation-path atomicity: the bugfix sweep of the maintenance PR.
 
 `Engine.remove()` used to pop the in-memory dicts before touching the
-store/LSH/metadata, so a failing backend left the four structures
+store/metadata, so a failing backend left the three structures
 disagreeing; `insert_many()` used to apply inserts one by one, so a bad
 signature mid-batch left a half-applied prefix.  Both are now
 all-or-nothing; these tests inject failures and assert the engine is
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import (
     DataTypePlugin,
-    LSHParams,
     ObjectSignature,
     SimilaritySearchEngine,
     SketchParams,
@@ -67,7 +66,7 @@ class FlakyMetadata:
             yield oid, sig, sk, attrs
 
 
-def _engine(metadata=None, lsh=True):
+def _engine(metadata=None):
     from repro.core import FeatureMeta
 
     meta = FeatureMeta(8, np.zeros(8), np.ones(8))
@@ -75,7 +74,6 @@ def _engine(metadata=None, lsh=True):
         DataTypePlugin("test", meta),
         sketch_params=SketchParams(64, meta, seed=1),
         metadata=metadata,
-        lsh_params=LSHParams(num_tables=4, bits_per_key=8, seed=2) if lsh else None,
     )
 
 
@@ -127,8 +125,6 @@ class TestRemoveRollback:
 
         _assert_same_live_state(engine, before)
         assert victim in metadata.objects  # backend untouched
-        if engine.lsh_index is not None:
-            assert engine.lsh_index.verify_consistency() == []
         # The object still answers queries exactly as before.
         result_after = engine.query(engine._objects[victim], top_k=3)
         assert [(r.object_id, r.distance) for r in result_before] == [
@@ -139,17 +135,6 @@ class TestRemoveRollback:
         engine.remove(victim)  # heals: the retry succeeds cleanly
         assert victim not in engine._objects
         assert victim not in metadata.objects
-
-    def test_remove_rollback_restores_lsh_buckets(self, rng):
-        metadata = FlakyMetadata()
-        engine = _engine(metadata)
-        for _ in range(5):
-            engine.insert(random_signature(rng, 3))
-        metadata.fail_delete = True
-        with pytest.raises(OSError):
-            engine.remove(1)
-        assert engine.lsh_index.verify_consistency() == []
-        assert 1 in engine.lsh_index._sketches
 
 
 class TestInsertManyAtomicity:
@@ -197,8 +182,6 @@ class TestInsertManyAtomicity:
         metadata.fail_put_after = None
         _assert_same_live_state(engine, before)
         assert len(metadata.objects) == 1
-        if engine.lsh_index is not None:
-            assert engine.lsh_index.verify_consistency() == []
         # Ids consumed by the failed batch are released.
         new_id = engine.insert(random_signature(rng, 2))
         assert new_id == before[4]

@@ -3,7 +3,7 @@
 The pool path must be *candidate-set identical* to both serial
 implementations (`sketch_filter_many` and the per-segment
 `sketch_filter_reference`) under every shard geometry — that is the
-acceptance gate for the shared-memory scan.  Determinism under ties is
+acceptance gate for the thread-pool scan.  Determinism under ties is
 what makes that possible: every path selects the k smallest distances
 with smallest-row-index-wins at the kth value, so shard boundaries and
 merge order cannot change the result.
@@ -19,7 +19,7 @@ from repro.core import (
     FilterParams,
     ObjectSignature,
     ParallelConfig,
-    ParallelFilterPool,
+    ThreadFilterPool,
     ParallelScanError,
     QueryResultCache,
     SegmentStore,
@@ -95,7 +95,7 @@ PARAMS_VARIANTS = [
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=WORKER_COUNTS)
 def pool(request):
-    with ParallelFilterPool(num_workers=request.param) as p:
+    with ThreadFilterPool(num_workers=request.param) as p:
         yield p
 
 
@@ -113,7 +113,7 @@ def test_pool_matches_reference_randomized(seed, shard_rows, variant):
     sketches = [sk.sketch_many(q.features) for q in queries]
     serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
     for workers in WORKER_COUNTS:
-        with ParallelFilterPool(
+        with ThreadFilterPool(
             num_workers=workers, shard_rows=shard_rows
         ) as p:
             _load_pool(p, store)
@@ -193,7 +193,7 @@ def test_ties_at_kth_boundary_pick_smallest_rows(pool):
     assert sketch_filter_reference(query, qs, store, params, 64) == expect
     assert sketch_filter(query, qs, store, params, 64) == expect
     for shard_rows in (None, 1, 2):
-        with ParallelFilterPool(num_workers=2, shard_rows=shard_rows) as p:
+        with ThreadFilterPool(num_workers=2, shard_rows=shard_rows) as p:
             _load_pool(p, store)
             assert parallel_sketch_filter(query, qs, params, 64, p) == expect
 
@@ -205,7 +205,7 @@ def test_k_larger_than_shard_size(pool):
     q = objects[0]
     qs = sk.sketch_many(q.features)
     expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=3, shard_rows=2) as p:
+    with ThreadFilterPool(num_workers=3, shard_rows=2) as p:
         _load_pool(p, store)
         assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
 
@@ -217,7 +217,7 @@ def test_empty_shards_more_workers_than_rows():
     q = objects[0]
     qs = sk.sketch_many(q.features)
     expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=3) as p:  # 2 rows, 3 workers
+    with ThreadFilterPool(num_workers=3) as p:  # 2 rows, 3 workers
         _load_pool(p, store)
         assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
 
@@ -237,17 +237,6 @@ def test_empty_store_and_all_tombstones(pool):
     assert sketch_filter(query, qs, dead, params, 64) == set()
 
 
-def test_spawn_start_method():
-    sk, store, objects = _seeded_store(9, num_objects=10)
-    params = FilterParams(num_query_segments=2, candidates_per_segment=6)
-    q = objects[2]
-    qs = sk.sketch_many(q.features)
-    expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=2, start_method="spawn") as p:
-        _load_pool(p, store)
-        assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
-
-
 def test_pool_staleness_and_reload(pool):
     sk, store, objects = _seeded_store(11, num_objects=8)
     _load_pool(pool, store)
@@ -263,7 +252,7 @@ def test_pool_staleness_and_reload(pool):
 
 
 def test_closed_pool_raises():
-    p = ParallelFilterPool(num_workers=1)
+    p = ThreadFilterPool(num_workers=1)
     p.close()
     with pytest.raises(ParallelScanError):
         p.scan_topk(np.zeros((1, 1), dtype=np.uint64), 1)
@@ -412,7 +401,7 @@ def test_two_worker_smoke():
     queries = [objects[i] for i in (0, 25, 75, 149)]
     sketches = [sk.sketch_many(q.features) for q in queries]
     serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=2) as p:
+    with ThreadFilterPool(num_workers=2) as p:
         _load_pool(p, store)
         assert (
             parallel_sketch_filter_many(queries, sketches, params, sk.n_bits, p)

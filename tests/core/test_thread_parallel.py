@@ -1,11 +1,11 @@
-"""Thread backend, batched dispatch, and the adaptive backend chooser.
+"""Thread backend and the adaptive backend chooser.
 
-The contract under test: ``serial == threads == batched-processes`` —
-not just equal candidate sets but identical ``(distance, row)`` top-k
-matrices including tie order, under duplicate-sketch stores, tombstones,
-empty shards, and the spawn start method.  Plus the cost model
-(:func:`choose_backend`), the one-round-trip dispatch accounting, the
-worker-crash classification, and thread-pool teardown under load.
+The contract under test: the thread pool agrees with the per-segment
+``sketch_filter_reference`` — not just equal candidate sets but the
+same ``(distance, row)`` top-k matrices, tie order included, as one
+unsharded scan — under duplicate-sketch stores, tombstones and empty
+shards.  Plus the cost model (:func:`choose_backend`) and thread-pool
+teardown under load.
 """
 
 import threading
@@ -20,7 +20,6 @@ from repro.core import (
     FilterParams,
     ObjectSignature,
     ParallelConfig,
-    ParallelFilterPool,
     ParallelScanError,
     QueryResultCache,
     SegmentStore,
@@ -29,14 +28,13 @@ from repro.core import (
     SketchParams,
     ThreadFilterPool,
     choose_backend,
-    make_pool,
+    hamming_many_to_many,
     parallel_sketch_filter_many,
+    select_k_smallest,
     sketch_filter_many,
+    sketch_filter_reference,
 )
-from repro.core.parallel import hamming_kernel_releases_gil
 from repro.observability import metrics as _metrics
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +82,7 @@ PARAMS_VARIANTS = [
 
 
 # ----------------------------------------------------------------------
-# Property: serial == threads == batched-processes, ties included
+# Property: threads == reference, ties included
 # ----------------------------------------------------------------------
 @settings(max_examples=6, deadline=None)
 @given(
@@ -94,35 +92,38 @@ PARAMS_VARIANTS = [
     workers=st.sampled_from([1, 2, 3]),
 )
 def test_backends_equivalent_randomized(seed, shard_rows, variant, workers):
-    """Candidate sets AND raw top-k matrices (tie order) agree between
-    the serial scan, the thread pool, and the batched process pool."""
+    """Candidate sets agree with the per-segment reference, and the raw
+    top-k matrices (tie order) with one unsharded scan of the arena."""
     params = PARAMS_VARIANTS[variant]
     sk, store, objects = _seeded_store(seed, tombstones=range(5, 12))
     queries = [objects[0], objects[20], objects[7]]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    raw = {}
-    for cls in (ThreadFilterPool, ParallelFilterPool):
-        with cls(num_workers=workers, shard_rows=shard_rows) as p:
-            _load_pool(p, store)
-            got = parallel_sketch_filter_many(
-                queries, sketches, params, sk.n_bits, p
-            )
-            assert got == serial, cls.__name__
-            stacked = np.concatenate(
-                [qs[q.top_segments(params.num_query_segments)]
-                 for q, qs in zip(queries, sketches)],
-                axis=0,
-            )
-            d, rows = p.scan_topk(stacked, k=5)
-            raw[cls.__name__] = (np.asarray(d, dtype=np.int64), rows)
-    # Bit-identical selection including order at tied distances.
-    np.testing.assert_array_equal(
-        raw["ThreadFilterPool"][0], raw["ParallelFilterPool"][0]
+    expect = [
+        sketch_filter_reference(q, qs, store, params, sk.n_bits)
+        for q, qs in zip(queries, sketches)
+    ]
+    stacked = np.concatenate(
+        [qs[q.top_segments(params.num_query_segments)]
+         for q, qs in zip(queries, sketches)],
+        axis=0,
     )
-    np.testing.assert_array_equal(
-        raw["ThreadFilterPool"][1], raw["ParallelFilterPool"][1]
-    )
+    _, owners, arena = store.versioned_snapshot()
+    full = hamming_many_to_many(stacked, arena)
+    full[:, owners < 0] = np.iinfo(np.uint32).max
+    want_rows = select_k_smallest(full, 5)
+    with ThreadFilterPool(num_workers=workers, shard_rows=shard_rows) as p:
+        _load_pool(p, store)
+        got = parallel_sketch_filter_many(
+            queries, sketches, params, sk.n_bits, p
+        )
+        d, rows = p.scan_topk(stacked, k=5)
+    assert got == expect
+    # The same (distance, row) pairs, ties at the kth distance included.
+    want_d = np.take_along_axis(full, want_rows, axis=1)
+    for qi in range(stacked.shape[0]):
+        assert sorted(zip(d[qi].tolist(), rows[qi].tolist())) == sorted(
+            zip(want_d[qi].tolist(), want_rows[qi].tolist())
+        )
 
 
 def test_empty_shards_more_workers_than_rows():
@@ -132,34 +133,11 @@ def test_empty_shards_more_workers_than_rows():
     sketches = [sk.sketch_many(q.features) for q in queries]
     params = PARAMS_VARIANTS[0]
     serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    for cls in (ThreadFilterPool, ParallelFilterPool):
-        with cls(num_workers=6) as p:
-            _load_pool(p, store)
-            assert parallel_sketch_filter_many(
-                queries, sketches, params, sk.n_bits, p
-            ) == serial, cls.__name__
-
-
-def test_thread_pool_matches_under_spawn_process_pool():
-    """Thread results equal a spawn-start-method process pool's."""
-    import multiprocessing
-
-    if "spawn" not in multiprocessing.get_all_start_methods():
-        pytest.skip("spawn start method unavailable")
-    sk, store, objects = _seeded_store(77, tombstones=(1, 2))
-    queries = [objects[0], objects[9]]
-    sketches = [sk.sketch_many(q.features) for q in queries]
-    params = PARAMS_VARIANTS[1]
-    with ThreadFilterPool(num_workers=2) as tp, ParallelFilterPool(
-        num_workers=2, start_method="spawn"
-    ) as pp:
-        _load_pool(tp, store)
-        _load_pool(pp, store)
+    with ThreadFilterPool(num_workers=6) as p:
+        _load_pool(p, store)
         assert parallel_sketch_filter_many(
-            queries, sketches, params, sk.n_bits, tp
-        ) == parallel_sketch_filter_many(
-            queries, sketches, params, sk.n_bits, pp
-        )
+            queries, sketches, params, sk.n_bits, p
+        ) == serial
 
 
 def test_thread_pool_copies_arena():
@@ -232,7 +210,7 @@ def test_thread_pool_teardown_under_load():
 class TestChooseBackend:
     def test_disabled_is_serial(self):
         cfg = ParallelConfig(enabled=False, num_workers=8, min_segments=1)
-        assert choose_backend(cfg, n_rows=10**6, batch_rows=64) == "serial"
+        assert choose_backend(cfg, n_rows=10**6) == "serial"
 
     def test_single_core_is_serial(self):
         cfg = ParallelConfig(min_segments=1)
@@ -243,80 +221,28 @@ class TestChooseBackend:
         assert choose_backend(cfg, n_rows=49_999) == "serial"
 
     def test_explicit_backend_wins(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "thread"):
             cfg = ParallelConfig(num_workers=4, min_segments=1, backend=name)
             assert choose_backend(cfg, n_rows=10) == name
 
     def test_auto_prefers_threads_with_gil_releasing_kernel(self):
-        if not hamming_kernel_releases_gil():
-            pytest.skip("LUT popcount build: thread backend not preferred")
         cfg = ParallelConfig(num_workers=4, min_segments=1)
-        assert choose_backend(cfg, n_rows=100_000, batch_rows=8) == "thread"
+        assert choose_backend(cfg, n_rows=100_000) == "thread"
 
     def test_explicit_worker_count_implies_cores(self):
         # num_workers is an operator statement that parallelism exists:
         # the model must not fall back to the (possibly 1-core) host
         # affinity mask.
         cfg = ParallelConfig(num_workers=2, min_segments=1)
-        # Enough work that both the thread and the process branch
-        # qualify — the pick must be parallel on any popcount build.
-        assert choose_backend(cfg, n_rows=2_000_000, batch_rows=4) != "serial"
+        assert choose_backend(cfg, n_rows=2_000_000) == "thread"
 
     def test_unknown_backend_rejected_at_config(self):
         with pytest.raises(ValueError):
             ParallelConfig(backend="gpu")
 
-    def test_make_pool_backends(self):
-        assert isinstance(make_pool("thread", num_workers=1), ThreadFilterPool)
-        p = make_pool("process", num_workers=1)
-        assert isinstance(p, ParallelFilterPool)
-        p.close()
-        with pytest.raises(ValueError):
-            make_pool("auto")
-        with pytest.raises(ValueError):
-            make_pool("serial")
-
-
-# ----------------------------------------------------------------------
-# Batched dispatch accounting
-# ----------------------------------------------------------------------
-def test_one_dispatch_round_trip_per_worker_per_batch():
-    """A whole batch costs exactly num_workers round trips — independent
-    of how many queries it stacks — and never more than the shard count."""
-    sk, store, objects = _seeded_store(3, num_objects=60, segs=3)
-    queries = [objects[i] for i in (0, 5, 10, 15, 20, 25)]
-    sketches = [sk.sketch_many(q.features) for q in queries]
-    params = FilterParams(num_query_segments=3, candidates_per_segment=8)
-    with ParallelFilterPool(num_workers=2) as p:
-        _load_pool(p, store)
-        before = _value("parallel.dispatch_round_trips")
-        parallel_sketch_filter_many(queries, sketches, params, sk.n_bits, p)
-        trips = _value("parallel.dispatch_round_trips") - before
-        assert trips == 2  # one fused message per worker, 6 queries
-        assert trips <= p.n_shards
-
-
-def test_thread_pool_books_no_dispatch_round_trips():
-    sk, store, objects = _seeded_store(3, num_objects=30)
-    with ThreadFilterPool(num_workers=2) as p:
-        _load_pool(p, store)
-        before = _value("parallel.dispatch_round_trips")
-        p.scan_topk(np.zeros((1, sk.n_words), dtype=np.uint64), 4)
-        assert _value("parallel.dispatch_round_trips") == before
-
-
-# ----------------------------------------------------------------------
-# Worker crash classification
-# ----------------------------------------------------------------------
-def test_killed_worker_raises_crash_kind():
-    sk, store, objects = _seeded_store(9, num_objects=30)
-    with ParallelFilterPool(num_workers=2) as p:
-        _load_pool(p, store)
-        p._workers[0][0].kill()
-        p._workers[0][0].join(timeout=5.0)
-        with pytest.raises(ParallelScanError) as exc_info:
-            p.scan_topk(np.zeros((1, sk.n_words), dtype=np.uint64), 4)
-        assert exc_info.value.kind == "crash"
+    def test_removed_process_backend_rejected_at_config(self):
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            ParallelConfig(backend="process")
 
 
 def _image_engine(parallel, n=60):
@@ -334,32 +260,12 @@ def _image_engine(parallel, n=60):
     return engine
 
 
-def test_engine_degrades_serially_on_worker_kill():
-    """A worker killed mid-service degrades the engine to the serial
-    scan with identical results and books the crash under
-    ``errors_absorbed.parallel_worker_crash``."""
-    cfg = ParallelConfig(
-        num_workers=2, min_segments=1, backend="process", cache_entries=0
-    )
-    with _image_engine(cfg) as engine:
-        expect = [r.object_id for r in engine.query_by_id(1, top_k=5)]
-        info = engine.parallel_info()
-        assert info["active"] and info["backend_active"] == "process"
-        engine._pool._workers[0][0].kill()
-        engine._pool._workers[0][0].join(timeout=5.0)
-        before = _value("errors_absorbed.parallel_worker_crash")
-        got = [r.object_id for r in engine.query_by_id(1, top_k=5)]
-        assert got == expect  # serial fallback, identical answer
-        assert _value("errors_absorbed.parallel_worker_crash") == before + 1
-        assert engine.parallel_info()["broken"]
-
-
 # ----------------------------------------------------------------------
 # Engine-level backend selection
 # ----------------------------------------------------------------------
 def test_engine_backend_switch_and_exclude_self_equivalence():
-    """Results (with exclude_self) are identical across all three
-    backends, live-switched through set_parallel_backend."""
+    """Results (with exclude_self) are identical across every backend
+    setting, live-switched through set_parallel_backend."""
     serial_engine = _image_engine(ParallelConfig(enabled=False))
     engine = _image_engine(
         ParallelConfig(num_workers=2, min_segments=1, cache_entries=0)
@@ -369,7 +275,7 @@ def test_engine_backend_switch_and_exclude_self_equivalence():
             (r.object_id, r.distance)
             for r in serial_engine.query_by_id(2, top_k=6)
         ]
-        for backend in ("thread", "process", "serial", "auto"):
+        for backend in ("thread", "serial", "auto"):
             engine.set_parallel_backend(backend)
             got = [
                 (r.object_id, r.distance)
@@ -378,17 +284,14 @@ def test_engine_backend_switch_and_exclude_self_equivalence():
             assert got == want, backend
             info = engine.parallel_info()
             assert info["backend"] == backend
-            if backend in ("thread", "process"):
+            if backend != "auto":
                 assert info["backend_active"] == backend
-            elif backend == "serial":
-                assert info["backend_active"] == "serial"
-        with pytest.raises(ValueError):
-            engine.set_parallel_backend("gpu")
+        for removed in ("gpu", "process"):
+            with pytest.raises(ValueError):
+                engine.set_parallel_backend(removed)
 
 
 def test_engine_auto_picks_thread_backend():
-    if not hamming_kernel_releases_gil():
-        pytest.skip("LUT popcount build: auto does not pick threads")
     cfg = ParallelConfig(num_workers=2, min_segments=1, cache_entries=0)
     with _image_engine(cfg) as engine:
         engine.query_by_id(0, top_k=3)

@@ -106,7 +106,5 @@ class TestEngineWithMetadata:
             engine2 = _engine(manager)
             engine2.load()
             for method in SearchMethod:
-                if method is SearchMethod.LSH:
-                    continue  # engine built without lsh_params
                 results = engine2.query_by_id(3, top_k=5, method=method)
                 assert results[0].object_id == 3

@@ -1,15 +1,15 @@
-"""Out-of-core scans served by the shared-memory worker pool.
+"""Out-of-core scans served by the thread pool.
 
 The attached-pool path must return byte-identical ``[(owner, dist)]``
 lists to the serial blocked heap scan — including under distance ties
 (both sides break them by smallest scan position) and per-query
-thresholds (masked worker-side, before selection).
+thresholds (masked inside the shard scans, before selection).
 """
 
 import numpy as np
 import pytest
 
-from repro.core import ParallelFilterPool
+from repro.core import ThreadFilterPool
 from repro.metadata import MetadataManager
 from repro.metadata.outofcore import OutOfCoreSketchStore
 
@@ -43,7 +43,7 @@ def test_pool_scan_identical_to_serial(store, workers, k):
     queries = rng.integers(0, 2**64, size=(3, N_WORDS), dtype=np.uint64)
     for thresholds in (None, [40.0 * N_WORDS] * 3, [5.0, None, 0.0]):
         serial = store.scan_nearest_many(queries, k, thresholds)
-        with ParallelFilterPool(num_workers=workers, shard_rows=6) as pool:
+        with ThreadFilterPool(num_workers=workers, shard_rows=6) as pool:
             store.attach_pool(pool)
             assert store.scan_nearest_many(queries, k, thresholds) == serial
             store.detach_pool()
@@ -52,7 +52,7 @@ def test_pool_scan_identical_to_serial(store, workers, k):
 def test_pool_reloads_on_insert(store):
     rng = _fill(store, num_objects=10)
     query = rng.integers(0, 2**64, size=N_WORDS, dtype=np.uint64)
-    with ParallelFilterPool(num_workers=2) as pool:
+    with ThreadFilterPool(num_workers=2) as pool:
         store.attach_pool(pool)
         store.scan_nearest(query, 5)
         first_epoch = pool.loaded_epoch
@@ -69,7 +69,7 @@ def test_dead_pool_falls_back_to_serial(store):
     rng = _fill(store, num_objects=8)
     query = rng.integers(0, 2**64, size=N_WORDS, dtype=np.uint64)
     serial = store.scan_nearest(query, 4)
-    pool = ParallelFilterPool(num_workers=2)
+    pool = ThreadFilterPool(num_workers=2)
     store.attach_pool(pool)
     pool.close()  # dies behind the store's back
     assert store.scan_nearest(query, 4) == serial
@@ -78,7 +78,7 @@ def test_dead_pool_falls_back_to_serial(store):
 
 def test_empty_table_stays_serial(store):
     query = np.zeros(N_WORDS, dtype=np.uint64)
-    with ParallelFilterPool(num_workers=2) as pool:
+    with ThreadFilterPool(num_workers=2) as pool:
         store.attach_pool(pool)
         assert store.scan_nearest(query, 3) == []
         assert pool.loaded_epoch is None  # nothing to load

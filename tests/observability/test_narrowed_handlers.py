@@ -140,7 +140,7 @@ def _filtering_engine():
 class TestEnginePoolNarrowing:
     def test_pool_failure_falls_back_and_counts(self, monkeypatch):
         engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda backend: _DummyPool())
+        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
 
         def boom(*a, **k):
             raise ParallelScanError("worker died")
@@ -158,7 +158,7 @@ class TestEnginePoolNarrowing:
 
     def test_foreign_exception_propagates(self, monkeypatch):
         engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda backend: _DummyPool())
+        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
 
         def boom(*a, **k):
             raise TypeError("scan bug")
@@ -167,11 +167,25 @@ class TestEnginePoolNarrowing:
         with pytest.raises(TypeError):
             engine.query_by_id(0, top_k=5, exclude_self=True)
 
+    def test_os_error_propagates(self, monkeypatch):
+        """The thread pool raises no OSError of its own, so one reaching
+        the engine is a bug, not a pool failure to fall back from."""
+        engine = _filtering_engine()
+        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
+
+        def boom(*a, **k):
+            raise OSError("not a pool failure")
+
+        monkeypatch.setattr("repro.core.engine.parallel_filter_candidates", boom)
+        with pytest.raises(OSError):
+            engine.query_by_id(0, top_k=5, exclude_self=True)
+        assert not engine.parallel_info()["broken"]
+
     def test_broken_fallback_observer_surfaces(self, monkeypatch):
         """The fallback callback is no longer swallowed: a broken
         observer is a caller bug and must raise, not vanish."""
         engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda backend: _DummyPool())
+        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
 
         def boom(*a, **k):
             raise ParallelScanError("worker died")

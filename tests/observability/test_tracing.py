@@ -38,10 +38,10 @@ class TestQueryTrace:
         assert "note.scan parallel" in lines
 
     def test_to_dict(self):
-        t = QueryTrace("lsh")
+        t = QueryTrace("brute_force_sketch")
         t.add_count("candidates", 1)
         d = t.to_dict()
-        assert d["method"] == "lsh"
+        assert d["method"] == "brute_force_sketch"
         assert d["counts"] == {"candidates": 1}
 
 

@@ -196,12 +196,6 @@ class TestSetParam:
 
 
 class TestQueryFallbackScope:
-    def test_lsh_unavailable_falls_back_to_filtering(self, processor):
-        # The fixture engine has no LSH index: method=lsh still answers.
-        lines = run(processor, "query 0 top=3 method=lsh")
-        assert lines == run(processor, "query 0 top=3 method=filtering")
-        assert processor.health.degraded_components().get("lsh_index")
-
     def test_non_lsh_bug_is_not_masked_by_fallback(self, processor, monkeypatch):
         calls = []
 
@@ -211,5 +205,5 @@ class TestQueryFallbackScope:
 
         monkeypatch.setattr(processor.engine, "query_by_id", boom)
         with pytest.raises(RuntimeError):
-            run(processor, "query 0 top=3 method=lsh")
+            run(processor, "query 0 top=3")
         assert len(calls) == 1  # the query was not silently re-executed

@@ -185,12 +185,9 @@ def served_parallel():
         DataTypePlugin("t", meta),
         SketchParams(128, meta, seed=0),
         FilterParams(num_query_segments=2, candidates_per_segment=8),
-        # Pin the process backend: this class tests *cross-process*
-        # telemetry (worker.* folding, queue-wait spans), which the
-        # thread backend that "auto" now prefers has no need for.
         parallel=ParallelConfig(
             num_workers=2, min_segments=1, cache_entries=0,
-            backend="process",
+            backend="thread",
         ),
     )
     rng = np.random.default_rng(5)
@@ -215,36 +212,34 @@ class TestWorkerTelemetryOverWire:
             client.query(0, top=5)
             assert engine.parallel_info()["active"]
             metrics = client.metrics()
-            # Worker-side series, absent before this PR, are now folded
-            # into the parent dump under both namespaces.
-            assert int(metrics["workers.scan.requests"]) >= 2
-            assert int(metrics["worker.0.scan.requests"]) >= 1
-            assert int(metrics["worker.1.scan.requests"]) >= 1
-            assert int(metrics["workers.scan.compute_seconds_count"]) >= 2
-            # ... and the same pool-enabled query traced per-shard spans.
+            assert int(metrics["parallel.scans"]) >= 1
+            assert int(metrics["parallel.arena_loads"]) >= 1
+            assert int(metrics["parallel.scan_seconds_count"]) >= 1
+            # ... and the same pool-enabled query traced per-worker spans.
             trace = client.trace()
             assert trace["note.scan"] == "parallel"
-            assert "span.worker.0.compute_seconds" in trace
-            assert "span.worker.1.queue_wait_seconds" in trace
+            assert trace["note.backend"] == "thread"
+            assert "span.worker.0.seconds_seconds" in trace
+            assert "span.worker.1.seconds_seconds" in trace
 
     def test_metrics_prefix_filter(self, served_parallel):
         host, port, _ = served_parallel
         with FerretClient(host, port) as client:
             client.query(0, top=3)
-            filtered = client.metrics(prefix="workers.")
+            filtered = client.metrics(prefix="parallel.")
             assert filtered
-            assert all(k.startswith("workers.") for k in filtered)
+            assert all(k.startswith("parallel.") for k in filtered)
             # the filter actually shrinks the payload
             assert len(filtered) < len(client.metrics())
 
-    def test_stat_pulls_worker_deltas(self, served_parallel):
-        host, port, engine = served_parallel
+    def test_stat_reports_thread_pool(self, served_parallel):
+        host, port, _ = served_parallel
         with FerretClient(host, port) as client:
             client.query(0, top=3)
-            client.stat()  # folds pending worker deltas
-            from repro.observability import metrics as _m
-
-            assert _m.get_registry().value("workers.arena.loads") >= 2
+            stats = client.stat()
+        assert stats["parallel_active"] == "yes"
+        assert stats["parallel_backend_active"] == "thread"
+        assert stats["parallel_workers"] == "2"
 
 
 class TestPrometheusExposition:

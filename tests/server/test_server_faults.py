@@ -191,18 +191,26 @@ class TestDegradation:
             engine.stats = original
         assert len(calls) == 1  # the server answered; retrying won't help
 
-    def test_lsh_failure_falls_back_to_filtering(self, served):
+    def test_removed_lsh_method_answers_err(self, served):
         host, port, proc, _ = served
-        # The engine was built without lsh_params: the LSH path raises,
-        # and the processor must answer through filtering instead.
         with FerretClient(host, port) as client:
-            results = client.query(0, top=5, method="lsh")
-            assert len(results) == 5
-            expected = client.query(0, top=5, method="filtering")
-            assert results == expected
-            report = client.health()
-            assert report["fallbacks.lsh_index"] == "1"
-        assert proc.health.degraded_components().get("lsh_index")
+            before = client.health()
+            with pytest.raises(ClientError, match="unknown search method"):
+                client.query(0, top=5, method="lsh")
+            after = client.health()
+            assert client.ping()
+        for report in (before, after):
+            del report["uptime_seconds"]
+        assert after == before  # no fallback booked, nothing degraded
+        assert not proc.health.degraded
+
+    def test_removed_process_backend_answers_err(self, served):
+        host, port, _, engine = served
+        before = engine.parallel_info()
+        with FerretClient(host, port) as client:
+            with pytest.raises(ClientError, match="unknown parallel backend"):
+                client.send("setparam parallel backend=process")
+        assert engine.parallel_info() == before
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,6 @@ class TestSearch:
             for _ in range(15):
                 system.insert(_signature(rng))
             for method in SearchMethod:
-                if method is SearchMethod.LSH:
-                    continue  # system engines run without an LSH index
                 assert system.search(0, top_k=3, method=method)
 
 
