@@ -25,11 +25,12 @@ metrics-smoke:
 	$(PYTHON) -m pytest -q tests/observability tests/core/test_cache_epoch_race.py tests/server/test_observability_integration.py
 
 # Ranking-cascade smoke: the rank-equivalence / lower-bound property
-# tests plus the throughput bench in quick mode, which exercises the
+# tests, the solver and top-k selection bit-identity references, plus
+# the throughput bench in quick mode, which exercises the
 # cascade end-to-end (identity vs the exact EMD path) and writes the
 # phase-split JSON to BENCH_query_throughput_quick.json for CI upload.
 rank-smoke:
-	$(PYTHON) -m pytest -q tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py
+	$(PYTHON) -m pytest -q tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py
 	cd benchmarks && FERRET_BENCH_SCALE=quick $(PYTHON) bench_query_throughput.py
 
 # Cluster smoke: real backend subprocesses under the coordinator.  The

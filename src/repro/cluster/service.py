@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..observability import context as _trace_context
 from ..observability import metrics as _metrics
 from ..observability.events import get_event_log
-from ..server.protocol import Command, ProtocolError
+from ..server.protocol import Command, ProtocolError, parse_top_k
 from .coordinator import ClusterConfig, ClusterResult, FerretCoordinator
 
 __all__ = ["ClusterCommandProcessor", "main"]
@@ -117,7 +117,7 @@ class ClusterCommandProcessor:
             object_id = int(command.args[0])
         except ValueError:
             raise ProtocolError(f"bad object id {command.args[0]!r}") from None
-        top_k = int(command.get("top", "10"))
+        top_k = parse_top_k(command)
         method = command.get("method", "filtering")
         ctx = self._trace_context_from(command)
         try:
@@ -143,7 +143,7 @@ class ClusterCommandProcessor:
             object_ids = [int(a) for a in command.args]
         except ValueError:
             raise ProtocolError("querymany takes integer object ids") from None
-        top_k = int(command.get("top", "10"))
+        top_k = parse_top_k(command)
         method = command.get("method", "filtering")
         ctx = self._trace_context_from(command)
         try:

@@ -730,21 +730,32 @@ def select_k_smallest(
 
     Returns an ``(n_rows, min(k, n_cols))`` int64 array; the order of the
     returned columns is unspecified, only the per-row set is defined.
+    ``k == 0`` selects nothing; a negative ``k`` is a ``ValueError``.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     dists = np.atleast_2d(dists)
     n_rows, total = dists.shape
     if k >= total:
         return np.broadcast_to(np.arange(total, dtype=np.int64), dists.shape)
+    if k == 0:
+        return np.empty((n_rows, 0), dtype=np.int64)
     # (total,) shared across rows, or (n_rows, total) per-row ids — the
     # sharded merge passes per-row global row numbers.
     id_mat = None if ids is None else np.atleast_2d(np.asarray(ids))
     out = np.empty((n_rows, k), dtype=np.int64)
     for r in range(n_rows):
         row = dists[r]
-        part = np.argpartition(row, k - 1)[:k]
-        cutoff = row[part].max()
-        strict = np.nonzero(row < cutoff)[0]
-        ties = np.nonzero(row == cutoff)[0]
+        # The k-th smallest value, then one pass for everything at or
+        # below it; strict entries and ties split among those few.
+        # argpartition rather than np.partition: on AVX-512 hosts the
+        # latter's SIMD quickselect slows the Python that runs after it
+        # (see docs/PERFORMANCE.md, "Per-solve budget").
+        cutoff = row[np.argpartition(row, k - 1)[k - 1]]
+        within = np.flatnonzero(row <= cutoff)
+        below = row[within] < cutoff
+        strict = within[below]
+        ties = within[~below]
         need = k - strict.size
         if ties.size > need:
             if id_mat is not None:  # column order is already id order

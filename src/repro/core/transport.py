@@ -9,6 +9,14 @@ dense transportation simplex is the right tool: Vogel's approximation
 builds a good initial basic feasible solution, and the MODI (u-v) method
 pivots to optimality.  Degeneracy is handled by keeping exactly
 ``m + n - 1`` basic cells (zero-flow cells stay basic).
+
+At ~11 x 11 a solve is per-call overhead, not arithmetic, and almost
+every one ends at Vogel's start (about 1 solve in 2,000 pivots), so the
+fast path keeps scalar work in Python floats — the remaining masses in
+Vogel's steps, the potentials' tree walk — and numpy for whole-matrix
+steps only.  Python floats are the same IEEE doubles, so every flow,
+cost and pivot count is bit-identical to the all-numpy solver kept as
+the reference in ``tests/core/test_transport.py``.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ def solve_transport(
     m, n = supply.shape[0], demand.shape[0]
     if costs.shape != (m, n):
         raise ValueError(f"costs must be ({m}, {n}), got {costs.shape}")
-    if np.any(supply < 0) or np.any(demand < 0):
+    if (supply < 0).any() or (demand < 0).any():
         raise ValueError("supply and demand must be non-negative")
     total_s, total_d = float(supply.sum()), float(demand.sum())
     if total_s <= 0.0 or total_d <= 0.0:
@@ -81,7 +89,8 @@ def solve_transport(
     demand *= total_s / total_d  # exact balance for the simplex
 
     flow, basis = _vogel_initial_solution(supply, demand, costs)
-    _ensure_spanning_basis(basis, flow, m, n)
+    if len(basis) < m + n - 1:  # a full-size Vogel basis is already a tree
+        _ensure_spanning_basis(basis, flow, m, n)
 
     iterations = 0
     max_pivots = _MAX_PIVOTS_FACTOR * (m + n)
@@ -113,17 +122,21 @@ def _vogel_initial_solution(
     (kept as the reference in ``tests/core/test_transport.py``).
     """
     m, n = costs.shape
-    s = supply.copy()
-    d = demand.copy()
+    # Remaining masses as Python floats: the per-step bookkeeping is
+    # scalar, and float arithmetic is the same IEEE double arithmetic
+    # without numpy's per-scalar dispatch.
+    s = supply.tolist()
+    d = demand.tolist()
     flow = np.zeros((m, n), dtype=np.float64)
     basis: Set[Tuple[int, int]] = set()
-    row_open = s > 0
-    col_open = d > 0
+    row_open = supply > 0
+    col_open = demand > 0
     # Zero rows/columns never receive flow but still need basis coverage;
     # _ensure_spanning_basis attaches them afterwards.
     work = costs.copy()
     work[~row_open, :] = np.inf
     work[:, ~col_open] = np.inf
+    work_t = work.T
     rows_left = int(row_open.sum())
     cols_left = int(col_open.sum())
     # Penalties of closed lines stay -inf so argmax never picks them
@@ -138,22 +151,23 @@ def _vogel_initial_solution(
         if rows_stale:
             _line_penalties(work, cols_left, row_open, row_pen)
         if cols_stale:
-            _line_penalties(work.T, rows_left, col_open, col_pen)
+            _line_penalties(work_t, rows_left, col_open, col_pen)
         line = int(penalties.argmax())
         if line < m:
             i, j = line, int(work[line].argmin())
         else:
             j = line - m
-            i = int(work[:, j].argmin())
-        amount = min(s[i], d[j])
+            i = int(work_t[j].argmin())
+        si, dj = s[i], d[j]
+        amount = min(si, dj)
         flow[i, j] = amount
         basis.add((i, j))
-        s[i] -= amount
-        d[j] -= amount
+        s[i] = si = si - amount
+        d[j] = dj = dj - amount
         # Close exactly one side on ties to preserve m+n-1 basic cells:
         # the row, unless it is the last open one and the column is
         # spent as well (one of the two always is).
-        if s[i] <= 1e-15 and (rows_left > 1 or d[j] > 1e-15):
+        if si <= 1e-15 and (rows_left > 1 or dj > 1e-15):
             row_open[i] = False
             work[i, :] = np.inf
             row_pen[i] = -np.inf
@@ -177,7 +191,8 @@ def _line_penalties(
     if cross_left == 1:
         np.copyto(out, work.min(axis=1), where=line_open)
     else:
-        two = np.partition(work, 1, axis=1)
+        two = work.copy()  # the method skips np.partition's wrapper
+        two.partition(1, axis=1)
         np.subtract(two[:, 1], two[:, 0], out=out, where=line_open)
 
 
@@ -219,32 +234,42 @@ def _ensure_spanning_basis(
 def _compute_potentials(
     basis: Set[Tuple[int, int]], costs: np.ndarray, m: int, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve ``u_i + v_j = c_ij`` over basic cells by tree traversal."""
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
+    """Solve ``u_i + v_j = c_ij`` over basic cells by tree traversal.
+
+    Each potential is one subtraction from its tree parent's, so the
+    walk runs on Python floats (the same doubles) and its order does not
+    affect the values.
+    """
+    c = costs.tolist()
+    u: List[Optional[float]] = [None] * m
+    v: List[Optional[float]] = [None] * n
     by_row: List[List[int]] = [[] for _ in range(m)]
     by_col: List[List[int]] = [[] for _ in range(n)]
     for (i, j) in basis:
         by_row[i].append(j)
         by_col[j].append(i)
     u[0] = 0.0
-    stack: List[Tuple[str, int]] = [("row", 0)]
+    stack = [0]  # node ids: row i is i, column j is m + j
     while stack:
-        kind, idx = stack.pop()
-        if kind == "row":
-            for j in by_row[idx]:
-                if np.isnan(v[j]):
-                    v[j] = costs[idx, j] - u[idx]
-                    stack.append(("col", j))
+        node = stack.pop()
+        if node < m:
+            ui, ci = u[node], c[node]
+            for j in by_row[node]:
+                if v[j] is None:
+                    v[j] = ci[j] - ui
+                    stack.append(m + j)
         else:
-            for i in by_col[idx]:
-                if np.isnan(u[i]):
-                    u[i] = costs[i, idx] - v[idx]
-                    stack.append(("row", i))
+            j = node - m
+            vj = v[j]
+            for i in by_col[j]:
+                if u[i] is None:
+                    u[i] = c[i][j] - vj
+                    stack.append(i)
     # A spanning basis reaches every node; guard against numerical gaps.
-    u = np.nan_to_num(u, nan=0.0)
-    v = np.nan_to_num(v, nan=0.0)
-    return u, v
+    return (
+        np.array([0.0 if x is None else x for x in u]),
+        np.array([0.0 if x is None else x for x in v]),
+    )
 
 
 def _find_entering(
@@ -256,8 +281,8 @@ def _find_entering(
 ) -> Optional[Tuple[int, int]]:
     """Most negative reduced-cost non-basic cell, or None at optimality."""
     reduced = costs - u[:, None] - v[None, :]
-    for (i, j) in basis:
-        reduced[i, j] = 0.0
+    n = reduced.shape[1]
+    reduced.put([i * n + j for (i, j) in basis], 0.0)  # flat indices
     i, j = np.unravel_index(np.argmin(reduced), reduced.shape)
     if reduced[i, j] >= -max(tolerance, 1e-10 * (1.0 + abs(costs).max())):
         return None

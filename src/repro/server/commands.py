@@ -103,7 +103,7 @@ from ..observability import metrics as _metrics
 from ..observability.events import get_event_log
 from ..storage.errors import StorageError
 from ..system import HealthState
-from .protocol import Command, DegradedError, ProtocolError, quote
+from .protocol import Command, DegradedError, ProtocolError, parse_top_k, quote
 
 __all__ = ["CommandProcessor"]
 
@@ -440,7 +440,7 @@ class CommandProcessor:
             raise ProtocolError(f"bad object id {command.args[0]!r}") from None
         if object_id not in self.engine:
             raise ProtocolError(f"unknown object {object_id}")
-        top_k = int(command.get("top", "10"))
+        top_k = parse_top_k(command)
         method = self._method(command)
         restrict = None
         attr_expr = command.get("attr")
@@ -500,7 +500,7 @@ class CommandProcessor:
         for object_id in object_ids:
             if object_id not in self.engine:
                 raise ProtocolError(f"unknown object {object_id}")
-        top_k = int(command.get("top", "10"))
+        top_k = parse_top_k(command)
         method = self._method(command)
         restrict = None
         attr_expr = command.get("attr")
@@ -591,7 +591,7 @@ class CommandProcessor:
         except ValueError:
             raise ProtocolError(f"bad exclude id {exclude!r}") from None
         signature = self._decode_signature(command.args[0], exclude_id)
-        top_k = int(command.get("top", "10"))
+        top_k = parse_top_k(command)
         method = self._method(command)
         restrict = self._restrict_from(command)
         results = self.engine.query(
@@ -628,7 +628,7 @@ class CommandProcessor:
             self._decode_signature(blob, excl)
             for blob, excl in zip(blobs, excludes)
         ]
-        top_k = int(command.get("top", "10"))
+        top_k = parse_top_k(command)
         method = self._method(command)
         restrict = self._restrict_from(command)
         # exclude_self applies per-query via each signature's object_id;
@@ -703,7 +703,7 @@ class CommandProcessor:
     def _cmd_queryfile(self, command: Command) -> List[str]:
         if len(command.args) != 1:
             raise ProtocolError("usage: queryfile <path> [top=] [method=] [attr=]")
-        top_k = int(command.get("top", "10"))
+        top_k = parse_top_k(command)
         method = self._method(command)
         restrict = None
         attr_expr = command.get("attr")

@@ -32,6 +32,7 @@ __all__ = [
     "ProtocolError",
     "DegradedError",
     "parse_command",
+    "parse_top_k",
     "format_ok",
     "format_error",
     "quote",
@@ -75,6 +76,22 @@ class Command:
 
     def get_all(self, key: str) -> List[str]:
         return [v for k, v in self.kwargs if k == key]
+
+
+def parse_top_k(command: Command) -> int:
+    """The ``top=`` keyword: a positive result count, 10 if absent.
+
+    A non-integer or non-positive value is a bad request
+    (:class:`ProtocolError`), not an engine fault.
+    """
+    raw = command.get("top", "10")
+    try:
+        top_k = int(raw)
+    except ValueError:
+        top_k = 0  # rejected below, with the same message
+    if top_k <= 0:
+        raise ProtocolError(f"bad top {raw!r}: expected a positive integer")
+    return top_k
 
 
 def parse_command(line: str) -> Command:

@@ -127,6 +127,9 @@ class TestMerge:
     def test_merge_empty(self):
         assert FerretCoordinator.merge_ranked([], 5) == []
 
+    def test_merge_top_zero_selects_nothing(self):
+        assert FerretCoordinator.merge_ranked([[(3, 1.0)], [(5, 2.0)]], 0) == []
+
 
 class TestQueries:
     def test_query_matches_single_engine(self, cluster, full_engine):
@@ -400,6 +403,23 @@ class TestServiceFrontEnd:
                 handle.breaker.state is BreakerState.CLOSED
                 for handle in coordinator.handles
             )
+        finally:
+            client.close()
+            stop(front)
+
+    def test_bad_top_answers_err_not_failure(self, cluster):
+        _, _, coordinator = cluster
+        front = serve_background(ClusterCommandProcessor(coordinator))
+        client = FerretClient(*front.server_address, timeout=10.0)
+        unhandled = _metrics.counter("server.unhandled_errors")
+        before = unhandled.value
+        try:
+            for top in ("abc", "0", "-1"):
+                for line in (f"query 0 top={top}", f"querymany 0 7 top={top}"):
+                    with pytest.raises(ClientError, match="bad top"):
+                        client.send(line)
+            assert client.ping()
+            assert unhandled.value == before
         finally:
             client.close()
             stop(front)

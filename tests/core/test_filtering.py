@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     FeatureMeta,
@@ -269,6 +270,43 @@ def _reference_select(row, k, id_row):
     return set(np.lexsort((id_row, row))[:k].tolist())
 
 
+_SENTINEL = np.iinfo(np.uint32).max
+
+
+@st.composite
+def select_problems(draw):
+    """Distance rows and k at the edges of ``select_k_smallest``'s contract."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 4))
+    total = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["spread", "few_levels", "all_equal", "masked"]))
+    if kind == "spread":
+        dists = rng.integers(0, 1000, size=(n_rows, total))
+    elif kind == "all_equal":
+        dists = np.full((n_rows, total), 7)
+    else:
+        dists = rng.integers(0, 3, size=(n_rows, total))
+    if kind == "masked":  # tombstoned rows, as the scan masks them
+        dists = dists.astype(np.uint32)
+        dists[rng.random((n_rows, total)) < draw(st.floats(0.0, 1.0))] = _SENTINEL
+    else:
+        dists = dists.astype(draw(st.sampled_from([np.uint32, np.float64])))
+    k = draw(st.sampled_from([1, total - 1, total, total + 3]))
+    id_kind = draw(st.sampled_from(["none", "shared", "per_row"]))
+    if id_kind == "none":
+        ids, id_rows = None, [np.arange(total)] * n_rows
+    elif id_kind == "shared":
+        ids = rng.permutation(total) * 3 + 100
+        id_rows = [ids] * n_rows
+    else:  # per-row uint64 object ids, as the cluster merge passes them
+        ids = np.stack([
+            rng.choice(2**62, size=total, replace=False).astype(np.uint64) * 3
+            for _ in range(n_rows)
+        ])
+        id_rows = list(ids)
+    return dists, k, ids, id_rows
+
+
 class TestSelectKSmallest:
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.float64])
     @pytest.mark.parametrize("id_shape", ["none", "shared", "per_row"])
@@ -317,3 +355,23 @@ class TestSelectKSmallest:
     def test_k_at_least_total_returns_every_column(self):
         dists = np.arange(6, dtype=np.uint32).reshape(2, 3)
         assert select_k_smallest(dists, 3).tolist() == [[0, 1, 2], [0, 1, 2]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(select_problems())
+    def test_matches_the_contract(self, problem):
+        dists, k, ids, id_rows = problem
+        got = select_k_smallest(dists, k, ids=ids)
+        assert got.shape == (dists.shape[0], min(k, dists.shape[1]))
+        for r in range(dists.shape[0]):
+            chosen = got[r].tolist()
+            assert len(set(chosen)) == len(chosen)
+            assert set(chosen) == _reference_select(dists[r], k, id_rows[r])
+
+    def test_k_zero_selects_nothing(self):
+        dists = np.arange(12, dtype=np.uint32).reshape(3, 4)
+        got = select_k_smallest(dists, 0)
+        assert got.shape == (3, 0) and got.dtype == np.int64
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            select_k_smallest(np.arange(4, dtype=np.uint32), -1)

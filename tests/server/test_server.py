@@ -10,6 +10,7 @@ from repro.core import (
     SimilaritySearchEngine,
     SketchParams,
 )
+from repro.observability import metrics as _metrics
 from repro.server import ClientError, CommandProcessor, FerretClient, serve_background
 
 
@@ -67,6 +68,25 @@ class TestClientServer:
         with FerretClient(host, port) as client:
             with pytest.raises(ClientError):
                 client.query(12345)
+
+    @pytest.mark.parametrize("top", ["abc", "0", "-1"])
+    def test_bad_top_is_a_bad_request(self, served, top):
+        host, port, _ = served
+        unhandled = _metrics.counter("server.unhandled_errors")
+        before = unhandled.value
+        with FerretClient(host, port) as client:
+            sig = client.send("getsig 0")[0]
+            for line in (
+                f"query 0 top={top}",
+                f"querymany 0,1 top={top}",
+                f"querysig {sig} top={top}",
+                f"querysigmany {sig},{sig} top={top}",
+                f"queryfile no-such-file.dat top={top}",
+            ):
+                with pytest.raises(ClientError, match="bad top"):
+                    client.send(line)
+            assert client.ping()
+        assert unhandled.value == before
 
     def test_stat(self, served):
         host, port, _ = served
