@@ -79,7 +79,10 @@ def _assert_trace_correct(coordinator, size: int) -> dict:
     tree = coordinator.trace_store.get(ctx.trace_id)
     assert tree is not None, "traced query stored no stitched trace"
     nodes = tree.get("nodes", {})
-    shards_covered = {int(key.split(".")[0]) for key in nodes}
+    # Node keys are ``<s1>+<s2>.<backend>``: the shards one call answered.
+    shards_covered = {
+        int(shard) for key in nodes for shard in key.split(".")[0].split("+")
+    }
     assert shards_covered == set(range(SHARDS)), (
         f"stitched trace covers shards {sorted(shards_covered)}, "
         f"expected all of {list(range(SHARDS))}"

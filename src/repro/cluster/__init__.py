@@ -13,9 +13,9 @@ Robustness is the core of the design, not an add-on:
 - per-backend **circuit breakers** (:mod:`repro.cluster.breaker`) fed by
   error/timeout telemetry: closed → open → half-open with probe
   requests;
-- **replica failover**: each shard lives on R backends; a primary
-  timeout, connection loss, or ``ServerDegraded`` answer retries the
-  next replica (optionally *hedged* after a latency threshold);
+- **replica failover**: each shard lives on R backends; a timeout,
+  connection loss, or ``ServerDegraded`` answer re-plans the failed
+  backend's shards over the replicas still live;
 - **partial results**: a query that loses every replica of a shard
   returns the live shards' merged answer tagged ``PARTIAL`` instead of
   erroring (:class:`~repro.server.client.PartialResultWarning`

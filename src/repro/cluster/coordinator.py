@@ -2,11 +2,14 @@
 
 One coordinator owns a cluster of backend ``FerretServer`` processes.
 The corpus is object-id-sharded (:class:`~repro.cluster.topology.
-ShardMap`); every query is scattered to one live replica per shard and
-the per-shard top-k lists are merged through the engine's own
-deterministic ``select_k_smallest`` tie-breaking rule, so cluster
-answers are bit-identical to a serial merge of the backends' answers no
-matter which replica served each shard.
+ShardMap`).  A query goes to a *plan*: a greedy minimal cover of the
+shards by live backends, one call per backend (:meth:`FerretCoordinator.
+_plan`).  A backend that answers every shard it hosts gets the query
+unrestricted; one that answers only some of them gets a ``mod=/
+residue=`` restriction.  The per-call top-k lists are merged through the
+engine's own deterministic ``select_k_smallest`` tie-breaking rule, and
+when one backend hosts every shard (R = B) its answer is the single
+engine's.
 
 Failure handling (docs/ROBUSTNESS.md §5):
 
@@ -14,9 +17,8 @@ Failure handling (docs/ROBUSTNESS.md §5):
   :class:`~repro.cluster.breaker.CircuitBreaker`; connection loss,
   timeouts, and ``ServerDegraded`` answers count as failures and
   eventually stop traffic to the backend entirely;
-- a failed shard call retries the next replica (*failover*), optionally
-  launching the retry early while the first attempt is still pending
-  (*hedged read*, ``hedge_delay``);
+- a failed call re-plans its shards over the backends that have not
+  failed this request (*failover*);
 - a shard whose every replica is down makes the query **partial**, not
   failed: the merged answer of the live shards is returned with the
   missing shard ids attached;
@@ -36,25 +38,24 @@ telemetry") adds three cross-node facilities:
   :class:`~repro.observability.context.TraceContext` on every scatter
   line; each backend piggybacks its engine-level span tree on the reply,
   and the coordinator stitches the subtrees under
-  ``node.<shard>.<backend>`` with the derived network/queue vs engine
+  ``node.<s1>+<s2>.<backend>`` with the derived network/queue vs engine
   time split, naming the laggard node and any missing shards;
 - **federated metrics** — :meth:`FerretCoordinator.collect_node_metrics`
   pulls every backend's snapshot (``metrics -s``), folds the *delta*
   since the last pull under ``node.<i>.*``, and derives rollups
   (``cluster.nodes_up``, per-shard QPS, per-node p99);
-- **event journal** — breaker transitions, failovers, hedged-read wins,
-  re-admissions, and under-replicated writes are recorded in the
+- **event journal** — breaker transitions, failovers, re-admissions,
+  and under-replicated writes are recorded in the
   process :class:`~repro.observability.events.EventLog` so a failure
   drill leaves a provable postmortem timeline.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,7 +99,6 @@ _M_GATHER_SECONDS = _metrics.histogram("cluster.gather_seconds")
 _M_PARTIAL = _metrics.counter("cluster.partial_results")
 _M_MISSING_SHARDS = _metrics.counter("cluster.missing_shards")
 _M_FAILOVERS = _metrics.counter("cluster.failovers")
-_M_HEDGED = _metrics.counter("cluster.hedged_reads")
 _M_PROBES = _metrics.counter("cluster.probes")
 _M_READMITTED = _metrics.counter("cluster.backends_readmitted")
 _M_WRITES = _metrics.counter("cluster.writes")
@@ -153,9 +153,6 @@ class ClusterConfig:
     #: Background prober cadence and per-probe budget.
     probe_interval: float = 0.25
     probe_timeout: float = 1.0
-    #: Hedged reads: start the next replica after this many seconds with
-    #: the first attempt still pending (None disables hedging).
-    hedge_delay: Optional[float] = None
     #: Coordinator-side query-result LRU capacity (0 disables).  Entries
     #: are invalidated by the coordinator's write epoch (every
     #: acknowledged insert) *and* its topology epoch (every breaker
@@ -206,16 +203,8 @@ class BackendHandle:
         self._idle: List[FerretClient] = []
         self.requests = _metrics.counter(f"cluster.backend.{backend_id}.requests")
         self.errors = _metrics.counter(f"cluster.backend.{backend_id}.errors")
-        #: Round-trip latency of requests *this backend answered* — the
-        #: replica that actually served, not the one first asked (see
-        #: the hedged-read accounting note in docs/OBSERVABILITY.md).
+        #: Round-trip latency of requests *this backend answered*.
         self.latency = _metrics.histogram(f"cluster.backend.{backend_id}.seconds")
-        self.hedge_wins = _metrics.counter(
-            f"cluster.backend.{backend_id}.hedge_wins"
-        )
-        self.hedge_losses = _metrics.counter(
-            f"cluster.backend.{backend_id}.hedge_losses"
-        )
 
     @property
     def address(self) -> str:
@@ -234,8 +223,8 @@ class BackendHandle:
     def send(self, line: str, timeout: Optional[float] = None) -> List[str]:
         """One round trip on a pooled connection; never retries itself
         (failover policy lives in the coordinator).  Latency is observed
-        against *this* backend — the replica whose answer came back —
-        so hedged and failed-over reads attribute correctly."""
+        against *this* backend, so failed-over reads attribute to the
+        replica that answered."""
         self.requests.inc()
         client = self._checkout()
         started = time.perf_counter()
@@ -289,6 +278,10 @@ class FerretCoordinator:
             len(endpoints),
             self.config.replication,
         )
+        #: Shards each backend hosts, for planning.
+        self._hosted = [
+            frozenset(self.shard_map.shards_on(b)) for b in range(len(endpoints))
+        ]
         self.health = HealthState()
         self.tracer = TraceRecorder()
         self.handles: List[BackendHandle] = []
@@ -406,87 +399,35 @@ class FerretCoordinator:
         self.health.mark_healthy(f"backend.{backend_id}")
         return lines
 
-    def _shard_call(self, shard: int, line: str) -> Tuple[int, List[str]]:
-        """Send ``line`` to ``shard``, failing over across its replicas.
+    def _plan(
+        self, shards: Sequence[int], failed: Collection[int] = ()
+    ) -> Tuple[Dict[int, Tuple[int, ...]], Tuple[int, ...]]:
+        """Which backend answers which of ``shards``: a greedy set cover.
 
-        Returns ``(backend_id, response_lines)``.  With ``hedge_delay``
-        configured, the next replica is started while the current
-        attempt is still pending once the delay elapses; the first
-        successful answer wins.  Raises :class:`ShardUnavailable` when
-        every replica failed, or the first non-failover
-        :class:`ClientError` (a real answer) immediately.
-
-        Accounting is by the replica that *answered*: the winner of a
-        hedged race gets the ``hedge_wins`` credit (and its latency,
-        observed inside :meth:`BackendHandle.send`), every other replica
-        the race started gets a ``hedge_losses`` mark — the winner is
-        never folded into the first-asked replica's numbers.
+        Repeatedly takes the live backend (breaker not open, not in
+        ``failed``) that hosts the most still-unassigned shards, the
+        lowest id on ties, and gives it all of them.  The plan is a pure
+        function of which backends are live, so a topology answers
+        deterministically.  Returns ``(backend -> its shards, shards no
+        live backend hosts)``.
         """
-        replicas = self.shard_map.replicas(shard)
-        hedge = self.config.hedge_delay
-        answers: "queue.Queue[Tuple[int, Optional[List[str]], Optional[Exception]]]" = (
-            queue.Queue()
-        )
-
-        def attempt(backend_id: int) -> None:
-            try:
-                answers.put((backend_id, self._call_backend(backend_id, line), None))
-            except Exception as exc:  # classified by the gather loop
-                answers.put((backend_id, None, exc))
-
-        started = 0
-        outstanding = 0
-        hedged = False
-        launched: List[int] = []
-        failures: List[Tuple[int, Exception]] = []
-        while started < len(replicas) or outstanding:
-            if started < len(replicas) and outstanding == 0:
-                threading.Thread(
-                    target=attempt, args=(replicas[started],), daemon=True
-                ).start()
-                launched.append(replicas[started])
-                started += 1
-                outstanding += 1
-            wait = hedge if (hedge is not None and started < len(replicas)) else None
-            try:
-                backend_id, lines, exc = answers.get(timeout=wait)
-            except queue.Empty:
-                # Hedge timer fired with the attempt still pending: race
-                # the next replica against it.
-                _M_HEDGED.inc()
-                hedged = True
-                threading.Thread(
-                    target=attempt, args=(replicas[started],), daemon=True
-                ).start()
-                launched.append(replicas[started])
-                started += 1
-                outstanding += 1
-                continue
-            outstanding -= 1
-            if exc is None:
-                if hedged:
-                    self.handles[backend_id].hedge_wins.inc()
-                    for other in launched:
-                        if other != backend_id:
-                            self.handles[other].hedge_losses.inc()
-                    get_event_log().record(
-                        "hedged_win", shard=shard, winner=backend_id,
-                        raced=len(launched),
-                    )
-                elif backend_id != replicas[0]:
-                    _M_FAILOVERS.inc()
-                    get_event_log().record(
-                        "failover",
-                        shard=shard,
-                        backend=backend_id,
-                        primary=replicas[0],
-                        failed=",".join(str(b) for b, _ in failures),
-                    )
-                return backend_id, lines
-            if not isinstance(exc, FAILOVER_ERRORS):
-                raise exc  # a well-formed ERR answer: propagate, don't mask
-            failures.append((backend_id, exc))
-        raise ShardUnavailable(shard, failures)
+        todo = set(shards)
+        live = [
+            handle.backend_id
+            for handle in self.handles
+            if handle.backend_id not in failed
+            and handle.breaker.state is not BreakerState.OPEN
+        ]
+        plan: Dict[int, Tuple[int, ...]] = {}
+        while todo and live:
+            best = max(live, key=lambda b: (len(self._hosted[b] & todo), -b))
+            gain = self._hosted[best] & todo
+            if not gain:
+                break
+            plan[best] = tuple(sorted(gain))
+            todo -= gain
+            live.remove(best)
+        return plan, tuple(sorted(todo))
 
     # ------------------------------------------------------------------
     # Queries
@@ -503,9 +444,10 @@ class FerretCoordinator:
     def merge_ranked(
         shard_results: Sequence[Sequence[Tuple[int, float]]], top_k: int
     ) -> List[SearchResult]:
-        """Merge per-shard top-k lists under the engine's tie-break rule.
+        """Merge per-call top-k lists under the engine's tie-break rule.
 
-        Shards are disjoint id spaces, so the merge is a pure selection:
+        The calls of a plan answer disjoint sets of shards, hence
+        disjoint id spaces, so the merge is a pure selection:
         ``select_k_smallest`` admits boundary ties in ascending-id order
         — the same rule every in-process filter path uses — which makes
         the merged set independent of shard count and arrival order.
@@ -520,60 +462,104 @@ class FerretCoordinator:
         return [SearchResult(distance=d, object_id=oid) for d, oid in chosen]
 
     def _fetch_signature(self, object_id: int) -> str:
-        """The base64 signature of ``object_id`` from its owning shard."""
+        """The lossless base64 signature of ``object_id`` from a live
+        replica of its owning shard."""
         shard = self.shard_map.shard_of(object_id)
-        try:
-            _, lines = self._shard_call(shard, f"getsig {object_id}")
-        except ShardUnavailable as exc:
+        found, missing, _, _ = self._scatter(
+            lambda shards, full: f"getsig {object_id}",
+            lambda lines: lines[0],
+            None,
+            shards=(shard,),
+        )
+        if missing:
             raise ClusterError(
-                f"cannot fetch seed {object_id}: {exc}"
-            ) from exc
-        return lines[0]
+                f"cannot fetch seed {object_id}: shard {shard} unavailable"
+            )
+        return found[(shard,)]
+
+    def _restricted(self, line: str):
+        """The ``line_for`` of :meth:`_scatter` for a query line: as is
+        for a backend answering every shard it hosts, else limited to the
+        shards it answers (a backend hosts R shards; unrestricted, two
+        backends would answer overlapping sets)."""
+        modulus = self.shard_map.num_shards
+
+        def line_for(shards: Tuple[int, ...], full: bool) -> str:
+            if full:
+                return line
+            return f"{line} mod={modulus} residue={','.join(map(str, shards))}"
+
+        return line_for
 
     def _scatter(
         self,
-        line_for_shard,
+        line_for,
         parse,
         trace,
         trace_ctx: Optional[TraceContext] = None,
+        shards: Optional[Sequence[int]] = None,
     ) -> Tuple[
-        Dict[int, object],
+        Dict[Tuple[int, ...], object],
         Tuple[int, ...],
         Dict[int, int],
         Dict[str, Dict[str, object]],
     ]:
-        """Run one request per shard concurrently; collect live answers.
+        """Answer ``shards`` (default: all) with one call per planned backend.
 
-        ``line_for_shard(shard)`` builds the wire line; ``parse(lines)``
-        decodes one backend's response.  Returns ``(per_shard_payload,
-        missing_shards, served_by, node_subtrees)``.
+        ``line_for(shards, full)`` builds the wire line for a backend
+        answering the tuple ``shards``; ``full`` means they are every
+        shard it hosts, so the line needs no restriction.
+        ``parse(lines)`` decodes one response.  A call failing with one
+        of :data:`FAILOVER_ERRORS` re-plans its shards over the live
+        backends that have not failed this request (``cluster.failovers``
+        and one ``failover`` event per shard moved); a shard left with
+        no replica is *missing*.  A well-formed ``ERR`` answer is raised
+        once every call has finished.  A one-call plan runs in the
+        calling thread; every further call gets a thread of its own.
 
-        With ``trace_ctx`` set, every scatter line carries the child
-        context (``trace=``) and the piggybacked ``TRACE`` reply line is
-        stripped before ``parse`` sees the data; the decoded subtree is
-        keyed ``<shard>.<backend>`` and annotated with the shard call's
-        round-trip time (``rpc_seconds``), from which the stitcher
-        derives the network/queue share.
+        Returns ``(payload per shard tuple, missing_shards, served_by,
+        node_subtrees)``.  With ``trace_ctx`` set, every line carries the
+        child context (``trace=``), the piggybacked ``TRACE`` reply line
+        is stripped before ``parse`` sees the data, and the decoded
+        subtree is keyed ``<s1>+<s2>.<backend>`` and annotated with the
+        call's round-trip time (``rpc_seconds``), from which the
+        stitcher derives the network/queue share.
         """
-        results: Dict[int, object] = {}
+        results: Dict[Tuple[int, ...], object] = {}
         served_by: Dict[int, int] = {}
         subtrees: Dict[str, Dict[str, object]] = {}
         missing: List[int] = []
+        failed: set = set()
+        errors: List[ClientError] = []
         lock = threading.Lock()
         child = trace_ctx.child() if trace_ctx is not None else None
 
-        def run(shard: int) -> None:
-            shard_started = time.perf_counter()
-            line = line_for_shard(shard)
+        def call(backend_id: int, assigned: Tuple[int, ...]) -> None:
+            started = time.perf_counter()
+            line = line_for(assigned, self._hosted[backend_id] == set(assigned))
             if child is not None:
                 line = f"{line} trace={child.to_wire()}"
             try:
-                backend_id, lines = self._shard_call(shard, line)
-            except ShardUnavailable:
+                lines = self._call_backend(backend_id, line)
+            except FAILOVER_ERRORS:
                 with lock:
-                    missing.append(shard)
+                    failed.add(backend_id)
+                    plan, lost = self._plan(assigned, failed)
+                    missing.extend(lost)
+                    tried = ",".join(map(str, sorted(failed)))
+                for new_id, moved in plan.items():
+                    for shard in moved:
+                        _M_FAILOVERS.inc()
+                        get_event_log().record(
+                            "failover", shard=shard, backend=new_id,
+                            primary=backend_id, failed=tried,
+                        )
+                run(plan)
                 return
-            rpc_seconds = time.perf_counter() - shard_started
+            except ClientError as exc:
+                errors.append(exc)  # a real answer: propagate, don't mask
+                return
+            rpc_seconds = time.perf_counter() - started
             subtree: Optional[Dict[str, object]] = None
             if child is not None:
                 try:
@@ -581,23 +567,36 @@ class FerretCoordinator:
                 except ValueError:
                     subtree = None  # junk payload: keep the data lines
             payload = parse(lines)
+            key = "+".join(map(str, assigned))
             with lock:
-                results[shard] = payload
-                served_by[shard] = backend_id
+                results[assigned] = payload
+                served_by.update(dict.fromkeys(assigned, backend_id))
                 if subtree is not None:
                     subtree["rpc_seconds"] = rpc_seconds
-                    subtrees[f"{shard}.{backend_id}"] = subtree
+                    subtrees[f"{key}.{backend_id}"] = subtree
             if trace is not None:
-                trace.add_span(f"scatter.shard.{shard}", seconds=rpc_seconds)
+                trace.add_span(f"scatter.shard.{key}", seconds=rpc_seconds)
 
-        threads = [
-            threading.Thread(target=run, args=(shard,), daemon=True)
-            for shard in range(self.shard_map.num_shards)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        def run(plan: Dict[int, Tuple[int, ...]]) -> None:
+            calls = list(plan.items())
+            threads = [
+                threading.Thread(target=call, args=args, daemon=True)
+                for args in calls[1:]
+            ]
+            for thread in threads:
+                thread.start()
+            if calls:
+                call(*calls[0])
+            for thread in threads:
+                thread.join()
+
+        plan, lost = self._plan(
+            range(self.shard_map.num_shards) if shards is None else shards
+        )
+        missing.extend(lost)
+        run(plan)
+        if errors:
+            raise errors[0]
         return results, tuple(sorted(missing)), served_by, subtrees
 
     def _effective_context(
@@ -620,8 +619,8 @@ class FerretCoordinator:
     ) -> Dict[str, object]:
         """Fold per-node subtrees into the coordinator trace.
 
-        Each contacted node contributes one ``node.<shard>.<backend>``
-        span splitting its round trip into engine time (the subtree's
+        Each call contributes one ``node.<s1>+<s2>.<backend>`` span
+        (the shards it answered, then the backend) splitting its round trip into engine time (the subtree's
         own total) and the derived network/queue remainder; the node
         with the largest round trip is named the *laggard* (the one a
         slow-query postmortem should look at first), and a PARTIAL
@@ -673,7 +672,7 @@ class FerretCoordinator:
         """Cluster-wide similarity search seeded by an indexed object.
 
         The seed signature is fetched from its owning shard, the query
-        is scattered to one live replica per shard, and the per-shard
+        goes to each backend of the plan (:meth:`_plan`), and their
         top-k lists are merged deterministically.  Shards that are
         entirely unreachable are reported in ``missing_shards`` rather
         than failing the query; losing the *seed's* shard (no replica
@@ -708,21 +707,15 @@ class FerretCoordinator:
             f"exclude={object_id}"
         )
         scatter_started = time.perf_counter()
-        # mod/residue restricts each backend's answer to the target
-        # shard's objects: a backend hosts R shards, and without the
-        # restriction every replica would answer with overlapping sets.
-        per_shard, missing, served_by, subtrees = self._scatter(
-            lambda shard: f"{line} mod={self.shard_map.num_shards} residue={shard}",
-            self._parse_results,
-            trace,
-            trace_ctx=ctx,
+        per_call, missing, served_by, subtrees = self._scatter(
+            self._restricted(line), self._parse_results, trace, trace_ctx=ctx
         )
         scatter_seconds = time.perf_counter() - scatter_started
         _M_SCATTER_SECONDS.observe(scatter_seconds)
-        for shard in per_shard:
+        for shard in served_by:
             _metrics.counter(f"cluster.shard.{shard}.queries").inc()
         gather_started = time.perf_counter()
-        merged = self.merge_ranked(list(per_shard.values()), top_k)
+        merged = self.merge_ranked(list(per_call.values()), top_k)
         gather_seconds = time.perf_counter() - gather_started
         _M_GATHER_SECONDS.observe(gather_seconds)
         self._account_missing(missing)
@@ -738,7 +731,7 @@ class FerretCoordinator:
         if trace is not None:
             trace.add_span("scatter", seconds=scatter_seconds)
             trace.add_span("gather", seconds=gather_seconds)
-            trace.add_count("shards_answered", len(per_shard))
+            trace.add_count("shards_answered", len(served_by))
             trace.add_count("shards_missing", len(missing))
             self.tracer.finish(trace, elapsed)
             if ctx is not None:
@@ -757,9 +750,9 @@ class FerretCoordinator:
         """Batch cluster search through the backends' fused pipeline.
 
         All seed signatures are fetched first (each from its owning
-        shard), then every shard receives *one* ``querysigmany`` call
-        carrying the whole batch, so the per-command overhead is paid
-        per shard, not per query.  A sampled ``trace_context`` traces
+        shard), then every backend of the plan receives *one*
+        ``querysigmany`` call carrying the whole batch, so the
+        per-command overhead is paid per backend, not per query.  A sampled ``trace_context`` traces
         the whole batch under one stitched tree (and bypasses the
         result cache, as in :meth:`query`).
         """
@@ -804,21 +797,18 @@ class FerretCoordinator:
             return batches
 
         scatter_started = time.perf_counter()
-        per_shard, missing, served_by, subtrees = self._scatter(
-            lambda shard: f"{line} mod={self.shard_map.num_shards} residue={shard}",
-            parse,
-            trace,
-            trace_ctx=ctx,
+        per_call, missing, served_by, subtrees = self._scatter(
+            self._restricted(line), parse, trace, trace_ctx=ctx
         )
         scatter_seconds = time.perf_counter() - scatter_started
         _M_SCATTER_SECONDS.observe(scatter_seconds)
-        for shard in per_shard:
+        for shard in served_by:
             _metrics.counter(f"cluster.shard.{shard}.queries").inc(len(miss_ids))
         gather_started = time.perf_counter()
         cacheable = not traced and not missing and self._cache_epoch() == epoch
         for pos, i in enumerate(miss):
             merged = self.merge_ranked(
-                [batches[pos] for batches in per_shard.values()], top_k
+                [batches[pos] for batches in per_call.values()], top_k
             )
             out[i] = ClusterResult(merged, missing, dict(served_by))
             if cacheable:
@@ -833,7 +823,7 @@ class FerretCoordinator:
         if trace is not None:
             trace.add_span("scatter", seconds=scatter_seconds)
             trace.add_span("gather", seconds=gather_seconds)
-            trace.add_count("shards_answered", len(per_shard))
+            trace.add_count("shards_answered", len(served_by))
             trace.add_count("shards_missing", len(missing))
             self.tracer.finish(trace, elapsed)
             if ctx is not None:
@@ -912,12 +902,13 @@ class FerretCoordinator:
     def count(self) -> Tuple[int, Tuple[int, ...]]:
         """Total objects across shards (replicas counted once) plus the
         shards that could not be counted."""
-        per_shard, missing, _, _ = self._scatter(
-            lambda shard: f"countmod {self.shard_map.num_shards} {shard}",
+        modulus = self.shard_map.num_shards
+        per_call, missing, _, _ = self._scatter(
+            lambda shards, full: f"countmod {modulus} {','.join(map(str, shards))}",
             lambda lines: int(lines[0]),
             None,
         )
-        return sum(per_shard.values()), missing
+        return sum(per_call.values()), missing
 
     # ------------------------------------------------------------------
     # Federated metrics
@@ -991,7 +982,6 @@ class FerretCoordinator:
             f"backends {len(self.handles)}",
             f"partial_results {_M_PARTIAL.value}",
             f"failovers {_M_FAILOVERS.value}",
-            f"hedged_reads {_M_HEDGED.value}",
             f"cache_entries {cache['entries']}/{cache['capacity']}",
             f"cache_hits {cache['hits']}",
             f"cache_misses {cache['misses']}",

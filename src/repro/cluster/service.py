@@ -260,8 +260,8 @@ class ClusterCommandProcessor:
 
     def _cmd_events(self, command: Command) -> List[str]:
         """``events [n]``: the coordinator's event journal — breaker
-        transitions, failovers, hedged wins, re-admissions — oldest
-        first (the postmortem timeline; see docs/OBSERVABILITY.md)."""
+        transitions, failovers, re-admissions — oldest first (the
+        postmortem timeline; see docs/OBSERVABILITY.md)."""
         limit: Optional[int] = None
         if command.args:
             try:

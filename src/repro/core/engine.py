@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -861,7 +860,6 @@ class SimilaritySearchEngine:
         exclude_self: bool = False,
         restrict_to: Optional[Sequence[int]] = None,
         cascade: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> List[List[SearchResult]]:
         """Answer a batch of queries; returns one result list per query.
 
@@ -871,11 +869,10 @@ class SimilaritySearchEngine:
         :func:`~repro.core.bitvector.hamming_many_to_many` exactly once,
         so the per-query scan cost is amortized across the batch (the
         database passes through the cache once instead of once per
-        query).  Candidate ranking then fans out over a
-        ``ThreadPoolExecutor`` — the ``SegmentStore`` snapshot/lock
-        design permits concurrent scans during inserts, so batches can
-        run while acquisition threads keep adding objects.  Other search
-        methods fan the full per-query path out over the pool.
+        query).  Candidates are then ranked one query after another
+        (ranking holds the GIL, so threads would not overlap it).  Other
+        search methods run the full per-query path for each query in
+        turn.
         """
         queries = list(queries)
         if not queries:
@@ -884,19 +881,14 @@ class SimilaritySearchEngine:
             raise ValueError("top_k must be positive")
         if not self._objects:
             return [[] for _ in queries]
-        workers = max_workers if max_workers is not None else min(8, len(queries))
         if method is not SearchMethod.FILTERING:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        lambda q: self.query(
-                            q, top_k=top_k, method=method,
-                            exclude_self=exclude_self, restrict_to=restrict_to,
-                            cascade=cascade,
-                        ),
-                        queries,
-                    )
+            return [
+                self.query(
+                    q, top_k=top_k, method=method, exclude_self=exclude_self,
+                    restrict_to=restrict_to, cascade=cascade,
                 )
+                for q in queries
+            ]
         universe = self._universe(restrict_to)
         started = time.perf_counter()
         trace = self.tracer.begin(method.value, len(queries))
@@ -919,36 +911,24 @@ class SimilaritySearchEngine:
         if trace is not None:
             trace.add_stage("filter", filter_seconds)
 
-        # Per-slot writes from the ranking threads; the trace and the
-        # rank metrics are only updated after the pool joins (the trace
-        # is not thread-safe, and one merged RankStats keeps the metric
-        # update atomic per batch).
-        slot_stats: List[Optional[RankStats]] = [None] * len(queries)
-
-        def _finish(index: int) -> List[SearchResult]:
-            query = queries[index]
-            candidates = {i for i in candidate_sets[index] if i in universe}
+        # One merged RankStats keeps the metric update atomic per batch.
+        rank_started = time.perf_counter()
+        batch_stats = RankStats()
+        all_results = []
+        for query, sketches, found in zip(queries, sketches_list, candidate_sets):
+            candidates = {i for i in found if i in universe}
             _M_CANDIDATES.observe(len(candidates))
             if cascade is not None and cascade > 0 and len(candidates) > cascade:
                 candidates = self._cascade_prune(
-                    query, sketches_list[index], candidates, cascade,
-                    exclude_self,
+                    query, sketches, candidates, cascade, exclude_self
                 )
             results, stats = rank_candidates_many(
                 query, candidates, self._objects, self.plugin.obj_distance,
                 top_k=top_k, exclude_self=exclude_self,
                 params=self.rank_params,
             )
-            slot_stats[index] = stats
-            return results
-
-        rank_started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_results = list(pool.map(_finish, range(len(queries))))
-        batch_stats = RankStats()
-        for stats in slot_stats:
-            if stats is not None:
-                batch_stats.merge(stats)
+            batch_stats.merge(stats)
+            all_results.append(results)
         self._note_rank(trace, time.perf_counter() - rank_started, batch_stats)
         elapsed = time.perf_counter() - started
         _M_BATCH_QUERIES.inc(len(queries))

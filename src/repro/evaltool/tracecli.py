@@ -12,7 +12,7 @@ cluster coordinator front end — and can:
 - ``trace [<id>]``: render the last (or a stored) trace as a tree;
 - ``slow [n]``: dump the slow-query log as trees;
 - ``events [n]``: print the event journal (breaker transitions,
-  failovers, hedged wins, re-admissions) — the failure timeline.
+  failovers, re-admissions) — the failure timeline.
 
 Usage::
 

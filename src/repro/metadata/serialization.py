@@ -3,7 +3,10 @@
 Feature vectors are stored as float32 (the paper sizes feature vectors at
 32 bits per dimension), weights as float64, sketches as their packed
 uint64 words.  All encodings are little-endian, length-prefixed, and
-versioned with a leading format byte so the layout can evolve.
+versioned with a leading format byte so the layout can evolve.  Object
+encoding version 2 keeps the features as float64: it is the lossless
+wire form a cluster backend ships a query seed in, so the coordinator
+ranks with the same seed a single engine would.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ __all__ = [
 ]
 
 _OBJECT_V1 = 1
+_OBJECT_V2 = 2
+_FEATURE_DTYPE = {_OBJECT_V1: "<f4", _OBJECT_V2: "<f8"}
 _SKETCH_V1 = 1
 _ATTRS_V1 = 1
 
@@ -40,22 +45,27 @@ def parse_object_key(key: bytes) -> int:
     return struct.unpack(">Q", key)[0]
 
 
-def encode_object(signature: ObjectSignature) -> bytes:
+def encode_object(signature: ObjectSignature, lossless: bool = False) -> bytes:
+    """Version 1 (float32 features) by default; ``lossless`` writes
+    version 2, whose float64 features decode bit-identical."""
+    version = _OBJECT_V2 if lossless else _OBJECT_V1
     k, dim = signature.features.shape
-    header = struct.pack("<BII", _OBJECT_V1, k, dim)
-    feats = signature.features.astype("<f4").tobytes()
+    header = struct.pack("<BII", version, k, dim)
+    feats = signature.features.astype(_FEATURE_DTYPE[version]).tobytes()
     weights = signature.weights.astype("<f8").tobytes()
     return header + weights + feats
 
 
 def decode_object(raw: bytes, object_id: int = None) -> ObjectSignature:
     version, k, dim = struct.unpack_from("<BII", raw)
-    if version != _OBJECT_V1:
+    if version not in _FEATURE_DTYPE:
         raise ValueError(f"unsupported object encoding version {version}")
     offset = 9
     weights = np.frombuffer(raw, dtype="<f8", count=k, offset=offset)
     offset += 8 * k
-    feats = np.frombuffer(raw, dtype="<f4", count=k * dim, offset=offset)
+    feats = np.frombuffer(
+        raw, dtype=_FEATURE_DTYPE[version], count=k * dim, offset=offset
+    )
     return ObjectSignature(
         feats.astype(np.float64).reshape(k, dim),
         weights.copy(),

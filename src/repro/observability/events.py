@@ -6,7 +6,7 @@ order*.  Every state change worth reconstructing after an incident is
 recorded as one :class:`Event`:
 
 - circuit-breaker transitions (``breaker_transition``),
-- replica failovers and hedged-read wins (``failover``, ``hedged_win``),
+- replica failovers (``failover``),
 - backend re-admissions (``backend_readmitted``),
 - topology changes (epoch bumps attached to breaker events),
 - under-replicated writes (``under_replicated_write``),

@@ -7,39 +7,44 @@ number of results to return, filter parameters, and attributes"):
 - ``count`` — number of indexed objects.
 - ``stat`` — engine storage statistics.
 - ``query <object_id> [top=10] [method=filtering] [attr=<expr>]
-  [weights=w1,w2,...]`` — similarity search seeded by an indexed object;
-  ``attr=`` restricts the search to attribute-query matches first, and
-  ``weights=`` overrides the seed's segment weights (the paper's
-  "adjusted weights for feature vectors" query parameter — e.g. to
-  emphasize one image region).
-- ``querymany <id1,id2,...> [top=10] [method=filtering] [attr=<expr>]``
-  — batch similarity search seeded by several indexed objects at once;
-  runs through the engine's fused multi-query pipeline (one sketch scan
-  for the whole batch, concurrent ranking) and answers one
-  ``<query_id> <object_id> <distance>`` line per result.
+  [mod=<S> residue=<a,b,...>] [weights=w1,w2,...]`` — similarity search
+  seeded by an indexed object; ``attr=`` restricts the search to
+  attribute-query matches first, ``mod=/residue=`` to the objects whose
+  id is one of the residues modulo ``S``, and ``weights=`` overrides
+  the seed's segment weights (the paper's "adjusted weights for feature
+  vectors" query parameter — e.g. to emphasize one image region).
+- ``querymany <id1,id2,...> [top=10] [method=filtering] [attr=<expr>]
+  [mod=<S> residue=<a,b,...>]`` — batch similarity search seeded by
+  several indexed objects at once; runs through the engine's fused
+  multi-query pipeline (one sketch scan for the whole batch, then the
+  ranking) and answers one ``<query_id> <object_id> <distance>`` line
+  per result.
 - ``attrquery <expr>`` — attribute-only search; returns object ids.
 - ``insertfile <path> [id=<object_id>] [attr.key=value ...]`` — ingest a
   file through the plug-in's segmentation/extraction module; ``id=``
   pins the object id (used by the cluster coordinator, which owns the
   global id space so ids land on their owning shard).
 - ``getsig <object_id>`` — the object's signature, base64-encoded in the
-  metadata wire format (``repro.metadata.serialization.encode_object``).
+  lossless (float64) version of the metadata wire format
+  (``repro.metadata.serialization.encode_object``).
   This is how a cluster coordinator fetches a query seed from the shard
   that owns it before scattering the query to the other shards.
 - ``querysig <b64> [top=10] [method=filtering] [attr=<expr>]
-  [exclude=<id>]`` — similarity search seeded by a base64-encoded
-  signature (the scatter half of a cluster query; every backend can
-  answer it without holding the seed object).  ``exclude=`` drops one
-  object id from the results (the seed itself, on its owning shard).
+  [exclude=<id>] [mod=<S> residue=<a,b,...>]`` — similarity search
+  seeded by a base64-encoded signature (the scatter half of a cluster
+  query; every backend can answer it without holding the seed object).
+  ``exclude=`` drops one object id from the results (the seed itself,
+  on its owning shard); ``mod=/residue=`` keeps only the objects of the
+  listed shards.
 - ``querysigmany <b64,b64,...> [top=] [method=] [attr=]
   [exclude=id1,id2,...]`` — batch form of ``querysig`` through the
   engine's fused multi-query pipeline; answers one
   ``<query_index> <object_id> <distance>`` line per result.
   ``exclude=`` gives one id per query (a blank entry excludes nothing).
-- ``countmod <modulus> <residue>`` — number of indexed objects whose id
-  is ``residue (mod modulus)`` (a shard's share of this backend's
-  corpus; lets the coordinator count the cluster without double-counting
-  replicas).
+- ``countmod <modulus> <residue[,residue...]>`` — number of indexed
+  objects whose id is one of the residues (mod modulus) (some shards'
+  share of this backend's corpus; lets the coordinator count the
+  cluster without double-counting replicas).
 - ``maxid`` — the id the next auto-assigned insert would take
   (coordinators seed their global id counter from the max across
   backends).
@@ -442,13 +447,7 @@ class CommandProcessor:
             raise ProtocolError(f"unknown object {object_id}")
         top_k = parse_top_k(command)
         method = self._method(command)
-        restrict = None
-        attr_expr = command.get("attr")
-        if attr_expr:
-            try:
-                restrict = sorted(self.searcher.search(attr_expr))
-            except QueryError as exc:
-                raise ProtocolError(f"bad attribute query: {exc}") from exc
+        restrict = self._restrict_from(command)
         weights_arg = command.get("weights")
         if weights_arg:
             from ..core.types import ObjectSignature
@@ -502,13 +501,7 @@ class CommandProcessor:
                 raise ProtocolError(f"unknown object {object_id}")
         top_k = parse_top_k(command)
         method = self._method(command)
-        restrict = None
-        attr_expr = command.get("attr")
-        if attr_expr:
-            try:
-                restrict = sorted(self.searcher.search(attr_expr))
-            except QueryError as exc:
-                raise ProtocolError(f"bad attribute query: {exc}") from exc
+        restrict = self._restrict_from(command)
         batches = self.engine.query_many(
             [self.engine.get_object(object_id) for object_id in object_ids],
             top_k=top_k,
@@ -526,12 +519,12 @@ class CommandProcessor:
     def _restrict_from(self, command: Command) -> Optional[List[int]]:
         """Candidate restriction from ``attr=`` and/or ``mod=/residue=``.
 
-        ``mod=S residue=s`` restricts to objects of shard ``s`` under
-        id-mod-``S`` sharding: a backend hosting several shards must
-        answer a per-shard scatter with *only* that shard's objects, or
-        the coordinator's merge would double-count objects that other
-        replicas also answered (the shards are disjoint; the backends'
-        holdings are not).
+        ``mod=S residue=a,b,...`` restricts to the objects of shards
+        ``a, b, ...`` under id-mod-``S`` sharding: a coordinator that
+        asks a backend for only some of the shards it hosts must get
+        *only* those shards' objects back, or its merge would
+        double-count objects another backend also answered (the shards
+        are disjoint; the backends' holdings are not).
         """
         restrict: Optional[set] = None
         attr_expr = command.get("attr")
@@ -542,20 +535,28 @@ class CommandProcessor:
                 raise ProtocolError(f"bad attribute query: {exc}") from exc
         mod = command.get("mod")
         if mod is not None:
-            try:
-                modulus = int(mod)
-                residue = int(command.get("residue", "0"))
-            except ValueError:
-                raise ProtocolError(
-                    f"bad mod/residue {mod!r}/{command.get('residue')!r}"
-                ) from None
-            if modulus < 1 or not 0 <= residue < modulus:
-                raise ProtocolError(f"bad shard restriction mod={modulus} residue={residue}")
-            owned = {
-                oid for oid in self.engine.objects if oid % modulus == residue
-            }
+            owned = self._shard_members(mod, command.get("residue", "0"))
             restrict = owned if restrict is None else restrict & owned
         return sorted(restrict) if restrict is not None else None
+
+    def _shard_members(self, mod: str, residues: str) -> set:
+        """Indexed ids whose ``id % mod`` is one of the comma-separated
+        ``residues``; a malformed restriction is a ``ProtocolError``."""
+        try:
+            modulus = int(mod)
+            wanted = [int(r) for r in residues.split(",")]
+        except ValueError:
+            raise ProtocolError(f"bad mod/residue {mod!r}/{residues!r}") from None
+        if (
+            modulus < 1
+            or len(set(wanted)) != len(wanted)
+            or not all(0 <= r < modulus for r in wanted)
+        ):
+            raise ProtocolError(
+                f"bad shard restriction mod={mod} residue={residues}"
+            )
+        wanted_set = set(wanted)
+        return {oid for oid in self.engine.objects if oid % modulus in wanted_set}
 
     @staticmethod
     def _decode_signature(b64: str, exclude: Optional[int]):
@@ -577,7 +578,7 @@ class CommandProcessor:
             raise ProtocolError(f"bad object id {command.args[0]!r}") from None
         if object_id not in self.engine:
             raise ProtocolError(f"unknown object {object_id}")
-        raw = encode_object(self.engine.get_object(object_id))
+        raw = encode_object(self.engine.get_object(object_id), lossless=True)
         return [base64.b64encode(raw).decode("ascii")]
 
     def _cmd_querysig(self, command: Command) -> List[str]:
@@ -649,17 +650,8 @@ class CommandProcessor:
 
     def _cmd_countmod(self, command: Command) -> List[str]:
         if len(command.args) != 2:
-            raise ProtocolError("usage: countmod <modulus> <residue>")
-        try:
-            modulus, residue = int(command.args[0]), int(command.args[1])
-        except ValueError:
-            raise ProtocolError("usage: countmod <modulus> <residue>") from None
-        if modulus < 1 or not 0 <= residue < modulus:
-            raise ProtocolError("need modulus >= 1 and 0 <= residue < modulus")
-        count = sum(
-            1 for oid in self.engine.objects if oid % modulus == residue
-        )
-        return [str(count)]
+            raise ProtocolError("usage: countmod <modulus> <residue[,residue...]>")
+        return [str(len(self._shard_members(*command.args)))]
 
     def _cmd_maxid(self, command: Command) -> List[str]:
         return [str(self.engine.next_id)]
@@ -705,13 +697,7 @@ class CommandProcessor:
             raise ProtocolError("usage: queryfile <path> [top=] [method=] [attr=]")
         top_k = parse_top_k(command)
         method = self._method(command)
-        restrict = None
-        attr_expr = command.get("attr")
-        if attr_expr:
-            try:
-                restrict = sorted(self.searcher.search(attr_expr))
-            except QueryError as exc:
-                raise ProtocolError(f"bad attribute query: {exc}") from exc
+        restrict = self._restrict_from(command)
         try:
             results = self.engine.query_file(
                 command.args[0], top_k=top_k, method=method, restrict_to=restrict

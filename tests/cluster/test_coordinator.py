@@ -6,7 +6,9 @@ process-level kill/hang drills live in ``test_node_faults.py``.
 """
 
 import socket
+import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -79,9 +81,11 @@ def stop(server):
     server.server_close()
 
 
-@pytest.fixture()
-def cluster():
-    smap, servers, endpoints = start_cluster()
+@contextmanager
+def running_cluster(num_backends=3, num_shards=3, replication=2):
+    smap, servers, endpoints = start_cluster(
+        num_backends, num_shards, replication
+    )
     coordinator = FerretCoordinator(
         endpoints,
         num_shards=smap.num_shards,
@@ -97,13 +101,43 @@ def cluster():
             cache_entries=0,
         ),
     )
-    yield smap, servers, coordinator
-    coordinator.close()
-    for server in servers:
-        try:
-            stop(server)
-        except OSError:
-            pass
+    try:
+        yield smap, servers, coordinator
+    finally:
+        coordinator.close()
+        for server in servers:
+            try:
+                stop(server)
+            except OSError:
+                pass
+
+
+@pytest.fixture()
+def cluster():
+    with running_cluster() as running:
+        yield running
+
+
+def record_calls(coordinator):
+    """Log every ``(backend_id, line)`` the coordinator sends."""
+    calls = []
+    send = coordinator._call_backend
+
+    def recording(backend_id, line, timeout=None):
+        calls.append((backend_id, line))
+        return send(backend_id, line, timeout=timeout)
+
+    coordinator._call_backend = recording
+    return calls
+
+
+def query_calls(calls):
+    return [(b, line) for b, line in calls if line.startswith("querysig")]
+
+
+def printed(results):
+    """Ids and distances as the wire prints them."""
+    return [(r.object_id, f"{r.distance:.6f}") for r in results]
 
 
 class TestMerge:
@@ -169,6 +203,116 @@ class TestQueries:
         smap, _, coordinator = cluster
         result = coordinator.query(0, top_k=3)
         assert sorted(result.served_by) == list(range(smap.num_shards))
+
+
+class TestPlan:
+    """One call per backend of a greedy minimal cover, not one per shard."""
+
+    def test_full_replicas_answer_in_one_call(self):
+        with running_cluster(2, 2, 2) as (_, _, coordinator):
+            calls = record_calls(coordinator)
+            result = coordinator.query(3, top_k=5)
+            sent = query_calls(calls)
+            assert len(sent) == 1 and "mod=" not in sent[0][1]
+            assert result.served_by == {0: sent[0][0], 1: sent[0][0]}
+
+    def test_backend_hosting_every_shard_serves_unrestricted(self):
+        # Shard 0 lives on backends 0 and 1, shard 1 on 1 and 2.
+        with running_cluster(4, 2, 2) as (_, _, coordinator):
+            calls = record_calls(coordinator)
+            result = coordinator.query(0, top_k=5)
+            assert result.served_by == {0: 1, 1: 1}
+            [(backend, line)] = query_calls(calls)
+            assert backend == 1 and "mod=" not in line
+            calls.clear()
+            batch = coordinator.query_many([0, 1], top_k=3)
+            assert all(r.served_by == {0: 1, 1: 1} for r in batch)
+            [(backend, line)] = query_calls(calls)
+            assert backend == 1 and line.startswith("querysigmany ")
+            assert "mod=" not in line
+
+    def test_partial_cover_restricts_by_residue_list(self, full_engine):
+        # Backend 0 hosts shards 0 and 2, backend 1 shards 0 and 1.
+        with running_cluster(3, 3, 2) as (_, _, coordinator):
+            calls = record_calls(coordinator)
+            result = coordinator.query(7, top_k=5)
+            assert result.served_by == {0: 0, 1: 1, 2: 0}
+            sent = dict(query_calls(calls))
+            assert sorted(sent) == [0, 1]
+            assert "mod=" not in sent[0]
+            assert sent[1].endswith(" mod=3 residue=1")
+            want = full_engine.query(
+                full_engine.get_object(7), top_k=5, exclude_self=True
+            )
+            assert printed(result.results) == printed(want)
+            calls.clear()
+            assert coordinator.count() == (len(full_engine), ())
+            assert sorted(line for _, line in calls) == [
+                "countmod 3 0,2", "countmod 3 1",
+            ]
+
+    def test_killing_the_planned_backend_replans(self):
+        with running_cluster(2, 2, 2) as (_, servers, coordinator):
+            failovers = _metrics.counter("cluster.failovers")
+            want = coordinator.query(4, top_k=5)
+            assert want.served_by == {0: 0, 1: 0}
+            before = failovers.value
+            stop(servers[0])
+            got = coordinator.query(4, top_k=5)
+            assert not got.partial
+            assert printed(got.results) == printed(want.results)
+            assert got.served_by == {0: 1, 1: 1}
+            assert failovers.value > before
+
+    def test_r1_losing_a_backend_misses_exactly_its_shards(self, full_engine):
+        # R=1: backend 1 alone hosts shards 1 and 3.
+        with running_cluster(2, 4, 1) as (_, servers, coordinator):
+            stop(servers[1])
+            result = coordinator.query(0, top_k=10)
+            assert result.missing_shards == (1, 3)
+            assert set(result.served_by) == {0, 2}
+            live = [oid for oid in full_engine.objects if oid % 4 in (0, 2)]
+            want = full_engine.query(
+                full_engine.get_object(0), top_k=10, exclude_self=True,
+                restrict_to=live,
+            )
+            assert printed(result.results) == printed(want)
+
+
+    def test_concurrent_calls_under_fast_switching(self, full_engine):
+        # R=1, B=S=4: four calls per query, three on threads of their own.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with running_cluster(4, 4, 1) as (_, _, coordinator):
+                for seed_id in range(12):
+                    got = coordinator.query(seed_id, top_k=5)
+                    assert got.served_by == {s: s for s in range(4)}
+                    want = full_engine.query(
+                        full_engine.get_object(seed_id), top_k=5,
+                        exclude_self=True,
+                    )
+                    assert printed(got.results) == printed(want)
+        finally:
+            sys.setswitchinterval(previous)
+
+
+class TestExactSeed:
+    def test_full_replication_matches_single_engine_exactly(self, full_engine):
+        """R = B: the backend's answer is the single engine's, to the
+        printed digit, which needs the float64 seed on the wire."""
+        seeds = sorted(full_engine.objects)
+        wants = [
+            printed(full_engine.query(
+                full_engine.get_object(seed_id), top_k=5, exclude_self=True
+            ))
+            for seed_id in seeds
+        ]
+        with running_cluster(2, 2, 2) as (_, _, coordinator):
+            for seed_id, want in zip(seeds, wants):
+                assert printed(coordinator.query(seed_id, top_k=5).results) == want
+            batch = coordinator.query_many(seeds, top_k=5)
+            assert [printed(r.results) for r in batch] == wants
 
 
 class TestFailover:

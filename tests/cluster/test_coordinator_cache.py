@@ -43,9 +43,9 @@ class FakeCluster:
         self.sig_fetches += 1
         return f"sig{object_id}"
 
-    def _scatter(self, line_for_shard, parse, trace, trace_ctx=None):
+    def _scatter(self, line_for, parse, trace, trace_ctx=None):
         self.scatters += 1
-        line = line_for_shard(0)
+        line = line_for((0,), True)
         if line.startswith("querysigmany"):
             n_seeds = len(line.split()[1].split(","))
             payload = [
@@ -147,11 +147,11 @@ def test_midflight_epoch_move_suppresses_store():
     fake = FakeCluster(coordinator)
     inner = fake._scatter
 
-    def scatter_during_write(line_for_shard, parse, trace, trace_ctx=None):
+    def scatter_during_write(line_for, parse, trace, trace_ctx=None):
         # A write lands while the scatter is in flight: the answer being
         # assembled may already be stale and must not be cached.
         coordinator._write_epoch += 1
-        return inner(line_for_shard, parse, trace, trace_ctx=trace_ctx)
+        return inner(line_for, parse, trace, trace_ctx=trace_ctx)
 
     coordinator._scatter = scatter_during_write
     coordinator.query(1, top_k=4)

@@ -71,6 +71,11 @@ def make_coordinator(supervisor, **overrides):
     )
 
 
+def shards_of(node_key):
+    """The shards a ``<s1>+<s2>.<backend>`` node key answered."""
+    return {int(s) for s in node_key.split(".")[0].split("+")}
+
+
 def wait_until(predicate, timeout=30.0, interval=0.1):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -97,10 +102,12 @@ class TestStitchedTrace:
                     assert tree is not None, "no TRACE line piggybacked"
 
                     # One stitched tree: coordinator spans + every shard.
+                    # Backend 1 hosts both shards, so it alone answers.
                     span_names = {span["name"] for span in tree["spans"]}
                     assert {"scatter", "gather"} <= span_names
                     nodes = tree["nodes"]
-                    assert {int(key.split(".")[0]) for key in nodes} == {0, 1}
+                    assert set().union(*map(shards_of, nodes)) == {0, 1}
+                    assert list(nodes) == ["0+1.1"]
                     for key, subtree in nodes.items():
                         stages = subtree["stages"]
                         assert {"filter", "rank"} <= set(stages), (
@@ -164,9 +171,7 @@ class TestPartialTrace:
                     assert tree is not None
                     assert tree["notes"]["missing_shards"] == "1"
                     # Only the live shard contributed a subtree.
-                    assert {
-                        int(key.split(".")[0]) for key in tree["nodes"]
-                    } == {0}
+                    assert set().union(*map(shards_of, tree["nodes"])) == {0}
                     rendered = client.trace_tree(tree["trace_id"])
                     assert "PARTIAL shards=1" in rendered[0]
             finally:

@@ -50,6 +50,18 @@ class TestObjectCodec:
         decoded = decode_object(encode_object(obj))
         assert np.array_equal(decoded.weights, weights)
 
+    def test_lossless_roundtrip_is_exact(self):
+        """Version 2 (the getsig wire form) keeps float64 features; the
+        stored default stays version 1."""
+        rng = np.random.default_rng(3)
+        obj = ObjectSignature(rng.random((3, 5)), rng.random(3) + 0.1)
+        raw = encode_object(obj, lossless=True)
+        assert raw[0] == 2 and encode_object(obj)[0] == 1
+        decoded = decode_object(raw, object_id=4)
+        assert decoded.object_id == 4
+        assert np.array_equal(decoded.features, obj.features)
+        assert np.array_equal(decoded.weights, obj.weights)
+
     @settings(max_examples=30)
     @given(st.integers(1, 8), st.integers(1, 50), st.integers(0, 10_000))
     def test_property_roundtrip(self, k, dim, seed):

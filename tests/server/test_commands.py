@@ -126,6 +126,55 @@ class TestQueryManyCommand:
             run(processor, "querymany")
 
 
+class TestShardRestriction:
+    """``mod=S residue=a,b,...``: the objects of several shards at once."""
+
+    SHARDS_1_2 = [i for i in range(20) if i % 4 in (1, 2)]
+
+    @staticmethod
+    def ids(lines, column=0):
+        return sorted(int(line.split()[column]) for line in lines)
+
+    def test_residue_list_keeps_the_listed_shards(self, processor):
+        sig = run(processor, "getsig 0")[0]
+        every = "top=20 method=brute_force_original mod=4 residue=1,2"
+        assert self.ids(run(processor, f"query 0 {every}")) == self.SHARDS_1_2
+        assert self.ids(
+            run(processor, f"querysig {sig} exclude=0 {every}")
+        ) == self.SHARDS_1_2
+        assert self.ids(
+            run(processor, f"querysigmany {sig},{sig} {every}"), column=1
+        ) == sorted(self.SHARDS_1_2 * 2)
+        assert self.ids(
+            run(processor, f"querymany 0,3 {every}"), column=1
+        ) == sorted(self.SHARDS_1_2 * 2)
+
+    def test_countmod_takes_a_list(self, processor):
+        assert run(processor, "countmod 4 1,2") == [str(len(self.SHARDS_1_2))]
+        assert run(processor, "countmod 4 0,1,2,3") == ["20"]
+
+    @pytest.mark.parametrize(
+        "residue", ["", "1,1", "x", "1,,2", "1.5", "4", "-1"],
+        ids=["empty", "duplicate", "non-integer", "blank-entry", "float",
+             "too-large", "negative"],
+    )
+    def test_bad_residue_answers_protocol_error(self, processor, residue):
+        sig = run(processor, "getsig 0")[0]
+        for line in (
+            f'query 0 mod=4 residue="{residue}"',
+            f'querysig {sig} mod=4 residue="{residue}"',
+            f'querysigmany {sig} mod=4 residue="{residue}"',
+            f'countmod 4 "{residue}"',
+        ):
+            with pytest.raises(ProtocolError):
+                run(processor, line)
+
+    def test_bad_modulus_answers_protocol_error(self, processor):
+        for line in ("query 0 mod=0 residue=0", "countmod x 0", "countmod 0 0"):
+            with pytest.raises(ProtocolError):
+                run(processor, line)
+
+
 class TestAttrCommands:
     def test_attrquery(self, processor):
         lines = run(processor, "attrquery parity:odd")
