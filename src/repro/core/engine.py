@@ -16,6 +16,7 @@ three search methods compared in section 6.3.3:
 from __future__ import annotations
 
 import enum
+import itertools
 import time
 from dataclasses import dataclass
 from typing import (
@@ -98,6 +99,9 @@ _M_ERR_BATCH_ROLLBACK = _metrics.counter(
 # Resolved scan backend of the most recent filtering batch
 # (0 = serial, 1 = thread; see BACKEND_GAUGE_VALUES).
 _M_PARALLEL_BACKEND = _metrics.gauge("parallel.backend")
+
+# Objects per arena append in load(): one metadata iter_objects page.
+_LOAD_PAGE = 1024
 
 
 class SearchMethod(enum.Enum):
@@ -392,21 +396,31 @@ class SimilaritySearchEngine:
 
         Returns the number of objects loaded.  Used after restart or
         crash recovery; sketches are reused as stored (they were built
-        with the same constructor seed).
+        with the same constructor seed).  Objects reach the arena a page
+        at a time through :meth:`SegmentStore.add_many`, so the arena
+        grows once per page and no whole-corpus temporary is built.
         """
         if self.metadata is None:
             raise RuntimeError("engine has no metadata backend")
+        rows = self.metadata.iter_objects()
         count = 0
-        for object_id, signature, sketches, _attrs in self.metadata.iter_objects():
-            if object_id in self._objects:
+        while True:
+            page = list(itertools.islice(rows, _LOAD_PAGE))
+            if not page:
+                return count
+            fresh = [row for row in page if row[0] not in self._objects]
+            if not fresh:
                 continue
-            signature.object_id = object_id
-            self._objects[object_id] = signature
-            self._object_sketches[object_id] = sketches
-            self._store.add_object(object_id, sketches, signature.features)
-            self._next_id = max(self._next_id, object_id + 1)
-            count += 1
-        return count
+            ids, signatures, sketch_blocks, _attrs = zip(*fresh)
+            self._store.add_many(
+                ids, sketch_blocks, [signature.features for signature in signatures]
+            )
+            for object_id, signature, sketches in zip(ids, signatures, sketch_blocks):
+                signature.object_id = object_id
+                self._objects[object_id] = signature
+                self._object_sketches[object_id] = sketches
+                self._next_id = max(self._next_id, object_id + 1)
+            count += len(fresh)
 
     # ------------------------------------------------------------------
     # Parallel scan + result cache

@@ -231,6 +231,11 @@ class ArenaDelta:
         return int(self.new_owners.shape[0])
 
 
+def _stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    # A lone block is used as is: the arena write copies it anyway.
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 # Oldest retained entries of the append/removal delta logs; beyond this
 # the floor advances and stale consumers fall back to a full reload.
 _MAX_DELTA_LOG = 1024
@@ -250,8 +255,11 @@ class SegmentStore:
     if the array were row-major and scans run on it without a copy.
     Inserts seal an immutable chunk by writing columns past the logical
     end (``_n``) — amortized O(rows added), never a full-matrix copy — and
-    deletes tombstone in place (owner -1).  Every mutation is journaled
-    (chunk marks for appends, row-index lists for removals) so
+    deletes tombstone in place (owner -1).  An object's rows are
+    contiguous (appended together, and both compactions keep row order),
+    so the store keeps each live object's ``(start, end)`` span and a
+    delete costs O(its rows), not a scan of the arena.  Every mutation
+    is journaled (chunk marks for appends, row-index lists for removals) so
     :meth:`delta_since` can hand consumers exactly the rows that changed
     between two epochs; compaction rewrites the arena and raises the
     delta floor, forcing a one-time full reload.
@@ -266,6 +274,8 @@ class SegmentStore:
         self._sketches = np.empty((n_words, 0), dtype=np.uint64)
         self._features = np.empty((0, dim), dtype=np.float64)
         self._owners = np.empty(0, dtype=np.int64)
+        # Live object id -> its contiguous row span [start, end).
+        self._spans: Dict[int, Tuple[int, int]] = {}
         self._dead = 0
         # Mutation epoch: bumped on every logical change (insert, remove,
         # compact).  Consumers that hold derived state — the parallel
@@ -313,37 +323,80 @@ class SegmentStore:
         sketches: np.ndarray,
         features: Optional[np.ndarray] = None,
     ) -> None:
-        sketches = np.atleast_2d(np.asarray(sketches, dtype=np.uint64))
-        if sketches.shape[1] != self.n_words:
-            raise ValueError(
-                f"expected {self.n_words}-word sketches, got {sketches.shape[1]}"
-            )
-        count = sketches.shape[0]
-        if count == 0:
+        """Append one object's rows (a single row may be given 1-D)."""
+        self.add_many(
+            [object_id],
+            [np.atleast_2d(sketches)],
+            None if features is None else [np.atleast_2d(features)],
+        )
+
+    def add_many(
+        self,
+        ids: Sequence[int],
+        sketch_blocks: Sequence[np.ndarray],
+        feature_blocks: Optional[Sequence[np.ndarray]] = None,
+    ) -> None:
+        """Append objects as one chunk: one grow, one epoch, one journal mark.
+
+        ``sketch_blocks[i]`` holds object ``ids[i]``'s ``(rows, n_words)``
+        sketches and ``feature_blocks[i]`` its ``(rows, dim)`` features.
+        All-or-nothing: the blocks are validated (``ValueError``), and the
+        ids checked against the live ids and each other (``KeyError``),
+        before any state changes.
+        """
+        ids = list(ids)
+        counts = [len(block) for block in sketch_blocks]
+        if len(counts) != len(ids):
+            raise ValueError(f"{len(ids)} ids but {len(counts)} sketch blocks")
+        if not ids:
+            return
+        if 0 in counts:
             # A zero-row matrix would register the object nowhere in the
             # scan arrays: present in the engine but invisible to every
             # filter pass.  Reject it instead of silently dropping it.
             raise ValueError(
-                f"object {object_id} has no segment sketches; objects must "
-                "have at least one segment to be searchable"
+                f"object {ids[counts.index(0)]} has no segment sketches; objects "
+                "must have at least one segment to be searchable"
             )
+        sketches = np.asarray(_stack(sketch_blocks), dtype=np.uint64)
+        if sketches.ndim != 2 or sketches.shape[1] != self.n_words:
+            raise ValueError(
+                f"expected {self.n_words}-word sketches, got shape {sketches.shape}"
+            )
+        feats = None
         if self.keep_features:
-            if features is None:
+            if feature_blocks is None:
                 raise ValueError("store keeps features but none were given")
-            feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-            if feats.shape != (count, self.dim):
+            feats = np.asarray(_stack(feature_blocks), dtype=np.float64)
+            if [len(block) for block in feature_blocks] != counts or feats.shape != (
+                sketches.shape[0], self.dim
+            ):
                 raise ValueError(
-                    f"features must be ({count}, {self.dim}), got {feats.shape}"
+                    f"features must be ({sketches.shape[0]}, {self.dim}) in "
+                    f"blocks of {counts} rows, got {feats.shape}"
                 )
         with self._lock:
+            # A second live copy of an id would orphan the first: its span
+            # is overwritten, so its rows could never be tombstoned.
+            if not self._spans.keys().isdisjoint(ids) or len(set(ids)) != len(ids):
+                taken = [oid for oid in ids if oid in self._spans]
+                raise KeyError(
+                    f"object ids already present or repeated: {taken or ids}"
+                )
             start = self._n
-            end = start + count
+            end = start + sketches.shape[0]
             if end > self._cap:
                 self._grow(end)
             self._sketches[:, start:end] = sketches.T
-            self._owners[start:end] = object_id
-            if self.keep_features:
+            self._owners[start:end] = (
+                ids[0] if len(ids) == 1 else np.repeat(ids, counts)
+            )
+            if feats is not None:
                 self._features[start:end] = feats
+            row = start
+            for oid, count in zip(ids, counts):
+                self._spans[oid] = (row, row + count)
+                row += count
             self._n = end
             self._epoch += 1
             self._marks.append((self._epoch, end))
@@ -471,28 +524,30 @@ class SegmentStore:
     def remove_object(self, object_id: int) -> int:
         """Drop an object's segments; returns how many were removed.
 
-        Rows are tombstoned (owner set to -1) so removal is O(n) without
-        rebuilding.  With no compactor attached the store compacts
-        itself inline once a quarter of its rows are dead; with an
-        attached :class:`ArenaCompactor` it wakes the background thread
-        instead.  Scans skip tombstoned rows via the owner check.
+        The object's span is tombstoned in place (owner set to -1), so
+        removal costs O(the object's rows), with no scan and no rebuild.
+        With no compactor attached the store compacts itself inline once
+        a quarter of its rows are dead; with an attached
+        :class:`ArenaCompactor` it wakes the background thread instead.
+        Scans skip tombstoned rows via the owner check.
         """
         with self._lock:
-            live = self._owners[: self._n]
-            rows = np.nonzero(live == object_id)[0].astype(np.int64)
-            removed = int(rows.size)
-            if removed:
-                live[rows] = -1
-                self._dead += removed
-                self._epoch += 1
-                self._removals.append((self._epoch, rows))
-                self._trim_delta_log()
-                _M_ARENA_DEAD_ROWS.set(float(self._dead))
-                if self._dead * 4 >= self._n:
-                    if self._compactor is not None:
-                        self._compactor.wake()
-                    else:
-                        self.compact()
+            span = self._spans.pop(object_id, None)
+            if span is None:
+                return 0
+            start, end = span
+            self._owners[start:end] = -1
+            removed = end - start
+            self._dead += removed
+            self._epoch += 1
+            self._removals.append((self._epoch, np.arange(start, end, dtype=np.int64)))
+            self._trim_delta_log()
+            _M_ARENA_DEAD_ROWS.set(float(self._dead))
+            if self._dead * 4 >= self._n:
+                if self._compactor is not None:
+                    self._compactor.wake()
+                else:
+                    self.compact()
             return removed
 
     def dead_fraction(self) -> float:
@@ -520,6 +575,17 @@ class SegmentStore:
         n = int(owners.shape[0])
         self._sketches = np.ascontiguousarray(sketches, dtype=np.uint64)
         self._owners = np.ascontiguousarray(owners, dtype=np.int64)
+        # Rewrites keep row order, so each live object is still one run
+        # of equal owners: cut where the owner changes, skip the -1 runs.
+        starts = np.flatnonzero(np.diff(self._owners, prepend=-2, append=-2))
+        run_ids = self._owners[starts[:-1]]
+        live = run_ids >= 0
+        self._spans = dict(
+            zip(
+                run_ids[live].tolist(),
+                zip(starts[:-1][live].tolist(), starts[1:][live].tolist()),
+            )
+        )
         if self.keep_features:
             self._features = np.ascontiguousarray(features, dtype=np.float64)
         self._cap = n

@@ -18,6 +18,7 @@ edits, so the split and underflow checks never recount a node.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import CorruptionError, KeyTooLargeError
@@ -221,27 +222,16 @@ class BTree:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bisect(keys: List[bytes], key: bytes) -> int:
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def get(self, key: bytes) -> Optional[bytes]:
         if self.root < 0:
             return None
         node = self._load(self.root)
         while not node.is_leaf:
-            idx = self._bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 idx += 1
             node = self._load(node.children[idx])
-        idx = self._bisect(node.keys, key)
+        idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
             return self._decode_value(node.values[idx])
         return None
@@ -283,7 +273,7 @@ class BTree:
     ) -> Optional[Tuple[bytes, int]]:
         node = self._shadow(node)
         if node.is_leaf:
-            idx = self._bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 old = node.values[idx]
                 self._free_value(old)
@@ -294,7 +284,7 @@ class BTree:
                 node.values.insert(idx, encoded)
                 self._resize(node, 2 + len(key) + len(encoded))
             return self._finalize(node)
-        idx = self._bisect(node.keys, key)
+        idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
             idx += 1
         child = self._load(node.children[idx])
@@ -373,7 +363,7 @@ class BTree:
     def _delete(self, node: _Node, key: bytes) -> bool:
         node = self._shadow(node)
         if node.is_leaf:
-            idx = self._bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 self._free_value(node.values[idx])
                 self._resize(node, -(2 + len(key) + len(node.values[idx])))
@@ -383,7 +373,7 @@ class BTree:
                 return True
             self._store(node)
             return False
-        idx = self._bisect(node.keys, key)
+        idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
             idx += 1
         child = self._load(node.children[idx])

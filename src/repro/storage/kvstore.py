@@ -32,7 +32,7 @@ from .fs import OS_FS, FileSystem
 from .pager import DEFAULT_PAGE_SIZE, Pager
 from .recovery import RecoveryReport, replay_segment
 from .transaction import TOMBSTONE, Transaction
-from .wal import REC_DELETE, REC_PUT, WalRecord, WriteAheadLog
+from .wal import REC_DELETE, REC_PUT, WriteAheadLog
 
 __all__ = ["KVStore"]
 
@@ -231,8 +231,9 @@ class KVStore:
     def _commit_transaction(self, txn: Transaction) -> None:
         with self._lock:
             self._check_writable()
-            records = []
-            for tree, key, value in txn.pending_writes():
+            writes = list(txn.pending_writes())
+            ops = []
+            for tree, key, value in writes:
                 # Validate everything the B-trees could reject *before*
                 # the WAL append: a transaction that is durable in the
                 # log but unapplied in memory would resurrect on reopen.
@@ -241,22 +242,19 @@ class KVStore:
                         f"key of {len(key)} bytes exceeds {MAX_KEY_SIZE}"
                     )
                 if value is TOMBSTONE:
-                    records.append(WalRecord(REC_DELETE, txn.txid, tree, key))
+                    ops.append((REC_DELETE, tree.encode("utf-8"), key, b""))
                 else:
-                    records.append(
-                        WalRecord(REC_PUT, txn.txid, tree, key, value)  # type: ignore[arg-type]
-                    )
-            if not records:
+                    ops.append((REC_PUT, tree.encode("utf-8"), key, value))
+            if not ops:
                 return
             # WAL first (write-ahead), then the in-memory trees.
-            self._wal.append_transaction(txn.txid, records)
-            for record in records:
-                target = self._tree(record.tree)
-                if record.rec_type == REC_PUT:
-                    target.put(record.key, record.value)
+            self._wal.append_transaction(txn.txid, ops)
+            for tree, key, value in writes:
+                if value is TOMBSTONE:
+                    self._tree(tree).delete(key)
                 else:
-                    target.delete(record.key)
-            self._ops_since_checkpoint += len(records)
+                    self._tree(tree).put(key, value)  # type: ignore[arg-type]
+            self._ops_since_checkpoint += len(ops)
             if (
                 self.auto_checkpoint_ops
                 and self._ops_since_checkpoint >= self.auto_checkpoint_ops

@@ -29,7 +29,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
 from .errors import StorageError
@@ -59,8 +59,23 @@ _M_TAIL_REPAIRS = _metrics.counter("wal.tail_repairs")
 _M_ROTATIONS = _metrics.counter("wal.rotations")
 _M_BROKEN = _metrics.counter("wal.broken")
 
-_FRAME_FMT = "<II"
-_FRAME_SIZE = struct.calcsize(_FRAME_FMT)
+_FRAME = struct.Struct("<II")  # payload length, crc32
+_FRAME_SIZE = _FRAME.size
+# Payload: <rec_type:u8><txid:u64><tree_len:u16> tree <key_len:u32> key
+# <value_len:u64> value; BEGIN and COMMIT leave the last three empty.
+_HEAD = struct.Struct("<BQH")
+_KEY_LEN = struct.Struct("<I")
+_VALUE_LEN = struct.Struct("<Q")
+
+
+def _pack_payload(
+    rec_type: int, txid: int, tree: bytes, key: bytes, value: bytes
+) -> bytes:
+    return b"".join((
+        _HEAD.pack(rec_type, txid, len(tree)), tree,
+        _KEY_LEN.pack(len(key)), key,
+        _VALUE_LEN.pack(len(value)), value,
+    ))
 
 
 @dataclass(frozen=True)
@@ -74,30 +89,24 @@ class WalRecord:
     value: bytes = b""
 
     def pack(self) -> bytes:
-        tree_b = self.tree.encode("utf-8")
-        return (
-            struct.pack("<BQH", self.rec_type, self.txid, len(tree_b))
-            + tree_b
-            + struct.pack("<I", len(self.key))
-            + self.key
-            + struct.pack("<Q", len(self.value))
-            + self.value
+        return _pack_payload(
+            self.rec_type, self.txid, self.tree.encode("utf-8"), self.key, self.value
         )
 
     @classmethod
     def unpack(cls, payload: bytes) -> "WalRecord":
-        rec_type, txid, tree_len = struct.unpack_from("<BQH", payload)
-        offset = 11
+        rec_type, txid, tree_len = _HEAD.unpack_from(payload)
+        offset = _HEAD.size
         tree = payload[offset : offset + tree_len].decode("utf-8")
         if len(tree.encode("utf-8")) != tree_len:
             raise ValueError("truncated tree name")
         offset += tree_len
-        (key_len,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
+        (key_len,) = _KEY_LEN.unpack_from(payload, offset)
+        offset += _KEY_LEN.size
         key = payload[offset : offset + key_len]
         offset += key_len
-        (value_len,) = struct.unpack_from("<Q", payload, offset)
-        offset += 8
+        (value_len,) = _VALUE_LEN.unpack_from(payload, offset)
+        offset += _VALUE_LEN.size
         value = payload[offset : offset + value_len]
         if len(key) != key_len or len(value) != value_len:
             raise ValueError("record payload shorter than declared lengths")
@@ -169,26 +178,39 @@ class WriteAheadLog:
         _M_FSYNCS.inc()
         _M_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
 
+    def _write_frame(self, payload: bytes) -> None:
+        # One write per frame: the crash-torture scans count on every
+        # frame being its own I/O operation.
+        self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
+        self._size += _FRAME_SIZE + len(payload)
+
+    def _committed(self) -> None:
+        # A COMMIT frame was written: flush, then fsync per the policy.
+        _M_COMMITS.inc()
+        self._file.flush()
+        if self.sync_policy == "commit":
+            self._fsync()
+        elif self.sync_policy == "batch":
+            self._unsynced_commits += 1
+            if self._unsynced_commits >= self.batch_size:
+                self._fsync()
+                self._unsynced_commits = 0
+
     def append(self, record: WalRecord) -> None:
         self._check_usable()
-        payload = record.pack()
-        frame = struct.pack(_FRAME_FMT, len(payload), zlib.crc32(payload))
-        self._file.write(frame + payload)
-        self._size += _FRAME_SIZE + len(payload)
+        self._write_frame(record.pack())
         _M_APPENDS.inc()
         if record.rec_type == REC_COMMIT:
-            _M_COMMITS.inc()
-            self._file.flush()
-            if self.sync_policy == "commit":
-                self._fsync()
-            elif self.sync_policy == "batch":
-                self._unsynced_commits += 1
-                if self._unsynced_commits >= self.batch_size:
-                    self._fsync()
-                    self._unsynced_commits = 0
+            self._committed()
 
-    def append_transaction(self, txid: int, records: List[WalRecord]) -> None:
+    def append_transaction(
+        self, txid: int, ops: Sequence[Tuple[int, bytes, bytes, bytes]]
+    ) -> None:
         """Append BEGIN, the given ops, COMMIT as one contiguous burst.
+
+        Each op is a plain ``(rec_type, tree_utf8, key, value)`` tuple
+        (``value`` is ``b""`` for a DELETE); the frames are exactly those
+        of the matching :class:`WalRecord` s, one ``write`` each.
 
         If any append fails mid-burst (ENOSPC, EIO, ...), the partial
         transaction is rolled back by truncating the segment to its
@@ -200,10 +222,12 @@ class WriteAheadLog:
         self._check_usable()
         start_size = self._size
         try:
-            self.append(WalRecord(REC_BEGIN, txid))
-            for record in records:
-                self.append(record)
-            self.append(WalRecord(REC_COMMIT, txid))
+            self._write_frame(_pack_payload(REC_BEGIN, txid, b"", b"", b""))
+            for rec_type, tree, key, value in ops:
+                self._write_frame(_pack_payload(rec_type, txid, tree, key, value))
+            self._write_frame(_pack_payload(REC_COMMIT, txid, b"", b"", b""))
+            _M_APPENDS.inc(len(ops) + 2)
+            self._committed()
         except Exception:
             _M_ROLLBACKS.inc()
             try:
@@ -308,7 +332,7 @@ class WriteAheadLog:
                 if len(frame) < _FRAME_SIZE:
                     scan.torn_tail = True
                     return scan
-                length, crc = struct.unpack(_FRAME_FMT, frame)
+                length, crc = _FRAME.unpack(frame)
                 payload = fh.read(length)
                 if len(payload) < length or zlib.crc32(payload) != crc:
                     scan.torn_tail = True

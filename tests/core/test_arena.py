@@ -12,11 +12,14 @@ remove/compact).
 from __future__ import annotations
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import ArenaCompactor, ArenaDelta, SegmentStore
+from repro.core import ArenaCompactor, ArenaDelta, SegmentStore, filtering
 
 
 def _store(n_objects=0, segs=3, n_words=2, seed=0, keep_features=False):
@@ -237,3 +240,146 @@ class TestMaintenanceCompaction:
         assert not compactor.running
         # Detached again: inline threshold compaction is restored.
         assert store._compactor is None
+
+
+class _NoCompactor:
+    """Stands in for an attached compactor: turns off inline compaction,
+    so rows move only at the compactions a test asks for."""
+
+    def wake(self):
+        pass
+
+
+def _assert_spans(store, live):
+    owners = store.owners
+    assert set(store._spans) == live
+    assert set(owners[owners >= 0].tolist()) == live
+    for oid, (start, end) in store._spans.items():
+        np.testing.assert_array_equal(np.flatnonzero(owners == oid), np.arange(start, end))
+
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 4)),
+        st.tuples(st.just("remove"), st.integers(0, 10**6)),
+        st.tuples(st.just("compact")),
+        st.tuples(
+            st.just("maintenance"),
+            st.lists(st.integers(1, 3), max_size=3),  # appended mid-gather
+            st.lists(st.integers(0, 10**6), max_size=3),  # removed mid-gather
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestSpans:
+    """Each live object's rows are one span, through every rewrite."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_steps)
+    def test_spans_match_the_owners_array(self, steps):
+        store = SegmentStore(n_words=1, dim=2, keep_features=True)
+        store.attach_compactor(_NoCompactor())
+        rng = np.random.default_rng(0)
+        live = set()
+        next_id = iter(range(10**9))
+
+        def add(segs):
+            oid = next(next_id)
+            sketches = rng.integers(0, 2**63, (segs, 1), dtype=np.uint64)
+            store.add_object(oid, sketches, rng.random((segs, 2)))
+            live.add(oid)
+
+        def remove(pick):
+            if not live:
+                assert store.remove_object(pick) == 0
+                return
+            oid = sorted(live)[pick % len(live)]
+            rows = np.flatnonzero(store.owners == oid)
+            epoch = store.epoch
+            assert store.remove_object(oid) == rows.size
+            live.discard(oid)
+            assert (store.owners[rows] == -1).all()
+            np.testing.assert_array_equal(store.delta_since(epoch).dead_rows, rows)
+            assert store.remove_object(oid) == 0
+
+        for step in steps:
+            if step[0] == "add":
+                add(step[1])
+            elif step[0] == "remove":
+                remove(step[1])
+            elif step[0] == "compact":
+                store.compact()
+            else:
+                _, adds, removes = step
+                real_clock, fired = filtering.time.perf_counter, []
+
+                def clock():
+                    # The unlocked gather's first statement reads the clock.
+                    if not fired:
+                        fired.append(True)
+                        for segs in adds:
+                            add(segs)
+                        for pick in removes:
+                            remove(pick)
+                    return real_clock()
+
+                with mock.patch.object(filtering.time, "perf_counter", clock):
+                    installed = store.maintenance_compact()
+                assert installed == bool(fired)
+            _assert_spans(store, live)
+
+
+class TestDuplicateIds:
+    def test_add_object_rejects_a_live_id_without_touching_state(self):
+        store, rng = _store(3, keep_features=True)
+        owners, sketches, features = (a.copy() for a in store.snapshot(with_features=True))
+        info, spans = store.arena_info(), dict(store._spans)
+        with pytest.raises(KeyError):
+            _add(store, 1, rng, keep_features=True)
+        assert store.arena_info() == info and store._spans == spans
+        for before, after in zip((owners, sketches, features), store.snapshot(with_features=True)):
+            np.testing.assert_array_equal(before, after)
+        # Once removed, the id may come back.
+        store.remove_object(1)
+        _add(store, 1, rng, keep_features=True)
+        _assert_spans(store, {0, 1, 2})
+
+    @pytest.mark.parametrize("ids", [[3, 2], [4, 4]])
+    def test_add_many_rejects_live_or_repeated_ids_atomically(self, ids):
+        store, rng = _store(3)
+        info = store.arena_info()
+        blocks = [rng.integers(0, 2**63, (2, 2), dtype=np.uint64) for _ in ids]
+        with pytest.raises(KeyError):
+            store.add_many(ids, blocks)
+        assert store.arena_info() == info
+        assert set(store._spans) == {0, 1, 2}
+
+
+class TestAddMany:
+    def test_equals_one_add_object_per_object_in_one_chunk(self):
+        rng = np.random.default_rng(4)
+        ids = [5, 9, 2, 7]
+        blocks = [rng.integers(0, 2**63, (n, 2), dtype=np.uint64) for n in (1, 3, 2, 4)]
+        feats = [rng.random((b.shape[0], 4)) for b in blocks]
+        one = SegmentStore(n_words=2, dim=4)
+        for oid, sk, ft in zip(ids, blocks, feats):
+            one.add_object(oid, sk, ft)
+        many = SegmentStore(n_words=2, dim=4)
+        many.add_many(ids, blocks, feats)
+        for x, y in zip(one.snapshot(with_features=True), many.snapshot(with_features=True)):
+            np.testing.assert_array_equal(x, y)
+        assert many._spans == one._spans
+        info = many.arena_info()
+        assert info["epoch"] == 1 and info["chunks"] == 2  # one journal mark
+        assert many.arena_info()["capacity"] >= info["rows"] == 10
+
+    def test_invalid_block_rejects_the_whole_batch(self):
+        store, rng = _store(2)
+        info = store.arena_info()
+        good = rng.integers(0, 2**63, (2, 2), dtype=np.uint64)
+        with pytest.raises(ValueError, match="no segment sketches"):
+            store.add_many([10, 11], [good, np.empty((0, 2), dtype=np.uint64)])
+        assert store.arena_info() == info
+        assert set(store._spans) == {0, 1}

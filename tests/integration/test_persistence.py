@@ -108,3 +108,36 @@ class TestEngineWithMetadata:
             for method in SearchMethod:
                 results = engine2.query_by_id(3, top_k=5, method=method)
                 assert results[0].object_id == 3
+
+    def test_load_appends_a_page_at_a_time(self, tmp_path, monkeypatch):
+        from repro.core import engine as engine_module
+
+        path = str(tmp_path / "m")
+        rng = np.random.default_rng(4)
+        with MetadataManager(path) as manager:
+            engine = _engine(manager)
+            for n in rng.integers(1, 5, size=23):
+                engine.insert(ObjectSignature(rng.random((n, 6)), np.ones(n)))
+            for oid in (0, 7, 8, 22):
+                engine.remove(oid)
+            ids = sorted(engine.objects)
+        monkeypatch.setattr(engine_module, "_LOAD_PAGE", 4)
+        with MetadataManager(path) as manager:
+            engine2 = _engine(manager)
+            engine2.insert(engine.objects[5], object_id=5)  # already present
+            assert engine2.load() == len(ids) - 1
+            store = engine2._store
+            # One journal mark per page of four: 19 objects = 5 pages.
+            assert store.arena_info()["chunks"] == 1 + 1 + 5
+            owners, sketches, features = store.snapshot(with_features=True)
+            order = [5] + [oid for oid in ids if oid != 5]
+            np.testing.assert_array_equal(
+                owners, np.repeat(order, [engine.objects[o].num_segments for o in order])
+            )
+            np.testing.assert_array_equal(
+                sketches, np.concatenate([engine._object_sketches[o] for o in order])
+            )
+            np.testing.assert_array_equal(
+                features, np.concatenate([engine2.objects[o].features for o in order])
+            )
+            assert engine2.insert(ObjectSignature(rng.random((1, 6)), [1.0])) == max(ids) + 1
