@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke e2e-smoke metrics-smoke rank-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-throughput bench-check bench-recovery bench-churn bench-cluster-obs
+.PHONY: test smoke e2e-smoke metrics-smoke rank-smoke ingest-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-throughput bench-check bench-recovery bench-churn bench-cluster-obs
 
 # Tier-1 verification: the full fast suite (torture scans stay opt-in).
 test:
@@ -32,6 +32,14 @@ metrics-smoke:
 rank-smoke:
 	$(PYTHON) -m pytest -q tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py
 	cd benchmarks && FERRET_BENCH_SCALE=quick $(PYTHON) bench_query_throughput.py
+
+# Bulk-ingest smoke: insert_many equals a loop of insert (ids, arena,
+# answers) with pages and sketch blocks split small, sketch temporaries
+# stay bounded, a failed batch leaves no trace, and the arena and the
+# paged reload keep their contracts.
+ingest-smoke:
+	$(PYTHON) -m pytest -q tests/core/test_bulk_insert.py tests/datatypes/test_demo_engines.py::test_bulk_build_matches_per_object_build \
+		tests/core/test_engine_atomicity.py tests/core/test_arena.py tests/integration/test_persistence.py
 
 # Cluster smoke: real backend subprocesses under the coordinator.  The
 # smoke test kills one backend at R=1 (PARTIAL answer, exactly the dead

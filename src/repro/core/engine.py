@@ -100,7 +100,8 @@ _M_ERR_BATCH_ROLLBACK = _metrics.counter(
 # (0 = serial, 1 = thread; see BACKEND_GAUGE_VALUES).
 _M_PARALLEL_BACKEND = _metrics.gauge("parallel.backend")
 
-# Objects per arena append in load(): one metadata iter_objects page.
+# Objects per arena append in load() (one metadata iter_objects page)
+# and in insert_many() (one sketch_many call and one add_many).
 _LOAD_PAGE = 1024
 
 
@@ -197,8 +198,10 @@ class SimilaritySearchEngine:
         self.metadata = metadata
         self._objects: Dict[int, ObjectSignature] = {}
         self._object_sketches: Dict[int, np.ndarray] = {}
+        # Sketches and owners only: the signatures in ``_objects``
+        # already hold every feature vector.
         self._store = SegmentStore(
-            n_words=self.sketcher.n_words, dim=plugin.meta.dim
+            n_words=self.sketcher.n_words, dim=plugin.meta.dim, keep_features=False
         )
         self._next_id = 0
         self._compactor: Optional[ArenaCompactor] = None
@@ -223,61 +226,16 @@ class SimilaritySearchEngine:
         attributes: Optional[Mapping[str, str]] = None,
         object_id: Optional[int] = None,
         filename: Optional[str] = None,
-        _sketches: Optional[np.ndarray] = None,
     ) -> int:
         """Insert a pre-extracted object; returns its assigned object id.
 
-        ``_sketches`` lets :meth:`insert_many` pass pre-computed sketch
-        rows so bulk inserts sketch everything in one batched call.
+        The id is ``object_id``, else ``signature.object_id``, else the
+        next free id.  This is :meth:`insert_many` with a batch of one,
+        so it validates, appends and rolls back the same way.
         """
-        if object_id is None:
-            object_id = signature.object_id
-        if object_id is None:
-            object_id = self._next_id
-        if object_id in self._objects:
-            raise KeyError(f"object id {object_id} already present")
-        prev_signature_id = signature.object_id
-        prev_next_id = self._next_id
-        signature.object_id = object_id
-        self._next_id = max(self._next_id, object_id + 1)
-
-        sketches = (
-            _sketches
-            if _sketches is not None
-            else self.sketcher.sketch_many(signature.features)
-        )
-        # The store validates first (sketch shape, zero-segment objects)
-        # and goes first: a rejected object must not leave a ghost entry
-        # in the engine dicts, and a store failure leaves nothing to
-        # roll back beyond the id bookkeeping.
-        try:
-            self._store.add_object(object_id, sketches, signature.features)
-        except Exception:
-            self._next_id = prev_next_id
-            signature.object_id = prev_signature_id
-            raise
-        self._objects[object_id] = signature
-        self._object_sketches[object_id] = sketches
-        try:
-            if self.metadata is not None:
-                self.metadata.put_object(
-                    object_id, signature, sketches, dict(attributes or {}),
-                    filename=filename,
-                )
-        except Exception:
-            # Write-through failed: roll the in-memory insert back so
-            # queries cannot return an object that would vanish on
-            # restart (memory and store must agree on the object set).
-            # The id counter and the caller's signature are restored
-            # too — a failed insert must not consume an id or leave
-            # the signature claiming an id that was never assigned.
-            del self._objects[object_id]
-            del self._object_sketches[object_id]
-            self._store.remove_object(object_id)
-            self._next_id = prev_next_id
-            signature.object_id = prev_signature_id
-            raise
-        return object_id
+        return self._insert_batch(
+            [signature], [object_id], dict(attributes or {}), filename
+        )[0]
 
     def insert_file(
         self,
@@ -297,72 +255,135 @@ class SimilaritySearchEngine:
     def insert_many(self, signatures: Sequence[ObjectSignature]) -> List[int]:
         """Insert many pre-extracted objects; returns their assigned ids.
 
-        All objects' feature vectors are concatenated and sketched in
-        *one* ``sketch_many`` call instead of one call per object.
-        Algorithm 2's ``(N, K)`` sampling gather and the bit-packing then
-        run once over a ``(total_segments, D)`` matrix, which amortizes
-        the per-call numpy dispatch: for bulk loads of small objects
-        (a few segments each) this makes insertion several times faster
-        than the per-object loop it replaces, and the win grows with the
-        batch size.
+        Ids are assigned exactly as a loop of :meth:`insert` would
+        assign them (an explicit ``object_id`` is kept, ``None`` takes
+        the next free id).  The batch then goes in a page of
+        ``_LOAD_PAGE`` objects at a time: one ``sketch_many`` call over
+        the page's concatenated features, one
+        :meth:`SegmentStore.add_many` append, and a ``put_object`` per
+        object when a metadata backend is attached.  Per-call overhead
+        is paid per page, not per object, and no whole-batch temporary
+        is built.
 
         The batch is all-or-nothing: every signature is validated up
-        front (at least one segment, no id collisions with the engine or
-        within the batch), and if an insert still fails mid-batch the
-        already-applied prefix is rolled back before the error
+        front (at least one segment, the plug-in's feature dimension,
+        no id collisions with the engine or within the batch, no
+        signature given twice), and if an insert still fails mid-batch
+        the already-applied prefix is rolled back before the error
         propagates — a failed bulk load leaves the engine exactly as it
         was.
         """
         signatures = list(signatures)
-        if not signatures:
-            return []
-        # Up-front validation: a zero-segment signature would raise
-        # inside the store after earlier batch members were applied, and
-        # a colliding id would raise in insert() the same way.  Reject
-        # the whole batch before touching any state.
-        batch_ids: Set[int] = set()
-        for pos, sig in enumerate(signatures):
-            if sig.num_segments == 0:
+        return self._insert_batch(signatures, [None] * len(signatures), {}, None)
+
+    def _insert_batch(
+        self,
+        signatures: List[ObjectSignature],
+        object_ids: List[Optional[int]],
+        attributes: Dict[str, str],
+        filename: Optional[str],
+    ) -> List[int]:
+        # The one insertion path behind insert() and insert_many();
+        # ``attributes`` and ``filename`` go to every object's
+        # put_object (insert() passes a batch of one).
+        dim = self.plugin.meta.dim
+        # Up-front validation: reject the whole batch before touching
+        # any state, so a later page cannot fail on what an earlier one
+        # could have checked.
+        ids: List[int] = []
+        counts: List[int] = []
+        taken: Set[int] = set()
+        seen: Dict[int, int] = {}  # id(signature) -> batch position
+        next_id = self._next_id
+        for pos, (sig, oid) in enumerate(zip(signatures, object_ids)):
+            count, sig_dim = sig.features.shape
+            if count == 0:
                 raise ValueError(
-                    f"insert_many: signature at batch position {pos} has no "
-                    "segments; objects must have at least one segment to be "
+                    f"signature at batch position {pos} has no segments; "
+                    "objects must have at least one segment to be "
                     "searchable (whole batch rejected)"
                 )
-            oid = sig.object_id
-            if oid is not None:
-                if oid in self._objects or oid in batch_ids:
-                    raise KeyError(
-                        f"insert_many: object id {oid} at batch position "
-                        f"{pos} already present (whole batch rejected)"
-                    )
-                batch_ids.add(oid)
-        all_sketches = self.sketcher.sketch_many(
-            np.concatenate([sig.features for sig in signatures], axis=0)
-        )
-        splits = np.cumsum([sig.num_segments for sig in signatures])[:-1]
-        inserted: List[Tuple[int, ObjectSignature, Optional[int]]] = []
-        prev_next_id = self._next_id
-        try:
-            for sig, rows in zip(signatures, np.split(all_sketches, splits)):
-                prev_sig_id = sig.object_id
-                inserted.append(
-                    (self.insert(sig, _sketches=rows), sig, prev_sig_id)
+            if sig_dim != dim:
+                raise ValueError(
+                    f"signature at batch position {pos} has {sig_dim}-dim "
+                    f"features, expected {dim} (whole batch rejected)"
                 )
+            # One signature object cannot hold two ids.
+            first = seen.setdefault(id(sig), pos)
+            if first != pos:
+                raise KeyError(
+                    f"signature at batch position {pos} is the one at "
+                    f"position {first} (whole batch rejected)"
+                )
+            if oid is None:
+                oid = next_id if sig.object_id is None else sig.object_id
+            if oid in self._objects or oid in taken:
+                raise KeyError(
+                    f"object id {oid} at batch position {pos} already "
+                    "present (whole batch rejected)"
+                )
+            taken.add(oid)
+            ids.append(oid)
+            counts.append(count)
+            if oid >= next_id:
+                next_id = oid + 1
+        prev_next_id = self._next_id
+        prev_sig_ids = [sig.object_id for sig in signatures]
+        applied = 0  # objects in the engine dicts and the arena
+        persisted = 0  # of those, objects put to the metadata backend
+        try:
+            for start in range(0, len(signatures), _LOAD_PAGE):
+                page = signatures[start : start + _LOAD_PAGE]
+                page_ids = ids[start : start + _LOAD_PAGE]
+                page_counts = counts[start : start + _LOAD_PAGE]
+                sketches = self.sketcher.sketch_many(
+                    np.concatenate([sig.features for sig in page])
+                )
+                blocks = [
+                    sketches[end - count : end]
+                    for end, count in zip(itertools.accumulate(page_counts), page_counts)
+                ]
+                if len(page) == 1:
+                    # A single insert appends through add_object, the
+                    # call the traced churn benchmark times.
+                    self._store.add_object(page_ids[0], blocks[0])
+                else:
+                    self._store.add_many(page_ids, blocks)
+                for oid, sig, rows in zip(page_ids, page, blocks):
+                    sig.object_id = oid
+                    self._objects[oid] = sig
+                    self._object_sketches[oid] = rows
+                applied += len(page)
+                self._next_id = max(self._next_id, max(page_ids) + 1)
+                if self.metadata is not None:
+                    for oid, sig, rows in zip(page_ids, page, blocks):
+                        self.metadata.put_object(
+                            oid, sig, rows, attributes, filename=filename
+                        )
+                        persisted += 1
         except Exception:
             # A failure the validation could not foresee (e.g. the
             # metadata backend dying mid-batch): undo the applied
-            # prefix.  Rollback is best-effort — a second failure here
-            # must not mask the original error.
-            for oid, sig, prev_sig_id in reversed(inserted):
-                try:
-                    self.remove(oid)
-                except Exception:
-                    _M_ERR_BATCH_ROLLBACK.inc()
-                sig.object_id = prev_sig_id
+            # prefix, so queries cannot return an object that would
+            # vanish on restart.  Rollback is best-effort — a second
+            # failure here must not mask the original error.
+            for pos in reversed(range(applied)):
+                oid = ids[pos]
+                if pos < persisted:
+                    try:
+                        self.remove(oid)
+                    except Exception:
+                        _M_ERR_BATCH_ROLLBACK.inc()
+                else:
+                    self._store.remove_object(oid)
+                    del self._objects[oid]
+                    del self._object_sketches[oid]
+            for sig, prev in zip(signatures, prev_sig_ids):
+                sig.object_id = prev
             # A failed batch must not consume ids either.
             self._next_id = prev_next_id
             raise
-        return [oid for oid, _sig, _prev in inserted]
+        return ids
 
     def remove(self, object_id: int) -> None:
         """Remove an object from the engine (and the metadata backend).
@@ -386,7 +407,7 @@ class SimilaritySearchEngine:
             if self.metadata is not None:
                 self.metadata.delete_object(object_id)
         except Exception:
-            self._store.add_object(object_id, sketches, signature.features)
+            self._store.add_object(object_id, sketches)
             raise
         del self._objects[object_id]
         del self._object_sketches[object_id]
@@ -412,9 +433,7 @@ class SimilaritySearchEngine:
             if not fresh:
                 continue
             ids, signatures, sketch_blocks, _attrs = zip(*fresh)
-            self._store.add_many(
-                ids, sketch_blocks, [signature.features for signature in signatures]
-            )
+            self._store.add_many(ids, sketch_blocks)
             for object_id, signature, sketches in zip(ids, signatures, sketch_blocks):
                 signature.object_id = object_id
                 self._objects[object_id] = signature

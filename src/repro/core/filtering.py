@@ -245,7 +245,11 @@ class SegmentStore:
     """Segmented, append-only arena of every segment in the system.
 
     Keeps parallel capacity-grown arrays: packed sketch words, optional
-    raw feature vectors, and the owning object id of each segment.
+    raw feature vectors, and the owning object id of each segment.  The
+    engine's arena holds sketches and owners only (``keep_features=False``:
+    its signatures already hold the features, and :attr:`features`
+    raises); a store that keeps features serves the direct, sketch-free
+    ``sketch_filter(use_sketches=False)`` path.
     Sketches are stored *word-major* — ``(n_words, capacity)``, a segment
     per column — because that is the order the Hamming kernel reads them
     in (:func:`~repro.core.bitvector.hamming_many_to_many` streams one

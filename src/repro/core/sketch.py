@@ -30,6 +30,11 @@ from .types import FeatureMeta
 
 __all__ = ["SketchParams", "SketchConstructor", "estimate_l1_from_hamming"]
 
+# Bytes of the ``(rows, N, K)`` float64 gather that :meth:`sketch_many`
+# builds per block of rows, so a bulk insert's temporaries stay bounded
+# however many segments it sketches.
+_SKETCH_BLOCK_BYTES = 8 << 20
+
 
 @dataclass(frozen=True)
 class SketchParams:
@@ -100,19 +105,38 @@ class SketchConstructor:
             raise ValueError(
                 f"expected {self.params.meta.dim}-dim vectors, got {v.shape[1]}"
             )
-        # bits[r, n, k] = v[r, rnd_i[n, k]] >= rnd_t[n, k]
-        sampled = v[:, self.rnd_i]  # (rows, N, K)
-        bits = sampled >= self.rnd_t[None, :, :]
-        folded = np.bitwise_xor.reduce(bits.astype(np.uint8), axis=2)
-        return folded
+        # bits[r, n, k] = v[r, rnd_i[n, k]] >= rnd_t[n, k].  ``take``
+        # on the flat ``(N * K,)`` index gathers each row's samples
+        # contiguously, several times faster than a 2-D fancy index.
+        bits = np.take(v, self.rnd_i.ravel(), axis=1) >= self.rnd_t.ravel()
+        if self.params.k_xor > 1:
+            bits = np.bitwise_xor.reduce(
+                bits.reshape(v.shape[0], self.params.n_bits, self.params.k_xor),
+                axis=2,
+            )
+        return bits.view(np.uint8)
 
     def sketch(self, vector: np.ndarray) -> np.ndarray:
         """Sketch one vector; returns packed uint64 words."""
         return pack_bits(self.sketch_bits(np.asarray(vector)[None, :]))[0]
 
     def sketch_many(self, vectors: np.ndarray) -> np.ndarray:
-        """Sketch many vectors; returns ``(rows, n_words)`` packed words."""
-        return pack_bits(self.sketch_bits(vectors))
+        """Sketch many vectors; returns ``(rows, n_words)`` packed words.
+
+        Rows are sketched in blocks whose gather is about
+        ``_SKETCH_BLOCK_BYTES``, written into one output array.  Each
+        row's bits depend on that row alone, so the result is the same
+        as one ``pack_bits(sketch_bits(vectors))`` call.
+        """
+        v = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        params = self.params
+        block = max(1, _SKETCH_BLOCK_BYTES // (params.n_bits * params.k_xor * 8))
+        out = np.empty((v.shape[0], self.n_words), dtype=np.uint64)
+        for start in range(0, v.shape[0], block):
+            out[start : start + block] = pack_bits(
+                self.sketch_bits(v[start : start + block])
+            )
+        return out
 
     def hamming(self, sketch_a: np.ndarray, sketch_b: np.ndarray) -> int:
         return hamming_distance(sketch_a, sketch_b)

@@ -91,6 +91,5 @@ def build_demo_engine(
         SketchParams(bits, plugin.meta, seed=seed),
         FilterParams(),
     )
-    for obj in bench.dataset:
-        engine.insert(obj)
+    engine.insert_many(list(bench.dataset))
     return engine, bench

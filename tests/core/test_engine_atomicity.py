@@ -186,6 +186,46 @@ class TestInsertManyAtomicity:
         new_id = engine.insert(random_signature(rng, 2))
         assert new_id == before[4]
 
+    def test_backend_failure_on_second_page_rolls_back_first(
+        self, rng, monkeypatch
+    ):
+        from repro.core import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_LOAD_PAGE", 3)
+        metadata = FlakyMetadata()
+        engine = _engine(metadata)
+        engine.insert(random_signature(rng, 4))
+        before = _state(engine)
+        stored = dict(metadata.objects)
+        batch = [random_signature(rng, 2) for _ in range(7)]
+        metadata.fail_put_after = metadata.puts + 3  # first put of page two
+        with pytest.raises(OSError):
+            engine.insert_many(batch)
+        metadata.fail_put_after = None
+        _assert_same_live_state(engine, before)
+        assert metadata.objects == stored
+        assert all(sig.object_id is None for sig in batch)
+
+    def test_wrong_dimension_in_last_page_rejects_whole_batch(
+        self, rng, monkeypatch
+    ):
+        from repro.core import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_LOAD_PAGE", 3)
+        metadata = FlakyMetadata()
+        engine = _engine(metadata)
+        engine.insert(random_signature(rng, 4))
+        before = _state(engine)
+        stored = dict(metadata.objects)
+        batch = [random_signature(rng, 2) for _ in range(6)]
+        batch.append(random_signature(rng, 2, dim=5))
+        with pytest.raises(ValueError, match="batch position 6.*whole batch"):
+            engine.insert_many(batch)
+        _assert_same_live_state(engine, before)
+        assert metadata.objects == stored
+        assert metadata.puts == 1
+        assert all(sig.object_id is None for sig in batch)
+
     def test_failed_batch_leaves_queries_unchanged(self, rng):
         engine = _engine()
         probe = random_signature(rng, 4)

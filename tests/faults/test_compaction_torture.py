@@ -114,24 +114,36 @@ def _parse_ledger(lines):
     return ops, acked, in_flight
 
 
+class _Rows:
+    """Metadata stand-in whose ``iter_objects`` yields fixed rows."""
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+    def iter_objects(self):
+        return iter(self.rows)
+
+
 def _fresh_engine_from(seed: int, oids) -> SimilaritySearchEngine:
     """From-scratch engine holding exactly what recovery should hold.
 
     Mirrors the drill child's write path: sketches are computed from the
     original f64 features (that's what the child stored), while the
     signature itself goes through the storage codec's f32 round-trip
-    (that's what recovery decodes)."""
+    (that's what recovery decodes).  ``load`` takes both as given."""
     meta = FeatureMeta(DIM, np.zeros(DIM), np.ones(DIM))
     engine = SimilaritySearchEngine(
         DataTypePlugin("drill", meta),
         sketch_params=SketchParams(64, meta, seed=7),
     )
+    rows = []
     for oid in sorted(oids):
         original = drill_signature(seed, oid)
         stored = decode_object(encode_object(original), oid)
-        engine.insert(
-            stored, _sketches=engine.sketcher.sketch_many(original.features)
-        )
+        rows.append((oid, stored, engine.sketcher.sketch_many(original.features), {}))
+    engine.metadata = _Rows(rows)
+    engine.load()
+    engine.metadata = None
     return engine
 
 
