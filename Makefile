@@ -36,10 +36,13 @@ rank-smoke:
 # Bulk-ingest smoke: insert_many equals a loop of insert (ids, arena,
 # answers) with pages and sketch blocks split small, sketch temporaries
 # stay bounded, a failed batch leaves no trace, and the arena and the
-# paged reload keep their contracts.
+# paged reload keep their contracts; the durable write path (one WAL
+# frame per commit, one object row with its sketch trailer, older
+# layouts refused) replays and reloads what it wrote.
 ingest-smoke:
 	$(PYTHON) -m pytest -q tests/core/test_bulk_insert.py tests/datatypes/test_demo_engines.py::test_bulk_build_matches_per_object_build \
-		tests/core/test_engine_atomicity.py tests/core/test_arena.py tests/integration/test_persistence.py
+		tests/core/test_engine_atomicity.py tests/core/test_arena.py tests/integration/test_persistence.py \
+		tests/storage/test_wal.py tests/storage/test_recovery.py tests/storage/test_kvstore.py tests/metadata/test_manager.py
 
 # Cluster smoke: real backend subprocesses under the coordinator.  The
 # smoke test kills one backend at R=1 (PARTIAL answer, exactly the dead

@@ -53,12 +53,11 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 def _pack_rows(rows: np.ndarray) -> np.ndarray:
     n_rows, n_bits = rows.shape
-    n_words = (n_bits + _WORD_BITS - 1) // _WORD_BITS
-    padded = np.zeros((n_rows, n_words * _WORD_BITS), dtype=np.uint8)
-    padded[:, :n_bits] = rows.astype(np.uint8) & 1
+    out = np.zeros((n_rows, (n_bits + _WORD_BITS - 1) // _WORD_BITS), dtype=np.uint64)
     # np.packbits is big-endian within bytes; consistency is all we need.
-    packed_bytes = np.packbits(padded, axis=1)
-    return packed_bytes.view(np.uint64).reshape(n_rows, n_words)
+    # Its bytes go straight into the words, whose zeroed tail pads.
+    out.view(np.uint8)[:, : (n_bits + 7) // 8] = np.packbits(rows.astype(np.uint8) & 1, axis=1)
+    return out
 
 
 def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitvector import hamming_distance, hamming_to_many, pack_bits
+from .bitvector import hamming_distance, hamming_to_many
 from .types import FeatureMeta
 
 __all__ = ["SketchParams", "SketchConstructor", "estimate_l1_from_hamming"]
@@ -89,6 +89,9 @@ class SketchConstructor:
         lo = meta.min_values[self.rnd_i]
         hi = meta.max_values[self.rnd_i]
         self.rnd_t = lo + u * (hi - lo)
+        # The flat ``(N * K,)`` pairs Algorithm 2 gathers with.
+        self._flat_i = self.rnd_i.ravel()
+        self._flat_t = self.rnd_t.ravel()
 
     @property
     def n_bits(self) -> int:
@@ -105,37 +108,45 @@ class SketchConstructor:
             raise ValueError(
                 f"expected {self.params.meta.dim}-dim vectors, got {v.shape[1]}"
             )
+        return self._bits(v).view(np.uint8)
+
+    def _bits(self, v: np.ndarray) -> np.ndarray:
         # bits[r, n, k] = v[r, rnd_i[n, k]] >= rnd_t[n, k].  ``take``
         # on the flat ``(N * K,)`` index gathers each row's samples
         # contiguously, several times faster than a 2-D fancy index.
-        bits = np.take(v, self.rnd_i.ravel(), axis=1) >= self.rnd_t.ravel()
+        bits = np.take(v, self._flat_i, axis=1) >= self._flat_t
         if self.params.k_xor > 1:
             bits = np.bitwise_xor.reduce(
                 bits.reshape(v.shape[0], self.params.n_bits, self.params.k_xor),
                 axis=2,
             )
-        return bits.view(np.uint8)
+        return bits
 
     def sketch(self, vector: np.ndarray) -> np.ndarray:
         """Sketch one vector; returns packed uint64 words."""
-        return pack_bits(self.sketch_bits(np.asarray(vector)[None, :]))[0]
+        return self.sketch_many(np.asarray(vector)[None, :])[0]
 
     def sketch_many(self, vectors: np.ndarray) -> np.ndarray:
         """Sketch many vectors; returns ``(rows, n_words)`` packed words.
 
         Rows are sketched in blocks whose gather is about
-        ``_SKETCH_BLOCK_BYTES``, written into one output array.  Each
-        row's bits depend on that row alone, so the result is the same
-        as one ``pack_bits(sketch_bits(vectors))`` call.
+        ``_SKETCH_BLOCK_BYTES``; each block's bits are packed with one
+        ``np.packbits`` straight into the output's bytes, whose zeroed
+        tail pads the last word.  Each row's bits depend on that row
+        alone, so the result is the same as one
+        ``pack_bits(sketch_bits(vectors))`` call.
         """
         v = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         params = self.params
+        if v.shape[1] != params.meta.dim:
+            raise ValueError(f"expected {params.meta.dim}-dim vectors, got {v.shape[1]}")
         block = max(1, _SKETCH_BLOCK_BYTES // (params.n_bits * params.k_xor * 8))
-        out = np.empty((v.shape[0], self.n_words), dtype=np.uint64)
+        out = np.zeros((v.shape[0], self.n_words), dtype=np.uint64)
+        out_bytes = out.view(np.uint8)
+        n_bytes = (params.n_bits + 7) // 8
         for start in range(0, v.shape[0], block):
-            out[start : start + block] = pack_bits(
-                self.sketch_bits(v[start : start + block])
-            )
+            rows = v[start : start + block]
+            out_bytes[start : start + block, :n_bytes] = np.packbits(self._bits(rows), axis=1)
         return out
 
     def hamming(self, sketch_a: np.ndarray, sketch_b: np.ndarray) -> int:

@@ -10,7 +10,7 @@ recovery invariant:
     The recovered state equals the state after some prefix of the
     acknowledged-commit sequence — optionally extended by the single
     transaction whose commit was in flight when the crash hit (its
-    COMMIT record may have reached the log even though the call never
+    record may have reached the log even though the call never
     returned).  Atomicity: no transaction is ever half-visible; no
     aborted or unlogged operation is ever visible.  Durability: the
     matched prefix covers at least every transaction the store

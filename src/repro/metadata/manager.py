@@ -1,15 +1,21 @@
 """Metadata management (section 4.1.3).
 
 Keeps feature vectors, sketches, attributes and the object↔file mapping
-in separate tables of the transactional store.  "All the updates to the
-metadata associated with the same object are protected by database
-transactions" — :meth:`MetadataManager.put_object` writes every table in
-one transaction, so a crash can never leave an object half-ingested.
+in tables of the transactional store.  "All the updates to the metadata
+associated with the same object are protected by database transactions"
+— :meth:`MetadataManager.put_object` writes them in one transaction, so
+a crash can never leave an object half-ingested.
+
+An object's row in the ``objects`` table carries its sketches: the
+object encoding, then the sketch encoding as a trailer (the object
+header gives where the trailer starts).  One row means an insert is one
+B-tree put and one WAL record; the paper's separate sketch table would
+double both.  A row without the trailer comes from an older layout and
+is refused on load.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -24,19 +30,29 @@ from .serialization import (
     encode_object,
     encode_sketches,
     object_key,
+    object_size,
     parse_object_key,
 )
 
 __all__ = ["MetadataManager"]
 
 _T_OBJECTS = "objects"
-_T_SKETCHES = "sketches"
 _T_ATTRIBUTES = "attributes"
 _T_FILES = "files"
-_T_SYSTEM = "system"
 
 
 _SCAN_PAGE = 1024  # rows per paged table scan
+
+
+def _sketch_offset(raw: bytes, object_id: int) -> int:
+    """Where the sketch trailer of a stored object row begins."""
+    end = object_size(raw)
+    if end >= len(raw):
+        raise ValueError(
+            f"object {object_id}: stored row has no sketch trailer; it was "
+            "written in an older layout that kept sketches in their own table"
+        )
+    return end
 
 
 def _merge_lookup(
@@ -90,8 +106,7 @@ class MetadataManager:
         """Write all metadata of one object atomically."""
         key = object_key(object_id)
         with self.store.begin() as txn:
-            txn.put(_T_OBJECTS, key, encode_object(signature))
-            txn.put(_T_SKETCHES, key, encode_sketches(sketches))
+            txn.put(_T_OBJECTS, key, encode_object(signature) + encode_sketches(sketches))
             if attributes:
                 txn.put(_T_ATTRIBUTES, key, encode_attributes(attributes))
             if filename:
@@ -101,7 +116,6 @@ class MetadataManager:
         key = object_key(object_id)
         with self.store.begin() as txn:
             txn.delete(_T_OBJECTS, key)
-            txn.delete(_T_SKETCHES, key)
             txn.delete(_T_ATTRIBUTES, key)
 
     def get_object(self, object_id: int) -> Optional[ObjectSignature]:
@@ -111,8 +125,10 @@ class MetadataManager:
         return decode_object(raw, object_id)
 
     def get_sketches(self, object_id: int) -> Optional[np.ndarray]:
-        raw = self.store.get(_T_SKETCHES, object_key(object_id))
-        return None if raw is None else decode_sketches(raw)
+        raw = self.store.get(_T_OBJECTS, object_key(object_id))
+        if raw is None:
+            return None
+        return decode_sketches(raw, _sketch_offset(raw, object_id))
 
     def get_attributes(self, object_id: int) -> Dict[str, str]:
         raw = self.store.get(_T_ATTRIBUTES, object_key(object_id))
@@ -142,18 +158,18 @@ class MetadataManager:
     ) -> Iterator[Tuple[int, ObjectSignature, np.ndarray, Dict[str, str]]]:
         """Yield ``(object_id, signature, sketches, attributes)`` for all
         objects, in object-id order.  This is the engine's reload path:
-        one ordered, paged scan per table, merged by key (an object
-        missing a sketch or attribute row gets an empty matrix or ``{}``)."""
-        sketch_of = _merge_lookup(self._scan(_T_SKETCHES))
+        one ordered, paged scan of the object rows merged by key with
+        one of the attribute rows (an object without an attribute row
+        gets ``{}``)."""
         attributes_of = _merge_lookup(self._scan(_T_ATTRIBUTES))
         for key, raw in self._scan(_T_OBJECTS):
             object_id = parse_object_key(key)
-            sk_raw = sketch_of(key)
+            sketches = decode_sketches(raw, _sketch_offset(raw, object_id))
             at_raw = attributes_of(key)
             yield (
                 object_id,
                 decode_object(raw, object_id),
-                decode_sketches(sk_raw) if sk_raw is not None else np.empty((0, 0), np.uint64),
+                sketches,
                 decode_attributes(at_raw) if at_raw is not None else {},
             )
 
@@ -173,15 +189,6 @@ class MetadataManager:
 
     def num_objects(self) -> int:
         return self.store.count(_T_OBJECTS)
-
-    def next_object_id(self) -> int:
-        """Allocate a monotonically increasing object id (durable counter)."""
-        raw = self.store.get(_T_SYSTEM, b"next_object_id")
-        next_id = int.from_bytes(raw, "little") if raw else 0
-        self.store.put(
-            _T_SYSTEM, b"next_object_id", (next_id + 1).to_bytes(8, "little")
-        )
-        return next_id
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -21,6 +21,7 @@ from ..core.types import ObjectSignature
 __all__ = [
     "encode_object",
     "decode_object",
+    "object_size",
     "encode_sketches",
     "decode_sketches",
     "encode_attributes",
@@ -32,6 +33,7 @@ __all__ = [
 _OBJECT_V1 = 1
 _OBJECT_V2 = 2
 _FEATURE_DTYPE = {_OBJECT_V1: "<f4", _OBJECT_V2: "<f8"}
+_FEATURE_BYTES = {_OBJECT_V1: 4, _OBJECT_V2: 8}
 _SKETCH_V1 = 1
 _ATTRS_V1 = 1
 
@@ -74,17 +76,27 @@ def decode_object(raw: bytes, object_id: int = None) -> ObjectSignature:
     )
 
 
+def object_size(raw: bytes) -> int:
+    """Length of the object encoding that starts ``raw``, read from its
+    header: where a stored object row's sketch trailer begins."""
+    version, k, dim = struct.unpack_from("<BII", raw)
+    if version not in _FEATURE_DTYPE:
+        raise ValueError(f"unsupported object encoding version {version}")
+    return 9 + 8 * k + _FEATURE_BYTES[version] * k * dim
+
+
 def encode_sketches(sketches: np.ndarray) -> bytes:
     arr = np.atleast_2d(np.asarray(sketches, dtype="<u8"))
     header = struct.pack("<BII", _SKETCH_V1, arr.shape[0], arr.shape[1])
     return header + arr.tobytes()
 
 
-def decode_sketches(raw: bytes) -> np.ndarray:
-    version, rows, words = struct.unpack_from("<BII", raw)
+def decode_sketches(raw: bytes, offset: int = 0) -> np.ndarray:
+    """Decode the sketch encoding that starts at ``offset`` of ``raw``."""
+    version, rows, words = struct.unpack_from("<BII", raw, offset)
     if version != _SKETCH_V1:
         raise ValueError(f"unsupported sketch encoding version {version}")
-    flat = np.frombuffer(raw, dtype="<u8", count=rows * words, offset=9)
+    flat = np.frombuffer(raw, dtype="<u8", count=rows * words, offset=offset + 9)
     return flat.astype(np.uint64).reshape(rows, words)
 
 

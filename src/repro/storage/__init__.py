@@ -18,7 +18,7 @@ from .kvstore import KVStore
 from .pager import Meta, Pager
 from .recovery import RecoveryReport, replay_segment
 from .transaction import Transaction, TxnState
-from .wal import SegmentScan, WalRecord, WriteAheadLog
+from .wal import SegmentScan, WalTransaction, WriteAheadLog
 
 __all__ = [
     "BTree",
@@ -37,7 +37,7 @@ __all__ = [
     "Transaction",
     "TransactionError",
     "TxnState",
-    "WalRecord",
+    "WalTransaction",
     "WriteAheadLog",
     "replay_segment",
 ]

@@ -2,8 +2,8 @@
 
 Keys and values are byte strings; keys are ordered lexicographically
 (Berkeley DB's default B-tree comparator).  Nodes are serialized one per
-page; values too large to inline on a node page are spilled to overflow
-page chains.  All structural updates follow the shadow-paging discipline:
+page; a value longer than a quarter of a page is spilled to an overflow
+page chain.  All structural updates follow the shadow-paging discipline:
 a node touched for the first time in a checkpoint epoch is copied to a
 freshly allocated page, so the durable tree of the previous checkpoint
 stays intact until the next meta flip.
@@ -76,9 +76,12 @@ class BTree:
         self.root = root
         self.epoch = 0
         self._nodes: Dict[int, _Node] = {}
-        # Inline values must leave room for several entries per node.
-        self._inline_limit = max(64, pager.max_payload // 8)
+        # A value up to a quarter of a page stays on the leaf, as
+        # Berkeley DB's default ``bt_minkey = 2`` keeps items up to about
+        # a quarter page; a leaf still fits at least two such entries.
+        self._inline_limit = max(64, pager.max_payload // 4)
         self._node_budget = pager.max_payload
+        self._chunk_size = pager.max_payload - 9  # overflow: next(8) + type(1)
 
     # ------------------------------------------------------------------
     # Node io
@@ -182,7 +185,11 @@ class BTree:
         """Release overflow pages owned by a replaced/deleted value."""
         if encoded[0] != _OVERFLOW_VALUE_FLAG:
             return
-        head, _total = struct.unpack_from("<qQ", encoded, 1)
+        head, total = struct.unpack_from("<qQ", encoded, 1)
+        if total <= self._chunk_size:
+            # A one-page chain: nothing to read to find the next page.
+            self.pager.free(head)
+            return
         page_id = head
         while page_id >= 0:
             payload = self.pager.read_page(page_id)
@@ -191,8 +198,8 @@ class BTree:
             page_id = nxt
 
     def _write_overflow(self, value: bytes) -> int:
-        chunk_size = self.pager.max_payload - 9  # next(8) + type(1)
-        chunks = [value[i : i + chunk_size] for i in range(0, len(value), chunk_size)]
+        size = self._chunk_size
+        chunks = [value[i : i + size] for i in range(0, len(value), size)]
         head = -1
         for chunk in reversed(chunks):
             page_id = self.pager.allocate()
@@ -222,7 +229,8 @@ class BTree:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, key: bytes) -> Optional[bytes]:
+    def _lookup(self, key: bytes) -> Optional[bytes]:
+        """The encoded value stored under ``key``, or None."""
         if self.root < 0:
             return None
         node = self._load(self.root)
@@ -233,11 +241,16 @@ class BTree:
             node = self._load(node.children[idx])
         idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
-            return self._decode_value(node.values[idx])
+            return node.values[idx]
         return None
 
+    def get(self, key: bytes) -> Optional[bytes]:
+        encoded = self._lookup(key)
+        return None if encoded is None else self._decode_value(encoded)
+
     def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
+        # Never decodes the value, so an overflow chain is not read.
+        return self._lookup(key) is not None
 
     # ------------------------------------------------------------------
     # Insert
@@ -302,7 +315,7 @@ class BTree:
         if self._node_size(node) <= self._node_budget or len(node.keys) < 2:
             self._store(node)
             return None
-        mid = len(node.keys) // 2
+        mid = self._split_point(node)
         right = _Node(self.pager.allocate(), node.is_leaf, epoch=self.epoch)
         if node.is_leaf:
             sep = node.keys[mid]
@@ -320,6 +333,27 @@ class BTree:
         self._store(node)
         self._store(right)
         return sep, right.page_id
+
+    @staticmethod
+    def _split_point(node: _Node) -> int:
+        """Where to split an overfull node: the entries up to and
+        including the one that crosses half the node's bytes go left.
+
+        Splitting by bytes rather than by count keeps both halves under
+        the page budget however unevenly sized the entries are (a leaf
+        may mix quarter-page inline values with 17-byte overflow
+        references)."""
+        if node.is_leaf:
+            sizes = [2 + len(key) + len(value) for key, value in zip(node.keys, node.values)]
+        else:
+            sizes = [2 + len(key) + 8 for key in node.keys]
+        half = sum(sizes) / 2
+        total = 0
+        for mid, size in enumerate(sizes, 1):
+            total += size
+            if total >= half:
+                break
+        return min(mid, len(sizes) - 1)
 
     @staticmethod
     def _resize(node: _Node, delta: int) -> None:
@@ -346,7 +380,8 @@ class BTree:
         if self.root < 0:
             return False
         root = self._load(self.root)
-        removed = self._delete(root, key)
+        if not self._delete(root, key):
+            return False
         self.root = root.page_id  # COW-safe: same object, possibly new id
         # Collapse a root that lost all separators.
         if not root.is_leaf and len(root.children) == 1:
@@ -358,31 +393,34 @@ class BTree:
             self.pager.free(root.page_id)
             self._nodes.pop(root.page_id, None)
             self.root = -1
-        return removed
+        return True
 
     def _delete(self, node: _Node, key: bytes) -> bool:
-        node = self._shadow(node)
+        # Nodes are shadowed on the way back up, and only once the key
+        # was found: deleting an absent key copies and stages nothing.
         if node.is_leaf:
             idx = bisect_left(node.keys, key)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                self._free_value(node.values[idx])
-                self._resize(node, -(2 + len(key) + len(node.values[idx])))
-                del node.keys[idx]
-                del node.values[idx]
-                self._store(node)
-                return True
+            if idx == len(node.keys) or node.keys[idx] != key:
+                return False
+            node = self._shadow(node)
+            self._free_value(node.values[idx])
+            self._resize(node, -(2 + len(key) + len(node.values[idx])))
+            del node.keys[idx]
+            del node.values[idx]
             self._store(node)
-            return False
+            return True
         idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
             idx += 1
         child = self._load(node.children[idx])
-        removed = self._delete(child, key)
+        if not self._delete(child, key):
+            return False
+        node = self._shadow(node)
         node.children[idx] = child.page_id
         if self._node_size(child) < self._node_budget // 4 or not child.keys:
             self._rebalance(node, idx)
         self._store(node)
-        return removed
+        return True
 
     def _rebalance(self, parent: _Node, idx: int) -> None:
         """Fix an underfull child of ``parent`` by borrowing or merging."""

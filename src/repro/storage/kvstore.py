@@ -32,7 +32,7 @@ from .fs import OS_FS, FileSystem
 from .pager import DEFAULT_PAGE_SIZE, Pager
 from .recovery import RecoveryReport, replay_segment
 from .transaction import TOMBSTONE, Transaction
-from .wal import REC_DELETE, REC_PUT, WriteAheadLog
+from .wal import OP_DELETE, OP_PUT, WriteAheadLog
 
 __all__ = ["KVStore"]
 
@@ -98,7 +98,14 @@ class KVStore:
         self._next_txid = 1
         self._ops_since_checkpoint = 0
         self.auto_checkpoint_ops = auto_checkpoint_ops
-        self._recover()
+        try:
+            self._recover()
+        except StorageError:
+            # A segment recovery refuses (an older WAL layout) is left
+            # exactly as it is on disk: close without syncing anything.
+            self._wal.close(sync=False)
+            self._pager.close()
+            raise
 
     # ------------------------------------------------------------------
     # Setup / recovery
@@ -231,9 +238,9 @@ class KVStore:
     def _commit_transaction(self, txn: Transaction) -> None:
         with self._lock:
             self._check_writable()
-            writes = list(txn.pending_writes())
             ops = []
-            for tree, key, value in writes:
+            staged = []
+            for name, key, value in txn.pending_writes():
                 # Validate everything the B-trees could reject *before*
                 # the WAL append: a transaction that is durable in the
                 # log but unapplied in memory would resurrect on reopen.
@@ -241,19 +248,29 @@ class KVStore:
                     raise KeyTooLargeError(
                         f"key of {len(key)} bytes exceeds {MAX_KEY_SIZE}"
                     )
+                if name == _CATALOG:
+                    raise StorageError("reserved tree name")
                 if value is TOMBSTONE:
-                    ops.append((REC_DELETE, tree.encode("utf-8"), key, b""))
+                    # Deleting an absent key changes nothing, so nothing
+                    # is logged or applied.  Commits are serialized
+                    # under this lock, so replay finds the key absent
+                    # at this point of the log too.
+                    tree = self._trees.get(name)
+                    if tree is None or key not in tree:
+                        continue
+                    ops.append((OP_DELETE, name.encode("utf-8"), key, b""))
                 else:
-                    ops.append((REC_PUT, tree.encode("utf-8"), key, value))
+                    ops.append((OP_PUT, name.encode("utf-8"), key, value))
+                staged.append((name, key, value))
             if not ops:
                 return
             # WAL first (write-ahead), then the in-memory trees.
             self._wal.append_transaction(txn.txid, ops)
-            for tree, key, value in writes:
+            for name, key, value in staged:
                 if value is TOMBSTONE:
-                    self._tree(tree).delete(key)
+                    self._tree(name).delete(key)
                 else:
-                    self._tree(tree).put(key, value)  # type: ignore[arg-type]
+                    self._tree(name).put(key, value)  # type: ignore[arg-type]
             self._ops_since_checkpoint += len(ops)
             if (
                 self.auto_checkpoint_ops

@@ -2,20 +2,21 @@
 
 On open, the store's page file reflects the last durable checkpoint
 (shadow paging guarantees it is internally consistent).  Everything that
-committed afterwards lives only in the WAL.  Recovery scans the current
-segment, keeps only transactions with a complete BEGIN..COMMIT envelope,
-and re-applies their logical operations in commit order.  Replay is
-idempotent — puts and deletes of final values — so crashing during or
-after recovery and replaying again converges to the same state.
+committed afterwards lives only in the WAL, one record per transaction.
+Recovery scans the current segment and re-applies every whole record's
+operations in log order; a torn tail record was never acknowledged and
+is skipped.  Replay is idempotent — puts and deletes of final values —
+so crashing during or after recovery and replaying again converges to
+the same state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .fs import FileSystem
-from .wal import REC_BEGIN, REC_COMMIT, REC_DELETE, REC_PUT, WalRecord, WriteAheadLog
+from .wal import OP_PUT, WriteAheadLog
 
 __all__ = ["RecoveryReport", "replay_segment"]
 
@@ -24,12 +25,9 @@ __all__ = ["RecoveryReport", "replay_segment"]
 class RecoveryReport:
     """What recovery found and did."""
 
-    transactions_seen: int = 0
     transactions_replayed: int = 0
     operations_applied: int = 0
-    incomplete_transactions: int = 0
     max_txid: int = 0
-    replayed_txids: List[int] = field(default_factory=list)
     #: The segment ended in a damaged record (partial frame, bad CRC,
     #: unparseable payload) rather than at a clean record boundary.
     torn_tail: bool = False
@@ -45,39 +43,20 @@ def replay_segment(
 ) -> RecoveryReport:
     """Replay one WAL segment through the given apply callbacks.
 
-    Commit order is the order COMMIT records appear in the log, which is
-    the serialization order the commit lock enforced before the crash.
+    Commit order is the order records appear in the log, which is the
+    serialization order the commit lock enforced before the crash.
+    Raises :class:`~repro.storage.errors.StorageError` for a segment in
+    the older per-operation layout (see :meth:`WriteAheadLog.scan_segment`).
     """
-    report = RecoveryReport()
-    in_flight: Dict[int, List[WalRecord]] = {}
-    committed: List[Tuple[int, List[WalRecord]]] = []
-
     scan = WriteAheadLog.scan_segment(path, fs=fs)
-    report.torn_tail = scan.torn_tail
-    report.valid_bytes = scan.valid_bytes
-    for record in scan.records:
-        report.max_txid = max(report.max_txid, record.txid)
-        if record.rec_type == REC_BEGIN:
-            report.transactions_seen += 1
-            in_flight[record.txid] = []
-        elif record.rec_type in (REC_PUT, REC_DELETE):
-            # Records for an unknown txid (BEGIN lost to a torn prefix)
-            # can't be trusted to be complete; drop them.
-            if record.txid in in_flight:
-                in_flight[record.txid].append(record)
-        elif record.rec_type == REC_COMMIT:
-            ops = in_flight.pop(record.txid, None)
-            if ops is not None:
-                committed.append((record.txid, ops))
-
-    report.incomplete_transactions = len(in_flight)
-    for txid, ops in committed:
-        for record in ops:
-            if record.rec_type == REC_PUT:
-                apply_put(record.tree, record.key, record.value)
+    report = RecoveryReport(torn_tail=scan.torn_tail, valid_bytes=scan.valid_bytes)
+    for txid, ops in scan.transactions:
+        for op, tree, key, value in ops:
+            if op == OP_PUT:
+                apply_put(tree, key, value)
             else:
-                apply_delete(record.tree, record.key)
-            report.operations_applied += 1
+                apply_delete(tree, key)
+        report.operations_applied += len(ops)
         report.transactions_replayed += 1
-        report.replayed_txids.append(txid)
+        report.max_txid = max(report.max_txid, txid)
     return report

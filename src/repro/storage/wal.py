@@ -1,25 +1,32 @@
 """Write-ahead log of logical operations.
 
-Commits append BEGIN / PUT / DELETE / COMMIT records to the current WAL
-segment *before* the corresponding B-tree pages are considered durable.
-A checkpoint flips to a fresh segment and deletes the old one, so the log
-only ever covers operations since the last durable checkpoint.
+A commit appends one record holding every operation of the transaction
+to the current WAL segment *before* the corresponding B-tree pages are
+considered durable; that record is the commit.  A checkpoint flips to a
+fresh segment and deletes the old one, so the log only ever covers
+operations since the last durable checkpoint.
 
 Durability is deliberately relaxed, as in the paper (section 4.1.3):
 ``sync_policy`` controls whether each commit fsyncs the log
 (``"commit"``), fsyncs are batched every N commits (``"batch"``), or
 left to the OS (``"none"``).  After a crash, recovery replays only
-complete, committed transactions — a torn tail record or a transaction
-missing its COMMIT is ignored, which yields consistency with possibly a
-few seconds of lost updates, exactly the Berkeley DB configuration the
-paper describes.
+whole records — a torn tail record is ignored, which yields
+consistency with possibly a few seconds of lost updates, exactly the
+Berkeley DB configuration the paper describes.
 
 All file I/O goes through an injectable :class:`~repro.storage.fs.FileSystem`
 so the fault-injection framework (:mod:`repro.faults`) can exercise the
 log under crashes, torn writes, dropped fsyncs, and I/O errors.
 
-Record framing: ``<length:u32><crc32:u32><payload>``; payload starts
-with a record-type byte and a transaction id.
+Record framing: ``<length:u32><crc32:u32><payload>``.  The payload is
+``<type:u8 = 5><txid:u64><n_ops:u32>`` and then ``n_ops`` operations,
+each ``<op:u8><tree_len:u16><key_len:u32><value_len:u64>`` followed by
+the tree name (UTF-8), the key and the value (empty for a delete).
+
+Older stores logged a transaction as BEGIN, one frame per operation and
+COMMIT (payload type bytes 1–4).  A CRC-valid frame of that layout is
+refused with :class:`StorageError` rather than replayed or cut off as a
+torn tail.
 """
 
 from __future__ import annotations
@@ -29,26 +36,22 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
 from .errors import StorageError
 from .fs import OS_FS, FileSystem
 
 __all__ = [
-    "WalRecord",
-    "WriteAheadLog",
+    "OP_DELETE",
+    "OP_PUT",
     "SegmentScan",
-    "REC_BEGIN",
-    "REC_PUT",
-    "REC_DELETE",
-    "REC_COMMIT",
+    "WalTransaction",
+    "WriteAheadLog",
 ]
 
-REC_BEGIN = 1
-REC_PUT = 2
-REC_DELETE = 3
-REC_COMMIT = 4
+OP_PUT = 2
+OP_DELETE = 3
 
 _M_APPENDS = _metrics.counter("wal.appends")
 _M_COMMITS = _metrics.counter("wal.commits")
@@ -61,56 +64,51 @@ _M_BROKEN = _metrics.counter("wal.broken")
 
 _FRAME = struct.Struct("<II")  # payload length, crc32
 _FRAME_SIZE = _FRAME.size
-# Payload: <rec_type:u8><txid:u64><tree_len:u16> tree <key_len:u32> key
-# <value_len:u64> value; BEGIN and COMMIT leave the last three empty.
-_HEAD = struct.Struct("<BQH")
-_KEY_LEN = struct.Struct("<I")
-_VALUE_LEN = struct.Struct("<Q")
+_TXN_RECORD = 5
+_TXN_HEAD = struct.Struct("<BQI")  # type, txid, number of ops
+_OP_HEAD = struct.Struct("<BHIQ")  # op, tree, key and value lengths
+# Payload type bytes of the per-operation layout (BEGIN, PUT, DELETE,
+# COMMIT) that older stores wrote.
+_OLD_LAYOUT_TYPES = frozenset((1, 2, 3, 4))
 
 
-def _pack_payload(
-    rec_type: int, txid: int, tree: bytes, key: bytes, value: bytes
-) -> bytes:
-    return b"".join((
-        _HEAD.pack(rec_type, txid, len(tree)), tree,
-        _KEY_LEN.pack(len(key)), key,
-        _VALUE_LEN.pack(len(value)), value,
-    ))
+class WalTransaction(NamedTuple):
+    """One logged transaction: ``ops`` are ``(op, tree, key, value)``."""
 
-
-@dataclass(frozen=True)
-class WalRecord:
-    """One logical log record."""
-
-    rec_type: int
     txid: int
-    tree: str = ""
-    key: bytes = b""
-    value: bytes = b""
+    ops: List[Tuple[int, str, bytes, bytes]]
 
-    def pack(self) -> bytes:
-        return _pack_payload(
-            self.rec_type, self.txid, self.tree.encode("utf-8"), self.key, self.value
-        )
 
-    @classmethod
-    def unpack(cls, payload: bytes) -> "WalRecord":
-        rec_type, txid, tree_len = _HEAD.unpack_from(payload)
-        offset = _HEAD.size
-        tree = payload[offset : offset + tree_len].decode("utf-8")
-        if len(tree.encode("utf-8")) != tree_len:
-            raise ValueError("truncated tree name")
-        offset += tree_len
-        (key_len,) = _KEY_LEN.unpack_from(payload, offset)
-        offset += _KEY_LEN.size
-        key = payload[offset : offset + key_len]
-        offset += key_len
-        (value_len,) = _VALUE_LEN.unpack_from(payload, offset)
-        offset += _VALUE_LEN.size
-        value = payload[offset : offset + value_len]
-        if len(key) != key_len or len(value) != value_len:
-            raise ValueError("record payload shorter than declared lengths")
-        return cls(rec_type, txid, tree, key, value)
+def _pack_transaction(
+    txid: int, ops: Sequence[Tuple[int, bytes, bytes, bytes]]
+) -> bytes:
+    parts = [_TXN_HEAD.pack(_TXN_RECORD, txid, len(ops))]
+    for op, tree, key, value in ops:
+        parts += (_OP_HEAD.pack(op, len(tree), len(key), len(value)), tree, key, value)
+    return b"".join(parts)
+
+
+def _unpack_transaction(payload: bytes) -> WalTransaction:
+    """Parse one record; raises ``ValueError`` / ``struct.error`` if it
+    does not hold exactly the operations its header declares."""
+    kind, txid, n_ops = _TXN_HEAD.unpack_from(payload)
+    if kind != _TXN_RECORD:
+        raise ValueError(f"unknown record type {kind}")
+    offset = _TXN_HEAD.size
+    ops = []
+    for _ in range(n_ops):
+        op, tree_len, key_len, value_len = _OP_HEAD.unpack_from(payload, offset)
+        if op != OP_PUT and op != OP_DELETE:
+            raise ValueError(f"unknown operation {op}")
+        tree_at = offset + _OP_HEAD.size
+        key_at = tree_at + tree_len
+        value_at = key_at + key_len
+        offset = value_at + value_len
+        tree = payload[tree_at:key_at].decode("utf-8")
+        ops.append((op, tree, payload[key_at:value_at], payload[value_at:offset]))
+    if offset != len(payload):
+        raise ValueError("record payload length disagrees with its operations")
+    return WalTransaction(txid, ops)
 
 
 @dataclass
@@ -124,7 +122,7 @@ class SegmentScan:
     last intact record (i.e. where a repair could truncate to).
     """
 
-    records: List[WalRecord] = field(default_factory=list)
+    transactions: List[WalTransaction] = field(default_factory=list)
     torn_tail: bool = False
     valid_bytes: int = 0
 
@@ -178,56 +176,40 @@ class WriteAheadLog:
         _M_FSYNCS.inc()
         _M_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
 
-    def _write_frame(self, payload: bytes) -> None:
-        # One write per frame: the crash-torture scans count on every
-        # frame being its own I/O operation.
-        self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
-        self._size += _FRAME_SIZE + len(payload)
-
-    def _committed(self) -> None:
-        # A COMMIT frame was written: flush, then fsync per the policy.
-        _M_COMMITS.inc()
-        self._file.flush()
-        if self.sync_policy == "commit":
-            self._fsync()
-        elif self.sync_policy == "batch":
-            self._unsynced_commits += 1
-            if self._unsynced_commits >= self.batch_size:
-                self._fsync()
-                self._unsynced_commits = 0
-
-    def append(self, record: WalRecord) -> None:
-        self._check_usable()
-        self._write_frame(record.pack())
-        _M_APPENDS.inc()
-        if record.rec_type == REC_COMMIT:
-            self._committed()
-
     def append_transaction(
         self, txid: int, ops: Sequence[Tuple[int, bytes, bytes, bytes]]
     ) -> None:
-        """Append BEGIN, the given ops, COMMIT as one contiguous burst.
+        """Append one transaction as one record; the record is its commit.
 
-        Each op is a plain ``(rec_type, tree_utf8, key, value)`` tuple
-        (``value`` is ``b""`` for a DELETE); the frames are exactly those
-        of the matching :class:`WalRecord` s, one ``write`` each.
+        Each op is a plain ``(op, tree_utf8, key, value)`` tuple
+        (``value`` is ``b""`` for an ``OP_DELETE``).  The frame goes out
+        in one ``write`` — the crash-torture scans count on every record
+        being its own I/O operation — then the log is flushed and
+        fsynced per the policy.
 
-        If any append fails mid-burst (ENOSPC, EIO, ...), the partial
-        transaction is rolled back by truncating the segment to its
-        pre-burst size, so a later transaction cannot append after
-        half-written frames.  If even the truncate fails, the log is
-        marked broken and refuses further appends — recovery on reopen
-        ignores the unterminated transaction either way.
+        If the append fails (ENOSPC, EIO, ...), the partial record is
+        rolled back by truncating the segment to its size before the
+        append, so a later transaction cannot land after a half-written
+        frame.  If even the truncate fails, the log is marked broken and
+        refuses further appends — recovery on reopen ignores the torn
+        record either way.
         """
         self._check_usable()
         start_size = self._size
+        payload = _pack_transaction(txid, ops)
         try:
-            self._write_frame(_pack_payload(REC_BEGIN, txid, b"", b"", b""))
-            for rec_type, tree, key, value in ops:
-                self._write_frame(_pack_payload(rec_type, txid, tree, key, value))
-            self._write_frame(_pack_payload(REC_COMMIT, txid, b"", b"", b""))
-            _M_APPENDS.inc(len(ops) + 2)
-            self._committed()
+            self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
+            self._size += _FRAME_SIZE + len(payload)
+            _M_APPENDS.inc()
+            _M_COMMITS.inc()
+            self._file.flush()
+            if self.sync_policy == "commit":
+                self._fsync()
+            elif self.sync_policy == "batch":
+                self._unsynced_commits += 1
+                if self._unsynced_commits >= self.batch_size:
+                    self._fsync()
+                    self._unsynced_commits = 0
         except Exception:
             _M_ROLLBACKS.inc()
             try:
@@ -317,7 +299,10 @@ class WriteAheadLog:
         A partially written tail (crash mid-append) is expected and
         terminates the scan; anything before it is intact because frames
         carry CRCs.  Damage never propagates as ``struct.error`` — the
-        scan reports it via :attr:`SegmentScan.torn_tail` instead.
+        scan reports it via :attr:`SegmentScan.torn_tail` instead.  A
+        CRC-valid frame of the older per-operation layout raises
+        :class:`StorageError`: it is a whole record this version cannot
+        replay, not damage to cut off.
         """
         fs = fs if fs is not None else OS_FS
         scan = SegmentScan()
@@ -337,18 +322,18 @@ class WriteAheadLog:
                 if len(payload) < length or zlib.crc32(payload) != crc:
                     scan.torn_tail = True
                     return scan
+                if payload[:1] and payload[0] in _OLD_LAYOUT_TYPES:
+                    raise StorageError(
+                        f"{path}: record at offset {offset} uses the older "
+                        "per-operation WAL layout (BEGIN / op / COMMIT "
+                        "frames); this version cannot replay it and will "
+                        "not discard it"
+                    )
                 try:
-                    record = WalRecord.unpack(payload)
+                    transaction = _unpack_transaction(payload)
                 except (struct.error, UnicodeDecodeError, ValueError):
                     scan.torn_tail = True
                     return scan
                 offset += _FRAME_SIZE + length
-                scan.records.append(record)
+                scan.transactions.append(transaction)
                 scan.valid_bytes = offset
-
-    @classmethod
-    def read_segment(
-        cls, path: str, fs: Optional[FileSystem] = None
-    ) -> Iterator[WalRecord]:
-        """Yield the intact records of a segment (compat wrapper)."""
-        yield from cls.scan_segment(path, fs=fs).records

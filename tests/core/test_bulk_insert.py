@@ -149,7 +149,7 @@ class TestBulkEqualsOneAtATime:
 
 
 class TestBlockedSketch:
-    @pytest.mark.parametrize("n_bits", [64, 800])
+    @pytest.mark.parametrize("n_bits", [64, 100, 256, 800])
     @pytest.mark.parametrize("k_xor", [1, 3])
     @settings(max_examples=10, deadline=None)
     @given(rows=st.integers(0, 40), seed=st.integers(0, 2**31))
@@ -164,6 +164,15 @@ class TestBlockedSketch:
         assert blocked.dtype == np.uint64
         bits = sketcher.sketch_bits(vectors)
         np.testing.assert_array_equal(blocked, pack_bits(bits))
+        # The packing written out independently: bits zero-padded to
+        # whole words, big-endian within each byte.
+        words = (n_bits + 63) // 64
+        padded = np.zeros((rows, words * 64), dtype=np.uint8)
+        padded[:, :n_bits] = bits
+        reference = np.packbits(padded, axis=1).view(np.uint64).reshape(rows, words)
+        np.testing.assert_array_equal(blocked, reference)
+        for row in range(min(rows, 3)):
+            np.testing.assert_array_equal(sketcher.sketch(vectors[row]), reference[row])
         # Algorithm 2 as written: XOR over k of [v[i_nk] >= t_nk].
         raw = (vectors[:, sketcher.rnd_i] >= sketcher.rnd_t).astype(np.uint8)
         np.testing.assert_array_equal(bits, np.bitwise_xor.reduce(raw, axis=2))

@@ -76,40 +76,47 @@ class TestObjectStorage:
 
     @pytest.mark.parametrize("page", [2, 1024])
     def test_iter_objects_missing_and_orphan_rows(self, manager, monkeypatch, page):
-        """Rows missing from the sketch or attribute table yield an empty
-        matrix or ``{}``; rows with no object row are skipped; the paged
-        scans give the same rows across page boundaries."""
+        """An object without an attribute row yields ``{}``; attribute
+        rows with no object row are skipped; every object's sketches
+        come from its own row; the paged scans give the same rows across
+        page boundaries."""
         from repro.metadata import manager as manager_module
-        from repro.metadata.serialization import (
-            encode_attributes,
-            encode_sketches,
-            object_key,
-        )
+        from repro.metadata.serialization import encode_attributes, object_key
 
         monkeypatch.setattr(manager_module, "_SCAN_PAGE", page)
 
         for oid in (2, 4, 6, 8):
-            manager.put_object(oid, _obj(oid), _sketches(oid), {"id": str(oid)})
-        manager.store.delete("sketches", object_key(4))
+            manager.put_object(oid, _obj(oid, k=oid % 3 + 1), _sketches(oid, k=oid % 3 + 1), {"id": str(oid)})
         manager.store.delete("attributes", object_key(6))
-        manager.store.delete("sketches", object_key(8))
         manager.store.delete("attributes", object_key(8))
         for orphan in (1, 5, 9):  # before, between and after the objects
-            key = object_key(orphan)
-            manager.store.put("sketches", key, encode_sketches(_sketches()))
-            manager.store.put("attributes", key, encode_attributes({"orphan": "1"}))
+            manager.store.put("attributes", object_key(orphan), encode_attributes({"orphan": "1"}))
         rows = list(manager.iter_objects())
         assert [oid for oid, *_ in rows] == [2, 4, 6, 8]
         for oid, sig, sketches, attrs in rows:
             assert np.array_equal(sig.weights, manager.get_object(oid).weights)
-            expected = manager.get_sketches(oid)
-            if expected is None:
-                assert sketches.shape == (0, 0) and sketches.dtype == np.uint64
-            else:
-                assert np.array_equal(sketches, expected)
+            assert np.array_equal(sketches, _sketches(oid, k=oid % 3 + 1))
+            assert np.array_equal(manager.get_sketches(oid), sketches)
             assert attrs == manager.get_attributes(oid)
         assert [attrs for *_, attrs in rows] == [{"id": "2"}, {"id": "4"}, {}, {}]
-        assert [sk.size > 0 for _o, _s, sk, _a in rows] == [True, False, True, False]
+
+    def test_one_row_per_object(self, manager):
+        """An object is one row of the objects table (its sketches ride
+        along as a trailer); there is no sketches table."""
+        manager.put_object(3, _obj(3), _sketches(3))
+        assert manager.store.count("objects") == 1
+        assert "sketches" not in manager.store.tree_names()
+
+    def test_row_without_sketch_trailer_refused_on_load(self, manager):
+        from repro.metadata.serialization import encode_object, object_key
+
+        manager.put_object(1, _obj(1), _sketches(1))
+        # An object row as the older layout stored it: the object alone.
+        manager.store.put("objects", object_key(2), encode_object(_obj(2)))
+        with pytest.raises(ValueError, match="sketch trailer"):
+            list(manager.iter_objects())
+        with pytest.raises(ValueError, match="sketch trailer"):
+            manager.get_sketches(2)
 
     def test_num_objects(self, manager):
         for oid in range(7):
@@ -128,20 +135,6 @@ class TestFileMapping:
         assert manager.file_for("/data/x.npy") == 3
         assert manager.file_for("/data/other.npy") is None
         assert list(manager.files()) == [("/data/x.npy", 3)]
-
-
-class TestCounters:
-    def test_next_object_id_monotonic(self, manager):
-        ids = [manager.next_object_id() for _ in range(5)]
-        assert ids == [0, 1, 2, 3, 4]
-
-    def test_counter_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "m")
-        with MetadataManager(path) as m:
-            assert m.next_object_id() == 0
-            assert m.next_object_id() == 1
-        with MetadataManager(path) as m:
-            assert m.next_object_id() == 2
 
 
 class TestPersistence:

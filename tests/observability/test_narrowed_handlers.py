@@ -221,10 +221,7 @@ class _TruncateRaises:
 class TestWalTruncateNarrowing:
     def _wal_with_bytes(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), seq=0, sync_policy="none")
-        from repro.storage.wal import REC_BEGIN, REC_COMMIT, WalRecord
-
-        wal.append(WalRecord(REC_BEGIN, 1))
-        wal.append(WalRecord(REC_COMMIT, 1))
+        wal.append_transaction(1, [])
         return wal
 
     def test_os_error_latches_broken(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the copy-on-write B-tree."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -239,6 +240,73 @@ class TestPersistence:
         tree2 = BTree(pager2)
         assert tree2._deserialize(old_root, pager2.read_page(old_root)).keys == [b"a"]
         pager2.close()
+
+
+class TestQuarterPageValues:
+    def test_inline_up_to_a_quarter_page(self, tree):
+        limit = tree.pager.max_payload // 4
+        tree.put(b"inline", b"i" * limit)
+        tree.put(b"spilled", b"s" * (limit + 1))
+        leaf = tree._load(tree.root)
+        flags = {key: value[0] for key, value in zip(leaf.keys, leaf.values)}
+        assert flags == {b"inline": 0, b"spilled": 1}
+        assert tree.get(b"inline") == b"i" * limit
+        assert tree.get(b"spilled") == b"s" * (limit + 1)
+
+    def test_split_by_bytes_keeps_both_halves_on_a_page(self, tmp_path):
+        """A leaf of three quarter-page values and nine tiny ones takes a
+        fourth quarter-page value: a split by count would leave all four
+        large entries on one page, past its capacity."""
+        pager = Pager(str(tmp_path / "d.db"))
+        tree = BTree(pager)
+        tree.begin_epoch(1)
+        big = b"v" * (pager.max_payload // 4)
+        for key in (b"a0", b"a1", b"a2"):
+            tree.put(key, big)
+        for i in range(9):
+            tree.put(b"b%d" % i, b"t")
+        tree.put(b"a3", big)
+        pager.commit_checkpoint(catalog_root=tree.root, wal_seq=0)  # serializes every page
+        assert all(tree.get(k) == big for k in (b"a0", b"a1", b"a2", b"a3"))
+        pager.close()
+
+    def test_one_page_chain_freed_without_reading_it(self, tmp_path, monkeypatch):
+        pager = Pager(str(tmp_path / "d.db"))
+        tree = BTree(pager)
+        tree.begin_epoch(1)
+        tree.put(b"k", b"x" * 2000)
+        pager.commit_checkpoint(catalog_root=tree.root, wal_seq=0)
+        tree.begin_epoch(2)
+        pager._cache.clear()
+        read = []
+        original = Pager.read_page
+        monkeypatch.setattr(Pager, "read_page", lambda self, pid: read.append(pid) or original(self, pid))
+        (encoded,) = tree._load(tree.root).values
+        assert encoded[0] == 1  # an overflow reference
+        (overflow_page,) = struct.unpack_from("<q", encoded, 1)
+        read.clear()
+        assert tree.delete(b"k")
+        assert read == []
+        assert overflow_page in pager.pending_free
+        pager.close()
+
+
+class TestAbsentKeyDelete:
+    def test_delete_of_absent_key_stages_nothing(self, tmp_path):
+        pager = Pager(str(tmp_path / "d.db"))
+        tree = BTree(pager)
+        tree.begin_epoch(1)
+        for i in range(3000):
+            tree.put(b"k%05d" % i, b"v")
+        pager.commit_checkpoint(catalog_root=tree.root, wal_seq=0)
+        tree.begin_epoch(2)
+        root = tree.root
+        assert tree.delete(b"absent-key") is False
+        assert pager.staged == set() and pager.pending_free == []
+        assert tree.root == root
+        assert tree.delete(b"k01234") is True
+        assert pager.staged
+        pager.close()
 
 
 class TestSerializationCount:

@@ -54,8 +54,12 @@ class TestBasicOps:
     def test_reserved_tree_name_rejected(self, store):
         from repro.storage.errors import StorageError
 
+        wal_size = store.wal_size
         with pytest.raises(StorageError):
             store.put("__catalog__", b"k", b"v")
+        with pytest.raises(StorageError):
+            store.delete("__catalog__", b"k")
+        assert store.wal_size == wal_size  # refused before the WAL append
 
     def test_closed_store_rejects_ops(self, tmp_path):
         s = KVStore(str(tmp_path / "s2"))
@@ -250,13 +254,38 @@ class TestFailedStoreClose:
         assert len(ffs.fsync_log) == synced_before  # teardown made nothing durable
 
 
+class TestAbsentKeyDelete:
+    def test_absent_key_delete_stages_and_logs_nothing(self, tmp_path):
+        s = KVStore(str(tmp_path / "s"), auto_checkpoint_ops=0)
+        with s.begin() as txn:
+            for i in range(3000):
+                txn.put("t", b"k%05d" % i, b"v")
+        s.checkpoint()
+        wal_size, ops = s.wal_size, s.stats()["ops_since_checkpoint"]
+        s.delete("t", b"absent-key")
+        s.delete("never-written", b"k")
+        assert s._pager.staged == set()
+        assert (s.wal_size, s.stats()["ops_since_checkpoint"]) == (wal_size, ops)
+        # A transaction logs its real writes and drops the absent delete.
+        with s.begin() as txn:
+            txn.delete("t", b"absent-key")
+            txn.delete("t", b"k00007")
+        assert s.wal_size > wal_size
+        assert s.stats()["ops_since_checkpoint"] == ops + 1
+        s.close(checkpoint=False)
+        with KVStore(str(tmp_path / "s")) as reopened:
+            assert reopened.last_recovery.operations_applied == 1
+            assert reopened.get("t", b"k00007") is None
+            assert reopened.count("t") == 2999
+
+
 class TestOnDiskFormat:
     # Pinned digests of the files a fixed workload leaves behind.  They
     # change only with a deliberate change to the page, node, free-list
     # or WAL format (or to when pages are allocated and written); an
     # optimisation of the write path must leave every byte as it is.
-    DATA_SHA256 = "75a48cbf91206c9b65c4f071fea959ee81165ef5400320cd66680d276208c75f"
-    WAL_SHA256 = "61c9e49faa2743d1acde2f6e4d05e49f93e0a7359c508c4b705b398b4a1cbad2"
+    DATA_SHA256 = "838fa13db236d39411c9bb78b3fa787f5cdd1853c630900aa4aabb7a089c7b21"
+    WAL_SHA256 = "8d4dcf89587267b4f9b0985ecce046f5ee8b0f98aa058b72a2835e9628e2521d"
 
     def test_seeded_workload_bytes_are_pinned(self, tmp_path):
         import hashlib
@@ -273,7 +302,7 @@ class TestOnDiskFormat:
                 s.delete(name, victim)
                 del model[name][victim]
                 continue
-            if rng.random() < 0.1:  # past the inline limit: overflow chain
+            if rng.random() < 0.1:  # mostly past the inline limit: overflow chain
                 value = bytes([rng.randrange(256)]) * rng.randrange(600, 9000)
             else:
                 value = bytes(rng.randrange(256) for _ in range(rng.randrange(300)))

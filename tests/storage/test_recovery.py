@@ -8,8 +8,9 @@ import textwrap
 import pytest
 
 from repro.storage import KVStore, WriteAheadLog
+from repro.storage.errors import StorageError
 from repro.storage.recovery import replay_segment
-from repro.storage.wal import REC_BEGIN, REC_COMMIT, REC_DELETE, REC_PUT, WalRecord
+from repro.storage.wal import OP_DELETE, OP_PUT
 
 
 def _crash_process(code: str) -> None:
@@ -23,10 +24,10 @@ def _crash_process(code: str) -> None:
 
 
 class TestReplaySegment:
-    def _write(self, tmp_path, records):
+    def _write(self, tmp_path, transactions):
         wal = WriteAheadLog(str(tmp_path), 0, sync_policy="none")
-        for rec in records:
-            wal.append(rec)
+        for txid, ops in transactions:
+            wal.append_transaction(txid, ops)
         wal.close()
         return wal.segment_path(0)
 
@@ -41,53 +42,56 @@ class TestReplaySegment:
 
     def test_committed_txn_replayed(self, tmp_path):
         path = self._write(tmp_path, [
-            WalRecord(REC_BEGIN, 1),
-            WalRecord(REC_PUT, 1, "t", b"a", b"1"),
-            WalRecord(REC_DELETE, 1, "t", b"b"),
-            WalRecord(REC_COMMIT, 1),
+            (1, [(OP_PUT, b"t", b"a", b"1"), (OP_DELETE, b"t", b"b", b"")]),
         ])
         report, applied = self._replay(path)
         assert report.transactions_replayed == 1
+        assert report.operations_applied == 2
         assert applied == [("put", "t", b"a", b"1"), ("del", "t", b"b")]
 
     def test_uncommitted_txn_skipped(self, tmp_path):
+        # Crashed mid-append: the second record is on disk only in part.
         path = self._write(tmp_path, [
-            WalRecord(REC_BEGIN, 1),
-            WalRecord(REC_PUT, 1, "t", b"a", b"1"),
-            # no COMMIT — crashed mid-transaction
+            (1, [(OP_PUT, b"t", b"a", b"1")]),
+            (2, [(OP_PUT, b"t", b"b", b"2")]),
         ])
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 3)
         report, applied = self._replay(path)
-        assert report.transactions_replayed == 0
-        assert report.incomplete_transactions == 1
-        assert applied == []
+        assert report.transactions_replayed == 1
+        assert report.torn_tail
+        assert applied == [("put", "t", b"a", b"1")]
 
     def test_interleaved_transactions(self, tmp_path):
+        # Commit order, not txid order: txn 2 committed first, so txn
+        # 1's value wins.
         path = self._write(tmp_path, [
-            WalRecord(REC_BEGIN, 1),
-            WalRecord(REC_BEGIN, 2),
-            WalRecord(REC_PUT, 1, "t", b"a", b"one"),
-            WalRecord(REC_PUT, 2, "t", b"a", b"two"),
-            WalRecord(REC_COMMIT, 2),
-            WalRecord(REC_COMMIT, 1),
+            (2, [(OP_PUT, b"t", b"a", b"two")]),
+            (1, [(OP_PUT, b"t", b"a", b"one")]),
         ])
         _report, applied = self._replay(path)
-        # Commit order: txn 2 first, then txn 1 — txn 1's value wins.
         assert applied == [("put", "t", b"a", b"two"), ("put", "t", b"a", b"one")]
 
     def test_orphan_ops_without_begin_dropped(self, tmp_path):
-        path = self._write(tmp_path, [
-            WalRecord(REC_PUT, 5, "t", b"x", b"y"),
-            WalRecord(REC_COMMIT, 5),
-        ])
+        """Ops not covered by a whole record are never applied: a
+        CRC-valid record whose header declares more ops than its body
+        holds is damage, and no op of it is replayed."""
+        import struct
+        import zlib
+
+        path = self._write(tmp_path, [(4, [(OP_PUT, b"t", b"w", b"z")])])
+        good = os.path.getsize(path)
+        op = struct.pack("<BHIQ", OP_PUT, 1, 1, 1) + b"t" + b"x" + b"y"
+        payload = struct.pack("<BQI", 5, 5, 2) + op
+        with open(path, "ab") as fh:
+            fh.write(struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)
         report, applied = self._replay(path)
-        assert applied == []
-        assert report.transactions_replayed == 0
+        assert applied == [("put", "t", b"w", b"z")]
+        assert report.transactions_replayed == 1
+        assert report.torn_tail and report.valid_bytes == good
 
     def test_max_txid_tracked(self, tmp_path):
-        path = self._write(tmp_path, [
-            WalRecord(REC_BEGIN, 17),
-            WalRecord(REC_COMMIT, 17),
-        ])
+        path = self._write(tmp_path, [(17, []), (3, [])])
         report, _ = self._replay(path)
         assert report.max_txid == 17
 
@@ -226,15 +230,16 @@ class TestTornTailRepairOnOpen:
             assert s2.get("t", b"base") == b"0"
 
     def test_torn_tail_truncated_to_last_intact_record(self, tmp_path):
-        """Damage after an intact-but-uncommitted prefix is cut precisely."""
+        """Damage after an intact record is cut precisely."""
         path = str(tmp_path / "torn2")
         with KVStore(path, sync_policy="commit", auto_checkpoint_ops=0) as s:
             s.put("t", b"base", b"0")
         wal_path = self._wal_path(path)
-        # Hand-craft a segment: an intact BEGIN (no COMMIT), then garbage.
+        # Hand-craft a segment: one intact record (no ops, so recovery
+        # does not checkpoint it away), then garbage.
         wal = WriteAheadLog(os.path.dirname(wal_path), int(wal_path[-8:]),
                             sync_policy="none")
-        wal.append(WalRecord(REC_BEGIN, 7))
+        wal.append_transaction(7, [])
         intact = wal.size
         wal.close()
         with open(wal_path, "ab") as fh:
@@ -248,3 +253,44 @@ class TestTornTailRepairOnOpen:
         s.close(checkpoint=False)
         with KVStore(path) as s2:
             assert s2.get("t", b"k") == b"v"
+
+
+# The per-operation layout older stores wrote, packed as they packed it:
+# <len><crc32> frames of <type:u8><txid:u64><tree_len:u16> tree
+# <key_len:u32> key <value_len:u64> value, with BEGIN = 1, PUT = 2,
+# DELETE = 3 and COMMIT = 4.
+def _old_layout_frame(rec_type, txid, tree=b"", key=b"", value=b""):
+    import struct
+    import zlib
+
+    payload = b"".join((
+        struct.pack("<BQH", rec_type, txid, len(tree)), tree,
+        struct.pack("<I", len(key)), key,
+        struct.pack("<Q", len(value)), value,
+    ))
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+class TestOlderLayoutRefused:
+    def test_per_operation_segment_refused_and_left_untouched(self, tmp_path):
+        path = str(tmp_path / "old")
+        with KVStore(path, auto_checkpoint_ops=0) as s:
+            s.put("t", b"base", b"0")
+        wals = [n for n in os.listdir(path) if n.startswith("wal.")]
+        wal_path = os.path.join(path, wals[0])
+        old = (
+            _old_layout_frame(1, 2)
+            + _old_layout_frame(2, 2, b"t", b"k", b"v")
+            + _old_layout_frame(4, 2)
+        )
+        with open(wal_path, "wb") as fh:
+            fh.write(old)
+        with open(os.path.join(path, "data.db"), "rb") as fh:
+            data_before = fh.read()
+        with pytest.raises(StorageError, match="older"):
+            KVStore(path)
+        with open(wal_path, "rb") as fh:
+            assert fh.read() == old  # neither replayed nor cut as a torn tail
+        with open(os.path.join(path, "data.db"), "rb") as fh:
+            assert fh.read() == data_before
+        assert sorted(os.listdir(path)) == sorted(["data.db"] + wals)

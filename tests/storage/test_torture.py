@@ -139,14 +139,16 @@ def test_oracle_rejects_lost_durable_commits(tmp_path):
 # Exhaustive scans (opt-in: pytest -m torture)
 # ---------------------------------------------------------------------------
 
+# One WAL write per commit: the workloads are long enough that each
+# exhaustive scan still covers at least 200 crash points.
 TORTURE_SPEC = WorkloadSpec(
-    num_txns=24,
+    num_txns=56,
     max_ops_per_txn=4,
     key_space=32,
     sync_policy="commit",
 )
 BATCH_SPEC = WorkloadSpec(
-    num_txns=24,
+    num_txns=48,
     max_ops_per_txn=4,
     key_space=32,
     sync_policy="batch",
