@@ -25,12 +25,13 @@ metrics-smoke:
 	$(PYTHON) -m pytest -q tests/observability tests/core/test_cache_epoch_race.py tests/server/test_observability_integration.py
 
 # Ranking-cascade smoke: the rank-equivalence / lower-bound property
-# tests, the solver and top-k selection bit-identity references, plus
+# tests, the solver and top-k selection bit-identity references, the
+# engine against the naive serial-EMD oracle, plus
 # the throughput bench in quick mode, which exercises the
 # cascade end-to-end (identity vs the exact EMD path) and writes the
 # phase-split JSON to BENCH_query_throughput_quick.json for CI upload.
 rank-smoke:
-	$(PYTHON) -m pytest -q tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py
+	$(PYTHON) -m pytest -q tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py tests/core/test_engine_reference.py
 	cd benchmarks && FERRET_BENCH_SCALE=quick $(PYTHON) bench_query_throughput.py
 
 # Bulk-ingest smoke: insert_many equals a loop of insert (ids, arena,

@@ -357,15 +357,20 @@ def emd_lower_bounds_rowcol(
     supply: np.ndarray,
     demands: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Row/column-minima lower bounds for every candidate of a packed
-    cost array (:func:`packed_costs`), in one pass.
+    """Row/column lower bounds for every candidate of a packed cost
+    array (:func:`packed_costs`), in one pass.
 
-    Every feasible flow ships ``supply_i`` out of row ``i`` at per-unit
-    cost at least ``min_j costs[i, j]`` (and symmetrically for columns),
-    so ``max(supply @ row_mins, demand @ col_mins)`` lower-bounds the
-    optimal cost of *that* matrix.  Because it is computed on the final
-    (thresholded) costs, it is valid for every :class:`EMDParams`
-    configuration, including custom grounds.
+    Row side: every feasible flow ships ``supply_i`` out of row ``i`` at
+    per-unit cost at least ``min_j costs[i, j]``.  Column side, the
+    independent-minimisation bound of Assent et al. (ICDE 2008): drop
+    the row sums except that no row carries more than its supply, and
+    each column's cheapest way to receive its demand is to fill it from
+    its cheapest rows first.  Both are relaxations of the transportation
+    problem, so the larger lower-bounds the optimal cost of *that*
+    matrix; the column side is never below ``demand @ col_mins``.
+    Because it is computed on the final (thresholded) costs, it is valid
+    for every :class:`EMDParams` configuration, including custom
+    grounds.
     """
     bounds = np.zeros(len(demands), dtype=np.float64)
     # reduceat needs non-empty segments; a candidate without segments
@@ -378,7 +383,22 @@ def emd_lower_bounds_rowcol(
         supply, [demands[i] for i in live], starts, np.diff(offsets)[live]
     )
     row_bounds = supply @ np.minimum.reduceat(costs, starts, axis=1)
-    col_bounds = np.add.reduceat(demand * costs.min(axis=0), starts)
+    # A column whose cheapest row can carry its whole demand costs
+    # d * colmin.  Only the others are sorted, to take their rows
+    # cheapest first: what each can carry, and what the column still
+    # lacks when it reaches that row.
+    cheapest = costs.argmin(axis=0)
+    col_costs = demand * costs.min(axis=0)
+    short = np.flatnonzero(demand > supply[cheapest])
+    short_costs = costs[:, short]
+    by_cost = short_costs.argsort(axis=0)
+    room = supply[by_cost]
+    owed = demand[short] - (np.cumsum(room, axis=0) - room)
+    col_costs[short] = (
+        np.clip(owed, 0.0, room)
+        * np.take_along_axis(short_costs, by_cost, axis=0)
+    ).sum(axis=0)
+    col_bounds = np.add.reduceat(col_costs, starts)
     bounds[live] = np.where(
         has_mass, _shave(np.maximum(row_bounds, col_bounds)), 0.0
     )

@@ -83,9 +83,11 @@ class RankParams:
         Use the weighted-l1-of-centroids lower bound (only active for
         the default l1 ground without thresholding).
     rowcol_bound:
-        Use the thresholded row/column-minima lower bound (valid for
-        every EMD configuration; computed from the already-built cost
-        matrix, so it is nearly free).
+        Use the row/column lower bound on the thresholded costs: query
+        rows at their cheapest cells, and each candidate column filled
+        from its cheapest query rows with no row carrying more than its
+        supply (valid for every EMD configuration; computed from the
+        already-built cost matrix).
     """
 
     cascade: bool = True

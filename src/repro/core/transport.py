@@ -12,15 +12,16 @@ pivots to optimality.  Degeneracy is handled by keeping exactly
 
 At ~11 x 11 a solve is per-call overhead, not arithmetic, and almost
 every one ends at Vogel's start (about 1 solve in 2,000 pivots), so the
-fast path keeps scalar work in Python floats — the remaining masses in
-Vogel's steps, the potentials' tree walk — and numpy for whole-matrix
-steps only.  Python floats are the same IEEE doubles, so every flow,
-cost and pivot count is bit-identical to the all-numpy solver kept as
-the reference in ``tests/core/test_transport.py``.
+fast path keeps scalar work in Python lists — Vogel's steps over rows
+and columns sorted once up front, the potentials' tree walk — and numpy
+for whole-matrix steps only.  Python floats are the same IEEE doubles,
+so every flow, cost and pivot count is bit-identical to the all-numpy
+solver kept as the reference in ``tests/core/test_transport.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
@@ -68,8 +69,9 @@ def solve_transport(
     ``supply`` and ``demand`` must be non-negative and have equal totals
     (within a small relative tolerance; they are rescaled to match
     exactly).  Zero-weight rows/columns are allowed and receive no flow.
-    Raises :class:`TransportPivotLimitError` rather than return a flow
-    that the pivot cap stopped short of optimality.
+    NaN or infinite masses or costs raise ``ValueError``.  Raises
+    :class:`TransportPivotLimitError` rather than return a flow that the
+    pivot cap stopped short of optimality.
     """
     supply = np.asarray(supply, dtype=np.float64).copy()
     demand = np.asarray(demand, dtype=np.float64).copy()
@@ -77,9 +79,13 @@ def solve_transport(
     m, n = supply.shape[0], demand.shape[0]
     if costs.shape != (m, n):
         raise ValueError(f"costs must be ({m}, {n}), got {costs.shape}")
+    if not np.isfinite(costs).all():
+        raise ValueError("costs must be finite")
     if (supply < 0).any() or (demand < 0).any():
         raise ValueError("supply and demand must be non-negative")
     total_s, total_d = float(supply.sum()), float(demand.sum())
+    if not (math.isfinite(total_s) and math.isfinite(total_d)):
+        raise ValueError("supply and demand must be finite")
     if total_s <= 0.0 or total_d <= 0.0:
         return TransportResult(np.zeros((m, n)), 0.0, 0)
     if abs(total_s - total_d) > 1e-6 * max(total_s, total_d):
@@ -114,50 +120,50 @@ def _vogel_initial_solution(
     """Vogel's approximation: repeatedly satisfy the row/column with the
     largest penalty (difference between its two cheapest open cells).
 
-    Every step works on whole matrices: closed rows and columns of
-    ``work`` are masked to ``inf``, so one ``np.partition`` per axis
-    yields every open line's two cheapest open cells.  Ties resolve to
-    the first row, then the first column, then the first cheapest cell
-    in that line — the step sequence of the per-line loop this replaces
-    (kept as the reference in ``tests/core/test_transport.py``).
+    Every row and every column is sorted once, stably, into a list of
+    its open crossing lines; closing a line deletes it from the lists of
+    the lines it crosses, so a line's two cheapest open cells are the
+    head of its list and equal costs keep index order.  Rows are lines
+    ``0..m-1`` and columns lines ``m..m+n-1`` of one penalty list, so
+    ties resolve to the first row, then the first column, then the first
+    cheapest cell in that line — the step sequence of the per-line loop
+    kept as the reference in ``tests/core/test_transport.py``.
     """
     m, n = costs.shape
-    # Remaining masses as Python floats: the per-step bookkeeping is
-    # scalar, and float arithmetic is the same IEEE double arithmetic
-    # without numpy's per-scalar dispatch.
+    # Remaining masses, sorted lines and penalties as Python lists: the
+    # per-step bookkeeping is scalar, and float arithmetic is the same
+    # IEEE double arithmetic without numpy's per-scalar dispatch.
     s = supply.tolist()
     d = demand.tolist()
+    # Per line: the crossing lines (as line numbers) cheapest first, and
+    # their costs.
+    order = (costs.argsort(axis=1, kind="stable") + m).tolist()
+    order += costs.argsort(axis=0, kind="stable").T.tolist()
+    vals = np.sort(costs, axis=1).tolist() + np.sort(costs, axis=0).T.tolist()
+    # Zero rows/columns start closed and leave every list: they never
+    # receive flow but still need basis coverage, which
+    # _ensure_spanning_basis attaches afterwards.
+    is_open = [x > 0 for x in s] + [x > 0 for x in d]
+    rows_left, cols_left = sum(is_open[:m]), sum(is_open[m:])
+    if rows_left < m or cols_left < n:
+        for line, line_order in enumerate(order):
+            keep = [p for p, k in enumerate(line_order) if is_open[k]]
+            order[line] = [line_order[p] for p in keep]
+            vals[line] = [vals[line][p] for p in keep]
+
+    def penalty(line_vals: List[float]) -> float:
+        if len(line_vals) > 1:
+            return line_vals[1] - line_vals[0]
+        return line_vals[0] if line_vals else -math.inf
+
+    # Closed lines stay at -inf, so max() never picks them.
+    pen = [penalty(v) if o else -math.inf for v, o in zip(vals, is_open)]
     flow = np.zeros((m, n), dtype=np.float64)
     basis: Set[Tuple[int, int]] = set()
-    row_open = supply > 0
-    col_open = demand > 0
-    # Zero rows/columns never receive flow but still need basis coverage;
-    # _ensure_spanning_basis attaches them afterwards.
-    work = costs.copy()
-    work[~row_open, :] = np.inf
-    work[:, ~col_open] = np.inf
-    work_t = work.T
-    rows_left = int(row_open.sum())
-    cols_left = int(col_open.sum())
-    # Penalties of closed lines stay -inf so argmax never picks them
-    # (and no inf - inf is ever evaluated).
-    penalties = np.full(m + n, -np.inf)
-    row_pen, col_pen = penalties[:m], penalties[m:]
-    rows_stale = cols_stale = True
-
     while rows_left and cols_left:
-        # Closing a column changes every row's penalty and vice versa;
-        # the other side's penalties are still exact.
-        if rows_stale:
-            _line_penalties(work, cols_left, row_open, row_pen)
-        if cols_stale:
-            _line_penalties(work_t, rows_left, col_open, col_pen)
-        line = int(penalties.argmax())
-        if line < m:
-            i, j = line, int(work[line].argmin())
-        else:
-            j = line - m
-            i = int(work_t[j].argmin())
+        line = pen.index(max(pen))
+        cross = order[line][0]
+        i, j = (line, cross - m) if line < m else (cross, line - m)
         si, dj = s[i], d[j]
         amount = min(si, dj)
         flow[i, j] = amount
@@ -168,32 +174,20 @@ def _vogel_initial_solution(
         # the row, unless it is the last open one and the column is
         # spent as well (one of the two always is).
         if si <= 1e-15 and (rows_left > 1 or dj > 1e-15):
-            row_open[i] = False
-            work[i, :] = np.inf
-            row_pen[i] = -np.inf
+            closed, crossing = i, range(m, m + n)
             rows_left -= 1
-            rows_stale, cols_stale = False, True
         else:
-            col_open[j] = False
-            work[:, j] = np.inf
-            col_pen[j] = -np.inf
+            closed, crossing = m + j, range(m)
             cols_left -= 1
-            rows_stale, cols_stale = True, False
+        is_open[closed] = False
+        pen[closed] = -math.inf
+        for line in crossing:
+            if is_open[line]:
+                at = order[line].index(closed)
+                del order[line][at], vals[line][at]
+                if at < 2:  # one of the two cheapest: the penalty moves
+                    pen[line] = penalty(vals[line])
     return flow, basis
-
-
-def _line_penalties(
-    work: np.ndarray, cross_left: int, line_open: np.ndarray, out: np.ndarray
-) -> None:
-    """Vogel penalties of the open rows of ``work`` into ``out``: second
-    cheapest minus cheapest open cell, or the cost itself when a single
-    crossing line is still open."""
-    if cross_left == 1:
-        np.copyto(out, work.min(axis=1), where=line_open)
-    else:
-        two = work.copy()  # the method skips np.partition's wrapper
-        two.partition(1, axis=1)
-        np.subtract(two[:, 1], two[:, 0], out=out, where=line_open)
 
 
 def _ensure_spanning_basis(

@@ -60,7 +60,10 @@ number of results to return, filter parameters, and attributes"):
   the registry master switch, ``profile on|off`` for the sampling
   profiler, ``slow_query_ms <ms>`` for the slow-query log threshold,
   and ``rank_cascade`` / ``rank_centroid_bound`` / ``rank_rowcol_bound``
-  ``on|off`` for the batched ranking cascade's lower-bound pruning — see docs/PERFORMANCE.md, "Ranking cascade").
+  ``on|off`` for the batched ranking cascade and its two lower bounds —
+  the centroid bound, and the row/column bound whose column side ships
+  each candidate column's mass from its cheapest supply-capped query
+  rows; see docs/PERFORMANCE.md, "Ranking cascade").
 - ``health`` — server health report: overall status, uptime, and
   per-component degradation details (see docs/ROBUSTNESS.md).
 - ``metrics [-p|-s] [prefix]`` — dump the process metrics registry in

@@ -36,6 +36,8 @@ from repro.core import (
 )
 from repro.core.distance import weighted_l1_to_many
 from repro.core.emd import (
+    _balanced_demands,
+    _shave,
     emd_lower_bounds_centroid,
     emd_lower_bounds_rowcol,
     packed_cost_matrices,
@@ -48,9 +50,11 @@ from repro.observability import metrics as obs_metrics
 TOL = 1e-9
 
 
-def _sig(rng, object_id, num_segments, dim=5):
+def _sig(rng, object_id, num_segments, dim=5, zero_mass=0):
+    """A random signature whose first ``zero_mass`` segments weigh 0."""
     features = rng.normal(size=(num_segments, dim))
     weights = rng.random(num_segments) + 0.05
+    weights[:zero_mass] = 0.0
     return ObjectSignature(features, weights / weights.sum(), object_id=object_id)
 
 
@@ -159,6 +163,88 @@ class TestBatchedBounds:
             assert centroid[pos] == pytest.approx(
                 emd_lower_bound_centroid(query, cand, params), rel=1e-12
             )
+
+
+def _colmin_bounds(costs, offsets, supply, demands):
+    """The row/column bound as it stood before the capped column side:
+    ``max(supply @ row_mins, demand @ col_mins)``, shaved."""
+    widths = np.diff(offsets)
+    starts = offsets[:-1]
+    demand, _ = _balanced_demands(supply, demands, starts, widths)
+    rows = supply @ np.minimum.reduceat(costs, starts, axis=1)
+    cols = np.add.reduceat(demand * costs.min(axis=0), starts)
+    return _shave(np.maximum(rows, cols))
+
+
+class TestCappedColumnBound:
+    """The column side ships each candidate column's demand over the
+    query rows cheapest first, no row carrying more than its supply."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        config=st.integers(0, NUM_CONFIGS - 1),
+        m=st.integers(1, 8),
+        zero_rows=st.integers(0, 2),
+        zero_cols=st.integers(0, 2),
+    )
+    def test_between_colmin_bound_and_exact(
+        self, seed, config, m, zero_rows, zero_cols
+    ):
+        rng = np.random.default_rng(seed)
+        params = _param_configs()[config]
+        query = _sig(rng, 99, m, zero_mass=min(zero_rows, m - 1))
+        candidates = []
+        for i in range(10):
+            n = int(rng.integers(1, 9))
+            candidates.append(
+                _sig(rng, i, n, zero_mass=min(zero_cols, n - 1))
+            )
+        costs, offsets = packed_costs(query, candidates, params)
+        supply = params.effective_weights(query.weights)
+        demands = [params.effective_weights(c.weights) for c in candidates]
+        capped = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
+        colmin = _colmin_bounds(costs, offsets, supply, demands)
+        for pos, cand in enumerate(candidates):
+            assert 0.0 <= capped[pos] <= emd(query, cand, params) + TOL
+            assert capped[pos] >= colmin[pos] - TOL
+
+    def test_tighter_than_colmin_where_supply_caps(self):
+        # Every row and every column has a free cell, so row and column
+        # minima bound the EMD (0.8) at 0.  But columns 0 and 1 each
+        # need 0.45 and their free row holds 0.1: each ships 0.35 at 1.
+        costs = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        supply = np.array([0.1, 0.9])
+        demands = [np.array([0.45, 0.45, 0.1])]
+        offsets = np.array([0, 3])
+        capped = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
+        assert _colmin_bounds(costs, offsets, supply, demands)[0] == 0.0
+        assert capped[0] == pytest.approx(0.7, rel=1e-8)
+
+
+class TestSolveCountPin:
+    def test_mean_exact_solves_at_top_10(self):
+        # A seeded ~2k-object clustered image corpus behind the e2e
+        # image workload's filter (256-bit sketches, r=4, k=32): the
+        # capped column bound leaves ~10.4 solves a query for 10
+        # answers, where column minima left ~14.9.
+        from repro.datatypes.bulk import bulk_image_dataset
+        from repro.datatypes.image import make_image_plugin
+
+        plugin = make_image_plugin()
+        engine = SimilaritySearchEngine(
+            plugin,
+            SketchParams(256, plugin.meta, seed=0),
+            FilterParams(num_query_segments=4, candidates_per_segment=32),
+        )
+        engine.insert_many(list(bulk_image_dataset(2000, seed=7)))
+        engine.tracer.set_enabled(True)
+        solves = []
+        for object_id in range(0, 2000, 25):
+            engine.query(engine.get_object(object_id), top_k=10, exclude_self=True)
+            solves.append(engine.tracer.last.counts["distance_evals"])
+        assert min(solves) >= 10
+        assert np.mean(solves) <= 11.0
 
 
 class TestEMDParamsDimWeights:

@@ -85,6 +85,29 @@ class TestBasics:
         with pytest.raises(ValueError):
             solve_transport(np.ones(2), np.ones(2), np.ones((3, 2)))
 
+    def test_nan_supply_rejected(self):
+        # Used to return cost 0.0: NaN passes the sign check and the
+        # NaN total passes the zero-mass check.
+        with pytest.raises(ValueError, match="finite"):
+            solve_transport(
+                np.array([np.nan, 0.5]), np.array([0.5, 0.5]), np.ones((2, 2))
+            )
+
+    def test_inf_supply_rejected(self):
+        # Used to return cost NaN from an inf - inf in the balancing.
+        with pytest.raises(ValueError, match="finite"):
+            solve_transport(
+                np.array([np.inf, 0.5]), np.array([0.5, 0.5]), np.ones((2, 2))
+            )
+
+    def test_nan_cost_rejected(self):
+        # Used to pivot until the cap raised TransportPivotLimitError.
+        costs = np.ones((3, 3))
+        costs[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite") as excinfo:
+            solve_transport(np.full(3, 1 / 3), np.full(3, 1 / 3), costs)
+        assert not isinstance(excinfo.value, TransportPivotLimitError)
+
 
 class TestOptimality:
     @pytest.mark.parametrize("m,n,seed", [
@@ -362,8 +385,10 @@ def _assert_same_start(supply, demand, costs):
 
 @st.composite
 def vogel_problems(draw):
-    m = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 8))
+    # Up to the corpus's shapes: image objects carry Poisson(10.8)
+    # segments, so 24 covers all but a sliver of the solves.
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cost_kind = draw(st.sampled_from(["float", "few_levels", "clipped", "flat"]))
     if cost_kind == "float":
@@ -498,3 +523,34 @@ class TestSolveMatchesReference:
             np.ones(1), demand / demand.sum(), rng.random((1, 7))
         )
         assert result.iterations == 0
+
+
+class TestCascadeSolvesMatchReference:
+    def test_clustered_image_queries(self, monkeypatch):
+        # Record the transport problems the ranking cascade really
+        # solves on a seeded clustered image corpus; each must come out
+        # of the solver exactly as the reference solves it.
+        import repro.core.ranking as ranking
+        from repro.core import FilterParams, SimilaritySearchEngine, SketchParams
+        from repro.datatypes.bulk import bulk_image_dataset
+        from repro.datatypes.image import make_image_plugin
+
+        plugin = make_image_plugin()
+        engine = SimilaritySearchEngine(
+            plugin,
+            SketchParams(256, plugin.meta, seed=0),
+            FilterParams(num_query_segments=4, candidates_per_segment=32),
+        )
+        engine.insert_many(list(bulk_image_dataset(400, seed=5)))
+        solved = []
+
+        def recording_solve(supply, demand, costs):
+            solved.append((supply, demand, costs))
+            return solve_transport(supply, demand, costs)
+
+        monkeypatch.setattr(ranking, "solve_transport", recording_solve)
+        for object_id in range(0, 400, 50):
+            engine.query(engine.get_object(object_id), top_k=10, exclude_self=True)
+        assert len(solved) >= 80
+        for supply, demand, costs in solved:
+            _assert_same_solve(supply, demand, costs)
