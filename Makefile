@@ -7,11 +7,12 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-# CI smoke: tier-1 plus an explicit 2-worker parallel-scan correctness
-# check (the perf-marked equivalence gates, which include the sharded
-# thread pool vs serial candidate-set identity).
+# CI smoke: tier-1 plus the explicit filter equivalence gates (the
+# perf-marked tests): the sharded 2-worker thread pool vs serial and the
+# sketch multi-index vs the reference full scan (its stateful
+# differential test), candidate sets identical.
 smoke: test
-	$(PYTHON) -m pytest -q -m perf tests/core/test_parallel.py tests/core/test_perf_smoke.py
+	$(PYTHON) -m pytest -q -m perf tests/core/test_parallel.py tests/core/test_sketch_index.py tests/core/test_perf_smoke.py
 
 # End-to-end benchmark smoke: every workload of benchmarks/e2e/run.py
 # on tiny corpora, traced and untraced, answers checked (~50 s).

@@ -167,8 +167,9 @@ class SimilaritySearchEngine:
         Parallel filtering-scan knobs
         (:class:`~repro.core.parallel.ParallelConfig`).  The sharded
         multi-thread scan auto-enables once the store exceeds
-        ``parallel.min_segments`` live segments on a multi-core host; it
-        also carries the query-result cache capacity.  ``None`` means
+        ``parallel.min_segments`` live segments on a multi-core host,
+        unless the store's sketch index is on; it also carries the
+        query-result cache capacity.  ``None`` means
         defaults (auto-enable at 50k segments, one worker per CPU).
     rank_params:
         Ranking-cascade knobs (:class:`~repro.core.ranking.RankParams`);
@@ -201,7 +202,7 @@ class SimilaritySearchEngine:
         # Sketches and owners only: the signatures in ``_objects``
         # already hold every feature vector.
         self._store = SegmentStore(
-            n_words=self.sketcher.n_words, dim=plugin.meta.dim, keep_features=False
+            self.sketcher.n_words, n_bits=self.sketcher.n_bits
         )
         self._next_id = 0
         self._compactor: Optional[ArenaCompactor] = None
@@ -450,10 +451,17 @@ class SimilaritySearchEngine:
         Wraps :func:`~repro.core.parallel.choose_backend` (the ``auto``
         cost model over arena rows and available cores) with the
         engine's own vetoes: a broken pool or a resolved worker count of
-        1 always means serial, whatever the configured backend.
+        1 always means serial, whatever the configured backend, and so
+        does ``auto`` where the store's sketch index is on — the serial
+        path reads the index, so the pool and its arena copy are never
+        loaded.  An explicit ``thread`` pin still uses the pool.
         """
         cfg = self._parallel_cfg
         if self._pool_broken or cfg.effective_workers() < 2:
+            return "serial"
+        if cfg.backend == "auto" and self._store.refresh_index(
+            self.filter_params.candidates_per_segment
+        ):
             return "serial"
         return choose_backend(cfg, len(self._store))
 
@@ -628,8 +636,9 @@ class SimilaritySearchEngine:
         """Filtering-phase candidate sets for a batch of queries.
 
         Order of attack: the epoch-invalidated LRU cache, then the
-        sharded thread-pool scan (when enabled and the store is big
-        enough), then the serial fused scan — which is also the graceful
+        sharded thread-pool scan (when enabled, the store is big enough
+        and its sketch index is off), then the serial fused pass — which
+        reads the sketch index where it is on, and is also the graceful
         fallback when the pool fails mid-flight.  All paths return
         identical candidate sets, so the choice is invisible to callers.
         When ``trace`` is given, the chosen scan path, cache hit/miss
@@ -689,13 +698,19 @@ class SimilaritySearchEngine:
                 scan_path = "parallel_fallback"
         if computed is None:
             scan_started = time.perf_counter()
+            # Whether the pass reads the sketch index (refreshed here, so
+            # the scan's own refresh finds nothing due).
+            indexed = self._store.refresh_index(params.candidates_per_segment)
             computed = sketch_filter_many(
                 miss_queries, miss_sketches, self._store, params,
                 n_bits=self.sketcher.n_bits,
             )
+            if indexed and scan_path == "serial":
+                scan_path = "index"
             if trace is not None:
                 trace.add_stage(
-                    "serial_scan", time.perf_counter() - scan_started
+                    "index_scan" if indexed else "serial_scan",
+                    time.perf_counter() - scan_started,
                 )
             # The serial scan snapshots internally; only cache when the
             # store provably did not move underneath the whole pass.

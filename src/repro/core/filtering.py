@@ -7,9 +7,12 @@ segments to ``Q_i`` *and* its distance is within a threshold that is a
 decreasing function of ``w(Q_i)``.  Objects owning at least one matching
 segment form the candidate set handed to the ranking unit.
 
-The scan streams over all segment sketches with Hamming distance (the
-default), or — when ``use_sketches`` is off — over the raw feature
-vectors with the plug-in segment distance.
+The scan compares sketches with Hamming distance.  The segment store
+keeps an exact multi-index over 32-bit sketch substrings (see
+``_build_index``); where it pays, :func:`sketch_filter_many` reads only
+the rows that share a substring near a query row's, and falls back to
+the full scan for the query rows the index cannot certify.  Either way
+the candidate sets are the full scan's.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ _M_ARENA_ROWS = _metrics.gauge("arena.rows")
 _M_ARENA_DEAD_ROWS = _metrics.gauge("arena.dead_rows")
 _M_ARENA_COMPACT_SECONDS = _metrics.histogram("arena.compaction_seconds")
 _M_ARENA_COMPACT_ERRORS = _metrics.counter("errors_absorbed.arena_compactor")
+_M_INDEX_FALLBACK_ROWS = _metrics.counter("filter.index_fallback_rows")
+
+# Multi-index on/off rule: the index is kept where a fixed sample of the
+# store's own rows, queried through it, reads on average at most this
+# share of the live arena per query row (a row the index cannot certify
+# counts as a whole scan).  See docs/PERFORMANCE.md, "Multi-index filter".
+_INDEX_MAX_READ = 0.25
 
 
 def default_threshold_fn(weight: float) -> float:
@@ -177,15 +187,18 @@ class FilterParams:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FilterParams":
+        # A missing key means the field's default; only an explicit
+        # ``None`` turns the threshold off.
+        fraction = data.get("threshold_fraction", cls.threshold_fraction)
         return cls(
-            num_query_segments=int(data.get("num_query_segments", 4)),
-            candidates_per_segment=int(data.get("candidates_per_segment", 64)),
-            threshold_fraction=(
-                None
-                if data.get("threshold_fraction") is None
-                else float(data["threshold_fraction"])
+            num_query_segments=int(
+                data.get("num_query_segments", cls.num_query_segments)
             ),
-            threshold_fn=str(data.get("threshold_fn", "default")),
+            candidates_per_segment=int(
+                data.get("candidates_per_segment", cls.candidates_per_segment)
+            ),
+            threshold_fraction=None if fraction is None else float(fraction),
+            threshold_fn=str(data.get("threshold_fn", cls.threshold_fn)),
         )
 
     def cache_key(self) -> Optional[Tuple]:
@@ -244,12 +257,11 @@ _MAX_DELTA_LOG = 1024
 class SegmentStore:
     """Segmented, append-only arena of every segment in the system.
 
-    Keeps parallel capacity-grown arrays: packed sketch words, optional
-    raw feature vectors, and the owning object id of each segment.  The
-    engine's arena holds sketches and owners only (``keep_features=False``:
-    its signatures already hold the features, and :attr:`features`
-    raises); a store that keeps features serves the direct, sketch-free
-    ``sketch_filter(use_sketches=False)`` path.
+    Keeps two parallel capacity-grown arrays: packed sketch words and the
+    owning object id of each segment (the engine's signatures hold the
+    feature vectors).  ``n_bits`` is the sketch length (default: every
+    bit of the ``n_words`` words); the multi-index covers only its full
+    32-bit substrings, so zero padding never matches.
     Sketches are stored *word-major* — ``(n_words, capacity)``, a segment
     per column — because that is the order the Hamming kernel reads them
     in (:func:`~repro.core.bitvector.hamming_many_to_many` streams one
@@ -267,16 +279,21 @@ class SegmentStore:
     :meth:`delta_since` can hand consumers exactly the rows that changed
     between two epochs; compaction rewrites the arena and raises the
     delta floor, forcing a one-time full reload.
+
+    The store also keeps the filter's sketch index (:meth:`refresh_index`),
+    rebuilt lazily by the first scan that finds it due.
     """
 
-    def __init__(self, n_words: int, dim: int, keep_features: bool = True) -> None:
+    def __init__(self, n_words: int, *, n_bits: Optional[int] = None) -> None:
+        if n_bits is None:
+            n_bits = 64 * n_words
+        if not 0 < n_bits <= 64 * n_words:
+            raise ValueError(f"n_bits must be in (0, {64 * n_words}], got {n_bits}")
         self.n_words = n_words
-        self.dim = dim
-        self.keep_features = keep_features
+        self.n_bits = n_bits
         self._cap = 0
         self._n = 0
         self._sketches = np.empty((n_words, 0), dtype=np.uint64)
-        self._features = np.empty((0, dim), dtype=np.float64)
         self._owners = np.empty(0, dtype=np.int64)
         # Live object id -> its contiguous row span [start, end).
         self._spans: Dict[int, Tuple[int, int]] = {}
@@ -299,6 +316,10 @@ class SegmentStore:
         self._delta_floor = 0
         self._compaction_epoch = 0
         self._compactor: Optional["ArenaCompactor"] = None
+        # The last sketch-index build (None before the first scan), and
+        # whether a build is under way outside the lock.
+        self._index: Optional[_SketchIndex] = None
+        self._index_building = False
         # The engine runs as one concurrent program (section 3): server
         # threads scan while acquisition threads append, so row writes
         # and journal updates are serialized here.
@@ -315,36 +336,19 @@ class SegmentStore:
         ow = np.full(new_cap, -1, dtype=np.int64)
         ow[: self._n] = self._owners[: self._n]
         self._owners = ow
-        if self.keep_features:
-            ft = np.empty((new_cap, self.dim), dtype=np.float64)
-            ft[: self._n] = self._features[: self._n]
-            self._features = ft
         self._cap = new_cap
 
-    def add_object(
-        self,
-        object_id: int,
-        sketches: np.ndarray,
-        features: Optional[np.ndarray] = None,
-    ) -> None:
+    def add_object(self, object_id: int, sketches: np.ndarray) -> None:
         """Append one object's rows (a single row may be given 1-D)."""
-        self.add_many(
-            [object_id],
-            [np.atleast_2d(sketches)],
-            None if features is None else [np.atleast_2d(features)],
-        )
+        self.add_many([object_id], [np.atleast_2d(sketches)])
 
     def add_many(
-        self,
-        ids: Sequence[int],
-        sketch_blocks: Sequence[np.ndarray],
-        feature_blocks: Optional[Sequence[np.ndarray]] = None,
+        self, ids: Sequence[int], sketch_blocks: Sequence[np.ndarray]
     ) -> None:
         """Append objects as one chunk: one grow, one epoch, one journal mark.
 
         ``sketch_blocks[i]`` holds object ``ids[i]``'s ``(rows, n_words)``
-        sketches and ``feature_blocks[i]`` its ``(rows, dim)`` features.
-        All-or-nothing: the blocks are validated (``ValueError``), and the
+        sketches.  All-or-nothing: the blocks are validated (``ValueError``), and the
         ids checked against the live ids and each other (``KeyError``),
         before any state changes.
         """
@@ -367,18 +371,6 @@ class SegmentStore:
             raise ValueError(
                 f"expected {self.n_words}-word sketches, got shape {sketches.shape}"
             )
-        feats = None
-        if self.keep_features:
-            if feature_blocks is None:
-                raise ValueError("store keeps features but none were given")
-            feats = np.asarray(_stack(feature_blocks), dtype=np.float64)
-            if [len(block) for block in feature_blocks] != counts or feats.shape != (
-                sketches.shape[0], self.dim
-            ):
-                raise ValueError(
-                    f"features must be ({sketches.shape[0]}, {self.dim}) in "
-                    f"blocks of {counts} rows, got {feats.shape}"
-                )
         with self._lock:
             # A second live copy of an id would orphan the first: its span
             # is overwritten, so its rows could never be tombstoned.
@@ -395,8 +387,6 @@ class SegmentStore:
             self._owners[start:end] = (
                 ids[0] if len(ids) == 1 else np.repeat(ids, counts)
             )
-            if feats is not None:
-                self._features[start:end] = feats
             row = start
             for oid, count in zip(ids, counts):
                 self._spans[oid] = (row, row + count)
@@ -419,19 +409,12 @@ class SegmentStore:
             return self._sketch_rows()
 
     @property
-    def features(self) -> np.ndarray:
-        if not self.keep_features:
-            raise RuntimeError("this store was built without raw features")
-        with self._lock:
-            return self._features[: self._n]
-
-    @property
     def owners(self) -> np.ndarray:
         with self._lock:
             return self._owners[: self._n]
 
-    def snapshot(self, with_features: bool = False):
-        """Atomically consistent ``(owners, sketches[, features])`` views.
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Atomically consistent ``(owners, sketches)`` views.
 
         Reading the properties separately races with concurrent inserts
         (an append can grow one array between the two reads); scans must
@@ -443,14 +426,6 @@ class SegmentStore:
         staleness checks are built on.
         """
         with self._lock:
-            if with_features:
-                if not self.keep_features:
-                    raise RuntimeError("this store was built without raw features")
-                return (
-                    self._owners[: self._n],
-                    self._sketch_rows(),
-                    self._features[: self._n],
-                )
             return self._owners[: self._n], self._sketch_rows()
 
     @property
@@ -566,11 +541,7 @@ class SegmentStore:
             self._compactor = compactor
 
     def _install_compacted(
-        self,
-        sketches: np.ndarray,
-        owners: np.ndarray,
-        features: Optional[np.ndarray],
-        dead: int,
+        self, sketches: np.ndarray, owners: np.ndarray, dead: int
     ) -> None:
         # Caller holds the lock.  Installs a rewritten arena (``sketches``
         # word-major, a column per owner) and resets the delta journal:
@@ -590,8 +561,6 @@ class SegmentStore:
                 zip(starts[:-1][live].tolist(), starts[1:][live].tolist()),
             )
         )
-        if self.keep_features:
-            self._features = np.ascontiguousarray(features, dtype=np.float64)
         self._cap = n
         self._n = n
         self._dead = dead
@@ -619,7 +588,6 @@ class SegmentStore:
             self._install_compacted(
                 self._sketches[:, :n][:, alive],
                 self._owners[:n][alive],
-                self._features[:n][alive] if self.keep_features else None,
                 dead=0,
             )
             _M_ARENA_COMPACT_SECONDS.observe(time.perf_counter() - t0)
@@ -645,7 +613,6 @@ class SegmentStore:
             n0 = self._n
             owners0 = self._owners[:n0].copy()
             sk_ref = self._sketches
-            ft_ref = self._features if self.keep_features else None
         # Phase 2 — outside the lock.  Rows [0:n0] of the captured
         # arrays (columns, for the word-major sketches) are immutable
         # (appends write past n0 or into a freshly grown allocation;
@@ -656,7 +623,6 @@ class SegmentStore:
         pos_map = np.cumsum(alive, dtype=np.int64) - 1
         new_sk = sk_ref[:, :n0][:, alive]
         new_ow = owners0[alive]
-        new_ft = ft_ref[:n0][alive] if ft_ref is not None else None
         with self._lock:
             if self._compaction_epoch != base_compaction:
                 return False  # another compaction landed first; abandon
@@ -679,16 +645,83 @@ class SegmentStore:
                 new_sk = np.concatenate(
                     [new_sk, self._sketches[:, tail]], axis=1
                 )
-                if new_ft is not None:
-                    new_ft = np.concatenate([new_ft, self._features[tail]])
-            self._install_compacted(new_sk, new_ow, new_ft, dead=dead_after)
+            self._install_compacted(new_sk, new_ow, dead=dead_after)
             _M_ARENA_COMPACT_SECONDS.observe(time.perf_counter() - t0)
             return True
+
+    def _current_index(self) -> Optional["_SketchIndex"]:
+        # Caller holds the lock.  The last build if it is on and no
+        # compaction moved the rows since.
+        index = self._index
+        if (
+            index is None
+            or index.runs is None
+            or index.compaction_epoch != self._compaction_epoch
+        ):
+            return None
+        return index
+
+    def refresh_index(self, k: int) -> bool:
+        """Rebuild the sketch index if it is due; return whether it is on.
+
+        Due means: never built, a compaction since the last build (row
+        positions moved), or an unindexed tail longer than a quarter of
+        the indexed rows.  ``k`` is the scan's per-row neighbour count,
+        which the build's on/off check certifies against.  Like
+        :meth:`maintenance_compact`'s gather, the build reads the arena's
+        immutable prefix outside the lock; a build that a compaction
+        overtook is dropped.  One build at a time: a caller that finds
+        another build under way keeps the current index.
+        """
+        with self._lock:
+            index = self._index
+            due = (
+                index is None
+                or index.compaction_epoch != self._compaction_epoch
+                or (self._n - index.rows) * 4 > index.rows
+            )
+            if not due or self._index_building:
+                return self._current_index() is not None
+            self._index_building = True
+            base = self._compaction_epoch
+            words = self._sketches[:, : self._n]
+            owners = self._owners[: self._n].copy()
+        try:
+            built = _build_index(words, owners, self.n_bits, k, base)
+        finally:
+            with self._lock:
+                self._index_building = False
+        with self._lock:
+            if self._compaction_epoch == base:
+                self._index = built
+            return self._current_index() is not None
+
+    def index_snapshot(
+        self, k: int
+    ) -> Tuple[np.ndarray, np.ndarray, Optional["_SketchIndex"], int]:
+        """:meth:`snapshot` plus the sketch index that matches it and the
+        live row count.
+
+        Refreshes the index first (:meth:`refresh_index`); the index is
+        ``None`` when it is off or a compaction left it unbuilt.  Rows
+        appended after the build are the views' unindexed tail.
+        """
+        self.refresh_index(k)
+        with self._lock:
+            return (
+                self._owners[: self._n],
+                self._sketch_rows(),
+                self._current_index(),
+                self._n - self._dead,
+            )
 
     def arena_info(self) -> Dict[str, int]:
         """Structural counters for ``stat`` and the churn bench."""
         with self._lock:
+            index = self._current_index()
             return {
+                "index_on": int(index is not None),
+                "index_rows": index.rows if index is not None else 0,
                 "rows": self._n,
                 "alive_rows": self._n - self._dead,
                 "dead_rows": self._dead,
@@ -843,19 +876,11 @@ def sketch_filter(
     store: SegmentStore,
     params: FilterParams,
     n_bits: int,
-    use_sketches: bool = True,
-    seg_distance_to_many: Optional[
-        Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ] = None,
-    max_feature_distance: Optional[float] = None,
 ) -> Set[int]:
-    """Run the filtering phase; returns the candidate set of object ids.
+    """Run the filtering phase as a full scan; returns the candidate set.
 
     ``query_sketches`` is the packed ``(k, n_words)`` sketch matrix of the
-    query's segments (same row order as ``query.features``).  When
-    ``use_sketches`` is false, ``seg_distance_to_many`` must map a query
-    vector and the store's feature matrix to a distance array, and
-    ``max_feature_distance`` bounds the threshold scale.
+    query's segments (same row order as ``query.features``).
 
     All ``r`` top query segments are scanned in one batched pass
     (:func:`~repro.core.bitvector.hamming_many_to_many`) and the
@@ -866,34 +891,23 @@ def sketch_filter(
     — argpartition's introselect is comparison-driven, so it picks the
     same indices as on a float64 copy while touching half the memory.
     :func:`sketch_filter_reference` is the per-segment implementation
-    this must stay candidate-set-identical to.
+    this must stay candidate-set-identical to.  It never reads the
+    sketch index, so it is an oracle for :func:`sketch_filter_many`.
     """
-    if use_sketches:
-        owners, sketch_matrix = store.snapshot()
-    else:
-        owners, sketch_matrix, feature_matrix = store.snapshot(with_features=True)
-    if owners.shape[0] == 0:
+    owners, sketch_matrix = store.snapshot()
+    dead = owners < 0
+    n_alive = owners.shape[0] - int(dead.sum())
+    if n_alive == 0:
         return set()
     top = query.top_segments(params.num_query_segments)
-    if use_sketches:
-        dists = hamming_many_to_many(query_sketches[top], sketch_matrix)
-        max_scales = np.full(len(top), float(n_bits))
-    else:
-        if seg_distance_to_many is None:
-            raise ValueError("direct filtering needs seg_distance_to_many")
-        dists = np.stack(
-            [
-                np.asarray(
-                    seg_distance_to_many(query.features[i], feature_matrix),
-                    dtype=np.float64,
-                )
-                for i in top
-            ]
-        )
-        max_scales = _direct_max_scales(dists, max_feature_distance)
-    thresholds = _segment_thresholds(query, top, params, max_scales)
-    return _select_candidates(
-        dists, owners, thresholds, params.candidates_per_segment
+    nearest, near = _scan_nearest(
+        query_sketches[top],
+        sketch_matrix,
+        dead,
+        min(params.candidates_per_segment, n_alive),
+    )
+    return _candidate_owners(
+        owners, nearest, near, _segment_thresholds(query, top, params, n_bits)
     )
 
 
@@ -903,23 +917,16 @@ def sketch_filter_reference(
     store: SegmentStore,
     params: FilterParams,
     n_bits: int,
-    use_sketches: bool = True,
-    seg_distance_to_many: Optional[
-        Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ] = None,
-    max_feature_distance: Optional[float] = None,
 ) -> Set[int]:
     """Pre-batch filtering: one full database scan per query segment.
 
-    Kept as the ground-truth implementation: :func:`sketch_filter` must
-    return an identical candidate set (the perf smoke test asserts this),
-    and ``bench_query_throughput.py`` uses it as the before-side of the
+    Kept as the ground-truth implementation: :func:`sketch_filter` and
+    :func:`sketch_filter_many` must return an identical candidate set
+    (the perf smoke and sketch-index tests assert this), and
+    ``bench_query_throughput.py`` uses it as the before-side of the
     batched-kernel speedup measurement.
     """
-    if use_sketches:
-        owners, sketch_matrix = store.snapshot()
-    else:
-        owners, sketch_matrix, feature_matrix = store.snapshot(with_features=True)
+    owners, sketch_matrix = store.snapshot()
     total = owners.shape[0]
     if total == 0:
         return set()
@@ -932,30 +939,16 @@ def sketch_filter_reference(
     candidates: Set[int] = set()
     for seg_idx in query.top_segments(params.num_query_segments):
         weight = float(query.weights[seg_idx])
-        if use_sketches:
-            dists = hamming_to_many(
-                query_sketches[seg_idx], sketch_matrix
-            ).astype(np.float64)
-            max_scale = float(n_bits)
-        else:
-            if seg_distance_to_many is None:
-                raise ValueError("direct filtering needs seg_distance_to_many")
-            dists = np.asarray(
-                seg_distance_to_many(query.features[seg_idx], feature_matrix),
-                dtype=np.float64,
-            )
-            max_scale = (
-                max_feature_distance
-                if max_feature_distance is not None
-                else float(dists.max(initial=1.0)) or 1.0
-            )
+        dists = hamming_to_many(
+            query_sketches[seg_idx], sketch_matrix
+        ).astype(np.float64)
         if any_dead:
             dists[dead] = np.inf
         nearest = select_k_smallest(dists[None, :], k)[0]
         if params.threshold_fraction is not None:
             threshold = (
                 params.threshold_fraction
-                * max_scale
+                * float(n_bits)
                 * params.threshold_factor(weight)
             )
             nearest = nearest[dists[nearest] <= threshold]
@@ -986,9 +979,7 @@ def _stack_query_rows(
     if params.threshold_fraction is not None:
         thresholds = np.concatenate(
             [
-                _segment_thresholds(
-                    q, top, params, np.full(len(top), float(n_bits))
-                )
+                _segment_thresholds(q, top, params, n_bits)
                 for q, top in zip(queries, tops)
             ]
         )
@@ -1004,70 +995,62 @@ def sketch_filter_many(
     params: FilterParams,
     n_bits: int,
 ) -> List[Set[int]]:
-    """Filtering phase for a whole batch of queries in one fused scan.
+    """Filtering phase for a whole batch of queries in one fused pass.
 
     Every query's top-``r`` segment sketches are stacked into a single
-    ``(sum_of_r, n_words)`` matrix and the segment store is streamed
-    through :func:`~repro.core.bitvector.hamming_many_to_many` once for
-    the entire batch; the k-NN selection and thresholding also run
-    batched over all rows.  Returns one candidate set per query,
-    identical to calling :func:`sketch_filter` per query on the same
-    store snapshot.
+    ``(sum_of_r, n_words)`` matrix.  Where the store's sketch index is on,
+    the stacked rows go through it (:func:`_index_nearest`) and only the
+    rows it cannot certify are scanned in full; elsewhere the segment
+    store is streamed through
+    :func:`~repro.core.bitvector.hamming_many_to_many` once for the
+    entire batch.  The k-NN selection and thresholding run batched over
+    all rows.  Returns one candidate set per query, identical to calling
+    :func:`sketch_filter` per query on the same store snapshot.
     """
     queries = list(queries)
     if not queries:
         return []
-    owners, sketch_matrix = store.snapshot()
-    if owners.shape[0] == 0:
+    owners, sketch_matrix, index, n_alive = store.index_snapshot(
+        params.candidates_per_segment
+    )
+    if n_alive == 0:
         return [set() for _ in queries]
     tops, stacked, thresholds = _stack_query_rows(
         queries, query_sketches_list, params, n_bits
     )
-    dists = hamming_many_to_many(stacked, sketch_matrix)
-    total = dists.shape[1]
-    dead = owners < 0
-    n_alive = total - int(dead.sum())
-    if n_alive == 0:
-        return [set() for _ in queries]
-    if dead.any():
-        dists[:, dead] = _dead_sentinel(dists.dtype)
     k = min(params.candidates_per_segment, n_alive)
-    nearest = select_k_smallest(dists, k)
-    within = (
-        np.take_along_axis(dists, nearest, axis=1) <= thresholds[:, None]
-        if thresholds is not None
-        else None
-    )
+    if index is None:
+        nearest, near = _scan_nearest(stacked, sketch_matrix, owners < 0, k)
+    else:
+        nearest, near, rest, _ = _index_nearest(
+            index, sketch_matrix.T, owners, stacked, k
+        )
+        if rest.size:
+            _M_INDEX_FALLBACK_ROWS.inc(int(rest.size))
+            nearest[rest], near[rest] = _scan_nearest(
+                stacked[rest], sketch_matrix, owners < 0, k
+            )
     results: List[Set[int]] = []
     offset = 0
     for top in tops:
         rows = slice(offset, offset + len(top))
         offset += len(top)
-        if within is not None:
-            hit_owners = owners[nearest[rows][within[rows]]]
-        else:
-            hit_owners = owners[np.asarray(nearest[rows]).ravel()]
-        hit_owners = hit_owners[hit_owners >= 0]
-        results.append(set(int(o) for o in np.unique(hit_owners)))
+        results.append(
+            _candidate_owners(
+                owners,
+                nearest[rows],
+                near[rows],
+                None if thresholds is None else thresholds[rows],
+            )
+        )
     return results
-
-
-def _direct_max_scales(
-    dists: np.ndarray, max_feature_distance: Optional[float]
-) -> np.ndarray:
-    """Per-segment threshold scale for direct (non-sketch) filtering."""
-    if max_feature_distance is not None:
-        return np.full(dists.shape[0], float(max_feature_distance))
-    scales = dists.max(axis=1, initial=1.0)
-    scales[scales == 0.0] = 1.0
-    return scales
 
 
 def _segment_thresholds(
     query: ObjectSignature,
     top: Sequence[int],
     params: FilterParams,
-    max_scales: np.ndarray,
+    n_bits: int,
 ) -> Optional[np.ndarray]:
     """Per-segment distance thresholds, or ``None`` when disabled."""
     if params.threshold_fraction is None:
@@ -1075,7 +1058,7 @@ def _segment_thresholds(
     factors = np.asarray(
         [params.threshold_factor(float(query.weights[i])) for i in top]
     )
-    return params.threshold_fraction * max_scales * factors
+    return params.threshold_fraction * float(n_bits) * factors
 
 
 def _dead_sentinel(dtype: np.dtype):
@@ -1085,34 +1068,248 @@ def _dead_sentinel(dtype: np.dtype):
     return np.iinfo(dtype).max
 
 
-def _select_candidates(
-    dists: np.ndarray,
-    owners: np.ndarray,
-    thresholds: Optional[np.ndarray],
-    candidates_per_segment: int,
-) -> Set[int]:
-    """Vectorized k-NN + threshold + owner-dedup over ``(r, total)`` distances.
-
-    ``dists`` is mutated in place (tombstoned columns are masked out);
-    callers pass a freshly materialized matrix.  The dtype is whatever
-    the scan produced — ``uint32`` Hamming counts or ``float64`` direct
-    distances — and tombstones are masked to that dtype's maximum, which
-    sorts after every real distance and fails every threshold just like
-    ``inf`` does.
-    """
-    total = dists.shape[1]
-    dead = owners < 0
-    n_alive = total - int(dead.sum())
-    if n_alive == 0:
-        return set()
+def _scan_nearest(
+    rows: np.ndarray, sketch_matrix: np.ndarray, dead: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Full-scan k-NN: per query row, the selected arena rows and their
+    distances.  Tombstoned rows are masked to the distance dtype's
+    maximum, which sorts after every real distance and fails every
+    threshold, so with ``k`` at most the live row count they are never
+    selected."""
+    dists = hamming_many_to_many(rows, sketch_matrix)
     if dead.any():
         dists[:, dead] = _dead_sentinel(dists.dtype)
-    k = min(candidates_per_segment, n_alive)
     nearest = select_k_smallest(dists, k)
+    return nearest, np.take_along_axis(dists, nearest, axis=1)
+
+
+def _candidate_owners(
+    owners: np.ndarray,
+    nearest: np.ndarray,
+    near: np.ndarray,
+    thresholds: Optional[np.ndarray],
+) -> Set[int]:
+    """Owners of the selected rows within their row's threshold."""
     if thresholds is not None:
-        within = np.take_along_axis(dists, nearest, axis=1) <= thresholds[:, None]
-        hit_owners = owners[nearest[within]]
+        hits = nearest[near <= thresholds[:, None]]
     else:
-        hit_owners = owners[nearest.ravel()]
-    hit_owners = hit_owners[hit_owners >= 0]
-    return set(int(o) for o in np.unique(hit_owners))
+        hits = nearest.ravel()
+    hit_owners = owners[hits]
+    return set(hit_owners[hit_owners >= 0].tolist())
+
+
+# ----------------------------------------------------------------------
+# Multi-index over sketch substrings
+# ----------------------------------------------------------------------
+# Pigeonhole (multi-index hashing, Norouzi et al.): cut a sketch into m
+# substrings; if two sketches differ in at most d bits, some substring
+# differs in at most floor(d / m) bits.  Probing every substring's run
+# for the keys within radius r of the query's therefore finds every row
+# within m(r + 1) - 1 bits (proof in _index_nearest).
+#
+# All m runs live in one sorted uint64 array of entries
+# ``j << 59 | key << 27 | row``: substring number, its 32-bit key, and
+# the arena row.  So one sort per substring builds it, one search per
+# radius probes every substring of every query row, and the index
+# covers at most 32 substrings and 2**27 - 1 rows.
+_SUB_BITS = 32
+_MAX_SUBSTRINGS = 32
+_KEY_SHIFT = np.uint64(27)
+_SUB_SHIFT = np.uint64(59)
+_ROW_MASK = np.uint64((1 << 27) - 1)
+_ONE_BIT = np.uint64(1) << np.arange(_SUB_BITS, dtype=np.uint64)
+# (radius, XOR masks on a substring key): radius <= 1 is the key and its
+# 32 one-bit neighbours; radius 2 adds the 496 two-bit neighbours.
+_PROBES = (
+    (1, np.concatenate([np.zeros(1, dtype=np.uint64), _ONE_BIT])),
+    (2, (_ONE_BIT[:, None] | _ONE_BIT[None, :])[np.triu_indices(_SUB_BITS, 1)]),
+)
+
+
+@dataclass(frozen=True)
+class _SketchIndex:
+    """One build of the multi-index (see :func:`_build_index`).
+
+    ``runs`` holds the ``m`` substring runs of rows ``[0, rows)``, or is
+    ``None`` when the build's on/off check turned the index off.  Valid
+    while the store's compaction epoch is ``compaction_epoch``; rows
+    appended later are its tail.
+    """
+
+    compaction_epoch: int
+    rows: int
+    m: int
+    runs: Optional[np.ndarray]
+
+
+def _substring_keys(rows: np.ndarray, m: int) -> np.ndarray:
+    """``(n, m)`` keys of the first ``m`` substrings of ``(n, n_words)``
+    sketch rows.  Substring ``j`` is bytes ``[4j, 4j + 4)`` of a row —
+    sketch bits ``[32j, 32j + 32)``, as :func:`~repro.core.bitvector.pack_bits`
+    lays bytes out in order."""
+    return np.ascontiguousarray(rows).view(np.uint32)[:, :m].astype(np.uint64)
+
+
+def _needles(keys: np.ndarray, flips: np.ndarray, first: int = 0) -> np.ndarray:
+    """Sorted probe entries for substrings ``first, first + 1, ...`` of
+    the ``(n, c)`` query ``keys``, each XORed with every flip.  Sorted,
+    numpy's binary search starts each probe where the last one ended."""
+    subs = np.arange(first, first + keys.shape[1], dtype=np.uint64) << _SUB_SHIFT
+    probes = ((keys[:, :, None] ^ flips) << _KEY_SHIFT) | subs[None, :, None]
+    return np.sort(probes.ravel())
+
+
+def _probe(runs: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Arena rows of the run entries matching ``needles`` (repeats
+    included).  One key's entries lie between ``needle`` and
+    ``needle | _ROW_MASK``, and no row number reaches the mask, so left
+    searches find both ends; only needles whose key is present need
+    the second."""
+    lo = np.searchsorted(runs, needles)
+    hit = (runs[np.minimum(lo, runs.size - 1)] >> _KEY_SHIFT) == (
+        needles >> _KEY_SHIFT
+    )
+    if not hit.any():
+        return np.empty(0, dtype=np.int32)
+    lo = lo[hit]
+    counts = np.searchsorted(runs, needles[hit] | _ROW_MASK) - lo
+    ends = np.cumsum(counts)
+    pos = np.arange(int(ends[-1])) + np.repeat(lo - (ends - counts), counts)
+    return (runs[pos] & _ROW_MASK).astype(np.int32)
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Sorted distinct rows (faster than ``np.unique``, which is
+    hash-based on numpy 2.4, and than a boolean row mask)."""
+    rows = np.sort(rows)
+    if rows.size < 2:
+        return rows
+    keep = np.empty(rows.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+    return rows[keep]
+
+
+def _columns(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows ``cols`` of the word-major arena, as the ``(n, n_words)``
+    view of a word-major copy (one ``take`` per word is twice as fast
+    as a 2-D fancy index)."""
+    out = np.empty((words.shape[0], cols.size), dtype=np.uint64)
+    for word, row in zip(words, out):
+        np.take(word, cols, out=row)
+    return out.T
+
+
+def _index_nearest(
+    index: _SketchIndex,
+    words: np.ndarray,
+    owners: np.ndarray,
+    stacked: np.ndarray,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Exact top-``k`` arena rows of every query row the index certifies.
+
+    ``words`` is the word-major ``(n_words, n)`` arena and ``owners`` its
+    owner column.  At radius ``r`` the gathered rows are every row with
+    some substring within ``r`` bits of the query row's, plus the
+    unindexed tail, minus tombstones.  A live row left out differs in at
+    least ``r + 1`` bits in each of the ``m`` substrings, so it is at
+    least ``m(r + 1)`` bits away (bits past the last substring only add
+    distance).  So when at least ``k`` gathered rows lie within
+    ``m(r + 1) - 1`` bits, every row at or below the k-th distance was
+    gathered, and :func:`select_k_smallest` over the gathered columns —
+    in row order — picks exactly the full scan's top-``k``, ties
+    included.  Rows uncertified at radius 1 go on to radius 2 (the union
+    of everything gathered so far plus their two-bit probes).  Each
+    radius makes one Hamming kernel call over the union of the gathered
+    rows.
+
+    Returns ``(nearest, dists, rest, reads)``: per query row the selected
+    arena rows and their distances, the query rows no radius certified
+    (their ``nearest``/``dists`` rows are garbage, for the full scan to
+    fill), and how many run entries the probes read.
+    """
+    n_rows = stacked.shape[0]
+    m = index.m
+    keys = _substring_keys(stacked, m)
+    nearest = np.empty((n_rows, k), dtype=np.int64)
+    near = np.empty((n_rows, k), dtype=np.uint32)
+    tail = np.arange(index.rows, owners.shape[0], dtype=np.int32)
+    tail = tail[owners[tail] >= 0]
+    gathered = np.empty(0, dtype=np.int32)
+    reads = 0
+    rest = np.arange(n_rows)
+    for radius, flips in _PROBES:
+        found = _probe(index.runs, _needles(keys[rest], flips))
+        reads += found.size
+        gathered = _unique_rows(np.concatenate([gathered, found]))
+        cols = np.concatenate([gathered[owners[gathered] >= 0], tail])
+        dists = hamming_many_to_many(stacked[rest], _columns(words, cols))
+        certified = np.count_nonzero(dists <= m * (radius + 1) - 1, axis=1) >= k
+        if certified.any():
+            sel = select_k_smallest(dists[certified], k)
+            nearest[rest[certified]] = cols[sel]
+            near[rest[certified]] = np.take_along_axis(dists[certified], sel, axis=1)
+            rest = rest[~certified]
+            if not rest.size:
+                break
+    return nearest, near, rest, reads
+
+
+def _build_index(
+    words: np.ndarray,
+    owners: np.ndarray,
+    n_bits: int,
+    k: int,
+    compaction_epoch: int,
+) -> _SketchIndex:
+    """Build the multi-index over the word-major ``(n_words, n)`` arena.
+
+    Each of the ``m = n_bits // 32`` full substrings (at most 32) gets
+    one run, sorted by numpy's default (SIMD) sort — order within a key
+    does not matter.  Padding past the last full substring is left out.
+
+    The on/off check queries a fixed sample of live rows through the
+    index with ``k`` neighbours, and turns it off when they read more
+    than :data:`_INDEX_MAX_READ` of the live arena on average, a query
+    row that no radius certifies counting as a whole scan.  The radius-1
+    reads are tallied as the runs are built, and the build stops as soon
+    as the runs so far, extrapolated to all ``m``, read over budget: on
+    the shape corpus that is after the first run.
+    """
+    n = owners.shape[0]
+    m = min(n_bits // _SUB_BITS, _MAX_SUBSTRINGS)
+    off = _SketchIndex(compaction_epoch, n, m, None)
+    live = np.flatnonzero(owners >= 0)
+    if m == 0 or live.size == 0 or n > int(_ROW_MASK):
+        return off
+    sample = np.unique(live[np.linspace(0, live.size - 1, 8).astype(np.int64)])
+    queries = words[:, sample].T
+    keys = _substring_keys(queries, m)
+    budget = _INDEX_MAX_READ * live.size * sample.size
+    row_ids = np.arange(n, dtype=np.uint64)
+    reads = 0
+    # The first run is sorted on its own, so a store that turns the
+    # index off after it never allocates the other m - 1: allocating and
+    # freeing all 25 runs left the shape benchmark's peak RSS 19 MB up.
+    runs = first = np.empty(n, dtype=np.uint64)
+    for j in range(m):
+        if j == 1:
+            runs = np.empty(m * n, dtype=np.uint64)
+            runs[:n] = first
+        run = runs[j * n : (j + 1) * n]
+        run[:] = words[j // 2].view(np.uint32)[j % 2 :: 2]
+        run <<= _KEY_SHIFT
+        run |= row_ids
+        run |= np.uint64(j) << _SUB_SHIFT
+        run.sort()
+        reads += _probe(run, _needles(keys[:, j : j + 1], _PROBES[0][1], j)).size
+        if reads * m > budget * (j + 1):
+            return off
+    index = _SketchIndex(compaction_epoch, n, m, runs)
+    _, _, rest, reads = _index_nearest(
+        index, words, owners, queries, min(k, live.size)
+    )
+    if reads + rest.size * live.size > budget:
+        return off
+    return index

@@ -301,6 +301,8 @@ class CommandProcessor:
             f"arena_compactions {self._rank_counter('arena.compactions')}",
             f"arena_delta_loads {self._rank_counter('arena.delta_loads')}",
             f"compaction {'on' if arena['background'] else 'off'}",
+            f"filter_index {'on' if arena['index_on'] else 'off'}",
+            f"filter_index_rows {arena['index_rows']}",
             f"cache_entries {cache['entries']}/{cache['capacity']}",
             f"cache_hits {cache['hits']}",
             f"cache_misses {cache['misses']}",

@@ -22,20 +22,19 @@ from hypothesis import strategies as st
 from repro.core import ArenaCompactor, ArenaDelta, SegmentStore, filtering
 
 
-def _store(n_objects=0, segs=3, n_words=2, seed=0, keep_features=False):
+def _store(n_objects=0, segs=3, n_words=2, seed=0):
     rng = np.random.default_rng(seed)
-    store = SegmentStore(n_words=n_words, dim=4, keep_features=keep_features)
+    store = SegmentStore(n_words=n_words)
     for oid in range(n_objects):
-        _add(store, oid, rng, segs=segs, n_words=n_words, keep_features=keep_features)
+        _add(store, oid, rng, segs=segs, n_words=n_words)
     return store, rng
 
 
-def _add(store, oid, rng, segs=3, n_words=2, keep_features=False):
+def _add(store, oid, rng, segs=3, n_words=2):
     sk = rng.integers(0, 2**63, size=(segs, n_words), dtype=np.uint64).astype(
         np.uint64
     )
-    ft = rng.random((segs, 4)) if keep_features else None
-    store.add_object(oid, sk, ft)
+    store.add_object(oid, sk)
     return sk
 
 
@@ -176,14 +175,14 @@ class TestLockedAccessors:
 
 class TestMaintenanceCompaction:
     def test_maintenance_equals_inline_compaction(self):
-        a, rng_a = _store(20, seed=7, keep_features=True)
-        b, _ = _store(20, seed=7, keep_features=True)
+        a, rng_a = _store(20, seed=7)
+        b, _ = _store(20, seed=7)
         for oid in (1, 5, 9, 13):
             a.remove_object(oid)
             b.remove_object(oid)
         assert a.maintenance_compact()
         b.compact()
-        for x, y in zip(a.snapshot(with_features=True), b.snapshot(with_features=True)):
+        for x, y in zip(a.snapshot(), b.snapshot()):
             np.testing.assert_array_equal(x, y)
         assert a.arena_info()["dead_rows"] == 0
 
@@ -279,7 +278,7 @@ class TestSpans:
     @settings(max_examples=150, deadline=None)
     @given(steps=_steps)
     def test_spans_match_the_owners_array(self, steps):
-        store = SegmentStore(n_words=1, dim=2, keep_features=True)
+        store = SegmentStore(n_words=1)
         store.attach_compactor(_NoCompactor())
         rng = np.random.default_rng(0)
         live = set()
@@ -288,7 +287,7 @@ class TestSpans:
         def add(segs):
             oid = next(next_id)
             sketches = rng.integers(0, 2**63, (segs, 1), dtype=np.uint64)
-            store.add_object(oid, sketches, rng.random((segs, 2)))
+            store.add_object(oid, sketches)
             live.add(oid)
 
         def remove(pick):
@@ -333,17 +332,17 @@ class TestSpans:
 
 class TestDuplicateIds:
     def test_add_object_rejects_a_live_id_without_touching_state(self):
-        store, rng = _store(3, keep_features=True)
-        owners, sketches, features = (a.copy() for a in store.snapshot(with_features=True))
+        store, rng = _store(3)
+        owners, sketches = (a.copy() for a in store.snapshot())
         info, spans = store.arena_info(), dict(store._spans)
         with pytest.raises(KeyError):
-            _add(store, 1, rng, keep_features=True)
+            _add(store, 1, rng)
         assert store.arena_info() == info and store._spans == spans
-        for before, after in zip((owners, sketches, features), store.snapshot(with_features=True)):
+        for before, after in zip((owners, sketches), store.snapshot()):
             np.testing.assert_array_equal(before, after)
         # Once removed, the id may come back.
         store.remove_object(1)
-        _add(store, 1, rng, keep_features=True)
+        _add(store, 1, rng)
         _assert_spans(store, {0, 1, 2})
 
     @pytest.mark.parametrize("ids", [[3, 2], [4, 4]])
@@ -362,13 +361,12 @@ class TestAddMany:
         rng = np.random.default_rng(4)
         ids = [5, 9, 2, 7]
         blocks = [rng.integers(0, 2**63, (n, 2), dtype=np.uint64) for n in (1, 3, 2, 4)]
-        feats = [rng.random((b.shape[0], 4)) for b in blocks]
-        one = SegmentStore(n_words=2, dim=4)
-        for oid, sk, ft in zip(ids, blocks, feats):
-            one.add_object(oid, sk, ft)
-        many = SegmentStore(n_words=2, dim=4)
-        many.add_many(ids, blocks, feats)
-        for x, y in zip(one.snapshot(with_features=True), many.snapshot(with_features=True)):
+        one = SegmentStore(n_words=2)
+        for oid, sk in zip(ids, blocks):
+            one.add_object(oid, sk)
+        many = SegmentStore(n_words=2)
+        many.add_many(ids, blocks)
+        for x, y in zip(one.snapshot(), many.snapshot()):
             np.testing.assert_array_equal(x, y)
         assert many._spans == one._spans
         info = many.arena_info()

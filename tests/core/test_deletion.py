@@ -36,17 +36,17 @@ def filled(unit_meta):
 
 class TestSegmentStoreRemoval:
     def test_remove_counts(self):
-        store = SegmentStore(n_words=2, dim=4)
-        store.add_object(1, np.zeros((3, 2), np.uint64), np.zeros((3, 4)))
-        store.add_object(2, np.zeros((2, 2), np.uint64), np.zeros((2, 4)))
+        store = SegmentStore(n_words=2)
+        store.add_object(1, np.zeros((3, 2), np.uint64))
+        store.add_object(2, np.zeros((2, 2), np.uint64))
         assert store.remove_object(1) == 3
         assert len(store) == 2
         assert store.remove_object(1) == 0
 
     def test_compaction_threshold(self):
-        store = SegmentStore(n_words=1, dim=2)
+        store = SegmentStore(n_words=1)
         for oid in range(8):
-            store.add_object(oid, np.zeros((1, 1), np.uint64), np.zeros((1, 2)))
+            store.add_object(oid, np.zeros((1, 1), np.uint64))
         store.remove_object(0)  # 1/8 dead: tombstoned only
         assert store.owners.shape[0] == 8
         store.remove_object(1)  # 2/8 = 25% dead: compacts
@@ -54,9 +54,9 @@ class TestSegmentStoreRemoval:
         assert np.all(store.owners >= 0)
 
     def test_explicit_compact(self):
-        store = SegmentStore(n_words=1, dim=2)
+        store = SegmentStore(n_words=1)
         for oid in range(10):
-            store.add_object(oid, np.zeros((2, 1), np.uint64), np.zeros((2, 2)))
+            store.add_object(oid, np.zeros((2, 1), np.uint64))
         store.remove_object(3)
         store.compact()
         assert store.owners.shape[0] == 18

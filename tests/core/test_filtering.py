@@ -15,20 +15,19 @@ from repro.core import (
     sketch_filter_many,
     sketch_filter_reference,
 )
-from repro.core.distance import l1_to_many
 from repro.core.filtering import default_threshold_fn, select_k_smallest
 
 
 def _setup(num_objects=30, segs=3, dim=6, n_bits=256, seed=0):
     meta = FeatureMeta(dim, np.zeros(dim), np.ones(dim))
     sk = SketchConstructor(SketchParams(n_bits, meta, seed=seed))
-    store = SegmentStore(sk.n_words, dim)
+    store = SegmentStore(sk.n_words, n_bits=n_bits)
     rng = np.random.default_rng(seed)
     objects = {}
     for oid in range(num_objects):
         feats = rng.random((segs, dim))
         obj = ObjectSignature(feats, rng.random(segs) + 0.1, object_id=oid)
-        store.add_object(oid, sk.sketch_many(feats), feats)
+        store.add_object(oid, sk.sketch_many(feats))
         objects[oid] = obj
     return meta, sk, store, objects, rng
 
@@ -47,6 +46,15 @@ class TestFilterParams:
         with pytest.raises(ValueError):
             FilterParams(**kwargs)
 
+    def test_from_dict_missing_keys_mean_defaults(self):
+        assert FilterParams.from_dict({}) == FilterParams()
+        assert FilterParams.from_dict({}).threshold_fraction == 0.5
+
+    def test_from_dict_explicit_none_disables_threshold(self):
+        params = FilterParams.from_dict({"threshold_fraction": None})
+        assert params.threshold_fraction is None
+        assert FilterParams.from_dict(params.to_dict()) == params
+
     def test_threshold_fn_decreasing(self):
         assert default_threshold_fn(0.0) > default_threshold_fn(0.5) > default_threshold_fn(1.0)
 
@@ -60,14 +68,13 @@ class TestSegmentStore:
         _meta, sk, store, _objs, _rng = _setup(num_objects=5)
         assert len(store) == 15
         assert store.sketches.shape == (15, sk.n_words)
-        assert store.features.shape == (15, 6)
         assert set(store.owners.tolist()) == set(range(5))
 
     def test_incremental_adds_after_scan(self):
         meta, sk, store, _objs, rng = _setup(num_objects=3)
         _ = store.sketches  # force consolidation
         feats = rng.random((2, 6))
-        store.add_object(99, sk.sketch_many(feats), feats)
+        store.add_object(99, sk.sketch_many(feats))
         assert len(store) == 11
         assert 99 in store.owners
 
@@ -76,36 +83,33 @@ class TestSegmentStore:
         assert store.sketch_bytes == len(store) * sk.n_words * 8
 
     def test_wrong_word_count_rejected(self):
-        store = SegmentStore(n_words=2, dim=4)
+        store = SegmentStore(n_words=2)
         with pytest.raises(ValueError):
-            store.add_object(0, np.zeros((1, 3), np.uint64), np.zeros((1, 4)))
-
-    def test_missing_features_rejected(self):
-        store = SegmentStore(n_words=1, dim=4)
-        with pytest.raises(ValueError):
-            store.add_object(0, np.zeros((1, 1), np.uint64))
+            store.add_object(0, np.zeros((1, 3), np.uint64))
 
     def test_zero_row_sketches_rejected(self):
         """An object with no segment rows would be invisible to every
         filter scan; the store must refuse it outright."""
-        store = SegmentStore(n_words=1, dim=4)
+        store = SegmentStore(n_words=1)
         with pytest.raises(ValueError, match="no segment sketches"):
-            store.add_object(0, np.empty((0, 1), np.uint64), np.empty((0, 4)))
+            store.add_object(0, np.empty((0, 1), np.uint64))
         assert len(store) == 0
 
     def test_featureless_store(self):
-        store = SegmentStore(n_words=1, dim=4, keep_features=False)
+        """The arena holds sketches and owners only."""
+        store = SegmentStore(n_words=1)
         store.add_object(0, np.zeros((2, 1), np.uint64))
         assert len(store) == 2
-        with pytest.raises(RuntimeError):
-            _ = store.features
+        assert not hasattr(store, "features")
+        with pytest.raises(TypeError):
+            store.add_object(1, np.zeros((1, 1), np.uint64), np.zeros((1, 4)))
 
 
 class TestSketchFilter:
     def test_empty_store(self):
         meta = FeatureMeta(4, np.zeros(4), np.ones(4))
         sk = SketchConstructor(SketchParams(64, meta, seed=1))
-        store = SegmentStore(sk.n_words, 4)
+        store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
         q = ObjectSignature(np.ones((1, 4)) * 0.5, [1.0])
         out = sketch_filter(q, sk.sketch_many(q.features), store, FilterParams(), 64)
         assert out == set()
@@ -160,28 +164,6 @@ class TestSketchFilter:
         )
         assert tight <= loose
 
-    def test_direct_feature_filtering(self):
-        _meta, sk, store, objects, _rng = _setup(num_objects=40)
-        q = objects[3]
-        candidates = sketch_filter(
-            q, sk.sketch_many(q.features), store,
-            FilterParams(num_query_segments=2, candidates_per_segment=8),
-            sk.n_bits,
-            use_sketches=False,
-            seg_distance_to_many=l1_to_many,
-            max_feature_distance=6.0,
-        )
-        assert 3 in candidates
-
-    def test_direct_mode_requires_distance_fn(self):
-        _meta, sk, store, objects, _rng = _setup(num_objects=5)
-        q = objects[0]
-        with pytest.raises(ValueError):
-            sketch_filter(
-                q, sk.sketch_many(q.features), store, FilterParams(),
-                sk.n_bits, use_sketches=False,
-            )
-
     def test_tombstones_do_not_occupy_knn_slots(self):
         """Dead segments (owner -1) must be excluded before argpartition:
         with k = number of live segments, every live owner is a candidate
@@ -233,7 +215,7 @@ class TestSketchFilter:
     def test_filter_many_empty_inputs(self):
         meta = FeatureMeta(4, np.zeros(4), np.ones(4))
         sk = SketchConstructor(SketchParams(64, meta, seed=1))
-        store = SegmentStore(sk.n_words, 4)
+        store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
         assert sketch_filter_many([], [], store, FilterParams(), 64) == []
         q = ObjectSignature(np.ones((1, 4)) * 0.5, [1.0])
         out = sketch_filter_many(
@@ -245,7 +227,7 @@ class TestSketchFilter:
         """Near-duplicates of the query object should survive filtering."""
         meta = FeatureMeta(6, np.zeros(6), np.ones(6))
         sk = SketchConstructor(SketchParams(256, meta, seed=2))
-        store = SegmentStore(sk.n_words, 6)
+        store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
         rng = np.random.default_rng(3)
         base = rng.random((3, 6))
         # objects 0-4: perturbed copies of base; 5-49: random
@@ -255,7 +237,7 @@ class TestSketchFilter:
                 if oid < 5
                 else rng.random((3, 6))
             )
-            store.add_object(oid, sk.sketch_many(feats), feats)
+            store.add_object(oid, sk.sketch_many(feats))
         q = ObjectSignature(base, np.ones(3))
         candidates = sketch_filter(
             q, sk.sketch_many(base), store,

@@ -46,7 +46,7 @@ def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
     """Random store with deliberate duplicate segments (=> distance ties)."""
     meta = FeatureMeta(dim, np.zeros(dim), np.ones(dim))
     sk = SketchConstructor(SketchParams(n_bits, meta, seed=seed))
-    store = SegmentStore(sk.n_words, dim)
+    store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
     rng = np.random.default_rng(seed)
     pool_feats = rng.random((6, dim))  # shared rows -> identical sketches
     objects = {}
@@ -58,7 +58,7 @@ def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
         objects[oid] = ObjectSignature(
             feats, rng.random(segs) + 0.1, object_id=oid
         )
-        store.add_object(oid, sk.sketch_many(feats), feats)
+        store.add_object(oid, sk.sketch_many(feats))
     for oid in tombstones:
         store.remove_object(oid)
     return sk, store, objects
@@ -66,12 +66,11 @@ def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
 
 def _handmade_store(words_per_row, owners_per_row, n_bits=64):
     """Store whose packed sketch words (hence distances) are explicit."""
-    store = SegmentStore(n_words=1, dim=2)
+    store = SegmentStore(n_words=1)
     for owner, word in zip(owners_per_row, words_per_row):
         store.add_object(
             owner,
             np.array([[word]], dtype=np.uint64),
-            np.zeros((1, 2)),
         )
     return store
 
@@ -226,7 +225,7 @@ def test_empty_store_and_all_tombstones(pool):
     params = FilterParams(num_query_segments=1, candidates_per_segment=5)
     query = _one_segment_query()
     qs = np.array([[0]], dtype=np.uint64)
-    empty = SegmentStore(n_words=1, dim=2)
+    empty = SegmentStore(n_words=1)
     _load_pool(pool, empty)
     assert parallel_sketch_filter(query, qs, params, 64, pool) == set()
     dead = _handmade_store([0b1, 0b10], owners_per_row=[1, 2])
@@ -242,9 +241,7 @@ def test_pool_staleness_and_reload(pool):
     _load_pool(pool, store)
     assert pool.matches(store.epoch)
     feats = np.random.default_rng(0).random((2, 8))
-    store.add_object(
-        100, sk.sketch_many(feats), feats
-    )
+    store.add_object(100, sk.sketch_many(feats))
     assert not pool.matches(store.epoch)
     _load_pool(pool, store)
     assert pool.matches(store.epoch)

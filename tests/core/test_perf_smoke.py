@@ -34,13 +34,13 @@ pytestmark = pytest.mark.perf
 def _seeded_store(num_objects=120, segs=3, dim=8, n_bits=256, seed=7):
     meta = FeatureMeta(dim, np.zeros(dim), np.ones(dim))
     sk = SketchConstructor(SketchParams(n_bits, meta, seed=seed))
-    store = SegmentStore(sk.n_words, dim)
+    store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
     rng = np.random.default_rng(seed)
     objects = {}
     for oid in range(num_objects):
         feats = rng.random((segs, dim))
         objects[oid] = ObjectSignature(feats, rng.random(segs) + 0.1, object_id=oid)
-        store.add_object(oid, sk.sketch_many(feats), feats)
+        store.add_object(oid, sk.sketch_many(feats))
     # Tombstone a slice of objects (under the compaction threshold) so
     # the equivalence covers dead-row masking on both paths.
     for oid in range(10, 30):
@@ -92,7 +92,7 @@ def _shape_like_store(n_rows=20_000, n_bits=800, dim=16, seed=11):
     meta = FeatureMeta(dim, np.zeros(dim), np.ones(dim))
     sk = SketchConstructor(SketchParams(n_bits, meta, seed=seed))
     assert sk.n_words == _N_WORDS
-    store = SegmentStore(sk.n_words, dim, keep_features=False)
+    store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
     feats = np.random.default_rng(seed).random((n_rows, dim))
     for oid, row in enumerate(sk.sketch_many(feats)):
         store.add_object(oid, row)

@@ -45,7 +45,7 @@ def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
     """Random store with deliberate duplicate segments (=> distance ties)."""
     meta = FeatureMeta(dim, np.zeros(dim), np.ones(dim))
     sk = SketchConstructor(SketchParams(n_bits, meta, seed=seed))
-    store = SegmentStore(sk.n_words, dim)
+    store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
     rng = np.random.default_rng(seed)
     pool_feats = rng.random((6, dim))
     objects = {}
@@ -57,7 +57,7 @@ def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
         objects[oid] = ObjectSignature(
             feats, rng.random(segs) + 0.1, object_id=oid
         )
-        store.add_object(oid, sk.sketch_many(feats), feats)
+        store.add_object(oid, sk.sketch_many(feats))
     for oid in tombstones:
         store.remove_object(oid)
     return sk, store, objects
