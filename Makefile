@@ -51,11 +51,13 @@ ingest-smoke:
 # shard missing) and restarts it (full answers again after the prober
 # re-admits it); the node-fault drills add the R=2 kill/hang/restart
 # invariants and the acked-insert visibility oracle; the plan tests pin
-# one call per covering backend, and the exact-seed test pins R=B
-# answers to the single engine's printed digits.
+# one call per covering backend, the seed-routing tests pin the seed by
+# id to its hosts and one signature fetch for the rest, and the
+# exact-seed test pins R=B answers to the single engine's printed digits.
 cluster-smoke:
 	$(PYTHON) -m pytest -q tests/cluster/test_cluster_smoke.py tests/cluster/test_node_faults.py \
-		tests/cluster/test_coordinator.py::TestPlan tests/cluster/test_coordinator.py::TestExactSeed
+		tests/cluster/test_coordinator.py::TestPlan tests/cluster/test_coordinator.py::TestSeedRouting \
+		tests/cluster/test_coordinator.py::TestExactSeed
 
 # Telemetry-plane smoke: a traced query stitched across a real
 # subprocess fleet (engine spans from every contacted node), PARTIAL

@@ -6,7 +6,9 @@ ShardMap`).  A query goes to a *plan*: a greedy minimal cover of the
 shards by live backends, one call per backend (:meth:`FerretCoordinator.
 _plan`).  A backend that answers every shard it hosts gets the query
 unrestricted; one that answers only some of them gets a ``mod=/
-residue=`` restriction.  The per-call top-k lists are merged through the
+residue=`` restriction.  A backend that hosts the seed's shard gets the
+seed by id; any other gets its signature (:meth:`FerretCoordinator.
+_scatter_seeded`).  The per-call top-k lists are merged through the
 engine's own deterministic ``select_k_smallest`` tie-breaking rule, and
 when one backend hosts every shard (R = B) its answer is the single
 engine's.
@@ -466,8 +468,8 @@ class FerretCoordinator:
         replica of its owning shard."""
         shard = self.shard_map.shard_of(object_id)
         found, missing, _, _ = self._scatter(
-            lambda shards, full: f"getsig {object_id}",
-            lambda lines: lines[0],
+            lambda backend_id, shards: f"getsig {object_id}",
+            lambda lines, line: lines[0],
             None,
             shards=(shard,),
         )
@@ -477,19 +479,59 @@ class FerretCoordinator:
             )
         return found[(shard,)]
 
-    def _restricted(self, line: str):
-        """The ``line_for`` of :meth:`_scatter` for a query line: as is
-        for a backend answering every shard it hosts, else limited to the
-        shards it answers (a backend hosts R shards; unrestricted, two
-        backends would answer overlapping sets)."""
-        modulus = self.shard_map.num_shards
+    def _scatter_seeded(
+        self,
+        seeds: Sequence[int],
+        by_id: str,
+        by_signature,
+        parse,
+        trace,
+        trace_ctx: Optional[TraceContext],
+    ):
+        """:meth:`_scatter` for a query seeded by the indexed objects
+        ``seeds``.
 
-        def line_for(shards: Tuple[int, ...], full: bool) -> str:
-            if full:
+        A backend that hosts every seed's shard holds the seeds and gets
+        the line ``by_id``.  Any other backend gets ``by_signature(b64s)``,
+        built from the seeds' lossless signatures: they are fetched on
+        the first such call, at most once per request, and a failed
+        fetch is re-raised to every call that needs it.  A backend that
+        answers only some of the shards it hosts gets the line limited
+        to them (``mod=/residue=``; unrestricted, two backends would
+        answer overlapping sets).  If a seed's shard is missing after
+        the scatter, the seeds are fetched anyway, so a seed that no
+        replica can produce raises :class:`ClusterError` as before.
+        """
+        seed_shards = {self.shard_map.shard_of(oid) for oid in seeds}
+        modulus = self.shard_map.num_shards
+        fetch_lock = threading.Lock()
+        fetched: List[object] = []
+
+        def signature_line() -> str:
+            with fetch_lock:
+                if not fetched:
+                    try:
+                        fetched.append(by_signature(
+                            [self._fetch_signature(oid) for oid in seeds]
+                        ))
+                    except (ClientError, ClusterError) as exc:
+                        fetched.append(exc)
+                outcome = fetched[0]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome  # type: ignore[return-value]
+
+        def line_for(backend_id: int, shards: Tuple[int, ...]) -> str:
+            hosted = self._hosted[backend_id]
+            line = by_id if seed_shards <= hosted else signature_line()
+            if hosted == set(shards):
                 return line
             return f"{line} mod={modulus} residue={','.join(map(str, shards))}"
 
-        return line_for
+        scattered = self._scatter(line_for, parse, trace, trace_ctx=trace_ctx)
+        if seed_shards.intersection(scattered[1]):
+            signature_line()
+        return scattered
 
     def _scatter(
         self,
@@ -506,16 +548,17 @@ class FerretCoordinator:
     ]:
         """Answer ``shards`` (default: all) with one call per planned backend.
 
-        ``line_for(shards, full)`` builds the wire line for a backend
-        answering the tuple ``shards``; ``full`` means they are every
-        shard it hosts, so the line needs no restriction.
-        ``parse(lines)`` decodes one response.  A call failing with one
+        ``line_for(backend_id, shards)`` builds the wire line for that
+        backend answering the tuple ``shards``; ``parse(lines, line)``
+        decodes its response to ``line``.  A call failing with one
         of :data:`FAILOVER_ERRORS` re-plans its shards over the live
         backends that have not failed this request (``cluster.failovers``
         and one ``failover`` event per shard moved); a shard left with
-        no replica is *missing*.  A well-formed ``ERR`` answer is raised
-        once every call has finished.  A one-call plan runs in the
-        calling thread; every further call gets a thread of its own.
+        no replica is *missing*.  A well-formed ``ERR`` answer, or a
+        :class:`ClientError` / :class:`ClusterError` raised by
+        ``line_for``, is raised once every call has finished.  A
+        one-call plan runs in the calling thread; every further call
+        gets a thread of its own.
 
         Returns ``(payload per shard tuple, missing_shards, served_by,
         node_subtrees)``.  With ``trace_ctx`` set, every line carries the
@@ -530,13 +573,17 @@ class FerretCoordinator:
         subtrees: Dict[str, Dict[str, object]] = {}
         missing: List[int] = []
         failed: set = set()
-        errors: List[ClientError] = []
+        errors: List[Exception] = []
         lock = threading.Lock()
         child = trace_ctx.child() if trace_ctx is not None else None
 
         def call(backend_id: int, assigned: Tuple[int, ...]) -> None:
             started = time.perf_counter()
-            line = line_for(assigned, self._hosted[backend_id] == set(assigned))
+            try:
+                line = line_for(backend_id, assigned)
+            except (ClientError, ClusterError) as exc:
+                errors.append(exc)
+                return
             if child is not None:
                 line = f"{line} trace={child.to_wire()}"
             try:
@@ -566,7 +613,7 @@ class FerretCoordinator:
                     lines, subtree = _trace_context.split_trace_line(lines)
                 except ValueError:
                     subtree = None  # junk payload: keep the data lines
-            payload = parse(lines)
+            payload = parse(lines, line)
             key = "+".join(map(str, assigned))
             with lock:
                 results[assigned] = payload
@@ -671,9 +718,10 @@ class FerretCoordinator:
     ) -> ClusterResult:
         """Cluster-wide similarity search seeded by an indexed object.
 
-        The seed signature is fetched from its owning shard, the query
-        goes to each backend of the plan (:meth:`_plan`), and their
-        top-k lists are merged deterministically.  Shards that are
+        The query goes to each backend of the plan (:meth:`_plan`): by
+        id to a backend that hosts the seed's shard, by signature to any
+        other (:meth:`_scatter_seeded`), and their top-k lists are
+        merged deterministically.  Shards that are
         entirely unreachable are reported in ``missing_shards`` rather
         than failing the query; losing the *seed's* shard (no replica
         can even produce the signature) raises :class:`ClusterError`.
@@ -701,14 +749,15 @@ class FerretCoordinator:
         if trace is None and traced:
             trace = QueryTrace("cluster", 1)
         ctx = self._effective_context(trace_context, trace)
-        seed_b64 = self._fetch_signature(object_id)
-        line = (
-            f"querysig {seed_b64} top={int(top_k)} method={quote(method)} "
-            f"exclude={object_id}"
-        )
+        options = f"top={int(top_k)} method={quote(method)}"
         scatter_started = time.perf_counter()
-        per_call, missing, served_by, subtrees = self._scatter(
-            self._restricted(line), self._parse_results, trace, trace_ctx=ctx
+        per_call, missing, served_by, subtrees = self._scatter_seeded(
+            [object_id],
+            f"query {object_id} {options}",
+            lambda b64s: f"querysig {b64s[0]} {options} exclude={object_id}",
+            lambda lines, line: self._parse_results(lines),
+            trace,
+            ctx,
         )
         scatter_seconds = time.perf_counter() - scatter_started
         _M_SCATTER_SECONDS.observe(scatter_seconds)
@@ -749,10 +798,11 @@ class FerretCoordinator:
     ) -> List[ClusterResult]:
         """Batch cluster search through the backends' fused pipeline.
 
-        All seed signatures are fetched first (each from its owning
-        shard), then every backend of the plan receives *one*
-        ``querysigmany`` call carrying the whole batch, so the
-        per-command overhead is paid per backend, not per query.  A sampled ``trace_context`` traces
+        Every backend of the plan receives *one* call carrying the whole
+        batch, so the per-command overhead is paid per backend, not per
+        query: ``querymany`` by id where the backend hosts every seed's
+        shard, else ``querysigmany`` with the seeds' signatures
+        (:meth:`_scatter_seeded`).  A sampled ``trace_context`` traces
         the whole batch under one stitched tree (and bypasses the
         result cache, as in :meth:`query`).
         """
@@ -782,23 +832,30 @@ class FerretCoordinator:
         if trace is None and traced:
             trace = QueryTrace("cluster", len(miss_ids))
         ctx = self._effective_context(trace_context, trace)
-        seeds = [self._fetch_signature(oid) for oid in miss_ids]
-        line = (
-            f"querysigmany {','.join(seeds)} top={int(top_k)} "
-            f"method={quote(method)} "
-            f"exclude={','.join(str(oid) for oid in miss_ids)}"
-        )
+        # One query per distinct seed: a ``querymany`` answer line names
+        # its seed by id, a ``querysigmany`` line by position.
+        seeds = list(dict.fromkeys(miss_ids))
+        position = {oid: pos for pos, oid in enumerate(seeds)}
+        ids = ",".join(map(str, seeds))
+        options = f"top={int(top_k)} method={quote(method)}"
 
-        def parse(lines: Sequence[str]) -> List[List[Tuple[int, float]]]:
-            batches: List[List[Tuple[int, float]]] = [[] for _ in miss_ids]
+        def parse(lines: Sequence[str], line: str) -> List[List[Tuple[int, float]]]:
+            by_id = line.startswith("querymany ")
+            batches: List[List[Tuple[int, float]]] = [[] for _ in seeds]
             for raw in lines:
-                index, oid, dist = raw.split()
-                batches[int(index)].append((int(oid), float(dist)))
+                key, oid, dist = raw.split()
+                pos = position[int(key)] if by_id else int(key)
+                batches[pos].append((int(oid), float(dist)))
             return batches
 
         scatter_started = time.perf_counter()
-        per_call, missing, served_by, subtrees = self._scatter(
-            self._restricted(line), parse, trace, trace_ctx=ctx
+        per_call, missing, served_by, subtrees = self._scatter_seeded(
+            seeds,
+            f"querymany {ids} {options}",
+            lambda b64s: f"querysigmany {','.join(b64s)} {options} exclude={ids}",
+            parse,
+            trace,
+            ctx,
         )
         scatter_seconds = time.perf_counter() - scatter_started
         _M_SCATTER_SECONDS.observe(scatter_seconds)
@@ -806,7 +863,8 @@ class FerretCoordinator:
             _metrics.counter(f"cluster.shard.{shard}.queries").inc(len(miss_ids))
         gather_started = time.perf_counter()
         cacheable = not traced and not missing and self._cache_epoch() == epoch
-        for pos, i in enumerate(miss):
+        for i in miss:
+            pos = position[object_ids[i]]
             merged = self.merge_ranked(
                 [batches[pos] for batches in per_call.values()], top_k
             )
@@ -904,8 +962,10 @@ class FerretCoordinator:
         shards that could not be counted."""
         modulus = self.shard_map.num_shards
         per_call, missing, _, _ = self._scatter(
-            lambda shards, full: f"countmod {modulus} {','.join(map(str, shards))}",
-            lambda lines: int(lines[0]),
+            lambda backend_id, shards: (
+                f"countmod {modulus} {','.join(map(str, shards))}"
+            ),
+            lambda lines, line: int(lines[0]),
             None,
         )
         return sum(per_call.values()), missing

@@ -24,13 +24,27 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.plugin import EXTRACTION_ERRORS
 from ..observability import context as _trace_context
 from ..observability import metrics as _metrics
 from ..observability.events import get_event_log
+from ..server.client import ClientError
 from ..server.protocol import Command, ProtocolError, parse_top_k
-from .coordinator import ClusterConfig, ClusterResult, FerretCoordinator
+from .coordinator import (
+    ClusterConfig,
+    ClusterError,
+    ClusterResult,
+    FerretCoordinator,
+)
 
 __all__ = ["ClusterCommandProcessor", "main"]
+
+#: What the coordinator raises on purpose: a backend's well-formed
+#: ``ERR`` relayed as :class:`ClientError`, or a :class:`ClusterError`
+#: (:class:`~repro.cluster.coordinator.ShardUnavailable` included).
+#: Both answer ``ERR <message>``; anything else is a bug and reaches
+#: the server's fault boundary (``server.unhandled_errors``).
+_CLUSTER_ERRORS = (ClientError, ClusterError)
 
 
 def _partial_prefix(result_like) -> List[str]:
@@ -124,7 +138,7 @@ class ClusterCommandProcessor:
             result = self.coordinator.query(
                 object_id, top_k=top_k, method=method, trace_context=ctx
             )
-        except Exception as exc:
+        except _CLUSTER_ERRORS as exc:
             # A ClientError relayed from a backend's well-formed ERR
             # answer (e.g. "unknown object N") is a bad request here too.
             raise ProtocolError(str(exc)) from exc
@@ -150,7 +164,7 @@ class ClusterCommandProcessor:
             results = self.coordinator.query_many(
                 object_ids, top_k=top_k, method=method, trace_context=ctx
             )
-        except Exception as exc:
+        except _CLUSTER_ERRORS as exc:
             raise ProtocolError(str(exc)) from exc
         missing = results[0].missing_shards if results else ()
         lines = _partial_prefix(missing)
@@ -170,7 +184,7 @@ class ClusterCommandProcessor:
             object_id = self.coordinator.insert_file(
                 command.args[0], attributes=attrs or None
             )
-        except Exception as exc:
+        except _CLUSTER_ERRORS + EXTRACTION_ERRORS as exc:
             raise ProtocolError(str(exc)) from exc
         return [str(object_id)]
 

@@ -25,11 +25,23 @@ from .distance import l1_distance
 from .emd import EMDDistance, EMDParams
 from .types import FeatureMeta, ObjectSignature
 
-__all__ = ["DataTypePlugin", "register_plugin", "get_plugin", "list_plugins"]
+__all__ = [
+    "EXTRACTION_ERRORS",
+    "DataTypePlugin",
+    "register_plugin",
+    "get_plugin",
+    "list_plugins",
+]
 
 SegExtractFunc = Callable[[str], ObjectSignature]
 SegDistanceFunc = Callable[[np.ndarray, np.ndarray], float]
 ObjDistanceFunc = Callable[[ObjectSignature, ObjectSignature], float]
+
+#: What :meth:`DataTypePlugin.extract` raises for a file it cannot turn
+#: into a signature: an unreadable file (``OSError``), a plug-in without
+#: an extraction module (``NotImplementedError``), or malformed data or
+#: the wrong feature dimension (``ValueError``).
+EXTRACTION_ERRORS = (OSError, NotImplementedError, ValueError)
 
 
 @dataclass

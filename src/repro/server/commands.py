@@ -105,6 +105,7 @@ from ..attrsearch.index import InvertedIndex, MemoryIndex
 from ..attrsearch.query import AttributeSearcher, QueryError
 from ..core.engine import SearchMethod, SimilaritySearchEngine
 from ..core.filtering import FilterParams, get_threshold_fn
+from ..core.plugin import EXTRACTION_ERRORS
 from ..metadata.serialization import decode_object, encode_object
 from ..observability import context as _trace_context
 from ..observability import metrics as _metrics
@@ -692,7 +693,7 @@ class CommandProcessor:
             )
         except KeyError as exc:
             raise ProtocolError(f"insert failed: {exc.args[0]}") from exc
-        except (OSError, NotImplementedError, ValueError) as exc:
+        except EXTRACTION_ERRORS as exc:
             raise ProtocolError(f"insert failed: {exc}") from exc
         self.register_attributes(object_id, attrs)
         return [str(object_id)]
@@ -707,7 +708,7 @@ class CommandProcessor:
             results = self.engine.query_file(
                 command.args[0], top_k=top_k, method=method, restrict_to=restrict
             )
-        except (OSError, NotImplementedError, ValueError) as exc:
+        except EXTRACTION_ERRORS as exc:
             raise ProtocolError(f"query failed: {exc}") from exc
         return [f"{r.object_id} {r.distance:.6f}" for r in results]
 

@@ -94,15 +94,36 @@ def parse_top_k(command: Command) -> int:
     return top_k
 
 
+def _is_plain(line: str) -> bool:
+    """True for printable ASCII with no quote or backslash: a line on
+    which ``shlex.split`` and ``str.split`` give the same tokens."""
+    return (
+        line.isascii()
+        and line.isprintable()
+        and '"' not in line
+        and "'" not in line
+        and "\\" not in line
+    )
+
+
 def parse_command(line: str) -> Command:
-    """Parse one protocol line into a :class:`Command`."""
+    """Parse one protocol line into a :class:`Command`.
+
+    A plain line (:func:`_is_plain`) splits on spaces; any other line
+    goes through ``shlex``, which lexes one character at a time in
+    Python and would dominate the parse of a long base64 ``querysig``
+    line.
+    """
     line = line.strip()
     if not line:
         raise ProtocolError("empty command")
-    try:
-        tokens = shlex.split(line)
-    except ValueError as exc:
-        raise ProtocolError(f"bad quoting: {exc}") from exc
+    if _is_plain(line):
+        tokens = line.split()
+    else:
+        try:
+            tokens = shlex.split(line)
+        except ValueError as exc:
+            raise ProtocolError(f"bad quoting: {exc}") from exc
     name = tokens[0].lower()
     command = Command(name)
     for token in tokens[1:]:

@@ -132,7 +132,9 @@ def record_calls(coordinator):
 
 
 def query_calls(calls):
-    return [(b, line) for b, line in calls if line.startswith("querysig")]
+    """The query lines: by id (``query``, ``querymany``) or by signature
+    (``querysig``, ``querysigmany``)."""
+    return [(b, line) for b, line in calls if line.startswith("query")]
 
 
 def printed(results):
@@ -227,8 +229,9 @@ class TestPlan:
             calls.clear()
             batch = coordinator.query_many([0, 1], top_k=3)
             assert all(r.served_by == {0: 1, 1: 1} for r in batch)
+            # Backend 1 hosts both seeds' shards: the batch goes by id.
             [(backend, line)] = query_calls(calls)
-            assert backend == 1 and line.startswith("querysigmany ")
+            assert backend == 1 and line.startswith("querymany ")
             assert "mod=" not in line
 
     def test_partial_cover_restricts_by_residue_list(self, full_engine):
@@ -285,9 +288,15 @@ class TestPlan:
         sys.setswitchinterval(1e-6)
         try:
             with running_cluster(4, 4, 1) as (_, _, coordinator):
+                calls = record_calls(coordinator)
                 for seed_id in range(12):
+                    calls.clear()
                     got = coordinator.query(seed_id, top_k=5)
                     assert got.served_by == {s: s for s in range(4)}
+                    # Three non-host calls race for the signature.
+                    assert [
+                        line for _, line in calls if line.startswith("getsig")
+                    ] == [f"getsig {seed_id}"]
                     want = full_engine.query(
                         full_engine.get_object(seed_id), top_k=5,
                         exclude_self=True,
@@ -295,6 +304,117 @@ class TestPlan:
                     assert printed(got.results) == printed(want)
         finally:
             sys.setswitchinterval(previous)
+
+
+class TestSeedRouting:
+    """A backend that hosts the seed's shard gets the seed by id; any
+    other backend gets its signature, fetched once per request."""
+
+    def test_full_replicas_send_the_seed_by_id(self):
+        with running_cluster(2, 2, 2) as (_, _, coordinator):
+            calls = record_calls(coordinator)
+            coordinator.query(3, top_k=5)
+            assert calls == [(0, "query 3 top=5 method=filtering")]
+            calls.clear()
+            coordinator.query_many([3, 0, 3], top_k=5)
+            assert calls == [(0, "querymany 3,0 top=5 method=filtering")]
+
+    def test_non_host_gets_the_signature_after_one_getsig(self, full_engine):
+        # Seed 7 is on shard 1 (backends 1 and 2); backend 0 answers
+        # shards 0 and 2 without holding the seed.
+        with running_cluster(3, 3, 2) as (_, _, coordinator):
+            calls = record_calls(coordinator)
+            result = coordinator.query(7, top_k=5)
+            sent = dict(query_calls(calls))
+            assert sent[1] == "query 7 top=5 method=filtering mod=3 residue=1"
+            assert sent[0].startswith("querysig ")
+            assert sent[0].endswith(" exclude=7")
+            assert [line for _, line in calls if line.startswith("getsig")] == [
+                "getsig 7"
+            ]
+            want = full_engine.query(
+                full_engine.get_object(7), top_k=5, exclude_self=True
+            )
+            assert printed(result.results) == printed(want)
+            # A batch goes by id only where every seed's shard is hosted.
+            calls.clear()
+            coordinator.query_many([7, 0], top_k=5)
+            sent = dict(query_calls(calls))
+            assert sent[0].startswith("querysigmany ")
+            assert sent[1] == "querymany 7,0 top=5 method=filtering mod=3 residue=1"
+            assert sorted(line for _, line in calls if line.startswith("getsig")) == [
+                "getsig 0", "getsig 7",
+            ]
+
+    def test_failover_onto_a_non_host_fetches_the_signature(self, full_engine):
+        # Seed 0 is on shard 0 (backends 0 and 1).  Backend 0 dies; its
+        # shards 0 and 2 move to backends 1 and 2, and backend 2 does
+        # not hold the seed.
+        want = printed(full_engine.query(
+            full_engine.get_object(0), top_k=5, exclude_self=True
+        ))
+        with running_cluster(3, 3, 2) as (_, servers, coordinator):
+            assert printed(coordinator.query(0, top_k=5).results) == want
+            stop(servers[0])
+            calls = record_calls(coordinator)
+            got = coordinator.query(0, top_k=5)
+            assert not got.partial
+            assert got.served_by == {0: 1, 1: 1, 2: 2}
+            assert printed(got.results) == want
+            sent = query_calls(calls)
+            assert any(b == 2 and line.startswith("querysig ") for b, line in sent)
+            assert any(
+                b == 1 and line.startswith("query 0 ") for b, line in sent
+            )
+
+    def test_killing_the_host_replans_to_the_single_engine_answer(
+        self, full_engine
+    ):
+        want = printed(full_engine.query(
+            full_engine.get_object(4), top_k=5, exclude_self=True
+        ))
+        with running_cluster(2, 2, 2) as (_, servers, coordinator):
+            stop(servers[0])
+            calls = record_calls(coordinator)
+            got = coordinator.query(4, top_k=5)
+            assert got.served_by == {0: 1, 1: 1}
+            assert printed(got.results) == want
+            assert not any(line.startswith("getsig") for _, line in calls)
+
+    def test_r1_seed_shard_down_cannot_fetch_seed(self):
+        # R=1: shard 0 lives on backend 0 alone; backends 1 and 2 need
+        # the signature, and its fetch fails inside their call threads.
+        with running_cluster(3, 3, 1) as (_, servers, coordinator):
+            stop(servers[0])
+            with pytest.raises(ClusterError, match="cannot fetch seed 0"):
+                coordinator.query(0, top_k=5)
+            with pytest.raises(ClusterError, match="cannot fetch seed"):
+                coordinator.query_many([1, 3], top_k=5)
+
+    def test_failed_fetch_in_a_call_thread_is_raised(self):
+        # R=1, B=S=4: backend 0 answers seed 0's shard by id in the
+        # calling thread; backends 1-3 need the signature in threads of
+        # their own.  Their failed fetch must reach the caller.
+        with running_cluster(4, 4, 1) as (_, _, coordinator):
+            fetches = []
+
+            def failing_fetch(object_id):
+                fetches.append(object_id)
+                raise ClusterError(f"cannot fetch seed {object_id}: test")
+
+            coordinator._fetch_signature = failing_fetch
+            with pytest.raises(ClusterError, match="cannot fetch seed 0: test"):
+                coordinator.query(0, top_k=5)
+            assert fetches == [0]  # once per request, not once per call
+
+    def test_every_host_down_still_raises(self):
+        # R=B=2 with both backends gone: no call needs the signature,
+        # and the seed's shard is missing, so the seed cannot be had.
+        with running_cluster(2, 2, 2) as (_, servers, coordinator):
+            for server in servers:
+                stop(server)
+            with pytest.raises(ClusterError, match="cannot fetch seed 1"):
+                coordinator.query(1, top_k=5)
 
 
 class TestExactSeed:
@@ -564,6 +684,48 @@ class TestServiceFrontEnd:
                         client.send(line)
             assert client.ping()
             assert unhandled.value == before
+        finally:
+            client.close()
+            stop(front)
+
+
+class TestServiceErrors:
+    """The front end answers ``ERR`` for what the coordinator raises on
+    purpose; anything else is a bug for the server's fault boundary."""
+
+    def test_relayed_unknown_object_keeps_the_backend_text(self, cluster):
+        _, _, coordinator = cluster
+        front = serve_background(ClusterCommandProcessor(coordinator))
+        client = FerretClient(*front.server_address, timeout=10.0)
+        unhandled = _metrics.counter("server.unhandled_errors")
+        before = unhandled.value
+        try:
+            for line in ("query 999999 top=3", "querymany 999999 0 top=3"):
+                with pytest.raises(ClientError, match="^unknown object 999999$"):
+                    client.send(line)
+            assert unhandled.value == before
+        finally:
+            client.close()
+            stop(front)
+
+    def test_coordinator_bug_reaches_unhandled_errors(self, cluster):
+        _, _, coordinator = cluster
+
+        def broken(*args, **kwargs):
+            raise TypeError("routing bug")
+
+        coordinator.query = broken
+        coordinator.query_many = broken
+        coordinator.insert_file = broken
+        front = serve_background(ClusterCommandProcessor(coordinator))
+        client = FerretClient(*front.server_address, timeout=10.0)
+        unhandled = _metrics.counter("server.unhandled_errors")
+        try:
+            for line in ("query 0", "querymany 0 3", "insertfile /x.dat"):
+                before = unhandled.value
+                with pytest.raises(ClientError, match="TypeError: routing bug"):
+                    client.send(line)
+                assert unhandled.value == before + 1
         finally:
             client.close()
             stop(front)

@@ -45,8 +45,8 @@ class FakeCluster:
 
     def _scatter(self, line_for, parse, trace, trace_ctx=None):
         self.scatters += 1
-        line = line_for((0,), True)
-        if line.startswith("querysigmany"):
+        line = line_for(0, (0,))
+        if line.startswith(("querysigmany", "querymany")):
             n_seeds = len(line.split()[1].split(","))
             payload = [
                 [(10 + i, 0.125 * (i + 1))] for i in range(n_seeds)

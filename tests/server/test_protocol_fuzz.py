@@ -1,5 +1,11 @@
 """Fuzz tests: the protocol layer must never raise anything unexpected."""
 
+import base64
+import re
+import shlex
+import string
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +18,43 @@ from repro.core import (
     SketchParams,
 )
 from repro.server import CommandProcessor, ProtocolError, parse_command, quote
-from repro.server.protocol import format_error, format_ok
+from repro.server.protocol import Command, format_error, format_ok
+
+#: Printable ASCII plus the characters where the plain split and
+#: ``shlex`` could part ways: quotes, backslash, ``=``, and whitespace
+#: that only one of ``str.split`` / ``shlex`` treats as a separator.
+_LEXER_ALPHABET = string.printable.replace("\n", "").replace("\r", "") + (
+    "\"'\\=\t\x0b\x1c\xa0\u2003"
+)
+
+
+def shlex_reference(line):
+    """``parse_command`` as it was with ``shlex`` as the only lexer."""
+    line = line.strip()
+    if not line:
+        raise ProtocolError("empty command")
+    try:
+        tokens = shlex.split(line)
+    except ValueError as exc:
+        raise ProtocolError(f"bad quoting: {exc}") from exc
+    command = Command(tokens[0].lower())
+    for token in tokens[1:]:
+        key, eq, value = token.partition("=")
+        if eq and re.fullmatch(r"[A-Za-z][A-Za-z0-9._-]*", key):
+            command.kwargs.append((key.lower(), value))
+            continue
+        if eq and not key:
+            raise ProtocolError(f"empty key in {token!r}")
+        command.args.append(token)
+    return command
+
+
+def _parsed(parse, line):
+    try:
+        command = parse(line)
+    except ProtocolError:
+        return ProtocolError
+    return (command.name, command.args, command.kwargs)
 
 
 class TestParserFuzz:
@@ -35,6 +77,25 @@ class TestParserFuzz:
         value = value.replace("\n", " ").replace("\r", " ")
         command = parse_command(f"cmd key={quote(value)}")
         assert command.get("key") == value
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet=_LEXER_ALPHABET, max_size=60))
+    def test_plain_split_matches_shlex(self, line):
+        """The plain-line split gives exactly the ``shlex`` parse (or
+        both reject the line)."""
+        assert _parsed(parse_command, line) == _parsed(shlex_reference, line)
+
+    def test_plain_querysig_line_never_lexes(self):
+        """A 2 KB base64 ``querysig`` line parses without ``shlex``."""
+        b64 = base64.b64encode(bytes(range(256)) * 6).decode("ascii")
+        line = f"querysig {b64} top=10 method=filtering exclude=7"
+        assert len(line) > 2000
+        with mock.patch.object(shlex, "split", side_effect=AssertionError):
+            command = parse_command(line)
+        assert command.name == "querysig" and command.args == [b64]
+        assert command.kwargs == [
+            ("top", "10"), ("method", "filtering"), ("exclude", "7")
+        ]
 
     @settings(max_examples=100)
     @given(st.lists(st.text(min_size=1, max_size=20), max_size=5))
