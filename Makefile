@@ -53,9 +53,11 @@ ingest-smoke:
 # invariants and the acked-insert visibility oracle; the plan tests pin
 # one call per covering backend, the seed-routing tests pin the seed by
 # id to its hosts and one signature fetch for the rest, and the
-# exact-seed test pins R=B answers to the single engine's printed digits.
+# exact-seed test pins R=B answers to the single engine's printed digits;
+# the supervisor tests pin that every backend is spawned before the first
+# READY is awaited and that a failed bring-up leaves no child alive.
 cluster-smoke:
-	$(PYTHON) -m pytest -q tests/cluster/test_cluster_smoke.py tests/cluster/test_node_faults.py \
+	$(PYTHON) -m pytest -q tests/cluster/test_cluster_smoke.py tests/cluster/test_node_faults.py tests/cluster/test_supervisor.py \
 		tests/cluster/test_coordinator.py::TestPlan tests/cluster/test_coordinator.py::TestSeedRouting \
 		tests/cluster/test_coordinator.py::TestExactSeed
 

@@ -94,6 +94,12 @@ class BackendProcess:
 
     def start(self, timeout: float = _READY_TIMEOUT) -> None:
         """Launch the backend and block until it prints ``READY <port>``."""
+        self.spawn()
+        self.wait_ready(time.monotonic() + timeout)
+
+    def spawn(self) -> None:
+        """Launch the backend process without waiting for it;
+        :meth:`wait_ready` completes the start."""
         if self._proc is not None and self._proc.poll() is None:
             raise SupervisorError(f"backend {self.index} already running")
         self._proc = subprocess.Popen(
@@ -103,29 +109,20 @@ class BackendProcess:
             env=self._env(),
         )
         self._stopped = False
-        self.port = self._wait_ready(timeout)
-        _LOG.info(
-            "backend_started",
-            index=self.index,
-            pid=self._proc.pid,
-            port=self.port,
-        )
-        get_event_log().record(
-            "node_start", node=self.index, pid=self._proc.pid, port=self.port
-        )
 
-    def _wait_ready(self, timeout: float) -> int:
-        """Parse ``READY <port>`` off the child's stdout with a deadline."""
+    def wait_ready(self, deadline: float) -> None:
+        """Block until the spawned backend prints ``READY <port>`` or the
+        :func:`time.monotonic` ``deadline`` passes (the child is then
+        killed and :class:`SupervisorError` raised)."""
         assert self._proc is not None and self._proc.stdout is not None
         fd = self._proc.stdout.fileno()
-        deadline = time.monotonic() + timeout
         buf = b""
         while b"\n" not in buf:
             left = deadline - time.monotonic()
             if left <= 0 or self._proc.poll() is not None:
                 self.kill()
                 raise SupervisorError(
-                    f"backend {self.index} did not become ready in {timeout:.0f}s"
+                    f"backend {self.index} did not become ready by its deadline"
                 )
             readable, _, _ = select.select([fd], [], [], min(left, 0.25))
             if readable:
@@ -142,7 +139,16 @@ class BackendProcess:
             raise SupervisorError(
                 f"backend {self.index} printed {line!r}, expected READY <port>"
             )
-        return int(line.split()[1])
+        self.port = int(line.split()[1])
+        _LOG.info(
+            "backend_started",
+            index=self.index,
+            pid=self._proc.pid,
+            port=self.port,
+        )
+        get_event_log().record(
+            "node_start", node=self.index, pid=self._proc.pid, port=self.port
+        )
 
     # -- fault injection -------------------------------------------------
     @property
@@ -241,13 +247,21 @@ class ClusterSupervisor:
         ]
 
     def start(self, timeout: float = _READY_TIMEOUT) -> "ClusterSupervisor":
-        started: List[BackendProcess] = []
+        """Spawn every backend, then wait for each ``READY`` in index
+        order under one shared deadline, so bring-up costs the slowest
+        backend rather than the sum.  On any failure, interrupts
+        included, every spawned child is killed before the error
+        propagates."""
+        deadline = time.monotonic() + timeout
+        spawned: List[BackendProcess] = []
         try:
             for backend in self.backends:
-                backend.start(timeout=timeout)
-                started.append(backend)
-        except Exception:
-            for backend in started:
+                backend.spawn()
+                spawned.append(backend)
+            for backend in spawned:
+                backend.wait_ready(deadline)
+        except BaseException:
+            for backend in spawned:
                 backend.close()
             raise
         return self

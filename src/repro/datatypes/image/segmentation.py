@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["segment_image", "quantize_colors"]
 
@@ -40,6 +39,8 @@ def segment_image(
     ``max_segments`` labels survive; smaller regions are merged into the
     remaining region with the closest mean color.
     """
+    from scipy import ndimage  # only segmentation needs SciPy
+
     height, width = image.shape[:2]
     codes = quantize_colors(image, levels)
     labels = np.zeros((height, width), dtype=np.int32)

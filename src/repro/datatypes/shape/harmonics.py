@@ -19,21 +19,9 @@ multiply.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
-
-try:  # scipy >= 1.15: sph_harm_y(l, m, theta_polar, phi_azimuth)
-    from scipy.special import sph_harm_y
-
-    def _sph_harm(m: int, degree: int, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return sph_harm_y(degree, m, theta, phi)
-
-except ImportError:  # older scipy: sph_harm(m, l, phi_azimuth, theta_polar)
-    from scipy.special import sph_harm
-
-    def _sph_harm(m: int, degree: int, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return sph_harm(m, degree, phi, theta)
 
 from .voxelize import NUM_SHELLS
 
@@ -44,6 +32,26 @@ SHAPE_DIM = NUM_SHELLS * (MAX_ORDER + 1)  # 544
 
 _GRID_THETA = 48  # latitude cells
 _GRID_PHI = 96  # longitude cells
+
+
+@lru_cache(maxsize=1)
+def _resolve_sph_harm() -> Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]:
+    """Bind the installed SciPy's harmonic to ``(m, l, phi, theta)`` order.
+
+    SciPy is imported on the first call, not at module load, so a process
+    that only serves stored signatures never pays for it.
+    """
+    import scipy.special
+
+    sph_harm_y = getattr(scipy.special, "sph_harm_y", None)
+    if sph_harm_y is not None:  # scipy >= 1.15: sph_harm_y(l, m, theta_polar, phi_azimuth)
+        return lambda m, degree, phi, theta: sph_harm_y(degree, m, theta, phi)
+    sph_harm = scipy.special.sph_harm  # older scipy: sph_harm(m, l, phi_azimuth, theta_polar)
+    return lambda m, degree, phi, theta: sph_harm(m, degree, phi, theta)
+
+
+def _sph_harm(m: int, degree: int, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return _resolve_sph_harm()(m, degree, phi, theta)
 
 
 class HarmonicBasis:

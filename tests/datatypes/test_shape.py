@@ -1,5 +1,8 @@
 """Tests for the 3D shape data type: meshes, voxelization, SHD, plugin."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.datatypes.shape import (
     torus,
     voxelize,
 )
+from repro.datatypes.shape import harmonics
 from repro.evaltool import evaluate_engine
 
 
@@ -156,6 +160,62 @@ class TestSHD:
         sig = signature_from_mesh(mesh)
         assert sig.num_segments == 1
         assert sig.weights[0] == pytest.approx(1.0)
+
+
+class TestSphHarmBinding:
+    """``_sph_harm(m, l, phi, theta)`` binds to whichever harmonic the
+    installed SciPy has, with that function's own argument order."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_binding(self):
+        """Forget the cached binding before and after each test."""
+        harmonics._resolve_sph_harm.cache_clear()
+        yield
+        harmonics._resolve_sph_harm.cache_clear()
+
+    @pytest.fixture()
+    def special(self, monkeypatch):
+        """Swap ``scipy.special`` for an empty stub module."""
+        import scipy
+
+        stub = types.ModuleType("scipy.special")
+        monkeypatch.setitem(sys.modules, "scipy.special", stub)
+        monkeypatch.setattr(scipy, "special", stub)
+        return stub
+
+    def test_older_scipy_falls_back_to_sph_harm(self, special):
+        calls = []
+        special.sph_harm = lambda *args: calls.append(args) or "old"
+        assert harmonics._sph_harm(2, 5, "phi", "theta") == "old"
+        assert calls == [(2, 5, "phi", "theta")]
+
+    def test_sph_harm_y_preferred_with_swapped_arguments(self, special):
+        calls = []
+        special.sph_harm_y = lambda *args: calls.append(args) or "new"
+        special.sph_harm = lambda *args: pytest.fail("sph_harm_y exists")
+        assert harmonics._sph_harm(2, 5, "phi", "theta") == "new"
+        assert calls == [(5, 2, "theta", "phi")]
+
+    def test_installed_scipy_is_called_as_sph_harm_y(self, monkeypatch):
+        import scipy.special
+
+        if not hasattr(scipy.special, "sph_harm_y"):
+            pytest.skip("scipy < 1.15 has no sph_harm_y")
+        calls = []
+        real = scipy.special.sph_harm_y
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scipy.special, "sph_harm_y", spy)
+        phi, theta = np.array([0.3, 1.1]), np.array([0.7, 2.0])
+        value = harmonics._sph_harm(1, 3, phi, theta)
+        assert len(calls) == 1
+        degree, m, got_theta, got_phi = calls[0]
+        assert (degree, m) == (3, 1)
+        assert got_theta is theta and got_phi is phi
+        np.testing.assert_array_equal(value, real(3, 1, theta, phi))
 
 
 class TestShapeSearchQuality:
