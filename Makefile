@@ -1,18 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke e2e-smoke metrics-smoke rank-smoke ingest-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-throughput bench-check bench-recovery bench-churn bench-cluster-obs
+.PHONY: test smoke e2e-smoke metrics-smoke rank-smoke ingest-smoke cluster-smoke cluster-obs-smoke perf torture bench bench-throughput bench-check bench-recovery bench-cluster-obs
 
 # Tier-1 verification: the full fast suite (torture scans stay opt-in).
 test:
 	$(PYTHON) -m pytest -x -q
 
-# CI smoke: tier-1 plus the explicit filter equivalence gates (the
-# perf-marked tests): the sharded 2-worker thread pool vs serial and the
-# sketch multi-index vs the reference full scan (its stateful
-# differential test), candidate sets identical.
+# CI smoke: tier-1 plus the explicit filter equivalence gates: every
+# two-thread scan split test (split vs the whole scan and the
+# reference), and the perf-marked sketch multi-index tests vs the
+# reference full scan (its stateful differential test, split on and
+# off), candidate sets identical.
 smoke: test
-	$(PYTHON) -m pytest -q -m perf tests/core/test_parallel.py tests/core/test_sketch_index.py tests/core/test_perf_smoke.py
+	$(PYTHON) -m pytest -q tests/core/test_parallel.py
+	$(PYTHON) -m pytest -q -m perf tests/core/test_sketch_index.py tests/core/test_perf_smoke.py
 
 # End-to-end benchmark smoke: every workload of benchmarks/e2e/run.py
 # on tiny corpora, traced and untraced, answers checked (~50 s).
@@ -87,14 +89,6 @@ perf:
 
 torture:
 	$(PYTHON) -m pytest -q -m torture
-
-# Index-churn gate: run the insert/delete churn bench, then assert
-# every insert batch became visible through a delta load (never a full
-# snapshot reload) and that per-batch refresh cost does not scale with
-# total arena rows.
-bench-churn:
-	cd benchmarks && $(PYTHON) bench_index_churn.py
-	$(PYTHON) benchmarks/check_regression.py --churn BENCH_index_churn.json
 
 bench-throughput:
 	cd benchmarks && $(PYTHON) bench_query_throughput.py

@@ -26,16 +26,6 @@ baseline.
 the absolute floors in ``RECOVERY_FLOOR_KEYS`` — no baseline, because
 the WAL-replay rate is asserted outright, not relative to a prior run.
 
-``--churn`` gates a single ``BENCH_index_churn.json`` (from
-``bench_index_churn.py``): every measured insert batch must have become
-visible through the delta path (``delta_loads >= batches`` and
-``full_loads_after_warmup == 0``), and — when the timing gate is armed
-— the per-batch refresh cost must not scale with total arena rows
-(``refresh_scaling`` stays under ``scaling_limit`` even though the
-large arena is several times the small one).  Quick-mode runs disarm
-only the timing ratio, with an explicit skip reason; the counter
-assertions always apply.
-
 ``--cluster-obs`` gates a single ``BENCH_cluster_obs.json`` (from
 ``bench_cluster_obs.py``): the stitched cross-node trace must carry a
 subtree from every live shard, metric federation must see every
@@ -142,53 +132,6 @@ def check_recovery(current: dict) -> list:
     return failures
 
 
-def check_churn(current: dict) -> list:
-    """Gate a BENCH_index_churn.json payload (no baseline)."""
-    failures = []
-    delta = _lookup(current, "delta_loads")
-    full = _lookup(current, "full_loads_after_warmup")
-    batches = _lookup(current, "batches")
-    if delta is None or full is None or batches is None:
-        failures.append(
-            "missing delta_loads/full_loads_after_warmup/batches: cannot "
-            "verify that inserts became visible through the delta path"
-        )
-        return failures
-    if delta < batches:
-        failures.append(
-            f"delta_loads {delta:.0f} < batches {batches:.0f}: some insert "
-            "batches became visible without a delta load"
-        )
-    if full != 0:
-        failures.append(
-            f"full_loads_after_warmup is {full:.0f}: a warmed pool fell "
-            "back to full snapshot reloads under insert churn"
-        )
-    limit = _lookup(current, "scaling_limit") or 4.0
-    if current.get("scaling_gate_armed"):
-        scaling = _lookup(current, "refresh_scaling")
-        ratio = _lookup(current, "arena_ratio")
-        if scaling is None or ratio is None:
-            failures.append(
-                "gate armed but refresh_scaling/arena_ratio is missing"
-            )
-        elif scaling > limit:
-            failures.append(
-                f"refresh_scaling {scaling:.2f}x exceeds the {limit:.1f}x "
-                f"limit (arena grew {ratio:.1f}x): per-batch refresh cost "
-                "is scaling with arena size again"
-            )
-    else:
-        reason = current.get("scaling_gate_skipped_reason")
-        if not isinstance(reason, str) or not reason.strip():
-            failures.append(
-                "scaling gate disarmed without a "
-                "scaling_gate_skipped_reason — silent disarming is "
-                "exactly what this gate forbids"
-            )
-    return failures
-
-
 def check_cluster_obs(current: dict) -> list:
     """Gate a BENCH_cluster_obs.json payload (no baseline)."""
     failures = []
@@ -262,12 +205,6 @@ def main(argv=None) -> int:
         "crash-recovery floors instead of comparing throughput runs",
     )
     parser.add_argument(
-        "--churn", action="store_true",
-        help="gate a BENCH_index_churn.json: inserts become visible "
-        "through delta loads only, and per-batch refresh cost must not "
-        "scale with arena size",
-    )
-    parser.add_argument(
         "--cluster-obs", action="store_true",
         help="gate a BENCH_cluster_obs.json: stitched traces cover every "
         "shard, federation sees every node, and traced queries cost "
@@ -276,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cluster_obs:
-        if args.churn or args.recovery or args.current is not None:
+        if args.recovery or args.current is not None:
             print(
                 "error: --cluster-obs takes a single BENCH_cluster_obs.json",
                 file=sys.stderr,
@@ -310,44 +247,6 @@ def main(argv=None) -> int:
             print(
                 "ok  overhead gate skipped: "
                 f"{current.get('overhead_gate_skipped_reason')}"
-            )
-        return 0
-
-    if args.churn:
-        if args.recovery or args.current is not None:
-            print(
-                "error: --churn takes a single BENCH_index_churn.json",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                current = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        failures = check_churn(current)
-        if failures:
-            print("INDEX CHURN REGRESSION:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            f"ok  delta_loads: {_lookup(current, 'delta_loads'):.0f} "
-            f"(>= {_lookup(current, 'batches'):.0f} batches), "
-            "full_loads_after_warmup: 0"
-        )
-        if current.get("scaling_gate_armed"):
-            print(
-                f"ok  refresh_scaling: "
-                f"{_lookup(current, 'refresh_scaling'):.2f}x "
-                f"(limit {_lookup(current, 'scaling_limit'):.1f}x, arena "
-                f"grew {_lookup(current, 'arena_ratio'):.1f}x)"
-            )
-        else:
-            print(
-                "ok  scaling gate skipped: "
-                f"{current.get('scaling_gate_skipped_reason')}"
             )
         return 0
 

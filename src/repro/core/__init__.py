@@ -41,7 +41,6 @@ from .engine import (
 )
 from .filtering import (
     ArenaCompactor,
-    ArenaDelta,
     FilterParams,
     SegmentStore,
     get_threshold_fn,
@@ -53,14 +52,8 @@ from .filtering import (
 )
 from .parallel import (
     ParallelConfig,
-    ParallelScanError,
     QueryResultCache,
-    ThreadFilterPool,
-    available_cores,
-    choose_backend,
     parallel_filter_candidates,
-    parallel_sketch_filter,
-    parallel_sketch_filter_many,
 )
 from .plugin import DataTypePlugin, get_plugin, list_plugins, register_plugin
 from .ranking import (
@@ -82,7 +75,6 @@ from .types import (
 
 __all__ = [
     "ArenaCompactor",
-    "ArenaDelta",
     "Dataset",
     "DataTypePlugin",
     "EMDDistance",
@@ -93,7 +85,6 @@ __all__ = [
     "NonFiniteDistanceError",
     "ObjectSignature",
     "ParallelConfig",
-    "ParallelScanError",
     "QueryResultCache",
     "RankParams",
     "RankStats",
@@ -103,12 +94,9 @@ __all__ = [
     "SimilaritySearchEngine",
     "SketchConstructor",
     "SketchParams",
-    "ThreadFilterPool",
     "TransportPivotLimitError",
     "TransportResult",
-    "available_cores",
     "chi_square_distance",
-    "choose_backend",
     "cosine_distance",
     "histogram_intersection_distance",
     "emd",
@@ -130,8 +118,6 @@ __all__ = [
     "normalize_weights",
     "pack_bits",
     "parallel_filter_candidates",
-    "parallel_sketch_filter",
-    "parallel_sketch_filter_many",
     "pearson_distance",
     "rank_candidates",
     "rank_candidates_many",

@@ -31,8 +31,8 @@ def popcount64(words: np.ndarray) -> np.ndarray:
     """Per-element popcount of a ``uint64`` array (any shape).
 
     ``np.bitwise_count`` (numpy >= 2.0) maps to the hardware popcount
-    instruction and releases the GIL, which is what lets the thread
-    pool's shard scans overlap.
+    instruction and releases the GIL, which is what lets the two halves
+    of a split filter scan overlap.
     """
     return np.bitwise_count(np.asarray(words, dtype=np.uint64)).astype(np.uint32)
 
@@ -152,8 +152,8 @@ def hamming_many_to_many(
     enough to live in cache while every query visits a database block.
 
     Each word pass streams one *word row* of the block, so the kernel
-    reads ``database`` word-major.  The segment store and the thread
-    pool keep their arenas in that layout and hand out the transposed
+    reads ``database`` word-major.  The segment store keeps its arena
+    in that layout and hands out the transposed
     ``(n_rows, n_words)`` view, which is scanned in place; any other
     array (row-major, every-other-row, ...) is copied word-major one
     block at a time.  The result does not depend on the layout.

@@ -20,7 +20,6 @@ import itertools
 import time
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Collection,
     Dict,
     List,
@@ -42,16 +41,7 @@ from .filtering import (
     SegmentStore,
     sketch_filter_many,
 )
-from .parallel import (
-    BACKEND_GAUGE_VALUES,
-    BACKENDS,
-    ParallelConfig,
-    ParallelScanError,
-    QueryResultCache,
-    ThreadFilterPool,
-    choose_backend,
-    parallel_filter_candidates,
-)
+from .parallel import ParallelConfig, QueryResultCache
 from .plugin import DataTypePlugin
 from .ranking import (
     RankParams,
@@ -90,15 +80,10 @@ _M_RANK_EXACT_EVALS = _metrics.counter("rank.exact_evals")
 _M_RANK_PRUNE_RATE = _metrics.gauge("rank.prune_rate")
 _M_RANK_BOUND_SECONDS = _metrics.histogram("rank.bound_seconds")
 _M_RANK_SOLVE_SECONDS = _metrics.histogram("rank.solve_seconds")
-_M_POOL_FALLBACKS = _metrics.counter("engine.pool_fallbacks")
 _M_CACHE_RACE_SKIPS = _metrics.counter("query_cache.stale_store_skips")
-_M_ERR_POOL_SCAN = _metrics.counter("errors_absorbed.engine.pool_scan")
 _M_ERR_BATCH_ROLLBACK = _metrics.counter(
     "errors_absorbed.engine.batch_rollback"
 )
-# Resolved scan backend of the most recent filtering batch
-# (0 = serial, 1 = thread; see BACKEND_GAUGE_VALUES).
-_M_PARALLEL_BACKEND = _metrics.gauge("parallel.backend")
 
 # Objects per arena append in load() (one metadata iter_objects page)
 # and in insert_many() (one sketch_many call and one add_many).
@@ -164,13 +149,10 @@ class SimilaritySearchEngine:
         inserts are written through and :meth:`load` can rebuild the
         in-memory state after a restart.
     parallel:
-        Parallel filtering-scan knobs
-        (:class:`~repro.core.parallel.ParallelConfig`).  The sharded
-        multi-thread scan auto-enables once the store exceeds
-        ``parallel.min_segments`` live segments on a multi-core host,
-        unless the store's sketch index is on; it also carries the
-        query-result cache capacity.  ``None`` means
-        defaults (auto-enable at 50k segments, one worker per CPU).
+        Scan-side knobs (:class:`~repro.core.parallel.ParallelConfig`):
+        the query-result cache capacity.  ``None`` means the default.
+        The scan needs no knob: it splits large arenas across two
+        threads on its own (``repro.core.filtering._scan_nearest``).
     rank_params:
         Ranking-cascade knobs (:class:`~repro.core.ranking.RankParams`);
         defaults enable batched cost matrices and lower-bound pruning.
@@ -207,16 +189,13 @@ class SimilaritySearchEngine:
         self._next_id = 0
         self._compactor: Optional[ArenaCompactor] = None
         self._parallel_cfg = parallel if parallel is not None else ParallelConfig()
-        self._pool: Optional[ThreadFilterPool] = None
-        self._pool_broken = False
+        # Always None: the scan reads the store's arena in place and
+        # keeps no pool.  The end-to-end benchmark still probes it.
+        self._pool = None
         self._filter_cache = QueryResultCache(self._parallel_cfg.cache_entries)
         # Per-engine tracing state: opt-in stage traces plus the always
         # armed slow-query log (the server's ``setparam trace on|off``).
         self.tracer = TraceRecorder()
-        # Observability hook: called with a reason string whenever the
-        # pool fails and a query silently falls back to the serial scan
-        # (the server wires this to HealthState.record_fallback).
-        self.on_parallel_fallback: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
     # Data input
@@ -443,114 +422,8 @@ class SimilaritySearchEngine:
             count += len(fresh)
 
     # ------------------------------------------------------------------
-    # Parallel scan + result cache
+    # Compaction + result cache
     # ------------------------------------------------------------------
-    def _choose_backend(self) -> str:
-        """Resolve the scan backend for the next filtering batch.
-
-        Wraps :func:`~repro.core.parallel.choose_backend` (the ``auto``
-        cost model over arena rows and available cores) with the
-        engine's own vetoes: a broken pool or a resolved worker count of
-        1 always means serial, whatever the configured backend, and so
-        does ``auto`` where the store's sketch index is on — the serial
-        path reads the index, so the pool and its arena copy are never
-        loaded.  An explicit ``thread`` pin still uses the pool.
-        """
-        cfg = self._parallel_cfg
-        if self._pool_broken or cfg.effective_workers() < 2:
-            return "serial"
-        if cfg.backend == "auto" and self._store.refresh_index(
-            self.filter_params.candidates_per_segment
-        ):
-            return "serial"
-        return choose_backend(cfg, len(self._store))
-
-    def _ensure_pool(self) -> ThreadFilterPool:
-        """Spin up the thread pool / refresh it to the store's current
-        epoch.
-
-        A stale pool is refreshed through the cheapest path that
-        applies: the arena's :meth:`~SegmentStore.delta_since` journal
-        ships only appended chunks + tombstones (``arena.delta_loads``),
-        and only when no delta is available — first load, compaction in
-        the window, journal trimmed — does the pool pay for a full
-        snapshot reload (``parallel.arena_loads``).
-        """
-        cfg = self._parallel_cfg
-        if self._pool is None:
-            self._pool = ThreadFilterPool(
-                num_workers=cfg.effective_workers(),
-                shard_rows=cfg.shard_rows,
-                response_timeout=cfg.response_timeout,
-            )
-        pool = self._pool
-        if pool.matches(self._store.epoch):
-            return pool
-        loaded = pool.loaded_epoch
-        if loaded is not None:
-            delta = self._store.delta_since(loaded)
-            if delta is not None and pool.load_delta(
-                delta.new_owners,
-                delta.new_sketches,
-                delta.from_epoch,
-                delta.to_epoch,
-                dead_rows=delta.dead_rows,
-                base_rows=delta.base_rows,
-            ):
-                return pool
-        epoch, owners, sketches = self._store.versioned_snapshot()
-        if not pool.matches(epoch):
-            pool.load(owners, sketches, epoch=epoch)
-        return pool
-
-    def _abandon_pool(self, reason: str) -> None:
-        """Pool failure: disable it and notify; queries stay serial."""
-        _M_POOL_FALLBACKS.inc()
-        self._pool_broken = True
-        _M_PARALLEL_BACKEND.set(BACKEND_GAUGE_VALUES["serial"])
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-        if self.on_parallel_fallback is not None:
-            # Deliberately unguarded: the callback is wired by the
-            # embedding process (the server's HealthState), and a broken
-            # observer is a caller bug that must surface, not vanish.
-            self.on_parallel_fallback(reason)
-
-    def set_parallel_enabled(self, enabled: bool) -> None:
-        """Live toggle (the server's ``setparam parallel on|off``).
-
-        Re-enabling clears the broken flag so a previously failed pool
-        gets one fresh start; disabling tears the pool down.
-        """
-        self._parallel_cfg.enabled = enabled
-        if enabled:
-            self._pool_broken = False
-        else:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.close()
-
-    def set_parallel_backend(self, backend: str) -> None:
-        """Live backend override (``setparam parallel backend=...``).
-
-        Accepts any of :data:`~repro.core.parallel.BACKENDS` — ``auto``
-        hands the choice back to the cost model, ``serial`` pins the
-        in-process scan, ``thread`` pins the pool.  Clears the broken
-        flag (an operator override is an explicit re-arm) and tears down
-        any live pool so the next scan rebuilds under the new policy.
-        """
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
-        self._parallel_cfg.backend = backend
-        self._pool_broken = False
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
     def set_compaction(
         self,
         enabled: bool,
@@ -598,19 +471,8 @@ class SimilaritySearchEngine:
         return info
 
     def parallel_info(self) -> Dict[str, object]:
-        """Pool/cache observability snapshot (the server's ``stat``)."""
-        cfg = self._parallel_cfg
-        pool = self._pool
-        return {
-            "enabled": cfg.enabled,
-            "broken": self._pool_broken,
-            "active": pool is not None,
-            "backend": cfg.backend,
-            "backend_active": "thread" if pool is not None else "serial",
-            "workers": cfg.effective_workers(),
-            "min_segments": cfg.min_segments,
-            "cache": self._filter_cache.stats(),
-        }
+        """Result-cache observability snapshot (the server's ``stat``)."""
+        return {"cache": self._filter_cache.stats()}
 
     def _query_cache_key(
         self, query: ObjectSignature, query_sketches: np.ndarray, params_key
@@ -636,13 +498,12 @@ class SimilaritySearchEngine:
         """Filtering-phase candidate sets for a batch of queries.
 
         Order of attack: the epoch-invalidated LRU cache, then the
-        sharded thread-pool scan (when enabled, the store is big enough
-        and its sketch index is off), then the serial fused pass — which
-        reads the sketch index where it is on, and is also the graceful
-        fallback when the pool fails mid-flight.  All paths return
-        identical candidate sets, so the choice is invisible to callers.
-        When ``trace`` is given, the chosen scan path, cache hit/miss
-        split, and per-path scan time are recorded on it.
+        fused pass (:func:`~repro.core.filtering.sketch_filter_many`),
+        which reads the sketch index where it is on and scans the arena
+        in place otherwise.  Both return identical candidate sets, so
+        the choice is invisible to callers.  When ``trace`` is given,
+        the scan path, cache hit/miss split, and scan time are recorded
+        on it.
         """
         params = self.filter_params
         n = len(queries)
@@ -667,67 +528,28 @@ class SimilaritySearchEngine:
             return results  # type: ignore[return-value]
         miss_queries = [queries[i] for i in miss]
         miss_sketches = [query_sketches_list[i] for i in miss]
-        computed: Optional[List[Set[int]]] = None
-        computed_epoch: Optional[object] = None
-        scan_path = "serial"
-        backend = self._choose_backend()
-        _M_PARALLEL_BACKEND.set(BACKEND_GAUGE_VALUES.get(backend, 0))
-        if backend != "serial":
-            try:
-                pool = self._ensure_pool()
-                computed_epoch = pool.loaded_epoch
-                scan_started = time.perf_counter()
-                computed = parallel_filter_candidates(
-                    miss_queries, miss_sketches, params,
-                    self.sketcher.n_bits, pool, trace=trace,
-                )
-                scan_path = "parallel"
-                if trace is not None:
-                    trace.note("backend", backend)
-                    trace.add_stage(
-                        "parallel_scan", time.perf_counter() - scan_started
-                    )
-            except ParallelScanError as exc:
-                # Only pool failures (timeouts, a closed pool) may
-                # trigger the silent serial fallback; any other
-                # exception is a bug in the scan itself and propagates
-                # to the caller.
-                _M_ERR_POOL_SCAN.inc()
-                self._abandon_pool(f"{type(exc).__name__}: {exc}")
-                computed = None
-                scan_path = "parallel_fallback"
-        if computed is None:
-            scan_started = time.perf_counter()
-            # Whether the pass reads the sketch index (refreshed here, so
-            # the scan's own refresh finds nothing due).
-            indexed = self._store.refresh_index(params.candidates_per_segment)
-            computed = sketch_filter_many(
-                miss_queries, miss_sketches, self._store, params,
-                n_bits=self.sketcher.n_bits,
-            )
-            if indexed and scan_path == "serial":
-                scan_path = "index"
-            if trace is not None:
-                trace.add_stage(
-                    "index_scan" if indexed else "serial_scan",
-                    time.perf_counter() - scan_started,
-                )
-            # The serial scan snapshots internally; only cache when the
-            # store provably did not move underneath the whole pass.
-            after = self._store.epoch
-            computed_epoch = epoch_seen if after == epoch_seen else None
-            if computed_epoch is None:
-                _M_CACHE_RACE_SKIPS.inc()
+        scan_started = time.perf_counter()
+        # Whether the pass reads the sketch index (refreshed here, so
+        # the scan's own refresh finds nothing due).
+        indexed = self._store.refresh_index(params.candidates_per_segment)
+        computed = sketch_filter_many(
+            miss_queries, miss_sketches, self._store, params,
+            n_bits=self.sketcher.n_bits,
+        )
         if trace is not None:
-            trace.note("scan", scan_path)
-        if (
-            cache.max_entries
-            and params_key is not None
-            and computed_epoch is not None
-        ):
+            trace.add_stage(
+                "index_scan" if indexed else "serial_scan",
+                time.perf_counter() - scan_started,
+            )
+            trace.note("scan", "index" if indexed else "serial")
+        # The scan snapshots internally; only cache when the store
+        # provably did not move underneath the whole pass.
+        if self._store.epoch != epoch_seen:
+            _M_CACHE_RACE_SKIPS.inc()
+        elif cache.max_entries and params_key is not None:
             for i, cand in zip(miss, computed):
                 if keys[i] is not None:
-                    cache.store(computed_epoch, keys[i], frozenset(cand))
+                    cache.store(epoch_seen, keys[i], frozenset(cand))
         for i, cand in zip(miss, computed):
             results[i] = cand
         return results  # type: ignore[return-value]
@@ -1114,15 +936,10 @@ class SimilaritySearchEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down the parallel scan pool, release its arena, and stop
-        the background compactor if one is running.
+        """Stop the background compactor if one is running.
 
-        Idempotent; the engine keeps answering queries serially after
-        (and will rebuild the pool on demand if still enabled).
+        Idempotent; the engine keeps answering queries after.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
         compactor, self._compactor = self._compactor, None
         if compactor is not None:
             compactor.stop()

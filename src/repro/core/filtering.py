@@ -17,8 +17,10 @@ the candidate sets are the full scan's.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -30,7 +32,6 @@ from .types import ObjectSignature
 
 __all__ = [
     "ArenaCompactor",
-    "ArenaDelta",
     "FilterParams",
     "SegmentStore",
     "get_threshold_fn",
@@ -57,6 +58,28 @@ _M_INDEX_FALLBACK_ROWS = _metrics.counter("filter.index_fallback_rows")
 # share of the live arena per query row (a row the index cannot certify
 # counts as a whole scan).  See docs/PERFORMANCE.md, "Multi-index filter".
 _INDEX_MAX_READ = 0.25
+
+# Full-scan split rule (see :func:`_scan_nearest`): arena rows x query
+# rows from which the scan runs as two halves on two threads.  Below it
+# the hand-off to the helper thread costs more than half a scan saves.
+# ``benchmarks/probe_scan_split.py`` (seed 11, 100 queries, 6 rounds) on
+# a 2-vCPU VM with numpy 2.4, median ms per scan:
+#
+#   corpus  rows     query rows  serial  split  split/serial
+#   shape    25,000  1           0.76    1.33   1.75
+#   shape    50,000  1           1.33    1.21   0.91  (1.12 in another run)
+#   shape    75,000  1           1.95    1.54   0.79
+#   shape   100,000  1           2.71    1.72   0.63
+#   image    16,000  4           0.74    0.98   1.33
+#   image    32,000  4           1.47    1.32   0.90
+#   image    64,000  4           2.89    1.96   0.68
+#   image   129,067  4           5.48    3.27   0.60
+#
+# The split needs two CPUs; the count is read once, at import.
+_SPLIT_MIN_WORK = 70_000
+_SPLIT_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_SPLIT_EXECUTOR: Optional[ThreadPoolExecutor] = None
+_SPLIT_LOCK = threading.Lock()
 
 
 def default_threshold_fn(weight: float) -> float:
@@ -219,39 +242,9 @@ class FilterParams:
         )
 
 
-@dataclass(frozen=True)
-class ArenaDelta:
-    """Changes to the arena between two epochs, shippable to a pool.
-
-    ``new_owners``/``new_sketches`` are the rows appended after
-    ``base_rows`` (already carrying any tombstones that landed on them),
-    and ``dead_rows`` are the *global* row indices below ``base_rows``
-    that were tombstoned in the window.  Applying the delta to a copy of
-    the arena at ``from_epoch`` reproduces the arena at ``to_epoch``
-    bit-identically — compactions invalidate deltas entirely (the store
-    returns ``None`` and consumers full-reload).
-    """
-
-    from_epoch: int
-    to_epoch: int
-    base_rows: int
-    new_owners: np.ndarray
-    new_sketches: np.ndarray
-    dead_rows: np.ndarray
-
-    @property
-    def n_new(self) -> int:
-        return int(self.new_owners.shape[0])
-
-
 def _stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
     # A lone block is used as is: the arena write copies it anyway.
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-# Oldest retained entries of the append/removal delta logs; beyond this
-# the floor advances and stale consumers fall back to a full reload.
-_MAX_DELTA_LOG = 1024
 
 
 class SegmentStore:
@@ -274,11 +267,10 @@ class SegmentStore:
     deletes tombstone in place (owner -1).  An object's rows are
     contiguous (appended together, and both compactions keep row order),
     so the store keeps each live object's ``(start, end)`` span and a
-    delete costs O(its rows), not a scan of the arena.  Every mutation
-    is journaled (chunk marks for appends, row-index lists for removals) so
-    :meth:`delta_since` can hand consumers exactly the rows that changed
-    between two epochs; compaction rewrites the arena and raises the
-    delta floor, forcing a one-time full reload.
+    delete costs O(its rows), not a scan of the arena.  Scans read the
+    arena in place (:meth:`snapshot`); there is no second copy to keep
+    fresh, so a row is visible to the next scan as soon as its append
+    returns.
 
     The store also keeps the filter's sketch index (:meth:`refresh_index`),
     rebuilt lazily by the first scan that finds it due.
@@ -299,21 +291,13 @@ class SegmentStore:
         self._spans: Dict[int, Tuple[int, int]] = {}
         self._dead = 0
         # Mutation epoch: bumped on every logical change (insert, remove,
-        # compact).  Consumers that hold derived state — the parallel
-        # scan pool's shared-memory shards, the query-result cache —
-        # compare epochs to detect staleness instead of diffing arrays.
+        # compact).  Consumers that hold derived state — the query-result
+        # cache — compare epochs to detect staleness instead of diffing
+        # arrays.
         self._epoch = 0
-        # Delta journal.  ``_marks`` records (epoch, rows_after) per
-        # sealed append chunk — chunks are contiguous, so the row count
-        # at any epoch is the last mark at or before it.  ``_removals``
-        # records (epoch, tombstoned global row indices); a row is
-        # tombstoned at most once between compactions.  ``_delta_floor``
-        # is the oldest epoch a delta can still be served from; it jumps
-        # to the current epoch on compaction and advances when the logs
-        # are trimmed.
-        self._marks: List[Tuple[int, int]] = [(0, 0)]
-        self._removals: List[Tuple[int, np.ndarray]] = []
-        self._delta_floor = 0
+        # Chunks since the last rewrite: the baseline plus one per sealed
+        # append (``stat`` prints it as ``arena_chunks``).
+        self._marks = 1
         self._compaction_epoch = 0
         self._compactor: Optional["ArenaCompactor"] = None
         # The last sketch-index build (None before the first scan), and
@@ -322,7 +306,7 @@ class SegmentStore:
         self._index_building = False
         # The engine runs as one concurrent program (section 3): server
         # threads scan while acquisition threads append, so row writes
-        # and journal updates are serialized here.
+        # and span updates are serialized here.
         self._lock = threading.RLock()
 
     def _grow(self, min_cap: int) -> None:
@@ -345,7 +329,7 @@ class SegmentStore:
     def add_many(
         self, ids: Sequence[int], sketch_blocks: Sequence[np.ndarray]
     ) -> None:
-        """Append objects as one chunk: one grow, one epoch, one journal mark.
+        """Append objects as one chunk: one grow, one epoch, one chunk.
 
         ``sketch_blocks[i]`` holds object ``ids[i]``'s ``(rows, n_words)``
         sketches.  All-or-nothing: the blocks are validated (``ValueError``), and the
@@ -393,11 +377,10 @@ class SegmentStore:
                 row += count
             self._n = end
             self._epoch += 1
-            self._marks.append((self._epoch, end))
-            self._trim_delta_log()
+            self._marks += 1
             _M_ARENA_APPENDS.inc()
             _M_ARENA_ROWS.set(float(end))
-            _M_ARENA_CHUNKS.set(float(len(self._marks)))
+            _M_ARENA_CHUNKS.set(float(self._marks))
 
     def _sketch_rows(self) -> np.ndarray:
         # Caller holds the lock.  Row view of the word-major arena.
@@ -434,72 +417,6 @@ class SegmentStore:
         with self._lock:
             return self._epoch
 
-    def versioned_snapshot(self):
-        """``(epoch, owners, sketches)`` taken under one lock acquisition.
-
-        The epoch identifies exactly the returned arrays' logical
-        content, so derived state (shared-memory shards, cached results)
-        built from this snapshot can later be staleness-checked against
-        :attr:`epoch`.
-        """
-        with self._lock:
-            return self._epoch, self._owners[: self._n], self._sketch_rows()
-
-    def _rows_at(self, epoch: int) -> Optional[int]:
-        """Row count of the arena as of ``epoch`` (from the chunk marks)."""
-        rows: Optional[int] = None
-        for e, n in self._marks:
-            if e <= epoch:
-                rows = n
-            else:
-                break
-        return rows
-
-    def delta_since(self, from_epoch: int) -> Optional[ArenaDelta]:
-        """Changes between ``from_epoch`` and now, or ``None`` if a full
-        reload is required (unknown epoch, trimmed journal, or a
-        compaction rewrote row positions in the window)."""
-        with self._lock:
-            if from_epoch > self._epoch or from_epoch < self._delta_floor:
-                return None
-            base = self._rows_at(from_epoch)
-            if base is None:
-                return None
-            new_owners = self._owners[base : self._n].copy()
-            new_sketches = self._sketches[:, base : self._n].copy().T
-            dead: List[np.ndarray] = []
-            for e, rows in self._removals:
-                if e > from_epoch:
-                    hit = rows[rows < base]
-                    if hit.size:
-                        dead.append(hit)
-            dead_rows = (
-                np.concatenate(dead) if dead else np.empty(0, dtype=np.int64)
-            )
-            return ArenaDelta(
-                from_epoch=from_epoch,
-                to_epoch=self._epoch,
-                base_rows=base,
-                new_owners=new_owners,
-                new_sketches=new_sketches,
-                dead_rows=dead_rows,
-            )
-
-    def _trim_delta_log(self) -> None:
-        # Bound journal growth: dropping an entry means consumers older
-        # than it can no longer be served a delta, so the floor advances
-        # past the dropped epoch.
-        while len(self._removals) > _MAX_DELTA_LOG:
-            epoch, _ = self._removals.pop(0)
-            self._delta_floor = max(self._delta_floor, epoch)
-        while len(self._marks) > _MAX_DELTA_LOG:
-            self._marks.pop(0)
-            self._delta_floor = max(self._delta_floor, self._marks[0][0])
-        # Marks entirely below the floor are unreachable except as the
-        # baseline row count; keep exactly one at or below it.
-        while len(self._marks) > 1 and self._marks[1][0] <= self._delta_floor:
-            self._marks.pop(0)
-
     def remove_object(self, object_id: int) -> int:
         """Drop an object's segments; returns how many were removed.
 
@@ -519,8 +436,6 @@ class SegmentStore:
             removed = end - start
             self._dead += removed
             self._epoch += 1
-            self._removals.append((self._epoch, np.arange(start, end, dtype=np.int64)))
-            self._trim_delta_log()
             _M_ARENA_DEAD_ROWS.set(float(self._dead))
             if self._dead * 4 >= self._n:
                 if self._compactor is not None:
@@ -544,9 +459,7 @@ class SegmentStore:
         self, sketches: np.ndarray, owners: np.ndarray, dead: int
     ) -> None:
         # Caller holds the lock.  Installs a rewritten arena (``sketches``
-        # word-major, a column per owner) and resets the delta journal:
-        # row positions moved, so every outstanding delta consumer must
-        # full-reload (floor = new epoch).
+        # word-major, a column per owner) as one chunk.
         n = int(owners.shape[0])
         self._sketches = np.ascontiguousarray(sketches, dtype=np.uint64)
         self._owners = np.ascontiguousarray(owners, dtype=np.int64)
@@ -566,9 +479,7 @@ class SegmentStore:
         self._dead = dead
         self._epoch += 1
         self._compaction_epoch = self._epoch
-        self._delta_floor = self._epoch
-        self._marks = [(self._epoch, n)]
-        self._removals = []
+        self._marks = 1
         _M_ARENA_COMPACTIONS.inc()
         _M_ARENA_ROWS.set(float(n))
         _M_ARENA_DEAD_ROWS.set(float(dead))
@@ -599,7 +510,8 @@ class SegmentStore:
         owners copy.  Phase 2 (unlocked) gathers the alive rows — the
         expensive part — reading the captured arrays' immutable prefix
         while inserts, removes, and scans proceed.  Phase 3 (locked)
-        replays tombstones recorded after the mark onto the compacted
+        diffs the owners copy against the live owners to find the rows
+        tombstoned since the mark, kills them at their compacted
         positions, appends rows that arrived during phase 2 verbatim,
         and installs the rewrite.  Returns ``True`` if a rewrite was
         installed, ``False`` if there was nothing to do or another
@@ -608,7 +520,6 @@ class SegmentStore:
         with self._lock:
             if self._dead == 0:
                 return False
-            mark_epoch = self._epoch
             base_compaction = self._compaction_epoch
             n0 = self._n
             owners0 = self._owners[:n0].copy()
@@ -626,17 +537,13 @@ class SegmentStore:
         with self._lock:
             if self._compaction_epoch != base_compaction:
                 return False  # another compaction landed first; abandon
-            # Replay tombstones recorded after the mark: each hits a row
-            # that was alive in owners0 (rows tombstone at most once),
-            # so pos_map translates it to its compacted position.
-            dead_after = 0
-            for e, rows in self._removals:
-                if e <= mark_epoch:
-                    continue
-                hit = rows[rows < n0]
-                if hit.size:
-                    new_ow[pos_map[hit]] = -1
-                    dead_after += int(hit.size)
+            # Rows alive at the mark and dead now were removed during
+            # the gather (a row never comes back to life, and a grow
+            # copies the tombstones), so pos_map translates each to its
+            # compacted position.
+            hit = np.flatnonzero(alive & (self._owners[:n0] < 0))
+            new_ow[pos_map[hit]] = -1
+            dead_after = int(hit.size)
             if self._n > n0:
                 tail = slice(n0, self._n)
                 tail_ow = self._owners[tail].copy()
@@ -726,10 +633,9 @@ class SegmentStore:
                 "alive_rows": self._n - self._dead,
                 "dead_rows": self._dead,
                 "capacity": self._cap,
-                "chunks": len(self._marks),
+                "chunks": self._marks,
                 "epoch": self._epoch,
                 "compaction_epoch": self._compaction_epoch,
-                "delta_floor": self._delta_floor,
             }
 
     def __len__(self) -> int:
@@ -825,11 +731,12 @@ def select_k_smallest(
     order (``ids`` defaults to the column index), so the *set* selected
     per row is fully determined by the data — unlike a bare
     ``argpartition``, whose introselect breaks boundary ties arbitrarily.
-    Every filter path (serial, fused batch, sharded parallel, reference)
+    Every filter path (serial, fused batch, split scan, index, reference)
     selects through this rule, which is what keeps their candidate sets
     identical even when distances tie exactly at the k-NN cutoff; the
-    sharded path additionally relies on it to merge per-shard top-k lists
-    without re-scanning (``ids`` carries the global row numbers there).
+    split scan additionally relies on it to merge its two halves' top-k
+    lists without re-scanning (``ids`` carries the global row numbers
+    there).
 
     Returns an ``(n_rows, min(k, n_cols))`` int64 array; the order of the
     returned columns is unspecified, only the per-row set is defined.
@@ -844,7 +751,7 @@ def select_k_smallest(
     if k == 0:
         return np.empty((n_rows, 0), dtype=np.int64)
     # (total,) shared across rows, or (n_rows, total) per-row ids — the
-    # sharded merge passes per-row global row numbers.
+    # split scan's merge passes per-row global row numbers.
     id_mat = None if ids is None else np.atleast_2d(np.asarray(ids))
     out = np.empty((n_rows, k), dtype=np.int64)
     for r in range(n_rows):
@@ -968,9 +875,7 @@ def _stack_query_rows(
     Returns ``(tops, stacked, thresholds)``: each query's top-``r``
     segment indices, their sketch rows concatenated into a single
     ``(sum_of_r, n_words)`` matrix, and the per-row distance thresholds
-    (``None`` when thresholding is disabled).  Shared by the serial
-    fused scan and the parallel pool entry points so both paths
-    threshold identically.
+    (``None`` when thresholding is disabled).
     """
     tops = [q.top_segments(params.num_query_segments) for q in queries]
     stacked = np.concatenate(
@@ -1068,6 +973,27 @@ def _dead_sentinel(dtype: np.dtype):
     return np.iinfo(dtype).max
 
 
+def _split_executor() -> ThreadPoolExecutor:
+    """The scan split's thread pool, created by the first split."""
+    global _SPLIT_EXECUTOR
+    with _SPLIT_LOCK:
+        if _SPLIT_EXECUTOR is None:
+            _SPLIT_EXECUTOR = ThreadPoolExecutor(2, thread_name_prefix="ferret-scan")
+        return _SPLIT_EXECUTOR
+
+
+def _scan_part(
+    rows: np.ndarray, sketch_matrix: np.ndarray, dead: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    # One contiguous run of arena rows: its top-k (or all its rows, if
+    # it has fewer) per query row, with run-local row numbers.
+    dists = hamming_many_to_many(rows, sketch_matrix)
+    if dead.any():
+        dists[:, dead] = _dead_sentinel(dists.dtype)
+    nearest = select_k_smallest(dists, min(k, dists.shape[1]))
+    return nearest, np.take_along_axis(dists, nearest, axis=1)
+
+
 def _scan_nearest(
     rows: np.ndarray, sketch_matrix: np.ndarray, dead: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1075,12 +1001,30 @@ def _scan_nearest(
     distances.  Tombstoned rows are masked to the distance dtype's
     maximum, which sorts after every real distance and fails every
     threshold, so with ``k`` at most the live row count they are never
-    selected."""
-    dists = hamming_many_to_many(rows, sketch_matrix)
-    if dead.any():
-        dists[:, dead] = _dead_sentinel(dists.dtype)
-    nearest = select_k_smallest(dists, k)
-    return nearest, np.take_along_axis(dists, nearest, axis=1)
+    selected.
+
+    From :data:`_SPLIT_MIN_WORK` arena rows x query rows up, on a host
+    with two or more CPUs, the arena is cut into two halves: the upper
+    one is scanned on a helper thread while the calling thread scans the
+    lower one (the kernel's popcount releases the GIL), each keeping its
+    own top-k.  The global top-k is in the union of the two (the order
+    (distance, row) restricted to a half is that half's order), and the
+    merge selects by global row, so ties at the k-th distance still go
+    to the smallest row, exactly as one whole scan picks them.
+    """
+    n = sketch_matrix.shape[0]
+    if _SPLIT_CPUS < 2 or n * rows.shape[0] < _SPLIT_MIN_WORK:
+        return _scan_part(rows, sketch_matrix, dead, k)
+    mid = n // 2
+    upper = _split_executor().submit(
+        _scan_part, rows, sketch_matrix[mid:], dead[mid:], k
+    )
+    lo_rows, lo_dists = _scan_part(rows, sketch_matrix[:mid], dead[:mid], k)
+    hi_rows, hi_dists = upper.result()
+    cand = np.concatenate([lo_rows, hi_rows + mid], axis=1)
+    dists = np.concatenate([lo_dists, hi_dists], axis=1)
+    sel = select_k_smallest(dists, k, ids=cand)
+    return np.take_along_axis(cand, sel, axis=1), np.take_along_axis(dists, sel, axis=1)
 
 
 def _candidate_owners(

@@ -1,7 +1,7 @@
 """Dependency-free metrics registry: counters, gauges, histograms.
 
 The toolkit's runtime telemetry (per-stage query latency, candidate-set
-sizes, cache and pool behavior, WAL fsync cost, server command rates)
+sizes, cache behavior, WAL fsync cost, server command rates)
 all flows through one :class:`MetricsRegistry`.  Design constraints:
 
 - **No dependencies** — stdlib only, so the metrics layer is available
@@ -127,7 +127,7 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """Point-in-time value (pool workers, arena rows, ring occupancy)."""
+    """Point-in-time value (arena rows, live backends, ring occupancy)."""
 
     __slots__ = ("_value",)
 

@@ -2,8 +2,8 @@
 
 A :class:`QueryTrace` records what one query (or one fused batch) did at
 each stage of the two-phase pipeline (section 4 of the paper): sketch
-construction, the filtering scan (serial / fused / parallel pool,
-including cache hits and pool fallbacks), candidate-set size, optional
+construction, the filtering scan (full scan / sketch index, including
+cache hits), candidate-set size, optional
 cascade pruning, and exact-distance ranking.  The filtering/ranking cost
 split is exactly the knob the paper tunes, so the trace makes the
 trade-off visible per query instead of only in offline benchmarks.
@@ -41,11 +41,10 @@ class QueryTrace:
     ``stages`` maps stage name to seconds; ``counts`` maps cardinality
     name (``candidates``, ``distance_evals``, ``cache_hits``, ...) to an
     integer.  ``note`` records which scan path answered the filter stage
-    (``serial``, ``parallel``, ``cache``, ``parallel_fallback``).
-    ``spans`` holds named child spans — one per scan worker when the
-    parallel pool answered, with the time until that worker's shards
-    were done — so a trace shows *where* shard time went instead of one
-    opaque wait.
+    (``serial``, ``index``, ``cache``).  ``spans`` holds named child
+    spans (the ranking phase's bound/solve split, a coordinator's
+    scatter and gather) so a trace shows *where* a stage's time went
+    instead of one opaque total.
     Traces are built single-threaded inside one query call; only the
     completed, immutable result is shared.
     """

@@ -377,7 +377,7 @@ class FerretClient:
     def metrics(self, prefix: Optional[str] = None) -> Dict[str, str]:
         """The server's metrics registry as ``{name: value}`` strings.
 
-        ``prefix`` restricts the dump server-side (``metrics parallel.``)
+        ``prefix`` restricts the dump server-side (``metrics arena.``)
         so clients needn't download the full registry.
         """
         line = "metrics" if prefix is None else f"metrics {quote(prefix)}"

@@ -55,7 +55,6 @@ number of results to return, filter parameters, and attributes"):
 - ``setparam <name> <value>`` — adjust filter parameters live
   (``num_query_segments``, ``candidates_per_segment``,
   ``threshold_fraction``, ``threshold_fn`` by registered name,
-  ``parallel on|off`` for the sharded multi-core scan,
   ``trace on|off`` for per-query stage tracing, ``metrics on|off`` for
   the registry master switch, ``profile on|off`` for the sampling
   profiler, ``slow_query_ms <ms>`` for the slow-query log threshold,
@@ -88,9 +87,7 @@ line ``TRACE <id> <payload>`` carrying the command's span tree, so a
 cluster coordinator collects per-node subtrees in the same round trip.
 
 Graceful degradation: storage failures answer ``ERR DEGRADED <reason>``
-(a structured error clients can tell apart from bad requests), and a
-scan-pool failure on a query is answered by the serial scan instead of
-failing the command.
+(a structured error clients can tell apart from bad requests).
 """
 
 from __future__ import annotations
@@ -137,11 +134,6 @@ class CommandProcessor:
         self.searcher = AttributeSearcher(self.index)
         self.attributes: Dict[int, Dict[str, str]] = dict(attributes or {})
         self.health = health if health is not None else HealthState()
-        # A pool failure mid-query degrades throughput, not correctness
-        # (the engine re-answers serially); surface it in `health`.
-        self.engine.on_parallel_fallback = lambda reason: (
-            self.health.record_fallback("parallel_scan", reason)
-        )
         # Traces collected under propagated contexts, fetchable by id
         # (`trace get <id>`) after the piggybacked reply line is gone.
         self.trace_store = _trace_context.TraceStore()
@@ -278,8 +270,7 @@ class CommandProcessor:
 
     def _cmd_stat(self, command: Command) -> List[str]:
         stats = self.engine.stats()
-        par = self.engine.parallel_info()
-        cache = par["cache"]
+        cache = self.engine.parallel_info()["cache"]
         tracer = self.engine.tracer
         arena = self.engine.compaction_info()
         return [
@@ -290,17 +281,11 @@ class CommandProcessor:
             f"feature_bytes {stats.feature_bytes}",
             f"sketch_bytes {stats.sketch_bytes}",
             f"compression_ratio {stats.compression_ratio:.2f}",
-            f"parallel_enabled {'yes' if par['enabled'] else 'no'}",
-            f"parallel_active {'yes' if par['active'] else 'no'}",
-            f"parallel_backend {par['backend']}",
-            f"parallel_backend_active {par['backend_active']}",
-            f"parallel_workers {par['workers']}",
             f"arena_chunks {arena['chunks']}",
             f"arena_rows {arena['rows']}",
             f"arena_dead_rows {arena['dead_rows']}",
             f"arena_appends {self._rank_counter('arena.appends')}",
             f"arena_compactions {self._rank_counter('arena.compactions')}",
-            f"arena_delta_loads {self._rank_counter('arena.delta_loads')}",
             f"compaction {'on' if arena['background'] else 'off'}",
             f"filter_index {'on' if arena['index_on'] else 'off'}",
             f"filter_index_rows {arena['index_rows']}",
@@ -720,19 +705,6 @@ class CommandProcessor:
         return [f"{quote(k)}={quote(v)}" for k, v in sorted(attrs.items())]
 
     def _cmd_setparam(self, command: Command) -> List[str]:
-        # `setparam parallel backend=thread`: the backend=... token
-        # parses as a keyword argument, not a positional, so handle it
-        # before the positional arity check.
-        if (
-            command.args == ["parallel"]
-            and command.get("backend") is not None
-        ):
-            backend = command.get("backend").lower()
-            try:
-                self.engine.set_parallel_backend(backend)
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from exc
-            return [f"parallel_backend={backend}"]
         if len(command.args) != 2:
             raise ProtocolError("usage: setparam <name> <value>")
         name, raw = command.args
@@ -762,12 +734,6 @@ class CommandProcessor:
                 params.num_query_segments, params.candidates_per_segment,
                 params.threshold_fraction, raw,
             )
-        elif name == "parallel":
-            flag = raw.lower()
-            if flag not in ("on", "off"):
-                raise ProtocolError("usage: setparam parallel on|off")
-            self.engine.set_parallel_enabled(flag == "on")
-            return [f"parallel={flag}"]
         elif name == "compaction":
             flag = raw.lower()
             if flag not in ("on", "off"):

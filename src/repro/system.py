@@ -152,8 +152,7 @@ class FerretSystem:
         Engine tuning; the sketch seed is persisted on first open and
         reused afterwards so stored sketches stay comparable.
     parallel:
-        Sharded-scan tuning forwarded to the engine (worker count,
-        auto-enable threshold, result-cache size).
+        Forwarded to the engine (the result-cache size).
     store_kwargs:
         Forwarded to the underlying :class:`KVStore` (sync policy etc.).
     """
@@ -314,7 +313,7 @@ class FerretSystem:
 
     def close(self) -> None:
         if not self._closed:
-            self.engine.close()  # tear down the scan worker pool first
+            self.engine.close()  # stop the background compactor first
             self.store.close()
             self._closed = True
 

@@ -1,11 +1,10 @@
-"""Segmented-arena unit tests: append chunks, delta journal, compaction.
+"""Segmented-arena unit tests: append chunks, spans, compaction.
 
-The arena (PR: online index maintenance) replaced the monolithic
-concatenate-on-insert sketch matrix with capacity-grown parallel arrays
-plus a delta journal.  These tests pin the structural contract —
-appends never copy the whole matrix, `delta_since` reproduces the arena
-bit-identically, compaction invalidates deltas — and the locking fixes
-on `__len__`/`sketch_bytes` (the reported race with concurrent
+The arena replaced the monolithic concatenate-on-insert sketch matrix
+with capacity-grown parallel arrays.  These tests pin the structural
+contract — appends never copy the whole matrix, snapshots stay stable,
+compaction keeps every mutation made while it gathers — and the locking
+fixes on `__len__`/`sketch_bytes` (the reported race with concurrent
 remove/compact).
 """
 
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ArenaCompactor, ArenaDelta, SegmentStore, filtering
+from repro.core import ArenaCompactor, SegmentStore, filtering
 
 
 def _store(n_objects=0, segs=3, n_words=2, seed=0):
@@ -73,57 +72,6 @@ class TestAppendArena:
         store, _ = _store(0)
         with pytest.raises(ValueError, match="no segment sketches"):
             store.add_object(7, np.empty((0, 2), dtype=np.uint64))
-
-
-class TestDeltaJournal:
-    def test_delta_reproduces_arena(self):
-        store, rng = _store(5)
-        e0, ow0, sk0 = store.versioned_snapshot()
-        ow0, sk0 = ow0.copy(), sk0.copy()
-        for oid in range(5, 9):
-            _add(store, oid, rng)
-        store.remove_object(2)
-        delta = store.delta_since(e0)
-        assert isinstance(delta, ArenaDelta)
-        assert delta.from_epoch == e0 and delta.to_epoch == store.epoch
-        assert delta.base_rows == ow0.shape[0]
-        # Replay: base + delta == live arena, bit for bit.
-        ow = np.concatenate([ow0, delta.new_owners])
-        ow[delta.dead_rows] = -1
-        sk = np.concatenate([sk0, delta.new_sketches])
-        live_ow, live_sk = store.snapshot()
-        np.testing.assert_array_equal(ow, live_ow)
-        np.testing.assert_array_equal(sk, live_sk)
-
-    def test_delta_of_current_epoch_is_empty_or_none(self):
-        store, _ = _store(3)
-        delta = store.delta_since(store.epoch)
-        assert delta is None or delta.n_new == 0
-
-    def test_unknown_epoch_requires_full_reload(self):
-        store, _ = _store(3)
-        assert store.delta_since(store.epoch + 10) is None
-
-    def test_compaction_invalidates_outstanding_deltas(self):
-        store, rng = _store(6)
-        e0 = store.epoch
-        store.remove_object(0)
-        store.compact()
-        assert store.delta_since(e0) is None
-        info = store.arena_info()
-        assert info["delta_floor"] == info["epoch"] == info["compaction_epoch"]
-
-    def test_tombstone_on_appended_rows_lands_in_new_slice(self):
-        # Enough live rows that the removal stays under the inline
-        # compaction threshold (which would reset the journal).
-        store, rng = _store(8)
-        e0 = store.epoch
-        _add(store, 77, rng)
-        store.remove_object(77)  # dead rows live inside the delta slice
-        delta = store.delta_since(e0)
-        assert delta is not None
-        assert delta.dead_rows.size == 0  # only pre-base tombstones listed
-        assert (delta.new_owners == -1).sum() == 3
 
 
 class TestLockedAccessors:
@@ -186,11 +134,9 @@ class TestMaintenanceCompaction:
             np.testing.assert_array_equal(x, y)
         assert a.arena_info()["dead_rows"] == 0
 
-    def test_compaction_keeps_mutations_made_during_gather(self):
-        # Simulate phase-2 interleaving: mutate between the mark and the
-        # install by monkeypatching the unlocked gather window is hard;
-        # instead drive maintenance_compact concurrently with churn and
-        # check the invariant afterwards.
+    @staticmethod
+    def _churn_during_compactions():
+        # Drive maintenance_compact concurrently with inserts and removes.
         store, rng = _store(100, segs=1, seed=3)
         stop = threading.Event()
         errors: list = []
@@ -214,13 +160,44 @@ class TestMaintenanceCompaction:
         stop.set()
         t.join()
         assert not errors
-        owners, sketches = store.snapshot()
-        info = store.arena_info()
-        assert info["rows"] == owners.shape[0] == sketches.shape[0]
-        assert info["dead_rows"] == int((owners < 0).sum())
-        # Every object inserted and not removed has exactly one row.
-        alive = owners[owners >= 0]
-        assert len(alive) == len(set(alive.tolist()))
+        return store
+
+    @staticmethod
+    def _mass_removal_during_gather():
+        # 1,100 removes inside one unlocked gather (started by its
+        # np.cumsum call): more than the 1,024 tombstones a bounded
+        # removal log would keep for the install to replay.
+        store, _ = _store(4000, segs=1, seed=3)
+        store.attach_compactor(_NoCompactor())  # no inline compaction
+        for oid in range(100):
+            store.remove_object(oid)
+        real_cumsum, fired = np.cumsum, []
+
+        def cumsum(*args, **kwargs):
+            if not fired:
+                fired.append(True)
+                for oid in range(100, 1200):
+                    store.remove_object(oid)
+            return real_cumsum(*args, **kwargs)
+
+        with mock.patch.object(np, "cumsum", cumsum):
+            assert store.maintenance_compact()
+        assert fired
+        assert len(store) == 2800
+        assert set(store.owners[store.owners >= 0].tolist()) == set(range(1200, 4000))
+        return store
+
+    def test_compaction_keeps_mutations_made_during_gather(self):
+        for mutate in (self._churn_during_compactions, self._mass_removal_during_gather):
+            store = mutate()
+            owners, sketches = store.snapshot()
+            info = store.arena_info()
+            assert info["rows"] == owners.shape[0] == sketches.shape[0]
+            assert info["dead_rows"] == int((owners < 0).sum())
+            # Every object inserted and not removed has exactly one row.
+            alive = owners[owners >= 0]
+            assert len(alive) == len(set(alive.tolist()))
+            _assert_spans(store, set(alive.tolist()))
 
     def test_background_compactor_runs_and_stops(self):
         store, rng = _store(40, segs=1)
@@ -296,11 +273,9 @@ class TestSpans:
                 return
             oid = sorted(live)[pick % len(live)]
             rows = np.flatnonzero(store.owners == oid)
-            epoch = store.epoch
             assert store.remove_object(oid) == rows.size
             live.discard(oid)
             assert (store.owners[rows] == -1).all()
-            np.testing.assert_array_equal(store.delta_since(epoch).dead_rows, rows)
             assert store.remove_object(oid) == 0
 
         for step in steps:

@@ -1,13 +1,21 @@
-"""Sharded parallel filtering scan: correctness, caching, fallback.
+"""Filter scan split: two halves on two threads, one answer.
 
-The pool path must be *candidate-set identical* to both serial
-implementations (`sketch_filter_many` and the per-segment
-`sketch_filter_reference`) under every shard geometry — that is the
-acceptance gate for the thread-pool scan.  Determinism under ties is
-what makes that possible: every path selects the k smallest distances
-with smallest-row-index-wins at the kth value, so shard boundaries and
-merge order cannot change the result.
+``_scan_nearest`` cuts a large arena into two halves, scans the upper
+one on a helper thread and the lower one on the calling thread, and
+merges the two top-k lists by global row.  The split must be
+*candidate-set identical* to the whole scan (`sketch_filter_many` with
+the split off) and to the per-segment `sketch_filter_reference`.
+Determinism under ties is what makes that possible: every path selects
+the k smallest distances with smallest-row-index-wins at the kth value,
+so the cut cannot change the result.  The ``split`` fixture forces the
+split on for any arena (as test_sketch_index.py forces the index on);
+``host_split`` does so on a host of 1, 2 or 3 CPUs, where one CPU means
+one whole scan.
 """
+
+import threading
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,28 +27,69 @@ from repro.core import (
     FilterParams,
     ObjectSignature,
     ParallelConfig,
-    ThreadFilterPool,
-    ParallelScanError,
     QueryResultCache,
     SegmentStore,
     SimilaritySearchEngine,
     SketchConstructor,
     SketchParams,
+    filtering,
     get_threshold_fn,
-    parallel_sketch_filter,
-    parallel_sketch_filter_many,
     register_threshold_fn,
     sketch_filter,
     sketch_filter_many,
     sketch_filter_reference,
 )
+from repro.observability import metrics
 
-WORKER_COUNTS = (1, 2, 3)
+
+CPU_COUNTS = (1, 2, 3)
+
+
+@contextmanager
+def _split(on=True, cpus=2):
+    """Force the split on (or off) for every arena, on a host of ``cpus``
+    CPUs; yields the names of the threads that scanned a part."""
+    threads = []
+    scan_part = filtering._scan_part
+
+    def recorded(*args):
+        threads.append(threading.current_thread().name)
+        return scan_part(*args)
+
+    with mock.patch.multiple(
+        filtering,
+        _SPLIT_MIN_WORK=0 if on else float("inf"),
+        _SPLIT_CPUS=cpus,
+        _scan_part=recorded,
+    ):
+        yield threads
+
+
+@pytest.fixture
+def split():
+    with _split() as threads:
+        yield threads
+
+
+@pytest.fixture(params=CPU_COUNTS)
+def host_split(request):
+    """The split forced on, per CPU count; yields how many parts one scan
+    makes (one whole scan on one CPU, two halves on more) and the
+    threads that scanned them."""
+    with _split(cpus=request.param) as threads:
+        yield (1 if request.param < 2 else 2), threads
 
 
 # ----------------------------------------------------------------------
 # Store builders
 # ----------------------------------------------------------------------
+class _NoCompactor:
+    """Stands in for an attached compactor: tombstones stay in place."""
+
+    def wake(self):
+        pass
+
+
 def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
                   dup_frac=0.35, tombstones=()):
     """Random store with deliberate duplicate segments (=> distance ties)."""
@@ -48,13 +97,13 @@ def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
     sk = SketchConstructor(SketchParams(n_bits, meta, seed=seed))
     store = SegmentStore(sk.n_words, n_bits=sk.n_bits)
     rng = np.random.default_rng(seed)
-    pool_feats = rng.random((6, dim))  # shared rows -> identical sketches
+    shared = rng.random((6, dim))  # shared rows -> identical sketches
     objects = {}
     for oid in range(num_objects):
         feats = rng.random((segs, dim))
         for s in range(segs):
             if rng.random() < dup_frac:
-                feats[s] = pool_feats[rng.integers(0, len(pool_feats))]
+                feats[s] = shared[rng.integers(0, len(shared))]
         objects[oid] = ObjectSignature(
             feats, rng.random(segs) + 0.1, object_id=oid
         )
@@ -64,20 +113,17 @@ def _seeded_store(seed, num_objects=40, segs=3, dim=8, n_bits=64,
     return sk, store, objects
 
 
-def _handmade_store(words_per_row, owners_per_row, n_bits=64):
+def _handmade_store(words_per_row, owners_per_row):
     """Store whose packed sketch words (hence distances) are explicit."""
     store = SegmentStore(n_words=1)
     for owner, word in zip(owners_per_row, words_per_row):
-        store.add_object(
-            owner,
-            np.array([[word]], dtype=np.uint64),
-        )
+        store.add_object(owner, np.array([[word]], dtype=np.uint64))
     return store
 
 
-def _load_pool(pool, store):
-    epoch, owners, sketches = store.versioned_snapshot()
-    pool.load(owners, sketches, epoch=epoch)
+def _serial_many(queries, sketches, store, params, n_bits):
+    with _split(on=False):
+        return sketch_filter_many(queries, sketches, store, params, n_bits)
 
 
 PARAMS_VARIANTS = [
@@ -90,63 +136,43 @@ PARAMS_VARIANTS = [
 
 
 # ----------------------------------------------------------------------
-# Property: pool == serial == reference, across shard geometries
+# Property: split == whole scan == reference
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=WORKER_COUNTS)
-def pool(request):
-    with ThreadFilterPool(num_workers=request.param) as p:
-        yield p
-
-
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    shard_rows=st.sampled_from([None, 3, 17]),
+    num_objects=st.sampled_from([3, 17, 40]),
     variant=st.integers(0, len(PARAMS_VARIANTS) - 1),
 )
-def test_pool_matches_reference_randomized(seed, shard_rows, variant):
-    """Randomized equivalence at every worker count (incl. 1)."""
+def test_pool_matches_reference_randomized(seed, num_objects, variant):
+    """Randomized equivalence on stores of a few rows to ~120."""
     params = PARAMS_VARIANTS[variant]
-    sk, store, objects = _seeded_store(seed, tombstones=range(5, 12))
-    queries = [objects[0], objects[20], objects[7]]
+    sk, store, objects = _seeded_store(
+        seed, num_objects=num_objects, tombstones=range(1, num_objects, 4)
+    )
+    queries = [objects[0], objects[num_objects // 2], objects[num_objects - 1]]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    for workers in WORKER_COUNTS:
-        with ThreadFilterPool(
-            num_workers=workers, shard_rows=shard_rows
-        ) as p:
-            _load_pool(p, store)
-            par = parallel_sketch_filter_many(
-                queries, sketches, params, sk.n_bits, p
-            )
-        assert par == serial
+    serial = _serial_many(queries, sketches, store, params, sk.n_bits)
+    with _split() as threads:
+        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial
+    assert "ferret-scan" in " ".join(threads)  # the upper half ran apart
     for q, qs, expect in zip(queries, sketches, serial):
         assert sketch_filter_reference(q, qs, store, params, sk.n_bits) == expect
 
 
-def test_pool_matches_reference_all_params(pool):
-    """Dense check on one store across the parameter grid (per fixture
-    worker count), including the fused serial path and tombstones."""
+def test_pool_matches_reference_all_params(host_split):
+    """Dense check on one store across the parameter grid, including the
+    single-query path and tombstones."""
     sk, store, objects = _seeded_store(123, tombstones=range(10, 22))
     queries = [objects[i] for i in (0, 3, 30)]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    _load_pool(pool, store)
     for params in PARAMS_VARIANTS:
-        serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-        par = parallel_sketch_filter_many(
-            queries, sketches, params, sk.n_bits, pool
-        )
-        assert par == serial
+        serial = _serial_many(queries, sketches, store, params, sk.n_bits)
+        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial
         for q, qs, expect in zip(queries, sketches, serial):
-            assert (
-                sketch_filter(q, qs, store, params, sk.n_bits) == expect
-            )
+            assert sketch_filter(q, qs, store, params, sk.n_bits) == expect
             assert (
                 sketch_filter_reference(q, qs, store, params, sk.n_bits)
-                == expect
-            )
-            assert (
-                parallel_sketch_filter(q, qs, params, sk.n_bits, pool)
                 == expect
             )
 
@@ -158,7 +184,10 @@ def _one_segment_query():
     return ObjectSignature(np.zeros((1, 2)), [1.0], object_id=999)
 
 
-def test_ties_exactly_at_distance_threshold(pool):
+_ZERO = np.array([[0]], dtype=np.uint64)
+
+
+def test_ties_exactly_at_distance_threshold(host_split):
     """Rows at distance == threshold are kept; one popcount more is cut.
 
     With ``threshold_fn="constant"`` and ``threshold_fraction=2/64`` the
@@ -172,87 +201,79 @@ def test_ties_exactly_at_distance_threshold(pool):
         threshold_fraction=2 / 64, threshold_fn="constant",
     )
     query = _one_segment_query()
-    qs = np.array([[0]], dtype=np.uint64)
     expect = {10, 11, 12, 13}  # d <= 2 kept, d == 3 cut
-    assert sketch_filter_reference(query, qs, store, params, 64) == expect
-    assert sketch_filter(query, qs, store, params, 64) == expect
-    _load_pool(pool, store)
-    assert parallel_sketch_filter(query, qs, params, 64, pool) == expect
+    assert sketch_filter_reference(query, _ZERO, store, params, 64) == expect
+    assert sketch_filter(query, _ZERO, store, params, 64) == expect
+    assert sketch_filter_many([query], [_ZERO], store, params, 64) == [expect]
 
 
-def test_ties_at_kth_boundary_pick_smallest_rows(pool):
-    """Five rows tie at the kth distance; every path keeps the same two
-    (smallest row index wins), so shard geometry cannot flip the set."""
-    words = [0b11] * 5 + [0b1]  # rows 0-4 at distance 2, row 5 at 1
-    store = _handmade_store(words, owners_per_row=[20, 21, 22, 23, 24, 25])
-    params = FilterParams(num_query_segments=1, candidates_per_segment=3)
+TIES_AT_KTH = [
+    # Rows 0-4 tie at distance 2 across the cut (rows 0-2 | 3-5);
+    # row 5, in the upper half, is the one row at distance 1.
+    ([0b11] * 5 + [0b1], 3, {25, 20, 21}),
+    # The upper half's first row (global row 3) ties with the lower
+    # half's row 1: a merge by half-local row would pick row 3.
+    ([0b1] + [0b11] * 5, 2, {20, 21}),
+]
+
+
+def test_ties_at_kth_boundary_pick_smallest_rows(host_split):
+    """Rows tie at the kth distance on both sides of the midpoint; every
+    path keeps the smallest rows, so the cut cannot flip the set."""
+    parts, threads = host_split
     query = _one_segment_query()
-    qs = np.array([[0]], dtype=np.uint64)
-    expect = {25, 20, 21}  # d=1 row, then rows 0 and 1 of the tie
-    assert sketch_filter_reference(query, qs, store, params, 64) == expect
-    assert sketch_filter(query, qs, store, params, 64) == expect
-    for shard_rows in (None, 1, 2):
-        with ThreadFilterPool(num_workers=2, shard_rows=shard_rows) as p:
-            _load_pool(p, store)
-            assert parallel_sketch_filter(query, qs, params, 64, p) == expect
+    for words, k, expect in TIES_AT_KTH:
+        store = _handmade_store(words, owners_per_row=[20, 21, 22, 23, 24, 25])
+        params = FilterParams(num_query_segments=1, candidates_per_segment=k)
+        assert sketch_filter_reference(query, _ZERO, store, params, 64) == expect
+        threads.clear()
+        assert sketch_filter(query, _ZERO, store, params, 64) == expect
+        assert len(threads) == parts  # two halves, one on the helper thread
 
 
-def test_k_larger_than_shard_size(pool):
-    """candidates_per_segment far beyond shard_rows and row count."""
+def test_k_larger_than_shard_size(host_split):
+    """candidates_per_segment beyond a half's 7 rows, and beyond all 14."""
     sk, store, objects = _seeded_store(5, num_objects=7, segs=2)
-    params = FilterParams(num_query_segments=2, candidates_per_segment=1000)
     q = objects[0]
     qs = sk.sketch_many(q.features)
-    expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ThreadFilterPool(num_workers=3, shard_rows=2) as p:
-        _load_pool(p, store)
-        assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
+    for k in (10, 1000):
+        params = FilterParams(num_query_segments=2, candidates_per_segment=k)
+        expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
+        assert sketch_filter(q, qs, store, params, sk.n_bits) == expect
 
 
-def test_empty_shards_more_workers_than_rows():
-    """Workers that receive no shard must still answer scans."""
-    sk, store, objects = _seeded_store(6, num_objects=1, segs=2)
-    params = FilterParams(num_query_segments=2, candidates_per_segment=5)
+def test_empty_shards_more_workers_than_rows(split):
+    """One row, two halves: the lower half is empty and must still
+    answer (an empty top-k) for the merge."""
+    sk, store, objects = _seeded_store(6, num_objects=1, segs=1)
+    params = FilterParams(num_query_segments=1, candidates_per_segment=5)
     q = objects[0]
     qs = sk.sketch_many(q.features)
-    expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ThreadFilterPool(num_workers=3) as p:  # 2 rows, 3 workers
-        _load_pool(p, store)
-        assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
+    assert sketch_filter(q, qs, store, params, sk.n_bits) == {0}
+    assert len(split) == 2  # both halves scanned, the lower one empty
 
 
-def test_empty_store_and_all_tombstones(pool):
+def test_empty_store_and_all_tombstones(host_split):
+    """An empty store, an all-dead store, and a store whose every row in
+    the lower, then the upper, half is a tombstone (that half's top-k is
+    all sentinels)."""
     params = FilterParams(num_query_segments=1, candidates_per_segment=5)
     query = _one_segment_query()
-    qs = np.array([[0]], dtype=np.uint64)
-    empty = SegmentStore(n_words=1)
-    _load_pool(pool, empty)
-    assert parallel_sketch_filter(query, qs, params, 64, pool) == set()
+    assert sketch_filter(query, _ZERO, SegmentStore(n_words=1), params, 64) == set()
     dead = _handmade_store([0b1, 0b10], owners_per_row=[1, 2])
     dead.remove_object(1)
     dead.remove_object(2)
-    _load_pool(pool, dead)
-    assert parallel_sketch_filter(query, qs, params, 64, pool) == set()
-    assert sketch_filter(query, qs, dead, params, 64) == set()
-
-
-def test_pool_staleness_and_reload(pool):
-    sk, store, objects = _seeded_store(11, num_objects=8)
-    _load_pool(pool, store)
-    assert pool.matches(store.epoch)
-    feats = np.random.default_rng(0).random((2, 8))
-    store.add_object(100, sk.sketch_many(feats))
-    assert not pool.matches(store.epoch)
-    _load_pool(pool, store)
-    assert pool.matches(store.epoch)
-    assert pool.n_rows == len(store.owners)
-
-
-def test_closed_pool_raises():
-    p = ThreadFilterPool(num_workers=1)
-    p.close()
-    with pytest.raises(ParallelScanError):
-        p.scan_topk(np.zeros((1, 1), dtype=np.uint64), 1)
+    assert sketch_filter(query, _ZERO, dead, params, 64) == set()
+    words = [0b1, 0b11, 0b111, 0b1111, 0b0, 0b1, 0b11, 0b111]
+    for dead_rows, live_rows in ((range(4), range(4, 8)), (range(4, 8), range(4))):
+        store = _handmade_store(words, owners_per_row=range(8))
+        store.attach_compactor(_NoCompactor())
+        for oid in dead_rows:
+            store.remove_object(oid)
+        expect = sketch_filter_reference(query, _ZERO, store, params, 64)
+        assert expect == set(live_rows)
+        assert sketch_filter(query, _ZERO, store, params, 64) == expect
+        assert sketch_filter_many([query], [_ZERO], store, params, 64) == [expect]
 
 
 # ----------------------------------------------------------------------
@@ -316,10 +337,22 @@ def test_cache_lru_bound_and_disabled():
     assert cache.lookup(0, None) is None
 
 
+def test_query_result_cache_metrics_prefix():
+    registry = metrics.get_registry()
+    cache = QueryResultCache(4, metrics_prefix="cluster.cache")
+    before_hits = registry.value("cluster.cache.hits")
+    before_misses = registry.value("cluster.cache.misses")
+    assert cache.lookup(1, "k") is None
+    cache.store(1, "k", "v")
+    assert cache.lookup(1, "k") == "v"
+    assert registry.value("cluster.cache.misses") == before_misses + 1
+    assert registry.value("cluster.cache.hits") == before_hits + 1
+
+
 # ----------------------------------------------------------------------
-# Engine integration: auto-enable, cache, fallback
+# Engine integration: split answers and the result cache
 # ----------------------------------------------------------------------
-def _image_engine(parallel, n=60):
+def _image_engine(n=60, cache_entries=16):
     from repro.datatypes.bulk import bulk_image_dataset
     from repro.datatypes.image import make_image_plugin
 
@@ -328,66 +361,43 @@ def _image_engine(parallel, n=60):
         plugin,
         SketchParams(64, plugin.meta, seed=0),
         FilterParams(num_query_segments=3, candidates_per_segment=16),
-        parallel=parallel,
+        parallel=ParallelConfig(cache_entries=cache_entries),
     )
     engine.insert_many(list(bulk_image_dataset(n, seed=3)))
     return engine
 
 
-def test_engine_auto_enable_threshold():
-    cfg = ParallelConfig(num_workers=2, min_segments=10_000_000)
-    with _image_engine(cfg) as engine:
-        engine.query_by_id(0, top_k=3)
-        assert not engine.parallel_info()["active"]  # below threshold
-    cfg = ParallelConfig(num_workers=2, min_segments=1)
-    with _image_engine(cfg) as engine:
-        engine.query_by_id(0, top_k=3)
-        assert engine.parallel_info()["active"]
+def _answers(engine, qid):
+    return [(r.object_id, r.distance) for r in engine.query_by_id(qid, top_k=5)]
 
 
 def test_engine_parallel_results_and_cache():
-    serial = _image_engine(ParallelConfig(enabled=False))
-    par = _image_engine(
-        ParallelConfig(num_workers=2, min_segments=1, cache_entries=16)
-    )
+    serial = _image_engine(cache_entries=0)
+    par = _image_engine()
     with serial, par:
         for qid in (0, 4, 4, 0):
-            a = serial.query_by_id(qid, top_k=5)
-            b = par.query_by_id(qid, top_k=5)
-            assert [(r.object_id, r.distance) for r in a] == [
-                (r.object_id, r.distance) for r in b
-            ]
+            with _split(on=False):
+                a = _answers(serial, qid)
+            with _split() as threads:
+                assert _answers(par, qid) == a
         assert par.parallel_info()["cache"]["hits"] >= 2
-        # A mutation invalidates cached candidate sets and reshards.
+        assert not threads  # a cache hit scans nothing
+        # A mutation invalidates cached candidate sets; the next scan
+        # reads the arena as it is now, with no reload step.
         par.remove(50)
         serial.remove(50)
-        a = serial.query_by_id(0, top_k=5)
-        b = par.query_by_id(0, top_k=5)
-        assert [r.object_id for r in a] == [r.object_id for r in b]
+        with _split(on=False):
+            a = _answers(serial, 0)
+        with _split():
+            assert _answers(par, 0) == a
         assert par.parallel_info()["cache"]["invalidations"] >= 1
-
-
-def test_engine_fallback_on_pool_failure():
-    reasons = []
-    with _image_engine(ParallelConfig(num_workers=2, min_segments=1)) as engine:
-        engine.on_parallel_fallback = reasons.append
-        expect = [r.object_id for r in engine.query_by_id(1, top_k=5)]
-        engine._pool.close()  # simulate a crashed pool mid-flight
-        engine._filter_cache.clear()
-        got = [r.object_id for r in engine.query_by_id(1, top_k=5)]
-        assert got == expect  # answered serially, identically
-        assert reasons and engine.parallel_info()["broken"]
-        engine.set_parallel_enabled(True)  # operator re-arms the pool
-        assert not engine.parallel_info()["broken"]
-        engine._filter_cache.clear()  # force a real scan, not a cache hit
-        got = [r.object_id for r in engine.query_by_id(1, top_k=5)]
-        assert got == expect and engine.parallel_info()["active"]
+        assert par._pool is None
 
 
 @pytest.mark.perf
 def test_two_worker_smoke():
-    """CI smoke: a 2-worker pool is candidate-set identical to serial on
-    a denser store (the `make smoke` gate)."""
+    """CI smoke: the two-thread split is candidate-set identical to the
+    whole scan on a denser store (the `make smoke` gate)."""
     sk, store, objects = _seeded_store(
         31, num_objects=150, segs=3, tombstones=range(40, 60)
     )
@@ -397,10 +407,6 @@ def test_two_worker_smoke():
     )
     queries = [objects[i] for i in (0, 25, 75, 149)]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    with ThreadFilterPool(num_workers=2) as p:
-        _load_pool(p, store)
-        assert (
-            parallel_sketch_filter_many(queries, sketches, params, sk.n_bits, p)
-            == serial
-        )
+    serial = _serial_many(queries, sketches, store, params, sk.n_bits)
+    with _split():
+        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial

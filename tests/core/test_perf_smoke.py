@@ -9,6 +9,8 @@ tombstone handling both paths share — fails here.
 """
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +23,6 @@ from repro.core import (
     SegmentStore,
     SketchConstructor,
     SketchParams,
-    ThreadFilterPool,
-    parallel_sketch_filter,
     sketch_filter,
     sketch_filter_many,
     sketch_filter_reference,
@@ -124,10 +124,20 @@ def test_scan_allocates_less_than_half_the_arena():
     )
     assert serial < arena_bytes / 2, (serial, arena_bytes)
 
-    with ThreadFilterPool(num_workers=2) as pool:
-        pool.load(owners, sketches, epoch=store.epoch)
-        pooled = _peak_bytes(lambda: pool.scan_topk(qs, 64))
-    assert pooled < arena_bytes / 2, (pooled, arena_bytes)
+    # One helper thread: the warm-up call then sizes the kernel scratch
+    # (thread-local) of the same thread the measured call runs on.
+    with ThreadPoolExecutor(1) as helper, _split_on(), mock.patch.object(
+        filtering, "_SPLIT_EXECUTOR", helper
+    ):
+        split = _peak_bytes(
+            lambda: sketch_filter(query, qs, store, params, sk.n_bits)
+        )
+    assert split < arena_bytes / 2, (split, arena_bytes)
+
+
+def _split_on():
+    """Force the two-thread scan split on for any arena and host."""
+    return mock.patch.multiple(filtering, _SPLIT_MIN_WORK=0, _SPLIT_CPUS=2)
 
 
 def _assert_word_major(store):
@@ -171,22 +181,14 @@ def test_arena_stays_word_major_through_every_rewrite(monkeypatch):
     assert store.arena_info()["dead_rows"] == 0
     _assert_word_major(store)
 
-    # Delta round trip: the pool freezes the same layout, extends it in
-    # place, and answers what the serial scan answers.
-    with ThreadFilterPool(num_workers=2) as pool:
-        epoch, owners, sketches = store.versioned_snapshot()
-        pool.load(owners, sketches, epoch=epoch)
-        for oid in range(1001, 1011):
-            store.add_object(oid, new_row())
-        store.remove_object(100)
-        delta = store.delta_since(epoch)
-        assert delta.new_sketches.shape == (10, _N_WORDS)
-        assert pool.load_delta(
-            delta.new_owners, delta.new_sketches, delta.from_epoch,
-            delta.to_epoch, dead_rows=delta.dead_rows,
-            base_rows=delta.base_rows,
-        )
-        _assert_word_major(store)
-        assert parallel_sketch_filter(
-            query, qs, params, sk.n_bits, pool
-        ) == sketch_filter(query, qs, store, params, sk.n_bits)
+    # Appends and a tombstone after the rewrite: the split scan reads
+    # the halves of the same arrays in place and answers what the
+    # reference answers.
+    for oid in range(1001, 1011):
+        store.add_object(oid, new_row())
+    store.remove_object(100)
+    _assert_word_major(store)
+    with _split_on():
+        assert sketch_filter(
+            query, qs, store, params, sk.n_bits
+        ) == sketch_filter_reference(query, qs, store, params, sk.n_bits)

@@ -7,7 +7,8 @@ the k-th distance included, through inserts (the unindexed tail),
 removes (tombstones), and both compactions (row positions move).  The
 state machine keeps the index on (the on/off check is pinned separately
 at the engine level), so clustered sketches exercise certification,
-uniform ones the fall-back to the full scan, and duplicated ones ties.
+uniform ones the fall-back to the full scan, and duplicated ones ties;
+it runs the full scan whole or split across two threads.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from hypothesis.stateful import (
 from repro.core import (
     FilterParams,
     ObjectSignature,
-    ParallelConfig,
     SegmentStore,
     SimilaritySearchEngine,
     SketchParams,
@@ -69,18 +69,27 @@ class IndexMachine(RuleBasedStateMachine):
         super().__init__()
         # The on/off check would turn the index off on these small,
         # adversarial stores; keep it on so every query reads it.
-        self._max_read = filtering._INDEX_MAX_READ
+        self._saved = {
+            name: getattr(filtering, name)
+            for name in ("_INDEX_MAX_READ", "_SPLIT_MIN_WORK", "_SPLIT_CPUS")
+        }
         filtering._INDEX_MAX_READ = math.inf
 
     def teardown(self):
-        filtering._INDEX_MAX_READ = self._max_read
+        for name, value in self._saved.items():
+            setattr(filtering, name, value)
 
     @initialize(
         n_bits=st.sampled_from([64, 96, 256, 800]),
         kind=st.sampled_from(["clustered", "uniform", "duplicated"]),
+        split=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def setup(self, n_bits, kind, seed):
+    def setup(self, n_bits, kind, split, seed):
+        # Full scans (the index's fall-back rows and the reference) run
+        # whole, or split across two threads whatever the arena's size.
+        filtering._SPLIT_MIN_WORK = 0 if split else math.inf
+        filtering._SPLIT_CPUS = 2
         self.n_bits = n_bits
         self.kind = kind
         self.n_words = -(-n_bits // 64)
@@ -283,11 +292,14 @@ def test_padding_substrings_are_skipped(always_on):
     assert store._index.runs.shape == (3 * 51,)
 
 
-def test_scans_stay_exact_under_concurrent_writes_and_compactions(always_on):
+def test_scans_stay_exact_under_concurrent_writes_and_compactions(always_on, monkeypatch):
     """Scans snapshot the index with the arena; builds run outside the
     lock and compactions retire them.  Query threads race writers and
-    both compactions; no scan may fail, and at rest the index answers
-    exactly."""
+    both compactions, and every full scan splits, so three query threads
+    share the split's two helper threads; no scan may fail, and at rest
+    the index answers exactly."""
+    monkeypatch.setattr(filtering, "_SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(filtering, "_SPLIT_CPUS", 2)
     rng = np.random.default_rng(11)
     protos = rng.integers(0, 2**63, (6, 4), dtype=np.uint64)
 
@@ -361,20 +373,19 @@ def test_scans_stay_exact_under_concurrent_writes_and_compactions(always_on):
 
 
 # ----------------------------------------------------------------------
-# The engine: on/off without a knob, and the pool pin
+# The engine: on/off without a knob
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def image_objects():
     return list(bulk_image_dataset(1000, seed=1))
 
 
-def _image_engine(objects, **parallel):
+def _image_engine(objects):
     plugin = make_image_plugin()
     engine = SimilaritySearchEngine(
         plugin,
         SketchParams(256, plugin.meta, seed=0),
         FilterParams(num_query_segments=4, candidates_per_segment=32),
-        parallel=ParallelConfig(num_workers=2, min_segments=1, **parallel),
     )
     engine.insert_many(objects)
     return engine
@@ -402,8 +413,6 @@ def test_image_like_data_turns_the_index_on(image_objects):
     with _image_engine(image_objects) as engine:
         assert _traced_scan(engine, 7) == "index"
         assert "index_scan" in engine.tracer.last.stages
-        # auto resolved to the index: the pool never loaded its copy.
-        assert engine._pool is None
         assert engine.compaction_info()["index_on"] == 1
         for oid in range(0, 1000, 97):
             got, want = _reference_candidates(engine, oid)
@@ -411,14 +420,6 @@ def test_image_like_data_turns_the_index_on(image_objects):
         stat = CommandProcessor(engine).execute(parse_command("stat"))
         assert "filter_index on" in stat
         assert f"filter_index_rows {len(engine._store)}" in stat
-
-
-def test_explicit_thread_pin_still_uses_the_pool(image_objects):
-    with _image_engine(image_objects, backend="thread") as engine:
-        assert _traced_scan(engine, 7) == "parallel"
-        assert engine._pool is not None
-        got, want = _reference_candidates(engine, 11)
-        assert got == want
 
 
 def test_shape_like_data_turns_the_index_off():

@@ -16,11 +16,9 @@ from repro.acquisition import DirectoryScanner
 from repro.core import (
     DataTypePlugin,
     FeatureMeta,
-    ObjectSignature,
     SimilaritySearchEngine,
     SketchParams,
 )
-from repro.core.parallel import ParallelConfig, ParallelScanError
 from repro.observability import metrics as _metrics
 from repro.server.client import ClientError
 from repro.storage.errors import StorageError
@@ -111,93 +109,6 @@ class TestWebAppNarrowing:
         app = WebApp(_RaisingBackend(ZeroDivisionError("handler bug")))
         with pytest.raises(ZeroDivisionError):
             app.handle("/")
-
-
-# ---------------------------------------------------------------------------
-# engine._filter_candidates pool path: infrastructure failures fall back
-# serially; anything else is a scan bug and propagates
-# ---------------------------------------------------------------------------
-class _DummyPool:
-    loaded_epoch = 0
-
-    def close(self):
-        pass
-
-
-def _filtering_engine():
-    meta = FeatureMeta(4, np.zeros(4), np.ones(4))
-    engine = SimilaritySearchEngine(
-        DataTypePlugin("t", meta),
-        SketchParams(64, meta, seed=0),
-        parallel=ParallelConfig(num_workers=2, min_segments=1),
-    )
-    rng = np.random.default_rng(7)
-    for _ in range(12):
-        engine.insert(ObjectSignature(rng.random((2, 4)), [1.0, 1.0]))
-    return engine
-
-
-class TestEnginePoolNarrowing:
-    def test_pool_failure_falls_back_and_counts(self, monkeypatch):
-        engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
-
-        def boom(*a, **k):
-            raise ParallelScanError("worker died")
-
-        monkeypatch.setattr("repro.core.engine.parallel_filter_candidates", boom)
-        reasons = []
-        engine.on_parallel_fallback = reasons.append
-        before_fb = _value("engine.pool_fallbacks")
-        before_abs = _value("errors_absorbed.engine.pool_scan")
-        results = engine.query_by_id(0, top_k=5, exclude_self=True)
-        assert len(results) == 5  # the serial fallback still answered
-        assert _value("engine.pool_fallbacks") == before_fb + 1
-        assert _value("errors_absorbed.engine.pool_scan") == before_abs + 1
-        assert reasons and "worker died" in reasons[0]
-
-    def test_foreign_exception_propagates(self, monkeypatch):
-        engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
-
-        def boom(*a, **k):
-            raise TypeError("scan bug")
-
-        monkeypatch.setattr("repro.core.engine.parallel_filter_candidates", boom)
-        with pytest.raises(TypeError):
-            engine.query_by_id(0, top_k=5, exclude_self=True)
-
-    def test_os_error_propagates(self, monkeypatch):
-        """The thread pool raises no OSError of its own, so one reaching
-        the engine is a bug, not a pool failure to fall back from."""
-        engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
-
-        def boom(*a, **k):
-            raise OSError("not a pool failure")
-
-        monkeypatch.setattr("repro.core.engine.parallel_filter_candidates", boom)
-        with pytest.raises(OSError):
-            engine.query_by_id(0, top_k=5, exclude_self=True)
-        assert not engine.parallel_info()["broken"]
-
-    def test_broken_fallback_observer_surfaces(self, monkeypatch):
-        """The fallback callback is no longer swallowed: a broken
-        observer is a caller bug and must raise, not vanish."""
-        engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
-
-        def boom(*a, **k):
-            raise ParallelScanError("worker died")
-
-        monkeypatch.setattr("repro.core.engine.parallel_filter_candidates", boom)
-
-        def broken_observer(reason):
-            raise RuntimeError("observer bug")
-
-        engine.on_parallel_fallback = broken_observer
-        with pytest.raises(RuntimeError, match="observer bug"):
-            engine.query_by_id(0, top_k=5, exclude_self=True)
 
 
 # ---------------------------------------------------------------------------

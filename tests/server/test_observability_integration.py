@@ -68,6 +68,16 @@ class TestMetricsCommand:
                 assert name and " " not in name
                 float(value)  # every value parses as a number
 
+    def test_metrics_prefix_filter(self, served):
+        host, port, _ = served
+        with FerretClient(host, port) as client:
+            client.query(0, top=3)
+            filtered = client.metrics(prefix="engine.")
+            assert filtered
+            assert all(k.startswith("engine.") for k in filtered)
+            # the filter actually shrinks the payload
+            assert len(filtered) < len(client.metrics())
+
     def test_metrics_toggle(self, served):
         host, port, _ = served
         with FerretClient(host, port) as client:
@@ -104,7 +114,7 @@ class TestTraceCommand:
             assert "stage.rank_seconds" in trace
             assert int(trace["count.candidates"]) >= 1
             assert int(trace["count.distance_evals"]) >= 1
-            assert trace["note.scan"] in ("serial", "parallel", "cache")
+            assert trace["note.scan"] in ("serial", "index", "cache")
 
     def test_cache_hit_visible_in_trace(self, served):
         host, port, _ = served
@@ -173,73 +183,6 @@ class TestClientFixes:
             # Nothing hit the wire: the connection is still synchronized.
             assert client.connected
             assert client.ping()
-
-
-@pytest.fixture()
-def served_parallel():
-    """Server whose engine answers filter scans through a 2-worker pool."""
-    from repro.core import FilterParams, ParallelConfig
-
-    meta = FeatureMeta(4, np.zeros(4), np.ones(4))
-    engine = SimilaritySearchEngine(
-        DataTypePlugin("t", meta),
-        SketchParams(128, meta, seed=0),
-        FilterParams(num_query_segments=2, candidates_per_segment=8),
-        parallel=ParallelConfig(
-            num_workers=2, min_segments=1, cache_entries=0,
-            backend="thread",
-        ),
-    )
-    rng = np.random.default_rng(5)
-    proc = CommandProcessor(engine)
-    for _ in range(12):
-        engine.insert(ObjectSignature(rng.random((2, 4)), [1.0, 1.0]))
-    server = serve_background(proc)
-    host, port = server.server_address
-    yield host, port, engine
-    server.shutdown()
-    server.server_close()
-    engine.close()
-
-
-class TestWorkerTelemetryOverWire:
-    def test_metrics_include_worker_series_after_pool_query(
-        self, served_parallel
-    ):
-        host, port, engine = served_parallel
-        with FerretClient(host, port) as client:
-            client.set_param("trace", "on")
-            client.query(0, top=5)
-            assert engine.parallel_info()["active"]
-            metrics = client.metrics()
-            assert int(metrics["parallel.scans"]) >= 1
-            assert int(metrics["parallel.arena_loads"]) >= 1
-            assert int(metrics["parallel.scan_seconds_count"]) >= 1
-            # ... and the same pool-enabled query traced per-worker spans.
-            trace = client.trace()
-            assert trace["note.scan"] == "parallel"
-            assert trace["note.backend"] == "thread"
-            assert "span.worker.0.seconds_seconds" in trace
-            assert "span.worker.1.seconds_seconds" in trace
-
-    def test_metrics_prefix_filter(self, served_parallel):
-        host, port, _ = served_parallel
-        with FerretClient(host, port) as client:
-            client.query(0, top=3)
-            filtered = client.metrics(prefix="parallel.")
-            assert filtered
-            assert all(k.startswith("parallel.") for k in filtered)
-            # the filter actually shrinks the payload
-            assert len(filtered) < len(client.metrics())
-
-    def test_stat_reports_thread_pool(self, served_parallel):
-        host, port, _ = served_parallel
-        with FerretClient(host, port) as client:
-            client.query(0, top=3)
-            stats = client.stat()
-        assert stats["parallel_active"] == "yes"
-        assert stats["parallel_backend_active"] == "thread"
-        assert stats["parallel_workers"] == "2"
 
 
 class TestPrometheusExposition:

@@ -205,11 +205,15 @@ class TestDegradation:
         assert not proc.health.degraded
 
     def test_removed_process_backend_answers_err(self, served):
+        # `setparam parallel` went with the scan pool: every form of it,
+        # backend=process included, answers ERR and changes nothing.
         host, port, _, engine = served
         before = engine.parallel_info()
         with FerretClient(host, port) as client:
-            with pytest.raises(ClientError, match="unknown parallel backend"):
+            with pytest.raises(ClientError, match="usage: setparam"):
                 client.send("setparam parallel backend=process")
+            with pytest.raises(ClientError, match="unknown parameter 'parallel'"):
+                client.send("setparam parallel on")
         assert engine.parallel_info() == before
 
 
