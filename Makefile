@@ -7,12 +7,15 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-# CI smoke: tier-1 plus the explicit filter equivalence gates: every
-# two-thread scan split test (split vs the whole scan and the
-# reference), and the perf-marked sketch multi-index tests vs the
+# CI smoke: tier-1 plus the explicit filter equivalence gates: the
+# Hamming kernel tests (compiled and numpy, tile edges, strides, two
+# threads, the loader's fall-back and refusals), every two-thread scan
+# split test (split vs the whole scan and the reference, on both
+# kernels), and the perf-marked sketch multi-index tests vs the
 # reference full scan (its stateful differential test, split on and
 # off), candidate sets identical.
 smoke: test
+	$(PYTHON) -m pytest -q -rs tests/core/test_scan_kernel.py tests/core/test_bitvector.py
 	$(PYTHON) -m pytest -q tests/core/test_parallel.py
 	$(PYTHON) -m pytest -q -m perf tests/core/test_sketch_index.py tests/core/test_perf_smoke.py
 

@@ -5,13 +5,25 @@ computed by XOR operations" (section 4.1.1).  We pack bits into
 ``uint64`` words and count differing bits with numpy's native popcount
 (``np.bitwise_count``, numpy >= 2.0) so that streaming over an entire
 sketch database (the filtering step) is a handful of numpy operations
-rather than a Python loop.
+rather than a Python loop.  The many-to-many scan runs on a small C
+kernel (``_hamming.c``) when one can be compiled on this host, and on
+the same per-word numpy loop otherwise; see :func:`hamming_many_to_many`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import shlex
+import stat
+import subprocess
+import sysconfig
+import tempfile
 import threading
-from typing import Union
+from pathlib import Path
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +34,7 @@ __all__ = [
     "hamming_to_many",
     "hamming_many_to_many",
     "popcount64",
+    "scan_kernel",
 ]
 
 _WORD_BITS = 64
@@ -100,35 +113,146 @@ def hamming_to_many(query: np.ndarray, database: np.ndarray) -> np.ndarray:
     return popcount64(xored).sum(axis=1, dtype=np.uint32)
 
 
-# Cap on the blocked working set of the many-to-many kernel: summed over
-# the per-word passes of one block, the XOR intermediates amount to
+# Cap on the blocked working set of the numpy loop: summed over the
+# per-word passes of one block, the XOR intermediates amount to
 # (n_queries, block_rows, n_words) uint64.  16 MiB keeps the per-word
-# slice cache-friendly while amortizing the per-block dispatch.
+# slice cache-friendly while amortizing the per-block dispatch.  The
+# compiled kernel tiles each block itself and has no intermediates.
 _BLOCK_BYTES = 16 << 20
 
-# Per-thread scratch for the blocked scan: the XOR intermediate and its
+# Per-thread scratch for the numpy loop: the XOR intermediate and its
 # per-word popcounts are reused across blocks (and across calls) rather
 # than allocated per word pass.  Thread-local because concurrent scans
-# (the thread pool's shards, query_many's ranking pool, the server's
+# (the scan split's two halves, query_many's ranking pool, the server's
 # connection threads) must not share buffers.
 _scratch = threading.local()
 
 
 def _scratch_views(n_queries: int, block_cols: int):
-    """``(xor, counts)`` reusable views; both hold garbage on return."""
+    """``(xor, counts)`` reusable ``(n_queries, block_cols)`` views; both
+    hold garbage on return.  Each is cut from one flat buffer sized to
+    the largest ``n_queries * block_cols`` this thread has seen, so a
+    scan of many query rows followed by one of a wide block keeps the
+    larger of the two, not their product."""
+    size = n_queries * block_cols
     xor = getattr(_scratch, "xor", None)
+    if xor is None or xor.size < size:
+        _scratch.xor = xor = np.empty(size, dtype=np.uint64)
+        _scratch.counts = np.empty(size, dtype=np.uint8)
+    shape = (n_queries, block_cols)
+    return xor[:size].reshape(shape), _scratch.counts[:size].reshape(shape)
+
+
+# ----------------------------------------------------------------------
+# Compiled kernel: built at import, cached per user, numpy loop otherwise
+# ----------------------------------------------------------------------
+_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+_ARGTYPES = (
+    ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t,
+    ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_ssize_t,
+)
+
+
+def _default_cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "repro"
+
+
+def _cpu_flags() -> bytes:
+    """The ``flags`` line of /proc/cpuinfo (empty where there is none)."""
+    try:
+        with open("/proc/cpuinfo", "rb") as info:
+            for line in info:
+                if line.startswith(b"flags"):
+                    return line
+    except OSError:
+        pass
+    return b""
+
+
+def _check_private(path: Path) -> None:
+    """Refuse a kernel that another user could have swapped: one not
+    owned by this user, or in a directory group or others can write."""
+    uid = os.getuid()
+    folder = os.stat(path.parent)
+    if folder.st_uid != uid or folder.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise PermissionError(f"{path.parent} is not private to uid {uid}")
+    info = os.lstat(path)
     if (
-        xor is None
-        or xor.shape[0] < n_queries
-        or xor.shape[1] < block_cols
+        info.st_uid != uid
+        or not stat.S_ISREG(info.st_mode)
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
     ):
-        rows = max(n_queries, 0 if xor is None else xor.shape[0])
-        cols = max(block_cols, 0 if xor is None else xor.shape[1])
-        _scratch.xor = xor = np.empty((rows, cols), dtype=np.uint64)
-        _scratch.counts = np.empty((rows, cols), dtype=np.uint8)
+        raise PermissionError(f"{path} is not a private file of uid {uid}")
+
+
+def _compile(argv: Sequence[str], source: bytes, path: Path) -> None:
+    """Compile ``source`` into a temp file beside ``path``, then rename it
+    into place, so processes that build at once never load half a file."""
+    fd, tmp = tempfile.mkstemp(prefix=".hamming-", suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*argv, "-x", "c", "-", "-o", tmp],
+            input=source, check=True, capture_output=True, timeout=120,
+        )
+        os.chmod(tmp, 0o700)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel(
+    compiler: Optional[Sequence[str]] = None, cache_dir: Optional[Path] = None
+) -> Optional[Callable]:
+    """The C ``hamming_block``, compiled on first use into a per-user
+    cache, or ``None`` where it cannot be built or loaded.
+
+    The file name hashes the source, the compiler argv, the machine and
+    the CPU flags, so ``-march=native`` code is only ever loaded on the
+    CPU it was built for.
+    """
+    if not compiler:
+        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    argv = [*compiler, *_CFLAGS]
+    directory = cache_dir or _default_cache_dir()
+    try:
+        source = (Path(__file__).parent / "_hamming.c").read_bytes()
+        key = hashlib.sha256(b"\0".join([
+            source, shlex.join(argv).encode(), platform.machine().encode(), _cpu_flags(),
+        ])).hexdigest()
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        path = directory / f"hamming-{key[:32]}.so"
+        if not path.exists():
+            _compile(argv, source, path)
+        _check_private(path)
+        kernel = ctypes.CDLL(str(path)).hamming_block
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = _ARGTYPES
+    kernel.restype = None
+    return kernel
+
+
+_KERNEL = _load_kernel()
+
+
+def scan_kernel() -> str:
+    """Which kernel :func:`hamming_many_to_many` runs: ``compiled`` or
+    ``numpy`` (no compiler, or the build or load failed)."""
+    return "numpy" if _KERNEL is None else "compiled"
+
+
+def _in_place(block: np.ndarray) -> bool:
+    # A word-major block whose word rows are contiguous and aligned: the
+    # kernel (and each numpy word pass) streams it without a copy.
     return (
-        xor[:n_queries, :block_cols],
-        _scratch.counts[:n_queries, :block_cols],
+        (block.shape[1] <= 1 or block.strides[1] == block.itemsize)
+        and block.strides[0] % block.itemsize == 0
+        and block.flags.aligned
     )
 
 
@@ -141,22 +265,20 @@ def hamming_many_to_many(
 
     ``queries`` is ``(n_queries, n_words)``; ``database`` is
     ``(n_rows, n_words)``.  Returns ``(n_queries, n_rows)`` ``uint32``.
-    The scan is blocked over database rows and accumulated one sketch
-    word at a time: each step XORs a ``(n_queries, block_rows)`` slice
-    and adds its popcount straight into the output block, so the largest
-    intermediate is 2-D regardless of word count and stays bounded
-    (about ``_BLOCK_BYTES`` across a block's word passes) no matter how
-    large the sketch database is; ``block_rows`` overrides the automatic
-    block size.  One fused pass replaces ``n_queries`` separate
-    :func:`hamming_to_many` scans, with the XOR working set kept small
-    enough to live in cache while every query visits a database block.
-
-    Each word pass streams one *word row* of the block, so the kernel
-    reads ``database`` word-major.  The segment store keeps its arena
-    in that layout and hands out the transposed
+    The scan is blocked over database rows; ``block_rows`` overrides the
+    automatic block size.  Each block is read word-major: the segment
+    store keeps its arena in that layout and hands out the transposed
     ``(n_rows, n_words)`` view, which is scanned in place; any other
-    array (row-major, every-other-row, ...) is copied word-major one
-    block at a time.  The result does not depend on the layout.
+    array (row-major, every-other-row, reversed, ...) is copied
+    word-major one block at a time.  The result does not depend on the
+    layout, the block size or the kernel.
+
+    Where the C kernel is loaded (see :func:`scan_kernel`) it scans each
+    block in tiles that every query row visits while they are in cache,
+    so the block is read once.  Otherwise each block is accumulated one
+    sketch word at a time: XOR a ``(n_queries, block_rows)`` slice and
+    add its popcount straight into the output block, so the largest
+    intermediate is 2-D and stays about ``_BLOCK_BYTES``.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint64))
     database = np.atleast_2d(np.asarray(database, dtype=np.uint64))
@@ -167,7 +289,10 @@ def hamming_many_to_many(
         )
     n_queries, n_words = queries.shape
     n_rows = database.shape[0]
-    # The first word pass overwrites its output block, so no zero-fill.
+    kernel = _KERNEL
+    if kernel is not None:
+        queries = np.ascontiguousarray(queries)
+    # Both kernels overwrite each output block, so no zero-fill.
     out = (np.empty if n_words else np.zeros)((n_queries, n_rows), dtype=np.uint32)
     if block_rows is None:
         block_rows = max(1, _BLOCK_BYTES // max(1, n_queries * n_words * 8))
@@ -175,11 +300,18 @@ def hamming_many_to_many(
         raise ValueError("block_rows must be positive")
     for start in range(0, n_rows, block_rows):
         block = database[start : start + block_rows].T
-        if block.shape[1] > 1 and block.strides[1] != block.itemsize:
+        if not _in_place(block):
             # Foreign layout: a strided word row would turn each pass
             # from streaming into gathering on wide sketches.
             block = np.ascontiguousarray(block)
         total = out[:, start : start + block.shape[1]]
+        if kernel is not None:
+            kernel(
+                block.ctypes.data, block.strides[0] // block.itemsize,
+                n_words, block.shape[1],
+                queries.ctypes.data, n_queries, total.ctypes.data, n_rows,
+            )
+            continue
         xored, counts = _scratch_views(n_queries, block.shape[1])
         for word in range(n_words):
             np.bitwise_xor(queries[:, word, None], block[word][None, :], out=xored)

@@ -59,24 +59,29 @@ _M_INDEX_FALLBACK_ROWS = _metrics.counter("filter.index_fallback_rows")
 # counts as a whole scan).  See docs/PERFORMANCE.md, "Multi-index filter".
 _INDEX_MAX_READ = 0.25
 
-# Full-scan split rule (see :func:`_scan_nearest`): arena rows x query
-# rows from which the scan runs as two halves on two threads.  Below it
-# the hand-off to the helper thread costs more than half a scan saves.
-# ``benchmarks/probe_scan_split.py`` (seed 11, 100 queries, 6 rounds) on
-# a 2-vCPU VM with numpy 2.4, median ms per scan:
+# Full-scan split rule (see :func:`_scan_nearest`): sketch words read
+# (arena rows x words per sketch) x query rows from which the scan runs
+# as two halves on two threads.  Below it the hand-off to the helper
+# thread costs more than half a scan saves.  Words, not rows, because a
+# scan's cost is per word: rows x query rows put shape's break-even
+# (13 words) and image's (4 words) 2.4x apart.
+# ``benchmarks/probe_scan_split.py --rounds 10`` (seed 11, 100 queries)
+# on a 2-vCPU VM with numpy 2.4 and the compiled kernel, median ms per
+# scan:
 #
-#   corpus  rows     query rows  serial  split  split/serial
-#   shape    25,000  1           0.76    1.33   1.75
-#   shape    50,000  1           1.33    1.21   0.91  (1.12 in another run)
-#   shape    75,000  1           1.95    1.54   0.79
-#   shape   100,000  1           2.71    1.72   0.63
-#   image    16,000  4           0.74    0.98   1.33
-#   image    32,000  4           1.47    1.32   0.90
-#   image    64,000  4           2.89    1.96   0.68
-#   image   129,067  4           5.48    3.27   0.60
+#   corpus  rows     query rows  words x q  serial  split  split/serial
+#   shape    25,000  1             325,000  0.30    0.47   1.55
+#   shape    50,000  1             650,000  0.53    0.60   1.13
+#   shape    75,000  1             975,000  0.69    0.68   0.98
+#   shape   100,000  1           1,300,000  0.97    0.80   0.82
+#   image    16,000  4             256,000  0.40    0.71   1.76
+#   image    32,000  4             512,000  0.71    0.84   1.18
+#   image    64,000  4           1,024,000  1.40    1.15   0.82
+#   image   129,067  4           2,065,072  2.55    1.85   0.73
 #
+# The numpy loop, where no kernel is compiled, uses the same constant.
 # The split needs two CPUs; the count is read once, at import.
-_SPLIT_MIN_WORK = 70_000
+_SPLIT_MIN_WORK = 800_000
 _SPLIT_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _SPLIT_EXECUTOR: Optional[ThreadPoolExecutor] = None
 _SPLIT_LOCK = threading.Lock()
@@ -1003,17 +1008,17 @@ def _scan_nearest(
     threshold, so with ``k`` at most the live row count they are never
     selected.
 
-    From :data:`_SPLIT_MIN_WORK` arena rows x query rows up, on a host
+    From :data:`_SPLIT_MIN_WORK` sketch words x query rows up, on a host
     with two or more CPUs, the arena is cut into two halves: the upper
     one is scanned on a helper thread while the calling thread scans the
-    lower one (the kernel's popcount releases the GIL), each keeping its
+    lower one (both kernels release the GIL), each keeping its
     own top-k.  The global top-k is in the union of the two (the order
     (distance, row) restricted to a half is that half's order), and the
     merge selects by global row, so ties at the k-th distance still go
     to the smallest row, exactly as one whole scan picks them.
     """
     n = sketch_matrix.shape[0]
-    if _SPLIT_CPUS < 2 or n * rows.shape[0] < _SPLIT_MIN_WORK:
+    if _SPLIT_CPUS < 2 or rows.size * n < _SPLIT_MIN_WORK:
         return _scan_part(rows, sketch_matrix, dead, k)
     mid = n // 2
     upper = _split_executor().submit(

@@ -100,6 +100,7 @@ from typing import Dict, List, Optional
 
 from ..attrsearch.index import InvertedIndex, MemoryIndex
 from ..attrsearch.query import AttributeSearcher, QueryError
+from ..core.bitvector import scan_kernel
 from ..core.engine import SearchMethod, SimilaritySearchEngine
 from ..core.filtering import FilterParams, get_threshold_fn
 from ..core.plugin import EXTRACTION_ERRORS
@@ -289,6 +290,7 @@ class CommandProcessor:
             f"compaction {'on' if arena['background'] else 'off'}",
             f"filter_index {'on' if arena['index_on'] else 'off'}",
             f"filter_index_rows {arena['index_rows']}",
+            f"scan_kernel {scan_kernel()}",
             f"cache_entries {cache['entries']}/{cache['capacity']}",
             f"cache_hits {cache['hits']}",
             f"cache_misses {cache['misses']}",

@@ -10,7 +10,10 @@ the k smallest distances with smallest-row-index-wins at the kth value,
 so the cut cannot change the result.  The ``split`` fixture forces the
 split on for any arena (as test_sketch_index.py forces the index on);
 ``host_split`` does so on a host of 1, 2 or 3 CPUs, where one CPU means
-one whole scan.
+one whole scan.  Every equivalence test runs on both Hamming kernels
+(tests/core/conftest.py): ``host_split`` ids ``1``-``3`` are the
+compiled kernel and ``numpy-1``-``numpy-3`` the numpy loop; the other
+tests loop over the kernels or draw one.
 """
 
 import threading
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import bitvector
 from repro.core import (
     FeatureMeta,
     FilterParams,
@@ -43,6 +47,7 @@ from repro.observability import metrics
 
 
 CPU_COUNTS = (1, 2, 3)
+KERNELS = ("numpy", "compiled")
 
 
 @contextmanager
@@ -71,13 +76,17 @@ def split():
         yield threads
 
 
-@pytest.fixture(params=CPU_COUNTS)
-def host_split(request):
-    """The split forced on, per CPU count; yields how many parts one scan
-    makes (one whole scan on one CPU, two halves on more) and the
-    threads that scanned them."""
-    with _split(cpus=request.param) as threads:
-        yield (1 if request.param < 2 else 2), threads
+@pytest.fixture(
+    params=[(k, c) for k in KERNELS[::-1] for c in CPU_COUNTS],
+    ids=lambda p: str(p[1]) if p[0] == "compiled" else f"{p[0]}-{p[1]}",
+)
+def host_split(request, use_kernel):
+    """The split forced on, per kernel and CPU count; yields how many
+    parts one scan makes (one whole scan on one CPU, two halves on more)
+    and the threads that scanned them."""
+    kernel, cpus = request.param
+    with use_kernel(kernel), _split(cpus=cpus) as threads:
+        yield (1 if cpus < 2 else 2), threads
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +152,9 @@ PARAMS_VARIANTS = [
     seed=st.integers(0, 10_000),
     num_objects=st.sampled_from([3, 17, 40]),
     variant=st.integers(0, len(PARAMS_VARIANTS) - 1),
+    kernel=st.sampled_from(KERNELS if bitvector._KERNEL is not None else ("numpy",)),
 )
-def test_pool_matches_reference_randomized(seed, num_objects, variant):
+def test_pool_matches_reference_randomized(use_kernel, seed, num_objects, variant, kernel):
     """Randomized equivalence on stores of a few rows to ~120."""
     params = PARAMS_VARIANTS[variant]
     sk, store, objects = _seeded_store(
@@ -152,9 +162,10 @@ def test_pool_matches_reference_randomized(seed, num_objects, variant):
     )
     queries = [objects[0], objects[num_objects // 2], objects[num_objects - 1]]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    serial = _serial_many(queries, sketches, store, params, sk.n_bits)
-    with _split() as threads:
-        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial
+    with use_kernel(kernel):
+        serial = _serial_many(queries, sketches, store, params, sk.n_bits)
+        with _split() as threads:
+            assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial
     assert "ferret-scan" in " ".join(threads)  # the upper half ran apart
     for q, qs, expect in zip(queries, sketches, serial):
         assert sketch_filter_reference(q, qs, store, params, sk.n_bits) == expect
@@ -242,15 +253,18 @@ def test_k_larger_than_shard_size(host_split):
         assert sketch_filter(q, qs, store, params, sk.n_bits) == expect
 
 
-def test_empty_shards_more_workers_than_rows(split):
+def test_empty_shards_more_workers_than_rows(split, use_kernel):
     """One row, two halves: the lower half is empty and must still
     answer (an empty top-k) for the merge."""
     sk, store, objects = _seeded_store(6, num_objects=1, segs=1)
     params = FilterParams(num_query_segments=1, candidates_per_segment=5)
     q = objects[0]
     qs = sk.sketch_many(q.features)
-    assert sketch_filter(q, qs, store, params, sk.n_bits) == {0}
-    assert len(split) == 2  # both halves scanned, the lower one empty
+    for kernel in KERNELS:
+        split.clear()
+        with use_kernel(kernel):
+            assert sketch_filter(q, qs, store, params, sk.n_bits) == {0}
+        assert len(split) == 2  # both halves scanned, the lower one empty
 
 
 def test_empty_store_and_all_tombstones(host_split):
@@ -371,7 +385,13 @@ def _answers(engine, qid):
     return [(r.object_id, r.distance) for r in engine.query_by_id(qid, top_k=5)]
 
 
-def test_engine_parallel_results_and_cache():
+def test_engine_parallel_results_and_cache(use_kernel):
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            _check_engine_results_and_cache()
+
+
+def _check_engine_results_and_cache():
     serial = _image_engine(cache_entries=0)
     par = _image_engine()
     with serial, par:
@@ -395,7 +415,7 @@ def test_engine_parallel_results_and_cache():
 
 
 @pytest.mark.perf
-def test_two_worker_smoke():
+def test_two_worker_smoke(use_kernel):
     """CI smoke: the two-thread split is candidate-set identical to the
     whole scan on a denser store (the `make smoke` gate)."""
     sk, store, objects = _seeded_store(
@@ -407,6 +427,12 @@ def test_two_worker_smoke():
     )
     queries = [objects[i] for i in (0, 25, 75, 149)]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    serial = _serial_many(queries, sketches, store, params, sk.n_bits)
-    with _split():
-        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial
+    want = [
+        sketch_filter_reference(q, qs, store, params, sk.n_bits)
+        for q, qs in zip(queries, sketches)
+    ]
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            assert _serial_many(queries, sketches, store, params, sk.n_bits) == want
+            with _split():
+                assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == want

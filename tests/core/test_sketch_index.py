@@ -8,7 +8,8 @@ removes (tombstones), and both compactions (row positions move).  The
 state machine keeps the index on (the on/off check is pinned separately
 at the engine level), so clustered sketches exercise certification,
 uniform ones the fall-back to the full scan, and duplicated ones ties;
-it runs the full scan whole or split across two threads.
+it runs the full scan whole or split across two threads, on the compiled
+Hamming kernel or the numpy loop (see tests/core/conftest.py).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core import bitvector
 from repro.core import (
     FilterParams,
     ObjectSignature,
@@ -74,22 +76,28 @@ class IndexMachine(RuleBasedStateMachine):
             for name in ("_INDEX_MAX_READ", "_SPLIT_MIN_WORK", "_SPLIT_CPUS")
         }
         filtering._INDEX_MAX_READ = math.inf
+        self._kernel = bitvector._KERNEL
 
     def teardown(self):
         for name, value in self._saved.items():
             setattr(filtering, name, value)
+        bitvector._KERNEL = self._kernel
 
     @initialize(
         n_bits=st.sampled_from([64, 96, 256, 800]),
         kind=st.sampled_from(["clustered", "uniform", "duplicated"]),
         split=st.booleans(),
+        compiled=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def setup(self, n_bits, kind, split, seed):
+    def setup(self, n_bits, kind, split, compiled, seed):
         # Full scans (the index's fall-back rows and the reference) run
-        # whole, or split across two threads whatever the arena's size.
+        # whole, or split across two threads whatever the arena's size,
+        # on either kernel.  A host with no compiled kernel runs numpy
+        # for both draws; test_scan_kernel.py's compiled half then skips.
         filtering._SPLIT_MIN_WORK = 0 if split else math.inf
         filtering._SPLIT_CPUS = 2
+        bitvector._KERNEL = self._kernel if compiled else None
         self.n_bits = n_bits
         self.kind = kind
         self.n_words = -(-n_bits // 64)
