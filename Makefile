@@ -8,12 +8,13 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # CI smoke: tier-1 plus the explicit filter equivalence gates: the
-# Hamming kernel tests (compiled and numpy, tile edges, strides, two
-# threads, the loader's fall-back and refusals), every two-thread scan
-# split test (split vs the whole scan and the reference, on both
-# kernels), and the perf-marked sketch multi-index tests vs the
-# reference full scan (its stateful differential test, split on and
-# off), candidate sets identical.
+# Hamming kernel tests first (compiled and numpy, tile edges, strides,
+# two threads, the fused top-k against select_k_smallest, the loader's
+# fall-back and refusals; -rs shows a compiled half skipped on a host
+# without a compiler), every full-scan test (both kernels vs the
+# reference, from one to three threads at once), and the perf-marked
+# sketch multi-index tests vs the reference full scan (its stateful
+# differential test, on both kernels), candidate sets identical.
 smoke: test
 	$(PYTHON) -m pytest -q -rs tests/core/test_scan_kernel.py tests/core/test_bitvector.py
 	$(PYTHON) -m pytest -q tests/core/test_parallel.py

@@ -8,6 +8,8 @@ sketch database (the filtering step) is a handful of numpy operations
 rather than a Python loop.  The many-to-many scan runs on a small C
 kernel (``_hamming.c``) when one can be compiled on this host, and on
 the same per-word numpy loop otherwise; see :func:`hamming_many_to_many`.
+The same kernel keeps the filter's per-row top-k without building a
+distance row (:func:`hamming_topk`); it has no numpy twin here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sysconfig
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +35,10 @@ __all__ = [
     "hamming_distance",
     "hamming_to_many",
     "hamming_many_to_many",
+    "hamming_topk",
     "popcount64",
     "scan_kernel",
+    "topk_in_place",
 ]
 
 _WORD_BITS = 64
@@ -44,8 +48,7 @@ def popcount64(words: np.ndarray) -> np.ndarray:
     """Per-element popcount of a ``uint64`` array (any shape).
 
     ``np.bitwise_count`` (numpy >= 2.0) maps to the hardware popcount
-    instruction and releases the GIL, which is what lets the two halves
-    of a split filter scan overlap.
+    instruction and releases the GIL, so concurrent scans overlap.
     """
     return np.bitwise_count(np.asarray(words, dtype=np.uint64)).astype(np.uint32)
 
@@ -123,8 +126,8 @@ _BLOCK_BYTES = 16 << 20
 # Per-thread scratch for the numpy loop: the XOR intermediate and its
 # per-word popcounts are reused across blocks (and across calls) rather
 # than allocated per word pass.  Thread-local because concurrent scans
-# (the scan split's two halves, query_many's ranking pool, the server's
-# connection threads) must not share buffers.
+# (query_many's ranking pool, the server's connection threads) must not
+# share buffers.
 _scratch = threading.local()
 
 
@@ -147,10 +150,18 @@ def _scratch_views(n_queries: int, block_cols: int):
 # Compiled kernel: built at import, cached per user, numpy loop otherwise
 # ----------------------------------------------------------------------
 _CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
-_ARGTYPES = (
-    ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t,
-    ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_ssize_t,
-)
+_P, _N = ctypes.c_void_p, ctypes.c_ssize_t
+_SIGNATURES = {  # symbol: argtypes
+    "hamming_block": (_P, _N, _N, _N, _P, _N, _P, _N),
+    "hamming_topk": (_P, _N, _N, _N, _P, _P, _N, _N, _P, _P, _P),
+}
+
+
+class _Kernel(NamedTuple):
+    """The two entry points of one loaded ``_hamming.c``."""
+
+    block: Callable
+    topk: Callable
 
 
 def _default_cache_dir() -> Path:
@@ -207,9 +218,10 @@ def _compile(argv: Sequence[str], source: bytes, path: Path) -> None:
 
 def _load_kernel(
     compiler: Optional[Sequence[str]] = None, cache_dir: Optional[Path] = None
-) -> Optional[Callable]:
-    """The C ``hamming_block``, compiled on first use into a per-user
-    cache, or ``None`` where it cannot be built or loaded.
+) -> Optional[_Kernel]:
+    """The C ``hamming_block`` and ``hamming_topk``, compiled on first use
+    into a per-user cache, or ``None`` where they cannot be built or
+    loaded.  Both come from one file or neither is used.
 
     The file name hashes the source, the compiler argv, the machine and
     the CPU flags, so ``-march=native`` code is only ever loaded on the
@@ -229,12 +241,14 @@ def _load_kernel(
         if not path.exists():
             _compile(argv, source, path)
         _check_private(path)
-        kernel = ctypes.CDLL(str(path)).hamming_block
-    except (OSError, subprocess.SubprocessError):
+        library = ctypes.CDLL(str(path))
+        functions = [getattr(library, name) for name in _SIGNATURES]
+    except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    kernel.argtypes = _ARGTYPES
-    kernel.restype = None
-    return kernel
+    for function, argtypes in zip(functions, _SIGNATURES.values()):
+        function.argtypes = argtypes
+        function.restype = None
+    return _Kernel(*functions)
 
 
 _KERNEL = _load_kernel()
@@ -306,7 +320,7 @@ def hamming_many_to_many(
             block = np.ascontiguousarray(block)
         total = out[:, start : start + block.shape[1]]
         if kernel is not None:
-            kernel(
+            kernel.block(
                 block.ctypes.data, block.strides[0] // block.itemsize,
                 n_words, block.shape[1],
                 queries.ctypes.data, n_queries, total.ctypes.data, n_rows,
@@ -321,3 +335,64 @@ def hamming_many_to_many(
                 np.bitwise_count(xored, out=counts)
                 np.add(total, counts, out=total)
     return out
+
+
+def topk_in_place(database: np.ndarray) -> bool:
+    """Whether :func:`hamming_topk` can scan ``database``: the compiled
+    kernel is loaded and ``database`` is the ``(n_rows, n_words)`` view of
+    a word-major ``uint64`` arena (what ``SegmentStore`` hands out)."""
+    return (
+        _KERNEL is not None
+        and database.ndim == 2
+        and database.dtype == np.uint64
+        and _in_place(database.T)
+    )
+
+
+def hamming_topk(
+    queries: np.ndarray,
+    database: np.ndarray,
+    k: int,
+    dead: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per query row, the ``k`` nearest live database rows in one compiled
+    pass: ``(rows int64, dists uint32)``, each ``(n_queries, k)``.
+
+    ``dead`` is a boolean mask of tombstoned rows (``None``: every row is
+    live); a dead row is never selected.  Ties at the k-th distance go to
+    the smallest rows, the rule of ``filtering.select_k_smallest``; the
+    order within a query row is unspecified.  No distance row is built.
+    Only the compiled kernel has this pass: call it where
+    :func:`topk_in_place` holds.  ``k`` above the live row count is a
+    ``ValueError``.
+    """
+    kernel = _KERNEL
+    if kernel is None or not topk_in_place(database):
+        raise ValueError("hamming_topk needs the compiled kernel and a word-major arena")
+    queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.uint64)
+    n_queries, n_words = queries.shape
+    words = database.T
+    if words.shape[0] != n_words:
+        raise ValueError(
+            f"word-length mismatch: queries {n_words} vs database {words.shape[0]}"
+        )
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    rows = np.empty((n_queries, k), dtype=np.int64)
+    dists = np.empty((n_queries, k), dtype=np.uint32)
+    if k == 0 or n_queries == 0:
+        return rows, dists
+    if dead is not None:
+        dead = np.ascontiguousarray(dead, dtype=np.bool_).view(np.uint8)
+        if dead.shape != (words.shape[1],):
+            raise ValueError("dead must hold one flag per database row")
+    fill = ctypes.c_ssize_t(0)
+    kernel.topk(
+        words.ctypes.data, words.strides[0] // words.itemsize,
+        n_words, words.shape[1], None if dead is None else dead.ctypes.data,
+        queries.ctypes.data, n_queries, k,
+        rows.ctypes.data, dists.ctypes.data, ctypes.byref(fill),
+    )
+    if fill.value < k:
+        raise ValueError(f"k = {k} exceeds the {fill.value} live rows")
+    return rows, dists

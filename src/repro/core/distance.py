@@ -17,6 +17,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 __all__ = [
+    "FirstSegmentL1",
     "chi_square_distance",
     "histogram_intersection_distance",
     "lp_distance",
@@ -160,6 +161,20 @@ def l1_to_many(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """l1 distances from ``query`` to every row of ``matrix``."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     return np.abs(matrix - np.asarray(query, dtype=np.float64)).sum(axis=1)
+
+
+class FirstSegmentL1:
+    """Object distance of a single-segment data type: l1 between the
+    objects' first feature vectors.
+
+    A class rather than a closure so the ranking unit can recognize it
+    and rank every candidate with one :func:`l1_to_many`
+    (``ranking.rank_candidates_many``); called pair by pair it is
+    :func:`l1_distance`, and the stacked pass returns the same floats.
+    """
+
+    def __call__(self, a, b) -> float:
+        return l1_distance(a.features[0], b.features[0])
 
 
 def l2_to_many(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -151,8 +151,7 @@ class SimilaritySearchEngine:
     parallel:
         Scan-side knobs (:class:`~repro.core.parallel.ParallelConfig`):
         the query-result cache capacity.  ``None`` means the default.
-        The scan needs no knob: it splits large arenas across two
-        threads on its own (``repro.core.filtering._scan_nearest``).
+        The scan needs no knob (``repro.core.filtering._scan_nearest``).
     rank_params:
         Ranking-cascade knobs (:class:`~repro.core.ranking.RankParams`);
         defaults enable batched cost matrices and lower-bound pruning.
@@ -736,7 +735,7 @@ class SimilaritySearchEngine:
         For ``FILTERING`` the sketch scans of *all* queries are fused:
         every query's top-``r`` segment sketches are stacked into one
         matrix and the whole segment store is streamed through
-        :func:`~repro.core.bitvector.hamming_many_to_many` exactly once,
+        the filter's full scan exactly once,
         so the per-query scan cost is amortized across the batch (the
         database passes through the cache once instead of once per
         query).  Candidates are then ranked one query after another

@@ -17,17 +17,20 @@ the candidate sets are the full scan's.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..observability import metrics as _metrics
-from .bitvector import hamming_many_to_many, hamming_to_many
+from .bitvector import (
+    hamming_many_to_many,
+    hamming_to_many,
+    hamming_topk,
+    topk_in_place,
+)
 from .types import ObjectSignature
 
 __all__ = [
@@ -58,34 +61,6 @@ _M_INDEX_FALLBACK_ROWS = _metrics.counter("filter.index_fallback_rows")
 # share of the live arena per query row (a row the index cannot certify
 # counts as a whole scan).  See docs/PERFORMANCE.md, "Multi-index filter".
 _INDEX_MAX_READ = 0.25
-
-# Full-scan split rule (see :func:`_scan_nearest`): sketch words read
-# (arena rows x words per sketch) x query rows from which the scan runs
-# as two halves on two threads.  Below it the hand-off to the helper
-# thread costs more than half a scan saves.  Words, not rows, because a
-# scan's cost is per word: rows x query rows put shape's break-even
-# (13 words) and image's (4 words) 2.4x apart.
-# ``benchmarks/probe_scan_split.py --rounds 10`` (seed 11, 100 queries)
-# on a 2-vCPU VM with numpy 2.4 and the compiled kernel, median ms per
-# scan:
-#
-#   corpus  rows     query rows  words x q  serial  split  split/serial
-#   shape    25,000  1             325,000  0.30    0.47   1.55
-#   shape    50,000  1             650,000  0.53    0.60   1.13
-#   shape    75,000  1             975,000  0.69    0.68   0.98
-#   shape   100,000  1           1,300,000  0.97    0.80   0.82
-#   image    16,000  4             256,000  0.40    0.71   1.76
-#   image    32,000  4             512,000  0.71    0.84   1.18
-#   image    64,000  4           1,024,000  1.40    1.15   0.82
-#   image   129,067  4           2,065,072  2.55    1.85   0.73
-#
-# The numpy loop, where no kernel is compiled, uses the same constant.
-# The split needs two CPUs; the count is read once, at import.
-_SPLIT_MIN_WORK = 800_000
-_SPLIT_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_SPLIT_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_SPLIT_LOCK = threading.Lock()
-
 
 def default_threshold_fn(weight: float) -> float:
     """Default multiplier for the per-segment distance threshold.
@@ -736,12 +711,12 @@ def select_k_smallest(
     order (``ids`` defaults to the column index), so the *set* selected
     per row is fully determined by the data — unlike a bare
     ``argpartition``, whose introselect breaks boundary ties arbitrarily.
-    Every filter path (serial, fused batch, split scan, index, reference)
-    selects through this rule, which is what keeps their candidate sets
-    identical even when distances tie exactly at the k-NN cutoff; the
-    split scan additionally relies on it to merge its two halves' top-k
-    lists without re-scanning (``ids`` carries the global row numbers
-    there).
+    Every filter path (serial, fused batch, index, reference) selects by
+    this rule, and the compiled top-k pass
+    (:func:`~repro.core.bitvector.hamming_topk`) keeps the same one,
+    which is what keeps their candidate sets identical even when
+    distances tie exactly at the k-NN cutoff.  The coordinator's merge
+    passes ``ids`` (the object ids of its columns).
 
     Returns an ``(n_rows, min(k, n_cols))`` int64 array; the order of the
     returned columns is unspecified, only the per-row set is defined.
@@ -755,8 +730,7 @@ def select_k_smallest(
         return np.broadcast_to(np.arange(total, dtype=np.int64), dists.shape)
     if k == 0:
         return np.empty((n_rows, 0), dtype=np.int64)
-    # (total,) shared across rows, or (n_rows, total) per-row ids — the
-    # split scan's merge passes per-row global row numbers.
+    # (total,) shared across rows, or (n_rows, total) per-row ids.
     id_mat = None if ids is None else np.atleast_2d(np.asarray(ids))
     out = np.empty((n_rows, k), dtype=np.int64)
     for r in range(n_rows):
@@ -794,21 +768,19 @@ def sketch_filter(
     ``query_sketches`` is the packed ``(k, n_words)`` sketch matrix of the
     query's segments (same row order as ``query.features``).
 
-    All ``r`` top query segments are scanned in one batched pass
-    (:func:`~repro.core.bitvector.hamming_many_to_many`) and the
-    k-NN + threshold + owner-dedup selection runs vectorized across
-    segments.  Tombstoned rows (owner -1) are masked to the dtype's
-    maximum *before* the k-NN selection so dead segments never occupy
-    candidate slots.  Hamming distances stay in the kernel's ``uint32``
-    — argpartition's introselect is comparison-driven, so it picks the
-    same indices as on a float64 copy while touching half the memory.
+    All ``r`` top query segments are scanned in one pass
+    (:func:`_scan_nearest`: the compiled top-k pass, or the numpy
+    distance matrix and select) and the threshold + owner-dedup
+    selection runs vectorized across segments.  Tombstoned rows (owner
+    -1) never occupy candidate slots.
     :func:`sketch_filter_reference` is the per-segment implementation
     this must stay candidate-set-identical to.  It never reads the
     sketch index, so it is an oracle for :func:`sketch_filter_many`.
     """
     owners, sketch_matrix = store.snapshot()
-    dead = owners < 0
-    n_alive = owners.shape[0] - int(dead.sum())
+    # One cheap pass decides whether the tombstone mask is needed at all.
+    dead = owners < 0 if owners.size and owners.min() < 0 else None
+    n_alive = owners.shape[0] - (0 if dead is None else np.count_nonzero(dead))
     if n_alive == 0:
         return set()
     top = query.top_segments(params.num_query_segments)
@@ -911,9 +883,8 @@ def sketch_filter_many(
     ``(sum_of_r, n_words)`` matrix.  Where the store's sketch index is on,
     the stacked rows go through it (:func:`_index_nearest`) and only the
     rows it cannot certify are scanned in full; elsewhere the segment
-    store is streamed through
-    :func:`~repro.core.bitvector.hamming_many_to_many` once for the
-    entire batch.  The k-NN selection and thresholding run batched over
+    store is streamed through :func:`_scan_nearest` once for the entire
+    batch.  The k-NN selection and thresholding run batched over
     all rows.  Returns one candidate set per query, identical to calling
     :func:`sketch_filter` per query on the same store snapshot.
     """
@@ -929,8 +900,9 @@ def sketch_filter_many(
         queries, query_sketches_list, params, n_bits
     )
     k = min(params.candidates_per_segment, n_alive)
+    dead = owners < 0 if n_alive < owners.shape[0] else None
     if index is None:
-        nearest, near = _scan_nearest(stacked, sketch_matrix, owners < 0, k)
+        nearest, near = _scan_nearest(stacked, sketch_matrix, dead, k)
     else:
         nearest, near, rest, _ = _index_nearest(
             index, sketch_matrix.T, owners, stacked, k
@@ -938,7 +910,7 @@ def sketch_filter_many(
         if rest.size:
             _M_INDEX_FALLBACK_ROWS.inc(int(rest.size))
             nearest[rest], near[rest] = _scan_nearest(
-                stacked[rest], sketch_matrix, owners < 0, k
+                stacked[rest], sketch_matrix, dead, k
             )
     results: List[Set[int]] = []
     offset = 0
@@ -978,58 +950,37 @@ def _dead_sentinel(dtype: np.dtype):
     return np.iinfo(dtype).max
 
 
-def _split_executor() -> ThreadPoolExecutor:
-    """The scan split's thread pool, created by the first split."""
-    global _SPLIT_EXECUTOR
-    with _SPLIT_LOCK:
-        if _SPLIT_EXECUTOR is None:
-            _SPLIT_EXECUTOR = ThreadPoolExecutor(2, thread_name_prefix="ferret-scan")
-        return _SPLIT_EXECUTOR
-
-
-def _scan_part(
-    rows: np.ndarray, sketch_matrix: np.ndarray, dead: np.ndarray, k: int
+def _scan_matrix(
+    rows: np.ndarray, sketch_matrix: np.ndarray, dead: Optional[np.ndarray], k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    # One contiguous run of arena rows: its top-k (or all its rows, if
-    # it has fewer) per query row, with run-local row numbers.
+    # The numpy-side scan: a whole distance matrix, tombstones masked,
+    # then the deterministic top-k select.
     dists = hamming_many_to_many(rows, sketch_matrix)
-    if dead.any():
+    if dead is not None and dead.any():
         dists[:, dead] = _dead_sentinel(dists.dtype)
     nearest = select_k_smallest(dists, min(k, dists.shape[1]))
     return nearest, np.take_along_axis(dists, nearest, axis=1)
 
 
 def _scan_nearest(
-    rows: np.ndarray, sketch_matrix: np.ndarray, dead: np.ndarray, k: int
+    rows: np.ndarray, sketch_matrix: np.ndarray, dead: Optional[np.ndarray], k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full-scan k-NN: per query row, the selected arena rows and their
-    distances.  Tombstoned rows are masked to the distance dtype's
-    maximum, which sorts after every real distance and fails every
-    threshold, so with ``k`` at most the live row count they are never
-    selected.
+    distances.  ``dead`` masks tombstoned rows (``None``: there are
+    none); ``k`` is at most the live row count, so a tombstoned row is
+    never selected.
 
-    From :data:`_SPLIT_MIN_WORK` sketch words x query rows up, on a host
-    with two or more CPUs, the arena is cut into two halves: the upper
-    one is scanned on a helper thread while the calling thread scans the
-    lower one (both kernels release the GIL), each keeping its
-    own top-k.  The global top-k is in the union of the two (the order
-    (distance, row) restricted to a half is that half's order), and the
-    merge selects by global row, so ties at the k-th distance still go
-    to the smallest row, exactly as one whole scan picks them.
+    Where the compiled kernel is loaded and the arena is word-major in
+    place (see :func:`~repro.core.bitvector.topk_in_place`), one
+    :func:`~repro.core.bitvector.hamming_topk` call keeps each row's
+    top-k as it scans, and no distance row is built.  Otherwise the
+    distance matrix is built with tombstones masked to the dtype's
+    maximum and selected from.  Both pick ties at the k-th distance by
+    smallest row, so they select the same rows.
     """
-    n = sketch_matrix.shape[0]
-    if _SPLIT_CPUS < 2 or rows.size * n < _SPLIT_MIN_WORK:
-        return _scan_part(rows, sketch_matrix, dead, k)
-    mid = n // 2
-    upper = _split_executor().submit(
-        _scan_part, rows, sketch_matrix[mid:], dead[mid:], k
-    )
-    lo_rows, lo_dists = _scan_part(rows, sketch_matrix[:mid], dead[:mid], k)
-    hi_rows, hi_dists = upper.result()
-    cand = np.concatenate([lo_rows, hi_rows + mid], axis=1)
-    dists = np.concatenate([lo_dists, hi_dists], axis=1)
-    sel = select_k_smallest(dists, k, ids=cand)
-    return np.take_along_axis(cand, sel, axis=1), np.take_along_axis(dists, sel, axis=1)
+    if topk_in_place(sketch_matrix):
+        return hamming_topk(rows, sketch_matrix, k, dead)
+    return _scan_matrix(rows, sketch_matrix, dead, k)
 
 
 def _candidate_owners(

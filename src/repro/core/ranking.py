@@ -36,6 +36,7 @@ from typing import (
 
 import numpy as np
 
+from .distance import FirstSegmentL1, l1_to_many
 from .emd import (
     EMDDistance,
     emd_lower_bounds_centroid,
@@ -208,6 +209,21 @@ def _resolve_candidates(
     return ids, sigs
 
 
+def _rank_first_segment_l1(
+    query: ObjectSignature,
+    ids: List[int],
+    sigs: List[ObjectSignature],
+    top_k: Optional[int],
+) -> List[SearchResult]:
+    if not ids or (top_k is not None and top_k <= 0):
+        return []
+    dists = l1_to_many(
+        query.features[0], np.concatenate([c.features[:1] for c in sigs])
+    )
+    order = np.lexsort((ids, dists))[:top_k]
+    return [SearchResult(float(dists[i]), ids[i]) for i in order.tolist()]
+
+
 def rank_candidates_many(
     query: ObjectSignature,
     candidate_ids: Iterable[int],
@@ -228,13 +244,25 @@ def rank_candidates_many(
     k-th distance — pruning on a *strict* comparison so distance ties
     resolve exactly as the serial path resolves them.
 
+    When it is a :class:`~repro.core.distance.FirstSegmentL1`, every
+    candidate's distance comes from one stacked
+    :func:`~repro.core.distance.l1_to_many` and one ``(distance,
+    object_id)`` sort, the same floats and order as one call per pair.
+
     Falls back to :func:`rank_candidates` (stats still populated) when
-    the cascade is disabled, the distance is not EMD, or ``top_k`` does
+    the cascade is disabled, the distance is neither, or ``top_k`` does
     not actually cut the candidate list.
     """
     params = params or RankParams()
     ids, sigs = _resolve_candidates(query, candidate_ids, objects, exclude_self)
     stats = RankStats(considered=len(ids))
+
+    if isinstance(obj_distance, FirstSegmentL1):
+        started = time.perf_counter()
+        results = _rank_first_segment_l1(query, ids, sigs, top_k)
+        stats.exact_evals = len(ids)
+        stats.solve_seconds = time.perf_counter() - started
+        return results, stats
 
     use_cascade = (
         params.cascade

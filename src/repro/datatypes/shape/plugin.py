@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...core.distance import l1_distance, l2_to_many
+from ...core.distance import FirstSegmentL1, l1_distance, l2_to_many
 from ...core.plugin import DataTypePlugin
 from ...core.ranking import SearchResult
 from ...core.types import Dataset, FeatureMeta, ObjectSignature
@@ -71,15 +71,11 @@ def make_shape_plugin(meta: Optional[FeatureMeta] = None) -> DataTypePlugin:
     :func:`repro.core.types.meta_from_dataset`) for sketching to work
     well: SHD energies occupy a narrow band of the static bounds.
     """
-
-    def obj_distance(a: ObjectSignature, b: ObjectSignature) -> float:
-        return l1_distance(a.features[0], b.features[0])
-
     return DataTypePlugin(
         name="shape",
         meta=meta if meta is not None else shape_feature_meta(),
         seg_distance=l1_distance,
-        obj_distance=obj_distance,
+        obj_distance=FirstSegmentL1(),
     )
 
 

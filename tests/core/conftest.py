@@ -1,4 +1,4 @@
-"""The scan-kernel switch shared by the Hamming, split and index tests.
+"""The scan-kernel switch shared by the Hamming, full-scan and index tests.
 
 ``hamming_many_to_many`` runs the C kernel that ``bitvector`` loaded at
 import, or the numpy loop when ``bitvector._KERNEL`` is ``None``.  Tests

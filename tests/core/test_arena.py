@@ -18,7 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ArenaCompactor, SegmentStore, filtering
+from repro.core import (
+    ArenaCompactor,
+    FilterParams,
+    ObjectSignature,
+    SegmentStore,
+    filtering,
+    sketch_filter,
+    sketch_filter_reference,
+)
+from repro.observability import metrics as _metrics
 
 
 def _store(n_objects=0, segs=3, n_words=2, seed=0):
@@ -216,6 +225,50 @@ class TestMaintenanceCompaction:
         assert not compactor.running
         # Detached again: inline threshold compaction is restored.
         assert store._compactor is None
+
+
+    def test_compactor_absorbs_a_failed_pass(self):
+        """A pass that raises is counted in
+        ``errors_absorbed.arena_compactor`` and the thread keeps running;
+        the next pass compacts, and the filter answers what the reference
+        answers throughout."""
+        store, rng = _store(60, segs=1)
+        real, calls = store.maintenance_compact, []
+
+        def fail_once():
+            calls.append(True)
+            if len(calls) == 1:
+                raise RuntimeError("injected compaction failure")
+            return real()
+
+        registry = _metrics.get_registry()
+        before = registry.value("errors_absorbed.arena_compactor")
+        query = ObjectSignature(np.zeros((2, 1)), [1.0, 0.5])
+        rows = rng.integers(0, 2**63, size=(2, 2), dtype=np.uint64)
+        params = FilterParams(num_query_segments=2, candidates_per_segment=5)
+
+        def answers_match():
+            assert sketch_filter(query, rows, store, params, 128) == (
+                sketch_filter_reference(query, rows, store, params, 128)
+            )
+
+        compactor = ArenaCompactor(store, dead_fraction=0.05, interval=0.01)
+        with mock.patch.object(store, "maintenance_compact", fail_once):
+            compactor.start()
+            try:
+                for oid in range(0, 60, 3):
+                    store.remove_object(oid)
+                for _ in range(500):
+                    answers_match()
+                    if len(calls) >= 2 and not store.arena_info()["dead_rows"]:
+                        break
+                    threading.Event().wait(0.01)
+                assert registry.value("errors_absorbed.arena_compactor") == before + 1
+                assert compactor.running
+                assert store.arena_info()["dead_rows"] == 0
+                answers_match()
+            finally:
+                compactor.stop()
 
 
 class _NoCompactor:

@@ -239,7 +239,7 @@ class TestHammingManyToMany:
     ):
         """Same uint32 matrix whatever memory layout the rows arrive in:
         row-major, the row view of a word-major arena, a column slice of
-        a larger word-major arena (a split half), every other row; on
+        a larger word-major arena, every other row; on
         either kernel."""
         rng = np.random.default_rng(seed)
         queries = rng.integers(0, 2**64, (n_queries, n_words), dtype=np.uint64)

@@ -1,14 +1,16 @@
-"""Churn equivalence: whole scan == two-thread split, bit for bit.
+"""Churn equivalence: numpy scan == compiled top-k pass, bit for bit.
 
-After any interleaving of insert / remove / compact, an engine whose
-scans split the arena across two threads answers queries identically to
-one that scans it whole, and a cached answer never outlives the
-mutation that changed it.  Hypothesis drives the interleavings.
+After any interleaving of insert / remove / compact, an engine queried
+on the calling thread with the numpy scan answers identically to one
+queried from another thread with the compiled kernel's top-k pass (the
+numpy loop on a host without a compiler), and a cached answer never
+outlives the mutation that changed it.  Hypothesis drives the
+interleavings.
 """
 
 from __future__ import annotations
 
-from unittest import mock
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from repro.core import (
     ParallelConfig,
     SimilaritySearchEngine,
     SketchParams,
-    filtering,
+    bitvector,
 )
 
 DIM = 6
@@ -41,15 +43,25 @@ def _signature(rng, segs):
     return ObjectSignature(rng.random((segs, DIM)), rng.random(segs) + 0.1)
 
 
-def _results(engine, probes, split=False):
-    # ``split`` forces the two-thread scan on for any arena and host.
-    with mock.patch.multiple(
-        filtering, _SPLIT_MIN_WORK=0 if split else float("inf"), _SPLIT_CPUS=2
-    ):
-        return [
-            [(r.object_id, r.distance) for r in engine.query(sig, top_k=5)]
-            for sig in probes
-        ]
+def _answers(engine, probes):
+    return [
+        [(r.object_id, r.distance) for r in engine.query(sig, top_k=5)]
+        for sig in probes
+    ]
+
+
+def _results(engine, probes, thread=False):
+    """The engine's answers: on the calling thread with the numpy scan,
+    or (``thread``) from a helper thread with the loaded kernel."""
+    if thread:
+        with ThreadPoolExecutor(1) as helper:
+            return helper.submit(_answers, engine, probes).result()
+    saved = bitvector._KERNEL
+    bitvector._KERNEL = None
+    try:
+        return _answers(engine, probes)
+    finally:
+        bitvector._KERNEL = saved
 
 
 def _apply(engines, op, rng_seed, next_id):
@@ -97,8 +109,8 @@ class TestChurnInterleavings:
     )
     @given(ops=st.lists(_OP, min_size=1, max_size=12), seed=st.integers(0, 2**16))
     def test_serial_and_thread_stay_bit_identical(self, ops, seed):
-        """The whole scan (serial) against the split (its upper half on
-        a helper thread), each engine reading its own arena in place."""
+        """The numpy scan (serial) against the loaded kernel on a helper
+        thread, each engine reading its own arena in place."""
         serial = _make_engine()
         threaded = _make_engine()
         try:
@@ -108,13 +120,13 @@ class TestChurnInterleavings:
             for _ in range(4):
                 next_id = _apply(engines, ("insert", 3), seed + next_id, next_id)
             probes = [_signature(rng, 3) for _ in range(2)]
-            assert _results(serial, probes) == _results(threaded, probes, split=True)
+            assert _results(serial, probes) == _results(threaded, probes, thread=True)
             for i, op in enumerate(ops):
                 next_id = _apply(engines, op, seed + 1000 + i, next_id)
                 # Query after *every* op: a mutation is visible to the
                 # next scan with no refresh step.
                 assert _results(serial, probes) == _results(
-                    threaded, probes, split=True
+                    threaded, probes, thread=True
                 )
         finally:
             serial.close()
@@ -130,8 +142,8 @@ class TestCacheEpochInvalidation:
             for _ in range(6):
                 next_id = _apply([engine], ("insert", 3), 9 + next_id, next_id)
             probe = _signature(rng, 3)
-            first = _results(engine, [probe], split=True)
-            again = _results(engine, [probe], split=True)
+            first = _results(engine, [probe], thread=True)
+            again = _results(engine, [probe], thread=True)
             assert first == again  # cache hit path
             # Mutations bump the epoch: the cache must not serve results
             # from before the insert/remove.
@@ -147,7 +159,7 @@ class TestCacheEpochInvalidation:
                             object_id=oid,
                         )
                     )
-                assert _results(engine, [probe], split=True) == _results(fresh, [probe])
+                assert _results(engine, [probe], thread=True) == _results(fresh, [probe])
             finally:
                 fresh.close()
         finally:

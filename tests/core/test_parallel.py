@@ -1,19 +1,17 @@
-"""Filter scan split: two halves on two threads, one answer.
+"""Filter full scan: the compiled top-k pass, the numpy scan, one answer.
 
-``_scan_nearest`` cuts a large arena into two halves, scans the upper
-one on a helper thread and the lower one on the calling thread, and
-merges the two top-k lists by global row.  The split must be
-*candidate-set identical* to the whole scan (`sketch_filter_many` with
-the split off) and to the per-segment `sketch_filter_reference`.
-Determinism under ties is what makes that possible: every path selects
-the k smallest distances with smallest-row-index-wins at the kth value,
-so the cut cannot change the result.  The ``split`` fixture forces the
-split on for any arena (as test_sketch_index.py forces the index on);
-``host_split`` does so on a host of 1, 2 or 3 CPUs, where one CPU means
-one whole scan.  Every equivalence test runs on both Hamming kernels
-(tests/core/conftest.py): ``host_split`` ids ``1``-``3`` are the
-compiled kernel and ``numpy-1``-``numpy-3`` the numpy loop; the other
-tests loop over the kernels or draw one.
+``_scan_nearest`` keeps each query row's top-k inside the compiled
+kernel (``bitvector.hamming_topk``) where one is loaded, and builds the
+numpy distance matrix and selects from it where none is.  Both must be
+*candidate-set identical* to the per-segment `sketch_filter_reference`,
+which is numpy only and shares no code with the C kernel.  Determinism
+under ties is what makes that possible: every path selects the k
+smallest distances with smallest-row-index-wins at the kth value.  The
+``host_split`` fixture runs a check on one kernel from 1, 2 or 3 threads
+at once (the kernel runs outside the GIL, so concurrent scans overlap)
+and records which scan served: ids ``1``-``3`` are the compiled kernel
+and ``numpy-1``-``numpy-3`` the numpy loop; the other tests loop over
+the kernels or draw one.
 """
 
 import threading
@@ -46,47 +44,69 @@ from repro.core import (
 from repro.observability import metrics
 
 
-CPU_COUNTS = (1, 2, 3)
+CALLERS = (1, 2, 3)
 KERNELS = ("numpy", "compiled")
 
 
 @contextmanager
-def _split(on=True, cpus=2):
-    """Force the split on (or off) for every arena, on a host of ``cpus``
-    CPUs; yields the names of the threads that scanned a part."""
-    threads = []
-    scan_part = filtering._scan_part
+def _served():
+    """Yields the names of the scans that served full scans, in order:
+    ``compiled`` for the fused top-k pass, ``numpy`` for the matrix."""
+    served = []
+    topk, scan_matrix = filtering.hamming_topk, filtering._scan_matrix
 
-    def recorded(*args):
-        threads.append(threading.current_thread().name)
-        return scan_part(*args)
+    def fused(*args):
+        served.append("compiled")
+        return topk(*args)
 
-    with mock.patch.multiple(
-        filtering,
-        _SPLIT_MIN_WORK=0 if on else float("inf"),
-        _SPLIT_CPUS=cpus,
-        _scan_part=recorded,
-    ):
-        yield threads
+    def matrix(*args):
+        served.append("numpy")
+        return scan_matrix(*args)
+
+    with mock.patch.multiple(filtering, hamming_topk=fused, _scan_matrix=matrix):
+        yield served
 
 
-@pytest.fixture
-def split():
-    with _split() as threads:
-        yield threads
+class _Host:
+    """One kernel, and the number of threads that run each check at once."""
+
+    def __init__(self, kernel, callers, served):
+        self.kernel, self.callers, self.served = kernel, callers, served
+
+    def run(self, check):
+        """Run ``check`` on every caller thread at once; re-raise the first
+        failure, and assert that every full scan ran on ``kernel``."""
+        self.served.clear()
+        errors = []
+        start = threading.Barrier(self.callers)
+
+        def call():
+            try:
+                start.wait(timeout=10)
+                check()
+            except BaseException as exc:  # reported by the test thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(self.callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+        assert set(self.served) <= {self.kernel}
 
 
 @pytest.fixture(
-    params=[(k, c) for k in KERNELS[::-1] for c in CPU_COUNTS],
+    params=[(k, c) for k in KERNELS[::-1] for c in CALLERS],
     ids=lambda p: str(p[1]) if p[0] == "compiled" else f"{p[0]}-{p[1]}",
 )
 def host_split(request, use_kernel):
-    """The split forced on, per kernel and CPU count; yields how many
-    parts one scan makes (one whole scan on one CPU, two halves on more)
-    and the threads that scanned them."""
-    kernel, cpus = request.param
-    with use_kernel(kernel), _split(cpus=cpus) as threads:
-        yield (1 if cpus < 2 else 2), threads
+    """A kernel and a caller count: yields a :class:`_Host`."""
+    kernel, callers = request.param
+    with use_kernel(kernel), _served() as served:
+        yield _Host(kernel, callers, served)
 
 
 # ----------------------------------------------------------------------
@@ -130,11 +150,6 @@ def _handmade_store(words_per_row, owners_per_row):
     return store
 
 
-def _serial_many(queries, sketches, store, params, n_bits):
-    with _split(on=False):
-        return sketch_filter_many(queries, sketches, store, params, n_bits)
-
-
 PARAMS_VARIANTS = [
     FilterParams(num_query_segments=3, candidates_per_segment=8),
     FilterParams(num_query_segments=2, candidates_per_segment=4,
@@ -145,7 +160,7 @@ PARAMS_VARIANTS = [
 
 
 # ----------------------------------------------------------------------
-# Property: split == whole scan == reference
+# Property: either kernel == numpy whole scan == reference
 # ----------------------------------------------------------------------
 @settings(max_examples=12, deadline=None)
 @given(
@@ -162,12 +177,12 @@ def test_pool_matches_reference_randomized(use_kernel, seed, num_objects, varian
     )
     queries = [objects[0], objects[num_objects // 2], objects[num_objects - 1]]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    with use_kernel(kernel):
-        serial = _serial_many(queries, sketches, store, params, sk.n_bits)
-        with _split() as threads:
-            assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial
-    assert "ferret-scan" in " ".join(threads)  # the upper half ran apart
-    for q, qs, expect in zip(queries, sketches, serial):
+    with use_kernel("numpy"):  # the whole scan: distance matrix, select
+        whole = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
+    with use_kernel(kernel), _served() as served:
+        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == whole
+    assert served == [kernel]  # one fused scan for the whole batch
+    for q, qs, expect in zip(queries, sketches, whole):
         assert sketch_filter_reference(q, qs, store, params, sk.n_bits) == expect
 
 
@@ -177,15 +192,17 @@ def test_pool_matches_reference_all_params(host_split):
     sk, store, objects = _seeded_store(123, tombstones=range(10, 22))
     queries = [objects[i] for i in (0, 3, 30)]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    for params in PARAMS_VARIANTS:
-        serial = _serial_many(queries, sketches, store, params, sk.n_bits)
-        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == serial
-        for q, qs, expect in zip(queries, sketches, serial):
-            assert sketch_filter(q, qs, store, params, sk.n_bits) == expect
-            assert (
-                sketch_filter_reference(q, qs, store, params, sk.n_bits)
-                == expect
-            )
+
+    def check():
+        for params in PARAMS_VARIANTS:
+            many = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
+            for q, qs, got in zip(queries, sketches, many):
+                expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
+                assert got == expect
+                assert sketch_filter(q, qs, store, params, sk.n_bits) == expect
+
+    host_split.run(check)
+    assert host_split.served  # every query scanned the arena
 
 
 # ----------------------------------------------------------------------
@@ -213,81 +230,97 @@ def test_ties_exactly_at_distance_threshold(host_split):
     )
     query = _one_segment_query()
     expect = {10, 11, 12, 13}  # d <= 2 kept, d == 3 cut
-    assert sketch_filter_reference(query, _ZERO, store, params, 64) == expect
-    assert sketch_filter(query, _ZERO, store, params, 64) == expect
-    assert sketch_filter_many([query], [_ZERO], store, params, 64) == [expect]
+
+    def check():
+        assert sketch_filter_reference(query, _ZERO, store, params, 64) == expect
+        assert sketch_filter(query, _ZERO, store, params, 64) == expect
+        assert sketch_filter_many([query], [_ZERO], store, params, 64) == [expect]
+
+    host_split.run(check)
+    assert host_split.served == [host_split.kernel] * (2 * host_split.callers)
 
 
 TIES_AT_KTH = [
-    # Rows 0-4 tie at distance 2 across the cut (rows 0-2 | 3-5);
-    # row 5, in the upper half, is the one row at distance 1.
+    # Rows 0-4 tie at distance 2; row 5 is the one row at distance 1.
     ([0b11] * 5 + [0b1], 3, {25, 20, 21}),
-    # The upper half's first row (global row 3) ties with the lower
-    # half's row 1: a merge by half-local row would pick row 3.
+    # Row 0 is nearest; rows 1-5 tie at distance 2 for the last slot.
     ([0b1] + [0b11] * 5, 2, {20, 21}),
 ]
 
 
 def test_ties_at_kth_boundary_pick_smallest_rows(host_split):
-    """Rows tie at the kth distance on both sides of the midpoint; every
-    path keeps the smallest rows, so the cut cannot flip the set."""
-    parts, threads = host_split
+    """Rows tie at the kth distance; every path keeps the smallest rows,
+    the fused pass by admitting only strictly nearer later rows."""
     query = _one_segment_query()
     for words, k, expect in TIES_AT_KTH:
         store = _handmade_store(words, owners_per_row=[20, 21, 22, 23, 24, 25])
         params = FilterParams(num_query_segments=1, candidates_per_segment=k)
-        assert sketch_filter_reference(query, _ZERO, store, params, 64) == expect
-        threads.clear()
-        assert sketch_filter(query, _ZERO, store, params, 64) == expect
-        assert len(threads) == parts  # two halves, one on the helper thread
+
+        def check():
+            assert sketch_filter_reference(query, _ZERO, store, params, 64) == expect
+            assert sketch_filter(query, _ZERO, store, params, 64) == expect
+
+        host_split.run(check)
+        assert host_split.served == [host_split.kernel] * host_split.callers
 
 
 def test_k_larger_than_shard_size(host_split):
-    """candidates_per_segment beyond a half's 7 rows, and beyond all 14."""
+    """candidates_per_segment of 10, and of 1000: above the 14 live
+    rows, so k is capped at the live count and every row is selected."""
     sk, store, objects = _seeded_store(5, num_objects=7, segs=2)
     q = objects[0]
     qs = sk.sketch_many(q.features)
-    for k in (10, 1000):
-        params = FilterParams(num_query_segments=2, candidates_per_segment=k)
-        expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-        assert sketch_filter(q, qs, store, params, sk.n_bits) == expect
+
+    def check():
+        for k in (10, 1000):
+            params = FilterParams(num_query_segments=2, candidates_per_segment=k)
+            expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
+            assert sketch_filter(q, qs, store, params, sk.n_bits) == expect
+
+    host_split.run(check)
 
 
-def test_empty_shards_more_workers_than_rows(split, use_kernel):
-    """One row, two halves: the lower half is empty and must still
-    answer (an empty top-k) for the merge."""
+def test_empty_shards_more_workers_than_rows(use_kernel):
+    """One row and k = 5: k is capped at the one live row, which both
+    kernels select."""
     sk, store, objects = _seeded_store(6, num_objects=1, segs=1)
     params = FilterParams(num_query_segments=1, candidates_per_segment=5)
     q = objects[0]
     qs = sk.sketch_many(q.features)
     for kernel in KERNELS:
-        split.clear()
-        with use_kernel(kernel):
+        with use_kernel(kernel), _served() as served:
             assert sketch_filter(q, qs, store, params, sk.n_bits) == {0}
-        assert len(split) == 2  # both halves scanned, the lower one empty
+        assert served == [kernel]
 
 
 def test_empty_store_and_all_tombstones(host_split):
-    """An empty store, an all-dead store, and a store whose every row in
-    the lower, then the upper, half is a tombstone (that half's top-k is
-    all sentinels)."""
+    """An empty store, an all-dead store, and a store whose lower, then
+    upper, four rows are tombstones (a dead row is never admitted, even
+    while the fused pass's heap is not yet full)."""
     params = FilterParams(num_query_segments=1, candidates_per_segment=5)
     query = _one_segment_query()
-    assert sketch_filter(query, _ZERO, SegmentStore(n_words=1), params, 64) == set()
     dead = _handmade_store([0b1, 0b10], owners_per_row=[1, 2])
     dead.remove_object(1)
     dead.remove_object(2)
-    assert sketch_filter(query, _ZERO, dead, params, 64) == set()
     words = [0b1, 0b11, 0b111, 0b1111, 0b0, 0b1, 0b11, 0b111]
+    stores = []
     for dead_rows, live_rows in ((range(4), range(4, 8)), (range(4, 8), range(4))):
         store = _handmade_store(words, owners_per_row=range(8))
         store.attach_compactor(_NoCompactor())
         for oid in dead_rows:
             store.remove_object(oid)
-        expect = sketch_filter_reference(query, _ZERO, store, params, 64)
-        assert expect == set(live_rows)
-        assert sketch_filter(query, _ZERO, store, params, 64) == expect
-        assert sketch_filter_many([query], [_ZERO], store, params, 64) == [expect]
+        stores.append((store, set(live_rows)))
+
+    def check():
+        assert sketch_filter(query, _ZERO, SegmentStore(n_words=1), params, 64) == set()
+        assert sketch_filter(query, _ZERO, dead, params, 64) == set()
+        for store, live in stores:
+            assert sketch_filter_reference(query, _ZERO, store, params, 64) == live
+            assert sketch_filter(query, _ZERO, store, params, 64) == live
+            assert sketch_filter_many([query], [_ZERO], store, params, 64) == [live]
+
+    host_split.run(check)
+    assert host_split.served == [host_split.kernel] * (4 * host_split.callers)
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +397,7 @@ def test_query_result_cache_metrics_prefix():
 
 
 # ----------------------------------------------------------------------
-# Engine integration: split answers and the result cache
+# Engine integration: answers on both kernels, and the result cache
 # ----------------------------------------------------------------------
 def _image_engine(n=60, cache_entries=16):
     from repro.datatypes.bulk import bulk_image_dataset
@@ -388,36 +421,40 @@ def _answers(engine, qid):
 def test_engine_parallel_results_and_cache(use_kernel):
     for kernel in KERNELS:
         with use_kernel(kernel):
-            _check_engine_results_and_cache()
+            _check_engine_results_and_cache(use_kernel, kernel)
 
 
-def _check_engine_results_and_cache():
+def _check_engine_results_and_cache(use_kernel, kernel):
+    """An engine on ``kernel`` with a result cache answers what an
+    uncached engine on the numpy loop answers, before and after a
+    remove."""
     serial = _image_engine(cache_entries=0)
     par = _image_engine()
     with serial, par:
         for qid in (0, 4, 4, 0):
-            with _split(on=False):
+            with use_kernel("numpy"):
                 a = _answers(serial, qid)
-            with _split() as threads:
+            with _served() as served:
                 assert _answers(par, qid) == a
         assert par.parallel_info()["cache"]["hits"] >= 2
-        assert not threads  # a cache hit scans nothing
+        assert not served  # a cache hit scans nothing
         # A mutation invalidates cached candidate sets; the next scan
         # reads the arena as it is now, with no reload step.
         par.remove(50)
         serial.remove(50)
-        with _split(on=False):
+        with use_kernel("numpy"):
             a = _answers(serial, 0)
-        with _split():
+        with _served() as served:
             assert _answers(par, 0) == a
+        assert set(served) <= {kernel}
         assert par.parallel_info()["cache"]["invalidations"] >= 1
         assert par._pool is None
 
 
 @pytest.mark.perf
 def test_two_worker_smoke(use_kernel):
-    """CI smoke: the two-thread split is candidate-set identical to the
-    whole scan on a denser store (the `make smoke` gate)."""
+    """CI smoke: on a denser store, both kernels' batched scans are
+    candidate-set identical to the reference (the `make smoke` gate)."""
     sk, store, objects = _seeded_store(
         31, num_objects=150, segs=3, tombstones=range(40, 60)
     )
@@ -432,7 +469,6 @@ def test_two_worker_smoke(use_kernel):
         for q, qs in zip(queries, sketches)
     ]
     for kernel in KERNELS:
-        with use_kernel(kernel):
-            assert _serial_many(queries, sketches, store, params, sk.n_bits) == want
-            with _split():
-                assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == want
+        with use_kernel(kernel), _served() as served:
+            assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == want
+        assert served == [kernel]

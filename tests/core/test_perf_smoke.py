@@ -9,13 +9,11 @@ tombstone handling both paths share — fails here.
 """
 
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import filtering
+from repro.core import bitvector, filtering
 from repro.core import (
     FeatureMeta,
     FilterParams,
@@ -101,7 +99,7 @@ def _shape_like_store(n_rows=20_000, n_bits=800, dim=16, seed=11):
 
 
 def _peak_bytes(fn):
-    fn()  # warm: thread-local scratch, executor threads
+    fn()  # warm: the numpy loop's thread-local scratch
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -112,32 +110,26 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_scan_allocates_less_than_half_the_arena():
+def test_scan_allocates_less_than_half_the_arena(use_kernel):
+    """The numpy scan allocates its distance row and no more (under half
+    the arena); the compiled top-k pass builds no distance row at all,
+    so it allocates under 2 % of the arena (the dead-row mask, one byte
+    a row, is the largest piece)."""
     sk, store, query = _shape_like_store()
     params = FilterParams(num_query_segments=1, candidates_per_segment=64)
     owners, sketches = store.snapshot()
     arena_bytes = sketches.shape[0] * sketches.shape[1] * 8
     qs = sk.sketch_many(query.features)
 
-    serial = _peak_bytes(
-        lambda: sketch_filter(query, qs, store, params, sk.n_bits)
-    )
-    assert serial < arena_bytes / 2, (serial, arena_bytes)
+    def scan():
+        return sketch_filter(query, qs, store, params, sk.n_bits)
 
-    # One helper thread: the warm-up call then sizes the kernel scratch
-    # (thread-local) of the same thread the measured call runs on.
-    with ThreadPoolExecutor(1) as helper, _split_on(), mock.patch.object(
-        filtering, "_SPLIT_EXECUTOR", helper
-    ):
-        split = _peak_bytes(
-            lambda: sketch_filter(query, qs, store, params, sk.n_bits)
-        )
-    assert split < arena_bytes / 2, (split, arena_bytes)
-
-
-def _split_on():
-    """Force the two-thread scan split on for any arena and host."""
-    return mock.patch.multiple(filtering, _SPLIT_MIN_WORK=0, _SPLIT_CPUS=2)
+    with use_kernel("numpy"):
+        numpy_bytes = _peak_bytes(scan)
+    assert numpy_bytes < arena_bytes / 2, (numpy_bytes, arena_bytes)
+    with use_kernel("compiled"):
+        compiled_bytes = _peak_bytes(scan)
+    assert compiled_bytes < arena_bytes * 0.02, (compiled_bytes, arena_bytes)
 
 
 def _assert_word_major(store):
@@ -181,14 +173,16 @@ def test_arena_stays_word_major_through_every_rewrite(monkeypatch):
     assert store.arena_info()["dead_rows"] == 0
     _assert_word_major(store)
 
-    # Appends and a tombstone after the rewrite: the split scan reads
-    # the halves of the same arrays in place and answers what the
-    # reference answers.
+    # Appends and a tombstone after the rewrite: the compiled top-k pass
+    # reads the same arrays in place (no numpy fall-back for a foreign
+    # layout) and answers what the reference answers.
     for oid in range(1001, 1011):
         store.add_object(oid, new_row())
     store.remove_object(100)
     _assert_word_major(store)
-    with _split_on():
-        assert sketch_filter(
-            query, qs, store, params, sk.n_bits
-        ) == sketch_filter_reference(query, qs, store, params, sk.n_bits)
+    assert bitvector.topk_in_place(store.snapshot()[1]) == (
+        bitvector.scan_kernel() == "compiled"
+    )
+    assert sketch_filter(
+        query, qs, store, params, sk.n_bits
+    ) == sketch_filter_reference(query, qs, store, params, sk.n_bits)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core import ObjectSignature, SearchResult, rank_candidates
-from repro.core.distance import l1_distance
+from repro.core import ObjectSignature, SearchResult, rank_candidates, rank_candidates_many
+from repro.core.distance import FirstSegmentL1, l1_distance
 
 
 def _objects(rng, count, dim=4):
@@ -93,3 +95,62 @@ class TestRankCandidates:
                 objects[0], range(50), objects, tie_dist, top_k=top_k
             )
             assert cut == full[:top_k]
+
+
+# ----------------------------------------------------------------------
+# The stacked l1 pass: bit-identical to one call per candidate
+# ----------------------------------------------------------------------
+# Every dimension the l1_to_many / l1_distance bit-identity sweep covered.
+L1_SWEEP_DIMS = (*range(1, 300), 511, 512, 513, 544, 1000, 1024, 4097)
+TOP_K = {"none": lambda n: None, "one": lambda n: 1, "n": lambda n: n,
+         "more": lambda n: n + 3}
+
+
+def _pin_sweep_dims(test):
+    for dim in L1_SWEEP_DIMS:
+        test = example(seed=dim, dim=dim, n=24, n_distinct=6, exclude_self=True,
+                       n_missing=2, top_k="n")(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 600),
+    n=st.integers(0, 200),
+    n_distinct=st.integers(1, 12),
+    exclude_self=st.booleans(),
+    n_missing=st.integers(0, 3),
+    top_k=st.sampled_from(sorted(TOP_K)),
+)
+@_pin_sweep_dims
+def test_stacked_l1_rank_equals_pairwise(seed, dim, n, n_distinct, exclude_self,
+                                         n_missing, top_k):
+    """``rank_candidates_many`` ranks FirstSegmentL1 in one stacked pass;
+    it must return ``rank_candidates``'s floats bit for bit and its
+    order, with candidates drawn from a few distinct vectors so that
+    distances tie and ids decide, the query among its own candidates,
+    ids missing from the object map, and 1-3 segments per candidate."""
+    rng = np.random.default_rng(seed)
+    pool = rng.random((n_distinct, dim)) * rng.choice([1.0, 30.0, 1e6])
+    objects = {}
+    for oid in range(n):
+        segs = rng.random((int(rng.integers(1, 4)), dim))
+        segs[0] = pool[rng.integers(n_distinct)]
+        objects[oid] = ObjectSignature(segs, np.ones(len(segs)), object_id=oid)
+    query = ObjectSignature(
+        pool[:1] + rng.random((1, dim)), [1.0], object_id=int(rng.integers(0, n + 1))
+    )
+    ids = [*objects, *range(n + 10, n + 10 + n_missing)]
+    rng.shuffle(ids)
+    k = TOP_K[top_k](n)
+    distance = FirstSegmentL1()
+    want = rank_candidates(query, ids, objects, distance, top_k=k, exclude_self=exclude_self)
+    got, stats = rank_candidates_many(
+        query, ids, objects, distance, top_k=k, exclude_self=exclude_self
+    )
+    assert [(r.distance.hex(), r.object_id) for r in got] == [
+        (r.distance.hex(), r.object_id) for r in want
+    ]
+    considered = n - (exclude_self and query.object_id in objects)
+    assert stats.exact_evals == stats.considered == considered

@@ -2,7 +2,12 @@
 
 Every shape test runs on both kernels (the ``scan_kernel`` fixture) and
 is checked against ``hamming_to_many``, which is numpy only and shares
-no code with the C kernel.  The loader tests build into a temporary
+no code with the C kernel.  The filter's full scan (``_scan_nearest``)
+is the compiled top-k pass on one and the numpy matrix and select on
+the other; its ``(distance, row)`` sets are checked against
+``select_k_smallest`` over ``hamming_to_many``, at ties across the
+kernel's 32-row chunks and 2,048-row tiles and with tombstones.  The
+loader tests build into a temporary
 cache directory: a compiler that fails or does not exist leaves the scan
 on numpy and raises nothing, and a kernel file another user could have
 written is refused.
@@ -17,8 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import FilterParams, SimilaritySearchEngine, SketchParams, bitvector
+from repro.core import FilterParams, SimilaritySearchEngine, SketchParams, bitvector, filtering
 from repro.core.bitvector import hamming_many_to_many, hamming_to_many
+from repro.core.filtering import select_k_smallest
 from repro.core.types import meta_from_dataset
 from repro.datatypes.bulk import bulk_shape_dataset
 from repro.datatypes.shape import make_shape_plugin
@@ -128,6 +134,147 @@ def test_stat_names_the_kernel_that_served(scan_kernel):
 
 
 # ----------------------------------------------------------------------
+# The full scan's top-k, on both kernels, against the numpy oracle
+# ----------------------------------------------------------------------
+def _oracle(queries, database, dead, k):
+    """Per query row, the sorted (distance, row) pairs that
+    ``select_k_smallest`` picks over ``hamming_to_many``."""
+    database = np.ascontiguousarray(database)
+    out = []
+    for query in queries:
+        dists = hamming_to_many(query, database).astype(np.int64)
+        dists[dead] = np.iinfo(np.int64).max
+        picked = select_k_smallest(dists[None, :], k)[0]
+        out.append(sorted(zip(dists[picked].tolist(), picked.tolist())))
+    return out
+
+
+def _nearest(queries, database, dead, k):
+    rows, dists = filtering._scan_nearest(queries, database, dead, k)
+    assert rows.shape == dists.shape == (len(queries), k)
+    return [sorted(zip(d.tolist(), r.tolist())) for r, d in zip(rows, dists)]
+
+
+def _tie_arena(n_rows, near_rows):
+    """Word-major arena of two words a row: ``near_rows`` at distance 2
+    from the zero sketch, every other row at distance 9."""
+    arena = np.zeros((2, n_rows), dtype=np.uint64)
+    arena[0] = 0b111111111
+    arena[0, near_rows] = 0b11
+    return arena
+
+
+@pytest.mark.parametrize("edge", [32, 2048])
+@pytest.mark.parametrize("n_queries", [1, 4])
+def test_topk_ties_across_chunk_and_tile_edges(scan_kernel, edge, n_queries):
+    """Eight rows tie at distance 2, four each side of a 32-row chunk
+    edge or the 2,048-row tile edge: the k-th slot goes to the smallest
+    row whatever side of the edge it falls on."""
+    near = np.arange(edge - 4, edge + 4)
+    arena = _tie_arena(edge + 100, near)
+    queries = np.zeros((n_queries, 2), dtype=np.uint64)
+    dead = np.zeros(arena.shape[1], dtype=bool)
+    for k in (1, 3, 4, 5, 8, 9):
+        got = _nearest(queries, arena.T, dead, k)
+        assert got == _oracle(queries, arena.T, dead, k)
+        assert got[0][: min(k, 8)] == [(2, int(r)) for r in near[:k]]
+
+
+DEAD_ROWS = {
+    "none": [],
+    "first": [0],
+    "last": [-1],
+    "whole-chunks": slice(32, 96),
+    "whole-tile": slice(0, 2048),
+}
+
+
+@pytest.mark.parametrize("dead_rows", DEAD_ROWS, ids=list(DEAD_ROWS))
+@pytest.mark.parametrize("n_queries", [1, 4])
+def test_topk_matches_select_k_smallest(scan_kernel, dead_rows, n_queries):
+    """Few-bit words (distances 0-6, ties everywhere) over 2 tiles and a
+    bit; tombstones copy the first query row, so a dead row that got in
+    would be its nearest.  k runs from 1 to the live row count."""
+    rng = np.random.default_rng(n_queries)
+    n_rows = 4100
+    arena = rng.integers(0, 4, (3, n_rows)).astype(np.uint64)
+    queries = arena[:, rng.integers(0, n_rows, n_queries)].T.copy()
+    dead = np.zeros(n_rows, dtype=bool)
+    dead[DEAD_ROWS[dead_rows]] = True
+    arena[:, dead] = queries[0][:, None]
+    live = n_rows - int(dead.sum())
+    for k in (1, 2, 31, 32, 33, 64, 2048, live):
+        got = _nearest(queries, arena.T, dead, k)
+        assert got == _oracle(queries, arena.T, dead, k), k
+        assert not any(dead[r] for pairs in got for _, r in pairs)
+
+
+def test_topk_two_threads_at_once(scan_kernel):
+    """Concurrent scans each get the serial answer: the compiled pass
+    keeps its tile and heaps on the caller's stack and output."""
+    rng = np.random.default_rng(8)
+    arena = rng.integers(0, 2**64, (13, 20_000), dtype=np.uint64)
+    arena[:, 5000:5100] = arena[:, :100]  # duplicated rows: exact ties
+    dead = np.zeros(arena.shape[1], dtype=bool)
+    dead[::97] = True
+    queries = [arena[:, : i + 1].T.copy() for i in range(2)]
+    want = [_oracle(q, arena.T, dead, 64) for q in queries]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def scan(i):
+        start.wait(timeout=10)
+        for _ in range(20):
+            got[i].append(_nearest(queries[i], arena.T, dead, 64))
+
+    threads = [threading.Thread(target=scan, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    for i in range(2):
+        assert got[i] == [want[i]] * 20
+
+
+def test_foreign_layout_takes_the_numpy_path(scan_kernel, monkeypatch):
+    """A row-major database is not scanned in place: the numpy matrix
+    and select serve it, with the same answer."""
+    rng = np.random.default_rng(9)
+    arena = rng.integers(0, 4, (3, 3000)).astype(np.uint64)
+    row_major = np.ascontiguousarray(arena.T)
+    queries = row_major[:2].copy()
+    dead = np.zeros(3000, dtype=bool)
+    dead[[0, 2999]] = True
+    want = _nearest(queries, arena.T, dead, 40)
+    assert not bitvector.topk_in_place(row_major)
+
+    def refuse(*args):
+        raise AssertionError("the compiled pass read a foreign layout")
+
+    monkeypatch.setattr(filtering, "hamming_topk", refuse)
+    assert _nearest(queries, row_major, dead, 40) == want == _oracle(
+        queries, arena.T, dead, 40
+    )
+
+
+def test_topk_rejects_what_it_cannot_fill(use_kernel):
+    """k above the live rows raises, and so does a foreign layout."""
+    with use_kernel("compiled"):
+        arena = np.zeros((1, 10), dtype=np.uint64)
+        dead = np.zeros(10, dtype=bool)
+        dead[:3] = True
+        query = np.zeros((1, 1), dtype=np.uint64)
+        rows, _ = bitvector.hamming_topk(query, arena.T, 7, dead)
+        assert sorted(rows[0].tolist()) == list(range(3, 10))
+        with pytest.raises(ValueError, match="live rows"):
+            bitvector.hamming_topk(query, arena.T, 8, dead)
+        with pytest.raises(ValueError, match="word-major"):
+            bitvector.hamming_topk(query, np.ascontiguousarray(arena.T)[::2], 1)
+        assert bitvector.hamming_topk(query, arena.T, 0)[0].shape == (1, 0)
+
+
+# ----------------------------------------------------------------------
 # The numpy loop's per-thread scratch
 # ----------------------------------------------------------------------
 def test_scratch_keeps_the_larger_call_not_the_product(monkeypatch):
@@ -178,6 +325,13 @@ def built(tmp_path):
     return cache, path
 
 
+def test_a_missing_symbol_leaves_the_numpy_loop(built, monkeypatch):
+    """Both entry points come from one library, or neither is used."""
+    cache, _ = built
+    monkeypatch.setitem(bitvector._SIGNATURES, "hamming_missing", ())
+    assert bitvector._load_kernel(cache_dir=cache) is None
+
+
 def test_cached_kernel_is_reused(built):
     cache, path = built
     mtime = path.stat().st_mtime_ns
@@ -203,7 +357,9 @@ def test_directory_others_can_write_is_refused(built, mode):
 
 def test_kernel_source_ships_as_package_data():
     source = importlib.resources.files("repro.core").joinpath("_hamming.c")
-    assert source.is_file() and b"hamming_block" in source.read_bytes()
+    assert source.is_file()
+    assert b"hamming_block" in source.read_bytes()
+    assert b"hamming_topk" in source.read_bytes()
     with open(ROOT / "pyproject.toml", "rb") as handle:
         package_data = tomllib.load(handle)["tool"]["setuptools"]["package-data"]
     assert "core/_hamming.c" in package_data["repro"]

@@ -8,8 +8,8 @@ removes (tombstones), and both compactions (row positions move).  The
 state machine keeps the index on (the on/off check is pinned separately
 at the engine level), so clustered sketches exercise certification,
 uniform ones the fall-back to the full scan, and duplicated ones ties;
-it runs the full scan whole or split across two threads, on the compiled
-Hamming kernel or the numpy loop (see tests/core/conftest.py).
+the full scan runs on the compiled kernel's top-k pass or on the numpy
+loop (see tests/core/conftest.py).
 """
 
 from __future__ import annotations
@@ -71,32 +71,25 @@ class IndexMachine(RuleBasedStateMachine):
         super().__init__()
         # The on/off check would turn the index off on these small,
         # adversarial stores; keep it on so every query reads it.
-        self._saved = {
-            name: getattr(filtering, name)
-            for name in ("_INDEX_MAX_READ", "_SPLIT_MIN_WORK", "_SPLIT_CPUS")
-        }
+        self._saved = filtering._INDEX_MAX_READ
         filtering._INDEX_MAX_READ = math.inf
         self._kernel = bitvector._KERNEL
 
     def teardown(self):
-        for name, value in self._saved.items():
-            setattr(filtering, name, value)
+        filtering._INDEX_MAX_READ = self._saved
         bitvector._KERNEL = self._kernel
 
     @initialize(
         n_bits=st.sampled_from([64, 96, 256, 800]),
         kind=st.sampled_from(["clustered", "uniform", "duplicated"]),
-        split=st.booleans(),
         compiled=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def setup(self, n_bits, kind, split, compiled, seed):
-        # Full scans (the index's fall-back rows and the reference) run
-        # whole, or split across two threads whatever the arena's size,
-        # on either kernel.  A host with no compiled kernel runs numpy
-        # for both draws; test_scan_kernel.py's compiled half then skips.
-        filtering._SPLIT_MIN_WORK = 0 if split else math.inf
-        filtering._SPLIT_CPUS = 2
+    def setup(self, n_bits, kind, compiled, seed):
+        # Full scans (the index's fall-back rows) run on either kernel;
+        # the reference is numpy only.  A host with no compiled kernel
+        # runs numpy for both draws; test_scan_kernel.py's compiled half
+        # then skips.
         bitvector._KERNEL = self._kernel if compiled else None
         self.n_bits = n_bits
         self.kind = kind
@@ -300,14 +293,11 @@ def test_padding_substrings_are_skipped(always_on):
     assert store._index.runs.shape == (3 * 51,)
 
 
-def test_scans_stay_exact_under_concurrent_writes_and_compactions(always_on, monkeypatch):
+def test_scans_stay_exact_under_concurrent_writes_and_compactions(always_on):
     """Scans snapshot the index with the arena; builds run outside the
-    lock and compactions retire them.  Query threads race writers and
-    both compactions, and every full scan splits, so three query threads
-    share the split's two helper threads; no scan may fail, and at rest
-    the index answers exactly."""
-    monkeypatch.setattr(filtering, "_SPLIT_MIN_WORK", 0)
-    monkeypatch.setattr(filtering, "_SPLIT_CPUS", 2)
+    lock and compactions retire them.  Three query threads race writers
+    and both compactions, their fall-back rows scanned at once outside
+    the GIL; no scan may fail, and at rest the index answers exactly."""
     rng = np.random.default_rng(11)
     protos = rng.integers(0, 2**63, (6, 4), dtype=np.uint64)
 
