@@ -435,14 +435,6 @@ class FerretCoordinator:
     # Queries
     # ------------------------------------------------------------------
     @staticmethod
-    def _parse_results(lines: Sequence[str]) -> List[Tuple[int, float]]:
-        out = []
-        for line in lines:
-            oid, _, dist = line.partition(" ")
-            out.append((int(oid), float(dist)))
-        return out
-
-    @staticmethod
     def merge_ranked(
         shard_results: Sequence[Sequence[Tuple[int, float]]], top_k: int
     ) -> List[SearchResult]:
@@ -716,78 +708,9 @@ class FerretCoordinator:
         method: str = "filtering",
         trace_context: Optional[TraceContext] = None,
     ) -> ClusterResult:
-        """Cluster-wide similarity search seeded by an indexed object.
-
-        The query goes to each backend of the plan (:meth:`_plan`): by
-        id to a backend that hosts the seed's shard, by signature to any
-        other (:meth:`_scatter_seeded`), and their top-k lists are
-        merged deterministically.  Shards that are
-        entirely unreachable are reported in ``missing_shards`` rather
-        than failing the query; losing the *seed's* shard (no replica
-        can even produce the signature) raises :class:`ClusterError`.
-
-        A sampled ``trace_context`` makes this an explicitly traced
-        query: the context is forwarded on every scatter line, the
-        per-node subtrees are stitched under the context's trace id
-        (:meth:`_stitch_trace`), and the result cache is bypassed so
-        the trace reflects real cluster work, not a coordinator-local
-        cache hit.
-        """
-        started = time.perf_counter()
-        _M_QUERIES.inc()
-        traced = trace_context is not None and trace_context.sampled
-        cache_key = ("query", int(object_id), int(top_k), method)
-        epoch = self._cache_epoch()
-        hit = None if traced else self._cache.lookup(epoch, cache_key)
-        if hit is not None:
-            merged, served_by = hit
-            self.tracer.observe_total(
-                "cluster", 1, time.perf_counter() - started
-            )
-            return ClusterResult(list(merged), (), dict(served_by))
-        trace = self.tracer.begin("cluster", 1)
-        if trace is None and traced:
-            trace = QueryTrace("cluster", 1)
-        ctx = self._effective_context(trace_context, trace)
-        options = f"top={int(top_k)} method={quote(method)}"
-        scatter_started = time.perf_counter()
-        per_call, missing, served_by, subtrees = self._scatter_seeded(
-            [object_id],
-            f"query {object_id} {options}",
-            lambda b64s: f"querysig {b64s[0]} {options} exclude={object_id}",
-            lambda lines, line: self._parse_results(lines),
-            trace,
-            ctx,
-        )
-        scatter_seconds = time.perf_counter() - scatter_started
-        _M_SCATTER_SECONDS.observe(scatter_seconds)
-        for shard in served_by:
-            _metrics.counter(f"cluster.shard.{shard}.queries").inc()
-        gather_started = time.perf_counter()
-        merged = self.merge_ranked(list(per_call.values()), top_k)
-        gather_seconds = time.perf_counter() - gather_started
-        _M_GATHER_SECONDS.observe(gather_seconds)
-        self._account_missing(missing)
-        # Cache only full answers, and only if neither a write nor a
-        # breaker transition moved the epoch mid-flight (a moved epoch
-        # means this answer may already be stale).
-        if not traced and not missing and self._cache_epoch() == epoch:
-            self._cache.store(
-                epoch, cache_key, (tuple(merged), dict(served_by))
-            )
-        elapsed = time.perf_counter() - started
-        _M_QUERY_SECONDS.observe(elapsed)
-        if trace is not None:
-            trace.add_span("scatter", seconds=scatter_seconds)
-            trace.add_span("gather", seconds=gather_seconds)
-            trace.add_count("shards_answered", len(served_by))
-            trace.add_count("shards_missing", len(missing))
-            self.tracer.finish(trace, elapsed)
-            if ctx is not None:
-                self._stitch_trace(trace, ctx, subtrees, missing)
-        else:
-            self.tracer.observe_total("cluster", 1, elapsed)
-        return ClusterResult(merged, missing, served_by)
+        """Cluster-wide similarity search seeded by an indexed object:
+        :meth:`query_many` with a batch of one."""
+        return self.query_many([object_id], top_k, method, trace_context)[0]
 
     def query_many(
         self,
@@ -796,21 +719,33 @@ class FerretCoordinator:
         method: str = "filtering",
         trace_context: Optional[TraceContext] = None,
     ) -> List[ClusterResult]:
-        """Batch cluster search through the backends' fused pipeline.
+        """Cluster-wide similarity search seeded by indexed objects: one
+        result per id, through the backends' fused pipeline.
 
-        Every backend of the plan receives *one* call carrying the whole
-        batch, so the per-command overhead is paid per backend, not per
-        query: ``querymany`` by id where the backend hosts every seed's
-        shard, else ``querysigmany`` with the seeds' signatures
-        (:meth:`_scatter_seeded`).  A sampled ``trace_context`` traces
-        the whole batch under one stitched tree (and bypasses the
-        result cache, as in :meth:`query`).
+        The coordinator's one query pipeline (:meth:`query` is a batch
+        of one).  Every backend of the plan (:meth:`_plan`) receives
+        *one* call carrying the whole batch, so the per-command overhead
+        is paid per backend, not per query: ``querymany`` by id where
+        the backend hosts every seed's shard, else ``querysigmany`` with
+        the seeds' signatures (:meth:`_scatter_seeded`).  Each seed's
+        per-call top-k lists are merged deterministically
+        (:meth:`merge_ranked`).  Shards that are entirely unreachable
+        are reported in ``missing_shards`` rather than failing the
+        query; losing a *seed's* shard (no replica can even produce the
+        signature) raises :class:`ClusterError`.
+
+        A sampled ``trace_context`` makes this an explicitly traced
+        batch: the context is forwarded on every scatter line, the
+        per-node subtrees are stitched under the context's trace id
+        (:meth:`_stitch_trace`), and the result cache is bypassed so
+        the trace reflects real cluster work, not a coordinator-local
+        cache hit.
         """
         object_ids = list(object_ids)
         if not object_ids:
             return []
         started = time.perf_counter()
-        _M_QUERIES.inc()
+        _M_QUERIES.inc(len(object_ids))
         traced = trace_context is not None and trace_context.sampled
         epoch = self._cache_epoch()
         keys = [("query", int(oid), int(top_k), method) for oid in object_ids]
@@ -832,20 +767,18 @@ class FerretCoordinator:
         if trace is None and traced:
             trace = QueryTrace("cluster", len(miss_ids))
         ctx = self._effective_context(trace_context, trace)
-        # One query per distinct seed: a ``querymany`` answer line names
-        # its seed by id, a ``querysigmany`` line by position.
+        # One query per distinct seed; ``querymany`` and
+        # ``querysigmany`` both key each answer line by query position.
         seeds = list(dict.fromkeys(miss_ids))
         position = {oid: pos for pos, oid in enumerate(seeds)}
         ids = ",".join(map(str, seeds))
         options = f"top={int(top_k)} method={quote(method)}"
 
         def parse(lines: Sequence[str], line: str) -> List[List[Tuple[int, float]]]:
-            by_id = line.startswith("querymany ")
             batches: List[List[Tuple[int, float]]] = [[] for _ in seeds]
             for raw in lines:
-                key, oid, dist = raw.split()
-                pos = position[int(key)] if by_id else int(key)
-                batches[pos].append((int(oid), float(dist)))
+                pos, oid, dist = raw.split()
+                batches[int(pos)].append((int(oid), float(dist)))
             return batches
 
         scatter_started = time.perf_counter()

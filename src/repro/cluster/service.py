@@ -29,7 +29,12 @@ from ..observability import context as _trace_context
 from ..observability import metrics as _metrics
 from ..observability.events import get_event_log
 from ..server.client import ClientError
-from ..server.protocol import Command, ProtocolError, parse_top_k
+from ..server.protocol import (
+    Command,
+    ProtocolError,
+    parse_querymany_ids,
+    parse_top_k,
+)
 from .coordinator import (
     ClusterConfig,
     ClusterError,
@@ -149,14 +154,9 @@ class ClusterCommandProcessor:
         )
 
     def _cmd_querymany(self, command: Command) -> List[str]:
-        if not command.args:
-            raise ProtocolError(
-                "usage: querymany <id> [<id> ...] [top=] [method=] [trace=]"
-            )
-        try:
-            object_ids = [int(a) for a in command.args]
-        except ValueError:
-            raise ProtocolError("querymany takes integer object ids") from None
+        object_ids = parse_querymany_ids(
+            command, "usage: querymany <id1,id2,...> [top=] [method=] [trace=]"
+        )
         top_k = parse_top_k(command)
         method = command.get("method", "filtering")
         ctx = self._trace_context_from(command)

@@ -63,8 +63,6 @@ __all__ = [
 # created once at import; the registry's reset() zeroes them in place.
 _M_QUERIES = _metrics.counter("engine.queries")
 _M_QUERY_SECONDS = _metrics.histogram("engine.query_seconds")
-_M_BATCH_QUERIES = _metrics.counter("engine.batch_queries")
-_M_BATCH_SECONDS = _metrics.histogram("engine.batch_seconds")
 _M_FILTER_SECONDS = _metrics.histogram("engine.filter_seconds")
 _M_RANK_SECONDS = _metrics.histogram("engine.rank_seconds")
 _M_CANDIDATES = _metrics.histogram(
@@ -567,6 +565,8 @@ class SimilaritySearchEngine:
     ) -> List[SearchResult]:
         """Find the ``top_k`` objects most similar to ``query``.
 
+        This is :meth:`query_many` with a batch of one.
+
         ``restrict_to`` limits the search to a subset of object ids —
         this is how attribute-based search composes with similarity
         search (section 4.1.2): run the attribute query first, then
@@ -580,23 +580,9 @@ class SimilaritySearchEngine:
         big — the direction the paper's conclusion sketches for "more
         efficiently computable distance functions".
         """
-        if top_k <= 0:
-            raise ValueError("top_k must be positive")
-        if not self._objects:
-            return []
-        started = time.perf_counter()
-        trace = self.tracer.begin(method.value, 1)
-        results = self._query_one(
-            query, top_k, method, exclude_self, restrict_to, cascade, trace
-        )
-        elapsed = time.perf_counter() - started
-        _M_QUERIES.inc()
-        _M_QUERY_SECONDS.observe(elapsed)
-        if trace is not None:
-            self.tracer.finish(trace, elapsed)
-        else:
-            self.tracer.observe_total(method.value, 1, elapsed)
-        return results
+        return self.query_many(
+            [query], top_k, method, exclude_self, restrict_to, cascade
+        )[0]
 
     def _note_rank(
         self, trace: Optional[QueryTrace], seconds: float, stats: RankStats
@@ -622,31 +608,6 @@ class SimilaritySearchEngine:
                 "rank", bound=stats.bound_seconds, solve=stats.solve_seconds
             )
 
-    def _rank(
-        self,
-        query: ObjectSignature,
-        candidate_ids,
-        top_k: Optional[int],
-        exclude_self: bool,
-        trace: Optional[QueryTrace],
-    ) -> List[SearchResult]:
-        """Run the ranking cascade over one candidate set and record it.
-
-        All query paths funnel through here so the cascade (and its
-        telemetry) covers FILTERING, the full-universe brute-force
-        path, and the post-``_cascade_prune`` survivors alike.  A
-        :class:`~repro.core.emd.NonFiniteDistanceError` raised by a
-        poisoned candidate propagates to the caller carrying the
-        offending ``object_id``.
-        """
-        rank_started = time.perf_counter()
-        results, stats = rank_candidates_many(
-            query, candidate_ids, self._objects, self.plugin.obj_distance,
-            top_k=top_k, exclude_self=exclude_self, params=self.rank_params,
-        )
-        self._note_rank(trace, time.perf_counter() - rank_started, stats)
-        return results
-
     def _universe(
         self, restrict_to: Optional[Sequence[int]]
     ) -> Collection[int]:
@@ -663,64 +624,6 @@ class SimilaritySearchEngine:
             return self._objects
         return {i for i in restrict_to if i in self._objects}
 
-    def _query_one(
-        self,
-        query: ObjectSignature,
-        top_k: int,
-        method: SearchMethod,
-        exclude_self: bool,
-        restrict_to: Optional[Sequence[int]],
-        cascade: Optional[int],
-        trace: Optional[QueryTrace],
-    ) -> List[SearchResult]:
-        """Dispatch one validated query to its search-method pipeline."""
-        universe = self._universe(restrict_to)
-        if method is SearchMethod.BRUTE_FORCE_ORIGINAL:
-            return self._rank(
-                query, tuple(universe), top_k, exclude_self, trace
-            )
-        sketch_started = time.perf_counter()
-        query_sketches = self.sketcher.sketch_many(query.features)
-        if trace is not None:
-            trace.add_stage("sketch", time.perf_counter() - sketch_started)
-        if method is SearchMethod.BRUTE_FORCE_SKETCH:
-            rank_started = time.perf_counter()
-            results = self._rank_by_sketch(
-                query, query_sketches, universe, top_k, exclude_self
-            )
-            self._note_rank(
-                trace,
-                time.perf_counter() - rank_started,
-                RankStats(
-                    considered=len(universe), exact_evals=len(universe)
-                ),
-            )
-            return results
-        if method is SearchMethod.FILTERING:
-            filter_started = time.perf_counter()
-            candidates = self._filter_candidates(
-                [query], [query_sketches], trace=trace
-            )[0]
-            filter_seconds = time.perf_counter() - filter_started
-            _M_FILTER_SECONDS.observe(filter_seconds)
-            candidates = {i for i in candidates if i in universe}
-            _M_CANDIDATES.observe(len(candidates))
-            if trace is not None:
-                trace.add_stage("filter", filter_seconds)
-                trace.add_count("candidates", len(candidates))
-            if cascade is not None and cascade > 0 and len(candidates) > cascade:
-                cascade_started = time.perf_counter()
-                candidates = self._cascade_prune(
-                    query, query_sketches, candidates, cascade, exclude_self
-                )
-                if trace is not None:
-                    trace.add_stage(
-                        "cascade", time.perf_counter() - cascade_started
-                    )
-                    trace.add_count("cascade_survivors", len(candidates))
-            return self._rank(query, candidates, top_k, exclude_self, trace)
-        raise ValueError(f"unsupported method {method!r}")
-
     def query_many(
         self,
         queries: Sequence[ObjectSignature],
@@ -732,16 +635,23 @@ class SimilaritySearchEngine:
     ) -> List[List[SearchResult]]:
         """Answer a batch of queries; returns one result list per query.
 
-        For ``FILTERING`` the sketch scans of *all* queries are fused:
-        every query's top-``r`` segment sketches are stacked into one
-        matrix and the whole segment store is streamed through
-        the filter's full scan exactly once,
-        so the per-query scan cost is amortized across the batch (the
-        database passes through the cache once instead of once per
-        query).  Candidates are then ranked one query after another
-        (ranking holds the GIL, so threads would not overlap it).  Other
-        search methods run the full per-query path for each query in
-        turn.
+        The engine's one query pipeline (:meth:`query` is a batch of
+        one; the options are :meth:`query`'s).  Every query's segments
+        are sketched in one concatenated pass.  For ``FILTERING`` the
+        scans are then fused: every query's top-``r`` segment sketches
+        are stacked into one matrix and the whole segment store is
+        streamed through the filter's full scan exactly once, so the
+        per-query scan cost is amortized across the batch.  Each query's
+        candidates (or, for the brute-force methods, the whole
+        universe) are then ranked one query after another (ranking
+        holds the GIL, so threads would not overlap it).  A
+        :class:`~repro.core.emd.NonFiniteDistanceError` raised by a
+        poisoned candidate propagates carrying the offending
+        ``object_id``.
+
+        A call counts ``len(queries)`` in ``engine.queries``, books one
+        ``engine.query_seconds`` sample, and, traced, one trace for the
+        whole batch.
         """
         queries = list(queries)
         if not queries:
@@ -750,63 +660,98 @@ class SimilaritySearchEngine:
             raise ValueError("top_k must be positive")
         if not self._objects:
             return [[] for _ in queries]
-        if method is not SearchMethod.FILTERING:
-            return [
-                self.query(
-                    q, top_k=top_k, method=method, exclude_self=exclude_self,
-                    restrict_to=restrict_to, cascade=cascade,
-                )
-                for q in queries
-            ]
         universe = self._universe(restrict_to)
         started = time.perf_counter()
         trace = self.tracer.begin(method.value, len(queries))
-        # One concatenated sketching pass for the whole batch, then one
-        # fused filtering scan over the store for every query at once.
-        sketch_started = time.perf_counter()
-        all_sketches = self.sketcher.sketch_many(
-            np.concatenate([q.features for q in queries], axis=0)
-        )
-        splits = np.cumsum([q.num_segments for q in queries])[:-1]
-        sketches_list = np.split(all_sketches, splits)
-        if trace is not None:
-            trace.add_stage("sketch", time.perf_counter() - sketch_started)
-        filter_started = time.perf_counter()
-        candidate_sets = self._filter_candidates(
-            queries, sketches_list, trace=trace
-        )
-        filter_seconds = time.perf_counter() - filter_started
-        _M_FILTER_SECONDS.observe(filter_seconds)
-        if trace is not None:
-            trace.add_stage("filter", filter_seconds)
-
-        # One merged RankStats keeps the metric update atomic per batch.
-        rank_started = time.perf_counter()
-        batch_stats = RankStats()
-        all_results = []
-        for query, sketches, found in zip(queries, sketches_list, candidate_sets):
-            candidates = {i for i in found if i in universe}
-            _M_CANDIDATES.observe(len(candidates))
-            if cascade is not None and cascade > 0 and len(candidates) > cascade:
-                candidates = self._cascade_prune(
-                    query, sketches, candidates, cascade, exclude_self
-                )
-            results, stats = rank_candidates_many(
-                query, candidates, self._objects, self.plugin.obj_distance,
-                top_k=top_k, exclude_self=exclude_self,
-                params=self.rank_params,
+        if method is SearchMethod.BRUTE_FORCE_ORIGINAL:
+            candidate_sets: List[Collection[int]] = [tuple(universe)] * len(queries)
+        else:
+            sketch_started = time.perf_counter()
+            all_sketches = self.sketcher.sketch_many(
+                np.concatenate([q.features for q in queries], axis=0)
             )
-            batch_stats.merge(stats)
-            all_results.append(results)
-        self._note_rank(trace, time.perf_counter() - rank_started, batch_stats)
+            counts = [q.num_segments for q in queries]
+            sketches_list = [
+                all_sketches[end - count : end]
+                for end, count in zip(itertools.accumulate(counts), counts)
+            ]
+            if trace is not None:
+                trace.add_stage("sketch", time.perf_counter() - sketch_started)
+            if method is SearchMethod.FILTERING:
+                candidate_sets = self._filter_stage(
+                    queries, sketches_list, universe, cascade, exclude_self,
+                    trace,
+                )
+            elif method is not SearchMethod.BRUTE_FORCE_SKETCH:
+                raise ValueError(f"unsupported method {method!r}")
+
+        rank_started = time.perf_counter()
+        if method is SearchMethod.BRUTE_FORCE_SKETCH:
+            all_results = [
+                self._rank_by_sketch(q, sketches, universe, top_k, exclude_self)
+                for q, sketches in zip(queries, sketches_list)
+            ]
+            evals = len(universe) * len(queries)
+            stats = RankStats(considered=evals, exact_evals=evals)
+        else:
+            # One merged RankStats keeps the metric update atomic per batch.
+            stats = RankStats()
+            all_results = []
+            for query, candidates in zip(queries, candidate_sets):
+                results, one = rank_candidates_many(
+                    query, candidates, self._objects, self.plugin.obj_distance,
+                    top_k=top_k, exclude_self=exclude_self,
+                    params=self.rank_params,
+                )
+                stats.merge(one)
+                all_results.append(results)
+        self._note_rank(trace, time.perf_counter() - rank_started, stats)
         elapsed = time.perf_counter() - started
-        _M_BATCH_QUERIES.inc(len(queries))
-        _M_BATCH_SECONDS.observe(elapsed)
+        _M_QUERIES.inc(len(queries))
+        _M_QUERY_SECONDS.observe(elapsed)
         if trace is not None:
             self.tracer.finish(trace, elapsed)
         else:
             self.tracer.observe_total(method.value, len(queries), elapsed)
         return all_results
+
+    def _filter_stage(
+        self,
+        queries: List[ObjectSignature],
+        sketches_list: List[np.ndarray],
+        universe: Collection[int],
+        cascade: Optional[int],
+        exclude_self: bool,
+        trace: Optional[QueryTrace],
+    ) -> List[Set[int]]:
+        """FILTERING's candidate sets: one fused filter pass, limited to
+        ``universe``, then each set over ``cascade`` pruned to its
+        ``cascade`` best by the sketch-estimated distance."""
+        filter_started = time.perf_counter()
+        found = self._filter_candidates(queries, sketches_list, trace=trace)
+        filter_seconds = time.perf_counter() - filter_started
+        _M_FILTER_SECONDS.observe(filter_seconds)
+        candidate_sets = [{i for i in cand if i in universe} for cand in found]
+        for candidates in candidate_sets:
+            _M_CANDIDATES.observe(len(candidates))
+        if trace is not None:
+            trace.add_stage("filter", filter_seconds)
+            trace.add_count("candidates", sum(map(len, candidate_sets)))
+        if cascade is None or cascade <= 0:
+            return candidate_sets
+        cascade_started = time.perf_counter()
+        pruned = [i for i, c in enumerate(candidate_sets) if len(c) > cascade]
+        for i in pruned:
+            candidate_sets[i] = self._cascade_prune(
+                queries[i], sketches_list[i], candidate_sets[i], cascade,
+                exclude_self,
+            )
+        if trace is not None and pruned:
+            trace.add_stage("cascade", time.perf_counter() - cascade_started)
+            trace.add_count(
+                "cascade_survivors", sum(len(candidate_sets[i]) for i in pruned)
+            )
+        return candidate_sets
 
     def query_by_id(self, object_id: int, **kwargs) -> List[SearchResult]:
         """Query using an already-inserted object as the seed."""

@@ -16,7 +16,6 @@ owner, so the scan needs no side lookup.
 
 from __future__ import annotations
 
-import heapq
 import struct
 import time
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
@@ -24,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.bitvector import hamming_many_to_many
-from ..core.filtering import FilterParams
+from ..core.filtering import FilterParams, select_k_smallest
 from ..core.ranking import SearchResult, rank_candidates
 from ..core.types import ObjectSignature
 from ..observability import metrics as _metrics
@@ -106,7 +105,7 @@ class OutOfCoreSketchStore:
     ) -> List[Tuple[int, int]]:
         """k nearest segments to one query sketch: ``[(owner, distance)]``.
 
-        Streams the whole table block by block, keeping a bounded heap.
+        Streams the whole table block by block, keeping a running top-k.
         """
         thresholds = None if threshold is None else [threshold]
         return self.scan_nearest_many(
@@ -125,9 +124,13 @@ class OutOfCoreSketchStore:
         The disk-resident table is streamed block by block exactly once
         for the whole batch; per block, distances to all queries come
         from a single :func:`~repro.core.bitvector.hamming_many_to_many`
-        call, and each query keeps its own bounded heap.  Memory stays
-        O(block_size x n_queries) regardless of database size.
-        ``thresholds`` optionally gives one distance cutoff per query.
+        call, and each query's running top-k is merged with the block
+        through :func:`~repro.core.filtering.select_k_smallest` keyed by
+        scan position — the (distance, position) rule of every other
+        filter path.  Memory stays O((block_size + k) x n_queries)
+        regardless of database size.  ``thresholds`` optionally gives
+        one distance cutoff per query; it is applied after selection,
+        which keeps the same set as cutting first.
         """
         queries = np.atleast_2d(np.asarray(query_sketches, dtype=np.uint64))
         n_queries = queries.shape[0]
@@ -135,35 +138,32 @@ class OutOfCoreSketchStore:
             raise ValueError("need one threshold per query sketch")
         started = time.perf_counter()
         _M_SCANS.inc()
-        heaps: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_queries)]
+        # Per query row: the running top-k's distances, scan positions
+        # and owners.
+        dists = np.empty((n_queries, 0), dtype=np.uint32)
+        positions = np.empty((n_queries, 0), dtype=np.int64)
+        owners = np.empty((n_queries, 0), dtype=np.int64)
         base = 0
-        for owners, matrix in self.iter_blocks():
-            dist_matrix = hamming_many_to_many(queries, matrix)
-            for qi in range(n_queries):
-                dists = dist_matrix[qi]
-                heap = heaps[qi]
-                # Pre-select the block's k best rows so the Python heap
-                # merge touches at most k entries per block.  The stable
-                # sort orders ties by scan position; heap entries carry
-                # the negated global scan position so eviction removes
-                # the latest-scanned row among equal distances: the
-                # deterministic smallest-position-wins rule of
-                # :func:`~repro.core.filtering.select_k_smallest`.
-                best = np.argsort(dists, kind="stable")[:k]
-                threshold = thresholds[qi] if thresholds is not None else None
-                for row in best:
-                    d = int(dists[row])
-                    if threshold is not None and d > threshold:
-                        continue
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-d, -(base + int(row)), int(owners[row])))
-                    elif -heap[0][0] > d:
-                        heapq.heapreplace(heap, (-d, -(base + int(row)), int(owners[row])))
-            base += matrix.shape[0]
+        for block_owners, matrix in self.iter_blocks():
+            n_rows = matrix.shape[0]
+            shape = (n_queries, n_rows)
+            dists = np.hstack([dists, hamming_many_to_many(queries, matrix)])
+            positions = np.hstack([
+                positions,
+                np.broadcast_to(np.arange(base, base + n_rows), shape),
+            ])
+            owners = np.hstack([owners, np.broadcast_to(block_owners, shape)])
+            cols = select_k_smallest(dists, k, ids=positions)
+            dists = np.take_along_axis(dists, cols, axis=1)
+            positions = np.take_along_axis(positions, cols, axis=1)
+            owners = np.take_along_axis(owners, cols, axis=1)
+            base += n_rows
         _M_SCAN_SECONDS.observe(time.perf_counter() - started)
-        return [
-            sorted((owner, -neg) for neg, _pos, owner in heap) for heap in heaps
-        ]
+        out = []
+        for qi in range(n_queries):
+            keep = slice(None) if thresholds is None else dists[qi] <= thresholds[qi]
+            out.append(sorted(zip(owners[qi][keep].tolist(), dists[qi][keep].tolist())))
+        return out
 
 
 class OutOfCoreSearcher:

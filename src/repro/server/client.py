@@ -120,7 +120,6 @@ IDEMPOTENT_COMMANDS = frozenset(
         "trace",
         "profile",
         "getsig",
-        "querysig",
         "querysigmany",
         "countmod",
         "maxid",
@@ -496,26 +495,21 @@ class FerretClient:
         top: int = 10,
         method: str = "filtering",
     ) -> List[List[Tuple[int, float]]]:
-        """Batched similarity search: one result list per seed id.
+        """Batched similarity search: one result list per seed id, in
+        the order of ``object_ids`` (a repeated id gets its own list).
 
-        Response lines are ``<query_index-or-id> <oid> <dist>`` grouped
-        by the first field in the order first seen, which both the
-        single-server ``querymany`` (keyed by object id) and the
-        coordinator (keyed by query index) satisfy.
+        Both front ends answer ``querymany <id1,id2,...>`` with
+        ``<query_index> <oid> <dist>`` lines, keyed by the id's position.
         """
-        ids = " ".join(str(int(i)) for i in object_ids)
+        ids = ",".join(str(int(i)) for i in object_ids)
         lines = self._strip_partial(
             self.send(f"querymany {ids} top={top} method={method}")
         )
-        groups: Dict[str, List[Tuple[int, float]]] = {}
-        order: List[str] = []
+        groups: List[List[Tuple[int, float]]] = [[] for _ in object_ids]
         for line in lines:
-            key, oid, dist = line.split()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((int(oid), float(dist)))
-        return [groups[key] for key in order]
+            index, oid, dist = line.split()
+            groups[int(index)].append((int(oid), float(dist)))
+        return groups
 
     def cluster_status(self) -> Dict[str, str]:
         """Coordinator topology/health summary (``cluster`` command)."""

@@ -17,8 +17,8 @@ number of results to return, filter parameters, and attributes"):
   [mod=<S> residue=<a,b,...>]`` — batch similarity search seeded by
   several indexed objects at once; runs through the engine's fused
   multi-query pipeline (one sketch scan for the whole batch, then the
-  ranking) and answers one ``<query_id> <object_id> <distance>`` line
-  per result.
+  ranking) and answers one ``<query_index> <object_id> <distance>`` line
+  per result, keyed by the id's position in the list.
 - ``attrquery <expr>`` — attribute-only search; returns object ids.
 - ``insertfile <path> [id=<object_id>] [attr.key=value ...]`` — ingest a
   file through the plug-in's segmentation/extraction module; ``id=``
@@ -29,18 +29,15 @@ number of results to return, filter parameters, and attributes"):
   (``repro.metadata.serialization.encode_object``).
   This is how a cluster coordinator fetches a query seed from the shard
   that owns it before scattering the query to the other shards.
-- ``querysig <b64> [top=10] [method=filtering] [attr=<expr>]
-  [exclude=<id>] [mod=<S> residue=<a,b,...>]`` — similarity search
-  seeded by a base64-encoded signature (the scatter half of a cluster
-  query; every backend can answer it without holding the seed object).
-  ``exclude=`` drops one object id from the results (the seed itself,
-  on its owning shard); ``mod=/residue=`` keeps only the objects of the
-  listed shards.
-- ``querysigmany <b64,b64,...> [top=] [method=] [attr=]
-  [exclude=id1,id2,...]`` — batch form of ``querysig`` through the
-  engine's fused multi-query pipeline; answers one
+- ``querysigmany <b64,b64,...> [top=10] [method=filtering] [attr=<expr>]
+  [exclude=id1,id2,...] [mod=<S> residue=<a,b,...>]`` — batch similarity
+  search seeded by base64-encoded signatures (the scatter half of a
+  cluster query; every backend can answer it without holding the seed
+  objects) through the engine's fused multi-query pipeline; answers one
   ``<query_index> <object_id> <distance>`` line per result.
-  ``exclude=`` gives one id per query (a blank entry excludes nothing).
+  ``exclude=`` gives one id per query to drop from its results (the
+  seed itself; a blank entry excludes nothing); ``mod=/residue=`` keeps
+  only the objects of the listed shards.
 - ``countmod <modulus> <residue[,residue...]>`` — number of indexed
   objects whose id is one of the residues (mod modulus) (some shards'
   share of this backend's corpus; lets the coordinator count the
@@ -110,7 +107,14 @@ from ..observability import metrics as _metrics
 from ..observability.events import get_event_log
 from ..storage.errors import StorageError
 from ..system import HealthState
-from .protocol import Command, DegradedError, ProtocolError, parse_top_k, quote
+from .protocol import (
+    Command,
+    DegradedError,
+    ProtocolError,
+    parse_querymany_ids,
+    parse_top_k,
+    quote,
+)
 
 __all__ = ["CommandProcessor"]
 
@@ -479,16 +483,9 @@ class CommandProcessor:
         return [f"{r.object_id} {r.distance:.6f}" for r in results]
 
     def _cmd_querymany(self, command: Command) -> List[str]:
-        if len(command.args) != 1:
-            raise ProtocolError(
-                "usage: querymany <id1,id2,...> [top=] [method=] [attr=]"
-            )
-        try:
-            object_ids = [int(t) for t in command.args[0].split(",") if t != ""]
-        except ValueError:
-            raise ProtocolError(f"bad object ids {command.args[0]!r}") from None
-        if not object_ids:
-            raise ProtocolError("querymany needs at least one object id")
+        object_ids = parse_querymany_ids(
+            command, "usage: querymany <id1,id2,...> [top=] [method=] [attr=]"
+        )
         for object_id in object_ids:
             if object_id not in self.engine:
                 raise ProtocolError(f"unknown object {object_id}")
@@ -503,8 +500,8 @@ class CommandProcessor:
             restrict_to=restrict,
         )
         return [
-            f"{query_id} {r.object_id} {r.distance:.6f}"
-            for query_id, results in zip(object_ids, batches)
+            f"{index} {r.object_id} {r.distance:.6f}"
+            for index, results in enumerate(batches)
             for r in results
         ]
 
@@ -573,29 +570,6 @@ class CommandProcessor:
             raise ProtocolError(f"unknown object {object_id}")
         raw = encode_object(self.engine.get_object(object_id), lossless=True)
         return [base64.b64encode(raw).decode("ascii")]
-
-    def _cmd_querysig(self, command: Command) -> List[str]:
-        if len(command.args) != 1:
-            raise ProtocolError(
-                "usage: querysig <b64sig> [top=] [method=] [attr=] [exclude=]"
-            )
-        exclude = command.get("exclude")
-        try:
-            exclude_id = int(exclude) if exclude is not None else None
-        except ValueError:
-            raise ProtocolError(f"bad exclude id {exclude!r}") from None
-        signature = self._decode_signature(command.args[0], exclude_id)
-        top_k = parse_top_k(command)
-        method = self._method(command)
-        restrict = self._restrict_from(command)
-        results = self.engine.query(
-            signature,
-            top_k=top_k,
-            method=method,
-            exclude_self=exclude_id is not None,
-            restrict_to=restrict,
-        )
-        return [f"{r.object_id} {r.distance:.6f}" for r in results]
 
     def _cmd_querysigmany(self, command: Command) -> List[str]:
         if len(command.args) != 1:

@@ -33,6 +33,7 @@ __all__ = [
     "DegradedError",
     "parse_command",
     "parse_top_k",
+    "parse_querymany_ids",
     "format_ok",
     "format_error",
     "quote",
@@ -94,6 +95,22 @@ def parse_top_k(command: Command) -> int:
     return top_k
 
 
+def parse_querymany_ids(command: Command, usage: str) -> List[int]:
+    """The one argument of ``querymany``: comma-separated object ids,
+    at least one.  Both front ends take this syntax; a malformed list
+    is a :class:`ProtocolError` (``usage`` when the argument count is
+    wrong)."""
+    if len(command.args) != 1:
+        raise ProtocolError(usage)
+    try:
+        object_ids = [int(t) for t in command.args[0].split(",") if t != ""]
+    except ValueError:
+        raise ProtocolError(f"bad object ids {command.args[0]!r}") from None
+    if not object_ids:
+        raise ProtocolError("querymany needs at least one object id")
+    return object_ids
+
+
 def _is_plain(line: str) -> bool:
     """True for printable ASCII with no quote or backslash: a line on
     which ``shlex.split`` and ``str.split`` give the same tokens."""
@@ -111,8 +128,8 @@ def parse_command(line: str) -> Command:
 
     A plain line (:func:`_is_plain`) splits on spaces; any other line
     goes through ``shlex``, which lexes one character at a time in
-    Python and would dominate the parse of a long base64 ``querysig``
-    line.
+    Python and would dominate the parse of a long base64
+    ``querysigmany`` line.
     """
     line = line.strip()
     if not line:

@@ -132,8 +132,8 @@ def record_calls(coordinator):
 
 
 def query_calls(calls):
-    """The query lines: by id (``query``, ``querymany``) or by signature
-    (``querysig``, ``querysigmany``)."""
+    """The query lines: by id (``querymany``) or by signature
+    (``querysigmany``)."""
     return [(b, line) for b, line in calls if line.startswith("query")]
 
 
@@ -314,7 +314,7 @@ class TestSeedRouting:
         with running_cluster(2, 2, 2) as (_, _, coordinator):
             calls = record_calls(coordinator)
             coordinator.query(3, top_k=5)
-            assert calls == [(0, "query 3 top=5 method=filtering")]
+            assert calls == [(0, "querymany 3 top=5 method=filtering")]
             calls.clear()
             coordinator.query_many([3, 0, 3], top_k=5)
             assert calls == [(0, "querymany 3,0 top=5 method=filtering")]
@@ -326,8 +326,8 @@ class TestSeedRouting:
             calls = record_calls(coordinator)
             result = coordinator.query(7, top_k=5)
             sent = dict(query_calls(calls))
-            assert sent[1] == "query 7 top=5 method=filtering mod=3 residue=1"
-            assert sent[0].startswith("querysig ")
+            assert sent[1] == "querymany 7 top=5 method=filtering mod=3 residue=1"
+            assert sent[0].startswith("querysigmany ")
             assert sent[0].endswith(" exclude=7")
             assert [line for _, line in calls if line.startswith("getsig")] == [
                 "getsig 7"
@@ -362,9 +362,9 @@ class TestSeedRouting:
             assert got.served_by == {0: 1, 1: 1, 2: 2}
             assert printed(got.results) == want
             sent = query_calls(calls)
-            assert any(b == 2 and line.startswith("querysig ") for b, line in sent)
+            assert any(b == 2 and line.startswith("querysigmany ") for b, line in sent)
             assert any(
-                b == 1 and line.startswith("query 0 ") for b, line in sent
+                b == 1 and line.startswith("querymany 0 ") for b, line in sent
             )
 
     def test_killing_the_host_replans_to_the_single_engine_answer(
@@ -679,7 +679,7 @@ class TestServiceFrontEnd:
         before = unhandled.value
         try:
             for top in ("abc", "0", "-1"):
-                for line in (f"query 0 top={top}", f"querymany 0 7 top={top}"):
+                for line in (f"query 0 top={top}", f"querymany 0,7 top={top}"):
                     with pytest.raises(ClientError, match="bad top"):
                         client.send(line)
             assert client.ping()
@@ -700,7 +700,7 @@ class TestServiceErrors:
         unhandled = _metrics.counter("server.unhandled_errors")
         before = unhandled.value
         try:
-            for line in ("query 999999 top=3", "querymany 999999 0 top=3"):
+            for line in ("query 999999 top=3", "querymany 999999,0 top=3"):
                 with pytest.raises(ClientError, match="^unknown object 999999$"):
                     client.send(line)
             assert unhandled.value == before
@@ -721,7 +721,7 @@ class TestServiceErrors:
         client = FerretClient(*front.server_address, timeout=10.0)
         unhandled = _metrics.counter("server.unhandled_errors")
         try:
-            for line in ("query 0", "querymany 0 3", "insertfile /x.dat"):
+            for line in ("query 0", "querymany 0,3", "insertfile /x.dat"):
                 before = unhandled.value
                 with pytest.raises(ClientError, match="TypeError: routing bug"):
                     client.send(line)

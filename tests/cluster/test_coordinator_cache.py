@@ -46,13 +46,9 @@ class FakeCluster:
     def _scatter(self, line_for, parse, trace, trace_ctx=None):
         self.scatters += 1
         line = line_for(0, (0,))
-        if line.startswith(("querysigmany", "querymany")):
-            n_seeds = len(line.split()[1].split(","))
-            payload = [
-                [(10 + i, 0.125 * (i + 1))] for i in range(n_seeds)
-            ]
-        else:
-            payload = [(10, 0.125), (11, 0.25)]
+        # ``querymany`` or ``querysigmany``: one result list per seed.
+        n_seeds = len(line.split()[1].split(","))
+        payload = [[(10 + i, 0.125 * (i + 1))] for i in range(n_seeds)]
         per_shard = {
             shard: payload
             for shard in range(self.coordinator.shard_map.num_shards)
@@ -180,6 +176,16 @@ def test_query_many_shares_cache_with_query():
     assert [r.object_id for r in again[0].results] == [
         r.object_id for r in results[1].results
     ]
+
+
+def test_queries_count_every_seed_hit_or_miss():
+    coordinator = make_coordinator()
+    FakeCluster(coordinator)
+    queries = _metrics.counter("cluster.queries")
+    before = queries.value
+    coordinator.query(1, top_k=4)
+    coordinator.query_many([1, 2, 2], top_k=4)
+    assert queries.value == before + 4
 
 
 def test_query_many_partial_not_cached():

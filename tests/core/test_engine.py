@@ -8,10 +8,12 @@ from repro.core import (
     FeatureMeta,
     FilterParams,
     ObjectSignature,
+    ParallelConfig,
     SearchMethod,
     SimilaritySearchEngine,
     SketchParams,
 )
+from repro.observability import metrics as _metrics
 
 
 @pytest.fixture()
@@ -220,6 +222,69 @@ class TestUnrestrictedUniverse:
         monkeypatch.setattr(engine, "_filter_candidates", scan_then_remove)
         after = ask(5)
         assert after == [r for r in before if r.object_id != victim]
+
+
+class TestOnePipeline:
+    """``query(q)`` is ``query_many([q])``: a traced single query and a
+    traced batch of one book the same trace and the same metrics."""
+
+    @pytest.fixture()
+    def uncached(self, unit_meta):
+        # No result cache, so the second call scans like the first.
+        engine = SimilaritySearchEngine(
+            DataTypePlugin("test", unit_meta),
+            SketchParams(256, unit_meta, seed=1),
+            FilterParams(num_query_segments=3, candidates_per_segment=20),
+            parallel=ParallelConfig(cache_entries=0),
+        )
+        _fill(engine, 40)
+        engine.tracer.set_enabled(True)
+        return engine
+
+    @staticmethod
+    def _booked(trace):
+        return (
+            trace.method,
+            trace.num_queries,
+            sorted(trace.stages),
+            trace.counts,
+            trace.notes,
+            [span["name"] for span in trace.spans],
+        )
+
+    @pytest.mark.parametrize("cascade", [None, 4])
+    @pytest.mark.parametrize("method", list(SearchMethod))
+    def test_single_and_batch_of_one_book_the_same(
+        self, uncached, method, cascade
+    ):
+        query = uncached.get_object(3)
+        options = dict(top_k=5, method=method, exclude_self=True, cascade=cascade)
+        single = uncached.query(query, **options)
+        single_trace = uncached.tracer.last
+        batch = uncached.query_many([query], **options)
+        assert batch == [single]
+        assert self._booked(uncached.tracer.last) == self._booked(single_trace)
+        if method is SearchMethod.FILTERING:
+            assert single_trace.counts["candidates"] > 0
+            assert ("cascade_survivors" in single_trace.counts) == bool(cascade)
+
+    @pytest.mark.parametrize("cascade", [None, 4])
+    @pytest.mark.parametrize("method", list(SearchMethod))
+    def test_queries_grow_by_the_batch_size(self, uncached, method, cascade):
+        queries = _metrics.counter("engine.queries")
+        seconds = _metrics.histogram("engine.query_seconds")
+        batch = [uncached.get_object(i) for i in (0, 3, 9)]
+        for size in (1, 3):
+            count, samples = queries.value, seconds.count
+            uncached.query_many(
+                batch[:size], top_k=5, method=method, cascade=cascade
+            )
+            assert queries.value == count + size
+            assert seconds.count == samples + 1
+            assert uncached.tracer.last.num_queries == size
+        count, samples = queries.value, seconds.count
+        uncached.query(batch[0], top_k=5, method=method, cascade=cascade)
+        assert (queries.value, seconds.count) == (count + 1, samples + 1)
 
 
 class TestStats:

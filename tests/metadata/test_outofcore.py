@@ -114,6 +114,35 @@ class TestSketchStore:
                 queries[qi], k=6, threshold=40
             )
 
+    @pytest.mark.parametrize("k", [1, 5, 16, 17, 18, 34, 40, 200])
+    def test_ties_at_the_kth_distance_across_a_block_edge(self, setup, k):
+        """Rows drawn from three sketches tie at every distance, and the
+        ties straddle the 17-row block edges: the kept set is the one
+        ``select_k_smallest`` takes over the whole table by (distance,
+        scan position)."""
+        from repro.core.bitvector import hamming_many_to_many
+        from repro.core.filtering import select_k_smallest
+
+        _meta, _sketcher, _manager, store, _searcher = setup
+        rng = np.random.default_rng(7)
+        pool = rng.integers(0, 2**63, size=(3, store.n_words), dtype=np.uint64)
+        for object_id in range(20):  # 60 rows, blocks of 17+17+17+9
+            store.add_object(object_id, pool[rng.integers(0, 3, size=3)])
+        queries = np.stack([pool[0], pool[1] ^ np.uint64(1)])
+        owners = np.concatenate([o for o, _ in store.iter_blocks()])
+        table = np.concatenate([m for _, m in store.iter_blocks()])
+        all_dists = hamming_many_to_many(queries, table)
+        cols = select_k_smallest(all_dists, k)
+        for thresholds in (None, [0, 40]):
+            got = store.scan_nearest_many(queries, k, thresholds)
+            for qi in range(2):
+                want = sorted(
+                    (int(owners[c]), int(all_dists[qi, c]))
+                    for c in cols[qi]
+                    if thresholds is None or all_dists[qi, c] <= thresholds[qi]
+                )
+                assert got[qi] == want
+
     def test_scan_nearest_many_threshold_count_mismatch(self, setup):
         _meta, sketcher, _manager, store, searcher = setup
         _fill(searcher, 5)

@@ -94,16 +94,16 @@ class TestQueryManyCommand:
     def test_matches_single_queries(self, processor):
         batched = run(processor, "querymany 0,5,9 top=4")
         singles = []
-        for oid in (0, 5, 9):
+        for index, oid in enumerate((0, 5, 9)):
             singles.extend(
-                f"{oid} {line}" for line in run(processor, f"query {oid} top=4")
+                f"{index} {line}" for line in run(processor, f"query {oid} top=4")
             )
         assert batched == singles
 
     def test_single_id_batch(self, processor):
         lines = run(processor, "querymany 7 top=3")
         assert lines
-        assert all(line.split()[0] == "7" for line in lines)
+        assert all(line.split()[0] == "0" for line in lines)
 
     def test_attr_restriction(self, processor):
         lines = run(processor, "querymany 0,2 top=20 attr=parity:even")
@@ -111,7 +111,7 @@ class TestQueryManyCommand:
 
     def test_self_included_on_request(self, processor):
         lines = run(processor, "querymany 3 top=20 self=yes method=brute_force_original")
-        assert lines[0].split()[:2] == ["3", "3"]
+        assert lines[0].split()[:2] == ["0", "3"]
 
     def test_unknown_object(self, processor):
         with pytest.raises(ProtocolError):
@@ -140,7 +140,7 @@ class TestShardRestriction:
         every = "top=20 method=brute_force_original mod=4 residue=1,2"
         assert self.ids(run(processor, f"query 0 {every}")) == self.SHARDS_1_2
         assert self.ids(
-            run(processor, f"querysig {sig} exclude=0 {every}")
+            run(processor, f"querysigmany {sig} exclude=0 {every}"), column=1
         ) == self.SHARDS_1_2
         assert self.ids(
             run(processor, f"querysigmany {sig},{sig} {every}"), column=1
@@ -162,7 +162,6 @@ class TestShardRestriction:
         sig = run(processor, "getsig 0")[0]
         for line in (
             f'query 0 mod=4 residue="{residue}"',
-            f'querysig {sig} mod=4 residue="{residue}"',
             f'querysigmany {sig} mod=4 residue="{residue}"',
             f'countmod 4 "{residue}"',
         ):

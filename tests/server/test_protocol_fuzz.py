@@ -86,13 +86,13 @@ class TestParserFuzz:
         assert _parsed(parse_command, line) == _parsed(shlex_reference, line)
 
     def test_plain_querysig_line_never_lexes(self):
-        """A 2 KB base64 ``querysig`` line parses without ``shlex``."""
+        """A 2 KB base64 ``querysigmany`` line parses without ``shlex``."""
         b64 = base64.b64encode(bytes(range(256)) * 6).decode("ascii")
-        line = f"querysig {b64} top=10 method=filtering exclude=7"
+        line = f"querysigmany {b64} top=10 method=filtering exclude=7"
         assert len(line) > 2000
         with mock.patch.object(shlex, "split", side_effect=AssertionError):
             command = parse_command(line)
-        assert command.name == "querysig" and command.args == [b64]
+        assert command.name == "querysigmany" and command.args == [b64]
         assert command.kwargs == [
             ("top", "10"), ("method", "filtering"), ("exclude", "7")
         ]

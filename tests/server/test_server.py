@@ -51,6 +51,21 @@ class TestClientServer:
             )
             assert [r.object_id for r in direct] == [oid for oid, _ in results]
 
+    def test_querymany_matches_single_queries(self, served):
+        host, port, _ = served
+        with FerretClient(host, port) as client:
+            batch = client.querymany([0, 0, 5], top=4)
+            assert batch == [client.query(oid, top=4) for oid in (0, 0, 5)]
+            assert client.send("querymany 1,2 top=3")[0].startswith("0 ")
+
+    def test_querymany_fills_groups_by_position(self, served):
+        host, port, _ = served
+        with FerretClient(host, port) as client:
+            # The first seed found nothing: its list stays empty and the
+            # second seed's answer stays in second place.
+            client.send = lambda line, timeout=None: ["1 4 0.5"]
+            assert client.querymany([7, 8]) == [[], [(4, 0.5)]]
+
     def test_attrquery(self, served):
         host, port, _ = served
         with FerretClient(host, port) as client:
@@ -79,7 +94,7 @@ class TestClientServer:
             for line in (
                 f"query 0 top={top}",
                 f"querymany 0,1 top={top}",
-                f"querysig {sig} top={top}",
+                f"querysigmany {sig} top={top}",
                 f"querysigmany {sig},{sig} top={top}",
                 f"queryfile no-such-file.dat top={top}",
             ):
