@@ -71,9 +71,10 @@ cluster-smoke:
 # subprocess fleet (engine spans from every contacted node), PARTIAL
 # traces naming missing shards, the SIGKILL -> breaker-open -> failover
 # -> re-admission sequence asserted in the event journal, federation
-# with a node down, plus the trace-context/event-journal unit tests.
+# with a node down, the trace-context/event-journal unit tests, and the
+# operator commands answered alike by the single server and the cluster.
 cluster-obs-smoke:
-	$(PYTHON) -m pytest -q tests/cluster/test_telemetry.py tests/observability/test_context.py tests/observability/test_events.py
+	$(PYTHON) -m pytest -q tests/cluster/test_telemetry.py tests/cluster/test_command_parity.py tests/observability/test_context.py tests/observability/test_events.py
 
 # Cluster tracing overhead gate: traced vs untraced scatter/gather
 # through a real in-process cluster must differ by <5% (and the

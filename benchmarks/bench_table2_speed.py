@@ -35,7 +35,7 @@ _HEADER = (
     f"{'avg search time (s)':>20}"
 )
 
-_NUM_QUERIES = 10
+_NUM_QUERIES = 200
 
 
 def _measure(engine, dataset, rows, label):

@@ -299,7 +299,6 @@ class FerretCoordinator:
                 )
             )
             _metrics.gauge(f"cluster.backend.{backend_id}.breaker_state").set(0)
-            _metrics.gauge(f"cluster.breaker.state.{backend_id}").set(0)
         _M_AVAILABLE.set(len(self.handles))
         _M_NODES_UP.set(len(self.handles))
         self._id_lock = threading.Lock()
@@ -331,11 +330,9 @@ class FerretCoordinator:
     # ------------------------------------------------------------------
     def _transition_recorder(self, backend_id: int):
         gauge = _metrics.gauge(f"cluster.backend.{backend_id}.breaker_state")
-        state_gauge = _metrics.gauge(f"cluster.breaker.state.{backend_id}")
 
         def on_transition(old: BreakerState, new: BreakerState) -> None:
             gauge.set(new.gauge_value)
-            state_gauge.set(new.gauge_value)
             self._topology_epoch += 1
             _LOG.warning(
                 "breaker_transition",

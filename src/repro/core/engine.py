@@ -651,8 +651,10 @@ class SimilaritySearchEngine:
 
         A call counts ``len(queries)`` in ``engine.queries``, books one
         ``engine.query_seconds`` sample, and, traced, one trace for the
-        whole batch.
+        whole batch.  ``method`` may also be given by value
+        (``"filtering"``); an unknown one raises :class:`ValueError`.
         """
+        method = SearchMethod(method)
         queries = list(queries)
         if not queries:
             return []
@@ -682,8 +684,6 @@ class SimilaritySearchEngine:
                     queries, sketches_list, universe, cascade, exclude_self,
                     trace,
                 )
-            elif method is not SearchMethod.BRUTE_FORCE_SKETCH:
-                raise ValueError(f"unsupported method {method!r}")
 
         rank_started = time.perf_counter()
         if method is SearchMethod.BRUTE_FORCE_SKETCH:

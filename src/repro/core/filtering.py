@@ -124,8 +124,8 @@ class FilterParams:
     threshold_fn:
         Weight-dependent multiplier on the base threshold; must be
         decreasing in the weight.  Either the name of a function added
-        with :func:`register_threshold_fn` (serializable — required for
-        cross-process dispatch) or a bare callable (in-process only).
+        with :func:`register_threshold_fn` or a bare callable (whose
+        filter results are never cached; see :meth:`cache_key`).
     """
 
     num_query_segments: int = 4
@@ -166,43 +166,6 @@ class FilterParams:
             if fn is self.threshold_fn:
                 return name
         return None
-
-    def require_serializable(self, context: str = "cross-process dispatch") -> None:
-        """Raise with a clear message when the params cannot leave the process."""
-        if self.threshold_fn_name is None:
-            raise ValueError(
-                f"FilterParams.threshold_fn is an unregistered callable "
-                f"({self.threshold_fn!r}) and cannot be serialized for "
-                f"{context}; register it with "
-                f"repro.core.filtering.register_threshold_fn(name, fn) and "
-                f"pass the name instead"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        """Wire/JSON representation; requires a named threshold function."""
-        self.require_serializable("to_dict()")
-        return {
-            "num_query_segments": self.num_query_segments,
-            "candidates_per_segment": self.candidates_per_segment,
-            "threshold_fraction": self.threshold_fraction,
-            "threshold_fn": self.threshold_fn_name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FilterParams":
-        # A missing key means the field's default; only an explicit
-        # ``None`` turns the threshold off.
-        fraction = data.get("threshold_fraction", cls.threshold_fraction)
-        return cls(
-            num_query_segments=int(
-                data.get("num_query_segments", cls.num_query_segments)
-            ),
-            candidates_per_segment=int(
-                data.get("candidates_per_segment", cls.candidates_per_segment)
-            ),
-            threshold_fraction=None if fraction is None else float(fraction),
-            threshold_fn=str(data.get("threshold_fn", cls.threshold_fn)),
-        )
 
     def cache_key(self) -> Optional[Tuple]:
         """Stable hashable identity for result caching.

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
-    Dict,
     Iterable,
     List,
     Mapping,
@@ -69,11 +68,8 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class RankParams:
-    """Tuning knobs of the batched ranking cascade.
-
-    Serializable (``to_dict`` / ``from_dict``) so the server can expose
-    the knobs via ``setparam`` and persist them alongside the engine's
-    other parameters.
+    """Tuning knobs of the batched ranking cascade (the server's
+    ``setparam rank_*`` switches; see :meth:`with_updates`).
 
     Parameters
     ----------
@@ -99,24 +95,6 @@ class RankParams:
         for name in ("cascade", "centroid_bound", "rowcol_bound"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"RankParams.{name} must be a bool")
-
-    def to_dict(self) -> Dict[str, bool]:
-        return {
-            "cascade": self.cascade,
-            "centroid_bound": self.centroid_bound,
-            "rowcol_bound": self.rowcol_bound,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, bool]) -> "RankParams":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown RankParams fields: {sorted(unknown)}")
-        return cls(**dict(payload))
-
-    def cache_key(self) -> Tuple[bool, bool, bool]:
-        return (self.cascade, self.centroid_bound, self.rowcol_bound)
 
     def with_updates(self, **changes: bool) -> "RankParams":
         return replace(self, **changes)
@@ -272,16 +250,11 @@ def rank_candidates_many(
     )
     if not use_cascade:
         started = time.perf_counter()
-        results: List[SearchResult] = []
-        for object_id, candidate in zip(ids, sigs):
-            results.append(
-                SearchResult(float(obj_distance(query, candidate)), object_id)
-            )
-        stats.exact_evals = len(results)
+        results = rank_candidates(
+            query, ids, dict(zip(ids, sigs)), obj_distance, top_k=top_k
+        )
+        stats.exact_evals = len(ids)
         stats.solve_seconds = time.perf_counter() - started
-        if top_k is not None:
-            return heapq.nsmallest(max(0, top_k), results), stats
-        results.sort()
         return results, stats
 
     emd_params = obj_distance.params

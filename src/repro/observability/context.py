@@ -218,9 +218,9 @@ class TraceStore:
 # Rendering
 # ----------------------------------------------------------------------
 def trace_lines(tree: Dict[str, object]) -> List[str]:
-    """A trace dict in the same stable ``key value`` line format
-    :meth:`QueryTrace.lines` uses (the ``trace get`` payload), with
-    per-node subtrees flattened under ``node.<shard>.<backend>.*``."""
+    """A trace dict as stable ``key value`` lines (the ``trace`` and
+    ``trace get`` payload), with per-node subtrees flattened under
+    ``node.<shard>.<backend>.*``."""
     out = [
         f"method {tree.get('method', '?')}",
         f"queries {tree.get('queries', 1)}",

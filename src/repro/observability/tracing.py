@@ -29,12 +29,6 @@ from . import context as _context
 __all__ = ["QueryTrace", "SlowQueryLog", "TraceRecorder"]
 
 
-def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return f"{value:.6f}"
-
-
 class QueryTrace:
     """Stage timings and cardinalities of one query (or fused batch).
 
@@ -108,22 +102,7 @@ class QueryTrace:
     # -- rendering -------------------------------------------------------
     def lines(self) -> List[str]:
         """Stable ``key value`` lines (the ``trace`` command's payload)."""
-        out = [
-            f"method {self.method}",
-            f"queries {self.num_queries}",
-            f"total_seconds {self.total_seconds:.6f}",
-        ]
-        for name in sorted(self.stages):
-            out.append(f"stage.{name}_seconds {self.stages[name]:.6f}")
-        for name in sorted(self.counts):
-            out.append(f"count.{name} {self.counts[name]}")
-        for name in sorted(self.notes):
-            out.append(f"note.{name} {self.notes[name]}")
-        for span in self.spans:
-            name = span["name"]
-            for key in sorted(k for k in span if k != "name"):
-                out.append(f"span.{name}.{key}_seconds {span[key]:.6f}")
-        return out
+        return _context.trace_lines(self.to_dict())
 
     def to_dict(self) -> Dict[str, object]:
         return {

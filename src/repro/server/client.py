@@ -157,6 +157,15 @@ class RetryPolicy:
         return delays
 
 
+def _parse_results(lines: Sequence[str]) -> List[Tuple[int, float]]:
+    """``<oid> <dist>`` answer lines as ``(object_id, distance)`` pairs."""
+    results = []
+    for line in lines:
+        oid, _, dist = line.partition(" ")
+        results.append((int(oid), float(dist)))
+    return results
+
+
 class FerretClient:
     """Blocking client over one TCP connection.
 
@@ -440,12 +449,7 @@ class FerretClient:
             f"trace={ctx.to_wire()}"
         )
         lines, tree = split_trace_line(lines)
-        lines = self._strip_partial(lines)
-        results = []
-        for line in lines:
-            oid, _, dist = line.partition(" ")
-            results.append((int(oid), float(dist)))
-        return results, tree
+        return _parse_results(self._strip_partial(lines)), tree
 
     def _strip_partial(self, lines: List[str]) -> List[str]:
         """Record and strip a leading ``PARTIAL <shards>`` tag.
@@ -482,12 +486,7 @@ class FerretClient:
             parts.append(f"attr={quote(attr)}")
         if include_self:
             parts.append("self=yes")
-        lines = self._strip_partial(self.send(" ".join(parts)))
-        results = []
-        for line in lines:
-            oid, _, dist = line.partition(" ")
-            results.append((int(oid), float(dist)))
-        return results
+        return _parse_results(self._strip_partial(self.send(" ".join(parts))))
 
     def querymany(
         self,
@@ -533,11 +532,7 @@ class FerretClient:
         parts = [f"queryfile {quote(path)} top={top} method={method}"]
         if attr:
             parts.append(f"attr={quote(attr)}")
-        results = []
-        for line in self.send(" ".join(parts)):
-            oid, _, dist = line.partition(" ")
-            results.append((int(oid), float(dist)))
-        return results
+        return _parse_results(self.send(" ".join(parts)))
 
     def insert_file(
         self,

@@ -93,7 +93,7 @@ import base64
 import binascii
 import time
 from struct import error as struct_error
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..attrsearch.index import InvertedIndex, MemoryIndex
 from ..attrsearch.query import AttributeSearcher, QueryError
@@ -101,10 +101,13 @@ from ..core.bitvector import scan_kernel
 from ..core.engine import SearchMethod, SimilaritySearchEngine
 from ..core.filtering import FilterParams, get_threshold_fn
 from ..core.plugin import EXTRACTION_ERRORS
+from ..core.ranking import SearchResult
+from ..core.types import ObjectSignature
 from ..metadata.serialization import decode_object, encode_object
 from ..observability import context as _trace_context
 from ..observability import metrics as _metrics
 from ..observability.events import get_event_log
+from ..observability.tracing import TraceRecorder
 from ..storage.errors import StorageError
 from ..system import HealthState
 from .protocol import (
@@ -116,7 +119,7 @@ from .protocol import (
     quote,
 )
 
-__all__ = ["CommandProcessor"]
+__all__ = ["CommandProcessor", "OperatorCommands"]
 
 _M_COMMANDS = _metrics.counter("server.commands")
 _M_COMMAND_SECONDS = _metrics.histogram("server.command_seconds")
@@ -124,7 +127,190 @@ _M_COMMAND_ERRORS = _metrics.counter("server.command_errors")
 _M_DEGRADED = _metrics.counter("server.degraded_responses")
 
 
-class CommandProcessor:
+class OperatorCommands:
+    """The commands both front ends answer the same way: ``ping``,
+    ``health``, ``metrics``, ``trace``, ``events`` and ``setparam
+    trace``, plus the ``trace=`` context parse and the answer-line
+    format.
+
+    :class:`CommandProcessor` (one engine) and
+    :class:`~repro.cluster.service.ClusterCommandProcessor` (a cluster
+    coordinator) derive from it; each sets :attr:`tracer`,
+    :attr:`trace_store` and :attr:`health` and keeps its own
+    ``execute``.  Other ``setparam`` names go to :meth:`_setparam`.
+    """
+
+    #: The query path's tracing state (switch, last trace, slow log).
+    tracer: TraceRecorder
+    #: Traces collected under propagated contexts (``trace get <id>``).
+    trace_store: _trace_context.TraceStore
+    health: HealthState
+
+    @staticmethod
+    def _trace_context_from(command: Command):
+        """The ``trace=`` context, if the request carried one."""
+        token = command.get("trace")
+        if token is None:
+            return None
+        try:
+            return _trace_context.TraceContext.parse(token)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+
+    @staticmethod
+    def _flag(name: str, raw: str) -> str:
+        """``setparam <name> on|off``'s value, lower-cased; anything
+        else is a usage error."""
+        flag = raw.lower()
+        if flag not in ("on", "off"):
+            raise ProtocolError(f"usage: setparam {name} on|off")
+        return flag
+
+    @staticmethod
+    def _render(
+        batches: Sequence[Sequence[SearchResult]], keyed: bool
+    ) -> List[str]:
+        """Answer lines: ``<oid> <dist>``, or with ``keyed`` the batch
+        form ``<query_index> <oid> <dist>``."""
+        if keyed:
+            return [
+                f"{index} {r.object_id} {r.distance:.6f}"
+                for index, results in enumerate(batches)
+                for r in results
+            ]
+        return [
+            f"{r.object_id} {r.distance:.6f}"
+            for results in batches
+            for r in results
+        ]
+
+    def _cmd_ping(self, command: Command) -> List[str]:
+        return ["pong"]
+
+    def _cmd_health(self, command: Command) -> List[str]:
+        return self.health.status_lines()
+
+    def _cmd_metrics(self, command: Command) -> List[str]:
+        """``metrics [-p|-s] [prefix]``: registry dump, optionally
+        filtered to one name prefix, rendered in Prometheus text format
+        (``-p``), or as one line of JSON snapshot (``-s`` — the
+        federation wire format; see docs/OBSERVABILITY.md).
+        """
+        prometheus = False
+        snapshot = False
+        prefix: Optional[str] = None
+        for arg in command.args:
+            if arg == "-p":
+                prometheus = True
+            elif arg == "-s":
+                snapshot = True
+            elif prefix is None:
+                prefix = arg
+            else:
+                raise ProtocolError("usage: metrics [-p|-s] [prefix]")
+        if prometheus and snapshot:
+            raise ProtocolError("usage: metrics [-p|-s] [prefix]")
+        registry = _metrics.get_registry()
+        if snapshot:
+            state = registry.snapshot()
+            if prefix:
+                state = {
+                    name: value
+                    for name, value in state.items()
+                    if name.startswith(prefix)
+                }
+            return [_metrics.encode_snapshot(state)]
+        if prometheus:
+            return registry.render_prometheus(prefix=prefix)
+        return registry.render(prefix=prefix)
+
+    def _cmd_trace(self, command: Command) -> List[str]:
+        """``trace [get <id>|slow [n]] [--tree]``: the last query's
+        trace, a stored one by id, or the slow-query log (a slow entry's
+        ``PARTIAL=`` / ``laggard=`` notes are printed when present)."""
+        tracer = self.tracer
+        args = list(command.args)
+        tree = "--tree" in args
+        if tree:
+            args.remove("--tree")
+        if args and args[0] == "slow":
+            try:
+                limit = int(args[1]) if len(args) > 1 else 10
+            except ValueError:
+                raise ProtocolError("usage: trace slow [n] [--tree]") from None
+            if limit <= 0 or len(args) > 2:
+                raise ProtocolError("usage: trace slow [n] [--tree]")
+            lines = [f"slow_queries_total {tracer.slow_log.total_recorded}"]
+            for i, entry in enumerate(tracer.slow_log.entries()[-limit:]):
+                if tree:
+                    lines.extend(
+                        _trace_context.render_trace_tree(entry.to_dict())
+                    )
+                else:
+                    note = entry.notes.get("missing_shards")
+                    partial = f" PARTIAL={note}" if note else ""
+                    laggard = entry.notes.get("laggard")
+                    slowest = f" laggard={laggard}" if laggard else ""
+                    lines.append(
+                        f"{i} method={entry.method} queries={entry.num_queries} "
+                        f"total_seconds={entry.total_seconds:.6f}"
+                        f"{partial}{slowest}"
+                    )
+            return lines
+        if args and args[0] == "get":
+            if len(args) != 2:
+                raise ProtocolError("usage: trace get <id> [--tree]")
+            stored = self.trace_store.get(args[1])
+            if stored is None:
+                raise ProtocolError(f"unknown trace id {args[1]!r}")
+            if tree:
+                return _trace_context.render_trace_tree(stored)
+            return _trace_context.trace_lines(stored)
+        if args:
+            raise ProtocolError("usage: trace [get <id>|slow [n]] [--tree]")
+        last = tracer.last
+        if last is None:
+            return [
+                f"tracing {'on' if tracer.enabled else 'off'}",
+                "no_trace_recorded",
+            ]
+        if tree:
+            return _trace_context.render_trace_tree(last.to_dict())
+        return last.lines()
+
+    def _cmd_events(self, command: Command) -> List[str]:
+        """``events [n]``: the most recent entries of the process event
+        journal, oldest first (see docs/OBSERVABILITY.md, "Event
+        journal")."""
+        limit: Optional[int] = None
+        if command.args:
+            try:
+                limit = int(command.args[0])
+            except ValueError:
+                raise ProtocolError("usage: events [n]") from None
+            if limit < 0 or len(command.args) > 1:
+                raise ProtocolError("usage: events [n]")
+        journal = get_event_log()
+        lines = [f"events_total {journal.total_recorded}"]
+        lines.extend(event.line() for event in journal.tail(limit))
+        return lines
+
+    def _cmd_setparam(self, command: Command) -> List[str]:
+        if len(command.args) != 2:
+            raise ProtocolError("usage: setparam <name> <value>")
+        name, raw = command.args
+        if name == "trace":
+            flag = self._flag(name, raw)
+            self.tracer.set_enabled(flag == "on")
+            return [f"trace={flag}"]
+        return self._setparam(name, raw)
+
+    def _setparam(self, name: str, raw: str) -> List[str]:
+        """``setparam <name> <raw>`` for a name other than ``trace``."""
+        raise ProtocolError(f"unknown parameter {name!r}")
+
+
+class CommandProcessor(OperatorCommands):
     """Stateful command dispatcher around one engine."""
 
     def __init__(
@@ -139,8 +325,7 @@ class CommandProcessor:
         self.searcher = AttributeSearcher(self.index)
         self.attributes: Dict[int, Dict[str, str]] = dict(attributes or {})
         self.health = health if health is not None else HealthState()
-        # Traces collected under propagated contexts, fetchable by id
-        # (`trace get <id>`) after the piggybacked reply line is gone.
+        self.tracer = engine.tracer
         self.trace_store = _trace_context.TraceStore()
 
     # -- attribute bookkeeping ------------------------------------------
@@ -191,16 +376,6 @@ class CommandProcessor:
         return result
 
     # -- trace propagation ------------------------------------------------
-    @staticmethod
-    def _trace_context_from(command: Command):
-        token = command.get("trace")
-        if token is None:
-            return None
-        try:
-            return _trace_context.TraceContext.parse(token)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-
     def _piggyback_trace(
         self,
         command: Command,
@@ -245,12 +420,6 @@ class CommandProcessor:
             raise ProtocolError(str(exc)) from exc
 
     # -- handlers ----------------------------------------------------------
-    def _cmd_ping(self, command: Command) -> List[str]:
-        return ["pong"]
-
-    def _cmd_health(self, command: Command) -> List[str]:
-        return self.health.status_lines()
-
     def _cmd_count(self, command: Command) -> List[str]:
         return [str(len(self.engine))]
 
@@ -311,40 +480,6 @@ class CommandProcessor:
             f"slow_query_ms {tracer.slow_log.threshold_seconds * 1000.0:g}",
         ] + self._query_latency_lines()
 
-    def _cmd_metrics(self, command: Command) -> List[str]:
-        """``metrics [-p|-s] [prefix]``: registry dump, optionally
-        filtered to one name prefix, rendered in Prometheus text format
-        (``-p``), or as one line of JSON snapshot (``-s`` — the
-        federation wire format; see docs/OBSERVABILITY.md).
-        """
-        prometheus = False
-        snapshot = False
-        prefix: Optional[str] = None
-        for arg in command.args:
-            if arg == "-p":
-                prometheus = True
-            elif arg == "-s":
-                snapshot = True
-            elif prefix is None:
-                prefix = arg
-            else:
-                raise ProtocolError("usage: metrics [-p|-s] [prefix]")
-        if prometheus and snapshot:
-            raise ProtocolError("usage: metrics [-p|-s] [prefix]")
-        registry = _metrics.get_registry()
-        if snapshot:
-            state = registry.snapshot()
-            if prefix:
-                state = {
-                    name: value
-                    for name, value in state.items()
-                    if name.startswith(prefix)
-                }
-            return [_metrics.encode_snapshot(state)]
-        if prometheus:
-            return registry.render_prometheus(prefix=prefix)
-        return registry.render(prefix=prefix)
-
     def _cmd_profile(self, command: Command) -> List[str]:
         """``profile [n]``: sampling-profiler state plus the top ``n``
         collapsed stacks (``frame;frame;frame count``, FlameGraph's
@@ -372,66 +507,23 @@ class CommandProcessor:
         ]
         return lines + profiler.collapsed(limit=limit)
 
-    def _cmd_trace(self, command: Command) -> List[str]:
-        tracer = self.engine.tracer
-        args = list(command.args)
-        tree = "--tree" in args
-        if tree:
-            args.remove("--tree")
-        if args and args[0] == "slow":
-            try:
-                limit = int(args[1]) if len(args) > 1 else 10
-            except ValueError:
-                raise ProtocolError("usage: trace slow [n] [--tree]") from None
-            if limit <= 0 or len(args) > 2:
-                raise ProtocolError("usage: trace slow [n] [--tree]")
-            lines = [f"slow_queries_total {tracer.slow_log.total_recorded}"]
-            for i, entry in enumerate(tracer.slow_log.entries()[-limit:]):
-                if tree:
-                    lines.extend(_trace_context.render_trace_tree(entry.to_dict()))
-                else:
-                    lines.append(
-                        f"{i} method={entry.method} queries={entry.num_queries} "
-                        f"total_seconds={entry.total_seconds:.6f}"
-                    )
-            return lines
-        if args and args[0] == "get":
-            if len(args) != 2:
-                raise ProtocolError("usage: trace get <id> [--tree]")
-            stored = self.trace_store.get(args[1])
-            if stored is None:
-                raise ProtocolError(f"unknown trace id {args[1]!r}")
-            if tree:
-                return _trace_context.render_trace_tree(stored)
-            return _trace_context.trace_lines(stored)
-        if args:
-            raise ProtocolError("usage: trace [get <id>|slow [n]] [--tree]")
-        last = tracer.last
-        if last is None:
-            return [
-                f"tracing {'on' if tracer.enabled else 'off'}",
-                "no_trace_recorded",
-            ]
-        if tree:
-            return _trace_context.render_trace_tree(last.to_dict())
-        return last.lines()
+    def _seed(self, object_id: int) -> ObjectSignature:
+        if object_id not in self.engine:
+            raise ProtocolError(f"unknown object {object_id}")
+        return self.engine.get_object(object_id)
 
-    def _cmd_events(self, command: Command) -> List[str]:
-        """``events [n]``: the most recent entries of the process event
-        journal, oldest first (see docs/OBSERVABILITY.md, "Event
-        journal")."""
-        limit: Optional[int] = None
-        if command.args:
-            try:
-                limit = int(command.args[0])
-            except ValueError:
-                raise ProtocolError("usage: events [n]") from None
-            if limit < 0 or len(command.args) > 1:
-                raise ProtocolError("usage: events [n]")
-        journal = get_event_log()
-        lines = [f"events_total {journal.total_recorded}"]
-        lines.extend(event.line() for event in journal.tail(limit))
-        return lines
+    def _query_seeds(
+        self, command: Command, seeds: List[ObjectSignature]
+    ) -> List[List[SearchResult]]:
+        """``query`` and ``querymany``'s one engine call, with the
+        ``top= method= self= attr= mod= residue=`` options."""
+        return self.engine.query_many(
+            seeds,
+            top_k=parse_top_k(command),
+            method=self._method(command),
+            exclude_self=command.get("self", "no") != "yes",
+            restrict_to=self._restrict_from(command),
+        )
 
     def _cmd_query(self, command: Command) -> List[str]:
         if len(command.args) != 1:
@@ -440,70 +532,30 @@ class CommandProcessor:
             object_id = int(command.args[0])
         except ValueError:
             raise ProtocolError(f"bad object id {command.args[0]!r}") from None
-        if object_id not in self.engine:
-            raise ProtocolError(f"unknown object {object_id}")
-        top_k = parse_top_k(command)
-        method = self._method(command)
-        restrict = self._restrict_from(command)
+        seed = self._seed(object_id)
         weights_arg = command.get("weights")
         if weights_arg:
-            from ..core.types import ObjectSignature
-
             try:
                 weights = [float(w) for w in weights_arg.split(",") if w != ""]
             except ValueError:
                 raise ProtocolError(f"bad weights {weights_arg!r}") from None
-            seed = self.engine.get_object(object_id)
             if len(weights) != seed.num_segments:
                 raise ProtocolError(
                     f"object {object_id} has {seed.num_segments} segments, "
                     f"got {len(weights)} weights"
                 )
             try:
-                query = ObjectSignature(
-                    seed.features, weights, object_id=object_id
-                )
+                seed = ObjectSignature(seed.features, weights, object_id=object_id)
             except ValueError as exc:
                 raise ProtocolError(f"bad weights: {exc}") from exc
-            results = self.engine.query(
-                query,
-                top_k=top_k,
-                method=method,
-                exclude_self=command.get("self", "no") != "yes",
-                restrict_to=restrict,
-            )
-        else:
-            results = self.engine.query_by_id(
-                object_id,
-                top_k=top_k,
-                method=method,
-                exclude_self=command.get("self", "no") != "yes",
-                restrict_to=restrict,
-            )
-        return [f"{r.object_id} {r.distance:.6f}" for r in results]
+        return self._render(self._query_seeds(command, [seed]), keyed=False)
 
     def _cmd_querymany(self, command: Command) -> List[str]:
         object_ids = parse_querymany_ids(
             command, "usage: querymany <id1,id2,...> [top=] [method=] [attr=]"
         )
-        for object_id in object_ids:
-            if object_id not in self.engine:
-                raise ProtocolError(f"unknown object {object_id}")
-        top_k = parse_top_k(command)
-        method = self._method(command)
-        restrict = self._restrict_from(command)
-        batches = self.engine.query_many(
-            [self.engine.get_object(object_id) for object_id in object_ids],
-            top_k=top_k,
-            method=method,
-            exclude_self=command.get("self", "no") != "yes",
-            restrict_to=restrict,
-        )
-        return [
-            f"{index} {r.object_id} {r.distance:.6f}"
-            for index, results in enumerate(batches)
-            for r in results
-        ]
+        seeds = [self._seed(object_id) for object_id in object_ids]
+        return self._render(self._query_seeds(command, seeds), keyed=True)
 
     # -- cluster scatter/gather support ---------------------------------
     def _restrict_from(self, command: Command) -> Optional[List[int]]:
@@ -609,11 +661,7 @@ class CommandProcessor:
             exclude_self=True,
             restrict_to=restrict,
         )
-        return [
-            f"{index} {r.object_id} {r.distance:.6f}"
-            for index, results in enumerate(batches)
-            for r in results
-        ]
+        return self._render(batches, keyed=True)
 
     def _cmd_countmod(self, command: Command) -> List[str]:
         if len(command.args) != 2:
@@ -671,7 +719,7 @@ class CommandProcessor:
             )
         except EXTRACTION_ERRORS as exc:
             raise ProtocolError(f"query failed: {exc}") from exc
-        return [f"{r.object_id} {r.distance:.6f}" for r in results]
+        return self._render([results], keyed=False)
 
     def _cmd_attrs(self, command: Command) -> List[str]:
         if len(command.args) != 1:
@@ -680,10 +728,7 @@ class CommandProcessor:
         attrs = self.attributes.get(object_id, {})
         return [f"{quote(k)}={quote(v)}" for k, v in sorted(attrs.items())]
 
-    def _cmd_setparam(self, command: Command) -> List[str]:
-        if len(command.args) != 2:
-            raise ProtocolError("usage: setparam <name> <value>")
-        name, raw = command.args
+    def _setparam(self, name: str, raw: str) -> List[str]:
         params = self.engine.filter_params
         if name == "num_query_segments":
             updated = FilterParams(
@@ -711,27 +756,15 @@ class CommandProcessor:
                 params.threshold_fraction, raw,
             )
         elif name == "compaction":
-            flag = raw.lower()
-            if flag not in ("on", "off"):
-                raise ProtocolError("usage: setparam compaction on|off")
+            flag = self._flag(name, raw)
             self.engine.set_compaction(flag == "on")
             return [f"compaction={flag}"]
-        elif name == "trace":
-            flag = raw.lower()
-            if flag not in ("on", "off"):
-                raise ProtocolError("usage: setparam trace on|off")
-            self.engine.tracer.set_enabled(flag == "on")
-            return [f"trace={flag}"]
         elif name == "metrics":
-            flag = raw.lower()
-            if flag not in ("on", "off"):
-                raise ProtocolError("usage: setparam metrics on|off")
+            flag = self._flag(name, raw)
             _metrics.set_enabled(flag == "on")
             return [f"metrics={flag}"]
         elif name == "profile":
-            flag = raw.lower()
-            if flag not in ("on", "off"):
-                raise ProtocolError("usage: setparam profile on|off")
+            flag = self._flag(name, raw)
             profiler = self.engine.tracer.profiler
             if flag == "on":
                 profiler.start()
@@ -741,9 +774,7 @@ class CommandProcessor:
         elif name in (
             "rank_cascade", "rank_centroid_bound", "rank_rowcol_bound",
         ):
-            flag = raw.lower()
-            if flag not in ("on", "off"):
-                raise ProtocolError(f"usage: setparam {name} on|off")
+            flag = self._flag(name, raw)
             field = {
                 "rank_cascade": "cascade",
                 "rank_centroid_bound": "centroid_bound",

@@ -322,7 +322,9 @@ class TestConcurrentBreakerFlips:
             # The gauges agree with the journal's end state.
             for i in range(len(coordinator.handles)):
                 assert (
-                    _metrics.get_registry().value(f"cluster.breaker.state.{i}")
+                    _metrics.get_registry().value(
+                        f"cluster.backend.{i}.breaker_state"
+                    )
                     == 2
                 )
         finally:

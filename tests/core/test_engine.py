@@ -47,6 +47,21 @@ class TestSearchMethod:
         with pytest.raises(ValueError, match="unknown search method"):
             SearchMethod.parse("lsh")
 
+    def test_query_takes_the_method_by_value(self, engine):
+        _fill(engine)
+        engine.tracer.set_enabled(True)
+        query = engine.get_object(3)
+        by_value = engine.query(query, top_k=5, method="filtering")
+        assert by_value == engine.query(
+            query, top_k=5, method=SearchMethod.FILTERING
+        )
+        assert engine.tracer.last.method == "filtering"
+
+    def test_query_rejects_an_unknown_method_string(self, engine):
+        _fill(engine)
+        with pytest.raises(ValueError, match="sideways"):
+            engine.query(engine.get_object(3), top_k=5, method="sideways")
+
 
 class TestInsert:
     def test_sequential_ids(self, engine):

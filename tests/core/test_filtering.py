@@ -47,13 +47,32 @@ class TestFilterParams:
             FilterParams(**kwargs)
 
     def test_from_dict_missing_keys_mean_defaults(self):
-        assert FilterParams.from_dict({}) == FilterParams()
-        assert FilterParams.from_dict({}).threshold_fraction == 0.5
+        """An omitted field takes its default; the threshold stays on."""
+        params = FilterParams(num_query_segments=4)
+        assert params == FilterParams()
+        assert params.threshold_fraction == 0.5
+        assert params.cache_key() == FilterParams().cache_key()
 
     def test_from_dict_explicit_none_disables_threshold(self):
-        params = FilterParams.from_dict({"threshold_fraction": None})
+        """Only an explicit ``None`` turns the threshold off, and the
+        unthresholded scan keeps every candidate the thresholded one does."""
+        params = FilterParams(threshold_fraction=None)
         assert params.threshold_fraction is None
-        assert FilterParams.from_dict(params.to_dict()) == params
+        assert params.cache_key() != FilterParams().cache_key()
+        _meta, sk, store, objects, _rng = _setup(num_objects=60)
+        q = objects[3]
+        q_sk = sk.sketch_many(q.features)
+        kwargs = dict(num_query_segments=3, candidates_per_segment=10)
+        tight = sketch_filter(
+            q, q_sk, store, FilterParams(threshold_fraction=0.05, **kwargs),
+            sk.n_bits,
+        )
+        unthresholded = sketch_filter(
+            q, q_sk, store, FilterParams(threshold_fraction=None, **kwargs),
+            sk.n_bits,
+        )
+        assert tight <= unthresholded
+        assert len(unthresholded) > len(tight)
 
     def test_threshold_fn_decreasing(self):
         assert default_threshold_fn(0.0) > default_threshold_fn(0.5) > default_threshold_fn(1.0)

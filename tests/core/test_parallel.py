@@ -324,14 +324,12 @@ def test_empty_store_and_all_tombstones(host_split):
 
 
 # ----------------------------------------------------------------------
-# FilterParams registry / serialization
+# FilterParams threshold registry
 # ----------------------------------------------------------------------
 def test_threshold_fn_registry_roundtrip():
     params = FilterParams(threshold_fraction=0.4, threshold_fn="constant")
     assert params.threshold_factor(0.25) == 1.0
-    clone = FilterParams.from_dict(params.to_dict())
-    assert clone == params
-    assert clone.cache_key() == params.cache_key()
+    assert params.cache_key() is not None
     with pytest.raises(ValueError, match="registered"):
         get_threshold_fn("no-such-fn")
     with pytest.raises(ValueError):
@@ -342,13 +340,8 @@ def test_unregistered_callable_not_serializable():
     params = FilterParams(threshold_fn=lambda w: 2.0)
     assert params.threshold_factor(0.5) == 2.0
     assert params.cache_key() is None  # uncacheable, never wrong
-    with pytest.raises(ValueError, match="register_threshold_fn"):
-        params.require_serializable("the worker pool")
-    with pytest.raises(ValueError):
-        params.to_dict()
     register_threshold_fn("test-doubler", lambda w: 2.0 * w)
     named = FilterParams(threshold_fn="test-doubler")
-    named.require_serializable()
     assert named.threshold_factor(3.0) == 6.0
 
 

@@ -421,14 +421,6 @@ class TestCascadeEquivalence:
 
 
 class TestRankParams:
-    def test_round_trip(self):
-        params = RankParams(cascade=False, rowcol_bound=False)
-        assert RankParams.from_dict(params.to_dict()) == params
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown RankParams"):
-            RankParams.from_dict({"cascade": True, "bogus": 1})
-
     def test_non_bool_rejected(self):
         with pytest.raises(ValueError, match="must be a bool"):
             RankParams(cascade="yes")

@@ -251,7 +251,7 @@ class TestQueryFallbackScope:
             calls.append(1)
             raise RuntimeError("ranking bug")
 
-        monkeypatch.setattr(processor.engine, "query_by_id", boom)
+        monkeypatch.setattr(processor.engine, "query_many", boom)
         with pytest.raises(RuntimeError):
             run(processor, "query 0 top=3")
         assert len(calls) == 1  # the query was not silently re-executed
