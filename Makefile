@@ -13,8 +13,8 @@ test:
 # fall-back and refusals; -rs shows a compiled half skipped on a host
 # without a compiler), every full-scan test (both kernels vs the
 # reference, from one to three threads at once), and the perf-marked
-# sketch multi-index tests vs the reference full scan (its stateful
-# differential test, on both kernels), candidate sets identical.
+# filter differential machine (fast scan vs reference, both kernels),
+# candidate sets identical.
 smoke: test
 	$(PYTHON) -m pytest -q -rs tests/core/test_scan_kernel.py tests/core/test_bitvector.py
 	$(PYTHON) -m pytest -q tests/core/test_parallel.py

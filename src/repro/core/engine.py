@@ -496,11 +496,10 @@ class SimilaritySearchEngine:
 
         Order of attack: the epoch-invalidated LRU cache, then the
         fused pass (:func:`~repro.core.filtering.sketch_filter_many`),
-        which reads the sketch index where it is on and scans the arena
-        in place otherwise.  Both return identical candidate sets, so
-        the choice is invisible to callers.  When ``trace`` is given,
-        the scan path, cache hit/miss split, and scan time are recorded
-        on it.
+        which scans the arena in place.  Both return identical candidate
+        sets, so the choice is invisible to callers.  When ``trace`` is
+        given, the scan path, cache hit/miss split, and scan time are
+        recorded on it.
         """
         params = self.filter_params
         n = len(queries)
@@ -526,19 +525,13 @@ class SimilaritySearchEngine:
         miss_queries = [queries[i] for i in miss]
         miss_sketches = [query_sketches_list[i] for i in miss]
         scan_started = time.perf_counter()
-        # Whether the pass reads the sketch index (refreshed here, so
-        # the scan's own refresh finds nothing due).
-        indexed = self._store.refresh_index(params.candidates_per_segment)
         computed = sketch_filter_many(
             miss_queries, miss_sketches, self._store, params,
             n_bits=self.sketcher.n_bits,
         )
         if trace is not None:
-            trace.add_stage(
-                "index_scan" if indexed else "serial_scan",
-                time.perf_counter() - scan_started,
-            )
-            trace.note("scan", "index" if indexed else "serial")
+            trace.add_stage("serial_scan", time.perf_counter() - scan_started)
+            trace.note("scan", "serial")
         # The scan snapshots internally; only cache when the store
         # provably did not move underneath the whole pass.
         if self._store.epoch != epoch_seen:

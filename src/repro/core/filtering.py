@@ -7,12 +7,11 @@ segments to ``Q_i`` *and* its distance is within a threshold that is a
 decreasing function of ``w(Q_i)``.  Objects owning at least one matching
 segment form the candidate set handed to the ranking unit.
 
-The scan compares sketches with Hamming distance.  The segment store
-keeps an exact multi-index over 32-bit sketch substrings (see
-``_build_index``); where it pays, :func:`sketch_filter_many` reads only
-the rows that share a substring near a query row's, and falls back to
-the full scan for the query rows the index cannot certify.  Either way
-the candidate sets are the full scan's.
+The scan compares sketches with Hamming distance and, as in the paper,
+streams over every segment sketch in the store: one pass of
+:func:`_scan_nearest` per query batch (:func:`sketch_filter_many`).
+:func:`sketch_filter_reference`, one scan per query segment, is the
+oracle its candidate sets must equal.
 """
 
 from __future__ import annotations
@@ -54,13 +53,7 @@ _M_ARENA_ROWS = _metrics.gauge("arena.rows")
 _M_ARENA_DEAD_ROWS = _metrics.gauge("arena.dead_rows")
 _M_ARENA_COMPACT_SECONDS = _metrics.histogram("arena.compaction_seconds")
 _M_ARENA_COMPACT_ERRORS = _metrics.counter("errors_absorbed.arena_compactor")
-_M_INDEX_FALLBACK_ROWS = _metrics.counter("filter.index_fallback_rows")
 
-# Multi-index on/off rule: the index is kept where a fixed sample of the
-# store's own rows, queried through it, reads on average at most this
-# share of the live arena per query row (a row the index cannot certify
-# counts as a whole scan).  See docs/PERFORMANCE.md, "Multi-index filter".
-_INDEX_MAX_READ = 0.25
 
 def default_threshold_fn(weight: float) -> float:
     """Default multiplier for the per-segment distance threshold.
@@ -196,8 +189,7 @@ class SegmentStore:
     Keeps two parallel capacity-grown arrays: packed sketch words and the
     owning object id of each segment (the engine's signatures hold the
     feature vectors).  ``n_bits`` is the sketch length (default: every
-    bit of the ``n_words`` words); the multi-index covers only its full
-    32-bit substrings, so zero padding never matches.
+    bit of the ``n_words`` words).
     Sketches are stored *word-major* — ``(n_words, capacity)``, a segment
     per column — because that is the order the Hamming kernel reads them
     in (:func:`~repro.core.bitvector.hamming_many_to_many` streams one
@@ -214,9 +206,6 @@ class SegmentStore:
     arena in place (:meth:`snapshot`); there is no second copy to keep
     fresh, so a row is visible to the next scan as soon as its append
     returns.
-
-    The store also keeps the filter's sketch index (:meth:`refresh_index`),
-    rebuilt lazily by the first scan that finds it due.
     """
 
     def __init__(self, n_words: int, *, n_bits: Optional[int] = None) -> None:
@@ -243,10 +232,6 @@ class SegmentStore:
         self._marks = 1
         self._compaction_epoch = 0
         self._compactor: Optional["ArenaCompactor"] = None
-        # The last sketch-index build (None before the first scan), and
-        # whether a build is under way outside the lock.
-        self._index: Optional[_SketchIndex] = None
-        self._index_building = False
         # The engine runs as one concurrent program (section 3): server
         # threads scan while acquisition threads append, so row writes
         # and span updates are serialized here.
@@ -499,79 +484,10 @@ class SegmentStore:
             _M_ARENA_COMPACT_SECONDS.observe(time.perf_counter() - t0)
             return True
 
-    def _current_index(self) -> Optional["_SketchIndex"]:
-        # Caller holds the lock.  The last build if it is on and no
-        # compaction moved the rows since.
-        index = self._index
-        if (
-            index is None
-            or index.runs is None
-            or index.compaction_epoch != self._compaction_epoch
-        ):
-            return None
-        return index
-
-    def refresh_index(self, k: int) -> bool:
-        """Rebuild the sketch index if it is due; return whether it is on.
-
-        Due means: never built, a compaction since the last build (row
-        positions moved), or an unindexed tail longer than a quarter of
-        the indexed rows.  ``k`` is the scan's per-row neighbour count,
-        which the build's on/off check certifies against.  Like
-        :meth:`maintenance_compact`'s gather, the build reads the arena's
-        immutable prefix outside the lock; a build that a compaction
-        overtook is dropped.  One build at a time: a caller that finds
-        another build under way keeps the current index.
-        """
-        with self._lock:
-            index = self._index
-            due = (
-                index is None
-                or index.compaction_epoch != self._compaction_epoch
-                or (self._n - index.rows) * 4 > index.rows
-            )
-            if not due or self._index_building:
-                return self._current_index() is not None
-            self._index_building = True
-            base = self._compaction_epoch
-            words = self._sketches[:, : self._n]
-            owners = self._owners[: self._n].copy()
-        try:
-            built = _build_index(words, owners, self.n_bits, k, base)
-        finally:
-            with self._lock:
-                self._index_building = False
-        with self._lock:
-            if self._compaction_epoch == base:
-                self._index = built
-            return self._current_index() is not None
-
-    def index_snapshot(
-        self, k: int
-    ) -> Tuple[np.ndarray, np.ndarray, Optional["_SketchIndex"], int]:
-        """:meth:`snapshot` plus the sketch index that matches it and the
-        live row count.
-
-        Refreshes the index first (:meth:`refresh_index`); the index is
-        ``None`` when it is off or a compaction left it unbuilt.  Rows
-        appended after the build are the views' unindexed tail.
-        """
-        self.refresh_index(k)
-        with self._lock:
-            return (
-                self._owners[: self._n],
-                self._sketch_rows(),
-                self._current_index(),
-                self._n - self._dead,
-            )
-
     def arena_info(self) -> Dict[str, int]:
         """Structural counters for ``stat`` and the churn bench."""
         with self._lock:
-            index = self._current_index()
             return {
-                "index_on": int(index is not None),
-                "index_rows": index.rows if index is not None else 0,
                 "rows": self._n,
                 "alive_rows": self._n - self._dead,
                 "dead_rows": self._dead,
@@ -674,7 +590,7 @@ def select_k_smallest(
     order (``ids`` defaults to the column index), so the *set* selected
     per row is fully determined by the data — unlike a bare
     ``argpartition``, whose introselect breaks boundary ties arbitrarily.
-    Every filter path (serial, fused batch, index, reference) selects by
+    Every filter path (the fused scan and the reference) selects by
     this rule, and the compiled top-k pass
     (:func:`~repro.core.bitvector.hamming_topk`) keeps the same one,
     which is what keeps their candidate sets identical even when
@@ -726,36 +642,13 @@ def sketch_filter(
     params: FilterParams,
     n_bits: int,
 ) -> Set[int]:
-    """Run the filtering phase as a full scan; returns the candidate set.
+    """Run the filtering phase for one query; returns the candidate set.
 
+    This is :func:`sketch_filter_many` with a batch of one.
     ``query_sketches`` is the packed ``(k, n_words)`` sketch matrix of the
     query's segments (same row order as ``query.features``).
-
-    All ``r`` top query segments are scanned in one pass
-    (:func:`_scan_nearest`: the compiled top-k pass, or the numpy
-    distance matrix and select) and the threshold + owner-dedup
-    selection runs vectorized across segments.  Tombstoned rows (owner
-    -1) never occupy candidate slots.
-    :func:`sketch_filter_reference` is the per-segment implementation
-    this must stay candidate-set-identical to.  It never reads the
-    sketch index, so it is an oracle for :func:`sketch_filter_many`.
     """
-    owners, sketch_matrix = store.snapshot()
-    # One cheap pass decides whether the tombstone mask is needed at all.
-    dead = owners < 0 if owners.size and owners.min() < 0 else None
-    n_alive = owners.shape[0] - (0 if dead is None else np.count_nonzero(dead))
-    if n_alive == 0:
-        return set()
-    top = query.top_segments(params.num_query_segments)
-    nearest, near = _scan_nearest(
-        query_sketches[top],
-        sketch_matrix,
-        dead,
-        min(params.candidates_per_segment, n_alive),
-    )
-    return _candidate_owners(
-        owners, nearest, near, _segment_thresholds(query, top, params, n_bits)
-    )
+    return sketch_filter_many([query], [query_sketches], store, params, n_bits)[0]
 
 
 def sketch_filter_reference(
@@ -769,7 +662,7 @@ def sketch_filter_reference(
 
     Kept as the ground-truth implementation: :func:`sketch_filter` and
     :func:`sketch_filter_many` must return an identical candidate set
-    (the perf smoke and sketch-index tests assert this), and
+    (the perf smoke tests and the filter state machine assert this), and
     ``bench_query_throughput.py`` uses it as the before-side of the
     batched-kernel speedup measurement.
     """
@@ -804,35 +697,6 @@ def sketch_filter_reference(
     return candidates
 
 
-def _stack_query_rows(
-    queries: Sequence[ObjectSignature],
-    query_sketches_list: Sequence[np.ndarray],
-    params: FilterParams,
-    n_bits: int,
-) -> Tuple[List[np.ndarray], np.ndarray, Optional[np.ndarray]]:
-    """Stack a query batch into one scan-ready row matrix.
-
-    Returns ``(tops, stacked, thresholds)``: each query's top-``r``
-    segment indices, their sketch rows concatenated into a single
-    ``(sum_of_r, n_words)`` matrix, and the per-row distance thresholds
-    (``None`` when thresholding is disabled).
-    """
-    tops = [q.top_segments(params.num_query_segments) for q in queries]
-    stacked = np.concatenate(
-        [qs[top] for qs, top in zip(query_sketches_list, tops)], axis=0
-    )
-    if params.threshold_fraction is not None:
-        thresholds = np.concatenate(
-            [
-                _segment_thresholds(q, top, params, n_bits)
-                for q, top in zip(queries, tops)
-            ]
-        )
-    else:
-        thresholds = None
-    return tops, stacked, thresholds
-
-
 def sketch_filter_many(
     queries: Sequence[ObjectSignature],
     query_sketches_list: Sequence[np.ndarray],
@@ -843,41 +707,33 @@ def sketch_filter_many(
     """Filtering phase for a whole batch of queries in one fused pass.
 
     Every query's top-``r`` segment sketches are stacked into a single
-    ``(sum_of_r, n_words)`` matrix.  Where the store's sketch index is on,
-    the stacked rows go through it (:func:`_index_nearest`) and only the
-    rows it cannot certify are scanned in full; elsewhere the segment
-    store is streamed through :func:`_scan_nearest` once for the entire
-    batch.  The k-NN selection and thresholding run batched over
-    all rows.  Returns one candidate set per query, identical to calling
-    :func:`sketch_filter` per query on the same store snapshot.
+    ``(sum_of_r, n_words)`` matrix, and one :func:`_scan_nearest` call
+    streams the whole arena for the batch (the compiled top-k pass, or
+    the numpy distance matrix and select).  Tombstoned rows (owner -1)
+    never occupy candidate slots.  Each query's rows are then
+    thresholded and their owners deduplicated.  Returns one candidate
+    set per query, identical to :func:`sketch_filter_reference` on the
+    same store snapshot.
     """
     queries = list(queries)
     if not queries:
         return []
-    owners, sketch_matrix, index, n_alive = store.index_snapshot(
-        params.candidates_per_segment
-    )
+    owners, sketch_matrix = store.snapshot()
+    # One cheap pass decides whether the tombstone mask is needed at all.
+    dead = owners < 0 if owners.size and owners.min() < 0 else None
+    n_alive = owners.shape[0] - (0 if dead is None else np.count_nonzero(dead))
     if n_alive == 0:
         return [set() for _ in queries]
-    tops, stacked, thresholds = _stack_query_rows(
-        queries, query_sketches_list, params, n_bits
+    tops = [q.top_segments(params.num_query_segments) for q in queries]
+    nearest, near = _scan_nearest(
+        np.concatenate([qs[top] for qs, top in zip(query_sketches_list, tops)]),
+        sketch_matrix,
+        dead,
+        min(params.candidates_per_segment, n_alive),
     )
-    k = min(params.candidates_per_segment, n_alive)
-    dead = owners < 0 if n_alive < owners.shape[0] else None
-    if index is None:
-        nearest, near = _scan_nearest(stacked, sketch_matrix, dead, k)
-    else:
-        nearest, near, rest, _ = _index_nearest(
-            index, sketch_matrix.T, owners, stacked, k
-        )
-        if rest.size:
-            _M_INDEX_FALLBACK_ROWS.inc(int(rest.size))
-            nearest[rest], near[rest] = _scan_nearest(
-                stacked[rest], sketch_matrix, dead, k
-            )
     results: List[Set[int]] = []
     offset = 0
-    for top in tops:
+    for query, top in zip(queries, tops):
         rows = slice(offset, offset + len(top))
         offset += len(top)
         results.append(
@@ -885,7 +741,7 @@ def sketch_filter_many(
                 owners,
                 nearest[rows],
                 near[rows],
-                None if thresholds is None else thresholds[rows],
+                _segment_thresholds(query, top, params, n_bits),
             )
         )
     return results
@@ -959,220 +815,3 @@ def _candidate_owners(
         hits = nearest.ravel()
     hit_owners = owners[hits]
     return set(hit_owners[hit_owners >= 0].tolist())
-
-
-# ----------------------------------------------------------------------
-# Multi-index over sketch substrings
-# ----------------------------------------------------------------------
-# Pigeonhole (multi-index hashing, Norouzi et al.): cut a sketch into m
-# substrings; if two sketches differ in at most d bits, some substring
-# differs in at most floor(d / m) bits.  Probing every substring's run
-# for the keys within radius r of the query's therefore finds every row
-# within m(r + 1) - 1 bits (proof in _index_nearest).
-#
-# All m runs live in one sorted uint64 array of entries
-# ``j << 59 | key << 27 | row``: substring number, its 32-bit key, and
-# the arena row.  So one sort per substring builds it, one search per
-# radius probes every substring of every query row, and the index
-# covers at most 32 substrings and 2**27 - 1 rows.
-_SUB_BITS = 32
-_MAX_SUBSTRINGS = 32
-_KEY_SHIFT = np.uint64(27)
-_SUB_SHIFT = np.uint64(59)
-_ROW_MASK = np.uint64((1 << 27) - 1)
-_ONE_BIT = np.uint64(1) << np.arange(_SUB_BITS, dtype=np.uint64)
-# (radius, XOR masks on a substring key): radius <= 1 is the key and its
-# 32 one-bit neighbours; radius 2 adds the 496 two-bit neighbours.
-_PROBES = (
-    (1, np.concatenate([np.zeros(1, dtype=np.uint64), _ONE_BIT])),
-    (2, (_ONE_BIT[:, None] | _ONE_BIT[None, :])[np.triu_indices(_SUB_BITS, 1)]),
-)
-
-
-@dataclass(frozen=True)
-class _SketchIndex:
-    """One build of the multi-index (see :func:`_build_index`).
-
-    ``runs`` holds the ``m`` substring runs of rows ``[0, rows)``, or is
-    ``None`` when the build's on/off check turned the index off.  Valid
-    while the store's compaction epoch is ``compaction_epoch``; rows
-    appended later are its tail.
-    """
-
-    compaction_epoch: int
-    rows: int
-    m: int
-    runs: Optional[np.ndarray]
-
-
-def _substring_keys(rows: np.ndarray, m: int) -> np.ndarray:
-    """``(n, m)`` keys of the first ``m`` substrings of ``(n, n_words)``
-    sketch rows.  Substring ``j`` is bytes ``[4j, 4j + 4)`` of a row —
-    sketch bits ``[32j, 32j + 32)``, as :func:`~repro.core.bitvector.pack_bits`
-    lays bytes out in order."""
-    return np.ascontiguousarray(rows).view(np.uint32)[:, :m].astype(np.uint64)
-
-
-def _needles(keys: np.ndarray, flips: np.ndarray, first: int = 0) -> np.ndarray:
-    """Sorted probe entries for substrings ``first, first + 1, ...`` of
-    the ``(n, c)`` query ``keys``, each XORed with every flip.  Sorted,
-    numpy's binary search starts each probe where the last one ended."""
-    subs = np.arange(first, first + keys.shape[1], dtype=np.uint64) << _SUB_SHIFT
-    probes = ((keys[:, :, None] ^ flips) << _KEY_SHIFT) | subs[None, :, None]
-    return np.sort(probes.ravel())
-
-
-def _probe(runs: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Arena rows of the run entries matching ``needles`` (repeats
-    included).  One key's entries lie between ``needle`` and
-    ``needle | _ROW_MASK``, and no row number reaches the mask, so left
-    searches find both ends; only needles whose key is present need
-    the second."""
-    lo = np.searchsorted(runs, needles)
-    hit = (runs[np.minimum(lo, runs.size - 1)] >> _KEY_SHIFT) == (
-        needles >> _KEY_SHIFT
-    )
-    if not hit.any():
-        return np.empty(0, dtype=np.int32)
-    lo = lo[hit]
-    counts = np.searchsorted(runs, needles[hit] | _ROW_MASK) - lo
-    ends = np.cumsum(counts)
-    pos = np.arange(int(ends[-1])) + np.repeat(lo - (ends - counts), counts)
-    return (runs[pos] & _ROW_MASK).astype(np.int32)
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Sorted distinct rows (faster than ``np.unique``, which is
-    hash-based on numpy 2.4, and than a boolean row mask)."""
-    rows = np.sort(rows)
-    if rows.size < 2:
-        return rows
-    keep = np.empty(rows.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=keep[1:])
-    return rows[keep]
-
-
-def _columns(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Rows ``cols`` of the word-major arena, as the ``(n, n_words)``
-    view of a word-major copy (one ``take`` per word is twice as fast
-    as a 2-D fancy index)."""
-    out = np.empty((words.shape[0], cols.size), dtype=np.uint64)
-    for word, row in zip(words, out):
-        np.take(word, cols, out=row)
-    return out.T
-
-
-def _index_nearest(
-    index: _SketchIndex,
-    words: np.ndarray,
-    owners: np.ndarray,
-    stacked: np.ndarray,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Exact top-``k`` arena rows of every query row the index certifies.
-
-    ``words`` is the word-major ``(n_words, n)`` arena and ``owners`` its
-    owner column.  At radius ``r`` the gathered rows are every row with
-    some substring within ``r`` bits of the query row's, plus the
-    unindexed tail, minus tombstones.  A live row left out differs in at
-    least ``r + 1`` bits in each of the ``m`` substrings, so it is at
-    least ``m(r + 1)`` bits away (bits past the last substring only add
-    distance).  So when at least ``k`` gathered rows lie within
-    ``m(r + 1) - 1`` bits, every row at or below the k-th distance was
-    gathered, and :func:`select_k_smallest` over the gathered columns —
-    in row order — picks exactly the full scan's top-``k``, ties
-    included.  Rows uncertified at radius 1 go on to radius 2 (the union
-    of everything gathered so far plus their two-bit probes).  Each
-    radius makes one Hamming kernel call over the union of the gathered
-    rows.
-
-    Returns ``(nearest, dists, rest, reads)``: per query row the selected
-    arena rows and their distances, the query rows no radius certified
-    (their ``nearest``/``dists`` rows are garbage, for the full scan to
-    fill), and how many run entries the probes read.
-    """
-    n_rows = stacked.shape[0]
-    m = index.m
-    keys = _substring_keys(stacked, m)
-    nearest = np.empty((n_rows, k), dtype=np.int64)
-    near = np.empty((n_rows, k), dtype=np.uint32)
-    tail = np.arange(index.rows, owners.shape[0], dtype=np.int32)
-    tail = tail[owners[tail] >= 0]
-    gathered = np.empty(0, dtype=np.int32)
-    reads = 0
-    rest = np.arange(n_rows)
-    for radius, flips in _PROBES:
-        found = _probe(index.runs, _needles(keys[rest], flips))
-        reads += found.size
-        gathered = _unique_rows(np.concatenate([gathered, found]))
-        cols = np.concatenate([gathered[owners[gathered] >= 0], tail])
-        dists = hamming_many_to_many(stacked[rest], _columns(words, cols))
-        certified = np.count_nonzero(dists <= m * (radius + 1) - 1, axis=1) >= k
-        if certified.any():
-            sel = select_k_smallest(dists[certified], k)
-            nearest[rest[certified]] = cols[sel]
-            near[rest[certified]] = np.take_along_axis(dists[certified], sel, axis=1)
-            rest = rest[~certified]
-            if not rest.size:
-                break
-    return nearest, near, rest, reads
-
-
-def _build_index(
-    words: np.ndarray,
-    owners: np.ndarray,
-    n_bits: int,
-    k: int,
-    compaction_epoch: int,
-) -> _SketchIndex:
-    """Build the multi-index over the word-major ``(n_words, n)`` arena.
-
-    Each of the ``m = n_bits // 32`` full substrings (at most 32) gets
-    one run, sorted by numpy's default (SIMD) sort — order within a key
-    does not matter.  Padding past the last full substring is left out.
-
-    The on/off check queries a fixed sample of live rows through the
-    index with ``k`` neighbours, and turns it off when they read more
-    than :data:`_INDEX_MAX_READ` of the live arena on average, a query
-    row that no radius certifies counting as a whole scan.  The radius-1
-    reads are tallied as the runs are built, and the build stops as soon
-    as the runs so far, extrapolated to all ``m``, read over budget: on
-    the shape corpus that is after the first run.
-    """
-    n = owners.shape[0]
-    m = min(n_bits // _SUB_BITS, _MAX_SUBSTRINGS)
-    off = _SketchIndex(compaction_epoch, n, m, None)
-    live = np.flatnonzero(owners >= 0)
-    if m == 0 or live.size == 0 or n > int(_ROW_MASK):
-        return off
-    sample = np.unique(live[np.linspace(0, live.size - 1, 8).astype(np.int64)])
-    queries = words[:, sample].T
-    keys = _substring_keys(queries, m)
-    budget = _INDEX_MAX_READ * live.size * sample.size
-    row_ids = np.arange(n, dtype=np.uint64)
-    reads = 0
-    # The first run is sorted on its own, so a store that turns the
-    # index off after it never allocates the other m - 1: allocating and
-    # freeing all 25 runs left the shape benchmark's peak RSS 19 MB up.
-    runs = first = np.empty(n, dtype=np.uint64)
-    for j in range(m):
-        if j == 1:
-            runs = np.empty(m * n, dtype=np.uint64)
-            runs[:n] = first
-        run = runs[j * n : (j + 1) * n]
-        run[:] = words[j // 2].view(np.uint32)[j % 2 :: 2]
-        run <<= _KEY_SHIFT
-        run |= row_ids
-        run |= np.uint64(j) << _SUB_SHIFT
-        run.sort()
-        reads += _probe(run, _needles(keys[:, j : j + 1], _PROBES[0][1], j)).size
-        if reads * m > budget * (j + 1):
-            return off
-    index = _SketchIndex(compaction_epoch, n, m, runs)
-    _, _, rest, reads = _index_nearest(
-        index, words, owners, queries, min(k, live.size)
-    )
-    if reads + rest.size * live.size > budget:
-        return off
-    return index

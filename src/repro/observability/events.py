@@ -40,6 +40,8 @@ __all__ = ["Event", "EventLog", "get_event_log", "set_event_log"]
 
 _LOG = get_logger("events")
 _M_RECORDED = _metrics.counter("events.recorded")
+# Keywords of the logger mirror's own: ``seq=`` and ``info``'s event.
+_RESERVED_FIELDS = frozenset({"seq", "event"})
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,15 @@ class EventLog:
         self._next_seq = 0
 
     def record(self, kind: str, **fields: object) -> Event:
-        """Append one event; assigns the next sequence number atomically."""
+        """Append one event; assigns the next sequence number atomically.
+
+        ``seq`` and ``event`` are not field names: the logger mirror
+        passes them itself, so they are refused (``ValueError``) before
+        anything is journalled.
+        """
+        reserved = sorted(_RESERVED_FIELDS.intersection(fields))
+        if reserved:
+            raise ValueError(f"reserved event field names: {reserved}")
         with self._lock:
             event = Event(self._next_seq, time.time(), kind, dict(fields))
             self._next_seq += 1

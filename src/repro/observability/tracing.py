@@ -2,8 +2,8 @@
 
 A :class:`QueryTrace` records what one query (or one fused batch) did at
 each stage of the two-phase pipeline (section 4 of the paper): sketch
-construction, the filtering scan (full scan / sketch index, including
-cache hits), candidate-set size, optional
+construction, the filtering scan (including cache hits), candidate-set
+size, optional
 cascade pruning, and exact-distance ranking.  The filtering/ranking cost
 split is exactly the knob the paper tunes, so the trace makes the
 trade-off visible per query instead of only in offline benchmarks.

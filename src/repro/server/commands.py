@@ -461,8 +461,6 @@ class CommandProcessor(OperatorCommands):
             f"arena_appends {self._rank_counter('arena.appends')}",
             f"arena_compactions {self._rank_counter('arena.compactions')}",
             f"compaction {'on' if arena['background'] else 'off'}",
-            f"filter_index {'on' if arena['index_on'] else 'off'}",
-            f"filter_index_rows {arena['index_rows']}",
             f"scan_kernel {scan_kernel()}",
             f"cache_entries {cache['entries']}/{cache['capacity']}",
             f"cache_hits {cache['hits']}",

@@ -1,20 +1,18 @@
-"""Differential tests for the filter's multi-index.
+"""Differential tests for the filter scan.
 
-``SegmentStore`` keeps an exact index over 32-bit sketch substrings, and
-``sketch_filter_many`` reads it wherever it is on.  Every candidate set
-it returns must equal ``sketch_filter_reference``'s full scan, ties at
-the k-th distance included, through inserts (the unindexed tail),
-removes (tombstones), and both compactions (row positions move).  The
-state machine keeps the index on (the on/off check is pinned separately
-at the engine level), so clustered sketches exercise certification,
-uniform ones the fall-back to the full scan, and duplicated ones ties;
-the full scan runs on the compiled kernel's top-k pass or on the numpy
-loop (see tests/core/conftest.py).
+``sketch_filter_many`` streams the whole segment arena in one fused
+pass, and ``sketch_filter`` is that pass with a batch of one.  Every
+candidate set either returns must equal ``sketch_filter_reference``'s
+per-segment scan, ties at the k-th distance and at the threshold
+included, through inserts, removes (tombstones), and both compactions
+(row positions move).  The state machine draws clustered sketches
+(near neighbours and distances on the threshold), uniform ones and
+duplicated ones (ties), and runs the fast scan on the compiled
+kernel's top-k pass or on the numpy loop (see tests/core/conftest.py).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 import time
@@ -36,15 +34,12 @@ from repro.core import (
     SegmentStore,
     SimilaritySearchEngine,
     SketchParams,
-    filtering,
+    sketch_filter,
     sketch_filter_many,
     sketch_filter_reference,
 )
-from repro.core.types import meta_from_dataset
-from repro.datatypes.bulk import bulk_image_dataset, bulk_shape_dataset
+from repro.datatypes.bulk import bulk_image_dataset
 from repro.datatypes.image import make_image_plugin
-from repro.datatypes.shape import make_shape_plugin
-from repro.observability import metrics
 from repro.server import CommandProcessor, parse_command
 
 # Equivalence gates: `make smoke` runs them again by name.
@@ -63,20 +58,15 @@ def _padded(rows, n_bits):
     return rows
 
 
-class IndexMachine(RuleBasedStateMachine):
+class FilterMachine(RuleBasedStateMachine):
     """One store under random mutations; every query is checked against
     the reference scan."""
 
     def __init__(self):
         super().__init__()
-        # The on/off check would turn the index off on these small,
-        # adversarial stores; keep it on so every query reads it.
-        self._saved = filtering._INDEX_MAX_READ
-        filtering._INDEX_MAX_READ = math.inf
         self._kernel = bitvector._KERNEL
 
     def teardown(self):
-        filtering._INDEX_MAX_READ = self._saved
         bitvector._KERNEL = self._kernel
 
     @initialize(
@@ -86,10 +76,9 @@ class IndexMachine(RuleBasedStateMachine):
         seed=st.integers(0, 2**16),
     )
     def setup(self, n_bits, kind, compiled, seed):
-        # Full scans (the index's fall-back rows) run on either kernel;
-        # the reference is numpy only.  A host with no compiled kernel
-        # runs numpy for both draws; test_scan_kernel.py's compiled half
-        # then skips.
+        # The fast scan runs on either kernel; the reference is numpy
+        # only.  A host with no compiled kernel runs numpy for both
+        # draws; test_scan_kernel.py's compiled half then skips.
         bitvector._KERNEL = self._kernel if compiled else None
         self.n_bits = n_bits
         self.kind = kind
@@ -150,10 +139,20 @@ class IndexMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def query(self, data):
+        # A fraction of d / n_bits under the constant multiplier puts the
+        # threshold on a small distance, which clustered rows hit.
+        fraction, fn = data.draw(
+            st.tuples(st.sampled_from([None, 0.05, 0.2, 0.5]), st.just("default"))
+            | st.tuples(
+                st.integers(1, 8).map(lambda d: d / self.n_bits),
+                st.just("constant"),
+            )
+        )
         params = FilterParams(
             num_query_segments=data.draw(st.integers(1, 3)),
             candidates_per_segment=data.draw(st.integers(1, 8)),
-            threshold_fraction=data.draw(st.sampled_from([None, 0.05, 0.2, 0.5])),
+            threshold_fraction=fraction,
+            threshold_fn=fn,
         )
         queries, sketches = [], []
         for _ in range(data.draw(st.integers(1, 3))):
@@ -163,30 +162,27 @@ class IndexMachine(RuleBasedStateMachine):
                 rows = self._rows(data.draw(st.integers(1, 3)))
             queries.append(_signature(len(rows), self.rng))
             sketches.append(rows)
-        got = sketch_filter_many(queries, sketches, self.store, params, self.n_bits)
         want = [
             sketch_filter_reference(q, s, self.store, params, self.n_bits)
             for q, s in zip(queries, sketches)
         ]
+        got = sketch_filter_many(queries, sketches, self.store, params, self.n_bits)
         assert got == want
-        if self.live:
-            assert self.store.arena_info()["index_on"] == 1
+        assert [
+            sketch_filter(q, s, self.store, params, self.n_bits)
+            for q, s in zip(queries, sketches)
+        ] == want
 
 
-TestIndexMachine = IndexMachine.TestCase
-TestIndexMachine.settings = settings(
+TestFilterMachine = FilterMachine.TestCase
+TestFilterMachine.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 
 
 # ----------------------------------------------------------------------
-# Hand-built stores: one per way the index could go wrong
+# Hand-built stores
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def always_on(monkeypatch):
-    monkeypatch.setattr(filtering, "_INDEX_MAX_READ", math.inf)
-
-
 def _word(*bits):
     return np.array([[sum(1 << b for b in bits)]], dtype=np.uint64)
 
@@ -202,36 +198,22 @@ def _filter(store, query_word, k):
 
 
 def _far_rows(store, first_id, count=12):
-    # 8 bits from 0 in each substring, 16 in all: never gathered, never near.
+    # 16 bits from the zero word: never the nearest row.
     for i in range(count):
         store.add_object(first_id + i, _word(*range(i, i + 8), *range(40, 48)))
 
 
-def test_certificate_bound_is_one_below_m_times_r_plus_one(always_on):
-    """At 64 bits (m = 2) radius 1 certifies distances up to 3.  The
-    4th-nearest distance here is 4, tied between a row that radius 1
-    never gathers (2 + 2 bits, lower row) and one it does (4 + 0 bits):
-    only radius 2 may certify, and the lower row must win the tie."""
-    store = SegmentStore(1, n_bits=64)
-    store.add_object(100, _word(0, 1, 32, 33))
-    for oid, bit in ((1, 5), (2, 6), (3, 7)):
-        store.add_object(oid, _word(bit))
-    store.add_object(200, _word(0, 1, 2, 3))
-    _far_rows(store, 300)
-    assert _filter(store, _word(), k=4) == {1, 2, 3, 100}
-
-
-def test_tail_rows_are_read(always_on):
+def test_tail_rows_are_read():
+    """A row appended after a scan (the arena's tail) is in the next."""
     store = SegmentStore(1, n_bits=64)
     store.add_object(5, _word(9))
     _far_rows(store, 300)
-    assert _filter(store, _word(), k=1) == {5}  # builds the index
-    store.add_object(999, _word())  # the tail: one row past the build
-    assert store.arena_info()["index_rows"] == 13
+    assert _filter(store, _word(), k=1) == {5}
+    store.add_object(999, _word())
     assert _filter(store, _word(), k=1) == {999}
 
 
-def test_tombstoned_rows_are_dropped(always_on):
+def test_tombstoned_rows_are_dropped():
     store = SegmentStore(1, n_bits=64)
     store.add_object(1, _word())
     store.add_object(2, _word(9))
@@ -243,7 +225,7 @@ def test_tombstoned_rows_are_dropped(always_on):
 
 
 @pytest.mark.parametrize("how", ["inline", "maintenance"])
-def test_compaction_retires_the_index(always_on, how):
+def test_compaction_keeps_the_answers(how):
     store = SegmentStore(1, n_bits=64)
     _far_rows(store, 300)
     store.add_object(9, _word())
@@ -253,9 +235,8 @@ def test_compaction_retires_the_index(always_on, how):
         store.remove_object(oid)
     if how == "maintenance":
         assert store.maintenance_compact()
-    assert store.arena_info()["index_on"] == 0  # row positions moved
+    assert store.arena_info()["rows"] == 9  # row positions moved
     assert _filter(store, _word(), k=1) == {9}
-    assert store.arena_info()["index_rows"] == 9
 
 
 class _Idle:
@@ -263,41 +244,10 @@ class _Idle:
         pass
 
 
-def test_uncertified_rows_fall_back_and_are_counted(always_on):
-    rng = np.random.default_rng(3)
-    store = SegmentStore(4, n_bits=256)
-    for oid in range(200):
-        store.add_object(oid, rng.integers(0, 2**63, (1, 4), dtype=np.uint64))
-    query = _signature(2, rng)
-    rows = rng.integers(0, 2**63, (2, 4), dtype=np.uint64)
-    params = FilterParams(num_query_segments=2, candidates_per_segment=8)
-    counter = metrics.get_registry().get("filter.index_fallback_rows")
-    before = counter.value
-    got = sketch_filter_many([query], [rows], store, params, 256)
-    assert got == [sketch_filter_reference(query, rows, store, params, 256)]
-    assert store.arena_info()["index_on"] == 1
-    assert counter.value == before + 2
-
-
-def test_padding_substrings_are_skipped(always_on):
-    """96 bits: the fourth 32-bit half-word is zero padding in every row,
-    so probing it would read the whole arena."""
-    rng = np.random.default_rng(5)
-    store = SegmentStore(2, n_bits=96)
-    base = _padded(rng.integers(0, 2**63, (1, 2), dtype=np.uint64), 96)
-    for oid in range(50):
-        store.add_object(oid, _padded(rng.integers(0, 2**63, (1, 2), dtype=np.uint64), 96))
-    store.add_object(50, base)
-    store.refresh_index(1)
-    assert store._index.m == 3
-    assert store._index.runs.shape == (3 * 51,)
-
-
-def test_scans_stay_exact_under_concurrent_writes_and_compactions(always_on):
-    """Scans snapshot the index with the arena; builds run outside the
-    lock and compactions retire them.  Three query threads race writers
-    and both compactions, their fall-back rows scanned at once outside
-    the GIL; no scan may fail, and at rest the index answers exactly."""
+def test_scans_stay_exact_under_concurrent_writes_and_compactions():
+    """Scans read a locked snapshot of the arena while three query
+    threads race writers and both compactions, scanning at once outside
+    the GIL; no scan may fail, and at rest the scan answers exactly."""
     rng = np.random.default_rng(11)
     protos = rng.integers(0, 2**63, (6, 4), dtype=np.uint64)
 
@@ -361,76 +311,37 @@ def test_scans_stay_exact_under_concurrent_writes_and_compactions(always_on):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert not store._index_building
     query_rows = rows(rng, 2)
     signature = _signature(2, rng)
     assert sketch_filter_many([signature], [query_rows], store, params, 256) == [
         sketch_filter_reference(signature, query_rows, store, params, 256)
     ]
-    assert store.arena_info()["index_on"] == 1
 
 
 # ----------------------------------------------------------------------
-# The engine: on/off without a knob
+# The engine
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def image_objects():
-    return list(bulk_image_dataset(1000, seed=1))
-
-
-def _image_engine(objects):
+def test_image_engine_scans_the_whole_arena():
     plugin = make_image_plugin()
     engine = SimilaritySearchEngine(
         plugin,
         SketchParams(256, plugin.meta, seed=0),
         FilterParams(num_query_segments=4, candidates_per_segment=32),
     )
-    engine.insert_many(objects)
-    return engine
-
-
-def _traced_scan(engine, object_id):
-    engine.tracer.enabled = True
-    engine.query_by_id(object_id, top_k=5)
-    return engine.tracer.last.notes["scan"]
-
-
-def _reference_candidates(engine, object_id):
-    query = engine.get_object(object_id)
-    sketches = engine.sketcher.sketch_many(query.features)
-    return (
-        engine._filter_candidates([query], [sketches])[0],
-        sketch_filter_reference(
-            query, sketches, engine._store, engine.filter_params,
-            engine.sketcher.n_bits,
-        ),
-    )
-
-
-def test_image_like_data_turns_the_index_on(image_objects):
-    with _image_engine(image_objects) as engine:
-        assert _traced_scan(engine, 7) == "index"
-        assert "index_scan" in engine.tracer.last.stages
-        assert engine.compaction_info()["index_on"] == 1
-        for oid in range(0, 1000, 97):
-            got, want = _reference_candidates(engine, oid)
-            assert got == want
-        stat = CommandProcessor(engine).execute(parse_command("stat"))
-        assert "filter_index on" in stat
-        assert f"filter_index_rows {len(engine._store)}" in stat
-
-
-def test_shape_like_data_turns_the_index_off():
-    dataset = bulk_shape_dataset(300, seed=2)
-    meta = meta_from_dataset(dataset)
-    engine = SimilaritySearchEngine(
-        make_shape_plugin(meta),
-        SketchParams(800, meta, seed=0),
-        FilterParams(num_query_segments=1, candidates_per_segment=64),
-    )
     with engine:
-        engine.insert_many(list(dataset))
-        assert _traced_scan(engine, 3) == "serial"
-        assert engine.compaction_info()["index_on"] == 0
+        engine.insert_many(list(bulk_image_dataset(1000, seed=1)))
+        engine.tracer.enabled = True
+        engine.query_by_id(7, top_k=5)
+        assert engine.tracer.last.notes["scan"] == "serial"
+        assert "serial_scan" in engine.tracer.last.stages
         stat = CommandProcessor(engine).execute(parse_command("stat"))
-        assert "filter_index off" in stat and "filter_index_rows 0" in stat
+        assert not any(line.startswith("filter_") for line in stat)
+        for oid in range(0, 1000, 97):
+            query = engine.get_object(oid)
+            sketches = engine.sketcher.sketch_many(query.features)
+            assert engine._filter_candidates([query], [sketches])[0] == (
+                sketch_filter_reference(
+                    query, sketches, engine._store, engine.filter_params,
+                    engine.sketcher.n_bits,
+                )
+            )

@@ -69,6 +69,15 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog(capacity=0)
 
+    @pytest.mark.parametrize("name", ["seq", "event"])
+    def test_reserved_field_is_refused_before_journalling(self, name):
+        journal = EventLog(capacity=4)
+        journal.record("tick")
+        with pytest.raises(ValueError, match=repr(name)):
+            journal.record("probe", **{name: 0})
+        assert len(journal) == 1
+        assert journal.total_recorded == 1
+
     def test_record_counts_metric(self):
         counter = _metrics.counter("events.recorded")
         before = counter.value

@@ -114,7 +114,7 @@ class TestTraceCommand:
             assert "stage.rank_seconds" in trace
             assert int(trace["count.candidates"]) >= 1
             assert int(trace["count.distance_evals"]) >= 1
-            assert trace["note.scan"] in ("serial", "index", "cache")
+            assert trace["note.scan"] in ("serial", "cache")
 
     def test_cache_hit_visible_in_trace(self, served):
         host, port, _ = served
