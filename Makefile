@@ -9,9 +9,9 @@ test:
 
 # CI smoke: tier-1 plus the explicit filter equivalence gates: the
 # Hamming kernel tests first (compiled and numpy, tile edges, strides,
-# two threads, the fused top-k against select_k_smallest, the loader's
-# fall-back and refusals; -rs shows a compiled half skipped on a host
-# without a compiler), every full-scan test (both kernels vs the
+# two threads, the fused top-k against select_k_smallest, the shared
+# loader's fall-back and refusals for _hamming.c and _emd.c; -rs shows a
+# compiled half skipped on a host without a compiler), every full-scan test (both kernels vs the
 # reference, from one to three threads at once), and the perf-marked
 # filter differential machine (fast scan vs reference, both kernels),
 # candidate sets identical.
@@ -32,13 +32,15 @@ metrics-smoke:
 	$(PYTHON) -m pytest -q tests/observability tests/core/test_cache_epoch_race.py tests/server/test_observability_integration.py
 
 # Ranking-cascade smoke: the rank-equivalence / lower-bound property
-# tests, the solver and top-k selection bit-identity references, the
-# engine against the naive serial-EMD oracle, plus
+# tests, the solver, cost-kernel and top-k selection bit-identity
+# references (the compiled _emd.c kernels and the Python / numpy paths;
+# -rs shows a compiled half skipped on a host without a compiler), the
+# engine against the naive serial-EMD oracle on both kernels, plus
 # the throughput bench in quick mode, which exercises the
 # cascade end-to-end (identity vs the exact EMD path) and writes the
 # phase-split JSON to BENCH_query_throughput_quick.json for CI upload.
 rank-smoke:
-	$(PYTHON) -m pytest -q tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py tests/core/test_engine_reference.py
+	$(PYTHON) -m pytest -q -rs tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py tests/core/test_engine_reference.py
 	cd benchmarks && FERRET_BENCH_SCALE=quick $(PYTHON) bench_query_throughput.py
 
 # Bulk-ingest smoke: insert_many equals a loop of insert (ids, arena,

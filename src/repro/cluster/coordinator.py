@@ -347,6 +347,15 @@ class FerretCoordinator:
                 new=new.value,
                 topology_epoch=self._topology_epoch,
             )
+            if new is BreakerState.CLOSED:
+                # Re-admitted: by the prober's ping, or by a request
+                # that took the half-open trial first.
+                address = self.handles[backend_id].address
+                _M_READMITTED.inc()
+                _LOG.info("backend_readmitted", backend=backend_id, address=address)
+                get_event_log().record(
+                    "backend_readmitted", backend=backend_id, address=address
+                )
             self._refresh_available()
 
         return on_transition
@@ -1015,18 +1024,7 @@ class FerretCoordinator:
                 continue
             breaker.record_success()
             self.health.mark_healthy(f"backend.{handle.backend_id}")
-            _M_READMITTED.inc()
             readmitted += 1
-            _LOG.info(
-                "backend_readmitted",
-                backend=handle.backend_id,
-                address=handle.address,
-            )
-            get_event_log().record(
-                "backend_readmitted",
-                backend=handle.backend_id,
-                address=handle.address,
-            )
         return readmitted
 
     def start_probes(self) -> None:

@@ -15,19 +15,13 @@ distance row (:func:`hamming_topk`); it has no numpy twin here.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import platform
-import shlex
-import stat
-import subprocess
-import sysconfig
-import tempfile
 import threading
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from . import native
 
 __all__ = [
     "pack_bits",
@@ -149,11 +143,10 @@ def _scratch_views(n_queries: int, block_cols: int):
 # ----------------------------------------------------------------------
 # Compiled kernel: built at import, cached per user, numpy loop otherwise
 # ----------------------------------------------------------------------
-_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 _P, _N = ctypes.c_void_p, ctypes.c_ssize_t
-_SIGNATURES = {  # symbol: argtypes
-    "hamming_block": (_P, _N, _N, _N, _P, _N, _P, _N),
-    "hamming_topk": (_P, _N, _N, _N, _P, _P, _N, _N, _P, _P, _P),
+_SIGNATURES = {  # symbol: (restype, argtypes)
+    "hamming_block": (None, (_P, _N, _N, _N, _P, _N, _P, _N)),
+    "hamming_topk": (None, (_P, _N, _N, _N, _P, _P, _N, _N, _P, _P, _P)),
 }
 
 
@@ -164,91 +157,14 @@ class _Kernel(NamedTuple):
     topk: Callable
 
 
-def _default_cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "repro"
-
-
-def _cpu_flags() -> bytes:
-    """The ``flags`` line of /proc/cpuinfo (empty where there is none)."""
-    try:
-        with open("/proc/cpuinfo", "rb") as info:
-            for line in info:
-                if line.startswith(b"flags"):
-                    return line
-    except OSError:
-        pass
-    return b""
-
-
-def _check_private(path: Path) -> None:
-    """Refuse a kernel that another user could have swapped: one not
-    owned by this user, or in a directory group or others can write."""
-    uid = os.getuid()
-    folder = os.stat(path.parent)
-    if folder.st_uid != uid or folder.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
-        raise PermissionError(f"{path.parent} is not private to uid {uid}")
-    info = os.lstat(path)
-    if (
-        info.st_uid != uid
-        or not stat.S_ISREG(info.st_mode)
-        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
-    ):
-        raise PermissionError(f"{path} is not a private file of uid {uid}")
-
-
-def _compile(argv: Sequence[str], source: bytes, path: Path) -> None:
-    """Compile ``source`` into a temp file beside ``path``, then rename it
-    into place, so processes that build at once never load half a file."""
-    fd, tmp = tempfile.mkstemp(prefix=".hamming-", suffix=".so", dir=path.parent)
-    os.close(fd)
-    try:
-        subprocess.run(
-            [*argv, "-x", "c", "-", "-o", tmp],
-            input=source, check=True, capture_output=True, timeout=120,
-        )
-        os.chmod(tmp, 0o700)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _load_kernel(
     compiler: Optional[Sequence[str]] = None, cache_dir: Optional[Path] = None
 ) -> Optional[_Kernel]:
-    """The C ``hamming_block`` and ``hamming_topk``, compiled on first use
-    into a per-user cache, or ``None`` where they cannot be built or
-    loaded.  Both come from one file or neither is used.
-
-    The file name hashes the source, the compiler argv, the machine and
-    the CPU flags, so ``-march=native`` code is only ever loaded on the
-    CPU it was built for.
-    """
-    if not compiler:
-        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    argv = [*compiler, *_CFLAGS]
-    directory = cache_dir or _default_cache_dir()
-    try:
-        source = (Path(__file__).parent / "_hamming.c").read_bytes()
-        key = hashlib.sha256(b"\0".join([
-            source, shlex.join(argv).encode(), platform.machine().encode(), _cpu_flags(),
-        ])).hexdigest()
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-        path = directory / f"hamming-{key[:32]}.so"
-        if not path.exists():
-            _compile(argv, source, path)
-        _check_private(path)
-        library = ctypes.CDLL(str(path))
-        functions = [getattr(library, name) for name in _SIGNATURES]
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
-    for function, argtypes in zip(functions, _SIGNATURES.values()):
-        function.argtypes = argtypes
-        function.restype = None
-    return _Kernel(*functions)
+    """The C ``hamming_block`` and ``hamming_topk`` (see
+    :func:`repro.core.native.load`), or ``None`` where they cannot be
+    built or loaded."""
+    functions = native.load("_hamming.c", _SIGNATURES, compiler, cache_dir)
+    return None if functions is None else _Kernel(*functions)
 
 
 _KERNEL = _load_kernel()

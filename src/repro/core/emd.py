@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import transport
 from .transport import solve_transport
 from .types import ObjectSignature, normalize_weights
 
@@ -104,9 +105,37 @@ def _l1_cost_matrix(
     depend on which other rows share the call: packing many candidates
     into ``b`` gives bit-for-bit the matrices a per-candidate call gives.
     (A BLAS ``diff.dot(weights)`` does not have that property.)
+
+    Each cell is summed in numpy's pairwise order over the feature axis
+    whatever the layout of ``a`` and ``b``: the numpy path reads C-ordered
+    copies of foreign layouts, since numpy sums a broadcast whose feature
+    axis is not innermost one term after another.  Where ``_emd.c`` is
+    loaded (:func:`repro.core.transport.rank_kernel`) its ``l1_costs``
+    forms each cell with the same operations in the same order, reading
+    ``a`` and ``b`` in place; shapes that only broadcast (a feature or
+    weight axis of length 1) stay on numpy.
     """
     m, d = a.shape
     n = b.shape[0]
+    kernel = transport._KERNEL
+    if (
+        kernel is not None
+        and b.shape[1] == d
+        and (weights is None or weights.shape == (d,))
+    ):
+        a, b = transport._elements(a), transport._elements(b)
+        if weights is not None:
+            weights = transport._elements(weights)
+        out = np.empty((m, n), dtype=np.float64)
+        kernel.l1_costs(
+            a.ctypes.data, a.strides[0] // 8, a.strides[1] // 8, m,
+            b.ctypes.data, b.strides[0] // 8, b.strides[1] // 8, n, d,
+            None if weights is None else weights.ctypes.data,
+            0 if weights is None else weights.strides[0] // 8,
+            out.ctypes.data,
+        )
+        return out
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     block = max(1, _L1_BLOCK_BYTES // max(1, m * d * 8))
     out = np.empty((m, n), dtype=np.float64)
     for start in range(0, n, block):

@@ -17,17 +17,33 @@ and columns sorted once up front, the potentials' tree walk — and numpy
 for whole-matrix steps only.  Python floats are the same IEEE doubles,
 so every flow, cost and pivot count is bit-identical to the all-numpy
 solver kept as the reference in ``tests/core/test_transport.py``.
+
+Where a C compiler is present, the same start and pivots run compiled
+(``_emd.c``'s ``transport_solve``, loaded at import by
+:mod:`repro.core.native`), step for step as the Python below, so the
+answers are the same bits either way; :func:`rank_kernel` says which one
+this process runs.  The checks, the demand rescale and the objective
+``(flow * costs).sum()`` stay in numpy on both paths.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from pathlib import Path
+from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-__all__ = ["TransportResult", "TransportPivotLimitError", "solve_transport"]
+from . import native
+
+__all__ = [
+    "TransportResult",
+    "TransportPivotLimitError",
+    "rank_kernel",
+    "solve_transport",
+]
 
 _MAX_PIVOTS_FACTOR = 50  # pivot cap: factor * (m + n), guards non-termination
 
@@ -73,15 +89,22 @@ def solve_transport(
     :class:`TransportPivotLimitError` rather than return a flow that the
     pivot cap stopped short of optimality.
     """
-    supply = np.asarray(supply, dtype=np.float64).copy()
-    demand = np.asarray(demand, dtype=np.float64).copy()
+    supply = np.asarray(supply, dtype=np.float64)
+    demand = np.asarray(demand, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
     m, n = supply.shape[0], demand.shape[0]
     if costs.shape != (m, n):
         raise ValueError(f"costs must be ({m}, {n}), got {costs.shape}")
     if not np.isfinite(costs).all():
         raise ValueError("costs must be finite")
-    if (supply < 0).any() or (demand < 0).any():
+    # One buffer: copies of the masses, then the flow the compiled
+    # simplex fills in place.
+    work = np.zeros(m + n + m * n)
+    masses = work[: m + n]
+    masses[:m] = supply
+    masses[m:] = demand
+    supply, demand = masses[:m], masses[m:]
+    if (masses < 0).any():
         raise ValueError("supply and demand must be non-negative")
     total_s, total_d = float(supply.sum()), float(demand.sum())
     if not (math.isfinite(total_s) and math.isfinite(total_d)):
@@ -94,6 +117,20 @@ def solve_transport(
         )
     demand *= total_s / total_d  # exact balance for the simplex
 
+    kernel = _KERNEL
+    if kernel is None:
+        flow, _basis, iterations = _simplex(supply, demand, costs, tolerance)
+    else:
+        flow, iterations = _compiled_simplex(kernel, work, costs, tolerance)
+    return TransportResult(flow, float((flow * costs).sum()), iterations)
+
+
+def _simplex(
+    supply: np.ndarray, demand: np.ndarray, costs: np.ndarray, tolerance: float
+) -> Tuple[np.ndarray, Set[Tuple[int, int]], int]:
+    """Vogel's start and MODI pivots on a balanced problem with positive
+    totals: ``(flow, basis, pivots)``."""
+    m, n = costs.shape
     flow, basis = _vogel_initial_solution(supply, demand, costs)
     if len(basis) < m + n - 1:  # a full-size Vogel basis is already a tree
         _ensure_spanning_basis(basis, flow, m, n)
@@ -110,8 +147,82 @@ def solve_transport(
         cycle = _find_cycle(basis, entering, m, n)
         _pivot(flow, basis, cycle)
         iterations += 1
+    return flow, basis, iterations
 
-    return TransportResult(flow, float((flow * costs).sum()), iterations)
+
+# ----------------------------------------------------------------------
+# Compiled kernels: built at import, cached per user, Python otherwise
+# ----------------------------------------------------------------------
+_P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+_SIGNATURES = {  # symbol: (restype, argtypes)
+    "l1_costs": (None, (_P, _N, _N, _N, _P, _N, _N, _N, _N, _P, _N, _P)),
+    "transport_solve": (_N, (_N, _N, _P, _P, _N, _N, _D, _N, _P)),
+}
+# transport_solve's failures; it returns the pivot count otherwise.
+_PIVOT_LIMIT, _NOT_SPANNING, _NO_MEMORY = -1, -2, -3
+
+
+class _Kernel(NamedTuple):
+    """The two entry points of one loaded ``_emd.c``."""
+
+    l1_costs: Callable
+    solve: Callable
+
+
+def _load_kernel(
+    compiler: Optional[Sequence[str]] = None, cache_dir: Optional[Path] = None
+) -> Optional[_Kernel]:
+    """The C ``l1_costs`` and ``transport_solve`` (see
+    :func:`repro.core.native.load`), or ``None`` where they cannot be
+    built or loaded."""
+    functions = native.load("_emd.c", _SIGNATURES, compiler, cache_dir)
+    return None if functions is None else _Kernel(*functions)
+
+
+_KERNEL = _load_kernel()
+
+
+def rank_kernel() -> str:
+    """Which EMD kernels this process runs (the transportation simplex
+    here and the l1 cost block in :mod:`repro.core.emd`): ``compiled``
+    or ``python`` (no compiler, or the build or load failed)."""
+    return "python" if _KERNEL is None else "compiled"
+
+
+def _elements(array: np.ndarray) -> np.ndarray:
+    """``array`` as float64 whose strides are whole elements (a copy only
+    for an unaligned buffer), for a kernel that reads it in place."""
+    array = np.asarray(array, dtype=np.float64)
+    return array if array.flags.aligned else np.ascontiguousarray(array)
+
+
+def _compiled_simplex(
+    kernel: _Kernel,
+    work: np.ndarray,
+    costs: np.ndarray,
+    tolerance: float,
+    basis: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, int]:
+    """:func:`_simplex` in C: ``(flow, pivots)``.  ``work`` is a zeroed
+    float64 buffer of ``m + n + m * n`` that holds the balanced supply
+    and demand; the flow is written after them.  ``costs`` is read in
+    place.  A zeroed ``(m, n)`` uint8 ``basis`` receives the final basis.
+    """
+    m, n = costs.shape
+    costs = _elements(costs)
+    pivots = kernel.solve(
+        m, n, work.ctypes.data,
+        costs.ctypes.data, costs.strides[0] // 8, costs.strides[1] // 8,
+        tolerance, _MAX_PIVOTS_FACTOR * (m + n),
+        None if basis is None else basis.ctypes.data,
+    )
+    if pivots < 0:
+        if pivots == _PIVOT_LIMIT:
+            raise TransportPivotLimitError(m, n, _MAX_PIVOTS_FACTOR * (m + n))
+        if pivots == _NOT_SPANNING:
+            raise RuntimeError("basis is not spanning; cannot close pivot cycle")
+        raise MemoryError(f"no memory for a {m}x{n} transportation problem")
+    return work[m + n:].reshape(m, n), pivots
 
 
 def _vogel_initial_solution(

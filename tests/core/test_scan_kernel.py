@@ -7,10 +7,10 @@ is the compiled top-k pass on one and the numpy matrix and select on
 the other; its ``(distance, row)`` sets are checked against
 ``select_k_smallest`` over ``hamming_to_many``, at ties across the
 kernel's 32-row chunks and 2,048-row tiles and with tombstones.  The
-loader tests build into a temporary
-cache directory: a compiler that fails or does not exist leaves the scan
-on numpy and raises nothing, and a kernel file another user could have
-written is refused.
+loader tests build both C sources (``_hamming.c`` and ``_emd.c``) into a
+temporary cache directory: a compiler that fails or does not exist
+leaves the scan on numpy and the EMD on Python and raises nothing, and
+a kernel file another user could have written is refused.
 """
 
 import importlib.resources
@@ -22,11 +22,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import FilterParams, SimilaritySearchEngine, SketchParams, bitvector, filtering
+from repro.core import (
+    FilterParams,
+    SimilaritySearchEngine,
+    SketchParams,
+    bitvector,
+    filtering,
+    native,
+    transport,
+)
 from repro.core.bitvector import hamming_many_to_many, hamming_to_many
 from repro.core.filtering import select_k_smallest
 from repro.core.types import meta_from_dataset
-from repro.datatypes.bulk import bulk_shape_dataset
+from repro.datatypes.bulk import bulk_image_dataset, bulk_shape_dataset
+from repro.datatypes.image import make_image_plugin
 from repro.datatypes.shape import make_shape_plugin
 from repro.server import CommandProcessor, parse_command
 
@@ -298,68 +307,113 @@ def test_scratch_keeps_the_larger_call_not_the_product(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Loader: failures fall back to numpy, foreign files are refused
+# Loader: failures fall back to numpy / Python, foreign files are refused.
+# Every test runs over both C sources, each through its module's loader.
 # ----------------------------------------------------------------------
+LOADERS = {"hamming": bitvector._load_kernel, "emd": transport._load_kernel}
+MODULES = {"hamming": bitvector, "emd": transport}
+
+
 @pytest.mark.parametrize("compiler", [["false"], ["/nonexistent/ferret-cc"]])
 def test_failed_build_leaves_the_numpy_loop(tmp_path, monkeypatch, compiler):
     cache = tmp_path / "cache"
-    monkeypatch.setattr(bitvector, "_KERNEL", bitvector._load_kernel(compiler, cache))
-    assert bitvector._KERNEL is None
+    for stem, load in LOADERS.items():
+        monkeypatch.setattr(MODULES[stem], "_KERNEL", load(compiler, cache))
+        assert MODULES[stem]._KERNEL is None, stem
     assert bitvector.scan_kernel() == "numpy"
-    assert list(cache.iterdir()) == []  # the temp file is gone too
+    assert transport.rank_kernel() == "python"
+    assert list(cache.iterdir()) == []  # the temp files are gone too
     rng = np.random.default_rng(6)
     queries, database = _words(rng, 2, 3), _words(rng, 40, 3)
     assert np.array_equal(
         hamming_many_to_many(queries, database), _rowwise(queries, database)
     )
+    result = transport.solve_transport(np.ones(2), np.ones(2), np.eye(2))
+    assert result.cost == 0.0 and (result.flow == 1.0 - np.eye(2)).all()
 
 
 @pytest.fixture
 def built(tmp_path):
-    """A kernel compiled into a private cache directory: (dir, file)."""
+    """Both kernels compiled into one private cache directory:
+    (dir, {stem: file})."""
     cache = tmp_path / "cache"
-    if bitvector._load_kernel(cache_dir=cache) is None:
-        pytest.skip("no C compiler on this host, or its build failed")
+    for load in LOADERS.values():
+        if load(cache_dir=cache) is None:
+            pytest.skip("no C compiler on this host, or its build failed")
     assert os.stat(cache).st_mode & 0o777 == 0o700
-    (path,) = cache.glob("hamming-*.so")
-    return cache, path
+    paths = {}
+    for stem in LOADERS:
+        (paths[stem],) = cache.glob(f"{stem}-*.so")
+    return cache, paths
 
 
 def test_a_missing_symbol_leaves_the_numpy_loop(built, monkeypatch):
-    """Both entry points come from one library, or neither is used."""
+    """Every entry point comes from one library, or none is used."""
     cache, _ = built
-    monkeypatch.setitem(bitvector._SIGNATURES, "hamming_missing", ())
-    assert bitvector._load_kernel(cache_dir=cache) is None
+    for stem, load in LOADERS.items():
+        with monkeypatch.context() as patch:
+            patch.setitem(MODULES[stem]._SIGNATURES, f"{stem}_missing", (None, ()))
+            assert load(cache_dir=cache) is None, stem
+        assert load(cache_dir=cache) is not None, stem
 
 
 def test_cached_kernel_is_reused(built):
-    cache, path = built
-    mtime = path.stat().st_mtime_ns
-    assert bitvector._load_kernel(cache_dir=cache) is not None
-    assert path.stat().st_mtime_ns == mtime
-    assert list(cache.glob("*")) == [path]
+    cache, paths = built
+    mtimes = {stem: path.stat().st_mtime_ns for stem, path in paths.items()}
+    for stem, load in LOADERS.items():
+        assert load(cache_dir=cache) is not None, stem
+        assert paths[stem].stat().st_mtime_ns == mtimes[stem]
+    assert sorted(cache.glob("*")) == sorted(paths.values())
 
 
 def test_file_owned_by_another_user_is_refused(built, monkeypatch):
     cache, _ = built
-    monkeypatch.setattr(bitvector.os, "getuid", lambda: os.stat(cache).st_uid + 1)
-    assert bitvector._load_kernel(cache_dir=cache) is None
+    monkeypatch.setattr(native.os, "getuid", lambda: os.stat(cache).st_uid + 1)
+    for stem, load in LOADERS.items():
+        assert load(cache_dir=cache) is None, stem
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o702])
 def test_directory_others_can_write_is_refused(built, mode):
     cache, _ = built
     os.chmod(cache, mode)
-    assert bitvector._load_kernel(cache_dir=cache) is None
+    for stem, load in LOADERS.items():
+        assert load(cache_dir=cache) is None, stem
     os.chmod(cache, 0o700)
-    assert bitvector._load_kernel(cache_dir=cache) is not None
+    for stem, load in LOADERS.items():
+        assert load(cache_dir=cache) is not None, stem
 
 
 def test_kernel_source_ships_as_package_data():
-    source = importlib.resources.files("repro.core").joinpath("_hamming.c")
-    assert source.is_file()
-    assert b"hamming_block" in source.read_bytes()
-    assert b"hamming_topk" in source.read_bytes()
+    symbols = {"_hamming.c": MODULES["hamming"], "_emd.c": MODULES["emd"]}
     with open(ROOT / "pyproject.toml", "rb") as handle:
         package_data = tomllib.load(handle)["tool"]["setuptools"]["package-data"]
-    assert "core/_hamming.c" in package_data["repro"]
+    for name, module in symbols.items():
+        source = importlib.resources.files("repro.core").joinpath(name)
+        assert source.is_file()
+        for symbol in module._SIGNATURES:
+            assert symbol.encode() in source.read_bytes()
+        assert f"core/{name}" in package_data["repro"]
+
+
+def test_no_build_or_load_after_import(monkeypatch):
+    """Both libraries are built and opened when ``repro.core`` is
+    imported: a set-up and a query afterwards compile and open nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was built or opened after import")
+
+    monkeypatch.setattr(native.subprocess, "run", refuse)
+    monkeypatch.setattr(native.ctypes, "CDLL", refuse)
+    dataset = bulk_image_dataset(60, seed=3)
+    plugin = make_image_plugin()
+    with SimilaritySearchEngine(
+        plugin, SketchParams(128, plugin.meta, seed=0), FilterParams()
+    ) as engine:
+        engine.insert_many(list(dataset))
+        assert engine.query_by_id(0, top_k=5)
+
+
+def test_no_fused_multiply_add():
+    """A contracted a * b + c rounds once, not twice: the EMD kernels
+    would no longer give the bits of their numpy twins."""
+    assert "-ffp-contract=off" in native._CFLAGS

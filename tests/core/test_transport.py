@@ -1,4 +1,11 @@
-"""Tests for the transportation simplex, cross-checked against scipy's LP."""
+"""Tests for the transportation simplex, cross-checked against scipy's LP.
+
+The bit-identity tests run the compiled simplex (``_emd.c``) and the
+Python fast path against the all-numpy reference solver kept below:
+flow bits, basis, pivots and cost.
+"""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +18,9 @@ from repro.core.transport import (
     _vogel_initial_solution,
     solve_transport,
 )
+
+
+RANK_KERNELS = ("python", "compiled")  # python first: a loop runs it before a skip
 
 
 def scipy_transport_cost(supply, demand, costs):
@@ -184,30 +194,71 @@ class TestOptimality:
         assert np.allclose(result.flow.sum(axis=1), supply)
 
 
-class TestPivotCap:
-    def test_raises_instead_of_returning_a_non_optimal_flow(self, monkeypatch):
-        # Vogel's start is not optimal here (the simplex needs a pivot),
-        # so a cap of zero pivots must raise, not hand back Vogel's cost.
-        costs = np.array([
-            [0.5, 0.5, 0.5, 0.3, 0.9],
-            [0.7, 0.0, 0.7, 0.9, 0.9],
-            [0.7, 0.4, 0.1, 0.0, 0.5],
-            [0.1, 0.9, 0.2, 0.1, 0.3],
-        ])
-        supply = np.array([0.4, 0.3, 0.2, 0.1])
-        demand = np.array([0.2, 0.3, 0.1, 0.1, 0.3])
-        assert solve_transport(supply, demand, costs).iterations >= 1
-        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
-        with pytest.raises(TransportPivotLimitError) as excinfo:
-            solve_transport(supply, demand, costs)
-        assert isinstance(excinfo.value, RuntimeError)
-        assert (excinfo.value.m, excinfo.value.n) == (4, 5)
-        assert excinfo.value.pivots == 0
+# Vogel's start is not optimal here: the simplex needs a pivot.
+PIVOTING = (
+    np.array([0.4, 0.3, 0.2, 0.1]),
+    np.array([0.2, 0.3, 0.1, 0.1, 0.3]),
+    np.array([
+        [0.5, 0.5, 0.5, 0.3, 0.9],
+        [0.7, 0.0, 0.7, 0.9, 0.9],
+        [0.7, 0.4, 0.1, 0.0, 0.5],
+        [0.1, 0.9, 0.2, 0.1, 0.3],
+    ]),
+)
 
-    def test_cap_not_hit_when_start_is_optimal(self, monkeypatch):
+
+class TestPivotCap:
+    def test_raises_instead_of_returning_a_non_optimal_flow(
+        self, monkeypatch, use_rank_kernel
+    ):
+        # A cap of zero pivots must raise, not hand back Vogel's cost,
+        # on the Python path and on the compiled one.
+        assert solve_transport(*PIVOTING).iterations >= 1
         monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
-        result = solve_transport(np.ones(2), np.ones(2), np.ones((2, 2)) - np.eye(2))
-        assert result.cost == 0.0 and result.iterations == 0
+        for kernel in RANK_KERNELS:
+            with use_rank_kernel(kernel):
+                with pytest.raises(TransportPivotLimitError) as excinfo:
+                    solve_transport(*PIVOTING)
+            assert isinstance(excinfo.value, RuntimeError)
+            assert (excinfo.value.m, excinfo.value.n) == (4, 5)
+            assert excinfo.value.pivots == 0
+
+    def test_cap_not_hit_when_start_is_optimal(self, monkeypatch, use_rank_kernel):
+        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
+        for kernel in RANK_KERNELS:
+            with use_rank_kernel(kernel):
+                result = solve_transport(
+                    np.ones(2), np.ones(2), np.ones((2, 2)) - np.eye(2)
+                )
+            assert result.cost == 0.0 and result.iterations == 0
+
+    def test_cap_reached_mid_run_on_both_paths(self, monkeypatch, use_rank_kernel):
+        # A cap one pivot short of what a problem needs raises with the
+        # cap as the pivot count, after that many pivots; at the pivots
+        # it needs it solves.
+        rng = np.random.default_rng(12)
+        costs = rng.random((9, 9))
+        supply = demand = np.full(9, 1 / 9)
+        needed = solve_transport(supply, demand, costs).iterations
+        assert needed >= 2
+        for kernel in RANK_KERNELS:
+            with use_rank_kernel(kernel):
+                monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", _PivotCap(needed - 1))
+                with pytest.raises(TransportPivotLimitError) as excinfo:
+                    solve_transport(supply, demand, costs)
+                assert excinfo.value.pivots == needed - 1
+                monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", _PivotCap(needed))
+                assert solve_transport(supply, demand, costs).iterations == needed
+
+
+class _PivotCap:
+    """A stand-in pivot factor: its product with ``m + n`` is ``cap``."""
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def __mul__(self, lines):
+        return self.cap
 
 
 # --- Vogel's start: the per-line loop the vectorised version replaced,
@@ -274,6 +325,7 @@ def _reference_penalty_and_argmin(values):
 # --- reference the fast path must reproduce bit for bit.
 
 def _reference_solve(supply, demand, costs, tolerance=1e-12):
+    """``(TransportResult, final basis)``."""
     supply = np.asarray(supply, dtype=np.float64).copy()
     demand = np.asarray(demand, dtype=np.float64).copy()
     costs = np.asarray(costs, dtype=np.float64)
@@ -284,7 +336,7 @@ def _reference_solve(supply, demand, costs, tolerance=1e-12):
         raise ValueError("supply and demand must be non-negative")
     total_s, total_d = float(supply.sum()), float(demand.sum())
     if total_s <= 0.0 or total_d <= 0.0:
-        return transport.TransportResult(np.zeros((m, n)), 0.0, 0)
+        return transport.TransportResult(np.zeros((m, n)), 0.0, 0), set()
     if abs(total_s - total_d) > 1e-6 * max(total_s, total_d):
         raise ValueError(
             f"unbalanced problem: supply={total_s} demand={total_d}"
@@ -309,7 +361,7 @@ def _reference_solve(supply, demand, costs, tolerance=1e-12):
 
     return transport.TransportResult(
         flow, float((flow * costs).sum()), iterations
-    )
+    ), basis
 
 
 def _reference_ensure_spanning_basis(basis, flow, m, n):
@@ -467,12 +519,49 @@ def corpus_problems(draw):
     return supply / supply.sum(), demand / demand.sum(), costs
 
 
-def _assert_same_solve(supply, demand, costs):
-    got = solve_transport(supply, demand, costs)
-    ref = _reference_solve(supply, demand, costs)
-    assert np.array_equal(got.flow, ref.flow)
-    assert got.cost == ref.cost
-    assert got.iterations == ref.iterations
+def _balanced(supply, demand):
+    """The masses the simplex runs on: copies, demand rescaled to the
+    supply's total exactly as ``solve_transport`` rescales it."""
+    supply = np.array(supply, dtype=np.float64)
+    demand = np.array(demand, dtype=np.float64)
+    demand *= float(supply.sum()) / float(demand.sum())
+    return supply, demand
+
+
+def _cells(mask):
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
+
+
+def _compiled_solve(supply, demand, costs):
+    """``(flow, basis, pivots)`` of ``_emd.c``'s simplex on balanced
+    masses, with the basis it ends on."""
+    m, n = costs.shape
+    work = np.zeros(m + n + m * n)
+    work[:m], work[m : m + n] = supply, demand
+    basis = np.zeros((m, n), dtype=np.uint8)
+    flow, pivots = transport._compiled_simplex(
+        transport._KERNEL, work, costs, 1e-12, basis
+    )
+    return flow, _cells(basis), pivots
+
+
+def _assert_same_solve(supply, demand, costs, use_rank_kernel):
+    """Both solver paths give the reference's flow bits, cost and pivots,
+    and end on its basis."""
+    ref, ref_basis = _reference_solve(supply, demand, costs)
+    for kernel in RANK_KERNELS:
+        with use_rank_kernel(kernel):
+            got = solve_transport(supply, demand, costs)
+            assert np.array_equal(got.flow.view(np.uint64), ref.flow.view(np.uint64))
+            assert got.cost == ref.cost
+            assert got.iterations == ref.iterations
+            if ref_basis:
+                masses = _balanced(supply, demand)
+                if kernel == "compiled":
+                    _flow, basis, _pivots = _compiled_solve(*masses, costs)
+                else:
+                    _flow, basis, _pivots = transport._simplex(*masses, costs, 1e-12)
+                assert basis == ref_basis
     # The optimality check, part by part, on the reference start: the
     # potentials must match to the bit, not just the decision they drive.
     m, n = costs.shape
@@ -484,28 +573,28 @@ def _assert_same_solve(supply, demand, costs):
     assert transport._find_entering(
         costs, u, v, basis, 1e-12
     ) == _reference_find_entering(costs, ref_u, ref_v, basis, 1e-12)
-    return got
+    return ref
 
 
 class TestSolveMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(vogel_problems(), corpus_problems()))
-    def test_identical_flow_cost_and_pivots(self, problem):
-        _assert_same_solve(*problem)
+    @given(problem=st.one_of(vogel_problems(), corpus_problems()))
+    def test_identical_flow_cost_and_pivots(self, problem, use_rank_kernel):
+        _assert_same_solve(*problem, use_rank_kernel)
 
-    def test_pivoting_problem(self):
-        # TestPivotCap's instance: Vogel's start is not optimal.
-        costs = np.array([
-            [0.5, 0.5, 0.5, 0.3, 0.9],
-            [0.7, 0.0, 0.7, 0.9, 0.9],
-            [0.7, 0.4, 0.1, 0.0, 0.5],
-            [0.1, 0.9, 0.2, 0.1, 0.3],
-        ])
-        supply = np.array([0.4, 0.3, 0.2, 0.1])
-        demand = np.array([0.2, 0.3, 0.1, 0.1, 0.3])
-        assert _assert_same_solve(supply, demand, costs).iterations >= 1
+    def test_pivoting_problem(self, use_rank_kernel):
+        assert _assert_same_solve(*PIVOTING, use_rank_kernel).iterations >= 1
 
-    def test_zero_weight_row_needs_the_spanning_step(self):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_pivots(self, seed, use_rank_kernel):
+        # Uniform masses and float costs at 24 x 24: a long pivot run,
+        # with ties in the leaving flow at every degenerate step.
+        rng = np.random.default_rng(seed)
+        costs = rng.random((24, 24))
+        masses = np.full(24, 1 / 24)
+        assert _assert_same_solve(masses, masses, costs, use_rank_kernel).iterations >= 5
+
+    def test_zero_weight_row_needs_the_spanning_step(self, use_rank_kernel):
         # Row 1 carries no mass, so Vogel's basis is one cell short and
         # only the spanning step connects row 1 — whose potential then
         # exposes an improving cell the simplex must pivot on.
@@ -514,23 +603,128 @@ class TestSolveMatchesReference:
         costs = np.array([[1.0, 2.0], [3.0, 1.0]])
         _flow, basis = _vogel_initial_solution(supply, demand, costs)
         assert len(basis) < 2 + 2 - 1
-        assert _assert_same_solve(supply, demand, costs).iterations >= 1
+        result = _assert_same_solve(supply, demand, costs, use_rank_kernel)
+        assert result.iterations >= 1
 
-    def test_single_row(self):
+    def test_single_row(self, use_rank_kernel):
         rng = np.random.default_rng(11)
         demand = rng.random(7) + 0.1
         result = _assert_same_solve(
-            np.ones(1), demand / demand.sum(), rng.random((1, 7))
+            np.ones(1), demand / demand.sum(), rng.random((1, 7)), use_rank_kernel
         )
         assert result.iterations == 0
 
+    def test_degenerate_and_zero_weight_cases(self, use_rank_kernel):
+        # Flat costs, one cell of mass, all-but-one zero rows and
+        # columns, and equal masses that empty a row and a column at once.
+        rng = np.random.default_rng(13)
+        cases = [
+            (np.full(5, 0.2), np.full(5, 0.2), np.zeros((5, 5))),
+            (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]),
+             np.arange(12, dtype=np.float64).reshape(3, 4)),
+            (np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.5]), rng.random((3, 3))),
+            (np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([[1.0, 1.0], [1.0, 1.0]])),
+            (np.ones(6), np.ones(6), rng.integers(0, 2, (6, 6)).astype(np.float64)),
+        ]
+        for supply, demand, costs in cases:
+            _assert_same_solve(supply, demand, costs, use_rank_kernel)
+
+    def test_strided_cost_slice_is_read_in_place(self, use_rank_kernel):
+        # The cascade hands the solver a column slice of its packed
+        # costs; a reversed and a Fortran-ordered view solve alike.
+        rng = np.random.default_rng(14)
+        packed = rng.random((7, 30))
+        supply, demand = rng.random(7) + 0.1, rng.random(9) + 0.1
+        demand *= supply.sum() / demand.sum()
+        want = _assert_same_solve(supply, demand, packed[:, 10:19].copy(), use_rank_kernel)
+        for costs in (packed[:, 10:19], np.asfortranarray(packed[:, 10:19]),
+                      packed[::-1, 10:19][::-1]):
+            for kernel in RANK_KERNELS:
+                with use_rank_kernel(kernel):
+                    got = solve_transport(supply, demand, costs)
+                assert np.array_equal(got.flow, want.flow) and got.cost == want.cost
+
+
+class _ShuffledSet(set):
+    """A set whose iteration order is drawn afresh on every pass."""
+
+    def __init__(self, items, rng):
+        super().__init__(items)
+        self.rng = rng
+
+    def __iter__(self):
+        items = list(set.__iter__(self))
+        self.rng.shuffle(items)
+        return iter(items)
+
+
+def _shuffled_simplex(supply, demand, costs, rng):
+    """The Python simplex with its basis iterated in a fresh random order
+    on every pass."""
+    vogel = transport._vogel_initial_solution
+
+    def shuffled_vogel(*args):
+        flow, basis = vogel(*args)
+        return flow, _ShuffledSet(basis, rng)
+
+    with mock.patch.object(transport, "_vogel_initial_solution", shuffled_vogel):
+        flow, basis, pivots = transport._simplex(*_balanced(supply, demand), costs, 1e-12)
+    assert isinstance(basis, _ShuffledSet)
+    return flow, basis, pivots
+
+
+class TestBasisOrderIsNeverRead:
+    """The Python basis is a set: the spanning step, the potentials, the
+    cycle and the entering argmin must not depend on its iteration
+    order, which the compiled simplex (a row-major mask) cannot share."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(vogel_problems(), corpus_problems()), st.integers(0, 2**32 - 1))
+    def test_shuffled_basis_gives_the_same_solve(self, problem, seed):
+        supply, demand, costs = problem
+        want_flow, want_basis, want_pivots = transport._simplex(
+            *_balanced(supply, demand), costs, 1e-12
+        )
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            flow, basis, pivots = _shuffled_simplex(supply, demand, costs, rng)
+            assert np.array_equal(flow.view(np.uint64), want_flow.view(np.uint64))
+            assert pivots == want_pivots and basis == want_basis
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_basis_on_pivoting_problems(self, seed):
+        rng = np.random.default_rng(seed)
+        costs = rng.random((12, 12))
+        masses = np.full(12, 1 / 12)
+        want_flow, _basis, want_pivots = transport._simplex(masses, masses, costs, 1e-12)
+        assert want_pivots >= 1
+        flow, _basis, pivots = _shuffled_simplex(masses, masses, costs, rng)
+        assert np.array_equal(flow, want_flow) and pivots == want_pivots
+
+
+def _record_cascade_solves(monkeypatch, engine, object_ids):
+    """The transport problems the ranking cascade really solves for
+    ``object_ids`` as queries."""
+    import repro.core.ranking as ranking
+
+    solved = []
+
+    def recording_solve(supply, demand, costs):
+        solved.append((supply, demand, costs))
+        return solve_transport(supply, demand, costs)
+
+    monkeypatch.setattr(ranking, "solve_transport", recording_solve)
+    for object_id in object_ids:
+        engine.query(engine.get_object(object_id), top_k=10, exclude_self=True)
+    monkeypatch.undo()
+    return solved
+
 
 class TestCascadeSolvesMatchReference:
-    def test_clustered_image_queries(self, monkeypatch):
+    def test_clustered_image_queries(self, monkeypatch, use_rank_kernel):
         # Record the transport problems the ranking cascade really
         # solves on a seeded clustered image corpus; each must come out
-        # of the solver exactly as the reference solves it.
-        import repro.core.ranking as ranking
+        # of both solvers exactly as the reference solves it.
         from repro.core import FilterParams, SimilaritySearchEngine, SketchParams
         from repro.datatypes.bulk import bulk_image_dataset
         from repro.datatypes.image import make_image_plugin
@@ -542,15 +736,28 @@ class TestCascadeSolvesMatchReference:
             FilterParams(num_query_segments=4, candidates_per_segment=32),
         )
         engine.insert_many(list(bulk_image_dataset(400, seed=5)))
-        solved = []
-
-        def recording_solve(supply, demand, costs):
-            solved.append((supply, demand, costs))
-            return solve_transport(supply, demand, costs)
-
-        monkeypatch.setattr(ranking, "solve_transport", recording_solve)
-        for object_id in range(0, 400, 50):
-            engine.query(engine.get_object(object_id), top_k=10, exclude_self=True)
+        solved = _record_cascade_solves(monkeypatch, engine, range(0, 400, 50))
         assert len(solved) >= 80
         for supply, demand, costs in solved:
-            _assert_same_solve(supply, demand, costs)
+            _assert_same_solve(supply, demand, costs, use_rank_kernel)
+
+    def test_clustered_audio_queries(self, monkeypatch, use_rank_kernel):
+        # Audio: 192-dim segments, 8.6 a sentence, plain EMD — the
+        # solves that pivot most (Table 2's slowest row).
+        from repro.core import FilterParams, SimilaritySearchEngine, SketchParams
+        from repro.core.types import meta_from_dataset
+        from repro.datatypes.audio import make_audio_plugin
+        from repro.datatypes.bulk import bulk_audio_dataset
+
+        dataset = bulk_audio_dataset(300, seed=2)
+        plugin = make_audio_plugin(meta_from_dataset(dataset))
+        engine = SimilaritySearchEngine(
+            plugin,
+            SketchParams(600, plugin.meta, seed=0),
+            FilterParams(candidates_per_segment=32),
+        )
+        engine.insert_many(list(dataset))
+        solved = _record_cascade_solves(monkeypatch, engine, range(0, 300, 30))
+        assert len(solved) >= 80
+        for supply, demand, costs in solved:
+            _assert_same_solve(supply, demand, costs, use_rank_kernel)
