@@ -32,9 +32,11 @@ metrics-smoke:
 	$(PYTHON) -m pytest -q tests/observability tests/core/test_cache_epoch_race.py tests/server/test_observability_integration.py
 
 # Ranking-cascade smoke: the rank-equivalence / lower-bound property
-# tests, the solver, cost-kernel and top-k selection bit-identity
-# references (the compiled _emd.c kernels and the Python / numpy paths;
-# -rs shows a compiled half skipped on a host without a compiler), the
+# tests (the compiled rank_topk cascade and the Python one against
+# exact rank_candidates), the solver, cost-kernel and top-k selection
+# bit-identity references (the compiled _emd.c kernels and the Python /
+# numpy paths; -rs shows a compiled half skipped on a host without a
+# compiler), the
 # engine against the naive serial-EMD oracle on both kernels, plus
 # the throughput bench in quick mode, which exercises the
 # cascade end-to-end (identity vs the exact EMD path) and writes the

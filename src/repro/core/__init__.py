@@ -30,7 +30,6 @@ from .emd import (
     EMDParams,
     NonFiniteDistanceError,
     emd,
-    emd_lower_bound_centroid,
     emd_lower_bound_rowcol,
     emd_to_many,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "cosine_distance",
     "histogram_intersection_distance",
     "emd",
-    "emd_lower_bound_centroid",
     "emd_lower_bound_rowcol",
     "emd_to_many",
     "estimate_l1_from_hamming",

@@ -1,16 +1,21 @@
-/* Exact EMD kernels: the l1 ground-distance block and the transportation
- * simplex.
+/* Exact EMD kernels: the l1 ground-distance block, the transportation
+ * simplex, and the ranking cascade built on them.
  *
- * Both reproduce their Python / numpy twins (emd._l1_cost_matrix and
- * transport._simplex) bit for bit: the same double operations in the
+ * The first two reproduce their Python / numpy twins (emd._l1_cost_matrix
+ * and transport._simplex) bit for bit: the same double operations in the
  * same order, built with -ffp-contract=off so that no fused multiply-add
- * changes a rounding.  Loaded through ctypes, which releases the GIL for
- * the call.  Matrices are read in place through element strides.
+ * changes a rounding.  rank_topk runs ranking.rank_candidates_many's
+ * cascade in one call; its distances are solve_transport's bits, its
+ * bound only has to stay a lower bound.  Loaded through ctypes, which
+ * releases the GIL for the call.  Matrices are read in place through
+ * element strides.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* ---------------------------------------------------------------------
  * l1 costs
@@ -433,4 +438,332 @@ ptrdiff_t transport_solve(ptrdiff_t m, ptrdiff_t n, double *work,
     }
     free(scratch);
     return iterations;
+}
+
+/* ---------------------------------------------------------------------
+ * The ranking cascade: row/column bound, (bound, id) visit, solves and
+ * the running top k
+ * ------------------------------------------------------------------ */
+
+/* rank_topk's failure besides transport_solve's: a candidate fails one
+ * of solve_transport's checks (the caller has solve_transport raise
+ * that candidate's error). */
+enum { REFUSED = -4 };
+
+/* emd._BOUND_SAFETY_REL and _BOUND_SAFETY_ABS: the margin that keeps a
+ * bound below the simplex's cost whatever the two roundings. */
+#define SAFETY_REL 1e-9
+#define SAFETY_ABS 1e-12
+
+/* numpy's pairwise sum of n contiguous doubles: blocks of at most
+ * PW_BLOCK terms, split in halves that are multiples of 8 above. */
+static double pairwise(const double *t, ptrdiff_t n)
+{
+    if (n <= PW_BLOCK)
+        return block_sum(t, n);
+    ptrdiff_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(t, n2) + pairwise(t + n2, n - n2);
+}
+
+/* np.sum of n contiguous doubles: its identity 0.0 plus the pairwise sum. */
+static double np_sum(const double *t, ptrdiff_t n)
+{
+    return 0.0 + pairwise(t, n);
+}
+
+/* The first candidate with a NaN or infinite cost, or count: a row-major
+ * pass over the packed (m, offsets[count]) array tests the exponent
+ * bits, which vectorizes, and only a row that holds such a cost is
+ * searched for its column. */
+static ptrdiff_t first_nonfinite(ptrdiff_t m, ptrdiff_t count, const double *costs,
+                                 const ptrdiff_t *offsets)
+{
+    const uint64_t exponent = 0x7ff0000000000000u;
+    const ptrdiff_t width = offsets[count];
+    ptrdiff_t column = width;
+    for (ptrdiff_t i = 0; i < m; i++) {
+        const double *row = costs + i * width;
+        int any = 0;
+        for (ptrdiff_t j = 0; j < width; j++) {
+            uint64_t bits;
+            memcpy(&bits, row + j, sizeof bits);
+            any |= (bits & exponent) == exponent;
+        }
+        for (ptrdiff_t j = 0; any && j < column; j++)
+            if (!isfinite(row[j]))
+                column = j;
+    }
+    ptrdiff_t p = 0;
+    while (p < count && offsets[p + 1] <= column)
+        p++;
+    return p;
+}
+
+/* solve_transport's mass checks, after its finite-cost check: non-
+ * negative masses, finite totals, and totals within 1e-6 relative where
+ * both are positive.  Returns 1 where it would raise; *total_d receives
+ * the demand's total. */
+static int refused(ptrdiff_t n, int supply_negative, double total_s,
+                   const double *demand, double *total_d)
+{
+    if (supply_negative)
+        return 1;
+    for (ptrdiff_t j = 0; j < n; j++)
+        if (demand[j] < 0.0)
+            return 1;
+    double t = *total_d = np_sum(demand, n);
+    if (!isfinite(total_s) || !isfinite(t))
+        return 1;
+    return total_s > 0.0 && t > 0.0
+        && fabs(total_s - t) > 1e-6 * (total_s > t ? total_s : t);
+}
+
+/* Every packed column's cheapest cost and the supply of its first
+ * cheapest row, in one row-major pass over the (m, width) costs. */
+static void column_minima(const double *costs, ptrdiff_t m, ptrdiff_t width,
+                          const double *supply, double *colmin, double *room)
+{
+    for (ptrdiff_t j = 0; j < width; j++) {
+        colmin[j] = costs[j];
+        room[j] = supply[0];
+    }
+    for (ptrdiff_t i = 1; i < m; i++) {
+        const double *row = costs + i * width;
+        for (ptrdiff_t j = 0; j < width; j++) {
+            int cheaper = row[j] < colmin[j];
+            colmin[j] = cheaper ? row[j] : colmin[j];
+            room[j] = cheaper ? supply[i] : room[j];
+        }
+    }
+}
+
+/* The row/column lower bound of one candidate with positive totals
+ * (emd.emd_lower_bounds_rowcol) over its (m, n) costs c[i * width + j]:
+ * the supply shipped at each row's cheapest cell, or each column's
+ * demand, balanced to the supply, filled from its cheapest rows with no
+ * row carrying more than its supply; the larger side, less the safety
+ * margin, and never below 0.  colmin and room are the candidate's
+ * columns of column_minima; keys (m) is scratch. */
+static double rowcol_bound(const double *c, ptrdiff_t width, ptrdiff_t m, ptrdiff_t n,
+                           const double *supply, const double *demand, double scale,
+                           const double *colmin, const double *room, double *keys)
+{
+    double row_side = 0.0, col_side = 0.0;
+    for (ptrdiff_t i = 0; i < m; i++) {
+        const double *row = c + i * width;
+        double least = row[0];
+        for (ptrdiff_t j = 1; j < n; j++)
+            least = row[j] < least ? row[j] : least;
+        row_side += supply[i] * least;
+    }
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double owed = demand[j] * scale;
+        if (owed <= room[j]) { /* the cheapest row carries it all */
+            col_side += owed * colmin[j];
+            continue;
+        }
+        for (ptrdiff_t i = 0; i < m; i++)
+            keys[i] = c[i * width + j];
+        for (ptrdiff_t r = 0; r < m && owed > 0.0; r++) { /* cheapest left */
+            ptrdiff_t best = 0;
+            for (ptrdiff_t i = 1; i < m; i++)
+                if (keys[i] < keys[best])
+                    best = i;
+            double take = supply[best] < owed ? supply[best] : owed;
+            col_side += take * keys[best];
+            owed -= take;
+            keys[best] = INFINITY;
+        }
+    }
+    double bound = (row_side > col_side ? row_side : col_side) * (1.0 - SAFETY_REL)
+                 - SAFETY_ABS;
+    return bound > 0.0 ? bound : 0.0;
+}
+
+/* One candidate's solve_transport(supply, demand, costs).cost: 0.0 when
+ * either side carries no mass, else Vogel's start and MODI pivots on the
+ * demand rescaled to the supply's total, and the objective
+ * (flow * costs).sum() in numpy's order over the flat (m, n) product.
+ * work holds m + n + m * n doubles.  Returns the pivots or a failure. */
+static ptrdiff_t solve_cost(const problem *p, const double *supply, double total_s,
+                            const double *demand, double total_d, double tolerance,
+                            ptrdiff_t max_pivots, double *work, double *cost)
+{
+    const ptrdiff_t m = p->m, n = p->n, mn = m * n;
+    *cost = 0.0;
+    if (total_s <= 0.0 || total_d <= 0.0)
+        return 0;
+    memset(work + m + n, 0, (size_t)mn * sizeof *work);
+    memcpy(work, supply, (size_t)m * sizeof *work);
+    double ratio = total_s / total_d;
+    for (ptrdiff_t j = 0; j < n; j++)
+        work[m + j] = demand[j] * ratio;
+    ptrdiff_t pivots = transport_solve(m, n, work, p->c, p->rs, p->cs, tolerance,
+                                       max_pivots, NULL);
+    if (pivots < 0)
+        return pivots;
+    double *flow = work + m + n;
+    for (ptrdiff_t i = 0; i < m; i++)
+        for (ptrdiff_t j = 0; j < n; j++)
+            flow[i * n + j] *= COST(p, i, j);
+    *cost = np_sum(flow, mn);
+    return pivots;
+}
+
+typedef struct {
+    double key; /* the bound, or the distance */
+    int64_t id;
+    ptrdiff_t pos;
+} entry;
+
+/* a before b: ascending key, then id, then the candidate's position
+ * (np.lexsort's stable (bound, id) order, and the (distance, id) order
+ * of the results). */
+static int before(const entry *a, const entry *b)
+{
+    if (a->key != b->key)
+        return a->key < b->key;
+    if (a->id != b->id)
+        return a->id < b->id;
+    return a->pos < b->pos;
+}
+
+/* Restore the binary heap h[0..size) below at: the first entry in the
+ * order at the top when first is 1, the last when it is 0. */
+static void sift_down(entry *h, ptrdiff_t size, ptrdiff_t at, int first)
+{
+    for (;;) {
+        ptrdiff_t top = at, l = 2 * at + 1, r = l + 1;
+        if (l < size && before(&h[l], &h[top]) == first)
+            top = l;
+        if (r < size && before(&h[r], &h[top]) == first)
+            top = r;
+        if (top == at)
+            return;
+        entry e = h[at];
+        h[at] = h[top];
+        h[top] = e;
+        at = top;
+    }
+}
+
+static int64_t nanoseconds(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* The cascade of ranking.rank_candidates_many over count candidates.
+ * costs is the packed, C-ordered (m, offsets[count]) array of
+ * thresholded costs; candidate p owns its columns and demand entries
+ * offsets[p] .. offsets[p + 1].  Every candidate first passes
+ * solve_transport's checks, in candidate order; bounds[p] receives its
+ * row/column bound (0.0 when rowcol is 0 or a side carries no mass).
+ * The candidates are then visited in ascending (bound, id) order, off a
+ * heap, and the visit stops at the first bound strictly above the k-th
+ * distance kept.  top_dist / top_ids receive the min(k, evaluations)
+ * nearest under (distance, id), ascending.  info[0] names the candidate
+ * of a failure; info[1] and info[2] receive the nanoseconds of the
+ * checks and bounds, and of the visit.  Returns the exact evaluations,
+ * or REFUSED, PIVOT_LIMIT, NOT_SPANNING or NO_MEMORY. */
+ptrdiff_t rank_topk(ptrdiff_t m, ptrdiff_t count, const double *costs,
+                    const ptrdiff_t *offsets, const double *supply,
+                    const double *demand, const int64_t *ids, ptrdiff_t k,
+                    int rowcol, double tolerance, ptrdiff_t pivot_factor,
+                    double *bounds, double *top_dist, int64_t *top_ids,
+                    int64_t *info)
+{
+    int64_t started = nanoseconds();
+    const ptrdiff_t width = offsets[count];
+    ptrdiff_t widest = 0;
+    for (ptrdiff_t p = 0; p < count; p++)
+        if (offsets[p + 1] - offsets[p] > widest)
+            widest = offsets[p + 1] - offsets[p];
+    if (k < 0)
+        k = 0;
+    /* the visit heap and the kept top k; candidate totals; the solve's
+     * work; the column minima and rooms, and the bound's keys */
+    size_t bytes = (size_t)(count + k) * sizeof(entry)
+                 + (size_t)(count + m + widest + m * widest + 2 * width + m)
+                       * sizeof(double);
+    char *scratch = malloc(bytes ? bytes : 1);
+    if (!scratch)
+        return NO_MEMORY;
+    entry *visits = (entry *)scratch, *kept = visits + count;
+    double *totals = (double *)(kept + k), *work = totals + count,
+           *colmin = work + m + widest + m * widest, *room = colmin + width,
+           *keys = room + width;
+
+    int supply_negative = 0;
+    for (ptrdiff_t i = 0; i < m; i++)
+        supply_negative |= supply[i] < 0.0;
+    double total_s = np_sum(supply, m);
+    ptrdiff_t nonfinite = first_nonfinite(m, count, costs, offsets);
+    if (rowcol && m > 0)
+        column_minima(costs, m, width, supply, colmin, room);
+    ptrdiff_t result = 0;
+    for (ptrdiff_t p = 0; p < count; p++) {
+        ptrdiff_t n = offsets[p + 1] - offsets[p];
+        const double *d = demand + offsets[p];
+        if (p == nonfinite || refused(n, supply_negative, total_s, d, totals + p)) {
+            info[0] = p;
+            result = REFUSED;
+            goto done;
+        }
+        double bound = 0.0;
+        if (rowcol && total_s > 0.0 && totals[p] > 0.0)
+            bound = rowcol_bound(costs + offsets[p], width, m, n, supply, d,
+                                 total_s / totals[p], colmin + offsets[p],
+                                 room + offsets[p], keys);
+        bounds[p] = bound;
+        visits[p] = (entry){bound, ids[p], p};
+    }
+    for (ptrdiff_t at = count / 2 - 1; at >= 0; at--)
+        sift_down(visits, count, at, 1);
+    int64_t bounded = nanoseconds();
+    info[1] = bounded - started;
+
+    ptrdiff_t size = 0;
+    for (ptrdiff_t left = count; left > 0 && k > 0; left--) {
+        entry next = visits[0];
+        visits[0] = visits[left - 1];
+        sift_down(visits, left - 1, 0, 1);
+        /* Strictly above only: a bound that ties the k-th distance can
+         * still replace it through a smaller id. */
+        if (size == k && next.key > kept[0].key)
+            break;
+        ptrdiff_t p = next.pos;
+        problem cand = {m, offsets[p + 1] - offsets[p], costs + offsets[p], width, 1, NULL};
+        entry found = {0.0, ids[p], p};
+        ptrdiff_t pivots = solve_cost(&cand, supply, total_s, demand + offsets[p], totals[p],
+                                      tolerance, pivot_factor * (m + cand.n), work, &found.key);
+        if (pivots < 0) {
+            info[0] = p;
+            result = pivots;
+            goto done;
+        }
+        result++;
+        /* The kept top k is a heap with its last entry on top. */
+        if (size < k) {
+            ptrdiff_t at = size++;
+            for (; at > 0 && before(&kept[(at - 1) / 2], &found); at = (at - 1) / 2)
+                kept[at] = kept[(at - 1) / 2];
+            kept[at] = found;
+        } else if (before(&found, &kept[0])) {
+            kept[0] = found;
+            sift_down(kept, size, 0, 0);
+        }
+    }
+    for (ptrdiff_t last = size - 1; last >= 0; last--) { /* ascending out */
+        top_dist[last] = kept[0].key;
+        top_ids[last] = kept[0].id;
+        kept[0] = kept[last];
+        sift_down(kept, last, 0, 0);
+    }
+    info[2] = nanoseconds() - bounded;
+done:
+    free(scratch);
+    return result;
 }

@@ -14,10 +14,10 @@ here as :class:`EMDParams` knobs so downstream users can ablate them.
 Beyond the pairwise :func:`emd`, this module carries the batched ranking
 machinery: :func:`packed_costs` evaluates one query against many
 candidates in a single packed cost computation, and
-:func:`emd_lower_bounds_centroid` / :func:`emd_lower_bounds_rowcol` give
-cheap provable lower bounds on the (improved) EMD, for all candidates
-in one pass, that the ranking cascade uses to skip most transportation
-solves entirely (see docs/PERFORMANCE.md, "Ranking cascade").
+:func:`emd_lower_bounds_rowcol` gives a cheap provable lower bound on
+the (improved) EMD, for all candidates in one pass, that the ranking
+cascade uses to skip most transportation solves entirely (see
+docs/PERFORMANCE.md, "Ranking cascade").
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ __all__ = [
     "NonFiniteDistanceError",
     "emd",
     "emd_to_many",
-    "emd_lower_bound_centroid",
     "emd_lower_bound_rowcol",
-    "emd_lower_bounds_centroid",
     "emd_lower_bounds_rowcol",
     "packed_costs",
     "pairwise_segment_distances",
@@ -199,8 +197,8 @@ class EMDParams:
     dim_weights:
         Non-negative per-dimension weights of the built-in l1 ground
         (``sum_d w_d |x_d - y_d|``).  Unlike a ``ground`` callable this
-        keeps the packed kernel and the centroid bound available, so it
-        is the way to express a weighted-l1 segment distance.
+        keeps the packed kernel available, so it is the way to express a
+        weighted-l1 segment distance.
     """
 
     threshold: Optional[float] = None
@@ -434,61 +432,6 @@ def emd_lower_bounds_rowcol(
     return bounds
 
 
-def emd_lower_bounds_centroid(
-    query: ObjectSignature,
-    candidates: Sequence[ObjectSignature],
-    params: Optional[EMDParams] = None,
-) -> np.ndarray:
-    """Weighted-l1-of-centroids lower bounds on ``emd(query, c)`` for
-    every candidate ``c``, in one pass.
-
-    For a norm-induced ground distance, any feasible flow satisfies
-    ``sum f_ij ||x_i - y_j|| >= ||sum_i s_i x_i - sum_j d_j y_j||``
-    (Jensen on the norm), so the distance between the effective-weight
-    centroids lower-bounds the plain EMD.  The bound is only valid for
-    the built-in l1 ground, ``dim_weights`` included (a custom ``ground``
-    need not be a norm) and only without thresholding — clipping costs
-    at ``t`` can push the optimal flow cost *below* the centroid
-    distance — so those configurations return the trivial bound 0.0.
-    ``weight_transform`` is respected by using the same effective
-    weights the EMD uses.
-    """
-    params = params or EMDParams()
-    bounds = np.zeros(len(candidates), dtype=np.float64)
-    if params.ground is not None or params.threshold is not None:
-        return bounds
-    supply = params.effective_weights(query.weights)
-    live = [i for i, c in enumerate(candidates) if c.num_segments]
-    if float(supply.sum()) <= 0.0 or not live:
-        return bounds
-    widths = np.array([candidates[i].num_segments for i in live])
-    starts = np.cumsum(widths) - widths
-    demand, has_mass = _balanced_demands(
-        supply,
-        [params.effective_weights(candidates[i].weights) for i in live],
-        starts,
-        widths,
-    )
-    packed = np.concatenate([candidates[i].features for i in live], axis=0)
-    gaps = np.abs(
-        np.add.reduceat(packed * demand[:, None], starts, axis=0)
-        - supply @ np.atleast_2d(query.features)
-    )
-    if params.dim_weights is not None:
-        gaps *= params.dim_weights
-    bounds[live] = np.where(has_mass, _shave(gaps.sum(axis=1)), 0.0)
-    return bounds
-
-
-def emd_lower_bound_centroid(
-    query: ObjectSignature,
-    candidate: ObjectSignature,
-    params: Optional[EMDParams] = None,
-) -> float:
-    """:func:`emd_lower_bounds_centroid` for a single candidate."""
-    return float(emd_lower_bounds_centroid(query, [candidate], params)[0])
-
-
 def emd_lower_bound_rowcol(
     query: ObjectSignature,
     candidate: ObjectSignature,
@@ -521,8 +464,9 @@ class EMDDistance:
     This is the shape the ranking unit expects for ``obj_distance`` and
     the default the engine installs when the plug-in supplies none.  The
     batched ranking cascade recognizes this type and replaces the
-    per-candidate calls with :func:`emd_to_many` plus lower-bound
-    pruning, producing identical results.
+    per-candidate calls with one packed cost computation
+    (:func:`packed_costs`) plus lower-bound pruning, producing identical
+    results.
     """
 
     def __init__(self, params: Optional[EMDParams] = None) -> None:

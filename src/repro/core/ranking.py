@@ -16,7 +16,10 @@ Two entry points share one contract:
   to :func:`rank_candidates` — same distances, same ``(distance,
   object_id)`` ordering, same deterministic ties — because the bounds
   are conservative and the exact solves use the same cost values the
-  per-candidate path would compute.
+  per-candidate path would compute.  Where ``_emd.c`` is loaded
+  (:func:`repro.core.transport.rank_kernel`), the bound, the visit, the
+  solves and the running top k are one call of its ``rank_topk``;
+  otherwise the Python loop below runs them.
 """
 
 from __future__ import annotations
@@ -36,12 +39,8 @@ from typing import (
 import numpy as np
 
 from .distance import FirstSegmentL1, l1_to_many
-from .emd import (
-    EMDDistance,
-    emd_lower_bounds_centroid,
-    emd_lower_bounds_rowcol,
-    packed_costs,
-)
+from . import transport
+from .emd import EMDDistance, emd_lower_bounds_rowcol, packed_costs
 from .transport import solve_transport
 from .types import ObjectSignature
 
@@ -76,9 +75,6 @@ class RankParams:
     cascade:
         Master switch.  Off means every candidate gets an exact
         object-distance call (the historical behaviour).
-    centroid_bound:
-        Use the weighted-l1-of-centroids lower bound (only active for
-        the default l1 ground without thresholding).
     rowcol_bound:
         Use the row/column lower bound on the thresholded costs: query
         rows at their cheapest cells, and each candidate column filled
@@ -88,11 +84,10 @@ class RankParams:
     """
 
     cascade: bool = True
-    centroid_bound: bool = True
     rowcol_bound: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("cascade", "centroid_bound", "rowcol_bound"):
+        for name in ("cascade", "rowcol_bound"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"RankParams.{name} must be a bool")
 
@@ -107,8 +102,13 @@ class RankStats:
     ``considered`` counts candidates that survived self-exclusion and
     concurrent-removal checks; ``exact_evals + lower_bound_prunes ==
     considered`` always holds.  ``bound_seconds`` / ``solve_seconds``
-    split the cascade's time between bound computation (including the
-    packed cost matrices) and exact transportation solves.
+    split the cascade's time: the packed cost matrices and the bounds
+    (with the candidates' mass checks and the visit order), then the
+    visit with its exact transportation solves and running top k.  On
+    the compiled cascade the bounds and the visit are the nanoseconds
+    ``rank_topk`` measures itself, and ``bound_seconds`` also holds the
+    packing of its arguments; the two stay within the phase's wall
+    time, which also holds the candidates' lookup and the results.
     """
 
     considered: int = 0
@@ -261,15 +261,24 @@ def rank_candidates_many(
     bound_started = time.perf_counter()
     costs, offsets = packed_costs(query, sigs, emd_params)
     supply = emd_params.effective_weights(query.weights)
-    demands = [emd_params.effective_weights(c.weights) for c in sigs]
+    if emd_params.weight_transform is None:  # already float64 arrays
+        demands = [c.weights for c in sigs]
+    else:
+        demands = [emd_params.effective_weights(c.weights) for c in sigs]
+
+    kernel = transport._KERNEL
+    if kernel is not None:
+        stats.bound_seconds = time.perf_counter() - bound_started
+        results = _rank_topk(
+            kernel, costs, offsets, supply, demands, ids, top_k,
+            params.rowcol_bound, stats,
+        )[0]
+        stats.lower_bound_prunes = stats.considered - stats.exact_evals
+        return results, stats
 
     bounds = np.zeros(len(sigs), dtype=np.float64)
-    if params.centroid_bound:
-        bounds = emd_lower_bounds_centroid(query, sigs, emd_params)
     if params.rowcol_bound:
-        bounds = np.maximum(
-            bounds, emd_lower_bounds_rowcol(costs, offsets, supply, demands)
-        )
+        bounds = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
     # Ascending (bound, object_id): cheap-looking candidates first so the
     # k-th distance tightens fast; id tie-break keeps the visit order —
     # and therefore the float state of the run — deterministic.
@@ -304,3 +313,73 @@ def rank_candidates_many(
     results = [SearchResult(-d, -nid) for d, nid in heap]
     results.sort()
     return results, stats
+
+
+def _rank_topk(
+    kernel: "transport._Kernel",
+    costs: np.ndarray,
+    offsets: np.ndarray,
+    supply: np.ndarray,
+    demands: List[np.ndarray],
+    ids: List[int],
+    top_k: int,
+    rowcol_bound: bool,
+    stats: RankStats,
+) -> Tuple[List[SearchResult], np.ndarray]:
+    """The cascade of :func:`rank_candidates_many` in one call of
+    ``_emd.c``'s ``rank_topk``: ``(results, bounds)``.  Adds the
+    argument packing and the kernel's own bound time to
+    ``stats.bound_seconds`` and its visit time to ``solve_seconds``, and
+    sets ``exact_evals``.
+
+    A candidate that fails one of :func:`solve_transport`'s checks, or
+    whose simplex fails, is handed to :func:`solve_transport`, which
+    raises that candidate's error.  Unlike the Python loop, every
+    candidate is checked, not only the visited ones, as
+    :func:`rank_candidates` checks them.
+    """
+    def refuse(pos: int, failure: str) -> None:
+        solve_transport(
+            supply, demands[pos], costs[:, offsets[pos]:offsets[pos + 1]]
+        )
+        raise RuntimeError(
+            f"{failure} on candidate {ids[pos]}, which solve_transport accepts"
+        )
+
+    packing = time.perf_counter()
+    m = costs.shape[0]
+    demand = np.concatenate(demands)
+    if len(supply) != m or len(demand) != offsets[-1]:
+        # A weight transform that changed a length: the solver's shape
+        # check raises it before the kernel reads past a mass.
+        lengths = np.fromiter(map(len, demands), np.intp, len(demands))
+        refuse(int(np.argmax(lengths != np.diff(offsets))), "shape check")
+    costs = np.ascontiguousarray(costs, dtype=np.float64)
+    supply = np.ascontiguousarray(supply, dtype=np.float64)
+    demand = np.ascontiguousarray(demand, dtype=np.float64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.intp)
+    id_array = np.array(ids, dtype=np.int64)
+    bounds = np.empty(len(ids))
+    top_dist = np.empty(top_k)
+    top_ids = np.empty(top_k, dtype=np.int64)
+    info = np.zeros(3, dtype=np.int64)
+    stats.bound_seconds += time.perf_counter() - packing
+    evals = kernel.rank_topk(
+        m, len(ids), costs.ctypes.data, offsets.ctypes.data,
+        supply.ctypes.data, demand.ctypes.data, id_array.ctypes.data, top_k,
+        rowcol_bound, transport._TOLERANCE, transport._MAX_PIVOTS_FACTOR,
+        bounds.ctypes.data, top_dist.ctypes.data, top_ids.ctypes.data,
+        info.ctypes.data,
+    )
+    if evals == transport._NO_MEMORY:
+        raise MemoryError(f"no memory to rank {len(ids)} candidates")
+    if evals < 0:
+        refuse(int(info[0]), f"rank_topk failure {evals}")
+    stats.exact_evals = evals
+    stats.bound_seconds += int(info[1]) * 1e-9
+    stats.solve_seconds += int(info[2]) * 1e-9
+    kept = min(top_k, evals)
+    return [
+        SearchResult(d, i)
+        for d, i in zip(top_dist[:kept].tolist(), top_ids[:kept].tolist())
+    ], bounds

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _MAX_PIVOTS_FACTOR = 50  # pivot cap: factor * (m + n), guards non-termination
+_TOLERANCE = 1e-12  # least optimality gap (see _find_entering)
 
 
 class TransportPivotLimitError(RuntimeError):
@@ -78,7 +79,7 @@ def solve_transport(
     supply: np.ndarray,
     demand: np.ndarray,
     costs: np.ndarray,
-    tolerance: float = 1e-12,
+    tolerance: float = _TOLERANCE,
 ) -> TransportResult:
     """Solve ``min sum f_ij c_ij`` s.t. row sums = supply, col sums = demand.
 
@@ -153,26 +154,32 @@ def _simplex(
 # ----------------------------------------------------------------------
 # Compiled kernels: built at import, cached per user, Python otherwise
 # ----------------------------------------------------------------------
-_P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+_P, _N, _D, _I = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
 _SIGNATURES = {  # symbol: (restype, argtypes)
     "l1_costs": (None, (_P, _N, _N, _N, _P, _N, _N, _N, _N, _P, _N, _P)),
     "transport_solve": (_N, (_N, _N, _P, _P, _N, _N, _D, _N, _P)),
+    "rank_topk": (
+        _N, (_N, _N, _P, _P, _P, _P, _P, _N, _I, _D, _N, _P, _P, _P, _P)
+    ),
 }
 # transport_solve's failures; it returns the pivot count otherwise.
+# rank_topk returns its evaluations, one of these, or -4 where a
+# candidate fails solve_transport's checks.
 _PIVOT_LIMIT, _NOT_SPANNING, _NO_MEMORY = -1, -2, -3
 
 
 class _Kernel(NamedTuple):
-    """The two entry points of one loaded ``_emd.c``."""
+    """The entry points of one loaded ``_emd.c``."""
 
     l1_costs: Callable
     solve: Callable
+    rank_topk: Callable
 
 
 def _load_kernel(
     compiler: Optional[Sequence[str]] = None, cache_dir: Optional[Path] = None
 ) -> Optional[_Kernel]:
-    """The C ``l1_costs`` and ``transport_solve`` (see
+    """The C ``l1_costs``, ``transport_solve`` and ``rank_topk`` (see
     :func:`repro.core.native.load`), or ``None`` where they cannot be
     built or loaded."""
     functions = native.load("_emd.c", _SIGNATURES, compiler, cache_dir)
@@ -184,8 +191,9 @@ _KERNEL = _load_kernel()
 
 def rank_kernel() -> str:
     """Which EMD kernels this process runs (the transportation simplex
-    here and the l1 cost block in :mod:`repro.core.emd`): ``compiled``
-    or ``python`` (no compiler, or the build or load failed)."""
+    here, the l1 cost block in :mod:`repro.core.emd` and the ranking
+    cascade in :mod:`repro.core.ranking`): ``compiled`` or ``python``
+    (no compiler, or the build or load failed)."""
     return "python" if _KERNEL is None else "compiled"
 
 

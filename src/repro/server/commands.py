@@ -55,11 +55,11 @@ number of results to return, filter parameters, and attributes"):
   ``trace on|off`` for per-query stage tracing, ``metrics on|off`` for
   the registry master switch, ``profile on|off`` for the sampling
   profiler, ``slow_query_ms <ms>`` for the slow-query log threshold,
-  and ``rank_cascade`` / ``rank_centroid_bound`` / ``rank_rowcol_bound``
-  ``on|off`` for the batched ranking cascade and its two lower bounds —
-  the centroid bound, and the row/column bound whose column side ships
-  each candidate column's mass from its cheapest supply-capped query
-  rows; see docs/PERFORMANCE.md, "Ranking cascade").
+  and ``rank_cascade`` / ``rank_rowcol_bound`` ``on|off`` for the
+  batched ranking cascade and its lower bound, the row/column bound
+  whose column side ships each candidate column's mass from its
+  cheapest supply-capped query rows; see docs/PERFORMANCE.md, "Ranking
+  cascade").
 - ``health`` — server health report: overall status, uptime, and
   per-component degradation details (see docs/ROBUSTNESS.md).
 - ``metrics [-p|-s] [prefix]`` — dump the process metrics registry in
@@ -771,13 +771,10 @@ class CommandProcessor(OperatorCommands):
             else:
                 profiler.stop()
             return [f"profile={flag}"]
-        elif name in (
-            "rank_cascade", "rank_centroid_bound", "rank_rowcol_bound",
-        ):
+        elif name in ("rank_cascade", "rank_rowcol_bound"):
             flag = self._flag(name, raw)
             field = {
                 "rank_cascade": "cascade",
-                "rank_centroid_bound": "centroid_bound",
                 "rank_rowcol_bound": "rowcol_bound",
             }[name]
             self.engine.rank_params = self.engine.rank_params.with_updates(

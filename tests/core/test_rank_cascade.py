@@ -14,7 +14,7 @@ Two families of guarantees:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -28,21 +28,22 @@ from repro.core import (
     SimilaritySearchEngine,
     SketchParams,
     emd,
-    emd_lower_bound_centroid,
     emd_lower_bound_rowcol,
     emd_to_many,
     rank_candidates,
     rank_candidates_many,
 )
+from repro.core import transport
 from repro.core.distance import weighted_l1_to_many
 from repro.core.emd import (
     _balanced_demands,
     _shave,
-    emd_lower_bounds_centroid,
     emd_lower_bounds_rowcol,
     packed_cost_matrices,
     packed_costs,
 )
+from repro.core.ranking import RankStats, _rank_topk
+from repro.core.transport import TransportPivotLimitError, solve_transport
 from repro.observability import metrics as obs_metrics
 
 # One ulp-scale tolerance: the bounds carry their own float-safety
@@ -98,24 +99,8 @@ class TestLowerBounds:
         query = _sig(rng, 1, m)
         candidate = _sig(rng, 2, n)
         exact = emd(query, candidate, params)
-        centroid = emd_lower_bound_centroid(query, candidate, params)
         rowcol = emd_lower_bound_rowcol(query, candidate, params)
-        assert centroid <= exact + TOL
-        assert rowcol <= exact + TOL
-        assert centroid >= 0.0 and rowcol >= 0.0
-
-    def test_centroid_bound_trivial_when_thresholded_or_custom(self):
-        # Thresholding can push the optimal flow cost below the centroid
-        # distance (clip enough and every assignment costs ~t), and a
-        # custom ground need not be a norm — both must disable the bound.
-        rng = np.random.default_rng(0)
-        q, c = _sig(rng, 1, 3), _sig(rng, 2, 4)
-        assert emd_lower_bound_centroid(q, c, EMDParams(threshold=0.5)) == 0.0
-        assert emd_lower_bound_centroid(q, c, _custom_ground_params()) == 0.0
-        assert emd_lower_bound_centroid(q, c, EMDParams()) > 0.0
-        # A weighted l1 is still a norm: the bound stays on.
-        weighted = EMDParams(dim_weights=np.linspace(0.5, 1.5, 5))
-        assert emd_lower_bound_centroid(q, c, weighted) > 0.0
+        assert 0.0 <= rowcol <= exact + TOL
 
     def test_bounds_tight_on_identical_objects(self):
         rng = np.random.default_rng(3)
@@ -151,17 +136,12 @@ class TestBatchedBounds:
             params.effective_weights(c.weights) for c in candidates[:-1]
         ] + [np.zeros(2)]
         rowcol = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
-        centroid = emd_lower_bounds_centroid(query, candidates[:-1], params)
         assert rowcol[-1] == 0.0
         for pos, cand in enumerate(candidates[:-1]):
             exact = emd(query, cand, params)
             assert 0.0 <= rowcol[pos] <= exact + TOL
-            assert 0.0 <= centroid[pos] <= exact + TOL
             assert rowcol[pos] == pytest.approx(
                 emd_lower_bound_rowcol(query, cand, params), rel=1e-12
-            )
-            assert centroid[pos] == pytest.approx(
-                emd_lower_bound_centroid(query, cand, params), rel=1e-12
             )
 
 
@@ -418,6 +398,265 @@ class TestCascadeEquivalence:
         )
         assert got == expected
         assert stats.lower_bound_prunes == 0
+
+
+# ----------------------------------------------------------------------
+# The compiled cascade (``_emd.c``'s ``rank_topk``) against exact
+# ``rank_candidates``, and the Python loop through the same checks
+# ----------------------------------------------------------------------
+RANK_KERNELS = ("python", "compiled")
+
+
+def _hex(results):
+    return [(r.distance.hex(), r.object_id) for r in results]
+
+
+def _mixed_objects(rng, count, dim, max_segments, duplicates, zero_mass,
+                   zero_segments):
+    """Random objects, the first ``duplicates`` of them copied under
+    fresh ids (so distances tie and ids decide), plus candidates without
+    mass and without segments."""
+    objects = {
+        i: _sig(rng, i, int(rng.integers(1, max_segments + 1)), dim=dim)
+        for i in range(count)
+    }
+    for source in range(duplicates):
+        copy = count + source
+        objects[copy] = ObjectSignature(
+            objects[source].features.copy(), objects[source].weights.copy(),
+            object_id=copy,
+        )
+    start = len(objects)
+    for i in range(start, start + zero_mass):
+        objects[i] = ObjectSignature(
+            rng.normal(size=(2, dim)), np.zeros(2), object_id=i,
+            normalize=False,
+        )
+    start = len(objects)
+    for i in range(start, start + zero_segments):
+        objects[i] = ObjectSignature(
+            np.zeros((0, dim)), np.zeros(0), object_id=i, normalize=False
+        )
+    return objects
+
+
+class TestCompiledCascade:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        config=st.integers(0, NUM_CONFIGS - 1),
+        top_k=st.integers(1, 12),
+        max_segments=st.sampled_from([3, 6, 14]),
+        duplicates=st.integers(0, 4),
+        zero_mass=st.integers(0, 2),
+        zero_segments=st.integers(0, 2),
+        exclude_self=st.booleans(),
+        rowcol_bound=st.booleans(),
+    )
+    # Pinned: the custom ground (config 4), and objects of up to 14
+    # segments, whose flat products exceed 128 terms, so that a plain
+    # left-to-right objective would differ in bits.
+    @example(seed=42, config=4, top_k=6, max_segments=6, duplicates=0,
+             zero_mass=0, zero_segments=0, exclude_self=False,
+             rowcol_bound=True)
+    @example(seed=40, config=1, top_k=8, max_segments=14, duplicates=2,
+             zero_mass=1, zero_segments=1, exclude_self=True,
+             rowcol_bound=False)
+    def test_bit_equal_to_rank_candidates(
+        self, use_rank_kernel, seed, config, top_k, max_segments, duplicates,
+        zero_mass, zero_segments, exclude_self, rowcol_bound,
+    ):
+        rng = np.random.default_rng(seed)
+        params = _param_configs()[config]
+        if params.weight_transform is not None:  # it refuses zero weights
+            zero_mass = zero_segments = 0
+        objects = _mixed_objects(
+            rng, 16, 5, max_segments, duplicates, zero_mass, zero_segments
+        )
+        query = (
+            objects[int(rng.integers(0, 4))] if exclude_self
+            else _sig(rng, 999, int(rng.integers(1, max_segments + 1)))
+        )
+        candidate_ids = list(objects) + [7, 5000]  # a repeat, a removed id
+        rng.shuffle(candidate_ids)
+        dist = EMDDistance(params)
+        for kernel in RANK_KERNELS:
+            with use_rank_kernel(kernel):
+                want = rank_candidates(
+                    query, candidate_ids, objects, dist, top_k=top_k,
+                    exclude_self=exclude_self,
+                )
+                got, stats = rank_candidates_many(
+                    query, candidate_ids, objects, dist, top_k=top_k,
+                    exclude_self=exclude_self,
+                    params=RankParams(rowcol_bound=rowcol_bound),
+                )
+            assert _hex(got) == _hex(want), kernel
+            assert stats.exact_evals + stats.lower_bound_prunes == stats.considered
+            if not rowcol_bound:
+                assert stats.lower_bound_prunes == 0
+
+    def test_ties_at_the_kth_distance_keep_the_smallest_ids(
+        self, use_rank_kernel
+    ):
+        rng = np.random.default_rng(41)
+        base = [_sig(rng, i, 4) for i in range(3)]
+        objects = {
+            i: ObjectSignature(
+                base[i % 3].features.copy(), base[i % 3].weights.copy(),
+                object_id=i,
+            )
+            for i in range(30)
+        }
+        query = _sig(rng, 999, 3)
+        dist = EMDDistance(EMDParams(threshold=1.5))
+        for kernel in RANK_KERNELS:
+            with use_rank_kernel(kernel):
+                for top_k in (1, 4, 10, 11, 25):
+                    want = rank_candidates(
+                        query, list(objects)[::-1], objects, dist, top_k=top_k
+                    )
+                    got, _ = rank_candidates_many(
+                        query, list(objects)[::-1], objects, dist, top_k=top_k
+                    )
+                    assert _hex(got) == _hex(want), (kernel, top_k)
+
+    @pytest.mark.parametrize("kernel", RANK_KERNELS)
+    def test_nan_feature_names_the_candidate(self, use_rank_kernel, kernel):
+        rng = np.random.default_rng(43)
+        objects = {i: _sig(rng, i, 3) for i in range(12)}
+        features = objects[8].features.copy()
+        features[1, 2] = np.nan
+        objects[8] = ObjectSignature(features, objects[8].weights, object_id=8)
+        dist = EMDDistance(EMDParams(threshold=1.0))
+        with use_rank_kernel(kernel):
+            with pytest.raises(NonFiniteDistanceError) as want:
+                rank_candidates(_sig(rng, 99, 3), list(objects), objects, dist)
+            with pytest.raises(NonFiniteDistanceError) as got:
+                rank_candidates_many(
+                    _sig(rng, 99, 3), list(objects), objects, dist, top_k=3
+                )
+        assert got.value.object_id == want.value.object_id == 8
+
+    @pytest.mark.parametrize("kernel", RANK_KERNELS)
+    def test_pivot_cap_raises(self, use_rank_kernel, monkeypatch, kernel):
+        # Every candidate gets a cost matrix whose Vogel start needs a
+        # pivot; at a cap of zero pivots the first solve must raise.
+        supply = np.array([0.4, 0.3, 0.2, 0.1])
+        demand = np.array([0.2, 0.3, 0.1, 0.1, 0.3])
+        costs = np.array([
+            [0.5, 0.5, 0.5, 0.3, 0.9],
+            [0.7, 0.0, 0.7, 0.9, 0.9],
+            [0.7, 0.4, 0.1, 0.0, 0.5],
+            [0.1, 0.9, 0.2, 0.1, 0.3],
+        ])
+        assert solve_transport(supply, demand, costs).iterations >= 1
+        params = EMDParams(ground=lambda a, b: costs.copy())
+        query = ObjectSignature(np.zeros((4, 2)), supply, object_id=99)
+        objects = {
+            i: ObjectSignature(np.zeros((5, 2)), demand, object_id=i)
+            for i in range(6)
+        }
+        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
+        with use_rank_kernel(kernel):
+            with pytest.raises(TransportPivotLimitError) as excinfo:
+                rank_candidates_many(
+                    query, list(objects), objects, EMDDistance(params), top_k=2
+                )
+        assert (excinfo.value.m, excinfo.value.n, excinfo.value.pivots) == (4, 5, 0)
+
+    @pytest.mark.parametrize("kernel", RANK_KERNELS)
+    @pytest.mark.parametrize(
+        "weights", [[1.0, 1.0], [1.5, -0.5]], ids=["unbalanced", "negative"]
+    )
+    def test_bad_masses_raise_the_solvers_error(
+        self, use_rank_kernel, kernel, weights
+    ):
+        # The bad candidate copies the query's features, so its bound is
+        # 0 and both cascades visit it first.
+        rng = np.random.default_rng(44)
+        objects = {i: _sig(rng, i, 2) for i in range(10)}
+        query = _sig(rng, 99, 2)
+        objects[6] = ObjectSignature(
+            query.features.copy(), weights, object_id=6, normalize=False
+        )
+        with pytest.raises(ValueError) as want:
+            solve_transport(
+                query.weights, objects[6].weights,
+                EMDParams().segment_costs(query.features, query.features),
+            )
+        with use_rank_kernel(kernel):
+            with pytest.raises(ValueError) as got:
+                rank_candidates_many(
+                    query, list(objects), objects, EMDDistance(), top_k=3
+                )
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kernel", RANK_KERNELS)
+    def test_non_finite_costs_raise_the_solvers_error(self, use_rank_kernel, kernel):
+        # A NaN threshold clips every cost to NaN after the feature
+        # check: the solver's own cost check has to refuse them.
+        rng = np.random.default_rng(46)
+        objects = {i: _sig(rng, i, 2) for i in range(8)}
+        dist = EMDDistance(EMDParams(threshold=float("nan")))
+        with use_rank_kernel(kernel):
+            with pytest.raises(ValueError, match="costs must be finite"):
+                rank_candidates(_sig(rng, 99, 2), list(objects), objects, dist)
+            with pytest.raises(ValueError, match="costs must be finite"):
+                rank_candidates_many(
+                    _sig(rng, 99, 2), list(objects), objects, dist, top_k=3
+                )
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [([1.0, 1.0], "unbalanced"), ([np.inf, 0.5], "must be finite")],
+    )
+    def test_compiled_cascade_checks_pruned_candidates_too(
+        self, use_rank_kernel, weights, error
+    ):
+        # A far candidate with bad masses is refused although its bound
+        # prunes it (an infinite mass even makes the Python loop's bound
+        # NaN, which sorts last): every candidate passes the solver's
+        # checks, as in exact rank_candidates.
+        rng = np.random.default_rng(45)
+        objects = {i: _sig(rng, i, 2) for i in range(10)}
+        objects[9] = ObjectSignature(
+            objects[9].features + 100.0, weights, object_id=9, normalize=False
+        )
+        query = _sig(rng, 99, 2)
+        dist = EMDDistance()
+        with pytest.raises(ValueError, match=error):
+            rank_candidates(query, list(objects), objects, dist, top_k=2)
+        with use_rank_kernel("compiled"):
+            with pytest.raises(ValueError, match=error):
+                rank_candidates_many(query, list(objects), objects, dist, top_k=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), config=st.integers(0, NUM_CONFIGS - 1))
+    def test_bound_never_exceeds_the_exact_emd(
+        self, use_rank_kernel, seed, config
+    ):
+        rng = np.random.default_rng(seed)
+        params = _param_configs()[config]
+        empty = int(params.weight_transform is None)
+        objects = _mixed_objects(rng, 14, 5, 8, 2, empty, empty)
+        query = _sig(rng, 999, int(rng.integers(1, 9)))
+        sigs = list(objects.values())
+        ids = list(objects)
+        costs, offsets = packed_costs(query, sigs, params)
+        supply = params.effective_weights(query.weights)
+        demands = [params.effective_weights(c.weights) for c in sigs]
+        with use_rank_kernel("compiled"):
+            results, bounds = _rank_topk(
+                transport._KERNEL, costs, offsets, supply, demands, ids,
+                len(ids) - 1, True, RankStats(),
+            )
+        for pos, cand in enumerate(sigs):
+            assert 0.0 <= bounds[pos] <= emd(query, cand, params), pos
+        assert results == rank_candidates(
+            query, ids, objects, EMDDistance(params), top_k=len(ids) - 1
+        )
 
 
 class TestRankParams:

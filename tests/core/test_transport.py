@@ -704,7 +704,9 @@ class TestBasisOrderIsNeverRead:
 
 def _record_cascade_solves(monkeypatch, engine, object_ids):
     """The transport problems the ranking cascade really solves for
-    ``object_ids`` as queries."""
+    ``object_ids`` as queries, recorded on the Python cascade, which
+    hands each one to ``solve_transport`` (the compiled ``rank_topk``
+    visits the same candidates inside one call)."""
     import repro.core.ranking as ranking
 
     solved = []
@@ -713,6 +715,7 @@ def _record_cascade_solves(monkeypatch, engine, object_ids):
         solved.append((supply, demand, costs))
         return solve_transport(supply, demand, costs)
 
+    monkeypatch.setattr(transport, "_KERNEL", None)
     monkeypatch.setattr(ranking, "solve_transport", recording_solve)
     for object_id in object_ids:
         engine.query(engine.get_object(object_id), top_k=10, exclude_self=True)

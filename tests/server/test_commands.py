@@ -221,12 +221,18 @@ class TestSetParam:
         assert processor.engine.rank_params.cascade is True
 
     def test_rank_bound_toggles(self, processor):
-        run(processor, "setparam rank_centroid_bound off")
         run(processor, "setparam rank_rowcol_bound off")
         params = processor.engine.rank_params
-        assert params.centroid_bound is False
         assert params.rowcol_bound is False
         assert params.cascade is True  # untouched knob keeps its value
+
+    def test_centroid_bound_param_is_unknown(self, processor):
+        # The centroid bound was deleted: its switch is refused like
+        # any unknown name and changes nothing.
+        before = processor.engine.rank_params
+        with pytest.raises(ProtocolError, match="unknown parameter"):
+            run(processor, "setparam rank_centroid_bound off")
+        assert processor.engine.rank_params == before
 
     def test_rank_toggle_rejects_non_flag(self, processor):
         with pytest.raises(ProtocolError):
