@@ -8,15 +8,14 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # CI smoke: tier-1 plus the explicit filter equivalence gates: the
-# Hamming kernel tests first (compiled and numpy, tile edges, strides,
-# two threads, the fused top-k against select_k_smallest, the shared
-# loader's fall-back and refusals for _hamming.c and _emd.c; -rs shows a
-# compiled half skipped on a host without a compiler), every full-scan test (both kernels vs the
+# Hamming kernel tests first (tile edges, strides, two threads, the
+# fused top-k against select_k_smallest, the shared loader's refusals
+# for _hamming.c and _emd.c), every full-scan test (the kernel vs the
 # reference, from one to three threads at once), and the perf-marked
-# filter differential machine (fast scan vs reference, both kernels),
-# candidate sets identical.
+# filter differential machine (fast scan vs reference), candidate sets
+# identical.
 smoke: test
-	$(PYTHON) -m pytest -q -rs tests/core/test_scan_kernel.py tests/core/test_bitvector.py
+	$(PYTHON) -m pytest -q tests/core/test_scan_kernel.py tests/core/test_bitvector.py
 	$(PYTHON) -m pytest -q tests/core/test_parallel.py
 	$(PYTHON) -m pytest -q -m perf tests/core/test_sketch_index.py tests/core/test_perf_smoke.py
 
@@ -32,17 +31,16 @@ metrics-smoke:
 	$(PYTHON) -m pytest -q tests/observability tests/core/test_cache_epoch_race.py tests/server/test_observability_integration.py
 
 # Ranking-cascade smoke: the rank-equivalence / lower-bound property
-# tests (the compiled rank_topk cascade and the Python one against
-# exact rank_candidates), the solver, cost-kernel and top-k selection
-# bit-identity references (the compiled _emd.c kernels and the Python /
-# numpy paths; -rs shows a compiled half skipped on a host without a
-# compiler), the
-# engine against the naive serial-EMD oracle on both kernels, plus
-# the throughput bench in quick mode, which exercises the
-# cascade end-to-end (identity vs the exact EMD path) and writes the
-# phase-split JSON to BENCH_query_throughput_quick.json for CI upload.
+# tests (the compiled rank_topk cascade against exact rank_candidates),
+# the solver and cost-kernel bit-identity references (the compiled
+# _emd.c kernels against the all-numpy reference solver and a numpy
+# cost oracle), top-k selection, the engine against the naive
+# serial-EMD oracle (HiGHS-checked distances), plus the throughput
+# bench in quick mode, which exercises the cascade end-to-end (identity
+# vs the exact EMD path) and writes the phase-split JSON to
+# BENCH_query_throughput_quick.json for CI upload.
 rank-smoke:
-	$(PYTHON) -m pytest -q -rs tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py tests/core/test_engine_reference.py
+	$(PYTHON) -m pytest -q tests/core/test_rank_cascade.py tests/core/test_ranking.py tests/core/test_emd.py tests/core/test_transport.py tests/core/test_filtering.py tests/core/test_engine_reference.py
 	cd benchmarks && FERRET_BENCH_SCALE=quick $(PYTHON) bench_query_throughput.py
 
 # Bulk-ingest smoke: insert_many equals a loop of insert (ids, arena,

@@ -30,7 +30,6 @@ from .emd import (
     EMDParams,
     NonFiniteDistanceError,
     emd,
-    emd_lower_bound_rowcol,
     emd_to_many,
 )
 from .engine import (
@@ -99,7 +98,6 @@ __all__ = [
     "cosine_distance",
     "histogram_intersection_distance",
     "emd",
-    "emd_lower_bound_rowcol",
     "emd_to_many",
     "estimate_l1_from_hamming",
     "get_distance",

@@ -1,12 +1,14 @@
 /* Exact EMD kernels: the l1 ground-distance block, the transportation
  * simplex, and the ranking cascade built on them.
  *
- * The first two reproduce their Python / numpy twins (emd._l1_cost_matrix
- * and transport._simplex) bit for bit: the same double operations in the
- * same order, built with -ffp-contract=off so that no fused multiply-add
- * changes a rounding.  rank_topk runs ranking.rank_candidates_many's
- * cascade in one call; its distances are solve_transport's bits, its
- * bound only has to stay a lower bound.  Loaded through ctypes, which
+ * The first two are the package's only implementation of each.  The cost
+ * block sums in numpy's pairwise order, and the simplex reproduces the
+ * all-numpy reference solver of tests/core/test_transport.py bit for
+ * bit: the same double operations in the same order, built with
+ * -ffp-contract=off so that no fused multiply-add changes a rounding.
+ * rank_topk runs ranking.rank_candidates_many's cascade in one call; its
+ * distances are solve_transport's bits, its bound only has to stay a
+ * lower bound.  Loaded through ctypes, which
  * releases the GIL for the call.  Matrices are read in place through
  * element strides.
  */
@@ -139,8 +141,8 @@ static double penalty(const int *o, const double *v, ptrdiff_t len,
     return b < len ? v[b] - v[a] : v[a];
 }
 
-/* Vogel's approximation, step for step as transport._vogel_initial_solution:
- * rows are lines 0..m-1 and columns m..m+n-1; each line sorts its
+/* Vogel's approximation, step for step as the per-line reference loop of
+ * tests/core/test_transport.py: rows are lines 0..m-1 and columns m..m+n-1; each line sorts its
  * crossing lines once, cheapest first (stable), and skips the closed
  * ones; the first maximum penalty wins, and exactly one line closes per
  * step.  Returns the basic cells placed. */
@@ -236,7 +238,7 @@ static int unite(ptrdiff_t *parent, ptrdiff_t a, ptrdiff_t b)
 }
 
 /* Grow the basis to a spanning tree with zero-flow cells, scanning the
- * cells in row-major order (transport._ensure_spanning_basis). */
+ * cells in row-major order (the standard epsilon-perturbation step). */
 static void span(const problem *p, ptrdiff_t cells, ptrdiff_t *parent)
 {
     const ptrdiff_t m = p->m, n = p->n;
@@ -450,8 +452,12 @@ ptrdiff_t transport_solve(ptrdiff_t m, ptrdiff_t n, double *work,
  * that candidate's error). */
 enum { REFUSED = -4 };
 
-/* emd._BOUND_SAFETY_REL and _BOUND_SAFETY_ABS: the margin that keeps a
- * bound below the simplex's cost whatever the two roundings. */
+/* The bound's float-safety margin.  Bound and simplex are exact over the
+ * reals, but in doubles they round independently, so a bound could
+ * exceed the simplex's cost by a few ulps in degenerate cases (a
+ * single-segment pair, where both are one sum taken in two orders).
+ * Shaving 1e-9 relative, plus an absolute epsilon for exact zeros, keeps
+ * it below whatever the two roundings, at no real cost in pruning. */
 #define SAFETY_REL 1e-9
 #define SAFETY_ABS 1e-12
 
@@ -538,13 +544,16 @@ static void column_minima(const double *costs, ptrdiff_t m, ptrdiff_t width,
     }
 }
 
-/* The row/column lower bound of one candidate with positive totals
- * (emd.emd_lower_bounds_rowcol) over its (m, n) costs c[i * width + j]:
- * the supply shipped at each row's cheapest cell, or each column's
- * demand, balanced to the supply, filled from its cheapest rows with no
- * row carrying more than its supply; the larger side, less the safety
- * margin, and never below 0.  colmin and room are the candidate's
- * columns of column_minima; keys (m) is scratch. */
+/* The row/column lower bound of one candidate with positive totals over
+ * its (m, n) costs c[i * width + j].  Row side: every feasible flow
+ * ships supply[i] out of row i at no less than its cheapest cell.
+ * Column side, the independent-minimisation bound of Assent et al.
+ * (ICDE 2008): each column's demand, balanced to the supply, filled from
+ * its cheapest rows first with no row carrying more than its supply.
+ * Both relax the transportation problem, so the larger, less the safety
+ * margin and never below 0, bounds the optimal cost of these (final,
+ * thresholded) costs under every EMD configuration.  colmin and room
+ * are the candidate's columns of column_minima; keys (m) is scratch. */
 static double rowcol_bound(const double *c, ptrdiff_t width, ptrdiff_t m, ptrdiff_t n,
                            const double *supply, const double *demand, double scale,
                            const double *colmin, const double *room, double *keys)

@@ -6,16 +6,16 @@ computed by XOR operations" (section 4.1.1).  We pack bits into
 (``np.bitwise_count``, numpy >= 2.0) so that streaming over an entire
 sketch database (the filtering step) is a handful of numpy operations
 rather than a Python loop.  The many-to-many scan runs on a small C
-kernel (``_hamming.c``) when one can be compiled on this host, and on
-the same per-word numpy loop otherwise; see :func:`hamming_many_to_many`.
-The same kernel keeps the filter's per-row top-k without building a
-distance row (:func:`hamming_topk`); it has no numpy twin here.
+kernel (``_hamming.c``, compiled at import; see
+:func:`hamming_many_to_many`), which also keeps the filter's per-row
+top-k without building a distance row (:func:`hamming_topk`).
+:func:`hamming_to_many` stays numpy only, the oracle the kernel is
+checked against.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -31,7 +31,6 @@ __all__ = [
     "hamming_many_to_many",
     "hamming_topk",
     "popcount64",
-    "scan_kernel",
     "topk_in_place",
 ]
 
@@ -110,38 +109,8 @@ def hamming_to_many(query: np.ndarray, database: np.ndarray) -> np.ndarray:
     return popcount64(xored).sum(axis=1, dtype=np.uint32)
 
 
-# Cap on the blocked working set of the numpy loop: summed over the
-# per-word passes of one block, the XOR intermediates amount to
-# (n_queries, block_rows, n_words) uint64.  16 MiB keeps the per-word
-# slice cache-friendly while amortizing the per-block dispatch.  The
-# compiled kernel tiles each block itself and has no intermediates.
-_BLOCK_BYTES = 16 << 20
-
-# Per-thread scratch for the numpy loop: the XOR intermediate and its
-# per-word popcounts are reused across blocks (and across calls) rather
-# than allocated per word pass.  Thread-local because concurrent scans
-# (query_many's ranking pool, the server's connection threads) must not
-# share buffers.
-_scratch = threading.local()
-
-
-def _scratch_views(n_queries: int, block_cols: int):
-    """``(xor, counts)`` reusable ``(n_queries, block_cols)`` views; both
-    hold garbage on return.  Each is cut from one flat buffer sized to
-    the largest ``n_queries * block_cols`` this thread has seen, so a
-    scan of many query rows followed by one of a wide block keeps the
-    larger of the two, not their product."""
-    size = n_queries * block_cols
-    xor = getattr(_scratch, "xor", None)
-    if xor is None or xor.size < size:
-        _scratch.xor = xor = np.empty(size, dtype=np.uint64)
-        _scratch.counts = np.empty(size, dtype=np.uint8)
-    shape = (n_queries, block_cols)
-    return xor[:size].reshape(shape), _scratch.counts[:size].reshape(shape)
-
-
 # ----------------------------------------------------------------------
-# Compiled kernel: built at import, cached per user, numpy loop otherwise
+# Compiled kernel: built at import, cached per user
 # ----------------------------------------------------------------------
 _P, _N = ctypes.c_void_p, ctypes.c_ssize_t
 _SIGNATURES = {  # symbol: (restype, argtypes)
@@ -159,26 +128,19 @@ class _Kernel(NamedTuple):
 
 def _load_kernel(
     compiler: Optional[Sequence[str]] = None, cache_dir: Optional[Path] = None
-) -> Optional[_Kernel]:
+) -> _Kernel:
     """The C ``hamming_block`` and ``hamming_topk`` (see
-    :func:`repro.core.native.load`), or ``None`` where they cannot be
-    built or loaded."""
-    functions = native.load("_hamming.c", _SIGNATURES, compiler, cache_dir)
-    return None if functions is None else _Kernel(*functions)
+    :func:`repro.core.native.load`, which raises ``ImportError`` where
+    they cannot be built or loaded)."""
+    return _Kernel(*native.load("_hamming.c", _SIGNATURES, compiler, cache_dir))
 
 
 _KERNEL = _load_kernel()
 
 
-def scan_kernel() -> str:
-    """Which kernel :func:`hamming_many_to_many` runs: ``compiled`` or
-    ``numpy`` (no compiler, or the build or load failed)."""
-    return "numpy" if _KERNEL is None else "compiled"
-
-
 def _in_place(block: np.ndarray) -> bool:
     # A word-major block whose word rows are contiguous and aligned: the
-    # kernel (and each numpy word pass) streams it without a copy.
+    # kernel streams it without a copy.
     return (
         (block.shape[1] <= 1 or block.strides[1] == block.itemsize)
         and block.strides[0] % block.itemsize == 0
@@ -195,20 +157,14 @@ def hamming_many_to_many(
 
     ``queries`` is ``(n_queries, n_words)``; ``database`` is
     ``(n_rows, n_words)``.  Returns ``(n_queries, n_rows)`` ``uint32``.
-    The scan is blocked over database rows; ``block_rows`` overrides the
-    automatic block size.  Each block is read word-major: the segment
-    store keeps its arena in that layout and hands out the transposed
-    ``(n_rows, n_words)`` view, which is scanned in place; any other
-    array (row-major, every-other-row, reversed, ...) is copied
-    word-major one block at a time.  The result does not depend on the
-    layout, the block size or the kernel.
-
-    Where the C kernel is loaded (see :func:`scan_kernel`) it scans each
-    block in tiles that every query row visits while they are in cache,
-    so the block is read once.  Otherwise each block is accumulated one
-    sketch word at a time: XOR a ``(n_queries, block_rows)`` slice and
-    add its popcount straight into the output block, so the largest
-    intermediate is 2-D and stays about ``_BLOCK_BYTES``.
+    The kernel reads the database word-major: the segment store keeps its
+    arena in that layout and hands out the transposed ``(n_rows,
+    n_words)`` view, which is scanned in place; any other array
+    (row-major, every-other-row, reversed, ...) is copied word-major one
+    block at a time.  ``block_rows`` sets that block (default: the whole
+    database in one call).  The result does not depend on the layout or
+    the block size.  The kernel scans each block in tiles that every
+    query row visits while they are in cache, so the block is read once.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint64))
     database = np.atleast_2d(np.asarray(database, dtype=np.uint64))
@@ -217,15 +173,13 @@ def hamming_many_to_many(
             f"word-length mismatch: queries {queries.shape[1]} vs "
             f"database {database.shape[1]}"
         )
+    queries = np.ascontiguousarray(queries)
     n_queries, n_words = queries.shape
     n_rows = database.shape[0]
-    kernel = _KERNEL
-    if kernel is not None:
-        queries = np.ascontiguousarray(queries)
-    # Both kernels overwrite each output block, so no zero-fill.
+    # The kernel overwrites each output block, so no zero-fill.
     out = (np.empty if n_words else np.zeros)((n_queries, n_rows), dtype=np.uint32)
     if block_rows is None:
-        block_rows = max(1, _BLOCK_BYTES // max(1, n_queries * n_words * 8))
+        block_rows = max(1, n_rows)
     elif block_rows <= 0:
         raise ValueError("block_rows must be positive")
     for start in range(0, n_rows, block_rows):
@@ -235,31 +189,20 @@ def hamming_many_to_many(
             # from streaming into gathering on wide sketches.
             block = np.ascontiguousarray(block)
         total = out[:, start : start + block.shape[1]]
-        if kernel is not None:
-            kernel.block(
-                block.ctypes.data, block.strides[0] // block.itemsize,
-                n_words, block.shape[1],
-                queries.ctypes.data, n_queries, total.ctypes.data, n_rows,
-            )
-            continue
-        xored, counts = _scratch_views(n_queries, block.shape[1])
-        for word in range(n_words):
-            np.bitwise_xor(queries[:, word, None], block[word][None, :], out=xored)
-            if word == 0:
-                np.bitwise_count(xored, out=total)
-            else:
-                np.bitwise_count(xored, out=counts)
-                np.add(total, counts, out=total)
+        _KERNEL.block(
+            block.ctypes.data, block.strides[0] // block.itemsize,
+            n_words, block.shape[1],
+            queries.ctypes.data, n_queries, total.ctypes.data, n_rows,
+        )
     return out
 
 
 def topk_in_place(database: np.ndarray) -> bool:
-    """Whether :func:`hamming_topk` can scan ``database``: the compiled
-    kernel is loaded and ``database`` is the ``(n_rows, n_words)`` view of
-    a word-major ``uint64`` arena (what ``SegmentStore`` hands out)."""
+    """Whether :func:`hamming_topk` can scan ``database``: the
+    ``(n_rows, n_words)`` view of a word-major ``uint64`` arena (what
+    ``SegmentStore`` hands out)."""
     return (
-        _KERNEL is not None
-        and database.ndim == 2
+        database.ndim == 2
         and database.dtype == np.uint64
         and _in_place(database.T)
     )
@@ -278,13 +221,11 @@ def hamming_topk(
     live); a dead row is never selected.  Ties at the k-th distance go to
     the smallest rows, the rule of ``filtering.select_k_smallest``; the
     order within a query row is unspecified.  No distance row is built.
-    Only the compiled kernel has this pass: call it where
-    :func:`topk_in_place` holds.  ``k`` above the live row count is a
-    ``ValueError``.
+    ``database`` must be laid out as :func:`topk_in_place` says, and
+    ``k`` above the live row count is a ``ValueError``.
     """
-    kernel = _KERNEL
-    if kernel is None or not topk_in_place(database):
-        raise ValueError("hamming_topk needs the compiled kernel and a word-major arena")
+    if not topk_in_place(database):
+        raise ValueError("hamming_topk needs a word-major arena")
     queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.uint64)
     n_queries, n_words = queries.shape
     words = database.T
@@ -303,7 +244,7 @@ def hamming_topk(
         if dead.shape != (words.shape[1],):
             raise ValueError("dead must hold one flag per database row")
     fill = ctypes.c_ssize_t(0)
-    kernel.topk(
+    _KERNEL.topk(
         words.ctypes.data, words.strides[0] // words.itemsize,
         n_words, words.shape[1], None if dead is None else dead.ctypes.data,
         queries.ctypes.data, n_queries, k,

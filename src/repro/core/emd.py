@@ -11,13 +11,11 @@ The paper's image system uses an *improved* EMD from Lv/Charikar/Li
 transformed by a square-root function before normalization.  Both appear
 here as :class:`EMDParams` knobs so downstream users can ablate them.
 
-Beyond the pairwise :func:`emd`, this module carries the batched ranking
-machinery: :func:`packed_costs` evaluates one query against many
-candidates in a single packed cost computation, and
-:func:`emd_lower_bounds_rowcol` gives a cheap provable lower bound on
-the (improved) EMD, for all candidates in one pass, that the ranking
-cascade uses to skip most transportation solves entirely (see
-docs/PERFORMANCE.md, "Ranking cascade").
+Beyond the pairwise :func:`emd`, :func:`packed_costs` evaluates one
+query against many candidates in a single packed cost computation, which
+the ranking cascade (:mod:`repro.core.ranking`) bounds and solves in one
+call of ``_emd.c``'s ``rank_topk`` (see docs/PERFORMANCE.md, "Ranking
+cascade").
 """
 
 from __future__ import annotations
@@ -36,31 +34,12 @@ __all__ = [
     "NonFiniteDistanceError",
     "emd",
     "emd_to_many",
-    "emd_lower_bound_rowcol",
-    "emd_lower_bounds_rowcol",
     "packed_costs",
     "pairwise_segment_distances",
     "EMDDistance",
 ]
 
 GroundDistanceMatrix = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-# Cap on the (m, block, D) broadcast temporary of the vectorized l1
-# kernel; blocks of database rows keep it cache-friendly at packed
-# many-candidate shapes without changing any per-cell value.
-_L1_BLOCK_BYTES = 8 << 20
-
-# Relative safety margin folded into the lower bounds.  The bounds are
-# exact mathematics over exact reals; in float64 the bound and the
-# simplex accumulate rounding independently, so a freshly computed bound
-# could exceed the true EMD by a few ulps in degenerate cases (e.g. a
-# single-segment pair, where bound and distance are the same sum taken
-# in two different orders).  Shaving 1e-9 relative (plus an absolute
-# epsilon for exact zeros) keeps the bounds provably conservative at
-# float precision while costing essentially no pruning power.
-_BOUND_SAFETY_REL = 1e-9
-_BOUND_SAFETY_ABS = 1e-12
-
 
 class NonFiniteDistanceError(ValueError):
     """Segment ground distances evaluated to NaN or infinity.
@@ -95,53 +74,40 @@ def _require_finite_costs(
 def _l1_cost_matrix(
     a: np.ndarray, b: np.ndarray, weights: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """``(m, n)`` (weighted) l1 distances via one broadcast kernel,
-    blocked over ``b``.
+    """``(m, n)`` (weighted) l1 distances in one call of ``_emd.c``'s
+    ``l1_costs``.
 
     Each cell is its own reduction over the feature axis — multiply by
-    the per-dimension ``weights``, then sum — so a cell's value does not
-    depend on which other rows share the call: packing many candidates
-    into ``b`` gives bit-for-bit the matrices a per-candidate call gives.
-    (A BLAS ``diff.dot(weights)`` does not have that property.)
-
-    Each cell is summed in numpy's pairwise order over the feature axis
-    whatever the layout of ``a`` and ``b``: the numpy path reads C-ordered
-    copies of foreign layouts, since numpy sums a broadcast whose feature
-    axis is not innermost one term after another.  Where ``_emd.c`` is
-    loaded (:func:`repro.core.transport.rank_kernel`) its ``l1_costs``
-    forms each cell with the same operations in the same order, reading
-    ``a`` and ``b`` in place; shapes that only broadcast (a feature or
-    weight axis of length 1) stay on numpy.
+    the per-dimension ``weights``, then sum in numpy's pairwise order —
+    so a cell's value does not depend on which other rows share the
+    call: packing many candidates into ``b`` gives bit-for-bit the
+    matrices a per-candidate call gives.  (A BLAS ``diff.dot(weights)``
+    does not have that property.)  ``a``, ``b`` and ``weights`` are read
+    in place through their strides; a feature or weight axis of length 1
+    broadcasts against the others as a stride-0 view.
     """
-    m, d = a.shape
-    n = b.shape[0]
-    kernel = transport._KERNEL
-    if (
-        kernel is not None
-        and b.shape[1] == d
-        and (weights is None or weights.shape == (d,))
-    ):
-        a, b = transport._elements(a), transport._elements(b)
+    (m, d), n = a.shape, b.shape[0]
+    a, b = transport._elements(a), transport._elements(b)
+    if weights is not None:
+        weights = transport._elements(weights)
+    # Only a length-1 axis needs numpy's broadcast helpers, which cost
+    # more than a small block's kernel call.
+    if b.shape[1] != d or (weights is not None and weights.shape != (d,)):
+        shapes = [a.shape[1:], b.shape[1:]]
         if weights is not None:
-            weights = transport._elements(weights)
-        out = np.empty((m, n), dtype=np.float64)
-        kernel.l1_costs(
-            a.ctypes.data, a.strides[0] // 8, a.strides[1] // 8, m,
-            b.ctypes.data, b.strides[0] // 8, b.strides[1] // 8, n, d,
-            None if weights is None else weights.ctypes.data,
-            0 if weights is None else weights.strides[0] // 8,
-            out.ctypes.data,
-        )
-        return out
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    block = max(1, _L1_BLOCK_BYTES // max(1, m * d * 8))
+            shapes.append(weights.shape)
+        (d,) = np.broadcast_shapes(*shapes)
+        a, b = np.broadcast_to(a, (m, d)), np.broadcast_to(b, (n, d))
+        if weights is not None:
+            weights = np.broadcast_to(weights, (d,))
     out = np.empty((m, n), dtype=np.float64)
-    for start in range(0, n, block):
-        diff = a[:, None, :] - b[None, start:start + block, :]
-        np.abs(diff, out=diff)
-        if weights is not None:
-            diff *= weights
-        out[:, start:start + block] = diff.sum(axis=2)
+    transport._KERNEL.l1_costs(
+        a.ctypes.data, a.strides[0] // 8, a.strides[1] // 8, m,
+        b.ctypes.data, b.strides[0] // 8, b.strides[1] // 8, n, d,
+        None if weights is None else weights.ctypes.data,
+        0 if weights is None else weights.strides[0] // 8,
+        out.ctypes.data,
+    )
     return out
 
 
@@ -157,7 +123,7 @@ def pairwise_segment_distances(
     ``ground`` maps ``(query_matrix, db_matrix) -> distance matrix``; the
     default is l1 — weighted per dimension by ``dim_weights`` when given
     — matching the paper's image and audio systems, computed by one
-    vectorized broadcast kernel.  Non-finite distances (NaN/inf
+    compiled kernel call.  Non-finite distances (NaN/inf
     feature rows, or a ground function returning them) raise
     :class:`NonFiniteDistanceError` — the transportation simplex must
     never pivot on garbage costs.  ``object_id`` tags the error with the
@@ -284,7 +250,7 @@ def packed_costs(
     ``candidates`` must not be empty.
 
     For the built-in (weighted) l1 ground, every candidate's segments go
-    through one broadcast kernel.  A custom ``ground`` is called once per
+    through one kernel call.  A custom ``ground`` is called once per
     candidate with exactly the candidate's own feature matrix — an
     arbitrary callable is only guaranteed bit-stable on the inputs the
     exact path gives it.
@@ -352,109 +318,6 @@ def emd_to_many(
             for cand, costs in zip(candidates, matrices)
         ],
         dtype=np.float64,
-    )
-
-
-def _shave(bounds: np.ndarray) -> np.ndarray:
-    """Apply the float-safety margin; bounds never go negative."""
-    return np.maximum(
-        0.0, bounds * (1.0 - _BOUND_SAFETY_REL) - _BOUND_SAFETY_ABS
-    )
-
-
-def _balanced_demands(
-    supply: np.ndarray,
-    demands: Sequence[np.ndarray],
-    starts: np.ndarray,
-    widths: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenated candidate masses rescaled to the query's total — the
-    balancing :func:`solve_transport` applies — plus the mask of
-    candidates that carry mass at all (the others get the zero bound)."""
-    demand = np.concatenate(demands)
-    totals = np.add.reduceat(demand, starts)
-    has_mass = totals > 0.0
-    scale = float(supply.sum()) / np.where(has_mass, totals, 1.0)
-    return demand * np.repeat(scale, widths), has_mass
-
-
-def emd_lower_bounds_rowcol(
-    costs: np.ndarray,
-    offsets: np.ndarray,
-    supply: np.ndarray,
-    demands: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Row/column lower bounds for every candidate of a packed cost
-    array (:func:`packed_costs`), in one pass.
-
-    Row side: every feasible flow ships ``supply_i`` out of row ``i`` at
-    per-unit cost at least ``min_j costs[i, j]``.  Column side, the
-    independent-minimisation bound of Assent et al. (ICDE 2008): drop
-    the row sums except that no row carries more than its supply, and
-    each column's cheapest way to receive its demand is to fill it from
-    its cheapest rows first.  Both are relaxations of the transportation
-    problem, so the larger lower-bounds the optimal cost of *that*
-    matrix; the column side is never below ``demand @ col_mins``.
-    Because it is computed on the final (thresholded) costs, it is valid
-    for every :class:`EMDParams` configuration, including custom
-    grounds.
-    """
-    bounds = np.zeros(len(demands), dtype=np.float64)
-    # reduceat needs non-empty segments; a candidate without segments
-    # owns no columns, so dropping its start leaves the others' intact.
-    live = np.flatnonzero(offsets[1:] > offsets[:-1])
-    if float(supply.sum()) <= 0.0 or live.size == 0:
-        return bounds
-    starts = offsets[:-1][live]
-    demand, has_mass = _balanced_demands(
-        supply, [demands[i] for i in live], starts, np.diff(offsets)[live]
-    )
-    row_bounds = supply @ np.minimum.reduceat(costs, starts, axis=1)
-    # A column whose cheapest row can carry its whole demand costs
-    # d * colmin.  Only the others are sorted, to take their rows
-    # cheapest first: what each can carry, and what the column still
-    # lacks when it reaches that row.
-    cheapest = costs.argmin(axis=0)
-    col_costs = demand * costs.min(axis=0)
-    short = np.flatnonzero(demand > supply[cheapest])
-    short_costs = costs[:, short]
-    by_cost = short_costs.argsort(axis=0)
-    room = supply[by_cost]
-    owed = demand[short] - (np.cumsum(room, axis=0) - room)
-    col_costs[short] = (
-        np.clip(owed, 0.0, room)
-        * np.take_along_axis(short_costs, by_cost, axis=0)
-    ).sum(axis=0)
-    col_bounds = np.add.reduceat(col_costs, starts)
-    bounds[live] = np.where(
-        has_mass, _shave(np.maximum(row_bounds, col_bounds)), 0.0
-    )
-    return bounds
-
-
-def emd_lower_bound_rowcol(
-    query: ObjectSignature,
-    candidate: ObjectSignature,
-    params: Optional[EMDParams] = None,
-    costs: Optional[np.ndarray] = None,
-) -> float:
-    """:func:`emd_lower_bounds_rowcol` for a single candidate.
-
-    ``costs`` may carry a precomputed thresholded cost matrix; otherwise
-    the matrix is computed here exactly as :func:`emd` would.
-    """
-    params = params or EMDParams()
-    if costs is None:
-        costs = params.segment_costs(
-            query.features, candidate.features, object_id=candidate.object_id
-        )
-    return float(
-        emd_lower_bounds_rowcol(
-            costs,
-            np.array([0, costs.shape[1]]),
-            params.effective_weights(query.weights),
-            [params.effective_weights(candidate.weights)],
-        )[0]
     )
 
 

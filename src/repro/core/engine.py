@@ -149,7 +149,7 @@ class SimilaritySearchEngine:
     parallel:
         Scan-side knobs (:class:`~repro.core.parallel.ParallelConfig`):
         the query-result cache capacity.  ``None`` means the default.
-        The scan needs no knob (``repro.core.filtering._scan_nearest``).
+        The scan needs no knob (``repro.core.bitvector.hamming_topk``).
     rank_params:
         Ranking-cascade knobs (:class:`~repro.core.ranking.RankParams`);
         defaults enable batched cost matrices and lower-bound pruning.

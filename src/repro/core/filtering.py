@@ -8,8 +8,9 @@ decreasing function of ``w(Q_i)``.  Objects owning at least one matching
 segment form the candidate set handed to the ranking unit.
 
 The scan compares sketches with Hamming distance and, as in the paper,
-streams over every segment sketch in the store: one pass of
-:func:`_scan_nearest` per query batch (:func:`sketch_filter_many`).
+streams over every segment sketch in the store: one compiled top-k pass
+(:func:`~repro.core.bitvector.hamming_topk`) per query batch
+(:func:`sketch_filter_many`).
 :func:`sketch_filter_reference`, one scan per query segment, is the
 oracle its candidate sets must equal.
 """
@@ -24,12 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..observability import metrics as _metrics
-from .bitvector import (
-    hamming_many_to_many,
-    hamming_to_many,
-    hamming_topk,
-    topk_in_place,
-)
+from .bitvector import hamming_to_many, hamming_topk
 from .types import ObjectSignature
 
 __all__ = [
@@ -192,8 +188,8 @@ class SegmentStore:
     bit of the ``n_words`` words).
     Sketches are stored *word-major* — ``(n_words, capacity)``, a segment
     per column — because that is the order the Hamming kernel reads them
-    in (:func:`~repro.core.bitvector.hamming_many_to_many` streams one
-    word of every row per pass).  The transpose is paid once, by the
+    in (:func:`~repro.core.bitvector.hamming_topk` streams one word of
+    every row per pass).  The transpose is paid once, by the
     append that writes the columns; every accessor hands out the
     ``(n_rows, n_words)`` transposed *view*, so consumers index rows as
     if the array were row-major and scans run on it without a copy.
@@ -590,10 +586,9 @@ def select_k_smallest(
     order (``ids`` defaults to the column index), so the *set* selected
     per row is fully determined by the data — unlike a bare
     ``argpartition``, whose introselect breaks boundary ties arbitrarily.
-    Every filter path (the fused scan and the reference) selects by
-    this rule, and the compiled top-k pass
-    (:func:`~repro.core.bitvector.hamming_topk`) keeps the same one,
-    which is what keeps their candidate sets identical even when
+    The reference filter selects by this rule, and the compiled top-k
+    pass (:func:`~repro.core.bitvector.hamming_topk`) keeps the same
+    one, which is what keeps their candidate sets identical even when
     distances tie exactly at the k-NN cutoff.  The coordinator's merge
     passes ``ids`` (the object ids of its columns).
 
@@ -707,11 +702,11 @@ def sketch_filter_many(
     """Filtering phase for a whole batch of queries in one fused pass.
 
     Every query's top-``r`` segment sketches are stacked into a single
-    ``(sum_of_r, n_words)`` matrix, and one :func:`_scan_nearest` call
-    streams the whole arena for the batch (the compiled top-k pass, or
-    the numpy distance matrix and select).  Tombstoned rows (owner -1)
-    never occupy candidate slots.  Each query's rows are then
-    thresholded and their owners deduplicated.  Returns one candidate
+    ``(sum_of_r, n_words)`` matrix, and one compiled top-k pass
+    (:func:`~repro.core.bitvector.hamming_topk`) streams the whole arena
+    for the batch; ``k`` is at most the live row count, and tombstoned
+    rows (owner -1) never occupy candidate slots.  Each query's rows are
+    then thresholded and their owners deduplicated.  Returns one candidate
     set per query, identical to :func:`sketch_filter_reference` on the
     same store snapshot.
     """
@@ -725,11 +720,11 @@ def sketch_filter_many(
     if n_alive == 0:
         return [set() for _ in queries]
     tops = [q.top_segments(params.num_query_segments) for q in queries]
-    nearest, near = _scan_nearest(
+    nearest, near = hamming_topk(
         np.concatenate([qs[top] for qs, top in zip(query_sketches_list, tops)]),
         sketch_matrix,
-        dead,
         min(params.candidates_per_segment, n_alive),
+        dead,
     )
     results: List[Set[int]] = []
     offset = 0
@@ -760,46 +755,6 @@ def _segment_thresholds(
         [params.threshold_factor(float(query.weights[i])) for i in top]
     )
     return params.threshold_fraction * float(n_bits) * factors
-
-
-def _dead_sentinel(dtype: np.dtype):
-    """Masking value for tombstoned rows: above every real distance."""
-    if np.issubdtype(dtype, np.floating):
-        return np.inf
-    return np.iinfo(dtype).max
-
-
-def _scan_matrix(
-    rows: np.ndarray, sketch_matrix: np.ndarray, dead: Optional[np.ndarray], k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    # The numpy-side scan: a whole distance matrix, tombstones masked,
-    # then the deterministic top-k select.
-    dists = hamming_many_to_many(rows, sketch_matrix)
-    if dead is not None and dead.any():
-        dists[:, dead] = _dead_sentinel(dists.dtype)
-    nearest = select_k_smallest(dists, min(k, dists.shape[1]))
-    return nearest, np.take_along_axis(dists, nearest, axis=1)
-
-
-def _scan_nearest(
-    rows: np.ndarray, sketch_matrix: np.ndarray, dead: Optional[np.ndarray], k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Full-scan k-NN: per query row, the selected arena rows and their
-    distances.  ``dead`` masks tombstoned rows (``None``: there are
-    none); ``k`` is at most the live row count, so a tombstoned row is
-    never selected.
-
-    Where the compiled kernel is loaded and the arena is word-major in
-    place (see :func:`~repro.core.bitvector.topk_in_place`), one
-    :func:`~repro.core.bitvector.hamming_topk` call keeps each row's
-    top-k as it scans, and no distance row is built.  Otherwise the
-    distance matrix is built with tombstones masked to the dtype's
-    maximum and selected from.  Both pick ties at the k-th distance by
-    smallest row, so they select the same rows.
-    """
-    if topk_in_place(sketch_matrix):
-        return hamming_topk(rows, sketch_matrix, k, dead)
-    return _scan_matrix(rows, sketch_matrix, dead, k)
 
 
 def _candidate_owners(

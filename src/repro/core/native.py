@@ -2,10 +2,11 @@
 
 Each C source in this package (``_hamming.c``, ``_emd.c``) is compiled
 on first use into a private per-user cache and loaded with ``ctypes``,
-which releases the GIL for every call.  Where no compiler is present,
-the build fails or the cached file is not private to this user,
-:func:`load` returns ``None`` and the caller keeps its Python / numpy
-path, which gives the same answers.
+which releases the GIL for every call.  The kernels are required:
+where no compiler is present, the build fails, a symbol is missing or
+the cached file is not private to this user, :func:`load` raises
+``ImportError``, so importing :mod:`repro.core` fails with the compiler
+command and its error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 __all__ = ["load"]
 
 # -ffp-contract=off: no fused multiply-add may change a rounding, so the
-# compiled float kernels give the bits of their Python / numpy twins.
+# compiled float kernels give numpy's bits (the cost block and the
+# objective sum follow numpy's order of operations).
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+# The compiler's last stderr bytes an ImportError quotes.
+_STDERR_TAIL = 2000
 
 # symbol: (restype, argtypes)
 Signatures = Mapping[str, Tuple[Optional[type], Sequence[type]]]
@@ -89,11 +94,12 @@ def load(
     signatures: Signatures,
     compiler: Optional[Sequence[str]] = None,
     cache_dir: Optional[Path] = None,
-) -> Optional[List[Callable]]:
+) -> List[Callable]:
     """The entry points of ``source`` (a C file beside this module), in
     the order of ``signatures``, compiled on first use into a per-user
-    cache; ``None`` where they cannot be built or loaded.  Every entry
-    point comes from one file or none is used.
+    cache.  Every entry point comes from one file.  Raises
+    ``ImportError``, naming the compiler argv and the tail of its
+    stderr, where they cannot be built or loaded.
 
     The file name is the source's stem plus a hash of the source, the
     compiler argv, the machine and the CPU flags, so ``-march=native``
@@ -116,8 +122,14 @@ def load(
         _check_private(path)
         library = ctypes.CDLL(str(path))
         functions = [getattr(library, name) for name in signatures]
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
+    except (OSError, AttributeError, subprocess.SubprocessError) as error:
+        stderr = getattr(error, "stderr", None) or b""
+        tail = stderr[-_STDERR_TAIL:].decode(errors="replace").strip()
+        raise ImportError(
+            f"cannot build or load {source} with `{shlex.join(argv)}` "
+            f"(repro.core needs a C compiler): {error}"
+            + (f"\n{tail}" if tail else "")
+        ) from error
     for function, (restype, argtypes) in zip(functions, signatures.values()):
         function.argtypes = argtypes
         function.restype = restype

@@ -1,8 +1,8 @@
 """Scan-side configuration and the query-result cache.
 
 The filtering scan itself lives in :mod:`repro.core.filtering`: one
-function (``_scan_nearest``) reads the segment store's arena in place
-and keeps each query row's top-k.  This module keeps
+compiled call (``bitvector.hamming_topk``) reads the segment store's
+arena in place and keeps each query row's top-k.  This module keeps
 what sits around it: :class:`ParallelConfig` (the result-cache size)
 and a bounded LRU :class:`QueryResultCache` (epoch-invalidated) in
 front of the scan, so repeated queries of a skewed stream skip it

@@ -16,10 +16,8 @@ Two entry points share one contract:
   to :func:`rank_candidates` — same distances, same ``(distance,
   object_id)`` ordering, same deterministic ties — because the bounds
   are conservative and the exact solves use the same cost values the
-  per-candidate path would compute.  Where ``_emd.c`` is loaded
-  (:func:`repro.core.transport.rank_kernel`), the bound, the visit, the
-  solves and the running top k are one call of its ``rank_topk``;
-  otherwise the Python loop below runs them.
+  per-candidate path would compute.  The bound, the visit, the solves
+  and the running top k are one call of ``_emd.c``'s ``rank_topk``.
 """
 
 from __future__ import annotations
@@ -27,20 +25,13 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .distance import FirstSegmentL1, l1_to_many
 from . import transport
-from .emd import EMDDistance, emd_lower_bounds_rowcol, packed_costs
+from .emd import EMDDistance, packed_costs
 from .transport import solve_transport
 from .types import ObjectSignature
 
@@ -104,10 +95,10 @@ class RankStats:
     considered`` always holds.  ``bound_seconds`` / ``solve_seconds``
     split the cascade's time: the packed cost matrices and the bounds
     (with the candidates' mass checks and the visit order), then the
-    visit with its exact transportation solves and running top k.  On
-    the compiled cascade the bounds and the visit are the nanoseconds
-    ``rank_topk`` measures itself, and ``bound_seconds`` also holds the
-    packing of its arguments; the two stay within the phase's wall
+    visit with its exact transportation solves and running top k.  The
+    bounds and the visit are the nanoseconds ``rank_topk`` measures
+    itself, and ``bound_seconds`` also holds the packing of its
+    arguments; the two stay within the phase's wall
     time, which also holds the candidates' lookup and the results.
     """
 
@@ -266,57 +257,15 @@ def rank_candidates_many(
     else:
         demands = [emd_params.effective_weights(c.weights) for c in sigs]
 
-    kernel = transport._KERNEL
-    if kernel is not None:
-        stats.bound_seconds = time.perf_counter() - bound_started
-        results = _rank_topk(
-            kernel, costs, offsets, supply, demands, ids, top_k,
-            params.rowcol_bound, stats,
-        )[0]
-        stats.lower_bound_prunes = stats.considered - stats.exact_evals
-        return results, stats
-
-    bounds = np.zeros(len(sigs), dtype=np.float64)
-    if params.rowcol_bound:
-        bounds = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
-    # Ascending (bound, object_id): cheap-looking candidates first so the
-    # k-th distance tightens fast; id tie-break keeps the visit order —
-    # and therefore the float state of the run — deterministic.
-    order = np.lexsort((ids, bounds))
     stats.bound_seconds = time.perf_counter() - bound_started
-
-    solve_started = time.perf_counter()
-    # Max-heap of the k best via (-distance, -object_id): heap[0] is the
-    # current k-th (worst kept) result under (distance, id) ordering.
-    heap: List[Tuple[float, int]] = []
-    for pos in order.tolist():
-        if len(heap) >= top_k:
-            kth_dist = -heap[0][0]
-            # Strict '>' only: a candidate whose bound ties the k-th
-            # distance could still replace it via a smaller object id.
-            if bounds[pos] > kth_dist:
-                break
-        distance = float(
-            solve_transport(
-                supply, demands[pos], costs[:, offsets[pos]:offsets[pos + 1]]
-            ).cost
-        )
-        stats.exact_evals += 1
-        entry = (-distance, -ids[pos])
-        if len(heap) < top_k:
-            heapq.heappush(heap, entry)
-        elif entry > heap[0]:
-            heapq.heapreplace(heap, entry)
+    results = _rank_topk(
+        costs, offsets, supply, demands, ids, top_k, params.rowcol_bound, stats
+    )[0]
     stats.lower_bound_prunes = stats.considered - stats.exact_evals
-    stats.solve_seconds = time.perf_counter() - solve_started
-
-    results = [SearchResult(-d, -nid) for d, nid in heap]
-    results.sort()
     return results, stats
 
 
 def _rank_topk(
-    kernel: "transport._Kernel",
     costs: np.ndarray,
     offsets: np.ndarray,
     supply: np.ndarray,
@@ -330,13 +279,13 @@ def _rank_topk(
     ``_emd.c``'s ``rank_topk``: ``(results, bounds)``.  Adds the
     argument packing and the kernel's own bound time to
     ``stats.bound_seconds`` and its visit time to ``solve_seconds``, and
-    sets ``exact_evals``.
+    sets ``exact_evals``.  ``bounds`` holds every candidate's row/column
+    lower bound (all zero when ``rowcol_bound`` is off).
 
     A candidate that fails one of :func:`solve_transport`'s checks, or
     whose simplex fails, is handed to :func:`solve_transport`, which
-    raises that candidate's error.  Unlike the Python loop, every
-    candidate is checked, not only the visited ones, as
-    :func:`rank_candidates` checks them.
+    raises that candidate's error.  Every candidate is checked, not only
+    the visited ones, as :func:`rank_candidates` checks them.
     """
     def refuse(pos: int, failure: str) -> None:
         solve_transport(
@@ -364,7 +313,7 @@ def _rank_topk(
     top_ids = np.empty(top_k, dtype=np.int64)
     info = np.zeros(3, dtype=np.int64)
     stats.bound_seconds += time.perf_counter() - packing
-    evals = kernel.rank_topk(
+    evals = transport._KERNEL.rank_topk(
         m, len(ids), costs.ctypes.data, offsets.ctypes.data,
         supply.ctypes.data, demand.ctypes.data, id_array.ctypes.data, top_k,
         rowcol_bound, transport._TOLERANCE, transport._MAX_PIVOTS_FACTOR,

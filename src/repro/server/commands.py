@@ -97,12 +97,10 @@ from typing import Dict, List, Optional, Sequence
 
 from ..attrsearch.index import InvertedIndex, MemoryIndex
 from ..attrsearch.query import AttributeSearcher, QueryError
-from ..core.bitvector import scan_kernel
 from ..core.engine import SearchMethod, SimilaritySearchEngine
 from ..core.filtering import FilterParams, get_threshold_fn
 from ..core.plugin import EXTRACTION_ERRORS
 from ..core.ranking import SearchResult
-from ..core.transport import rank_kernel
 from ..core.types import ObjectSignature
 from ..metadata.serialization import decode_object, encode_object
 from ..observability import context as _trace_context
@@ -462,8 +460,6 @@ class CommandProcessor(OperatorCommands):
             f"arena_appends {self._rank_counter('arena.appends')}",
             f"arena_compactions {self._rank_counter('arena.compactions')}",
             f"compaction {'on' if arena['background'] else 'off'}",
-            f"scan_kernel {scan_kernel()}",
-            f"rank_kernel {rank_kernel()}",
             f"cache_entries {cache['entries']}/{cache['capacity']}",
             f"cache_hits {cache['hits']}",
             f"cache_misses {cache['misses']}",

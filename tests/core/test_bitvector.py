@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import bitvector
 from repro.core.bitvector import (
     hamming_distance,
     hamming_many_to_many,
@@ -141,44 +140,32 @@ class TestPopcountOracle:
         assert counts.ravel().tolist() == self._bin_counts(words)
 
 
-# Both kernels of hamming_many_to_many (tests/core/conftest.py): loops
-# and hypothesis draws, so the tests keep their names.  A host with no
-# compiled kernel draws numpy only (test_scan_kernel.py reports the skip).
-KERNELS = st.sampled_from(
-    ("numpy", "compiled") if bitvector._KERNEL is not None else ("numpy",)
-)
-
-
 class TestHammingManyToMany:
     def _naive(self, queries_bits, database_bits):
         return np.array(
             [[int((q != d).sum()) for d in database_bits] for q in queries_bits]
         )
 
-    def test_matches_rowwise_and_naive(self, use_kernel):
+    def test_matches_rowwise_and_naive(self):
         rng = np.random.default_rng(5)
         q_bits = rng.integers(0, 2, size=(4, 130)).astype(np.uint8)
         d_bits = rng.integers(0, 2, size=(25, 130)).astype(np.uint8)
         queries, database = pack_bits(q_bits), pack_bits(d_bits)
         rowwise = np.stack([hamming_to_many(q, database) for q in queries])
-        for kernel in ("numpy", "compiled"):
-            with use_kernel(kernel):
-                batched = hamming_many_to_many(queries, database)
-            assert np.array_equal(batched, rowwise), kernel
-            assert np.array_equal(batched, self._naive(q_bits, d_bits)), kernel
+        batched = hamming_many_to_many(queries, database)
+        assert np.array_equal(batched, rowwise)
+        assert np.array_equal(batched, self._naive(q_bits, d_bits))
 
-    def test_blocked_scan_equals_unblocked(self, use_kernel):
+    def test_blocked_scan_equals_unblocked(self):
         rng = np.random.default_rng(6)
         queries = pack_bits(rng.integers(0, 2, size=(3, 200)).astype(np.uint8))
         database = pack_bits(rng.integers(0, 2, size=(50, 200)).astype(np.uint8))
         full = np.stack([hamming_to_many(q, database) for q in queries])
-        for kernel in ("numpy", "compiled"):
-            with use_kernel(kernel):
-                for block_rows in (None, 1, 7, 49, 50, 1000):
-                    assert np.array_equal(
-                        hamming_many_to_many(queries, database, block_rows=block_rows),
-                        full,
-                    ), (kernel, block_rows)
+        for block_rows in (None, 1, 7, 49, 50, 1000):
+            assert np.array_equal(
+                hamming_many_to_many(queries, database, block_rows=block_rows),
+                full,
+            ), block_rows
 
     def test_single_query_matches_to_many(self):
         rng = np.random.default_rng(7)
@@ -208,19 +195,15 @@ class TestHammingManyToMany:
         st.integers(1, 6),
         st.integers(1, 30),
         st.integers(1, 150),
-        KERNELS,
     )
-    def test_property_equals_rowwise_and_naive(
-        self, use_kernel, seed, n_q, n_db, n_bits, kernel
-    ):
+    def test_property_equals_rowwise_and_naive(self, seed, n_q, n_db, n_bits):
         """Batched == row-wise hamming_to_many == naive unpacked-bit count."""
         rng = np.random.default_rng(seed)
         q_bits = rng.integers(0, 2, size=(n_q, n_bits)).astype(np.uint8)
         d_bits = rng.integers(0, 2, size=(n_db, n_bits)).astype(np.uint8)
         queries, database = pack_bits(q_bits), pack_bits(d_bits)
         block_rows = int(rng.integers(1, n_db + 2))
-        with use_kernel(kernel):
-            batched = hamming_many_to_many(queries, database, block_rows=block_rows)
+        batched = hamming_many_to_many(queries, database, block_rows=block_rows)
         rowwise = np.stack([hamming_to_many(q, database) for q in queries])
         assert np.array_equal(batched, rowwise)
         assert np.array_equal(batched, self._naive(q_bits, d_bits))
@@ -232,15 +215,13 @@ class TestHammingManyToMany:
         st.integers(1, 14),
         st.integers(0, 300),
         st.sampled_from([None, 1, 7]),
-        KERNELS,
     )
     def test_property_layout_independent(
-        self, use_kernel, seed, n_queries, n_words, n_rows, block_rows, kernel
+        self, seed, n_queries, n_words, n_rows, block_rows
     ):
         """Same uint32 matrix whatever memory layout the rows arrive in:
         row-major, the row view of a word-major arena, a column slice of
-        a larger word-major arena, every other row; on
-        either kernel."""
+        a larger word-major arena, every other row."""
         rng = np.random.default_rng(seed)
         queries = rng.integers(0, 2**64, (n_queries, n_words), dtype=np.uint64)
         row_major = rng.integers(0, 2**64, (n_rows, n_words), dtype=np.uint64)
@@ -262,7 +243,6 @@ class TestHammingManyToMany:
             "every other row": interleaved[::2],
         }
         for name, database in layouts.items():
-            with use_kernel(kernel):
-                got = hamming_many_to_many(queries, database, block_rows=block_rows)
+            got = hamming_many_to_many(queries, database, block_rows=block_rows)
             assert got.dtype == np.uint32, name
             assert np.array_equal(got, expected), name

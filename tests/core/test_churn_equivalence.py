@@ -1,11 +1,10 @@
-"""Churn equivalence: numpy scan == compiled top-k pass, bit for bit.
+"""Churn equivalence: serial and threaded scans agree, bit for bit.
 
 After any interleaving of insert / remove / compact, an engine queried
-on the calling thread with the numpy scan answers identically to one
-queried from another thread with the compiled kernel's top-k pass (the
-numpy loop on a host without a compiler), and a cached answer never
-outlives the mutation that changed it.  Hypothesis drives the
-interleavings.
+on the calling thread answers identically to one queried from another
+thread (the compiled top-k pass runs outside the GIL on the caller's
+stack), and a cached answer never outlives the mutation that changed
+it.  Hypothesis drives the interleavings.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.core import (
     ParallelConfig,
     SimilaritySearchEngine,
     SketchParams,
-    bitvector,
 )
 
 DIM = 6
@@ -51,17 +49,12 @@ def _answers(engine, probes):
 
 
 def _results(engine, probes, thread=False):
-    """The engine's answers: on the calling thread with the numpy scan,
-    or (``thread``) from a helper thread with the loaded kernel."""
+    """The engine's answers: on the calling thread, or (``thread``) from
+    a helper thread."""
     if thread:
         with ThreadPoolExecutor(1) as helper:
             return helper.submit(_answers, engine, probes).result()
-    saved = bitvector._KERNEL
-    bitvector._KERNEL = None
-    try:
-        return _answers(engine, probes)
-    finally:
-        bitvector._KERNEL = saved
+    return _answers(engine, probes)
 
 
 def _apply(engines, op, rng_seed, next_id):
@@ -109,8 +102,8 @@ class TestChurnInterleavings:
     )
     @given(ops=st.lists(_OP, min_size=1, max_size=12), seed=st.integers(0, 2**16))
     def test_serial_and_thread_stay_bit_identical(self, ops, seed):
-        """The numpy scan (serial) against the loaded kernel on a helper
-        thread, each engine reading its own arena in place."""
+        """The calling thread against a helper thread, each engine
+        reading its own arena in place."""
         serial = _make_engine()
         threaded = _make_engine()
         try:

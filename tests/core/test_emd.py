@@ -38,8 +38,8 @@ class TestPairwiseDistances:
             )
 
     def test_broadcast_kernel_matches_per_row_loop(self):
-        # The blocked broadcast kernel must be bit-identical to the
-        # historical per-row l1 loop it replaced.
+        # The cost kernel must be bit-identical to the historical per-row
+        # l1 loop.
         from repro.core.distance import l1_to_many
 
         rng = np.random.default_rng(10)
@@ -48,23 +48,6 @@ class TestPairwiseDistances:
         looped = np.stack([l1_to_many(row, b) for row in a])
         assert (_l1_cost_matrix(a, b) == looped).all()
         assert (pairwise_segment_distances(a, b) == looped).all()
-
-    def test_blocked_path_identical(self, monkeypatch, use_rank_kernel):
-        # Force the numpy kernel into its multi-block path and check
-        # values (the compiled kernel has no blocks).
-        # (attribute access via repro.core hits the re-exported emd()
-        # function, so pull the module from sys.modules)
-        import sys
-
-        emd_mod = sys.modules["repro.core.emd"]
-
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(64, 4))
-        with use_rank_kernel("python"):
-            whole = _l1_cost_matrix(a, b)
-            monkeypatch.setattr(emd_mod, "_L1_BLOCK_BYTES", 512)
-            assert (_l1_cost_matrix(a, b) == whole).all()
 
     def test_nan_features_raise_typed_error(self):
         a = np.array([[0.0, np.nan]])
@@ -89,54 +72,62 @@ def _bits(costs):
     return np.ascontiguousarray(costs).view(np.uint64)
 
 
+def _numpy_l1(a, b, weights=None):
+    """The numpy broadcast every cost cell must equal bit for bit:
+    ``|a_i - b_j|`` (times the weights) over a C-ordered feature axis,
+    which ``np.sum`` adds pairwise."""
+    diff = np.abs(
+        np.ascontiguousarray(a)[:, None, :] - np.ascontiguousarray(b)[None, :, :]
+    )
+    if weights is not None:
+        diff *= weights
+    return diff.sum(axis=2)
+
+
 class TestCompiledCostKernel:
-    """``_emd.c``'s ``l1_costs`` against the numpy kernel, bit for bit:
+    """``_emd.c``'s ``l1_costs`` against a numpy broadcast, bit for bit:
     numpy sums each cell pairwise (8 accumulators up to 128 terms,
     halves above), and the C kernel must take the same order."""
 
     @pytest.mark.parametrize(
         "dim", [1, 3, 7, 8, 9, 14, 16, 100, 128, 129, 192, 300, 544]
     )
-    def test_matches_numpy_kernel(self, dim, use_rank_kernel):
+    def test_matches_numpy_kernel(self, dim):
         rng = np.random.default_rng(dim)
         # Magnitudes 1e-3 to 1e3 in one row: a changed order rounds apart.
         a = rng.normal(size=(5, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(5, dim))
         wide = rng.normal(size=(40, 2 * dim))
         b = wide[3:37, ::2]  # strided rows and columns
         for weights in (None, rng.random(dim) * 3.0):
-            with use_rank_kernel("python"):
-                want = _l1_cost_matrix(a, b, weights)
-            for kernel in ("python", "compiled"):
-                with use_rank_kernel(kernel):
-                    for left, right in (
-                        (a, b),
-                        (np.asfortranarray(a), np.ascontiguousarray(b)),
-                        (a[::-1][::-1], b[::-1][::-1]),
-                    ):
-                        got = _l1_cost_matrix(left, right, weights)
-                        assert np.array_equal(_bits(got), _bits(want)), kernel
-            with use_rank_kernel("compiled"):
-                reversed_rows = _l1_cost_matrix(a[::-1], b[::-1], weights)
+            want = _numpy_l1(a, b, weights)
+            for left, right in (
+                (a, b),
+                (np.asfortranarray(a), np.ascontiguousarray(b)),
+                (a[::-1][::-1], b[::-1][::-1]),
+            ):
+                got = _l1_cost_matrix(left, right, weights)
+                assert np.array_equal(_bits(got), _bits(want))
+            reversed_rows = _l1_cost_matrix(a[::-1], b[::-1], weights)
             assert np.array_equal(_bits(reversed_rows), _bits(want[::-1, ::-1]))
 
-    def test_packed_costs_match_per_candidate(self, use_rank_kernel):
+    def test_packed_costs_match_per_candidate(self):
         from repro.core.emd import packed_cost_matrices
 
         rng = np.random.default_rng(3)
         query = _obj(rng, 6, dim=14)
         cands = [_obj(rng, k, dim=14) for k in (1, 4, 11, 2, 9)]
         params = EMDParams(threshold=1.5, dim_weights=rng.random(14))
-        with use_rank_kernel("python"):
-            want = [params.segment_costs(query.features, c.features) for c in cands]
-            want_emd = [emd(query, c, params) for c in cands]
-        for kernel in ("python", "compiled"):
-            with use_rank_kernel(kernel):
-                got = packed_cost_matrices(query, cands, params)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                assert [emd(query, c, params) for c in cands] == want_emd
+        want = [
+            np.minimum(_numpy_l1(query.features, c.features, params.dim_weights), 1.5)
+            for c in cands
+        ]
+        per_pair = [params.segment_costs(query.features, c.features) for c in cands]
+        got = packed_cost_matrices(query, cands, params)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w) for g, w in zip(per_pair, want))
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_names_the_same_candidate(self, poison, use_rank_kernel):
+    def test_nonfinite_names_the_same_candidate(self, poison):
         from repro.core.emd import packed_costs
 
         rng = np.random.default_rng(4)
@@ -147,15 +138,13 @@ class TestCompiledCostKernel:
         ]
         for bad in (1, 3):
             cands[bad].features[-1, 7] = poison
-        for kernel in ("python", "compiled"):
-            with use_rank_kernel(kernel):
-                with pytest.raises(NonFiniteDistanceError) as excinfo:
-                    packed_costs(query, cands, EMDParams())
-                assert excinfo.value.object_id == 11
-                with pytest.raises(NonFiniteDistanceError):
-                    pairwise_segment_distances(query.features, cands[3].features)
+        with pytest.raises(NonFiniteDistanceError) as excinfo:
+            packed_costs(query, cands, EMDParams())
+        assert excinfo.value.object_id == 11
+        with pytest.raises(NonFiniteDistanceError):
+            pairwise_segment_distances(query.features, cands[3].features)
 
-    def test_query_layout_does_not_change_the_distance(self, use_rank_kernel):
+    def test_query_layout_does_not_change_the_distance(self):
         # numpy sums a broadcast whose feature axis is not innermost one
         # term after another; a Fortran-ordered query used to round
         # some distances apart from the same query in C order.
@@ -165,22 +154,23 @@ class TestCompiledCostKernel:
         c_query = ObjectSignature(rows.copy(), weights)
         f_query = ObjectSignature(np.asfortranarray(rows), c_query.weights, normalize=False)
         cands = [_obj(rng, 7, dim=14) for _ in range(40)]
-        for kernel in ("python", "compiled"):
-            with use_rank_kernel(kernel):
-                want = [emd(c_query, c) for c in cands]
-                assert [emd(f_query, c) for c in cands] == want
+        want = [emd(c_query, c) for c in cands]
+        assert [emd(f_query, c) for c in cands] == want
 
-    def test_broadcast_shapes_stay_on_numpy(self, use_rank_kernel):
-        # A feature or weight axis of length 1 broadcasts in numpy; the
-        # compiled kernel leaves those shapes to it.
-        rng = np.random.default_rng(5)
-        a, b = rng.random((3, 1)), rng.random((4, 6))
-        weights = np.array([2.0])
-        with use_rank_kernel("python"):
-            want = (_l1_cost_matrix(a, b), _l1_cost_matrix(b, b, weights))
-        with use_rank_kernel("compiled"):
-            got = (_l1_cost_matrix(a, b), _l1_cost_matrix(b, b, weights))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    @pytest.mark.parametrize("dim", [6, 9, 200])
+    def test_broadcast_shapes_are_stride_0_views(self, dim):
+        # A feature or weight axis of length 1 broadcasts against the
+        # others, as in numpy: the kernel reads it through a zero stride.
+        rng = np.random.default_rng(dim)
+        a, b = rng.random((3, 1)) * 10, rng.random((4, dim))
+        weights = rng.random(dim) + 0.5
+        for left, right, w in (
+            (a, b, None), (b, a, None), (a, b, weights), (b, a, weights),
+            (b, b, np.array([2.5])), (a, a[::-1], np.array([0.5])),
+        ):
+            want = _numpy_l1(left, right, w)
+            got = _l1_cost_matrix(left, right, w)
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestEMD:

@@ -1,42 +1,45 @@
 """Property tests: the engine against a naive reference implementation.
 
-The reference computes object distances directly over a Python dict; the
+The reference ranks with exact ``rank_candidates`` (one EMD call per
+object, ``(distance, id)`` order), whose every distance is checked
+against scipy's HiGHS optimum of the same transportation problem; the
 engine must agree with it wherever exactness is promised (brute-force
 ranking), and approximate it sensibly where sketches are involved.
-The engine runs on both EMD kernels (compiled ``_emd.c`` and the Python /
-numpy path); the reference always runs on Python.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from test_transport import scipy_transport_cost
 
 from repro.core import (
     DataTypePlugin,
+    EMDDistance,
     FeatureMeta,
     FilterParams,
     ObjectSignature,
     SearchMethod,
     SimilaritySearchEngine,
     SketchParams,
-    emd,
+    rank_candidates,
 )
 
 
-RANK_KERNELS = ("python", "compiled")  # python first: a loop runs it before a skip
-
-
-def _reference_ranking(objects, query_id, top_k, use_rank_kernel):
-    """Naive exact ranking by EMD on the Python path, excluding the
-    query itself."""
+def _reference_ranking(objects, query_id, top_k, exclude_self=True):
+    """Exact ranking by EMD: the order and bits of ``rank_candidates``,
+    each distance within 1e-9 of HiGHS's optimum over numpy l1 costs."""
     query = objects[query_id]
-    with use_rank_kernel("python"):
-        scored = sorted(
-            (emd(query, obj), oid)
-            for oid, obj in objects.items()
-            if oid != query_id
-        )
-    return [oid for _dist, oid in scored[:top_k]]
+    ranked = rank_candidates(
+        query, list(objects), objects, EMDDistance(),
+        top_k=top_k, exclude_self=exclude_self,
+    )
+    for result in ranked:
+        obj = objects[result.object_id]
+        costs = np.abs(query.features[:, None, :] - obj.features[None, :, :]).sum(axis=2)
+        demand = obj.weights * (query.weights.sum() / obj.weights.sum())
+        optimum = scipy_transport_cost(query.weights, demand, costs)
+        assert result.distance == pytest.approx(optimum, abs=1e-9)
+    return ranked
 
 
 def _build(seed, count, dim=6, max_segs=4):
@@ -58,28 +61,20 @@ def _build(seed, count, dim=6, max_segs=4):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), count=st.integers(5, 25))
-def test_brute_force_matches_reference(seed, count, use_rank_kernel):
+def test_brute_force_matches_reference(seed, count):
     engine, objects = _build(seed, count)
     query_id = seed % count
-    expected = _reference_ranking(objects, query_id, 5, use_rank_kernel)
-    for kernel in RANK_KERNELS:
-        with use_rank_kernel(kernel):
-            got = [
-                r.object_id
-                for r in engine.query_by_id(
-                    query_id, top_k=5, method=SearchMethod.BRUTE_FORCE_ORIGINAL,
-                    exclude_self=True,
-                )
-            ]
-        # Rankings must agree except where reference distances tie.
-        ref_dists = {oid: emd(objects[query_id], objects[oid]) for oid in expected + got}
-        for e, g in zip(expected, got):
-            assert e == g or ref_dists[e] == pytest.approx(ref_dists[g], abs=1e-9)
+    expected = _reference_ranking(objects, query_id, 5)
+    got = engine.query_by_id(
+        query_id, top_k=5, method=SearchMethod.BRUTE_FORCE_ORIGINAL,
+        exclude_self=True,
+    )
+    assert got == expected
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_filtering_with_full_k_matches_reference(seed, use_rank_kernel):
+def test_filtering_with_full_k_matches_reference(seed):
     """With k = all segments and no threshold, filtering keeps every
     object, so its ranking must equal the exact reference ranking."""
     engine, objects = _build(seed, count=15)
@@ -88,35 +83,25 @@ def test_filtering_with_full_k_matches_reference(seed, use_rank_kernel):
         threshold_fraction=None,
     )
     query_id = seed % 15
-    expected = _reference_ranking(objects, query_id, 5, use_rank_kernel)
-    for kernel in RANK_KERNELS:
-        with use_rank_kernel(kernel):
-            got = [
-                r.object_id
-                for r in engine.query_by_id(
-                    query_id, top_k=5, method=SearchMethod.FILTERING, exclude_self=True
-                )
-            ]
-        ref_dists = {oid: emd(objects[query_id], objects[oid]) for oid in expected + got}
-        for e, g in zip(expected, got):
-            assert e == g or ref_dists[e] == pytest.approx(ref_dists[g], abs=1e-9)
+    expected = _reference_ranking(objects, query_id, 5)
+    got = engine.query_by_id(
+        query_id, top_k=5, method=SearchMethod.FILTERING, exclude_self=True
+    )
+    assert got == expected
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_result_distances_sorted_and_exact(seed, use_rank_kernel):
+def test_result_distances_sorted_and_exact(seed):
     engine, objects = _build(seed, count=12)
     query_id = seed % 12
-    with use_rank_kernel("python"):
-        reference = {
-            oid: emd(objects[query_id], obj) for oid, obj in objects.items()
-        }
-    for kernel in RANK_KERNELS:
-        with use_rank_kernel(kernel):
-            for method in (SearchMethod.BRUTE_FORCE_ORIGINAL, SearchMethod.FILTERING):
-                results = engine.query_by_id(query_id, top_k=12, method=method)
-                dists = [r.distance for r in results]
-                assert dists == sorted(dists)
-                for r in results:
-                    # Both kernels give the reference's bits.
-                    assert r.distance == reference[r.object_id]
+    reference = {
+        r.object_id: r.distance
+        for r in _reference_ranking(objects, query_id, None, exclude_self=False)
+    }
+    for method in (SearchMethod.BRUTE_FORCE_ORIGINAL, SearchMethod.FILTERING):
+        results = engine.query_by_id(query_id, top_k=12, method=method)
+        dists = [r.distance for r in results]
+        assert dists == sorted(dists)
+        for r in results:
+            assert r.distance == reference[r.object_id]

@@ -1,17 +1,13 @@
-"""Filter full scan: the compiled top-k pass, the numpy scan, one answer.
+"""Filter full scan: the compiled top-k pass against the reference.
 
-``_scan_nearest`` keeps each query row's top-k inside the compiled
-kernel (``bitvector.hamming_topk``) where one is loaded, and builds the
-numpy distance matrix and selects from it where none is.  Both must be
-*candidate-set identical* to the per-segment `sketch_filter_reference`,
-which is numpy only and shares no code with the C kernel.  Determinism
-under ties is what makes that possible: every path selects the k
-smallest distances with smallest-row-index-wins at the kth value.  The
-``host_split`` fixture runs a check on one kernel from 1, 2 or 3 threads
-at once (the kernel runs outside the GIL, so concurrent scans overlap)
-and records which scan served: ids ``1``-``3`` are the compiled kernel
-and ``numpy-1``-``numpy-3`` the numpy loop; the other tests loop over
-the kernels or draw one.
+The filter keeps each query row's top-k inside the compiled kernel
+(``bitvector.hamming_topk``).  It must be *candidate-set identical* to
+the per-segment `sketch_filter_reference`, which is numpy only and
+shares no code with the C kernel.  Determinism under ties is what makes
+that possible: both select the k smallest distances with
+smallest-row-index-wins at the kth value.  The ``host_split`` fixture
+runs a check from 1, 2 or 3 threads at once (the kernel runs outside
+the GIL, so concurrent scans overlap) and counts the scans that served.
 """
 
 import threading
@@ -23,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bitvector
 from repro.core import (
     FeatureMeta,
     FilterParams,
@@ -45,37 +40,32 @@ from repro.observability import metrics
 
 
 CALLERS = (1, 2, 3)
-KERNELS = ("numpy", "compiled")
 
 
 @contextmanager
 def _served():
-    """Yields the names of the scans that served full scans, in order:
-    ``compiled`` for the fused top-k pass, ``numpy`` for the matrix."""
+    """Yields a list that gets one ``compiled`` per full scan (one call
+    of the fused top-k pass), in order."""
     served = []
-    topk, scan_matrix = filtering.hamming_topk, filtering._scan_matrix
+    topk = filtering.hamming_topk
 
     def fused(*args):
         served.append("compiled")
         return topk(*args)
 
-    def matrix(*args):
-        served.append("numpy")
-        return scan_matrix(*args)
-
-    with mock.patch.multiple(filtering, hamming_topk=fused, _scan_matrix=matrix):
+    with mock.patch.object(filtering, "hamming_topk", fused):
         yield served
 
 
 class _Host:
-    """One kernel, and the number of threads that run each check at once."""
+    """The number of threads that run each check at once."""
 
-    def __init__(self, kernel, callers, served):
-        self.kernel, self.callers, self.served = kernel, callers, served
+    def __init__(self, callers, served):
+        self.callers, self.served = callers, served
 
     def run(self, check):
         """Run ``check`` on every caller thread at once; re-raise the first
-        failure, and assert that every full scan ran on ``kernel``."""
+        failure."""
         self.served.clear()
         errors = []
         start = threading.Barrier(self.callers)
@@ -95,18 +85,13 @@ class _Host:
             assert not thread.is_alive()
         if errors:
             raise errors[0]
-        assert set(self.served) <= {self.kernel}
 
 
-@pytest.fixture(
-    params=[(k, c) for k in KERNELS[::-1] for c in CALLERS],
-    ids=lambda p: str(p[1]) if p[0] == "compiled" else f"{p[0]}-{p[1]}",
-)
-def host_split(request, use_kernel):
-    """A kernel and a caller count: yields a :class:`_Host`."""
-    kernel, callers = request.param
-    with use_kernel(kernel), _served() as served:
-        yield _Host(kernel, callers, served)
+@pytest.fixture(params=CALLERS, ids=str)
+def host_split(request):
+    """A caller count: yields a :class:`_Host`."""
+    with _served() as served:
+        yield _Host(request.param, served)
 
 
 # ----------------------------------------------------------------------
@@ -160,16 +145,15 @@ PARAMS_VARIANTS = [
 
 
 # ----------------------------------------------------------------------
-# Property: either kernel == numpy whole scan == reference
+# Property: the fused scan == reference
 # ----------------------------------------------------------------------
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     num_objects=st.sampled_from([3, 17, 40]),
     variant=st.integers(0, len(PARAMS_VARIANTS) - 1),
-    kernel=st.sampled_from(KERNELS if bitvector._KERNEL is not None else ("numpy",)),
 )
-def test_pool_matches_reference_randomized(use_kernel, seed, num_objects, variant, kernel):
+def test_pool_matches_reference_randomized(seed, num_objects, variant):
     """Randomized equivalence on stores of a few rows to ~120."""
     params = PARAMS_VARIANTS[variant]
     sk, store, objects = _seeded_store(
@@ -177,12 +161,10 @@ def test_pool_matches_reference_randomized(use_kernel, seed, num_objects, varian
     )
     queries = [objects[0], objects[num_objects // 2], objects[num_objects - 1]]
     sketches = [sk.sketch_many(q.features) for q in queries]
-    with use_kernel("numpy"):  # the whole scan: distance matrix, select
-        whole = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    with use_kernel(kernel), _served() as served:
-        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == whole
-    assert served == [kernel]  # one fused scan for the whole batch
-    for q, qs, expect in zip(queries, sketches, whole):
+    with _served() as served:
+        many = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
+    assert served == ["compiled"]  # one fused scan for the whole batch
+    for q, qs, expect in zip(queries, sketches, many):
         assert sketch_filter_reference(q, qs, store, params, sk.n_bits) == expect
 
 
@@ -237,7 +219,7 @@ def test_ties_exactly_at_distance_threshold(host_split):
         assert sketch_filter_many([query], [_ZERO], store, params, 64) == [expect]
 
     host_split.run(check)
-    assert host_split.served == [host_split.kernel] * (2 * host_split.callers)
+    assert host_split.served == ["compiled"] * (2 * host_split.callers)
 
 
 TIES_AT_KTH = [
@@ -261,7 +243,7 @@ def test_ties_at_kth_boundary_pick_smallest_rows(host_split):
             assert sketch_filter(query, _ZERO, store, params, 64) == expect
 
         host_split.run(check)
-        assert host_split.served == [host_split.kernel] * host_split.callers
+        assert host_split.served == ["compiled"] * host_split.callers
 
 
 def test_k_larger_than_shard_size(host_split):
@@ -280,17 +262,16 @@ def test_k_larger_than_shard_size(host_split):
     host_split.run(check)
 
 
-def test_empty_shards_more_workers_than_rows(use_kernel):
-    """One row and k = 5: k is capped at the one live row, which both
-    kernels select."""
+def test_empty_shards_more_workers_than_rows():
+    """One row and k = 5: k is capped at the one live row, which the scan
+    selects."""
     sk, store, objects = _seeded_store(6, num_objects=1, segs=1)
     params = FilterParams(num_query_segments=1, candidates_per_segment=5)
     q = objects[0]
     qs = sk.sketch_many(q.features)
-    for kernel in KERNELS:
-        with use_kernel(kernel), _served() as served:
-            assert sketch_filter(q, qs, store, params, sk.n_bits) == {0}
-        assert served == [kernel]
+    with _served() as served:
+        assert sketch_filter(q, qs, store, params, sk.n_bits) == {0}
+    assert served == ["compiled"]
 
 
 def test_empty_store_and_all_tombstones(host_split):
@@ -320,7 +301,7 @@ def test_empty_store_and_all_tombstones(host_split):
             assert sketch_filter_many([query], [_ZERO], store, params, 64) == [live]
 
     host_split.run(check)
-    assert host_split.served == [host_split.kernel] * (4 * host_split.callers)
+    assert host_split.served == ["compiled"] * (4 * host_split.callers)
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +371,7 @@ def test_query_result_cache_metrics_prefix():
 
 
 # ----------------------------------------------------------------------
-# Engine integration: answers on both kernels, and the result cache
+# Engine integration: answers, and the result cache
 # ----------------------------------------------------------------------
 def _image_engine(n=60, cache_entries=16):
     from repro.datatypes.bulk import bulk_image_dataset
@@ -411,22 +392,14 @@ def _answers(engine, qid):
     return [(r.object_id, r.distance) for r in engine.query_by_id(qid, top_k=5)]
 
 
-def test_engine_parallel_results_and_cache(use_kernel):
-    for kernel in KERNELS:
-        with use_kernel(kernel):
-            _check_engine_results_and_cache(use_kernel, kernel)
-
-
-def _check_engine_results_and_cache(use_kernel, kernel):
-    """An engine on ``kernel`` with a result cache answers what an
-    uncached engine on the numpy loop answers, before and after a
-    remove."""
+def test_engine_parallel_results_and_cache():
+    """An engine with a result cache answers what an uncached engine
+    answers, before and after a remove."""
     serial = _image_engine(cache_entries=0)
     par = _image_engine()
     with serial, par:
         for qid in (0, 4, 4, 0):
-            with use_kernel("numpy"):
-                a = _answers(serial, qid)
+            a = _answers(serial, qid)
             with _served() as served:
                 assert _answers(par, qid) == a
         assert par.parallel_info()["cache"]["hits"] >= 2
@@ -435,19 +408,18 @@ def _check_engine_results_and_cache(use_kernel, kernel):
         # reads the arena as it is now, with no reload step.
         par.remove(50)
         serial.remove(50)
-        with use_kernel("numpy"):
-            a = _answers(serial, 0)
+        a = _answers(serial, 0)
         with _served() as served:
             assert _answers(par, 0) == a
-        assert set(served) <= {kernel}
+        assert served == ["compiled"]
         assert par.parallel_info()["cache"]["invalidations"] >= 1
         assert par._pool is None
 
 
 @pytest.mark.perf
-def test_two_worker_smoke(use_kernel):
-    """CI smoke: on a denser store, both kernels' batched scans are
-    candidate-set identical to the reference (the `make smoke` gate)."""
+def test_two_worker_smoke():
+    """CI smoke: on a denser store, the batched scan is candidate-set
+    identical to the reference (the `make smoke` gate)."""
     sk, store, objects = _seeded_store(
         31, num_objects=150, segs=3, tombstones=range(40, 60)
     )
@@ -461,7 +433,6 @@ def test_two_worker_smoke(use_kernel):
         sketch_filter_reference(q, qs, store, params, sk.n_bits)
         for q, qs in zip(queries, sketches)
     ]
-    for kernel in KERNELS:
-        with use_kernel(kernel), _served() as served:
-            assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == want
-        assert served == [kernel]
+    with _served() as served:
+        assert sketch_filter_many(queries, sketches, store, params, sk.n_bits) == want
+    assert served == ["compiled"]

@@ -4,8 +4,8 @@ to the pre-batch per-segment reference implementation.
 Marked ``perf`` so CI can select it (``pytest -m perf``); it is fast and
 runs in tier-1.  This is the acceptance gate for the batched Hamming
 kernel: any change to ``sketch_filter`` / ``sketch_filter_many`` /
-``hamming_many_to_many`` that alters candidate sets — including the
-tombstone handling both paths share — fails here.
+``hamming_topk`` that alters candidate sets — including the tombstone
+handling — fails here.
 """
 
 import tracemalloc
@@ -99,7 +99,7 @@ def _shape_like_store(n_rows=20_000, n_bits=800, dim=16, seed=11):
 
 
 def _peak_bytes(fn):
-    fn()  # warm: the numpy loop's thread-local scratch
+    fn()  # warm: first-call allocations stay out of the peak
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -110,11 +110,10 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_scan_allocates_less_than_half_the_arena(use_kernel):
-    """The numpy scan allocates its distance row and no more (under half
-    the arena); the compiled top-k pass builds no distance row at all,
-    so it allocates under 2 % of the arena (the dead-row mask, one byte
-    a row, is the largest piece)."""
+def test_scan_allocates_less_than_half_the_arena():
+    """The compiled top-k pass builds no distance row at all, so it
+    allocates under 2 % of the arena (the dead-row mask, one byte a
+    row, is the largest piece)."""
     sk, store, query = _shape_like_store()
     params = FilterParams(num_query_segments=1, candidates_per_segment=64)
     owners, sketches = store.snapshot()
@@ -124,11 +123,7 @@ def test_scan_allocates_less_than_half_the_arena(use_kernel):
     def scan():
         return sketch_filter(query, qs, store, params, sk.n_bits)
 
-    with use_kernel("numpy"):
-        numpy_bytes = _peak_bytes(scan)
-    assert numpy_bytes < arena_bytes / 2, (numpy_bytes, arena_bytes)
-    with use_kernel("compiled"):
-        compiled_bytes = _peak_bytes(scan)
+    compiled_bytes = _peak_bytes(scan)
     assert compiled_bytes < arena_bytes * 0.02, (compiled_bytes, arena_bytes)
 
 
@@ -174,15 +169,13 @@ def test_arena_stays_word_major_through_every_rewrite(monkeypatch):
     _assert_word_major(store)
 
     # Appends and a tombstone after the rewrite: the compiled top-k pass
-    # reads the same arrays in place (no numpy fall-back for a foreign
-    # layout) and answers what the reference answers.
+    # reads the same arrays in place and answers what the reference
+    # answers.
     for oid in range(1001, 1011):
         store.add_object(oid, new_row())
     store.remove_object(100)
     _assert_word_major(store)
-    assert bitvector.topk_in_place(store.snapshot()[1]) == (
-        bitvector.scan_kernel() == "compiled"
-    )
+    assert bitvector.topk_in_place(store.snapshot()[1])
     assert sketch_filter(
         query, qs, store, params, sk.n_bits
     ) == sketch_filter_reference(query, qs, store, params, sk.n_bits)

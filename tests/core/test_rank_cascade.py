@@ -2,9 +2,9 @@
 
 Two families of guarantees:
 
-1. The lower bounds are *provable*: across thresholded / sqrt-weighted /
-   custom-ground configurations, neither bound ever exceeds the exact
-   EMD (hypothesis property tests).
+1. The lower bound ``rank_topk`` computes is *provable*: across
+   thresholded / sqrt-weighted / custom-ground configurations, it never
+   exceeds the exact EMD (hypothesis property tests).
 2. The cascade is *invisible*: ``rank_candidates_many`` returns exactly
    ``rank_candidates``'s results — distances, ordering, deterministic
    ties — on randomized workloads including self-exclusion and
@@ -28,20 +28,13 @@ from repro.core import (
     SimilaritySearchEngine,
     SketchParams,
     emd,
-    emd_lower_bound_rowcol,
     emd_to_many,
     rank_candidates,
     rank_candidates_many,
 )
 from repro.core import transport
 from repro.core.distance import weighted_l1_to_many
-from repro.core.emd import (
-    _balanced_demands,
-    _shave,
-    emd_lower_bounds_rowcol,
-    packed_cost_matrices,
-    packed_costs,
-)
+from repro.core.emd import packed_cost_matrices, packed_costs
 from repro.core.ranking import RankStats, _rank_topk
 from repro.core.transport import TransportPivotLimitError, solve_transport
 from repro.observability import metrics as obs_metrics
@@ -85,6 +78,22 @@ def _param_configs(dim=5):
 NUM_CONFIGS = len(_param_configs())
 
 
+def _packed_bounds(costs, offsets, supply, demands):
+    """The row/column bound ``rank_topk`` computes for every candidate of
+    a packed cost array (a top 0 visits none of them)."""
+    ids = list(range(len(demands)))
+    return _rank_topk(costs, offsets, supply, demands, ids, 0, True, RankStats())[1]
+
+
+def _bounds(query, candidates, params, demands=None):
+    costs, offsets = packed_costs(query, candidates, params)
+    if demands is None:
+        demands = [params.effective_weights(c.weights) for c in candidates]
+    return _packed_bounds(
+        costs, offsets, params.effective_weights(query.weights), demands
+    )
+
+
 class TestLowerBounds:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -99,7 +108,7 @@ class TestLowerBounds:
         query = _sig(rng, 1, m)
         candidate = _sig(rng, 2, n)
         exact = emd(query, candidate, params)
-        rowcol = emd_lower_bound_rowcol(query, candidate, params)
+        rowcol = _bounds(query, [candidate], params)[0]
         assert 0.0 <= rowcol <= exact + TOL
 
     def test_bounds_tight_on_identical_objects(self):
@@ -110,7 +119,7 @@ class TestLowerBounds:
         )
         for params in _param_configs():
             exact = emd(q, dup, params)
-            assert emd_lower_bound_rowcol(q, dup, params) <= exact + TOL
+            assert _bounds(q, [dup], params)[0] <= exact + TOL
 
 
 class TestBatchedBounds:
@@ -130,30 +139,30 @@ class TestBatchedBounds:
                 normalize=False,
             )
         )
-        costs, offsets = packed_costs(query, candidates, params)
-        supply = params.effective_weights(query.weights)
         demands = [
             params.effective_weights(c.weights) for c in candidates[:-1]
         ] + [np.zeros(2)]
-        rowcol = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
+        rowcol = _bounds(query, candidates, params, demands)
         assert rowcol[-1] == 0.0
         for pos, cand in enumerate(candidates[:-1]):
             exact = emd(query, cand, params)
             assert 0.0 <= rowcol[pos] <= exact + TOL
             assert rowcol[pos] == pytest.approx(
-                emd_lower_bound_rowcol(query, cand, params), rel=1e-12
+                _bounds(query, [cand], params)[0], rel=1e-12
             )
 
 
 def _colmin_bounds(costs, offsets, supply, demands):
     """The row/column bound as it stood before the capped column side:
-    ``max(supply @ row_mins, demand @ col_mins)``, shaved."""
-    widths = np.diff(offsets)
-    starts = offsets[:-1]
-    demand, _ = _balanced_demands(supply, demands, starts, widths)
-    rows = supply @ np.minimum.reduceat(costs, starts, axis=1)
-    cols = np.add.reduceat(demand * costs.min(axis=0), starts)
-    return _shave(np.maximum(rows, cols))
+    ``max(supply @ row_mins, demand @ col_mins)`` with the demand
+    balanced to the supply, less the float-safety margin."""
+    bounds = []
+    for pos, demand in enumerate(demands):
+        block = costs[:, offsets[pos]:offsets[pos + 1]]
+        demand = demand * (supply.sum() / demand.sum())
+        side = max(supply @ block.min(axis=1), demand @ block.min(axis=0))
+        bounds.append(max(0.0, side * (1.0 - 1e-9) - 1e-12))
+    return np.array(bounds)
 
 
 class TestCappedColumnBound:
@@ -183,7 +192,7 @@ class TestCappedColumnBound:
         costs, offsets = packed_costs(query, candidates, params)
         supply = params.effective_weights(query.weights)
         demands = [params.effective_weights(c.weights) for c in candidates]
-        capped = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
+        capped = _packed_bounds(costs, offsets, supply, demands)
         colmin = _colmin_bounds(costs, offsets, supply, demands)
         for pos, cand in enumerate(candidates):
             assert 0.0 <= capped[pos] <= emd(query, cand, params) + TOL
@@ -197,7 +206,7 @@ class TestCappedColumnBound:
         supply = np.array([0.1, 0.9])
         demands = [np.array([0.45, 0.45, 0.1])]
         offsets = np.array([0, 3])
-        capped = emd_lower_bounds_rowcol(costs, offsets, supply, demands)
+        capped = _packed_bounds(costs, offsets, supply, demands)
         assert _colmin_bounds(costs, offsets, supply, demands)[0] == 0.0
         assert capped[0] == pytest.approx(0.7, rel=1e-8)
 
@@ -402,10 +411,8 @@ class TestCascadeEquivalence:
 
 # ----------------------------------------------------------------------
 # The compiled cascade (``_emd.c``'s ``rank_topk``) against exact
-# ``rank_candidates``, and the Python loop through the same checks
+# ``rank_candidates``
 # ----------------------------------------------------------------------
-RANK_KERNELS = ("python", "compiled")
-
 
 def _hex(results):
     return [(r.distance.hex(), r.object_id) for r in results]
@@ -462,8 +469,13 @@ class TestCompiledCascade:
     @example(seed=40, config=1, top_k=8, max_segments=14, duplicates=2,
              zero_mass=1, zero_segments=1, exclude_self=True,
              rowcol_bound=False)
+    # Pinned: two zero-segment candidates at distance 0 and bound 0, so a
+    # prune on ">=" instead of ">" skips the second one.
+    @example(seed=0, config=0, top_k=1, max_segments=3, duplicates=0,
+             zero_mass=0, zero_segments=2, exclude_self=False,
+             rowcol_bound=False)
     def test_bit_equal_to_rank_candidates(
-        self, use_rank_kernel, seed, config, top_k, max_segments, duplicates,
+        self, seed, config, top_k, max_segments, duplicates,
         zero_mass, zero_segments, exclude_self, rowcol_bound,
     ):
         rng = np.random.default_rng(seed)
@@ -480,25 +492,21 @@ class TestCompiledCascade:
         candidate_ids = list(objects) + [7, 5000]  # a repeat, a removed id
         rng.shuffle(candidate_ids)
         dist = EMDDistance(params)
-        for kernel in RANK_KERNELS:
-            with use_rank_kernel(kernel):
-                want = rank_candidates(
-                    query, candidate_ids, objects, dist, top_k=top_k,
-                    exclude_self=exclude_self,
-                )
-                got, stats = rank_candidates_many(
-                    query, candidate_ids, objects, dist, top_k=top_k,
-                    exclude_self=exclude_self,
-                    params=RankParams(rowcol_bound=rowcol_bound),
-                )
-            assert _hex(got) == _hex(want), kernel
-            assert stats.exact_evals + stats.lower_bound_prunes == stats.considered
-            if not rowcol_bound:
-                assert stats.lower_bound_prunes == 0
+        want = rank_candidates(
+            query, candidate_ids, objects, dist, top_k=top_k,
+            exclude_self=exclude_self,
+        )
+        got, stats = rank_candidates_many(
+            query, candidate_ids, objects, dist, top_k=top_k,
+            exclude_self=exclude_self,
+            params=RankParams(rowcol_bound=rowcol_bound),
+        )
+        assert _hex(got) == _hex(want)
+        assert stats.exact_evals + stats.lower_bound_prunes == stats.considered
+        if not rowcol_bound:
+            assert stats.lower_bound_prunes == 0
 
-    def test_ties_at_the_kth_distance_keep_the_smallest_ids(
-        self, use_rank_kernel
-    ):
+    def test_ties_at_the_kth_distance_keep_the_smallest_ids(self):
         rng = np.random.default_rng(41)
         base = [_sig(rng, i, 4) for i in range(3)]
         objects = {
@@ -510,36 +518,31 @@ class TestCompiledCascade:
         }
         query = _sig(rng, 999, 3)
         dist = EMDDistance(EMDParams(threshold=1.5))
-        for kernel in RANK_KERNELS:
-            with use_rank_kernel(kernel):
-                for top_k in (1, 4, 10, 11, 25):
-                    want = rank_candidates(
-                        query, list(objects)[::-1], objects, dist, top_k=top_k
-                    )
-                    got, _ = rank_candidates_many(
-                        query, list(objects)[::-1], objects, dist, top_k=top_k
-                    )
-                    assert _hex(got) == _hex(want), (kernel, top_k)
+        for top_k in (1, 4, 10, 11, 25):
+            want = rank_candidates(
+                query, list(objects)[::-1], objects, dist, top_k=top_k
+            )
+            got, _ = rank_candidates_many(
+                query, list(objects)[::-1], objects, dist, top_k=top_k
+            )
+            assert _hex(got) == _hex(want), top_k
 
-    @pytest.mark.parametrize("kernel", RANK_KERNELS)
-    def test_nan_feature_names_the_candidate(self, use_rank_kernel, kernel):
+    def test_nan_feature_names_the_candidate(self):
         rng = np.random.default_rng(43)
         objects = {i: _sig(rng, i, 3) for i in range(12)}
         features = objects[8].features.copy()
         features[1, 2] = np.nan
         objects[8] = ObjectSignature(features, objects[8].weights, object_id=8)
         dist = EMDDistance(EMDParams(threshold=1.0))
-        with use_rank_kernel(kernel):
-            with pytest.raises(NonFiniteDistanceError) as want:
-                rank_candidates(_sig(rng, 99, 3), list(objects), objects, dist)
-            with pytest.raises(NonFiniteDistanceError) as got:
-                rank_candidates_many(
-                    _sig(rng, 99, 3), list(objects), objects, dist, top_k=3
-                )
+        with pytest.raises(NonFiniteDistanceError) as want:
+            rank_candidates(_sig(rng, 99, 3), list(objects), objects, dist)
+        with pytest.raises(NonFiniteDistanceError) as got:
+            rank_candidates_many(
+                _sig(rng, 99, 3), list(objects), objects, dist, top_k=3
+            )
         assert got.value.object_id == want.value.object_id == 8
 
-    @pytest.mark.parametrize("kernel", RANK_KERNELS)
-    def test_pivot_cap_raises(self, use_rank_kernel, monkeypatch, kernel):
+    def test_pivot_cap_raises(self, monkeypatch):
         # Every candidate gets a cost matrix whose Vogel start needs a
         # pivot; at a cap of zero pivots the first solve must raise.
         supply = np.array([0.4, 0.3, 0.2, 0.1])
@@ -558,22 +561,18 @@ class TestCompiledCascade:
             for i in range(6)
         }
         monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
-        with use_rank_kernel(kernel):
-            with pytest.raises(TransportPivotLimitError) as excinfo:
-                rank_candidates_many(
-                    query, list(objects), objects, EMDDistance(params), top_k=2
-                )
+        with pytest.raises(TransportPivotLimitError) as excinfo:
+            rank_candidates_many(
+                query, list(objects), objects, EMDDistance(params), top_k=2
+            )
         assert (excinfo.value.m, excinfo.value.n, excinfo.value.pivots) == (4, 5, 0)
 
-    @pytest.mark.parametrize("kernel", RANK_KERNELS)
     @pytest.mark.parametrize(
         "weights", [[1.0, 1.0], [1.5, -0.5]], ids=["unbalanced", "negative"]
     )
-    def test_bad_masses_raise_the_solvers_error(
-        self, use_rank_kernel, kernel, weights
-    ):
+    def test_bad_masses_raise_the_solvers_error(self, weights):
         # The bad candidate copies the query's features, so its bound is
-        # 0 and both cascades visit it first.
+        # 0 and the cascade visits it first.
         rng = np.random.default_rng(44)
         objects = {i: _sig(rng, i, 2) for i in range(10)}
         query = _sig(rng, 99, 2)
@@ -585,40 +584,34 @@ class TestCompiledCascade:
                 query.weights, objects[6].weights,
                 EMDParams().segment_costs(query.features, query.features),
             )
-        with use_rank_kernel(kernel):
-            with pytest.raises(ValueError) as got:
-                rank_candidates_many(
-                    query, list(objects), objects, EMDDistance(), top_k=3
-                )
+        with pytest.raises(ValueError) as got:
+            rank_candidates_many(
+                query, list(objects), objects, EMDDistance(), top_k=3
+            )
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("kernel", RANK_KERNELS)
-    def test_non_finite_costs_raise_the_solvers_error(self, use_rank_kernel, kernel):
+    def test_non_finite_costs_raise_the_solvers_error(self):
         # A NaN threshold clips every cost to NaN after the feature
         # check: the solver's own cost check has to refuse them.
         rng = np.random.default_rng(46)
         objects = {i: _sig(rng, i, 2) for i in range(8)}
         dist = EMDDistance(EMDParams(threshold=float("nan")))
-        with use_rank_kernel(kernel):
-            with pytest.raises(ValueError, match="costs must be finite"):
-                rank_candidates(_sig(rng, 99, 2), list(objects), objects, dist)
-            with pytest.raises(ValueError, match="costs must be finite"):
-                rank_candidates_many(
-                    _sig(rng, 99, 2), list(objects), objects, dist, top_k=3
-                )
+        with pytest.raises(ValueError, match="costs must be finite"):
+            rank_candidates(_sig(rng, 99, 2), list(objects), objects, dist)
+        with pytest.raises(ValueError, match="costs must be finite"):
+            rank_candidates_many(
+                _sig(rng, 99, 2), list(objects), objects, dist, top_k=3
+            )
 
     @pytest.mark.parametrize(
         "weights, error",
         [([1.0, 1.0], "unbalanced"), ([np.inf, 0.5], "must be finite")],
     )
-    def test_compiled_cascade_checks_pruned_candidates_too(
-        self, use_rank_kernel, weights, error
-    ):
+    def test_compiled_cascade_checks_pruned_candidates_too(self, weights, error):
         # A far candidate with bad masses is refused although its bound
-        # prunes it (an infinite mass even makes the Python loop's bound
-        # NaN, which sorts last): every candidate passes the solver's
-        # checks, as in exact rank_candidates.
+        # prunes it: every candidate passes the solver's checks, as in
+        # exact rank_candidates.
         rng = np.random.default_rng(45)
         objects = {i: _sig(rng, i, 2) for i in range(10)}
         objects[9] = ObjectSignature(
@@ -628,15 +621,12 @@ class TestCompiledCascade:
         dist = EMDDistance()
         with pytest.raises(ValueError, match=error):
             rank_candidates(query, list(objects), objects, dist, top_k=2)
-        with use_rank_kernel("compiled"):
-            with pytest.raises(ValueError, match=error):
-                rank_candidates_many(query, list(objects), objects, dist, top_k=2)
+        with pytest.raises(ValueError, match=error):
+            rank_candidates_many(query, list(objects), objects, dist, top_k=2)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), config=st.integers(0, NUM_CONFIGS - 1))
-    def test_bound_never_exceeds_the_exact_emd(
-        self, use_rank_kernel, seed, config
-    ):
+    def test_bound_never_exceeds_the_exact_emd(self, seed, config):
         rng = np.random.default_rng(seed)
         params = _param_configs()[config]
         empty = int(params.weight_transform is None)
@@ -647,11 +637,9 @@ class TestCompiledCascade:
         costs, offsets = packed_costs(query, sigs, params)
         supply = params.effective_weights(query.weights)
         demands = [params.effective_weights(c.weights) for c in sigs]
-        with use_rank_kernel("compiled"):
-            results, bounds = _rank_topk(
-                transport._KERNEL, costs, offsets, supply, demands, ids,
-                len(ids) - 1, True, RankStats(),
-            )
+        results, bounds = _rank_topk(
+            costs, offsets, supply, demands, ids, len(ids) - 1, True, RankStats()
+        )
         for pos, cand in enumerate(sigs):
             assert 0.0 <= bounds[pos] <= emd(query, cand, params), pos
         assert results == rank_candidates(

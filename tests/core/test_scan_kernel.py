@@ -1,20 +1,20 @@
 """The compiled Hamming kernel: edge shapes, threads, and its loader.
 
-Every shape test runs on both kernels (the ``scan_kernel`` fixture) and
-is checked against ``hamming_to_many``, which is numpy only and shares
-no code with the C kernel.  The filter's full scan (``_scan_nearest``)
-is the compiled top-k pass on one and the numpy matrix and select on
-the other; its ``(distance, row)`` sets are checked against
-``select_k_smallest`` over ``hamming_to_many``, at ties across the
-kernel's 32-row chunks and 2,048-row tiles and with tombstones.  The
-loader tests build both C sources (``_hamming.c`` and ``_emd.c``) into a
-temporary cache directory: a compiler that fails or does not exist
-leaves the scan on numpy and the EMD on Python and raises nothing, and
-a kernel file another user could have written is refused.
+Every shape test is checked against ``hamming_to_many``, which is numpy
+only and shares no code with the C kernel.  The filter's full scan (the
+fused top-k pass, ``bitvector.hamming_topk``) has its ``(distance,
+row)`` sets checked against ``select_k_smallest`` over
+``hamming_to_many``, at ties across the kernel's 32-row chunks and
+2,048-row tiles and with tombstones.  The loader tests build both C
+sources (``_hamming.c`` and ``_emd.c``) into a temporary cache
+directory: a compiler that fails or does not exist, a missing symbol,
+and a kernel file another user could have written each raise
+``ImportError``, naming the compiler command or the file.
 """
 
 import importlib.resources
 import os
+import re
 import threading
 import tomllib
 from pathlib import Path
@@ -27,17 +27,13 @@ from repro.core import (
     SimilaritySearchEngine,
     SketchParams,
     bitvector,
-    filtering,
     native,
     transport,
 )
 from repro.core.bitvector import hamming_many_to_many, hamming_to_many
 from repro.core.filtering import select_k_smallest
-from repro.core.types import meta_from_dataset
-from repro.datatypes.bulk import bulk_image_dataset, bulk_shape_dataset
+from repro.datatypes.bulk import bulk_image_dataset
 from repro.datatypes.image import make_image_plugin
-from repro.datatypes.shape import make_shape_plugin
-from repro.server import CommandProcessor, parse_command
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -54,22 +50,22 @@ def _words(rng, *shape):
 
 
 # ----------------------------------------------------------------------
-# Shapes, on both kernels
+# Shapes
 # ----------------------------------------------------------------------
-def test_zero_rows(scan_kernel):
+def test_zero_rows():
     queries = _words(np.random.default_rng(0), 3, 4)
     out = hamming_many_to_many(queries, np.zeros((0, 4), dtype=np.uint64))
     assert out.shape == (3, 0) and out.dtype == np.uint32
 
 
-def test_one_row(scan_kernel):
+def test_one_row():
     rng = np.random.default_rng(1)
     queries, row = _words(rng, 2, 13), _words(rng, 1, 13)
     assert np.array_equal(hamming_many_to_many(queries, row), _rowwise(queries, row))
 
 
 @pytest.mark.parametrize("n_rows", [2047, 2048, 2049])
-def test_rows_at_the_tile_edge(scan_kernel, n_rows):
+def test_rows_at_the_tile_edge(n_rows):
     """The kernel works in 2,048-row tiles; the last one may be partial."""
     rng = np.random.default_rng(n_rows)
     queries = _words(rng, 3, 13)
@@ -79,7 +75,7 @@ def test_rows_at_the_tile_edge(scan_kernel, n_rows):
     assert np.array_equal(hamming_many_to_many(queries, arena.T, block_rows=1000), want)
 
 
-def test_negative_stride_views(scan_kernel):
+def test_negative_stride_views():
     """Reversed rows (copied word-major per block) and reversed words
     (a negative word stride, scanned in place) give the same matrix."""
     rng = np.random.default_rng(3)
@@ -97,7 +93,7 @@ def test_negative_stride_views(scan_kernel):
         )
 
 
-def test_all_ones_words(scan_kernel):
+def test_all_ones_words():
     """32 words of all ones against zero: distance 2,048 on every row."""
     database = np.full((5, 32), np.uint64(2**64 - 1))
     queries = np.zeros((2, 32), dtype=np.uint64)
@@ -105,9 +101,9 @@ def test_all_ones_words(scan_kernel):
     assert (hamming_many_to_many(database[:1], database) == 0).all()
 
 
-def test_two_threads_match_a_serial_scan(scan_kernel):
-    """Both kernels run outside the GIL; two threads scanning at once
-    (the scan split's shape) must each get the serial answer."""
+def test_two_threads_match_a_serial_scan():
+    """The kernel runs outside the GIL; two threads scanning at once
+    must each get the serial answer."""
     rng = np.random.default_rng(4)
     arena = _words(rng, 13, 20_000)
     queries = [_words(rng, 1 + i, 13) for i in range(2)]
@@ -131,19 +127,8 @@ def test_two_threads_match_a_serial_scan(scan_kernel):
         assert all(np.array_equal(out, want[i]) for out in got[i])
 
 
-def test_stat_names_the_kernel_that_served(scan_kernel):
-    dataset = bulk_shape_dataset(20, seed=1)
-    meta = meta_from_dataset(dataset)
-    with SimilaritySearchEngine(
-        make_shape_plugin(meta), SketchParams(128, meta, seed=0), FilterParams()
-    ) as engine:
-        engine.insert_many(list(dataset))
-        stat = CommandProcessor(engine).execute(parse_command("stat"))
-    assert f"scan_kernel {scan_kernel}" in stat
-
-
 # ----------------------------------------------------------------------
-# The full scan's top-k, on both kernels, against the numpy oracle
+# The full scan's top-k against the numpy oracle
 # ----------------------------------------------------------------------
 def _oracle(queries, database, dead, k):
     """Per query row, the sorted (distance, row) pairs that
@@ -159,7 +144,7 @@ def _oracle(queries, database, dead, k):
 
 
 def _nearest(queries, database, dead, k):
-    rows, dists = filtering._scan_nearest(queries, database, dead, k)
+    rows, dists = bitvector.hamming_topk(queries, database, k, dead)
     assert rows.shape == dists.shape == (len(queries), k)
     return [sorted(zip(d.tolist(), r.tolist())) for r, d in zip(rows, dists)]
 
@@ -175,7 +160,7 @@ def _tie_arena(n_rows, near_rows):
 
 @pytest.mark.parametrize("edge", [32, 2048])
 @pytest.mark.parametrize("n_queries", [1, 4])
-def test_topk_ties_across_chunk_and_tile_edges(scan_kernel, edge, n_queries):
+def test_topk_ties_across_chunk_and_tile_edges(edge, n_queries):
     """Eight rows tie at distance 2, four each side of a 32-row chunk
     edge or the 2,048-row tile edge: the k-th slot goes to the smallest
     row whatever side of the edge it falls on."""
@@ -200,7 +185,7 @@ DEAD_ROWS = {
 
 @pytest.mark.parametrize("dead_rows", DEAD_ROWS, ids=list(DEAD_ROWS))
 @pytest.mark.parametrize("n_queries", [1, 4])
-def test_topk_matches_select_k_smallest(scan_kernel, dead_rows, n_queries):
+def test_topk_matches_select_k_smallest(dead_rows, n_queries):
     """Few-bit words (distances 0-6, ties everywhere) over 2 tiles and a
     bit; tombstones copy the first query row, so a dead row that got in
     would be its nearest.  k runs from 1 to the live row count."""
@@ -218,7 +203,7 @@ def test_topk_matches_select_k_smallest(scan_kernel, dead_rows, n_queries):
         assert not any(dead[r] for pairs in got for _, r in pairs)
 
 
-def test_topk_two_threads_at_once(scan_kernel):
+def test_topk_two_threads_at_once():
     """Concurrent scans each get the serial answer: the compiled pass
     keeps its tile and heaps on the caller's stack and output."""
     rng = np.random.default_rng(8)
@@ -246,68 +231,23 @@ def test_topk_two_threads_at_once(scan_kernel):
         assert got[i] == [want[i]] * 20
 
 
-def test_foreign_layout_takes_the_numpy_path(scan_kernel, monkeypatch):
-    """A row-major database is not scanned in place: the numpy matrix
-    and select serve it, with the same answer."""
-    rng = np.random.default_rng(9)
-    arena = rng.integers(0, 4, (3, 3000)).astype(np.uint64)
-    row_major = np.ascontiguousarray(arena.T)
-    queries = row_major[:2].copy()
-    dead = np.zeros(3000, dtype=bool)
-    dead[[0, 2999]] = True
-    want = _nearest(queries, arena.T, dead, 40)
-    assert not bitvector.topk_in_place(row_major)
-
-    def refuse(*args):
-        raise AssertionError("the compiled pass read a foreign layout")
-
-    monkeypatch.setattr(filtering, "hamming_topk", refuse)
-    assert _nearest(queries, row_major, dead, 40) == want == _oracle(
-        queries, arena.T, dead, 40
-    )
-
-
-def test_topk_rejects_what_it_cannot_fill(use_kernel):
+def test_topk_rejects_what_it_cannot_fill():
     """k above the live rows raises, and so does a foreign layout."""
-    with use_kernel("compiled"):
-        arena = np.zeros((1, 10), dtype=np.uint64)
-        dead = np.zeros(10, dtype=bool)
-        dead[:3] = True
-        query = np.zeros((1, 1), dtype=np.uint64)
-        rows, _ = bitvector.hamming_topk(query, arena.T, 7, dead)
-        assert sorted(rows[0].tolist()) == list(range(3, 10))
-        with pytest.raises(ValueError, match="live rows"):
-            bitvector.hamming_topk(query, arena.T, 8, dead)
-        with pytest.raises(ValueError, match="word-major"):
-            bitvector.hamming_topk(query, np.ascontiguousarray(arena.T)[::2], 1)
-        assert bitvector.hamming_topk(query, arena.T, 0)[0].shape == (1, 0)
+    arena = np.zeros((1, 10), dtype=np.uint64)
+    dead = np.zeros(10, dtype=bool)
+    dead[:3] = True
+    query = np.zeros((1, 1), dtype=np.uint64)
+    rows, _ = bitvector.hamming_topk(query, arena.T, 7, dead)
+    assert sorted(rows[0].tolist()) == list(range(3, 10))
+    with pytest.raises(ValueError, match="live rows"):
+        bitvector.hamming_topk(query, arena.T, 8, dead)
+    with pytest.raises(ValueError, match="word-major"):
+        bitvector.hamming_topk(query, np.ascontiguousarray(arena.T)[::2], 1)
+    assert bitvector.hamming_topk(query, arena.T, 0)[0].shape == (1, 0)
 
 
 # ----------------------------------------------------------------------
-# The numpy loop's per-thread scratch
-# ----------------------------------------------------------------------
-def test_scratch_keeps_the_larger_call_not_the_product(monkeypatch):
-    """12 query rows on a narrow block, then 1 on a wide one: the scratch
-    holds max(12 x narrow, wide) words, not 12 x wide."""
-    monkeypatch.setattr(bitvector, "_KERNEL", None)
-    rng = np.random.default_rng(5)
-    narrow, wide = 100, 5000
-    sizes = []
-
-    def scan():
-        hamming_many_to_many(_words(rng, 12, 2), _words(rng, narrow, 2))
-        hamming_many_to_many(_words(rng, 1, 2), _words(rng, wide, 2))
-        sizes.append((bitvector._scratch.xor.size, bitvector._scratch.counts.size))
-
-    thread = threading.Thread(target=scan)  # a fresh thread: empty scratch
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert sizes and max(sizes[0]) <= max(12 * narrow, wide)
-
-
-# ----------------------------------------------------------------------
-# Loader: failures fall back to numpy / Python, foreign files are refused.
+# Loader: every failure raises ImportError, foreign files are refused.
 # Every test runs over both C sources, each through its module's loader.
 # ----------------------------------------------------------------------
 LOADERS = {"hamming": bitvector._load_kernel, "emd": transport._load_kernel}
@@ -315,31 +255,31 @@ MODULES = {"hamming": bitvector, "emd": transport}
 
 
 @pytest.mark.parametrize("compiler", [["false"], ["/nonexistent/ferret-cc"]])
-def test_failed_build_leaves_the_numpy_loop(tmp_path, monkeypatch, compiler):
-    cache = tmp_path / "cache"
-    for stem, load in LOADERS.items():
-        monkeypatch.setattr(MODULES[stem], "_KERNEL", load(compiler, cache))
-        assert MODULES[stem]._KERNEL is None, stem
-    assert bitvector.scan_kernel() == "numpy"
-    assert transport.rank_kernel() == "python"
-    assert list(cache.iterdir()) == []  # the temp files are gone too
-    rng = np.random.default_rng(6)
-    queries, database = _words(rng, 2, 3), _words(rng, 40, 3)
-    assert np.array_equal(
-        hamming_many_to_many(queries, database), _rowwise(queries, database)
-    )
-    result = transport.solve_transport(np.ones(2), np.ones(2), np.eye(2))
-    assert result.cost == 0.0 and (result.flow == 1.0 - np.eye(2)).all()
-
-
-@pytest.fixture
-def built(tmp_path):
-    """Both kernels compiled into one private cache directory:
-    (dir, {stem: file})."""
+def test_failed_build_raises_import_error(tmp_path, compiler):
     cache = tmp_path / "cache"
     for load in LOADERS.values():
-        if load(cache_dir=cache) is None:
-            pytest.skip("no C compiler on this host, or its build failed")
+        with pytest.raises(ImportError, match=re.escape(compiler[0])):
+            load(compiler, cache)
+    assert list(cache.iterdir()) == []  # the temp files are gone too
+
+
+def test_import_error_quotes_the_compilers_stderr(tmp_path):
+    # The shell expands $((6 * 7)), so only the compiler's stderr can
+    # hold "ferret-cc-42"; the argv holds the unexpanded text.
+    compiler = ["sh", "-c", "echo ferret-cc-$((6 * 7)) >&2; exit 1", "cc"]
+    for load in LOADERS.values():
+        with pytest.raises(ImportError, match="ferret-cc-42") as raised:
+            load(compiler, tmp_path / "cache")
+        assert "ferret-cc-$((6 * 7))" in str(raised.value)
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """Both kernels compiled once into one private cache directory:
+    (dir, {stem: file}).  A test that changes the directory restores it."""
+    cache = tmp_path_factory.mktemp("built") / "cache"
+    for load in LOADERS.values():
+        load(cache_dir=cache)
     assert os.stat(cache).st_mode & 0o777 == 0o700
     paths = {}
     for stem in LOADERS:
@@ -347,21 +287,22 @@ def built(tmp_path):
     return cache, paths
 
 
-def test_a_missing_symbol_leaves_the_numpy_loop(built, monkeypatch):
+def test_a_missing_symbol_raises_import_error(built, monkeypatch):
     """Every entry point comes from one library, or none is used."""
     cache, _ = built
     for stem, load in LOADERS.items():
         with monkeypatch.context() as patch:
             patch.setitem(MODULES[stem]._SIGNATURES, f"{stem}_missing", (None, ()))
-            assert load(cache_dir=cache) is None, stem
-        assert load(cache_dir=cache) is not None, stem
+            with pytest.raises(ImportError, match=f"{stem}_missing"):
+                load(cache_dir=cache)
+        load(cache_dir=cache)
 
 
 def test_cached_kernel_is_reused(built):
     cache, paths = built
     mtimes = {stem: path.stat().st_mtime_ns for stem, path in paths.items()}
     for stem, load in LOADERS.items():
-        assert load(cache_dir=cache) is not None, stem
+        load(cache_dir=cache)
         assert paths[stem].stat().st_mtime_ns == mtimes[stem]
     assert sorted(cache.glob("*")) == sorted(paths.values())
 
@@ -369,19 +310,41 @@ def test_cached_kernel_is_reused(built):
 def test_file_owned_by_another_user_is_refused(built, monkeypatch):
     cache, _ = built
     monkeypatch.setattr(native.os, "getuid", lambda: os.stat(cache).st_uid + 1)
+    for load in LOADERS.values():
+        with pytest.raises(ImportError, match=re.escape(str(cache))):
+            load(cache_dir=cache)
+
+
+def test_library_of_another_user_in_our_directory_is_refused(built, monkeypatch):
+    # The directory is ours and only the library's owner differs, so the
+    # refusal has to come from the file's own check.
+    cache, paths = built
+    real_lstat = os.lstat
+
+    def lstat(path):
+        info = real_lstat(path)
+        if Path(path) in paths.values():
+            fields = list(info[:10])
+            fields[4] += 1  # st_uid
+            return os.stat_result(fields)
+        return info
+
+    monkeypatch.setattr(native.os, "lstat", lstat)
     for stem, load in LOADERS.items():
-        assert load(cache_dir=cache) is None, stem
+        with pytest.raises(ImportError, match=re.escape(f"{paths[stem]} is not a private file")):
+            load(cache_dir=cache)
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o702])
 def test_directory_others_can_write_is_refused(built, mode):
     cache, _ = built
     os.chmod(cache, mode)
-    for stem, load in LOADERS.items():
-        assert load(cache_dir=cache) is None, stem
+    for load in LOADERS.values():
+        with pytest.raises(ImportError, match=re.escape(f"{cache} is not private")):
+            load(cache_dir=cache)
     os.chmod(cache, 0o700)
-    for stem, load in LOADERS.items():
-        assert load(cache_dir=cache) is not None, stem
+    for load in LOADERS.values():
+        load(cache_dir=cache)
 
 
 def test_kernel_source_ships_as_package_data():
@@ -415,5 +378,6 @@ def test_no_build_or_load_after_import(monkeypatch):
 
 def test_no_fused_multiply_add():
     """A contracted a * b + c rounds once, not twice: the EMD kernels
-    would no longer give the bits of their numpy twins."""
+    would no longer give the bits of numpy's sums and of the reference
+    solver."""
     assert "-ffp-contract=off" in native._CFLAGS

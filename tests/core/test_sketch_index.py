@@ -8,7 +8,7 @@ included, through inserts, removes (tombstones), and both compactions
 (row positions move).  The state machine draws clustered sketches
 (near neighbours and distances on the threshold), uniform ones and
 duplicated ones (ties), and runs the fast scan on the compiled
-kernel's top-k pass or on the numpy loop (see tests/core/conftest.py).
+kernel's top-k pass.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core import bitvector
 from repro.core import (
     FilterParams,
     ObjectSignature,
@@ -62,24 +61,12 @@ class FilterMachine(RuleBasedStateMachine):
     """One store under random mutations; every query is checked against
     the reference scan."""
 
-    def __init__(self):
-        super().__init__()
-        self._kernel = bitvector._KERNEL
-
-    def teardown(self):
-        bitvector._KERNEL = self._kernel
-
     @initialize(
         n_bits=st.sampled_from([64, 96, 256, 800]),
         kind=st.sampled_from(["clustered", "uniform", "duplicated"]),
-        compiled=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def setup(self, n_bits, kind, compiled, seed):
-        # The fast scan runs on either kernel; the reference is numpy
-        # only.  A host with no compiled kernel runs numpy for both
-        # draws; test_scan_kernel.py's compiled half then skips.
-        bitvector._KERNEL = self._kernel if compiled else None
+    def setup(self, n_bits, kind, seed):
         self.n_bits = n_bits
         self.kind = kind
         self.n_words = -(-n_bits // 64)

@@ -1,11 +1,9 @@
 """Tests for the transportation simplex, cross-checked against scipy's LP.
 
-The bit-identity tests run the compiled simplex (``_emd.c``) and the
-Python fast path against the all-numpy reference solver kept below:
-flow bits, basis, pivots and cost.
+The bit-identity tests run the compiled simplex (``_emd.c``) against the
+all-numpy reference solver kept below, which shares no code with it:
+Vogel's start, then flow bits, basis, pivots and cost.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from repro.core import transport
-from repro.core.transport import (
-    TransportPivotLimitError,
-    _vogel_initial_solution,
-    solve_transport,
-)
-
-
-RANK_KERNELS = ("python", "compiled")  # python first: a loop runs it before a skip
+from repro.core.transport import TransportPivotLimitError, solve_transport
 
 
 def scipy_transport_cost(supply, demand, costs):
@@ -208,31 +199,22 @@ PIVOTING = (
 
 
 class TestPivotCap:
-    def test_raises_instead_of_returning_a_non_optimal_flow(
-        self, monkeypatch, use_rank_kernel
-    ):
-        # A cap of zero pivots must raise, not hand back Vogel's cost,
-        # on the Python path and on the compiled one.
+    def test_raises_instead_of_returning_a_non_optimal_flow(self, monkeypatch):
+        # A cap of zero pivots must raise, not hand back Vogel's cost.
         assert solve_transport(*PIVOTING).iterations >= 1
         monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
-        for kernel in RANK_KERNELS:
-            with use_rank_kernel(kernel):
-                with pytest.raises(TransportPivotLimitError) as excinfo:
-                    solve_transport(*PIVOTING)
-            assert isinstance(excinfo.value, RuntimeError)
-            assert (excinfo.value.m, excinfo.value.n) == (4, 5)
-            assert excinfo.value.pivots == 0
+        with pytest.raises(TransportPivotLimitError) as excinfo:
+            solve_transport(*PIVOTING)
+        assert isinstance(excinfo.value, RuntimeError)
+        assert (excinfo.value.m, excinfo.value.n) == (4, 5)
+        assert excinfo.value.pivots == 0
 
-    def test_cap_not_hit_when_start_is_optimal(self, monkeypatch, use_rank_kernel):
+    def test_cap_not_hit_when_start_is_optimal(self, monkeypatch):
         monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
-        for kernel in RANK_KERNELS:
-            with use_rank_kernel(kernel):
-                result = solve_transport(
-                    np.ones(2), np.ones(2), np.ones((2, 2)) - np.eye(2)
-                )
-            assert result.cost == 0.0 and result.iterations == 0
+        result = solve_transport(np.ones(2), np.ones(2), np.ones((2, 2)) - np.eye(2))
+        assert result.cost == 0.0 and result.iterations == 0
 
-    def test_cap_reached_mid_run_on_both_paths(self, monkeypatch, use_rank_kernel):
+    def test_cap_reached_mid_run_on_both_paths(self, monkeypatch):
         # A cap one pivot short of what a problem needs raises with the
         # cap as the pivot count, after that many pivots; at the pivots
         # it needs it solves.
@@ -241,14 +223,12 @@ class TestPivotCap:
         supply = demand = np.full(9, 1 / 9)
         needed = solve_transport(supply, demand, costs).iterations
         assert needed >= 2
-        for kernel in RANK_KERNELS:
-            with use_rank_kernel(kernel):
-                monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", _PivotCap(needed - 1))
-                with pytest.raises(TransportPivotLimitError) as excinfo:
-                    solve_transport(supply, demand, costs)
-                assert excinfo.value.pivots == needed - 1
-                monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", _PivotCap(needed))
-                assert solve_transport(supply, demand, costs).iterations == needed
+        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", _PivotCap(needed - 1))
+        with pytest.raises(TransportPivotLimitError) as excinfo:
+            solve_transport(supply, demand, costs)
+        assert excinfo.value.pivots == needed - 1
+        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", _PivotCap(needed))
+        assert solve_transport(supply, demand, costs).iterations == needed
 
 
 class _PivotCap:
@@ -261,8 +241,8 @@ class _PivotCap:
         return self.cap
 
 
-# --- Vogel's start: the per-line loop the vectorised version replaced,
-# --- kept verbatim as the reference it must reproduce step for step.
+# --- Vogel's start: the per-line loop, the reference the compiled start
+# --- must reproduce step for step.
 
 def _reference_vogel(supply, demand, costs):
     m, n = costs.shape
@@ -320,9 +300,8 @@ def _reference_penalty_and_argmin(values):
     return float(rest.min() - smallest), j
 
 
-# --- The whole solver as it stood before its per-call overhead was
-# --- removed, kept verbatim (on top of the reference Vogel) as the
-# --- reference the fast path must reproduce bit for bit.
+# --- The whole solver in numpy (on top of the reference Vogel): the
+# --- reference the compiled simplex must reproduce bit for bit.
 
 def _reference_solve(supply, demand, costs, tolerance=1e-12):
     """``(TransportResult, final basis)``."""
@@ -355,8 +334,8 @@ def _reference_solve(supply, demand, costs, tolerance=1e-12):
             break
         if iterations >= max_pivots:
             raise TransportPivotLimitError(m, n, iterations)
-        cycle = transport._find_cycle(basis, entering, m, n)
-        transport._pivot(flow, basis, cycle)
+        cycle = _reference_find_cycle(basis, entering, m, n)
+        _reference_pivot(flow, basis, cycle)
         iterations += 1
 
     return transport.TransportResult(
@@ -428,10 +407,79 @@ def _reference_find_entering(costs, u, v, basis, tolerance):
     return int(i), int(j)
 
 
+def _reference_find_cycle(basis, entering, m, n):
+    """Unique alternating cycle created by adding ``entering`` to the
+    basis tree, in cycle order from ``entering``; even positions gain
+    flow, odd positions lose flow."""
+    # Adjacency over the basis tree (bipartite: rows 0..m-1, cols m..m+n-1)
+    adj = [[] for _ in range(m + n)]
+    for (i, j) in basis:
+        adj[i].append((m + j, (i, j)))
+        adj[m + j].append((i, (i, j)))
+    start, goal = entering[0], m + entering[1]
+    # DFS path from entering-row to entering-column through the tree.
+    prev = {start: None}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for nxt, cell in adj[node]:
+            if nxt not in prev:
+                prev[nxt] = (node, cell)
+                stack.append(nxt)
+    if goal not in prev:
+        raise RuntimeError("basis is not spanning; cannot close pivot cycle")
+    path_cells = []
+    node = goal
+    while prev[node] is not None:
+        parent, cell = prev[node]
+        path_cells.append(cell)
+        node = parent
+    return [entering] + path_cells
+
+
+def _reference_pivot(flow, basis, cycle):
+    """Shift flow around the cycle; entering cell gains, leaving cell exits."""
+    losing = cycle[1::2]
+    theta = min(flow[i, j] for (i, j) in losing)
+    leave_idx = min(
+        range(len(losing)), key=lambda k: (flow[losing[k]], losing[k])
+    )
+    for pos, (i, j) in enumerate(cycle):
+        if pos % 2 == 0:
+            flow[i, j] += theta
+        else:
+            flow[i, j] -= theta
+            if flow[i, j] < 0.0:  # numerical dust
+                flow[i, j] = 0.0
+    basis.add(cycle[0])
+    basis.discard(losing[leave_idx])
+
+
+def _cells(mask):
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
+
+
+def _compiled_start(supply, demand, costs):
+    """``(flow, basis)`` of ``_emd.c``'s Vogel start and spanning step on
+    the given masses: the simplex run with a cap of zero pivots."""
+    m, n = costs.shape
+    work = np.zeros(m + n + m * n)
+    work[:m], work[m : m + n] = supply, demand
+    basis = np.zeros((m, n), dtype=np.uint8)
+    transport._KERNEL.solve(
+        m, n, work.ctypes.data, costs.ctypes.data, n, 1, 1e-12, 0, basis.ctypes.data
+    )
+    return work[m + n :].reshape(m, n), _cells(basis)
+
+
 def _assert_same_start(supply, demand, costs):
-    flow, basis = _vogel_initial_solution(supply, demand, costs)
+    costs = np.ascontiguousarray(costs, dtype=np.float64)
+    flow, basis = _compiled_start(supply, demand, costs)
     ref_flow, ref_basis = _reference_vogel(supply, demand, costs)
-    assert np.array_equal(flow, ref_flow)
+    assert np.array_equal(flow.view(np.uint64), ref_flow.view(np.uint64))
+    _reference_ensure_spanning_basis(ref_basis, ref_flow, *costs.shape)
     assert basis == ref_basis
 
 
@@ -470,6 +518,9 @@ def vogel_problems(draw):
 
 
 class TestVogelStart:
+    """``_emd.c``'s start: Vogel's flow and basis, then the zero-flow
+    cells that make the basis a spanning tree."""
+
     @settings(max_examples=300, deadline=None)
     @given(vogel_problems())
     def test_identical_flow_and_basis(self, problem):
@@ -490,15 +541,9 @@ class TestVogelStart:
         demand = np.array([0.0, 0.0, 1.0, 0.0])
         costs = np.arange(12, dtype=np.float64).reshape(3, 4)
         _assert_same_start(supply, demand, costs)
-        flow, basis = _vogel_initial_solution(supply, demand, costs)
-        assert basis == {(1, 2)} and flow[1, 2] == 1.0
-
-    def test_no_warnings_from_closed_lines(self):
-        rng = np.random.default_rng(0)
-        supply = np.full(6, 1 / 6)
-        demand = np.full(6, 1 / 6)
-        with np.errstate(all="raise"):
-            _vogel_initial_solution(supply, demand, rng.random((6, 6)))
+        flow, basis = _compiled_start(supply, demand, costs)
+        assert (1, 2) in basis and len(basis) == 3 + 4 - 1
+        assert flow[1, 2] == 1.0 and flow.sum() == 1.0
 
 
 @st.composite
@@ -528,10 +573,6 @@ def _balanced(supply, demand):
     return supply, demand
 
 
-def _cells(mask):
-    return {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
-
-
 def _compiled_solve(supply, demand, costs):
     """``(flow, basis, pivots)`` of ``_emd.c``'s simplex on balanced
     masses, with the basis it ends on."""
@@ -539,82 +580,61 @@ def _compiled_solve(supply, demand, costs):
     work = np.zeros(m + n + m * n)
     work[:m], work[m : m + n] = supply, demand
     basis = np.zeros((m, n), dtype=np.uint8)
-    flow, pivots = transport._compiled_simplex(
-        transport._KERNEL, work, costs, 1e-12, basis
-    )
+    flow, pivots = transport._simplex(work, costs, 1e-12, basis)
     return flow, _cells(basis), pivots
 
 
-def _assert_same_solve(supply, demand, costs, use_rank_kernel):
-    """Both solver paths give the reference's flow bits, cost and pivots,
-    and end on its basis."""
+def _assert_same_solve(supply, demand, costs):
+    """The compiled solver gives the reference's flow bits, cost and
+    pivots, and ends on its basis."""
     ref, ref_basis = _reference_solve(supply, demand, costs)
-    for kernel in RANK_KERNELS:
-        with use_rank_kernel(kernel):
-            got = solve_transport(supply, demand, costs)
-            assert np.array_equal(got.flow.view(np.uint64), ref.flow.view(np.uint64))
-            assert got.cost == ref.cost
-            assert got.iterations == ref.iterations
-            if ref_basis:
-                masses = _balanced(supply, demand)
-                if kernel == "compiled":
-                    _flow, basis, _pivots = _compiled_solve(*masses, costs)
-                else:
-                    _flow, basis, _pivots = transport._simplex(*masses, costs, 1e-12)
-                assert basis == ref_basis
-    # The optimality check, part by part, on the reference start: the
-    # potentials must match to the bit, not just the decision they drive.
-    m, n = costs.shape
-    flow, basis = _reference_vogel(supply, demand, costs)
-    _reference_ensure_spanning_basis(basis, flow, m, n)
-    u, v = transport._compute_potentials(basis, costs, m, n)
-    ref_u, ref_v = _reference_potentials(basis, costs, m, n)
-    assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
-    assert transport._find_entering(
-        costs, u, v, basis, 1e-12
-    ) == _reference_find_entering(costs, ref_u, ref_v, basis, 1e-12)
+    got = solve_transport(supply, demand, costs)
+    assert np.array_equal(got.flow.view(np.uint64), ref.flow.view(np.uint64))
+    assert got.cost == ref.cost
+    assert got.iterations == ref.iterations
+    if ref_basis:
+        _flow, basis, _pivots = _compiled_solve(*_balanced(supply, demand), costs)
+        assert basis == ref_basis
     return ref
 
 
 class TestSolveMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(problem=st.one_of(vogel_problems(), corpus_problems()))
-    def test_identical_flow_cost_and_pivots(self, problem, use_rank_kernel):
-        _assert_same_solve(*problem, use_rank_kernel)
+    def test_identical_flow_cost_and_pivots(self, problem):
+        _assert_same_solve(*problem)
 
-    def test_pivoting_problem(self, use_rank_kernel):
-        assert _assert_same_solve(*PIVOTING, use_rank_kernel).iterations >= 1
+    def test_pivoting_problem(self):
+        assert _assert_same_solve(*PIVOTING).iterations >= 1
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_many_pivots(self, seed, use_rank_kernel):
+    def test_many_pivots(self, seed):
         # Uniform masses and float costs at 24 x 24: a long pivot run,
         # with ties in the leaving flow at every degenerate step.
         rng = np.random.default_rng(seed)
         costs = rng.random((24, 24))
         masses = np.full(24, 1 / 24)
-        assert _assert_same_solve(masses, masses, costs, use_rank_kernel).iterations >= 5
+        assert _assert_same_solve(masses, masses, costs).iterations >= 5
 
-    def test_zero_weight_row_needs_the_spanning_step(self, use_rank_kernel):
+    def test_zero_weight_row_needs_the_spanning_step(self):
         # Row 1 carries no mass, so Vogel's basis is one cell short and
         # only the spanning step connects row 1 — whose potential then
         # exposes an improving cell the simplex must pivot on.
         supply = np.array([1.0, 0.0])
         demand = np.array([0.5, 0.5])
         costs = np.array([[1.0, 2.0], [3.0, 1.0]])
-        _flow, basis = _vogel_initial_solution(supply, demand, costs)
+        _flow, basis = _reference_vogel(supply, demand, costs)
         assert len(basis) < 2 + 2 - 1
-        result = _assert_same_solve(supply, demand, costs, use_rank_kernel)
+        result = _assert_same_solve(supply, demand, costs)
         assert result.iterations >= 1
 
-    def test_single_row(self, use_rank_kernel):
+    def test_single_row(self):
         rng = np.random.default_rng(11)
         demand = rng.random(7) + 0.1
-        result = _assert_same_solve(
-            np.ones(1), demand / demand.sum(), rng.random((1, 7)), use_rank_kernel
-        )
+        result = _assert_same_solve(np.ones(1), demand / demand.sum(), rng.random((1, 7)))
         assert result.iterations == 0
 
-    def test_degenerate_and_zero_weight_cases(self, use_rank_kernel):
+    def test_degenerate_and_zero_weight_cases(self):
         # Flat costs, one cell of mass, all-but-one zero rows and
         # columns, and equal masses that empty a row and a column at once.
         rng = np.random.default_rng(13)
@@ -627,87 +647,32 @@ class TestSolveMatchesReference:
             (np.ones(6), np.ones(6), rng.integers(0, 2, (6, 6)).astype(np.float64)),
         ]
         for supply, demand, costs in cases:
-            _assert_same_solve(supply, demand, costs, use_rank_kernel)
+            _assert_same_solve(supply, demand, costs)
 
-    def test_strided_cost_slice_is_read_in_place(self, use_rank_kernel):
+    def test_strided_cost_slice_is_read_in_place(self):
         # The cascade hands the solver a column slice of its packed
         # costs; a reversed and a Fortran-ordered view solve alike.
         rng = np.random.default_rng(14)
         packed = rng.random((7, 30))
         supply, demand = rng.random(7) + 0.1, rng.random(9) + 0.1
         demand *= supply.sum() / demand.sum()
-        want = _assert_same_solve(supply, demand, packed[:, 10:19].copy(), use_rank_kernel)
+        want = _assert_same_solve(supply, demand, packed[:, 10:19].copy())
         for costs in (packed[:, 10:19], np.asfortranarray(packed[:, 10:19]),
                       packed[::-1, 10:19][::-1]):
-            for kernel in RANK_KERNELS:
-                with use_rank_kernel(kernel):
-                    got = solve_transport(supply, demand, costs)
-                assert np.array_equal(got.flow, want.flow) and got.cost == want.cost
+            got = solve_transport(supply, demand, costs)
+            assert np.array_equal(got.flow, want.flow) and got.cost == want.cost
 
 
-class _ShuffledSet(set):
-    """A set whose iteration order is drawn afresh on every pass."""
+def _record_rank_solves(monkeypatch, engine, object_ids):
+    """The transport problems the exact ranking path solves for
+    ``object_ids`` as queries: one ``solve_transport`` per filter
+    candidate (about 100 a query here), of which the cascade solves the
+    few its bounds do not prune."""
+    import importlib
 
-    def __init__(self, items, rng):
-        super().__init__(items)
-        self.rng = rng
+    from repro.core import RankParams
 
-    def __iter__(self):
-        items = list(set.__iter__(self))
-        self.rng.shuffle(items)
-        return iter(items)
-
-
-def _shuffled_simplex(supply, demand, costs, rng):
-    """The Python simplex with its basis iterated in a fresh random order
-    on every pass."""
-    vogel = transport._vogel_initial_solution
-
-    def shuffled_vogel(*args):
-        flow, basis = vogel(*args)
-        return flow, _ShuffledSet(basis, rng)
-
-    with mock.patch.object(transport, "_vogel_initial_solution", shuffled_vogel):
-        flow, basis, pivots = transport._simplex(*_balanced(supply, demand), costs, 1e-12)
-    assert isinstance(basis, _ShuffledSet)
-    return flow, basis, pivots
-
-
-class TestBasisOrderIsNeverRead:
-    """The Python basis is a set: the spanning step, the potentials, the
-    cycle and the entering argmin must not depend on its iteration
-    order, which the compiled simplex (a row-major mask) cannot share."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(vogel_problems(), corpus_problems()), st.integers(0, 2**32 - 1))
-    def test_shuffled_basis_gives_the_same_solve(self, problem, seed):
-        supply, demand, costs = problem
-        want_flow, want_basis, want_pivots = transport._simplex(
-            *_balanced(supply, demand), costs, 1e-12
-        )
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            flow, basis, pivots = _shuffled_simplex(supply, demand, costs, rng)
-            assert np.array_equal(flow.view(np.uint64), want_flow.view(np.uint64))
-            assert pivots == want_pivots and basis == want_basis
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_shuffled_basis_on_pivoting_problems(self, seed):
-        rng = np.random.default_rng(seed)
-        costs = rng.random((12, 12))
-        masses = np.full(12, 1 / 12)
-        want_flow, _basis, want_pivots = transport._simplex(masses, masses, costs, 1e-12)
-        assert want_pivots >= 1
-        flow, _basis, pivots = _shuffled_simplex(masses, masses, costs, rng)
-        assert np.array_equal(flow, want_flow) and pivots == want_pivots
-
-
-def _record_cascade_solves(monkeypatch, engine, object_ids):
-    """The transport problems the ranking cascade really solves for
-    ``object_ids`` as queries, recorded on the Python cascade, which
-    hands each one to ``solve_transport`` (the compiled ``rank_topk``
-    visits the same candidates inside one call)."""
-    import repro.core.ranking as ranking
+    emd_module = importlib.import_module("repro.core.emd")  # not the emd() export
 
     solved = []
 
@@ -715,8 +680,8 @@ def _record_cascade_solves(monkeypatch, engine, object_ids):
         solved.append((supply, demand, costs))
         return solve_transport(supply, demand, costs)
 
-    monkeypatch.setattr(transport, "_KERNEL", None)
-    monkeypatch.setattr(ranking, "solve_transport", recording_solve)
+    monkeypatch.setattr(emd_module, "solve_transport", recording_solve)
+    engine.rank_params = RankParams(cascade=False)
     for object_id in object_ids:
         engine.query(engine.get_object(object_id), top_k=10, exclude_self=True)
     monkeypatch.undo()
@@ -724,10 +689,10 @@ def _record_cascade_solves(monkeypatch, engine, object_ids):
 
 
 class TestCascadeSolvesMatchReference:
-    def test_clustered_image_queries(self, monkeypatch, use_rank_kernel):
-        # Record the transport problems the ranking cascade really
-        # solves on a seeded clustered image corpus; each must come out
-        # of both solvers exactly as the reference solves it.
+    def test_clustered_image_queries(self, monkeypatch):
+        # Record the transport problems the ranking really solves on a
+        # seeded clustered image corpus; each must come out of the
+        # compiled solver exactly as the reference solves it.
         from repro.core import FilterParams, SimilaritySearchEngine, SketchParams
         from repro.datatypes.bulk import bulk_image_dataset
         from repro.datatypes.image import make_image_plugin
@@ -739,12 +704,12 @@ class TestCascadeSolvesMatchReference:
             FilterParams(num_query_segments=4, candidates_per_segment=32),
         )
         engine.insert_many(list(bulk_image_dataset(400, seed=5)))
-        solved = _record_cascade_solves(monkeypatch, engine, range(0, 400, 50))
+        solved = _record_rank_solves(monkeypatch, engine, [300])
         assert len(solved) >= 80
         for supply, demand, costs in solved:
-            _assert_same_solve(supply, demand, costs, use_rank_kernel)
+            _assert_same_solve(supply, demand, costs)
 
-    def test_clustered_audio_queries(self, monkeypatch, use_rank_kernel):
+    def test_clustered_audio_queries(self, monkeypatch):
         # Audio: 192-dim segments, 8.6 a sentence, plain EMD — the
         # solves that pivot most (Table 2's slowest row).
         from repro.core import FilterParams, SimilaritySearchEngine, SketchParams
@@ -760,7 +725,7 @@ class TestCascadeSolvesMatchReference:
             FilterParams(candidates_per_segment=32),
         )
         engine.insert_many(list(dataset))
-        solved = _record_cascade_solves(monkeypatch, engine, range(0, 300, 30))
+        solved = _record_rank_solves(monkeypatch, engine, [0])
         assert len(solved) >= 80
         for supply, demand, costs in solved:
-            _assert_same_solve(supply, demand, costs, use_rank_kernel)
+            _assert_same_solve(supply, demand, costs)

@@ -10,7 +10,6 @@ from repro.core import (
     SimilaritySearchEngine,
     SketchParams,
 )
-from repro.core import transport
 from repro.server import CommandProcessor, ProtocolError, parse_command
 
 
@@ -248,16 +247,6 @@ class TestSetParam:
         assert any(
             line.startswith("rank_lower_bound_prunes ") for line in lines
         )
-
-    def test_stat_names_the_rank_kernel(self, processor, monkeypatch):
-        # Beside scan_kernel: which EMD kernels (l1 costs, simplex) serve.
-        lines = run(processor, "stat")
-        at = lines.index(f"rank_kernel {transport.rank_kernel()}")
-        assert lines[at - 1].startswith("scan_kernel ")
-        monkeypatch.setattr(transport, "_KERNEL", None)
-        assert "rank_kernel python" in run(processor, "stat")
-        monkeypatch.setattr(transport, "_KERNEL", object())
-        assert "rank_kernel compiled" in run(processor, "stat")
 
 
 class TestQueryFallbackScope:
